@@ -11,6 +11,7 @@ from .errors import (
     FilterNumericsError,
     IllConditionedFlowError,
     IllConditionedGainError,
+    NonFiniteError,
     SingularMetricError,
     SingularObservationError,
     SingularStateError,

@@ -127,12 +127,13 @@ def cli_main(argv=None) -> int:
             return EXIT_OK
         parser.error(f"unknown command {args.command}")
         return EXIT_USAGE
+    except FilterNumericsError as exc:
+        # before ValueError: NonFiniteError is both
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FilterNumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 def main() -> None:

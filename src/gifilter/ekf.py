@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, IllConditionedGainError
+from .errors import DivergenceError, IllConditionedGainError, NonFiniteError
 from .filter import FilterDiagnostics, repair_psd
 from .flow import DiffusionModel, FlowGrid, _expm
-from .geometry import SymTensor2, symmetrize
+from .geometry import SymTensor2, symmetric_condition, symmetrize
 from .observation import ObservationEvent, ObservationModel, wrap_angles
 
 logger = logging.getLogger(__name__)
@@ -33,7 +33,7 @@ class EkfEstimate:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         if not np.all(np.isfinite(self.mean)):
-            raise ValueError("EKF estimate has non-finite coordinates")
+            raise NonFiniteError("EKF estimate has non-finite coordinates")
 
 
 def _drift_jacobian(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
@@ -102,7 +102,7 @@ def ekf_update(
     jac = np.asarray(obs.dpsi(m), dtype=float)
     y_pred = obs.psi(m)
     innov = symmetrize(jac @ cov @ jac.T + np.asarray(obs.beta(y_pred), dtype=float))
-    if np.linalg.cond(innov) > EKF_COND_LIMIT:
+    if symmetric_condition(innov) > EKF_COND_LIMIT:
         raise IllConditionedGainError(
             f"EKF innovation matrix condition number exceeds {EKF_COND_LIMIT:.0e}"
         )

@@ -31,3 +31,11 @@ class SingularStateError(FilterNumericsError):
 
 class SingularObservationError(FilterNumericsError):
     """An observation point is outside the model's valid range (e.g. r ~ 0)."""
+
+
+class NonFiniteError(FilterNumericsError, ValueError):
+    """A state, covariance or estimate came out with non-finite entries.
+
+    Also a ValueError, because constructing a container from non-finite
+    data is invalid input as well as a numerical failure.
+    """

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IllConditionedGainError
+from .errors import IllConditionedGainError, NonFiniteError
 from .flow import FlowGrid, DiffusionModel, PropagationBundle, precompute
 from .geometry import (
     Bilinear3,
@@ -18,6 +18,7 @@ from .geometry import (
     barycenter_correction,
     exp_map_series,
     geodesic_flow,
+    symmetric_condition,
     symmetrize,
 )
 from .observation import (
@@ -43,7 +44,7 @@ class StateEstimate:
     def __post_init__(self):
         self.mu_hat = np.asarray(self.mu_hat, dtype=float)
         if not np.all(np.isfinite(self.mu_hat)):
-            raise ValueError("state estimate has non-finite coordinates")
+            raise NonFiniteError("state estimate has non-finite coordinates")
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def gain(
     innov = symmetrize(j @ xi_delta.mat @ j.T + np.asarray(beta_at_ydelta, dtype=float))
     if jitter > 0.0:
         innov = innov + jitter * np.eye(innov.shape[0])
-    if np.linalg.cond(innov) > GAIN_COND_LIMIT:
+    if symmetric_condition(innov) > GAIN_COND_LIMIT:
         raise IllConditionedGainError(
             f"innovation matrix condition number exceeds {GAIN_COND_LIMIT:.0e}"
         )
@@ -227,11 +228,9 @@ def update_estimate(
         mu_hat, fmat = geodesic_flow(x_delta, v, state_conn, steps=geodesic_steps)
     else:
         mu_hat = exp_map_series(x_delta, v, state_conn)
-        p = x_delta.size
-        fmat = np.eye(p)
-        basis = np.eye(p)
-        for col in range(p):
-            fmat[:, col] -= state_conn.gamma(x_delta, v, basis[col])
+        basis = np.eye(x_delta.size)
+        # column j of the derivative is e_j - Gamma(x_delta)(v (x) e_j)
+        fmat = basis - state_conn.gamma(x_delta, v, basis).T
     sigma_hat = symmetrize(fmat @ sigma.mat @ fmat.T)
     return StateEstimate(mu_hat, SymTensor2(mu_hat, sigma_hat))
 

@@ -8,14 +8,15 @@ flow map.  All quantities feed the filter update in :mod:`gifilter.filter`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedFlowError
-from .geometry import Bilinear3, ConnectorField, SymTensor2, sym_outer, symmetrize
+from .geometry import Bilinear3, ConnectorField, SymTensor2, symmetrize
 
 FLOW_COND_LIMIT = 1e12
 
@@ -63,6 +64,12 @@ class DiffusionModel:
     ``ddrift_b``.  ``noise_matrix`` supplies sigma(x) directly for exact
     noise loading in simulation; ``constrain(x, ref)`` re-projects a
     simulated state onto the model's constraint manifold.
+
+    Callbacks take one point x.  Those with matrix arguments,
+    ``d2xi_contract`` and ``d2drift_b_contract``, broadcast over their
+    leading axes: chi of shape (..., dim, dim) gives a value of shape
+    (..., dim), so one call contracts a whole stack of tensors.  The
+    connector follows the same rule (see :class:`ConnectorField`).
     """
 
     dim: int
@@ -95,7 +102,7 @@ class TransitionJacobians:
     def tau_0_delta(self) -> np.ndarray:
         return self.from_start[-1]
 
-    @property
+    @cached_property
     def tau_delta_0(self) -> np.ndarray:
         return np.linalg.inv(self.tau_0_delta)
 
@@ -232,29 +239,19 @@ def flow_second_fundamental_form(
     coeffs = np.zeros((p, p, p))
     for k in range(n + 1):
         weight = h * (0.5 if k in (0, n) else 1.0)
-        a = taus.from_start[k]
-        back = taus.to_end[k]
-        x = x_path[k]
-        block = np.zeros((p, p, p))
-        for i in range(p):
-            for j in range(i, p):
-                val = model.d2xi_contract(x, sym_outer(a[:, i], a[:, j]))
-                block[:, i, j] = val
-                block[:, j, i] = val
-        coeffs += weight * np.einsum("ab,bij->aij", back, block)
+        # cols[i] is column i of tau_0^{t_k}; pairs[i, j] = sym_outer(cols[i], cols[j])
+        cols = taus.from_start[k].T
+        pairs = 0.5 * (cols[:, None, :, None] * cols[None, :, None, :]
+                       + cols[None, :, :, None] * cols[:, None, None, :])
+        block = model.d2xi_contract(x_path[k], pairs)
+        coeffs += weight * np.einsum("ab,ijb->aij", taus.to_end[k], block)
     conn = model.conn
     if not conn.flat:
         tau = taus.tau_0_delta
-        x0 = x_path[0]
-        xd = x_path[-1]
-        basis = np.eye(p)
-        for i in range(p):
-            for j in range(i, p):
-                corr = tau @ conn.gamma(x0, basis[i], basis[j])
-                end = conn.gamma(xd, tau[:, i], tau[:, j])
-                coeffs[:, i, j] += end - corr
-                if j > i:
-                    coeffs[:, j, i] += end - corr
+        cols = tau.T
+        end = conn.gamma(x_path[-1], cols[:, None], cols[None, :])
+        corr = np.einsum("ab,bij->aij", tau, conn.coefficients(x_path[0]))
+        coeffs += np.moveaxis(end, -1, 0) - corr
     coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
     return Bilinear3(base=np.asarray(x_path[0], dtype=float), coeffs=coeffs)
 

@@ -8,15 +8,15 @@ carry their base point explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, SingularMetricError
+from .errors import DivergenceError, NonFiniteError, SingularMetricError
 
 SYMMETRY_RTOL = 1e-12
-PSD_EIG_RTOL = 1e-10
 
 
 def sym_outer(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -26,6 +26,18 @@ def sym_outer(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
+
+
+def symmetric_condition(mat: np.ndarray) -> float:
+    """Condition number max|lambda| / min|lambda| of a symmetric matrix.
+
+    Infinite when the matrix is singular or has non-finite entries.
+    """
+    if not np.all(np.isfinite(mat)):
+        return math.inf
+    eigs = np.abs(np.linalg.eigvalsh(mat))
+    smallest = float(eigs.min())
+    return float(eigs.max()) / smallest if smallest > 0.0 else math.inf
 
 
 def check_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, what: str = "matrix") -> None:
@@ -47,22 +59,12 @@ class SymTensor2:
         if self.mat.shape != (self.base.size, self.base.size):
             raise ValueError("tensor shape does not match base dimension")
         if not (np.all(np.isfinite(self.base)) and np.all(np.isfinite(self.mat))):
-            raise ValueError("non-finite entries in SymTensor2")
+            raise NonFiniteError("non-finite entries in SymTensor2")
         check_symmetric(self.mat, what="SymTensor2")
 
     @property
     def dim(self) -> int:
         return self.base.size
-
-    def symmetrized(self) -> "SymTensor2":
-        return SymTensor2(self.base, symmetrize(self.mat))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(symmetrize(self.mat))[0])
-
-    def is_psd(self, rtol: float = PSD_EIG_RTOL) -> bool:
-        eigs = np.linalg.eigvalsh(symmetrize(self.mat))
-        return bool(eigs[0] >= -rtol * max(float(eigs[-1]), 0.0))
 
 
 @dataclass
@@ -94,11 +96,16 @@ class Bilinear3:
 class ConnectorField:
     """Local connector of an affine connection, as callable coefficients.
 
-    ``gamma(x, u, v)`` is the symmetric bilinear map on tangent vectors;
-    ``dgamma(x, w, u, v)`` is its directional derivative along w.  The
-    ``flat`` flag short-circuits evaluation for identically-zero connectors.
+    ``gamma(x, u, v)`` is the symmetric bilinear map on tangent vectors at
+    the point x; ``dgamma(x, w, u, v)`` is its directional derivative along
+    w.  Both broadcast over the leading axes of their vector arguments:
+    vectors of shapes (..., dim) give values of their broadcast shape
+    (..., dim), so one call evaluates a whole stack of vector tuples, e.g.
+    every basis pair with u = I[:, None] and v = I[None, :].  The ``flat``
+    flag short-circuits evaluation for identically-zero connectors.
     ``contract_fn``, when given, computes sum_ij sym[i,j] gamma(x, e_i, e_j)
-    faster than the generic basis loop.
+    without forming the coefficients, broadcasting over the leading axes of
+    sym (..., dim, dim) in the same way.
     """
 
     dim: int
@@ -112,83 +119,22 @@ class ConnectorField:
             return np.zeros(self.dim)
         if self.contract_fn is not None:
             return self.contract_fn(x, sym)
-        basis = np.eye(self.dim)
-        out = np.zeros(self.dim)
-        for i in range(self.dim):
-            out += sym[i, i] * self.gamma(x, basis[i], basis[i])
-            for j in range(i + 1, self.dim):
-                out += 2.0 * sym[i, j] * self.gamma(x, basis[i], basis[j])
-        return out
+        return np.einsum("kij,ij->k", self.coefficients(x), sym)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Dense coefficient array G[k, i, j] = gamma(x, e_i, e_j)[k]."""
         basis = np.eye(self.dim)
-        out = np.zeros((self.dim, self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                g = self.gamma(x, basis[i], basis[j])
-                out[:, i, j] = g
-                out[:, j, i] = g
-        return out
+        return np.moveaxis(self.gamma(x, basis[:, None], basis[None, :]), -1, 0)
 
 
 def flat_connector(dim: int) -> ConnectorField:
-    zero = np.zeros(dim)
-
     def gamma(x, u, v):
-        return zero.copy()
+        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def dgamma(x, w, u, v):
-        return zero.copy()
+        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(u), np.shape(v)))
 
     return ConnectorField(dim=dim, gamma=gamma, dgamma=dgamma, flat=True)
-
-
-def _fd_directional(fn, x: np.ndarray, w: np.ndarray, scale: float = 1e-5):
-    """Central-difference directional derivative of fn at x along w."""
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
-        return np.zeros_like(fn(x))
-    h = scale * (1.0 + float(np.linalg.norm(x)))
-    unit = w / nw
-    return nw * (fn(x + h * unit) - fn(x - h * unit)) / (2.0 * h)
-
-
-def connector_from_coefficients(
-    dim: int,
-    coeff_fn: Callable[[np.ndarray], np.ndarray],
-    dcoeff_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> ConnectorField:
-    """Wrap a coefficient-array function G(x)[k, i, j] as a ConnectorField.
-
-    Coefficients are symmetrized in (i, j) so that torsion-freeness holds
-    exactly.  The derivative falls back to central finite differences of the
-    coefficients when no analytic form is supplied.
-    """
-
-    def sym_coeffs(x):
-        g = np.asarray(coeff_fn(x), dtype=float)
-        return 0.5 * (g + g.transpose(0, 2, 1))
-
-    def gamma(x, u, v):
-        # contracting against the symmetrized outer product makes the result
-        # exactly invariant under swapping u and v
-        return np.einsum("kij,ij->k", sym_coeffs(x), sym_outer(u, v))
-
-    if dcoeff_fn is not None:
-
-        def dgamma(x, w, u, v):
-            dg = np.asarray(dcoeff_fn(x, w), dtype=float)
-            dg = 0.5 * (dg + dg.transpose(0, 2, 1))
-            return np.einsum("kij,ij->k", dg, sym_outer(u, v))
-
-    else:
-
-        def dgamma(x, w, u, v):
-            dg = _fd_directional(sym_coeffs, x, w)
-            return np.einsum("kij,ij->k", dg, sym_outer(u, v))
-
-    return ConnectorField(dim=dim, gamma=gamma, dgamma=dgamma)
 
 
 def metric_partials_fd(
@@ -251,17 +197,6 @@ def levi_civita_connector(
     return 0.5 * (gam + gam.transpose(0, 2, 1))
 
 
-def levi_civita_connector_field(
-    dim: int,
-    beta_field: Callable[[np.ndarray], np.ndarray],
-    dbeta: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> ConnectorField:
-    """ConnectorField backed by numeric Levi-Civita coefficients of beta."""
-    return connector_from_coefficients(
-        dim, lambda y: levi_civita_connector(beta_field, y, dbeta=dbeta)
-    )
-
-
 def exp_map_series(x: np.ndarray, v: np.ndarray, conn: ConnectorField) -> np.ndarray:
     """Third-order expansion of the exponential map at x applied to v."""
     x = np.asarray(x, dtype=float)
@@ -302,13 +237,10 @@ def geodesic_flow(
 
     def rhs(gam, zet, fmat):
         acc = -conn.gamma(gam, zet, zet)
-        a21 = np.zeros((p, p))
-        a22 = np.zeros((p, p))
-        if not conn.flat:
-            for j in range(p):
-                a21[:, j] = -conn.dgamma(gam, basis[j], zet, zet)
-                a22[:, j] = -2.0 * conn.gamma(gam, zet, basis[j])
-        dh = np.block([[np.zeros((p, p)), np.eye(p)], [a21, a22]])
+        # column j of each block is the derivative along basis vector j
+        a21 = -conn.dgamma(gam, basis, zet, zet).T
+        a22 = -2.0 * conn.gamma(gam, zet, basis).T
+        dh = np.block([[np.zeros((p, p)), basis], [a21, a22]])
         return zet, acc, dh @ fmat
 
     gam = x.copy()
@@ -336,10 +268,11 @@ def curvature(
     R(u, v)w = DGamma(v)(u (x) w) - DGamma(u)(v (x) w)
              + Gamma(Gamma(u (x) w) (x) v) - Gamma(Gamma(v (x) w) (x) u),
     the unique trilinear extension of the printed R(zeta, eta)zeta formula
-    consistent with connector symmetry.
+    consistent with connector symmetry.  Broadcasts over the leading axes
+    of u, v and w like the connector callbacks.
     """
     if conn.flat:
-        return np.zeros(conn.dim)
+        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v), np.shape(w)))
     return (
         conn.dgamma(x, v, u, w)
         - conn.dgamma(x, u, v, w)
@@ -359,15 +292,9 @@ def barycenter_correction(
     mu = np.asarray(mu, dtype=float)
     if conn.flat or not np.any(mu):
         return mu.copy()
-    p = conn.dim
-    basis = np.eye(p)
-    corr = np.zeros(p)
-    smat = sigma.mat
-    for j in range(p):
-        for k in range(p):
-            if smat[j, k] != 0.0:
-                corr += smat[j, k] * curvature(conn, x, mu, basis[j], basis[k])
-    return mu - corr / 3.0
+    basis = np.eye(conn.dim)
+    rmat = curvature(conn, x, mu, basis[:, None], basis[None, :])
+    return mu - np.einsum("jk,jkl->l", sigma.mat, rmat) / 3.0
 
 
 def pushforward_covariance(sigma: SymTensor2, f: np.ndarray, new_base: np.ndarray) -> SymTensor2:

@@ -608,7 +608,7 @@ def transformed_cubic_model(params: Cubic1DParams, coeff: float = 0.2):
         val = (base_d2xi(x)
                + (fppp * base_xi(x) + fpp * base_dxi(x)) / fp
                - fpp ** 2 * base_xi(x) / fp ** 2) / fp
-        return np.array([val * chi[0, 0]])
+        return val * chi[..., 0, :1]
 
     def alpha(xt):
         x = phi_inv(xt[0])
@@ -620,13 +620,13 @@ def transformed_cubic_model(params: Cubic1DParams, coeff: float = 0.2):
 
     def gamma(xt, u, v):
         x = phi_inv(xt[0])
-        return np.array([-d2phi(x) / dphi(x) ** 2 * (u[0] * v[0])])
+        return -d2phi(x) / dphi(x) ** 2 * (u[..., :1] * v[..., :1])
 
     def dgamma(xt, w, u, v):
         x = phi_inv(xt[0])
         fp, fpp, fppp = dphi(x), d2phi(x), d3phi(x)
         dcoef = -fppp / fp ** 3 + 2.0 * fpp ** 2 / fp ** 4
-        return np.array([dcoef * w[0] * (u[0] * v[0])])
+        return dcoef * w[..., :1] * (u[..., :1] * v[..., :1])
 
     conn = ConnectorField(dim=1, gamma=gamma, dgamma=dgamma)
 

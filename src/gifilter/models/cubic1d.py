@@ -44,7 +44,7 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
         return np.array([[-1.5 * x[0] ** 2]])
 
     def d2xi_contract(x, chi):
-        return np.array([-3.0 * x[0] * chi[0, 0]])
+        return -3.0 * x[0] * chi[..., 0, :1]
 
     diffusion = DiffusionModel(
         dim=1,

@@ -46,7 +46,6 @@ def linear_build(params: LinearParams) -> tuple[DiffusionModel, ObservationModel
     alpha_const = params.sigma_mat @ params.sigma_mat.T
     j_mat = params.j_mat
     b_mat = params.b_mat
-    zero_d2 = np.zeros(p)
 
     def xi(x):
         return a_mat @ x
@@ -55,7 +54,7 @@ def linear_build(params: LinearParams) -> tuple[DiffusionModel, ObservationModel
         return a_mat
 
     def d2xi_contract(x, chi):
-        return zero_d2.copy()
+        return np.zeros(np.shape(chi)[:-1])
 
     diffusion = DiffusionModel(
         dim=p,

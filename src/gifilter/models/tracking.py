@@ -138,44 +138,36 @@ def tracking_connector() -> ConnectorField:
     S(z (x) s) w_v / (2 |v|^2) when the direction keeps the speed constant.
     """
 
+    def form(ze, si, d, inv2):
+        # S(ze (x) si) d * inv2; d is v or a stack of velocity blocks w_v
+        zv, za = ze[..., 3:6], ze[..., 6:9]
+        sv, sa = si[..., 3:6], si[..., 6:9]
+        sad = np.sum(sa * d, axis=-1, keepdims=True)
+        zad = np.sum(za * d, axis=-1, keepdims=True)
+        mid = (za * sad + sa * zad) * inv2
+        bottom = -(zv * sad + sv * zad) * inv2
+        return np.concatenate([np.zeros_like(mid), mid, bottom], axis=-1)
+
     def gamma(x, ze, si):
         v = x[3:6]
-        inv2 = 0.5 / float(v @ v)
-        zv, za = ze[3:6], ze[6:9]
-        sv, sa = si[3:6], si[6:9]
-        sav = float(sa @ v)
-        zav = float(za @ v)
-        out = np.zeros(9)
-        out[3:6] = (za * sav + sa * zav) * inv2
-        out[6:9] = -(zv * sav + sv * zav) * inv2
-        return out
+        return form(ze, si, v, 0.5 / float(v @ v))
 
     def dgamma(x, w, ze, si):
         v = x[3:6]
         vv = float(v @ v)
-        inv2 = 0.5 / vv
-        wv = w[3:6]
-        zv, za = ze[3:6], ze[6:9]
-        sv, sa = si[3:6], si[6:9]
-        saw = float(sa @ wv)
-        zaw = float(za @ wv)
-        out = np.zeros(9)
-        out[3:6] = (za * saw + sa * zaw) * inv2
-        out[6:9] = -(zv * saw + sv * zaw) * inv2
-        radial = 2.0 * float(v @ wv) / vv
-        if radial != 0.0:
-            out -= radial * gamma(x, ze, si)
-        return out
+        wv = w[..., 3:6]
+        radial = 2.0 * (wv @ v)[..., None] / vv
+        return form(ze, si, wv, 0.5 / vv) - radial * form(ze, si, v, 0.5 / vv)
 
     def contract(x, chi):
         v = x[3:6]
         inv2 = 0.5 / float(v @ v)
-        chi_aa = chi[6:9, 6:9]
-        chi_va = chi[3:6, 6:9]
-        chi_av = chi[6:9, 3:6]
-        out = np.zeros(9)
-        out[3:6] = (chi_aa + chi_aa.T) @ v * inv2
-        out[6:9] = -(chi_va + chi_av.T) @ v * inv2
+        chi_aa = chi[..., 6:9, 6:9]
+        chi_va = chi[..., 3:6, 6:9]
+        chi_av = chi[..., 6:9, 3:6]
+        out = np.zeros(np.shape(chi)[:-1])
+        out[..., 3:6] = (chi_aa + np.swapaxes(chi_aa, -1, -2)) @ v * inv2
+        out[..., 6:9] = -(chi_va + np.swapaxes(chi_av, -1, -2)) @ v * inv2
         return out
 
     return ConnectorField(dim=9, gamma=gamma, dgamma=dgamma, contract_fn=contract)
@@ -210,11 +202,12 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
     def d2xi_contract(x, chi):
         _, v, a = split_state(x)
         vv = float(v @ v)
-        chi_aa = chi[6:9, 6:9]
-        chi_va = chi[3:6, 6:9]
-        chi_av = chi[6:9, 3:6]
-        out = np.zeros(9)
-        out[6:9] = (-2.0 / vv) * (np.trace(chi_aa) * v + (chi_va + chi_av) @ a)
+        chi_aa = chi[..., 6:9, 6:9]
+        chi_va = chi[..., 3:6, 6:9]
+        chi_av = chi[..., 6:9, 3:6]
+        trace = np.trace(chi_aa, axis1=-2, axis2=-1)[..., None]
+        out = np.zeros(np.shape(chi)[:-1])
+        out[..., 6:9] = (-2.0 / vv) * (trace * v + (chi_va + chi_av) @ a)
         return out
 
     def alpha(x):
@@ -364,8 +357,8 @@ def observation_connector(params: Tracking9DParams) -> ConnectorField:
             raise SingularObservationError("observation connector undefined at r ~ 0")
         h, _, _, ratio, kvec = _pieces(r)
         # u * v elementwise keeps the result exactly symmetric under swap
-        out = -0.5 * (u[0] * v + v[0] * u) * ratio
-        out[0] += 0.5 * h[0] * float(np.sum(kvec * (u * v)))
+        out = -0.5 * (u[..., :1] * v + v[..., :1] * u) * ratio
+        out[..., 0] += 0.5 * h[0] * np.sum(kvec * (u * v), axis=-1)
         return out
 
     def dgamma(y, w, u, v):
@@ -376,10 +369,10 @@ def observation_connector(params: Tracking9DParams) -> ConnectorField:
         dratio = ddh / h - ratio ** 2
         dkvec = np.zeros(5)
         dkvec[:4] = ddh[:4] / h[:4] ** 2 - 2.0 * dh[:4] ** 2 / h[:4] ** 3
-        out = -0.5 * (u[0] * v + v[0] * u) * dratio
-        out[0] += 0.5 * dh[0] * float(np.sum(kvec * (u * v)))
-        out[0] += 0.5 * h[0] * float(np.sum(dkvec * (u * v)))
-        return out * float(w[0])
+        out = -0.5 * (u[..., :1] * v + v[..., :1] * u) * dratio
+        out[..., 0] += 0.5 * dh[0] * np.sum(kvec * (u * v), axis=-1)
+        out[..., 0] += 0.5 * h[0] * np.sum(dkvec * (u * v), axis=-1)
+        return out * w[..., :1]
 
     return ConnectorField(dim=5, gamma=gamma, dgamma=dgamma)
 

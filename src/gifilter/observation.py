@@ -33,6 +33,10 @@ class ObservationModel:
     the analytic partials of beta used when deriving the connector
     numerically.  ``angular_mask`` flags observation coordinates that live
     on a circle, so residuals can be wrapped before use.
+
+    ``psi``, ``dpsi``, ``d2psi``, ``beta`` and ``dbeta`` take one point;
+    ``conn_obs`` broadcasts over the leading axes of its vector arguments
+    like every :class:`ConnectorField`.
     """
 
     dim_obs: int

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from gifilter.geometry import levi_civita_connector_field
 from gifilter.harness import transformed_cubic_model
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.linear import LinearParams, linear_build
@@ -96,17 +95,12 @@ def connector_registry(tracking_params):
     def obs_point(rng):
         return random_obs_point(rng)
 
-    def plane_point(rng):
-        return rng.uniform(-1.0, 1.0, size=2)
-
     def line_point(rng):
         return rng.uniform(-1.5, 1.5, size=1)
 
     transformed = transformed_cubic_model(Cubic1DParams())[0].conn
-    numeric = levi_civita_connector_field(2, exp_metric_2d, dbeta=exp_metric_2d_partials)
     return [
         ("tracking_state", tracking_connector(), tracking_point),
         ("tracking_observation", observation_connector(tracking_params), obs_point),
-        ("numeric_exp_metric", numeric, plane_point),
         ("transformed_cubic", transformed, line_point),
     ]

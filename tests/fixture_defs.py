@@ -157,8 +157,8 @@ def _roundtrip_residuals():
 def _geodesic_1d(steps: int):
     conn = ConnectorField(
         dim=1,
-        gamma=lambda x, u, v: np.array([0.8 * (u[0] * v[0])]),
-        dgamma=lambda x, w, u, v: np.zeros(1),
+        gamma=lambda x, u, v: 0.8 * (u[..., :1] * v[..., :1]),
+        dgamma=lambda x, w, u, v: np.zeros(np.broadcast_shapes(w.shape, u.shape, v.shape)),
     )
     return geodesic_flow(np.array([0.3]), np.array([0.4]), conn, steps=steps)[0]
 
@@ -266,7 +266,7 @@ def _linear_flow_value():
     a_mat, x0 = _linear_flow_inputs()
     model = DiffusionModel(
         dim=3, xi=lambda x: a_mat @ x, dxi=lambda x: a_mat,
-        d2xi_contract=lambda x, chi: np.zeros(3),
+        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
         alpha=lambda x: np.zeros((3, 3)), conn=flat_connector(3),
         drift_b=lambda x: a_mat @ x,
     )
@@ -284,7 +284,7 @@ def _tau_value():
     a_mat, x0 = _linear_flow_inputs()
     model = DiffusionModel(
         dim=3, xi=lambda x: a_mat @ x, dxi=lambda x: a_mat,
-        d2xi_contract=lambda x, chi: np.zeros(3),
+        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
         alpha=lambda x: np.zeros((3, 3)), conn=flat_connector(3),
         drift_b=lambda x: a_mat @ x,
     )
@@ -303,7 +303,7 @@ def _ou_model(a=0.5, sig=0.3):
 
     return DiffusionModel(
         dim=1, xi=lambda x: np.array([-a * x[0]]), dxi=lambda x: np.array([[-a]]),
-        d2xi_contract=lambda x, chi: np.zeros(1),
+        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
         alpha=lambda x: np.array([[sig ** 2]]), conn=flat_connector(1),
         drift_b=lambda x: np.array([-a * x[0]]),
     )
@@ -363,7 +363,7 @@ def _sq_drift_model():
 
     return DiffusionModel(
         dim=1, xi=lambda x: np.array([x[0] ** 2]), dxi=lambda x: np.array([[2.0 * x[0]]]),
-        d2xi_contract=lambda x, chi: np.array([2.0 * chi[0, 0]]),
+        d2xi_contract=lambda x, chi: 2.0 * chi[..., 0, :1],
         alpha=lambda x: np.array([[0.01]]), conn=flat_connector(1),
         drift_b=lambda x: np.array([x[0] ** 2]),
     )

@@ -31,7 +31,7 @@ def test_predict_no_noise_no_drift_is_identity():
         dim=2,
         xi=lambda x: np.zeros(2),
         dxi=lambda x: np.zeros((2, 2)),
-        d2xi_contract=lambda x, chi: np.zeros(2),
+        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
         alpha=lambda x: np.zeros((2, 2)),
         conn=flat_connector(2),
         drift_b=lambda x: np.zeros(2),

@@ -265,6 +265,25 @@ def test_update_matches_geodesic_oracle_scaling():
     assert 1.5 <= cov_gaps[0] / cov_gaps[1] <= 3.0
 
 
+def test_update_covariance_matches_column_loop():
+    # the derivative of the series exponential map, one column at a time
+    conn = tracking_connector()
+    rng = np.random.default_rng(48)
+    x = random_tracking_state(rng)
+    raw = rng.standard_normal((9, 9)) * 0.1
+    sigma = SymTensor2(x, raw @ raw.T)
+    mu = rng.standard_normal(9) * 0.05
+    est = update_estimate(x, mu, sigma, conn)
+    v = barycenter_correction(mu, sigma, conn, x)
+    basis = np.eye(9)
+    fmat = np.eye(9)
+    for col in range(9):
+        fmat[:, col] -= conn.gamma(x, v, basis[col])
+    expected = fmat @ sigma.mat @ fmat.T
+    expected = 0.5 * (expected + expected.T)
+    assert np.max(np.abs(est.sigma_hat.mat - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 # --- full filter step ---------------------------------------------------------------
 
 

@@ -25,7 +25,7 @@ def make_scalar_model(xi, dxi, d2xi, alpha):
         dim=1,
         xi=lambda x: np.array([xi(x[0])]),
         dxi=lambda x: np.array([[dxi(x[0])]]),
-        d2xi_contract=lambda x, chi: np.array([d2xi(x[0]) * chi[0, 0]]),
+        d2xi_contract=lambda x, chi: d2xi(x[0]) * chi[..., 0, :1],
         alpha=lambda x: np.array([[alpha]]),
         conn=flat_connector(1),
         drift_b=lambda x: np.array([xi(x[0])]),
@@ -38,7 +38,7 @@ def make_linear_model(a_mat, alpha_mat):
         dim=p,
         xi=lambda x: a_mat @ x,
         dxi=lambda x: a_mat,
-        d2xi_contract=lambda x, chi: np.zeros(p),
+        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
         alpha=lambda x: alpha_mat,
         conn=flat_connector(p),
         drift_b=lambda x: a_mat @ x,
@@ -261,6 +261,35 @@ def test_flow_second_form_grid_refinement_second_order():
         assert 3.0 <= big / small <= 5.0
 
 
+def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
+    # the stacked evaluation against the per-pair loop it replaced
+    from conftest import random_tracking_state
+    from gifilter.geometry import sym_outer
+
+    model, _ = tracking_models
+    conn = model.conn
+    rng = np.random.default_rng(28)
+    x0 = random_tracking_state(rng, speed=200.0, scale=20.0)
+    grid = FlowGrid(0.1, 8)
+    path = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(model, path, grid)
+    form = flow_second_fundamental_form(model, path, taus, grid)
+    p, n, h = model.dim, grid.n_steps, grid.step
+    basis = np.eye(p)
+    tau = taus.tau_0_delta
+    loop = np.zeros((p, p, p))
+    for i in range(p):
+        for j in range(p):
+            for k in range(n + 1):
+                weight = h * (0.5 if k in (0, n) else 1.0)
+                a = taus.from_start[k]
+                chi = sym_outer(a[:, i], a[:, j])
+                loop[:, i, j] += weight * taus.to_end[k] @ model.d2xi_contract(path[k], chi)
+            loop[:, i, j] += (conn.gamma(path[-1], tau[:, i], tau[:, j])
+                              - tau @ conn.gamma(path[0], basis[i], basis[j]))
+    assert np.max(np.abs(form.coeffs - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
 # --- precompute -------------------------------------------------------------------
 
 
@@ -304,6 +333,14 @@ def test_precompute_matches_finer_grid():
     assert rel(coarse.xi_delta.mat[0, 0], fine.xi_delta.mat[0, 0]) < 1e-4
     assert rel(coarse.m_delta[0], fine.m_delta[0]) < 1e-4
     assert rel(coarse.nabla_dphi.coeffs[0, 0, 0], fine.nabla_dphi.coeffs[0, 0, 0]) < 1e-4
+
+
+def test_tau_delta_0_computed_once():
+    grid = FlowGrid(1.0, 16)
+    path = integrate_flow(CUBIC, np.array([1.0]), grid)
+    taus = transition_jacobians(CUBIC, path, grid)
+    assert taus.tau_delta_0 is taus.tau_delta_0
+    assert np.array_equal(taus.tau_delta_0, np.linalg.inv(taus.tau_0_delta))
 
 
 def test_tau_inverse_identity():

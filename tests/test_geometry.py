@@ -19,7 +19,10 @@ from gifilter.geometry import (
     log_map_series,
     pushforward_covariance,
     sym_outer,
+    symmetric_condition,
 )
+from gifilter.harness import transformed_cubic_model
+from gifilter.models.cubic1d import Cubic1DParams
 from gifilter.models.tracking import tracking_connector
 
 from conftest import random_tracking_state
@@ -142,6 +145,71 @@ def test_contract_matches_basis_loop(connector_registry):
         assert np.max(np.abs(fast - slow)) < 1e-12 * max(1.0, np.max(np.abs(slow))), name
 
 
+def _assert_rel_close(stacked, loop, what):
+    stacked = np.asarray(stacked)
+    loop = np.asarray(loop)
+    assert stacked.shape == loop.shape, what
+    assert np.max(np.abs(stacked - loop)) <= 1e-12 * np.max(np.abs(loop)), what
+
+
+def test_connector_callbacks_broadcast_like_per_vector_loop(connector_registry):
+    # the model protocol: one call over stacked vectors equals the loop over
+    # the individual vector tuples, whatever leading axes the stacks carry
+    rng = np.random.default_rng(404)
+    for name, conn, sampler in connector_registry:
+        x = sampler(rng)
+        p = conn.dim
+        u = rng.standard_normal((3, 1, p))
+        v = rng.standard_normal((1, 4, p))
+        w = rng.standard_normal((2, 1, 1, p))
+        gamma_loop = [[conn.gamma(x, u[i, 0], v[0, j]) for j in range(4)] for i in range(3)]
+        _assert_rel_close(conn.gamma(x, u, v), gamma_loop, name)
+        dgamma_loop = [[[conn.dgamma(x, w[k, 0, 0], u[i, 0], v[0, j]) for j in range(4)]
+                        for i in range(3)] for k in range(2)]
+        _assert_rel_close(conn.dgamma(x, w, u, v), dgamma_loop, name)
+        # the basis-pair pattern of ConnectorField.coefficients
+        basis = np.eye(p)
+        coeff_loop = np.zeros((p, p, p))
+        for i in range(p):
+            for j in range(p):
+                coeff_loop[:, i, j] = conn.gamma(x, basis[i], basis[j])
+        _assert_rel_close(conn.coefficients(x), coeff_loop, name)
+        if conn.contract_fn is not None:
+            raw = rng.standard_normal((2, p, p))
+            chi = raw + raw.transpose(0, 2, 1)
+            _assert_rel_close(conn.contract_fn(x, chi),
+                              [conn.contract_fn(x, chi[k]) for k in range(2)], name)
+
+
+def test_d2xi_contract_broadcasts_like_per_matrix_loop(cubic_models, linear_models,
+                                                      tracking_models):
+    rng = np.random.default_rng(405)
+    transformed = transformed_cubic_model(Cubic1DParams())[0]
+    cases = [
+        ("cubic1d", cubic_models[0], rng.uniform(-1.5, 1.5, size=1)),
+        ("linear", linear_models[0], rng.standard_normal(3)),
+        ("tracking9d", tracking_models[0], random_tracking_state(rng)),
+        ("transformed_cubic", transformed, rng.uniform(-1.5, 1.5, size=1)),
+    ]
+    for name, model, x in cases:
+        p = model.dim
+        raw = rng.standard_normal((2, 3, p, p))
+        chi = raw + raw.transpose(0, 1, 3, 2)
+        loop = [[model.d2xi_contract(x, chi[i, j]) for j in range(3)] for i in range(2)]
+        _assert_rel_close(model.d2xi_contract(x, chi), loop, name)
+
+
+def test_symmetric_condition_matches_svd_condition():
+    rng = np.random.default_rng(406)
+    for dim in (1, 2, 5, 9):
+        raw = rng.standard_normal((dim, dim))
+        mat = raw + raw.T
+        assert abs(symmetric_condition(mat) - np.linalg.cond(mat)) <= 1e-8 * np.linalg.cond(mat)
+    assert symmetric_condition(np.zeros((2, 2))) == np.inf
+    assert symmetric_condition(np.array([[np.nan, 0.0], [0.0, 1.0]])) == np.inf
+    assert symmetric_condition(np.array([[np.inf, 0.0], [0.0, 1.0]])) == np.inf
+
+
 # --- exponential map and inverse ----------------------------------------------
 
 
@@ -226,10 +294,10 @@ def test_geodesic_1d_quadratic_connector_against_fine_reference():
     c = 0.8
 
     def gamma(x, u, v):
-        return np.array([c * u[0] * v[0]])
+        return c * u[..., :1] * v[..., :1]
 
     def dgamma(x, w, u, v):
-        return np.zeros(1)
+        return np.zeros(np.broadcast_shapes(w.shape, u.shape, v.shape))
 
     conn = ConnectorField(dim=1, gamma=gamma, dgamma=dgamma)
     x = np.array([0.3])

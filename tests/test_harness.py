@@ -130,6 +130,21 @@ def test_tracking_scenario_end_to_end():
         assert record.errors[name].max() < 0.5 * start_gap
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_gif_update_aborts_the_cycle_not_the_run():
+    # an absurd observation drives the GIF update to infinity: that cycle is
+    # recorded as aborted with the previous estimate kept, and the run goes on
+    config = ScenarioConfig(model="cubic1d", n_obs=5, seed=1)
+    scenario = build_scenario(config)
+    record = simulate_sde(scenario, trajectory_rng(1, 0))
+    record.observations[2] = 1e308
+    record = run_filters(scenario, record)
+    assert record.aborted["gif"].tolist() == [False, False, True, False, False]
+    assert np.array_equal(record.estimates["gif"][2], record.estimates["gif"][1])
+    assert np.all(np.isfinite(record.estimates["gif"]))
+
+
 def test_stationary_truth_mean_near_zero():
     config = ScenarioConfig(model="cubic1d", n_obs=10000, seed=5)
     scenario = build_scenario(config)
