@@ -3,9 +3,11 @@
 
 Each registered fixture computes a deterministic implementation value and
 its independent oracle (closed form, reference integration, finite
-differences, index loops, or Monte Carlo).  The pair is checked at the
-declared tolerance and written to tests/fixtures/derived.json, which the
-test suite then re-asserts bitwise.  Run from the repository root:
+differences, index loops, or Monte Carlo).  Each pair is checked at the
+declared tolerance; only when every oracle reports ok is the set written
+to tests/fixtures/derived.json, which the test suite then re-asserts
+bitwise.  Otherwise the script exits 1 and leaves the file untouched.  Run
+from the repository root:
 
     python3 scripts/build_fixtures.py
 """
@@ -43,12 +45,12 @@ def main() -> int:
         }
         print(f"[{time.time() - start:7.2f}s] {fx.name}: {status}")
     target = ROOT / "tests" / "fixtures" / "derived.json"
+    if failures:
+        print(f"ORACLE FAILURES: {failures}; {target} left unchanged")
+        return 1
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {target} ({len(out)} fixtures)")
-    if failures:
-        print(f"ORACLE FAILURES: {failures}")
-        return 1
     return 0
 
 

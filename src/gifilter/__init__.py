@@ -52,7 +52,7 @@ from .geometry import (
     log_map_series,
     pushforward_covariance,
 )
-from .ekf import EkfEstimate, ekf_predict, ekf_step, ekf_update
+from .ekf import ekf_predict, ekf_step, ekf_update
 from .observation import (
     ObservationEvent,
     ObservationModel,

@@ -18,6 +18,7 @@ from .geometry import (
     barycenter_correction,
     exp_map_series,
     geodesic_flow,
+    pushforward_covariance,
     symmetric_condition,
     symmetrize,
 )
@@ -231,8 +232,7 @@ def update_estimate(
         basis = np.eye(x_delta.size)
         # column j of the derivative is e_j - Gamma(x_delta)(v (x) e_j)
         fmat = basis - state_conn.gamma(x_delta, v, basis).T
-    sigma_hat = symmetrize(fmat @ sigma.mat @ fmat.T)
-    return StateEstimate(mu_hat, SymTensor2(mu_hat, sigma_hat))
+    return StateEstimate(mu_hat, pushforward_covariance(sigma, fmat, mu_hat))
 
 
 def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -272,8 +272,8 @@ def filter_step(
     x_delta = bundle.x_delta
     y_delta = obs.psi(x_delta)
     jac = np.asarray(obs.dpsi(x_delta), dtype=float)
-    nabla_dpsi = map_second_fundamental_form(obs, model.conn, x_delta)
-    obs_ailp = ailp_observation(bundle, obs, model.conn)
+    nabla_dpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac)
+    obs_ailp = ailp_observation(bundle, nabla_dpsi, jac)
 
     g = gain(bundle.xi_delta, jac, obs.beta(y_delta), config.jitter)
     gr = rho_build(g, jac, bundle.nabla_dphi, nabla_dpsi, bundle.tau_delta_0,

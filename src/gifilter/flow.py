@@ -3,7 +3,9 @@
 Given a diffusion model and an initial estimate, this module computes the
 state path, transition Jacobians, propagated covariance, the intrinsic
 location correction for the state, and the second fundamental form of the
-flow map.  All quantities feed the filter update in :mod:`gifilter.filter`.
+flow map.  All quantities feed the filter update in :mod:`gifilter.filter`;
+the path, transition Jacobians and covariance also carry the EKF estimate
+of :mod:`gifilter.ekf`, run on the coordinate drift b.
 """
 
 from __future__ import annotations
@@ -60,8 +62,12 @@ class DiffusionModel:
     (sigma sigma^T, possibly degenerate) and ``conn`` the state-space
     connector.  ``drift_b`` is the original coordinate drift, related to xi
     by xi^k = b^k + (1/2) sum_ij alpha^ij Gamma^k_ij; it is used only by the
-    simulator and the EKF baseline, together with its optional Jacobian
-    ``ddrift_b``.  ``noise_matrix`` supplies sigma(x) directly for exact
+    simulator and the EKF baseline.  The EKF runs this module's propagation
+    (:func:`integrate_flow`, :func:`transition_jacobians`,
+    :func:`propagate_covariance`) on b in place of xi, so it requires the
+    Jacobian ``ddrift_b`` and the contracted second derivative
+    ``d2drift_b_contract``; models never run by the EKF may leave them
+    unset.  ``noise_matrix`` supplies sigma(x) directly for exact
     noise loading in simulation; ``constrain(x, ref)`` re-projects a
     simulated state onto the model's constraint manifold.
 
@@ -92,13 +98,32 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class TransitionJacobians:
-    """Per-step and accumulated linearized flow maps over one grid."""
+    """Per-step linearized flow maps over one grid, and their products.
+
+    The products are formed on first use, so a caller that needs only the
+    per-step maps (the covariance recursion) pays for nothing else.
+    """
 
     per_step: tuple  # tau_{t_k}^{t_(k+1)} for k = 0..n-1
-    from_start: tuple  # tau_0^{t_k} for k = 0..n
-    to_end: tuple  # tau_{t_k}^delta for k = 0..n
 
-    @property
+    @cached_property
+    def from_start(self) -> tuple:
+        """tau_0^{t_k} for k = 0..n."""
+        out = [np.eye(self.per_step[0].shape[0])]
+        for tau in self.per_step:
+            out.append(tau @ out[-1])
+        return tuple(out)
+
+    @cached_property
+    def to_end(self) -> tuple:
+        """tau_{t_k}^delta for k = 0..n."""
+        n = len(self.per_step)
+        out = [np.eye(self.per_step[0].shape[0])] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            out[k] = out[k + 1] @ self.per_step[k]
+        return tuple(out)
+
+    @cached_property
     def tau_0_delta(self) -> np.ndarray:
         return self.from_start[-1]
 
@@ -107,82 +132,70 @@ class TransitionJacobians:
         return np.linalg.inv(self.tau_0_delta)
 
 
-def integrate_flow(model: DiffusionModel, x0: np.ndarray, grid: FlowGrid) -> np.ndarray:
+def integrate_flow(
+    model: DiffusionModel, x0: np.ndarray, grid: FlowGrid
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Integrate dx/dt = xi(x) with a one-step third-order Taylor scheme.
 
-    Returns the state at every grid time, shape (n_steps + 1, dim).
+    Returns the state at every grid time, shape (n_steps + 1, dim), and the
+    Jacobian Dxi at each of those points, which the scheme evaluates anyway
+    and :func:`transition_jacobians` reuses.
     """
     x0 = np.asarray(x0, dtype=float)
     h = grid.step
     path = np.empty((grid.n_steps + 1, model.dim))
     path[0] = x0
+    jacs = []
     x = x0
     # overflow surfaces as the explicit divergence check below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.n_steps):
             xi = model.xi(x)
             dxi = model.dxi(x)
-            third = model.d2xi_contract(x, np.outer(xi, xi)) + dxi @ (dxi @ xi)
-            x = x + h * xi + 0.5 * h * h * (dxi @ xi) + (h ** 3 / 6.0) * third
-            if not np.all(np.isfinite(x)):
+            jacs.append(dxi)
+            dxi_xi = dxi @ xi
+            third = model.d2xi_contract(x, np.outer(xi, xi)) + dxi @ dxi_xi
+            x = x + h * xi + 0.5 * h * h * dxi_xi + (h ** 3 / 6.0) * third
+            if not np.isfinite(x).all():
                 raise DivergenceError(f"flow integration diverged at step {k + 1}",
                                       step=k + 1)
             path[k + 1] = x
-    return path
+    jacs.append(model.dxi(x))
+    return path, jacs
 
 
-def transition_jacobians(
-    model: DiffusionModel, x_path: np.ndarray, grid: FlowGrid
-) -> TransitionJacobians:
+def transition_jacobians(jacs: Sequence[np.ndarray], grid: FlowGrid) -> TransitionJacobians:
     """Per-step transition maps via the trapezium matrix exponential.
 
-    tau over one sub-interval is exp((h/2) [Dxi(x_u) + Dxi(x_t)]); products
-    accumulate the two-parameter semigroup from the start and to the end of
-    the interval.
+    tau over one sub-interval is exp((h/2) [Dxi(x_u) + Dxi(x_t)]), from the
+    Jacobians at the grid points; products accumulate the two-parameter
+    semigroup from the start and to the end of the interval.
     """
     h = grid.step
-    eye = np.eye(model.dim)
-    jacs = [model.dxi(x) for x in x_path]
-    per_step = [
+    return TransitionJacobians(per_step=tuple([
         _expm(0.5 * h * (jacs[k] + jacs[k + 1])) for k in range(grid.n_steps)
-    ]
-    from_start = [eye]
-    for tau in per_step:
-        from_start.append(tau @ from_start[-1])
-    to_end = [eye] * (grid.n_steps + 1)
-    for k in range(grid.n_steps - 1, -1, -1):
-        to_end[k] = to_end[k + 1] @ per_step[k]
-    tau_total = from_start[-1]
-    if np.linalg.cond(tau_total) > FLOW_COND_LIMIT:
-        raise IllConditionedFlowError(
-            f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
-        )
-    return TransitionJacobians(
-        per_step=tuple(per_step), from_start=tuple(from_start), to_end=tuple(to_end)
-    )
+    ]))
 
 
 def propagate_covariance(
-    model: DiffusionModel,
-    x_path: np.ndarray,
+    alphas: Sequence[np.ndarray],
     taus: TransitionJacobians,
     sigma0: SymTensor2,
     grid: FlowGrid,
 ) -> list[np.ndarray]:
-    """Trapezium recursion for the propagated covariance Xi_t along the grid."""
-    h = grid.step
-    alphas = [model.alpha(x) for x in x_path]
+    """Trapezium recursion for the propagated covariance Xi_t along the grid,
+    from the diffusion variance alpha at each grid point."""
+    half = [0.5 * grid.step * alpha for alpha in alphas]
     xis = [symmetrize(np.asarray(sigma0.mat, dtype=float))]
-    for k in range(grid.n_steps):
-        tau = taus.per_step[k]
-        nxt = 0.5 * h * alphas[k + 1] + tau @ (xis[k] + 0.5 * h * alphas[k]) @ tau.T
-        xis.append(symmetrize(nxt))
+    for k, tau in enumerate(taus.per_step):
+        xis.append(symmetrize(half[k + 1] + tau @ (xis[k] + half[k]) @ tau.T))
     return xis
 
 
 def ailp_state(
     model: DiffusionModel,
     x_path: np.ndarray,
+    alphas: Sequence[np.ndarray],
     taus: TransitionJacobians,
     xis: Sequence[np.ndarray],
     sigma0: SymTensor2,
@@ -201,7 +214,7 @@ def ailp_state(
         x = x_path[k]
         val = model.d2xi_contract(x, xis[k])
         if not conn.flat:
-            val = val - conn.contract(x, model.alpha(x))
+            val = val - conn.contract(x, alphas[k])
         return val
 
     kappa = np.zeros(model.dim)
@@ -290,11 +303,19 @@ class PropagationBundle:
 def precompute(
     model: DiffusionModel, x0: np.ndarray, sigma0: SymTensor2, grid: FlowGrid
 ) -> PropagationBundle:
-    """Run the full flow precomputation from an estimate (x0, sigma0)."""
-    x_path = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(model, x_path, grid)
-    xis = propagate_covariance(model, x_path, taus, sigma0, grid)
-    m_delta = ailp_state(model, x_path, taus, xis, sigma0, grid)
+    """Run the full flow precomputation from an estimate (x0, sigma0).
+
+    Each model callback is evaluated once per grid point.
+    """
+    x_path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    if np.linalg.cond(taus.tau_0_delta) > FLOW_COND_LIMIT:
+        raise IllConditionedFlowError(
+            f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
+        )
+    alphas = [model.alpha(x) for x in x_path]
+    xis = propagate_covariance(alphas, taus, sigma0, grid)
+    m_delta = ailp_state(model, x_path, alphas, taus, xis, sigma0, grid)
     nabla_dphi = flow_second_fundamental_form(model, x_path, taus, grid)
     return PropagationBundle(
         x_path=x_path,

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__
-from .ekf import EkfEstimate, ekf_step
+from .ekf import ekf_step
 from .errors import FilterNumericsError
 from .filter import FilterConfig, FilterDiagnostics, StateEstimate, filter_step
 from .flow import DiffusionModel
@@ -285,32 +285,28 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
         err_rows = np.full(record.n_obs, np.nan)
         aborted = np.zeros(record.n_obs, dtype=bool)
         if name == "gif":
-            state = StateEstimate(scenario.mu0.copy(),
-                                  SymTensor2(scenario.mu0, scenario.sigma0.copy()))
+            def step(nsub, obs_model, st, event):
+                cfg = dataclasses.replace(base_cfg, n_substeps=nsub)
+                return filter_step(model, obs_model, st, event, cfg, diag=diag)
         else:
-            state = EkfEstimate(scenario.mu0.copy(),
-                                SymTensor2(scenario.mu0, scenario.sigma0.copy()))
+            def step(nsub, obs_model, st, event):
+                return ekf_step(model, obs_model, st, event, config.delta, nsub, diag=diag)
+        state = StateEstimate(scenario.mu0.copy(),
+                              SymTensor2(scenario.mu0, scenario.sigma0.copy()))
         for k in range(n):
             event = ObservationEvent(time=float(record.times[k]),
                                      y=record.observations[k])
             obs_model = scenario.observation_at(float(record.times[k]))
-            if name == "gif":
-                def one(nsub, _ev=event, _obs=obs_model, _st=state):
-                    cfg = dataclasses.replace(base_cfg, n_substeps=nsub)
-                    return filter_step(model, _obs, _st, _ev, cfg, diag=diag)
-            else:
-                def one(nsub, _ev=event, _obs=obs_model, _st=state):
-                    return ekf_step(model, _obs, _st, _ev, config.delta, nsub, diag=diag)
-            result, _ = _step_with_refinement(one, config.n_substeps,
-                                              config.max_refinements)
+            result, _ = _step_with_refinement(
+                lambda nsub: step(nsub, obs_model, state, event),
+                config.n_substeps, config.max_refinements)
             if result is None:
                 aborted[k] = True
                 diag.record_abort(f"{name} step {k} failed at max grid refinement")
             else:
                 state = result
-            mean = state.mu_hat if name == "gif" else state.mean
-            est_rows[k] = mean
-            err_rows[k] = float(np.linalg.norm(mean - record.truth[k]))
+            est_rows[k] = state.mu_hat
+            err_rows[k] = float(np.linalg.norm(state.mu_hat - record.truth[k]))
         record.estimates[name] = est_rows
         record.errors[name] = err_rows
         record.aborted[name] = aborted

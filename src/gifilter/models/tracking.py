@@ -117,12 +117,6 @@ def project_state(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return pack_state(p, v_new, a_new)
 
 
-def accel_ratio(x: np.ndarray) -> float:
-    """|a|^2 / |v|^2, the drift coefficient keeping v . a constant."""
-    _, v, a = split_state(x)
-    return float(a @ a) / float(v @ v)
-
-
 def velocity_projection(v: np.ndarray) -> np.ndarray:
     """Projection onto the orthogonal complement of v."""
     return np.eye(3) - np.outer(v, v) / float(v @ v)

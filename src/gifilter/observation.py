@@ -52,11 +52,6 @@ class ObservationModel:
         """Fold angular coordinates of an observation point into (-pi, pi]."""
         return wrap_angles(y, self.angular_mask)
 
-    def residual(self, y_obs: np.ndarray, y_ref: np.ndarray) -> np.ndarray:
-        """Chart difference y_obs - y_ref with angular wrap applied."""
-        return wrap_angles(np.asarray(y_obs, dtype=float) - np.asarray(y_ref, dtype=float),
-                           self.angular_mask)
-
 
 @dataclass(frozen=True)
 class ObservationEvent:
@@ -78,16 +73,16 @@ def beta_sqrt(beta: np.ndarray) -> np.ndarray:
 
 
 def map_second_fundamental_form(
-    obs: ObservationModel, state_conn: ConnectorField, x: np.ndarray
+    obs: ObservationModel, state_conn: ConnectorField, x: np.ndarray, jac: np.ndarray
 ) -> Bilinear3:
     """Second fundamental form of psi at x, as a (q, p, p) bilinear map.
 
     nabla dpsi(v, w) = D2psi(v, w) - Dpsi Gamma(v, w)
-                     + Gamma_bar(psi(x))(Dpsi v, Dpsi w).
+                     + Gamma_bar(psi(x))(Dpsi v, Dpsi w),
+    with ``jac`` the Jacobian Dpsi(x).
     """
     x = np.asarray(x, dtype=float)
     coeffs = np.array(obs.d2psi(x), dtype=float)
-    jac = np.asarray(obs.dpsi(x), dtype=float)
     if not state_conn.flat:
         coeffs -= np.einsum("ka,aij->kij", jac, state_conn.coefficients(x))
     if not obs.conn_obs.flat:
@@ -98,24 +93,17 @@ def map_second_fundamental_form(
 
 
 def ailp_observation(
-    bundle: PropagationBundle, obs: ObservationModel, state_conn: ConnectorField
+    bundle: PropagationBundle, nabla_dpsi: Bilinear3, jac: np.ndarray
 ) -> np.ndarray:
     """Intrinsic location correction of psi(X_delta) in the tangent space at y_delta.
 
-    Combines the propagated covariance with the second fundamental form of
-    psi and transports the state correction through the Jacobian:
-    (1/2) {D2psi(Xi) - J Gamma(Xi) + Gamma_bar(J Xi J^T)} + J m_delta.
+    The second fundamental form of psi at x_delta contracted with the
+    propagated covariance, plus the state correction transported through
+    the Jacobian ``jac``:
+    (1/2) nabla dpsi(Xi_delta) + J m_delta
+      = (1/2) {D2psi(Xi) - J Gamma(Xi) + Gamma_bar(J Xi J^T)} + J m_delta.
     """
-    x_delta = bundle.x_delta
-    xi = bundle.xi_delta.mat
-    jac = np.asarray(obs.dpsi(x_delta), dtype=float)
-    out = np.einsum("kij,ij->k", np.asarray(obs.d2psi(x_delta), dtype=float), xi)
-    if not state_conn.flat:
-        out -= jac @ state_conn.contract(x_delta, xi)
-    if not obs.conn_obs.flat:
-        y_delta = obs.psi(x_delta)
-        out += obs.conn_obs.contract(y_delta, jac @ xi @ jac.T)
-    return 0.5 * out + jac @ bundle.m_delta
+    return 0.5 * nabla_dpsi.contract(bundle.xi_delta.mat) + jac @ bundle.m_delta
 
 
 def sample_observation(

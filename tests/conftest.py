@@ -1,5 +1,7 @@
 """Shared test fixtures: model instances, state samplers, connector registry."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,20 @@ def random_tracking_state(rng, speed=None, scale=1.0):
     a -= v * float(v @ a) / float(v @ v)
     p = rng.standard_normal(3) * scale
     return pack_state(p, v, a)
+
+
+def counting(bundle, names, calls):
+    """A copy of the callback bundle (a model dataclass) whose callbacks
+    ``names`` each add one to ``calls[name]`` per call."""
+
+    def wrap(name, fn):
+        def inner(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return inner
+
+    return dataclasses.replace(bundle, **{n: wrap(n, getattr(bundle, n)) for n in names})
 
 
 def random_obs_point(rng):

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from gifilter.ekf import EkfEstimate, ekf_predict, ekf_update
+from gifilter.ekf import ekf_predict, ekf_update
 from gifilter.filter import (
     FilterConfig,
     StateEstimate,
@@ -252,7 +252,7 @@ def _pushforward_oracle():
 
 def _cubic_flow64_value():
     model, _ = _cubic_model()
-    return float(integrate_flow(model, np.array([1.0]), FlowGrid(3.0, 64))[-1][0])
+    return float(integrate_flow(model, np.array([1.0]), FlowGrid(3.0, 64))[0][-1][0])
 
 
 def _linear_flow_inputs():
@@ -270,7 +270,7 @@ def _linear_flow_value():
         alpha=lambda x: np.zeros((3, 3)), conn=flat_connector(3),
         drift_b=lambda x: a_mat @ x,
     )
-    return integrate_flow(model, x0, FlowGrid(0.1, 64))[-1]
+    return integrate_flow(model, x0, FlowGrid(0.1, 64))[0][-1]
 
 
 def _linear_flow_oracle():
@@ -289,8 +289,8 @@ def _tau_value():
         drift_b=lambda x: a_mat @ x,
     )
     grid = FlowGrid(0.7, 32)
-    path = integrate_flow(model, x0, grid)
-    return transition_jacobians(model, path, grid).tau_0_delta
+    _, jacs = integrate_flow(model, x0, grid)
+    return transition_jacobians(jacs, grid).tau_0_delta
 
 
 def _tau_oracle():
@@ -312,9 +312,10 @@ def _ou_model(a=0.5, sig=0.3):
 def _ou_var_value():
     model = _ou_model()
     grid = FlowGrid(0.5, 64)
-    path = integrate_flow(model, np.array([1.0]), grid)
-    taus = transition_jacobians(model, path, grid)
-    xis = propagate_covariance(model, path, taus, SymTensor2(path[0], [[0.2]]), grid)
+    path, jacs = integrate_flow(model, np.array([1.0]), grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[0.2]]), grid)
     return float(xis[-1][0, 0])
 
 
@@ -327,9 +328,10 @@ def _cubic_var_value():
     model, _ = _cubic_model()
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
-    path = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(model, path, grid)
-    xis = propagate_covariance(model, path, taus, SymTensor2(x0, [[0.0]]), grid)
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, SymTensor2(x0, [[0.0]]), grid)
     return float(xis[-1][0, 0])
 
 
@@ -352,10 +354,11 @@ def _cubic_ailp_value():
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
     sigma0 = SymTensor2(x0, [[0.01]])
-    path = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(model, path, grid)
-    xis = propagate_covariance(model, path, taus, sigma0, grid)
-    return float(ailp_state(model, path, taus, xis, sigma0, grid)[0])
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, sigma0, grid)
+    return float(ailp_state(model, path, alphas, taus, xis, sigma0, grid)[0])
 
 
 def _sq_drift_model():
@@ -374,17 +377,18 @@ def _sq_drift_ailp_value():
     grid = FlowGrid(1.0, 256)
     x0 = np.array([0.5])
     sigma0 = SymTensor2(x0, [[0.0]])
-    path = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(model, path, grid)
-    xis = propagate_covariance(model, path, taus, sigma0, grid)
-    m_delta = ailp_state(model, path, taus, xis, sigma0, grid)
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, sigma0, grid)
+    m_delta = ailp_state(model, path, alphas, taus, xis, sigma0, grid)
     return float(m_delta[0])
 
 
 def _sq_drift_ailp_mc_oracle():
     # E[X_delta - x_delta] over 1e6 Euler-Maruyama paths; returns (mean, se)
     model = _sq_drift_model()
-    x_det = integrate_flow(model, np.array([0.5]), FlowGrid(1.0, 4000))[-1][0]
+    x_det = integrate_flow(model, np.array([0.5]), FlowGrid(1.0, 4000))[0][-1][0]
     rng = np.random.default_rng(777002)
     n_paths, n_sub = 10 ** 6, 4000
     dt = 1.0 / n_sub
@@ -399,8 +403,8 @@ def _sq_drift_ailp_mc_oracle():
 def _sff_fd_value():
     model, _ = _cubic_model()
     grid = FlowGrid(1.0, 256)
-    path = integrate_flow(model, np.array([1.0]), grid)
-    taus = transition_jacobians(model, path, grid)
+    path, jacs = integrate_flow(model, np.array([1.0]), grid)
+    taus = transition_jacobians(jacs, grid)
     return float(flow_second_fundamental_form(model, path, taus, grid).coeffs[0, 0, 0])
 
 
@@ -428,7 +432,8 @@ def _precompute_pair(n_steps):
 
 def _obs_sff_cubic_value():
     model, obs = _cubic_model()
-    return float(map_second_fundamental_form(obs, model.conn, np.array([0.8])).coeffs[0, 0, 0])
+    x = np.array([0.8])
+    return float(map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x)).coeffs[0, 0, 0])
 
 
 def _obs_sff_cubic_oracle():
@@ -448,7 +453,7 @@ def _tracking_sff_inputs():
 
 def _tracking_sff_value():
     model, obs, x = _tracking_sff_inputs()
-    return map_second_fundamental_form(obs, model.conn, x).coeffs
+    return map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x)).coeffs
 
 
 def _tracking_sff_oracle():
@@ -472,7 +477,9 @@ def _obs_ailp_value():
     model, obs = _cubic_model()
     x0 = np.array([1.0])
     bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, 256))
-    return float(ailp_observation(bundle, obs, model.conn)[0])
+    jac = obs.dpsi(bundle.x_delta)
+    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac)
+    return float(ailp_observation(bundle, ndpsi, jac)[0])
 
 
 def _obs_ailp_mc_oracle():
@@ -545,7 +552,7 @@ def _filter_fixture_pieces(n_steps=32):
     x0 = np.array([1.0])
     bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, n_steps))
     jac = obs.dpsi(bundle.x_delta)
-    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta)
+    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac)
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(bundle.x_delta)))
     gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
     return model, obs, bundle, jac, g, gr, ndpsi
@@ -616,15 +623,15 @@ def _update_geodesic_gaps():
 def _ekf_predict_value():
     model, _ = _cubic_model()
     m0 = np.array([1.0])
-    pred = ekf_predict(model, EkfEstimate(m0, SymTensor2(m0, [[0.01]])), 1.0, 64)
-    return float(pred.mean[0])
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, [[0.01]])), 1.0, 64)
+    return float(pred.mu_hat[0])
 
 
 def _ekf_update_value():
     _, obs = _cubic_model()
-    est = EkfEstimate(np.array([0.5]), SymTensor2(np.array([0.5]), [[0.04]]))
+    est = StateEstimate(np.array([0.5]), SymTensor2(np.array([0.5]), [[0.04]]))
     upd = ekf_update(est, obs, np.array([0.9]))
-    return np.array([upd.mean[0], upd.cov.mat[0, 0]])
+    return np.array([upd.mu_hat[0], upd.sigma_hat.mat[0, 0]])
 
 
 def _ekf_update_oracle():
@@ -666,7 +673,7 @@ def _connector_closed_vs_numeric_value():
 
 def _cubic_flow_cross_value():
     model, _ = _cubic_model()
-    return float(integrate_flow(model, np.array([0.7]), FlowGrid(1.0, 256))[-1][0])
+    return float(integrate_flow(model, np.array([0.7]), FlowGrid(1.0, 256))[0][-1][0])
 
 
 def _run_filters_freeze_value():

@@ -144,7 +144,7 @@ def test_criterion_5_tracking_geometry_identities():
         speed = rng.uniform(100.0, 300.0)
         x0 = random_tracking_state(rng, speed=speed, scale=0.1 * speed)
         speed_sq = float(x0[3:6] @ x0[3:6])
-        for x in integrate_flow(model, x0, grid):
+        for x in integrate_flow(model, x0, grid)[0]:
             _, v, a = split_state(x)
             worst_cross = max(worst_cross, abs(float(v @ a))
                               / (np.linalg.norm(v) * max(np.linalg.norm(a), 1e-300)))

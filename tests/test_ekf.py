@@ -1,16 +1,22 @@
 """Tests for the continuous-discrete EKF baseline."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gifilter.ekf import EkfEstimate, ekf_predict, ekf_step, ekf_update
+from gifilter.ekf import ekf_predict, ekf_step, ekf_update
 from gifilter.errors import IllConditionedGainError
-from gifilter.filter import FilterDiagnostics
-from gifilter.geometry import SymTensor2, flat_connector
+from gifilter.filter import FilterDiagnostics, StateEstimate
+from gifilter.geometry import SymTensor2, flat_connector, symmetrize
 from gifilter.flow import DiffusionModel
 from gifilter.harness import kalman_reference_run, van_loan_discretization
 from gifilter.models.cubic1d import cubic1d_analytic_flow
 from gifilter.observation import ObservationEvent, ObservationModel
+
+from conftest import counting
 
 
 def test_predict_linear_matches_exact_kalman(linear_params, linear_models):
@@ -19,11 +25,11 @@ def test_predict_linear_matches_exact_kalman(linear_params, linear_models):
     delta = 0.05
     m0 = rng.standard_normal(3)
     p0 = 0.4 * np.eye(3)
-    pred = ekf_predict(model, EkfEstimate(m0, SymTensor2(m0, p0)), delta, n_substeps=128)
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, p0)), delta, n_substeps=128)
     fmat, qd = van_loan_discretization(
         linear_params.a_mat, linear_params.sigma_mat @ linear_params.sigma_mat.T, delta)
-    assert np.max(np.abs(pred.mean - fmat @ m0)) < 1e-8
-    assert np.max(np.abs(pred.cov.mat - (fmat @ p0 @ fmat.T + qd))) < 1e-8
+    assert np.max(np.abs(pred.mu_hat - fmat @ m0)) < 1e-8
+    assert np.max(np.abs(pred.sigma_hat.mat - (fmat @ p0 @ fmat.T + qd))) < 1e-8
 
 
 def test_predict_no_noise_no_drift_is_identity():
@@ -36,34 +42,87 @@ def test_predict_no_noise_no_drift_is_identity():
         conn=flat_connector(2),
         drift_b=lambda x: np.zeros(2),
         ddrift_b=lambda x: np.zeros((2, 2)),
+        d2drift_b_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
     )
     m0 = np.array([1.0, -2.0])
     p0 = np.diag([0.3, 0.6])
-    pred = ekf_predict(model, EkfEstimate(m0, SymTensor2(m0, p0)), 1.0, 8)
-    assert np.array_equal(pred.mean, m0)
-    assert np.array_equal(pred.cov.mat, p0)
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, p0)), 1.0, 8)
+    assert np.array_equal(pred.mu_hat, m0)
+    assert np.array_equal(pred.sigma_hat.mat, p0)
 
 
 def test_predict_cubic_mean_matches_closed_form(cubic_models):
     model, _ = cubic_models
     m0 = np.array([1.0])
-    pred = ekf_predict(model, EkfEstimate(m0, SymTensor2(m0, [[0.01]])), 1.0, 64)
-    assert abs(pred.mean[0] - cubic1d_analytic_flow(1.0, 1.0)) < 1e-6
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, [[0.01]])), 1.0, 64)
+    assert abs(pred.mu_hat[0] - cubic1d_analytic_flow(1.0, 1.0)) < 1e-6
 
 
-def test_predict_uses_fd_jacobian_when_missing(cubic_models):
-    # without analytic derivatives of b the scheme degrades to second order;
-    # it must still track the closed-form flow at the coarser rate
+def test_predict_requires_drift_derivatives(cubic_models):
     model, _ = cubic_models
-    import dataclasses
-    bare = dataclasses.replace(model, ddrift_b=None, d2drift_b_contract=None)
     m0 = np.array([0.8])
-    full = ekf_predict(model, EkfEstimate(m0, SymTensor2(m0, [[0.02]])), 1.0, 64)
-    fd = ekf_predict(bare, EkfEstimate(m0, SymTensor2(m0, [[0.02]])), 1.0, 64)
-    truth = cubic1d_analytic_flow(0.8, 1.0)
-    assert abs(full.mean[0] - truth) < 1e-6
-    assert abs(fd.mean[0] - truth) < 1e-4
-    assert abs(full.cov.mat[0, 0] - fd.cov.mat[0, 0]) < 1e-6
+    for missing in ("ddrift_b", "d2drift_b_contract"):
+        bare = dataclasses.replace(model, **{missing: None})
+        with pytest.raises(ValueError, match=missing):
+            ekf_predict(bare, StateEstimate(m0, SymTensor2(m0, [[0.02]])), 1.0, 64)
+
+
+@pytest.fixture(scope="module")
+def predict_cases(cubic_models, linear_models, tracking_models):
+    """(model, mean, covariance, delta) per shipped model."""
+    rng = np.random.default_rng(55)
+    raw = rng.standard_normal((3, 3))
+    tracking_mean = np.array([9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0])
+    tracking_cov = np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0])
+    return {
+        "cubic1d": (cubic_models[0], np.array([0.8]), np.array([[0.02]]), 1.0),
+        "linear": (linear_models[0], rng.standard_normal(3), raw @ raw.T, 0.05),
+        "tracking9d": (tracking_models[0], tracking_mean, tracking_cov, 0.1),
+    }
+
+
+def _expm(m):
+    return np.exp(m) if m.shape == (1, 1) else scipy.linalg.expm(m)
+
+
+def _loop_predict(model, mean, cov, delta, n_substeps):
+    # the EKF's own propagation loop on b, from before it shared the flow
+    # module's routines: the bit-for-bit reference for ekf_predict
+    h = delta / n_substeps
+    m = np.array(mean, dtype=float)
+    cov = symmetrize(np.array(cov, dtype=float))
+    a_prev = np.asarray(model.ddrift_b(m), dtype=float)
+    alpha_prev = model.alpha(m)
+    for _ in range(n_substeps):
+        b = model.drift_b(m)
+        ab = a_prev @ b
+        m_next = m + h * b + 0.5 * h * h * ab
+        third = model.d2drift_b_contract(m, np.outer(b, b)) + a_prev @ ab
+        m_next = m_next + (h ** 3 / 6.0) * third
+        a_next = np.asarray(model.ddrift_b(m_next), dtype=float)
+        alpha_next = model.alpha(m_next)
+        tau = _expm(0.5 * h * (a_prev + a_next))
+        cov = symmetrize(0.5 * h * alpha_next + tau @ (cov + 0.5 * h * alpha_prev) @ tau.T)
+        m, a_prev, alpha_prev = m_next, a_next, alpha_next
+    return m, cov
+
+
+@pytest.mark.parametrize("n_substeps", [8, 16])
+@pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d"])
+def test_predict_equals_own_loop_bit_for_bit(predict_cases, name, n_substeps):
+    model, mean, cov, delta = predict_cases[name]
+    pred = ekf_predict(model, StateEstimate(mean, SymTensor2(mean, cov)), delta, n_substeps)
+    ref_mean, ref_cov = _loop_predict(model, mean, cov, delta, n_substeps)
+    assert np.array_equal(pred.mu_hat, ref_mean)
+    assert np.array_equal(pred.sigma_hat.mat, ref_cov)
+
+
+def test_predict_evaluates_each_callback_once_per_grid_point(predict_cases):
+    model, mean, cov, delta = predict_cases["tracking9d"]
+    calls = Counter()
+    model = counting(model, ("drift_b", "ddrift_b", "d2drift_b_contract", "alpha"), calls)
+    ekf_predict(model, StateEstimate(mean, SymTensor2(mean, cov)), delta, 8)
+    assert calls == {"drift_b": 8, "ddrift_b": 9, "d2drift_b_contract": 8, "alpha": 9}
 
 
 def test_update_linear_is_kalman(linear_params, linear_models):
@@ -73,22 +132,22 @@ def test_update_linear_is_kalman(linear_params, linear_models):
     raw = rng.standard_normal((3, 3))
     p = raw @ raw.T + 0.1 * np.eye(3)
     y = rng.standard_normal(2)
-    upd = ekf_update(EkfEstimate(m, SymTensor2(m, p)), obs, y)
+    upd = ekf_update(StateEstimate(m, SymTensor2(m, p)), obs, y)
     j = linear_params.j_mat
     s = j @ p @ j.T + linear_params.b_mat
     k = p @ j.T @ np.linalg.inv(s)
-    assert np.allclose(upd.mean, m + k @ (y - j @ m), atol=1e-12)
+    assert np.allclose(upd.mu_hat, m + k @ (y - j @ m), atol=1e-12)
     expected = (np.eye(3) - k @ j) @ p
-    assert np.allclose(upd.cov.mat, 0.5 * (expected + expected.T), atol=1e-12)
+    assert np.allclose(upd.sigma_hat.mat, 0.5 * (expected + expected.T), atol=1e-12)
 
 
 def test_update_exact_observation_keeps_mean(cubic_models):
     _, obs = cubic_models
     m = np.array([0.6])
     p = np.array([[0.05]])
-    upd = ekf_update(EkfEstimate(m, SymTensor2(m, p)), obs, obs.psi(m))
-    assert np.array_equal(upd.mean, m)
-    assert upd.cov.mat[0, 0] < p[0, 0]
+    upd = ekf_update(StateEstimate(m, SymTensor2(m, p)), obs, obs.psi(m))
+    assert np.array_equal(upd.mu_hat, m)
+    assert upd.sigma_hat.mat[0, 0] < p[0, 0]
 
 
 def test_update_matches_hand_computed_scalar(cubic_params, cubic_models):
@@ -100,10 +159,10 @@ def test_update_matches_hand_computed_scalar(cubic_params, cubic_models):
     k = p * jval / s
     mean_expected = m + k * (y - m / (pc + m * m))
     cov_expected = (1.0 - k * jval) * p
-    upd = ekf_update(EkfEstimate(np.array([m]), SymTensor2(np.array([m]), [[p]])), obs,
+    upd = ekf_update(StateEstimate(np.array([m]), SymTensor2(np.array([m]), [[p]])), obs,
                      np.array([y]))
-    assert abs(upd.mean[0] - mean_expected) < 1e-14
-    assert abs(upd.cov.mat[0, 0] - cov_expected) < 1e-14
+    assert abs(upd.mu_hat[0] - mean_expected) < 1e-14
+    assert abs(upd.sigma_hat.mat[0, 0] - cov_expected) < 1e-14
 
 
 def test_ekf_equals_kalman_over_steps(linear_params, linear_models):
@@ -114,13 +173,13 @@ def test_ekf_equals_kalman_over_steps(linear_params, linear_models):
     p0 = 0.4 * np.eye(3)
     observations = rng.standard_normal((20, 2))
     ref_means, ref_covs = kalman_reference_run(linear_params, mu0, p0, observations, delta)
-    est = EkfEstimate(mu0, SymTensor2(mu0, p0))
+    est = StateEstimate(mu0, SymTensor2(mu0, p0))
     for k in range(20):
         est = ekf_step(model, obs, est, ObservationEvent(time=0.0, y=observations[k]),
                        delta, nsub)
-        assert np.max(np.abs(est.mean - ref_means[k])) < 1e-10 * max(
+        assert np.max(np.abs(est.mu_hat - ref_means[k])) < 1e-10 * max(
             1.0, float(np.max(np.abs(ref_means[k]))))
-        assert np.max(np.abs(est.cov.mat - ref_covs[k])) < 1e-10 * float(
+        assert np.max(np.abs(est.sigma_hat.mat - ref_covs[k])) < 1e-10 * float(
             np.max(np.abs(ref_covs[k])))
 
 
@@ -135,15 +194,15 @@ def test_update_ill_conditioned_innovation_raises():
     )
     m = np.zeros(2)
     with pytest.raises(IllConditionedGainError):
-        ekf_update(EkfEstimate(m, SymTensor2(m, np.zeros((2, 2)))), obs, np.zeros(2))
+        ekf_update(StateEstimate(m, SymTensor2(m, np.zeros((2, 2)))), obs, np.zeros(2))
 
 
 def test_cov_stays_psd_with_repair_logging(cubic_models):
     model, obs = cubic_models
     rng = np.random.default_rng(54)
     diag = FilterDiagnostics()
-    est = EkfEstimate(np.array([0.3]), SymTensor2(np.array([0.3]), [[0.01]]))
+    est = StateEstimate(np.array([0.3]), SymTensor2(np.array([0.3]), [[0.01]]))
     for k in range(50):
         event = ObservationEvent(time=float(k), y=np.array([rng.uniform(-1.5, 1.5)]))
         est = ekf_step(model, obs, est, event, 1.0, 16, diag=diag)
-        assert est.cov.mat[0, 0] >= 0.0
+        assert est.sigma_hat.mat[0, 0] >= 0.0

@@ -1,5 +1,7 @@
 """Tests for the intrinsic filter update: gain, rho, assimilation, update."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,12 @@ from gifilter.geometry import (
     geodesic_flow,
     log_map_series,
 )
-from gifilter.harness import kalman_reference_run
+from gifilter.harness import ScenarioConfig, build_scenario, kalman_reference_run
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_analytic_flow, cubic1d_build
 from gifilter.models.tracking import tracking_connector
 from gifilter.observation import ObservationEvent, map_second_fundamental_form
 
-from conftest import random_obs_point, random_tracking_state
+from conftest import counting, random_obs_point, random_tracking_state
 
 
 # --- gain ---------------------------------------------------------------------
@@ -79,7 +81,7 @@ def _cubic_pieces(x0=1.0, sigma0=0.01, n_steps=32):
     bundle = precompute(model, start, SymTensor2(start, [[sigma0]]), FlowGrid(1.0, n_steps))
     x_delta = bundle.x_delta
     jac = obs.dpsi(x_delta)
-    ndpsi = map_second_fundamental_form(obs, model.conn, x_delta)
+    ndpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac)
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(x_delta)))
     gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
     return params, model, obs, bundle, jac, g, gr
@@ -107,7 +109,7 @@ def test_rho_matches_term_by_term_evaluation():
     z = np.array([0.1])
     gz = g @ z
     back = bundle.tau_delta_0 @ gz
-    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta)
+    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac)
     proj = np.eye(1) - g @ jac
     expected = 0.5 * (proj @ bundle.nabla_dphi(back, back) - g @ ndpsi(gz, gz))
     assert np.allclose(gr.rho(z), expected, atol=1e-15)
@@ -327,6 +329,18 @@ def test_filter_step_fixture_reproducible(cubic_models):
     second = filter_step(model, obs, est, event, cfg)
     assert np.array_equal(first.mu_hat, second.mu_hat)
     assert np.array_equal(first.sigma_hat.mat, second.sigma_hat.mat)
+
+
+def test_filter_step_evaluates_observation_jacobians_once():
+    # tracking9d: both connectors curved, so every observation-side term runs
+    scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
+    calls = Counter()
+    obs = counting(scenario.observation_at(0.1), ("dpsi", "d2psi"), calls)
+    mu0 = scenario.mu0
+    est = StateEstimate(mu0, SymTensor2(mu0, scenario.sigma0))
+    event = ObservationEvent(time=0.1, y=obs.psi(mu0))
+    filter_step(scenario.diffusion, obs, est, event, FilterConfig(delta=0.1))
+    assert calls == {"dpsi": 1, "d2psi": 1}
 
 
 def test_filter_step_covariance_stays_psd(cubic_models):

@@ -5,14 +5,16 @@ committed fixture file; cheap oracles are re-run inline, Monte Carlo
 oracles are held to their frozen values and standard errors.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from fixture_defs import FIXTURES, check_against_oracle, to_jsonable
+from fixture_defs import FIXTURES, FixtureDef, check_against_oracle, to_jsonable
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "derived.json"
+BUILD_SCRIPT = Path(__file__).parent.parent / "scripts" / "build_fixtures.py"
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +43,23 @@ def test_fixture(fx, frozen):
 
 def test_registry_matches_frozen_file(frozen):
     assert sorted(frozen.keys()) == sorted(fx.name for fx in FIXTURES)
+
+
+def test_build_script_writes_only_when_every_oracle_passes(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("build_fixtures", BUILD_SCRIPT)
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
+    target = tmp_path / "tests" / "fixtures" / "derived.json"
+    target.parent.mkdir(parents=True)
+    target.write_text("frozen\n")
+    passing = FixtureDef("passing", lambda: 1.0, lambda: 1.0, "abs", 0.0)
+    failing = FixtureDef("failing", lambda: 1.0, lambda: 2.0, "abs", 0.0)
+    monkeypatch.setattr(build, "ROOT", tmp_path)
+
+    monkeypatch.setattr(build, "FIXTURES", [passing, failing])
+    assert build.main() == 1
+    assert target.read_text() == "frozen\n"
+
+    monkeypatch.setattr(build, "FIXTURES", [passing])
+    assert build.main() == 0
+    assert json.loads(target.read_text())["passing"]["value"] == 1.0

@@ -1,5 +1,7 @@
 """Tests for flow integration, transition Jacobians, covariance, and AILPs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,8 +18,10 @@ from gifilter.flow import (
     transition_jacobians,
 )
 from gifilter.geometry import SymTensor2, flat_connector
-from gifilter.harness import van_loan_discretization
+from gifilter.harness import ScenarioConfig, build_scenario, van_loan_discretization
 from gifilter.models.cubic1d import cubic1d_analytic_ailp, cubic1d_analytic_flow
+
+from conftest import counting
 
 
 def make_scalar_model(xi, dxi, d2xi, alpha):
@@ -65,7 +69,7 @@ def test_flow_grid_times_uniform():
 
 def test_zero_drift_constant_path():
     model = make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0)
-    path = integrate_flow(model, np.array([1.3]), FlowGrid(2.0, 10))
+    path, _ = integrate_flow(model, np.array([1.3]), FlowGrid(2.0, 10))
     assert np.allclose(path, 1.3)
 
 
@@ -73,16 +77,16 @@ def test_cubic_flow_matches_closed_form():
     # third-order one-step scheme at h = 3/64: the global truncation constant
     # puts the endpoint within 2e-6 of the closed form 0.5 (see the decisions
     # log for why 1e-6 is not attainable at this grid)
-    path = integrate_flow(CUBIC, np.array([1.0]), FlowGrid(3.0, 64))
+    path, _ = integrate_flow(CUBIC, np.array([1.0]), FlowGrid(3.0, 64))
     assert abs(path[-1][0] - 0.5) < 2e-6
-    fine = integrate_flow(CUBIC, np.array([1.0]), FlowGrid(3.0, 512))
+    fine, _ = integrate_flow(CUBIC, np.array([1.0]), FlowGrid(3.0, 512))
     assert abs(fine[-1][0] - 0.5) < 1e-8
 
 
 def test_cubic_flow_third_order_convergence():
     errors = []
     for n in (16, 32, 64, 128):
-        path = integrate_flow(CUBIC, np.array([1.0]), FlowGrid(3.0, n))
+        path, _ = integrate_flow(CUBIC, np.array([1.0]), FlowGrid(3.0, n))
         errors.append(abs(path[-1][0] - cubic1d_analytic_flow(1.0, 3.0)))
     for big, small in zip(errors, errors[1:]):
         assert 6.0 <= big / small <= 10.0
@@ -93,7 +97,7 @@ def test_linear_flow_matches_matrix_exponential():
     a_mat = rng.standard_normal((3, 3))
     model = make_linear_model(a_mat, np.zeros((3, 3)))
     x0 = rng.standard_normal(3)
-    path = integrate_flow(model, x0, FlowGrid(0.1, 64))
+    path, _ = integrate_flow(model, x0, FlowGrid(0.1, 64))
     expected = scipy.linalg.expm(0.1 * a_mat) @ x0
     assert np.max(np.abs(path[-1] - expected)) < 1e-8
 
@@ -113,8 +117,8 @@ def test_flow_divergence_reports_step():
 def test_zero_drift_identity_jacobians():
     model = make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0)
     grid = FlowGrid(1.0, 8)
-    path = integrate_flow(model, np.array([0.2]), grid)
-    taus = transition_jacobians(model, path, grid)
+    _, jacs = integrate_flow(model, np.array([0.2]), grid)
+    taus = transition_jacobians(jacs, grid)
     for tau in taus.per_step:
         assert np.allclose(tau, np.eye(1))
     assert np.allclose(taus.tau_0_delta, np.eye(1))
@@ -125,15 +129,15 @@ def test_constant_jacobian_matches_matrix_exponential():
     a_mat = rng.standard_normal((3, 3)) * 0.8
     model = make_linear_model(a_mat, np.zeros((3, 3)))
     grid = FlowGrid(0.7, 32)
-    path = integrate_flow(model, rng.standard_normal(3), grid)
-    taus = transition_jacobians(model, path, grid)
+    _, jacs = integrate_flow(model, rng.standard_normal(3), grid)
+    taus = transition_jacobians(jacs, grid)
     assert np.max(np.abs(taus.tau_0_delta - scipy.linalg.expm(0.7 * a_mat))) < 1e-10
 
 
 def test_semigroup_association_order():
     grid = FlowGrid(1.0, 16)
-    path = integrate_flow(CUBIC, np.array([1.0]), grid)
-    taus = transition_jacobians(CUBIC, path, grid)
+    _, jacs = integrate_flow(CUBIC, np.array([1.0]), grid)
+    taus = transition_jacobians(jacs, grid)
     forward = np.eye(1)
     for tau in taus.per_step:
         forward = tau @ forward
@@ -148,10 +152,9 @@ def test_ill_conditioned_flow_detected():
     # strong saddle: cond(tau) ~ exp(32) over the interval
     a_mat = np.diag([16.0, -16.0])
     model = make_linear_model(a_mat, np.zeros((2, 2)))
-    grid = FlowGrid(1.0, 64)
-    path = np.zeros((grid.n_steps + 1, 2))
+    x0 = np.zeros(2)
     with pytest.raises(IllConditionedFlowError):
-        transition_jacobians(model, path, grid)
+        precompute(model, x0, SymTensor2(x0, np.eye(2)), FlowGrid(1.0, 64))
 
 
 # --- propagate_covariance -------------------------------------------------------
@@ -160,9 +163,10 @@ def test_ill_conditioned_flow_detected():
 def test_no_noise_no_drift_keeps_covariance():
     model = make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0)
     grid = FlowGrid(1.0, 8)
-    path = integrate_flow(model, np.array([0.0]), grid)
-    taus = transition_jacobians(model, path, grid)
-    xis = propagate_covariance(model, path, taus, SymTensor2(path[0], [[0.7]]), grid)
+    path, jacs = integrate_flow(model, np.array([0.0]), grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[0.7]]), grid)
     assert all(abs(x[0, 0] - 0.7) < 1e-15 for x in xis)
 
 
@@ -170,9 +174,10 @@ def test_ou_variance_matches_lyapunov_solution():
     a, sig, delta, sigma0 = 0.5, 0.3, 0.5, 0.2
     model = make_scalar_model(lambda x: -a * x, lambda x: -a, lambda x: 0.0, sig ** 2)
     grid = FlowGrid(delta, 64)
-    path = integrate_flow(model, np.array([1.0]), grid)
-    taus = transition_jacobians(model, path, grid)
-    xis = propagate_covariance(model, path, taus, SymTensor2(path[0], [[sigma0]]), grid)
+    path, jacs = integrate_flow(model, np.array([1.0]), grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[sigma0]]), grid)
     expected = np.exp(-2 * a * delta) * sigma0 + sig ** 2 * (1 - np.exp(-2 * a * delta)) / (2 * a)
     assert abs(xis[-1][0, 0] - expected) < 1e-6
 
@@ -183,10 +188,11 @@ def test_covariance_stays_symmetric_psd_along_grid():
     sig = rng.standard_normal((3, 3)) * 0.5
     model = make_linear_model(a_mat, sig @ sig.T)
     grid = FlowGrid(0.5, 32)
-    path = integrate_flow(model, rng.standard_normal(3), grid)
-    taus = transition_jacobians(model, path, grid)
+    path, jacs = integrate_flow(model, rng.standard_normal(3), grid)
+    taus = transition_jacobians(jacs, grid)
     raw = rng.standard_normal((3, 3))
-    xis = propagate_covariance(model, path, taus, SymTensor2(path[0], raw @ raw.T), grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], raw @ raw.T), grid)
     for x in xis:
         assert np.array_equal(x, x.T)
         eigs = np.linalg.eigvalsh(x)
@@ -203,10 +209,11 @@ def test_linear_model_has_zero_location_correction():
     model = make_linear_model(a_mat, sig @ sig.T)
     grid = FlowGrid(0.4, 16)
     x0 = rng.standard_normal(3)
-    path = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(model, path, grid)
-    xis = propagate_covariance(model, path, taus, SymTensor2(x0, np.eye(3)), grid)
-    m_delta = ailp_state(model, path, taus, xis, SymTensor2(x0, np.eye(3)), grid)
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [model.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, SymTensor2(x0, np.eye(3)), grid)
+    m_delta = ailp_state(model, path, alphas, taus, xis, SymTensor2(x0, np.eye(3)), grid)
     assert np.array_equal(m_delta, np.zeros(3))
 
 
@@ -214,10 +221,11 @@ def test_cubic_location_correction_matches_analytic():
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
     sigma0 = SymTensor2(x0, np.array([[0.01]]))
-    path = integrate_flow(CUBIC, x0, grid)
-    taus = transition_jacobians(CUBIC, path, grid)
-    xis = propagate_covariance(CUBIC, path, taus, sigma0, grid)
-    m_num = ailp_state(CUBIC, path, taus, xis, sigma0, grid)[0]
+    path, jacs = integrate_flow(CUBIC, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = [CUBIC.alpha(x) for x in path]
+    xis = propagate_covariance(alphas, taus, sigma0, grid)
+    m_num = ailp_state(CUBIC, path, alphas, taus, xis, sigma0, grid)[0]
     m_ana = cubic1d_analytic_ailp(1.0, 0.01, 0.01, 1.0)
     assert abs(m_num - m_ana) / abs(m_ana) < 1e-4
 
@@ -229,8 +237,8 @@ def test_linear_flow_second_form_vanishes():
     rng = np.random.default_rng(25)
     model = make_linear_model(rng.standard_normal((3, 3)), np.zeros((3, 3)))
     grid = FlowGrid(0.3, 8)
-    path = integrate_flow(model, rng.standard_normal(3), grid)
-    taus = transition_jacobians(model, path, grid)
+    path, jacs = integrate_flow(model, rng.standard_normal(3), grid)
+    taus = transition_jacobians(jacs, grid)
     form = flow_second_fundamental_form(model, path, taus, grid)
     assert np.array_equal(form.coeffs, np.zeros((3, 3, 3)))
 
@@ -240,8 +248,8 @@ def test_cubic_flow_second_form_matches_flow_map_hessian():
     # map, checked against central differences of the closed-form flow
     delta, x0, h = 1.0, 1.0, 1e-4
     grid = FlowGrid(delta, 256)
-    path = integrate_flow(CUBIC, np.array([x0]), grid)
-    taus = transition_jacobians(CUBIC, path, grid)
+    path, jacs = integrate_flow(CUBIC, np.array([x0]), grid)
+    taus = transition_jacobians(jacs, grid)
     form = flow_second_fundamental_form(CUBIC, path, taus, grid)
     fd = (cubic1d_analytic_flow(x0 + h, delta) - 2.0 * cubic1d_analytic_flow(x0, delta)
           + cubic1d_analytic_flow(x0 - h, delta)) / h ** 2
@@ -253,8 +261,8 @@ def test_flow_second_form_grid_refinement_second_order():
     values = []
     for n in (8, 16, 32, 64):
         grid = FlowGrid(1.0, n)
-        path = integrate_flow(CUBIC, x0, grid)
-        taus = transition_jacobians(CUBIC, path, grid)
+        path, jacs = integrate_flow(CUBIC, x0, grid)
+        taus = transition_jacobians(jacs, grid)
         values.append(flow_second_fundamental_form(CUBIC, path, taus, grid).coeffs[0, 0, 0])
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     for big, small in zip(diffs, diffs[1:]):
@@ -271,8 +279,8 @@ def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
     rng = np.random.default_rng(28)
     x0 = random_tracking_state(rng, speed=200.0, scale=20.0)
     grid = FlowGrid(0.1, 8)
-    path = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(model, path, grid)
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
     form = flow_second_fundamental_form(model, path, taus, grid)
     p, n, h = model.dim, grid.n_steps, grid.step
     basis = np.eye(p)
@@ -335,10 +343,20 @@ def test_precompute_matches_finer_grid():
     assert rel(coarse.nabla_dphi.coeffs[0, 0, 0], fine.nabla_dphi.coeffs[0, 0, 0]) < 1e-4
 
 
+def test_precompute_evaluates_each_callback_once_per_grid_point():
+    # tracking9d: a curved connector, so ailp_state needs alpha as well
+    scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
+    calls = Counter()
+    model = counting(scenario.diffusion, ("xi", "dxi", "alpha"), calls)
+    mu0 = scenario.mu0
+    precompute(model, mu0, SymTensor2(mu0, scenario.sigma0), FlowGrid(0.1, 8))
+    assert calls == {"xi": 8, "dxi": 9, "alpha": 9}
+
+
 def test_tau_delta_0_computed_once():
     grid = FlowGrid(1.0, 16)
-    path = integrate_flow(CUBIC, np.array([1.0]), grid)
-    taus = transition_jacobians(CUBIC, path, grid)
+    _, jacs = integrate_flow(CUBIC, np.array([1.0]), grid)
+    taus = transition_jacobians(jacs, grid)
     assert taus.tau_delta_0 is taus.tau_delta_0
     assert np.array_equal(taus.tau_delta_0, np.linalg.inv(taus.tau_0_delta))
 

@@ -52,7 +52,7 @@ def test_analytic_flow_values():
 def test_analytic_flow_cross_checks_integrator(cubic_models):
     model, _ = cubic_models
     for x0 in (0.3, 1.0, -0.8):
-        path = integrate_flow(model, np.array([x0]), FlowGrid(1.0, 256))
+        path, _ = integrate_flow(model, np.array([x0]), FlowGrid(1.0, 256))
         assert abs(path[-1][0] - cubic1d_analytic_flow(x0, 1.0)) < 1e-8
 
 
@@ -93,7 +93,7 @@ def test_flat_specialization_keeps_corrections_alive(cubic_models):
     assert bundle.nabla_dphi.coeffs[0, 0, 0] != 0.0
     jac = obs.dpsi(bundle.x_delta)
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(bundle.x_delta)))
-    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta)
+    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac)
     gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
     assert gr.rho_coeffs.coeffs[0, 0, 0] != 0.0
     assert gr.rho_mean[0] != 0.0

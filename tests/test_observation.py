@@ -10,6 +10,7 @@ import scipy.stats
 from gifilter.errors import SingularMetricError
 from gifilter.flow import FlowGrid, precompute
 from gifilter.geometry import SymTensor2, flat_connector
+from gifilter.harness import ScenarioConfig, build_scenario
 from gifilter.observation import (
     ObservationEvent,
     ObservationModel,
@@ -45,7 +46,8 @@ def test_wrap_angles_none_mask_is_identity():
 def test_linear_observation_flat_form_vanishes(linear_models):
     model, obs = linear_models
     rng = np.random.default_rng(31)
-    form = map_second_fundamental_form(obs, model.conn, rng.standard_normal(3))
+    x = rng.standard_normal(3)
+    form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x))
     assert np.array_equal(form.coeffs, np.zeros((2, 3, 3)))
 
 
@@ -54,7 +56,7 @@ def test_cubic_form_is_plain_second_derivative(cubic_models, cubic_params):
     p = cubic_params.p_crit
     for x0 in (-1.2, -0.3, 0.0, 0.4, 1.7):
         x = np.array([x0])
-        form = map_second_fundamental_form(obs, model.conn, x)
+        form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x))
         expected = 2.0 * x0 * (x0 ** 2 - 3.0 * p) / (p + x0 ** 2) ** 3
         assert abs(form.coeffs[0, 0, 0] - expected) < 1e-12 * max(1.0, abs(expected))
 
@@ -65,7 +67,7 @@ def test_tracking_form_matches_finite_difference_assembly(tracking_models):
     rng = np.random.default_rng(32)
     x = random_tracking_state(rng, scale=1.0)
     x[0:3] += np.array([4.0, 1.0, 2.0])  # keep range and elevation generic
-    form = map_second_fundamental_form(obs, model.conn, x)
+    form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x))
 
     h = 1e-6
     d2psi_fd = np.zeros((5, 9, 9))
@@ -129,12 +131,43 @@ def test_observation_jacobians_match_finite_differences(
 # --- observation AILP ----------------------------------------------------------
 
 
+def _obs_ailp(bundle, obs, state_conn):
+    jac = obs.dpsi(bundle.x_delta)
+    form = map_second_fundamental_form(obs, state_conn, bundle.x_delta, jac)
+    return ailp_observation(bundle, form, jac)
+
+
+def _obs_ailp_term_by_term(bundle, obs, state_conn):
+    # (1/2) {D2psi(Xi) - J Gamma(Xi) + Gamma_bar(J Xi J^T)} + J m_delta, each
+    # term evaluated on its own rather than through the second fundamental form
+    x_delta = bundle.x_delta
+    xi = bundle.xi_delta.mat
+    jac = np.asarray(obs.dpsi(x_delta), dtype=float)
+    out = np.einsum("kij,ij->k", np.asarray(obs.d2psi(x_delta), dtype=float), xi)
+    if not state_conn.flat:
+        out -= jac @ state_conn.contract(x_delta, xi)
+    if not obs.conn_obs.flat:
+        out += obs.conn_obs.contract(obs.psi(x_delta), jac @ xi @ jac.T)
+    return 0.5 * out + jac @ bundle.m_delta
+
+
+@pytest.mark.parametrize("model_name", ["cubic1d", "tracking9d"])
+def test_observation_ailp_matches_term_by_term_formula(model_name):
+    scenario = build_scenario(ScenarioConfig(model=model_name, n_obs=1, delta=0.1))
+    model, obs = scenario.diffusion, scenario.observation_at(0.1)
+    mu0 = scenario.mu0
+    bundle = precompute(model, mu0, SymTensor2(mu0, scenario.sigma0), FlowGrid(0.1, 8))
+    out = _obs_ailp(bundle, obs, model.conn)
+    oracle = _obs_ailp_term_by_term(bundle, obs, model.conn)
+    assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def test_linear_observation_ailp_vanishes(linear_models):
     model, obs = linear_models
     rng = np.random.default_rng(34)
     x0 = rng.standard_normal(3)
     bundle = precompute(model, x0, SymTensor2(x0, np.eye(3) * 0.4), FlowGrid(0.2, 8))
-    out = ailp_observation(bundle, obs, model.conn)
+    out = _obs_ailp(bundle, obs, model.conn)
     assert np.array_equal(out, np.zeros(2))
 
 
@@ -150,7 +183,7 @@ def test_identity_observation_ailp_reduces_to_state_term(cubic_models):
     )
     x0 = np.array([1.0])
     bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, 32))
-    out = ailp_observation(bundle, identity_obs, model.conn)
+    out = _obs_ailp(bundle, identity_obs, model.conn)
     assert np.array_equal(out, bundle.m_delta)
 
 
@@ -164,8 +197,8 @@ def test_observation_ailp_linear_in_moments(cubic_models):
         xis=[2.0 * x for x in bundle.xis],
         xi_delta=SymTensor2(bundle.x_delta, 2.0 * bundle.xi_delta.mat),
     )
-    base = ailp_observation(no_mean, obs, model.conn)
-    twice = ailp_observation(doubled, obs, model.conn)
+    base = _obs_ailp(no_mean, obs, model.conn)
+    twice = _obs_ailp(doubled, obs, model.conn)
     assert np.allclose(twice, 2.0 * base, rtol=0, atol=1e-15)
 
 
