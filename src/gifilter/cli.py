@@ -10,15 +10,10 @@ from pathlib import Path
 
 from .errors import FilterNumericsError
 from .harness import (
-    build_scenario,
     config_from_dict,
     invariance_check,
     kalman_check,
     run_benchmark,
-    run_filters,
-    simulate_sde,
-    summarize,
-    trajectory_rng,
     write_trajectory_csv,
 )
 
@@ -97,24 +92,17 @@ def cli_main(argv=None) -> int:
 
         config = _load_config(args)
         out_dir = Path(args.out)
-        if args.command == "simulate":
-            scenario = build_scenario(config)
-            record = simulate_sde(scenario, trajectory_rng(config.seed, 0))
+        if args.command in ("simulate", "filter"):
+            # one run of all n_obs cycles, written as trajectory.csv only
+            filters = () if args.command == "simulate" else config.filters
+            summary, (record,) = run_benchmark(
+                dataclasses.replace(config, n_runs=1, filters=filters))
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_trajectory_csv([record], (), out_dir / "trajectory.csv")
-            print(f"wrote {out_dir / 'trajectory.csv'} ({record.n_valid} cycles)")
-            return EXIT_OK
-        if args.command == "filter":
-            scenario = build_scenario(config)
-            record = simulate_sde(scenario, trajectory_rng(config.seed, 0))
-            record = run_filters(scenario, record)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_trajectory_csv([record], config.filters, out_dir / "trajectory.csv")
-            summary = summarize(config, [record])
+            write_trajectory_csv([record], filters, out_dir / "trajectory.csv")
             for name, stats in summary.per_filter.items():
                 print(f"{name}: mean abs error {stats['mean_abs_error']:.6g} "
                       f"(aborted {stats['aborted_steps']})")
-            print(f"wrote {out_dir / 'trajectory.csv'}")
+            print(f"wrote {out_dir / 'trajectory.csv'} ({record.n_valid} cycles)")
             return EXIT_OK
         if args.command == "benchmark":
             summary, _ = run_benchmark(config, out_dir=out_dir)

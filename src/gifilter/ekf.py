@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IllConditionedGainError
-from .filter import FilterDiagnostics, StateEstimate, repair_psd
+from .filter import FilterDiagnostics, StateEstimate, gain, repair_psd
 from .flow import (
     DiffusionModel,
     FlowGrid,
@@ -27,12 +26,10 @@ from .flow import (
     propagate_covariance,
     transition_jacobians,
 )
-from .geometry import SymTensor2, symmetric_condition, symmetrize
+from .geometry import SymTensor2, symmetrize
 from .observation import ObservationEvent, ObservationModel, wrap_angles
 
 logger = logging.getLogger(__name__)
-
-EKF_COND_LIMIT = 1e12
 
 
 def ekf_predict(
@@ -61,17 +58,13 @@ def ekf_update(
     y_obs: np.ndarray,
     diag: Optional[FilterDiagnostics] = None,
 ) -> StateEstimate:
-    """Standard first-order measurement update with angular residual wrap."""
+    """Standard first-order measurement update with angular residual wrap,
+    using the GIF's :func:`gifilter.filter.gain` for the Kalman gain."""
     m = pred.mu_hat
     cov = pred.sigma_hat.mat
     jac = np.asarray(obs.dpsi(m), dtype=float)
     y_pred = obs.psi(m)
-    innov = symmetrize(jac @ cov @ jac.T + np.asarray(obs.beta(y_pred), dtype=float))
-    if symmetric_condition(innov) > EKF_COND_LIMIT:
-        raise IllConditionedGainError(
-            f"EKF innovation matrix condition number exceeds {EKF_COND_LIMIT:.0e}"
-        )
-    k_gain = np.linalg.solve(innov, jac @ cov).T
+    k_gain = gain(pred.sigma_hat, jac, obs.beta(y_pred))
     residual = wrap_angles(np.asarray(y_obs, dtype=float) - y_pred, obs.angular_mask)
     m_new = m + k_gain @ residual
     cov_new = symmetrize((np.eye(m.size) - k_gain @ jac) @ cov)

@@ -81,18 +81,14 @@ class FilterConfig:
 
 @dataclass
 class FilterDiagnostics:
-    """Mutable counters for numerics events across a filter run."""
+    """Mutable counters for numerics events across a filter run (aborted
+    cycles are recorded per cycle in ``TrajectoryRecord.aborted``)."""
 
     psd_repairs: int = 0
-    aborted_steps: int = 0
 
     def record_repair(self, min_eig: float) -> None:
         self.psd_repairs += 1
         logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
-
-    def record_abort(self, reason: str) -> None:
-        self.aborted_steps += 1
-        logger.warning("filter step aborted: %s", reason)
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ def filter_step(
     x_delta = bundle.x_delta
     y_delta = obs.psi(x_delta)
     jac = np.asarray(obs.dpsi(x_delta), dtype=float)
-    nabla_dpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac)
+    nabla_dpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac, y_delta)
     obs_ailp = ailp_observation(bundle, nabla_dpsi, jac)
 
     g = gain(bundle.xi_delta, jac, obs.beta(y_delta), config.jitter)

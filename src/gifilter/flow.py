@@ -67,9 +67,11 @@ class DiffusionModel:
     :func:`propagate_covariance`) on b in place of xi, so it requires the
     Jacobian ``ddrift_b`` and the contracted second derivative
     ``d2drift_b_contract``; models never run by the EKF may leave them
-    unset.  ``noise_matrix`` supplies sigma(x) directly for exact
-    noise loading in simulation; ``constrain(x, ref)`` re-projects a
-    simulated state onto the model's constraint manifold.
+    unset.  ``noise_matrix`` supplies sigma(x), with sigma sigma^T =
+    alpha, for the noise loading in simulation; simulation requires it and
+    raises ValueError without it, so only models that are never simulated
+    may leave it unset.  ``constrain(x, ref)`` re-projects a simulated
+    state onto the model's constraint manifold.
 
     Callbacks take one point x.  Those with matrix arguments,
     ``d2xi_contract`` and ``d2drift_b_contract``, broadcast over their

@@ -73,20 +73,24 @@ def beta_sqrt(beta: np.ndarray) -> np.ndarray:
 
 
 def map_second_fundamental_form(
-    obs: ObservationModel, state_conn: ConnectorField, x: np.ndarray, jac: np.ndarray
+    obs: ObservationModel,
+    state_conn: ConnectorField,
+    x: np.ndarray,
+    jac: np.ndarray,
+    y: np.ndarray,
 ) -> Bilinear3:
     """Second fundamental form of psi at x, as a (q, p, p) bilinear map.
 
     nabla dpsi(v, w) = D2psi(v, w) - Dpsi Gamma(v, w)
-                     + Gamma_bar(psi(x))(Dpsi v, Dpsi w),
-    with ``jac`` the Jacobian Dpsi(x).
+                     + Gamma_bar(y)(Dpsi v, Dpsi w),
+    with ``jac`` the Jacobian Dpsi(x) and ``y`` the observation point psi(x).
     """
     x = np.asarray(x, dtype=float)
     coeffs = np.array(obs.d2psi(x), dtype=float)
     if not state_conn.flat:
         coeffs -= np.einsum("ka,aij->kij", jac, state_conn.coefficients(x))
     if not obs.conn_obs.flat:
-        gbar = obs.conn_obs.coefficients(obs.psi(x))
+        gbar = obs.conn_obs.coefficients(y)
         coeffs += np.einsum("kab,ai,bj->kij", gbar, jac, jac)
     coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
     return Bilinear3(base=x, coeffs=coeffs)

@@ -433,7 +433,8 @@ def _precompute_pair(n_steps):
 def _obs_sff_cubic_value():
     model, obs = _cubic_model()
     x = np.array([0.8])
-    return float(map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x)).coeffs[0, 0, 0])
+    return float(map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x),
+                                             obs.psi(x)).coeffs[0, 0, 0])
 
 
 def _obs_sff_cubic_oracle():
@@ -453,7 +454,7 @@ def _tracking_sff_inputs():
 
 def _tracking_sff_value():
     model, obs, x = _tracking_sff_inputs()
-    return map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x)).coeffs
+    return map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x), obs.psi(x)).coeffs
 
 
 def _tracking_sff_oracle():
@@ -478,7 +479,8 @@ def _obs_ailp_value():
     x0 = np.array([1.0])
     bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, 256))
     jac = obs.dpsi(bundle.x_delta)
-    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac)
+    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,
+                                        obs.psi(bundle.x_delta))
     return float(ailp_observation(bundle, ndpsi, jac)[0])
 
 
@@ -552,7 +554,8 @@ def _filter_fixture_pieces(n_steps=32):
     x0 = np.array([1.0])
     bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, n_steps))
     jac = obs.dpsi(bundle.x_delta)
-    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac)
+    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,
+                                        obs.psi(bundle.x_delta))
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(bundle.x_delta)))
     gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
     return model, obs, bundle, jac, g, gr, ndpsi

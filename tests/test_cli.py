@@ -5,6 +5,14 @@ import json
 import pytest
 
 from gifilter.cli import cli_main
+from gifilter.harness import (
+    build_scenario,
+    config_from_dict,
+    run_filters,
+    simulate_sde,
+    trajectory_rng,
+    write_trajectory_csv,
+)
 
 
 @pytest.fixture
@@ -33,6 +41,26 @@ def test_filter_completes_record(tmp_path, cubic_config):
     assert cli_main(["filter", "--config", str(cubic_config), "--out", str(out)]) == 0
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert "est_gif_0" in header and "err_ekf" in header
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+def test_simulate_and_filter_write_the_hand_assembled_csv(tmp_path, cubic_config, command):
+    # the commands' former pipeline: build, simulate run 0 over all n_obs
+    # cycles whatever n_runs says, filter, write
+    raw = dict(json.loads(cubic_config.read_text()), n_runs=2)
+    cubic_config.write_text(json.dumps(raw))
+    config = config_from_dict(raw)
+    scenario = build_scenario(config)
+    record = simulate_sde(scenario, trajectory_rng(config.seed, 0))
+    filters = ()
+    if command == "filter":
+        record = run_filters(scenario, record)
+        filters = config.filters
+    write_trajectory_csv([record], filters, tmp_path / "expected.csv")
+    out = tmp_path / command
+    assert cli_main([command, "--config", str(cubic_config), "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
 
 
 def test_benchmark_deterministic_outputs(tmp_path, cubic_config):

@@ -9,14 +9,14 @@ import scipy.linalg
 
 from gifilter.ekf import ekf_predict, ekf_step, ekf_update
 from gifilter.errors import IllConditionedGainError
-from gifilter.filter import FilterDiagnostics, StateEstimate
-from gifilter.geometry import SymTensor2, flat_connector, symmetrize
+from gifilter.filter import FilterDiagnostics, StateEstimate, repair_psd
+from gifilter.geometry import SymTensor2, flat_connector, symmetric_condition, symmetrize
 from gifilter.flow import DiffusionModel
 from gifilter.harness import kalman_reference_run, van_loan_discretization
 from gifilter.models.cubic1d import cubic1d_analytic_flow
-from gifilter.observation import ObservationEvent, ObservationModel
+from gifilter.observation import ObservationEvent, ObservationModel, wrap_angles
 
-from conftest import counting
+from conftest import counting, random_obs_point, random_tracking_state
 
 
 def test_predict_linear_matches_exact_kalman(linear_params, linear_models):
@@ -195,6 +195,66 @@ def test_update_ill_conditioned_innovation_raises():
     m = np.zeros(2)
     with pytest.raises(IllConditionedGainError):
         ekf_update(StateEstimate(m, SymTensor2(m, np.zeros((2, 2)))), obs, np.zeros(2))
+
+
+def _inline_gain_update(pred, obs, y_obs):
+    """ekf_update with its former inline innovation matrix, condition check
+    and solve in place of filter.gain."""
+    m = pred.mu_hat
+    cov = pred.sigma_hat.mat
+    jac = np.asarray(obs.dpsi(m), dtype=float)
+    y_pred = obs.psi(m)
+    innov = symmetrize(jac @ cov @ jac.T + np.asarray(obs.beta(y_pred), dtype=float))
+    if symmetric_condition(innov) > 1e12:
+        raise IllConditionedGainError("EKF innovation matrix condition number exceeds 1e12")
+    k_gain = np.linalg.solve(innov, jac @ cov).T
+    residual = wrap_angles(np.asarray(y_obs, dtype=float) - y_pred, obs.angular_mask)
+    m_new = m + k_gain @ residual
+    cov_new = symmetrize((np.eye(m.size) - k_gain @ jac) @ cov)
+    repaired, min_eig = repair_psd(cov_new)
+    if min_eig < 0.0:
+        cov_new = repaired
+    return StateEstimate(m_new, SymTensor2(m_new, cov_new))
+
+
+def _update_outcome(update, pred, obs, y):
+    try:
+        est = update(pred, obs, y)
+    except IllConditionedGainError:
+        return "ill-conditioned"
+    return est.mu_hat.tobytes(), est.sigma_hat.mat.tobytes()
+
+
+def test_update_equals_inline_gain_block_bit_for_bit(cubic_models, tracking_models):
+    rng = np.random.default_rng(55)
+    cases = []
+    _, cubic_obs = cubic_models
+    for _ in range(20):
+        m = rng.uniform(-1.5, 1.5, 1)
+        cases.append((cubic_obs, m, rng.uniform(0.0, 0.2, (1, 1)), rng.uniform(-1.5, 1.5, 1)))
+    _, tracking_obs = tracking_models
+    for _ in range(20):
+        m = random_tracking_state(rng, scale=1.0)
+        m[0:3] += np.array([4.0, 1.0, 2.0])
+        raw = rng.standard_normal((9, 9))
+        cases.append((tracking_obs, m, raw @ raw.T, random_obs_point(rng)))
+    # innovation condition numbers either side of the 1e12 limit
+    stiff_obs = ObservationModel(
+        dim_obs=2,
+        psi=lambda x: x.copy(),
+        dpsi=lambda x: np.eye(2),
+        d2psi=lambda x: np.zeros((2, 2, 2)),
+        beta=lambda y: np.diag([1.0, 1e-14]),
+        conn_obs=flat_connector(2),
+    )
+    for var in (0.0, 1e-3):
+        cases.append((stiff_obs, np.zeros(2), np.diag([0.0, var]), np.ones(2)))
+    outcomes = []
+    for obs, m, cov, y in cases:
+        pred = StateEstimate(m, SymTensor2(m, cov))
+        outcomes.append(_update_outcome(ekf_update, pred, obs, y))
+        assert outcomes[-1] == _update_outcome(_inline_gain_update, pred, obs, y)
+    assert outcomes.count("ill-conditioned") == 1
 
 
 def test_cov_stays_psd_with_repair_logging(cubic_models):

@@ -1,25 +1,34 @@
 """Tests for scenario configuration, simulation, filter runs, and summaries."""
 
+import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from gifilter.ekf import ekf_step
 from gifilter.errors import IllConditionedGainError
+from gifilter.filter import FilterConfig, StateEstimate, filter_step
+from gifilter.geometry import SymTensor2
 from gifilter.harness import (
     ScenarioConfig,
     _step_with_refinement,
     build_scenario,
     config_from_dict,
+    invariance_check,
     kalman_check,
+    kalman_reference_run,
     run_benchmark,
     run_filters,
     simulate_sde,
     trajectory_rng,
     transformed_cubic_model,
 )
-from gifilter.models.cubic1d import Cubic1DParams, cubic1d_analytic_flow
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_analytic_flow, cubic1d_build
+from gifilter.models.linear import LinearParams, linear_build
+from gifilter.observation import ObservationEvent
 
 
 # --- configuration ------------------------------------------------------------
@@ -132,17 +141,92 @@ def test_tracking_scenario_end_to_end():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_non_finite_gif_update_aborts_the_cycle_not_the_run():
+def test_non_finite_gif_update_aborts_the_cycle_not_the_run(caplog):
     # an absurd observation drives the GIF update to infinity: that cycle is
     # recorded as aborted with the previous estimate kept, and the run goes on
     config = ScenarioConfig(model="cubic1d", n_obs=5, seed=1)
     scenario = build_scenario(config)
     record = simulate_sde(scenario, trajectory_rng(1, 0))
     record.observations[2] = 1e308
-    record = run_filters(scenario, record)
+    with caplog.at_level(logging.WARNING, logger="gifilter"):
+        record = run_filters(scenario, record)
     assert record.aborted["gif"].tolist() == [False, False, True, False, False]
     assert np.array_equal(record.estimates["gif"][2], record.estimates["gif"][1])
     assert np.all(np.isfinite(record.estimates["gif"]))
+    # one line per filter, not one per aborted cycle; the EKF loses its
+    # track from cycle 3 on
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "gif: 1 of 5 cycles aborted at max grid refinement, first at cycle 2",
+        "ekf: 2 of 5 cycles aborted at max grid refinement, first at cycle 3",
+    ]
+
+
+def test_simulate_sde_requires_noise_matrix():
+    scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=3))
+    no_noise = dataclasses.replace(
+        scenario, diffusion=dataclasses.replace(scenario.diffusion, noise_matrix=None))
+    with pytest.raises(ValueError, match="noise_matrix"):
+        simulate_sde(no_noise, trajectory_rng(0, 0))
+
+
+def _hand_written_euler_observations(params, delta, n_steps, seed):
+    """The invariance study's former simulator: Euler-Maruyama on scalars."""
+    rng = trajectory_rng(seed, 0)
+    x = 0.3
+    nsub = 50
+    dt = delta / nsub
+    ys = np.empty(n_steps)
+    for k in range(n_steps):
+        for _ in range(nsub):
+            x = x - 0.5 * x ** 3 * dt + math.sqrt(params.alpha * dt) * rng.standard_normal()
+        ys[k] = x / (params.p_crit + x * x) + math.sqrt(params.beta) * rng.standard_normal()
+    return ys
+
+
+def _hand_written_invariance_mismatch(params, delta, sigma0, n_steps, n_substeps, seed):
+    """The invariance study's former filter loop, both charts interleaved."""
+    base_model, base_obs = cubic1d_build(params)
+    tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(params, 0.2)
+    ys = _hand_written_euler_observations(params, delta, n_steps, seed)
+    cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
+    mu0 = 0.3
+    est_a = StateEstimate(np.array([mu0]), SymTensor2(np.array([mu0]), np.array([[sigma0]])))
+    mu0_t = phi(mu0)
+    sig0_t = dphi(mu0) ** 2 * sigma0
+    est_b = StateEstimate(np.array([mu0_t]), SymTensor2(np.array([mu0_t]), np.array([[sig0_t]])))
+    total = 0.0
+    for k in range(n_steps):
+        event = ObservationEvent(time=(k + 1) * delta, y=np.array([ys[k]]))
+        est_a = filter_step(base_model, base_obs, est_a, event, cfg)
+        est_b = filter_step(tr_model, tr_obs, est_b, event, cfg)
+        total += abs(phi(est_a.mu_hat[0]) - est_b.mu_hat[0])
+    return total / n_steps
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_simulate_sde_reproduces_hand_written_euler_observations(scale):
+    # the invariance study's scenario at both noise levels: the same stream,
+    # the same scheme, different rounding only (sqrt(alpha) sqrt(dt))
+    params = Cubic1DParams(p_crit=0.5, alpha=0.01 * scale ** 2, beta=0.001 * scale ** 2)
+    config = ScenarioConfig(
+        model="cubic1d",
+        model_params={"p_crit": params.p_crit, "alpha": params.alpha, "beta": params.beta},
+        delta=scale, n_obs=300, sim_substeps=50, seed=7, x0=[0.3])
+    record = simulate_sde(build_scenario(config), trajectory_rng(7, 0))
+    expected = _hand_written_euler_observations(params, scale, 300, 7)
+    assert np.max(np.abs(record.observations[:, 0] - expected) / np.abs(expected)) < 1e-12
+
+
+def test_invariance_check_matches_hand_written_loops():
+    report = invariance_check(n_steps=200)
+    full = _hand_written_invariance_mismatch(
+        Cubic1DParams(p_crit=0.5, alpha=0.01, beta=0.001), 1.0, 0.01, 200, 64, 7)
+    half = _hand_written_invariance_mismatch(
+        Cubic1DParams(p_crit=0.5, alpha=0.01 / 4.0, beta=0.001 / 4.0), 0.5, 0.01 / 4.0,
+        200, 64, 7)
+    assert abs(report["mismatch_full_noise"] - full) <= 1e-9 * full
+    assert abs(report["mismatch_half_noise"] - half) <= 1e-9 * half
+    assert report["aborted_cycles"] == 0
 
 
 def test_stationary_truth_mean_near_zero():
@@ -180,6 +264,29 @@ def test_step_refinement_gives_up():
 
     result, level = _step_with_refinement(step, 8, 3)
     assert result is None and level == 3
+
+
+@pytest.mark.parametrize("model,delta,n_obs", [("cubic1d", 1.0, 30), ("tracking9d", 0.1, 4)])
+def test_run_filters_covariances_equal_step_chain(model, delta, n_obs):
+    config = ScenarioConfig(model=model, delta=delta, n_obs=n_obs, seed=2)
+    scenario = build_scenario(config)
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(2, 0)))
+    steps = {
+        "gif": lambda st, obs, event: filter_step(scenario.diffusion, obs, st, event,
+                                                   config.filter_config()),
+        "ekf": lambda st, obs, event: ekf_step(scenario.diffusion, obs, st, event, delta,
+                                               config.n_substeps),
+    }
+    for name, step in steps.items():
+        assert not record.aborted[name].any()
+        assert record.covariances[name].shape == (n_obs, scenario.x0.size, scenario.x0.size)
+        st = StateEstimate(scenario.mu0.copy(), SymTensor2(scenario.mu0, scenario.sigma0.copy()))
+        for k in range(n_obs):
+            t = float(record.times[k])
+            st = step(st, scenario.observation_at(t),
+                      ObservationEvent(time=t, y=record.observations[k]))
+            assert np.array_equal(record.covariances[name][k], st.sigma_hat.mat)
+            assert np.array_equal(record.estimates[name][k], st.mu_hat)
 
 
 def test_linear_scenario_filters_agree():
@@ -270,6 +377,51 @@ def test_kalman_check_passes():
     assert report["passed"]
     assert report["max_rel_mean_deviation"] <= 1e-8
     assert report["max_rel_cov_deviation"] <= 1e-8
+    assert report["aborted_cycles"] == 0
+
+
+def _step_loop_kalman_check(seed=20240817, n_steps=200, p_dim=3, q_dim=2, delta=0.01,
+                            n_substeps=96):
+    """The Kalman check with its former private filter_step loop."""
+    rng = np.random.default_rng(seed)
+    a_mat = rng.standard_normal((p_dim, p_dim)) * 0.6
+    sigma_mat = rng.standard_normal((p_dim, p_dim)) * 0.4
+    j_mat = rng.standard_normal((q_dim, p_dim))
+    b_mat = rng.standard_normal((q_dim, q_dim))
+    b_mat = b_mat @ b_mat.T + 0.3 * np.eye(q_dim)
+    params = LinearParams(a_mat, sigma_mat, j_mat, b_mat)
+    model, obs = linear_build(params)
+    mu0 = rng.standard_normal(p_dim)
+    p0 = 0.5 * np.eye(p_dim)
+    observations = rng.standard_normal((n_steps, q_dim)) * 2.0
+    ref_means, ref_covs = kalman_reference_run(params, mu0, p0, observations, delta)
+    cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
+    est = StateEstimate(mu0.copy(), SymTensor2(mu0, p0.copy()))
+    worst_mean = 0.0
+    worst_cov = 0.0
+    for k in range(n_steps):
+        event = ObservationEvent(time=(k + 1) * delta, y=observations[k])
+        est = filter_step(model, obs, est, event, cfg)
+        scale_m = max(float(np.max(np.abs(ref_means[k]))), 1e-12)
+        scale_p = max(float(np.max(np.abs(ref_covs[k]))), 1e-12)
+        worst_mean = max(worst_mean, float(np.max(np.abs(est.mu_hat - ref_means[k]))) / scale_m)
+        worst_cov = max(worst_cov,
+                        float(np.max(np.abs(est.sigma_hat.mat - ref_covs[k]))) / scale_p)
+    return {
+        "seed": seed,
+        "n_steps": n_steps,
+        "max_rel_mean_deviation": worst_mean,
+        "max_rel_cov_deviation": worst_cov,
+        "tolerance": 1e-8,
+        "passed": bool(worst_mean <= 1e-8 and worst_cov <= 1e-8),
+    }
+
+
+@pytest.mark.parametrize("seed,n_steps", [(20240817, 200), (5, 40)])
+def test_kalman_check_equals_step_loop_bit_for_bit(seed, n_steps):
+    report = kalman_check(seed=seed, n_steps=n_steps)
+    assert report.pop("aborted_cycles") == 0
+    assert report == _step_loop_kalman_check(seed=seed, n_steps=n_steps)
 
 
 def test_transformed_model_internally_consistent():

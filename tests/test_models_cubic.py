@@ -93,7 +93,8 @@ def test_flat_specialization_keeps_corrections_alive(cubic_models):
     assert bundle.nabla_dphi.coeffs[0, 0, 0] != 0.0
     jac = obs.dpsi(bundle.x_delta)
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(bundle.x_delta)))
-    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac)
+    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,
+                                        obs.psi(bundle.x_delta))
     gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
     assert gr.rho_coeffs.coeffs[0, 0, 0] != 0.0
     assert gr.rho_mean[0] != 0.0

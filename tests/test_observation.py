@@ -47,7 +47,7 @@ def test_linear_observation_flat_form_vanishes(linear_models):
     model, obs = linear_models
     rng = np.random.default_rng(31)
     x = rng.standard_normal(3)
-    form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x))
+    form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x), obs.psi(x))
     assert np.array_equal(form.coeffs, np.zeros((2, 3, 3)))
 
 
@@ -56,7 +56,7 @@ def test_cubic_form_is_plain_second_derivative(cubic_models, cubic_params):
     p = cubic_params.p_crit
     for x0 in (-1.2, -0.3, 0.0, 0.4, 1.7):
         x = np.array([x0])
-        form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x))
+        form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x), obs.psi(x))
         expected = 2.0 * x0 * (x0 ** 2 - 3.0 * p) / (p + x0 ** 2) ** 3
         assert abs(form.coeffs[0, 0, 0] - expected) < 1e-12 * max(1.0, abs(expected))
 
@@ -67,7 +67,7 @@ def test_tracking_form_matches_finite_difference_assembly(tracking_models):
     rng = np.random.default_rng(32)
     x = random_tracking_state(rng, scale=1.0)
     x[0:3] += np.array([4.0, 1.0, 2.0])  # keep range and elevation generic
-    form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x))
+    form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x), obs.psi(x))
 
     h = 1e-6
     d2psi_fd = np.zeros((5, 9, 9))
@@ -133,7 +133,8 @@ def test_observation_jacobians_match_finite_differences(
 
 def _obs_ailp(bundle, obs, state_conn):
     jac = obs.dpsi(bundle.x_delta)
-    form = map_second_fundamental_form(obs, state_conn, bundle.x_delta, jac)
+    form = map_second_fundamental_form(obs, state_conn, bundle.x_delta, jac,
+                                       obs.psi(bundle.x_delta))
     return ailp_observation(bundle, form, jac)
 
 
