@@ -47,8 +47,8 @@ def ekf_predict(
                                   d2xi_contract=model.d2drift_b_contract)
     grid = FlowGrid(delta=delta, n_steps=n_substeps)
     path, jacs = integrate_flow(b_model, est.mu_hat, grid)
-    alphas = [model.alpha(x) for x in path]
-    cov = propagate_covariance(alphas, transition_jacobians(jacs, grid), est.sigma_hat, grid)
+    cov = propagate_covariance(model.alpha(path), transition_jacobians(jacs, grid),
+                               est.sigma_hat, grid)
     return StateEstimate(path[-1], SymTensor2(path[-1], cov[-1]))
 
 

@@ -44,7 +44,7 @@ class StateEstimate:
 
     def __post_init__(self):
         self.mu_hat = np.asarray(self.mu_hat, dtype=float)
-        if not np.all(np.isfinite(self.mu_hat)):
+        if not np.isfinite(self.mu_hat).all():
             raise NonFiniteError("state estimate has non-finite coordinates")
 
 

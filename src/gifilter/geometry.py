@@ -41,8 +41,8 @@ def symmetric_condition(mat: np.ndarray) -> float:
 
 
 def check_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, what: str = "matrix") -> None:
-    scale = max(float(np.max(np.abs(mat))), 1.0)
-    if float(np.max(np.abs(mat - mat.T))) > rtol * scale:
+    scale = max(float(np.abs(mat).max()), 1.0)
+    if float(np.abs(mat - mat.T).max()) > rtol * scale:
         raise ValueError(f"{what} is not symmetric within {rtol:g} relative")
 
 
@@ -58,7 +58,7 @@ class SymTensor2:
         self.mat = np.asarray(self.mat, dtype=float)
         if self.mat.shape != (self.base.size, self.base.size):
             raise ValueError("tensor shape does not match base dimension")
-        if not (np.all(np.isfinite(self.base)) and np.all(np.isfinite(self.mat))):
+        if not (np.isfinite(self.base).all() and np.isfinite(self.mat).all()):
             raise NonFiniteError("non-finite entries in SymTensor2")
         check_symmetric(self.mat, what="SymTensor2")
 
@@ -79,8 +79,8 @@ class Bilinear3:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
             raise ValueError("Bilinear3 coefficients must have shape (out, in, in)")
-        scale = max(float(np.max(np.abs(self.coeffs))), 1.0)
-        skew = float(np.max(np.abs(self.coeffs - self.coeffs.transpose(0, 2, 1))))
+        scale = max(float(np.abs(self.coeffs).max()), 1.0)
+        skew = float(np.abs(self.coeffs - self.coeffs.transpose(0, 2, 1)).max())
         if skew > SYMMETRY_RTOL * scale:
             raise ValueError("Bilinear3 coefficients not symmetric in trailing indices")
 

@@ -228,14 +228,16 @@ def simulate_sde(
     observations = np.full((n, q), np.nan)
     diverged_at = None
 
+    noise_dim = model.noise_matrix(x).shape[1]
+
     # overflow surfaces as the explicit divergence marker, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            for _ in range(config.sim_substeps):
-                load = model.noise_matrix(x)
-                shock = load @ rng.standard_normal(load.shape[1])
+            # one draw per cycle: the same stream as one draw per substep
+            for normals in rng.standard_normal((config.sim_substeps, noise_dim)):
+                shock = model.noise_matrix(x) @ normals
                 x = x + model.drift_b(x) * dt + shock * sqrt_dt
-                if not np.all(np.isfinite(x)):
+                if not np.isfinite(x).all():
                     diverged_at = k
                     break
                 if model.constrain is not None:
@@ -558,7 +560,12 @@ def kalman_check(
 
 
 def _cubic_state_diffeo(coeff: float):
-    """phi(x) = x + coeff x^3 with derivatives and a Newton inverse."""
+    """phi(x) = x + coeff x^3 with derivatives and a Newton inverse.
+
+    All five take floats or arrays.  ``phi_inv`` runs Newton elementwise and
+    stops each element by the rule |step| < 1e-15 (1 + |x|); one value takes
+    a plain float loop, which costs far less than array operations on it.
+    """
 
     def phi(x: float) -> float:
         return x + coeff * x ** 3
@@ -572,13 +579,26 @@ def _cubic_state_diffeo(coeff: float):
     def d3phi(x: float) -> float:
         return 6.0 * coeff
 
-    def phi_inv(z: float) -> float:
-        x = z / (1.0 + 3.0 * coeff * z * z) if abs(z) > 1.0 else z
+    def phi_inv(z):
+        if np.size(z) == 1:
+            value = np.asarray(z).item()
+            x = value / (1.0 + 3.0 * coeff * value * value) if abs(value) > 1.0 else value
+            for _ in range(60):
+                step = (phi(x) - value) / dphi(x)
+                x -= step
+                if abs(step) < 1e-15 * (1.0 + abs(x)):
+                    break
+            return x if np.ndim(z) == 0 else np.full(np.shape(z), x)
+        z = np.asarray(z, dtype=float)
+        x = np.where(np.abs(z) > 1.0, z / (1.0 + 3.0 * coeff * z * z), z)
+        step = np.full(z.shape, np.inf)
         for _ in range(60):
-            step = (phi(x) - z) / dphi(x)
-            x -= step
-            if abs(step) < 1e-15 * (1.0 + abs(x)):
+            live = np.abs(step) >= 1e-15 * (1.0 + np.abs(x))
+            if not live.any():
                 break
+            # a stopped element takes zero steps from here on
+            step = np.where(live, (phi(x) - z) / dphi(x), 0.0)
+            x = x - step
         return x
 
     return phi, dphi, d2phi, d3phi, phi_inv
@@ -613,16 +633,16 @@ def transformed_cubic_model(params: Cubic1DParams, coeff: float = 0.2):
         return np.array([[base_dxi(x) + d2phi(x) * base_xi(x) / dphi(x)]])
 
     def d2xi_contract(xt, chi):
-        x = phi_inv(xt[0])
+        x = phi_inv(xt)
         fp, fpp, fppp = dphi(x), d2phi(x), d3phi(x)
         val = (base_d2xi(x)
                + (fppp * base_xi(x) + fpp * base_dxi(x)) / fp
                - fpp ** 2 * base_xi(x) / fp ** 2) / fp
-        return val * chi[..., 0, :1]
+        return val * chi[..., 0, :]
 
     def alpha(xt):
-        x = phi_inv(xt[0])
-        return np.array([[dphi(x) ** 2 * alpha0]])
+        x = phi_inv(xt)
+        return (dphi(x) ** 2 * alpha0)[..., None]
 
     def drift_b(xt):
         x = phi_inv(xt[0])

@@ -33,7 +33,6 @@ class Cubic1DParams:
 
 def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationModel]:
     p_crit = params.p_crit
-    alpha_mat = np.array([[params.alpha]])
     beta_mat = np.array([[params.beta]])
     noise = np.array([[math.sqrt(params.alpha)]])
 
@@ -44,14 +43,14 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
         return np.array([[-1.5 * x[0] ** 2]])
 
     def d2xi_contract(x, chi):
-        return -3.0 * x[0] * chi[..., 0, :1]
+        return -3.0 * x * chi[..., 0, :]
 
     diffusion = DiffusionModel(
         dim=1,
         xi=xi,
         dxi=dxi,
         d2xi_contract=d2xi_contract,
-        alpha=lambda x: alpha_mat,
+        alpha=lambda x: np.full(np.shape(x)[:-1] + (1, 1), params.alpha),
         conn=flat_connector(1),
         drift_b=xi,
         ddrift_b=dxi,

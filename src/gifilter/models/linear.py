@@ -54,14 +54,14 @@ def linear_build(params: LinearParams) -> tuple[DiffusionModel, ObservationModel
         return a_mat
 
     def d2xi_contract(x, chi):
-        return np.zeros(np.shape(chi)[:-1])
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(chi)[:-1]))
 
     diffusion = DiffusionModel(
         dim=p,
         xi=xi,
         dxi=dxi,
         d2xi_contract=d2xi_contract,
-        alpha=lambda x: alpha_const,
+        alpha=lambda x: np.broadcast_to(alpha_const, np.shape(x)[:-1] + (p, p)),
         conn=flat_connector(p),
         drift_b=xi,
         ddrift_b=dxi,

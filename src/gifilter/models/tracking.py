@@ -117,9 +117,15 @@ def project_state(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return pack_state(p, v_new, a_new)
 
 
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """|v|^2 over the last axis, kept as a length-1 axis: shape (..., 1)."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0]
+
+
 def velocity_projection(v: np.ndarray) -> np.ndarray:
-    """Projection onto the orthogonal complement of v."""
-    return np.eye(3) - np.outer(v, v) / float(v @ v)
+    """Projection onto the orthogonal complement of v, for every velocity
+    in a stack (..., 3)."""
+    return np.eye(3) - v[..., :, None] * v[..., None, :] / _sq_norm(v)[..., None]
 
 
 def tracking_connector() -> ConnectorField:
@@ -194,20 +200,19 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         return out
 
     def d2xi_contract(x, chi):
-        _, v, a = split_state(x)
-        vv = float(v @ v)
+        v, a = x[..., 3:6], x[..., 6:9]
         chi_aa = chi[..., 6:9, 6:9]
         chi_va = chi[..., 3:6, 6:9]
         chi_av = chi[..., 6:9, 3:6]
         trace = np.trace(chi_aa, axis1=-2, axis2=-1)[..., None]
-        out = np.zeros(np.shape(chi)[:-1])
-        out[..., 6:9] = (-2.0 / vv) * (trace * v + (chi_va + chi_av) @ a)
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(chi)[:-1]))
+        chi_a = ((chi_va + chi_av) @ a[..., None])[..., 0]
+        out[..., 6:9] = (-2.0 / _sq_norm(v)) * (trace * v + chi_a)
         return out
 
     def alpha(x):
-        _, v, _ = split_state(x)
-        out = np.zeros((9, 9))
-        out[6:9, 6:9] = gam2 * velocity_projection(v)
+        out = np.zeros(np.shape(x)[:-1] + (9, 9))
+        out[..., 6:9, 6:9] = gam2 * velocity_projection(x[..., 3:6])
         return out
 
     def noise_matrix(x):

@@ -1,5 +1,13 @@
 """Shared test fixtures: model instances, state samplers, connector registry."""
 
+import os
+
+# One BLAS thread, set before numpy is imported: the runtime budgets of the
+# acceptance criteria assume it, and threaded BLAS on these tiny matrices
+# only adds overhead and contention.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import dataclasses
 
 import numpy as np
@@ -41,6 +49,27 @@ def counting(bundle, names, calls):
         return inner
 
     return dataclasses.replace(bundle, **{n: wrap(n, getattr(bundle, n)) for n in names})
+
+
+def assert_broadcasts_over_points(model, points, rng):
+    """``alpha``, ``d2xi_contract`` and ``d2drift_b_contract`` (when set) on
+    a stack of points (n, p) equal the loop over the points, within 1e-12
+    relative: the point-broadcast rule of the model protocol."""
+    n, p = points.shape
+
+    def close(stacked, loop, what):
+        loop = np.asarray(loop)
+        assert stacked.shape == loop.shape, what
+        assert np.max(np.abs(stacked - loop)) <= 1e-12 * np.max(np.abs(loop)), what
+
+    close(model.alpha(points), [model.alpha(x) for x in points], "alpha")
+    raw = rng.standard_normal((3, p, p))
+    chi = raw + raw.transpose(0, 2, 1)
+    for name in ("d2xi_contract", "d2drift_b_contract"):
+        contract = getattr(model, name)
+        if contract is not None:
+            close(contract(points[:, None, :], chi),
+                  [[contract(x, c) for c in chi] for x in points], name)
 
 
 def random_obs_point(rng):

@@ -37,6 +37,7 @@ from gifilter.flow import (
     ailp_state,
     flow_second_fundamental_form,
     integrate_flow,
+    path_hessian,
     precompute,
     propagate_covariance,
     transition_jacobians,
@@ -260,17 +261,21 @@ def _linear_flow_inputs():
     return rng.standard_normal((3, 3)), rng.standard_normal(3)
 
 
-def _linear_flow_value():
+def _linear_flow_model():
     from gifilter.flow import DiffusionModel
 
-    a_mat, x0 = _linear_flow_inputs()
-    model = DiffusionModel(
+    a_mat, _ = _linear_flow_inputs()
+    return DiffusionModel(
         dim=3, xi=lambda x: a_mat @ x, dxi=lambda x: a_mat,
-        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
-        alpha=lambda x: np.zeros((3, 3)), conn=flat_connector(3),
+        d2xi_contract=lambda x, chi: np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1])),
+        alpha=lambda x: np.zeros(x.shape[:-1] + (3, 3)), conn=flat_connector(3),
         drift_b=lambda x: a_mat @ x,
     )
-    return integrate_flow(model, x0, FlowGrid(0.1, 64))[0][-1]
+
+
+def _linear_flow_value():
+    _, x0 = _linear_flow_inputs()
+    return integrate_flow(_linear_flow_model(), x0, FlowGrid(0.1, 64))[0][-1]
 
 
 def _linear_flow_oracle():
@@ -279,17 +284,9 @@ def _linear_flow_oracle():
 
 
 def _tau_value():
-    from gifilter.flow import DiffusionModel
-
-    a_mat, x0 = _linear_flow_inputs()
-    model = DiffusionModel(
-        dim=3, xi=lambda x: a_mat @ x, dxi=lambda x: a_mat,
-        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
-        alpha=lambda x: np.zeros((3, 3)), conn=flat_connector(3),
-        drift_b=lambda x: a_mat @ x,
-    )
+    _, x0 = _linear_flow_inputs()
     grid = FlowGrid(0.7, 32)
-    _, jacs = integrate_flow(model, x0, grid)
+    _, jacs = integrate_flow(_linear_flow_model(), x0, grid)
     return transition_jacobians(jacs, grid).tau_0_delta
 
 
@@ -303,8 +300,8 @@ def _ou_model(a=0.5, sig=0.3):
 
     return DiffusionModel(
         dim=1, xi=lambda x: np.array([-a * x[0]]), dxi=lambda x: np.array([[-a]]),
-        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
-        alpha=lambda x: np.array([[sig ** 2]]), conn=flat_connector(1),
+        d2xi_contract=lambda x, chi: np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1])),
+        alpha=lambda x: np.full(x.shape[:-1] + (1, 1), sig ** 2), conn=flat_connector(1),
         drift_b=lambda x: np.array([-a * x[0]]),
     )
 
@@ -314,7 +311,7 @@ def _ou_var_value():
     grid = FlowGrid(0.5, 64)
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[0.2]]), grid)
     return float(xis[-1][0, 0])
 
@@ -330,7 +327,7 @@ def _cubic_var_value():
     x0 = np.array([1.0])
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, SymTensor2(x0, [[0.0]]), grid)
     return float(xis[-1][0, 0])
 
@@ -356,9 +353,10 @@ def _cubic_ailp_value():
     sigma0 = SymTensor2(x0, [[0.01]])
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    return float(ailp_state(model, path, alphas, taus, xis, sigma0, grid)[0])
+    return float(ailp_state(model, path, path_hessian(model, path), alphas, taus, xis,
+                            sigma0, grid)[0])
 
 
 def _sq_drift_model():
@@ -366,8 +364,8 @@ def _sq_drift_model():
 
     return DiffusionModel(
         dim=1, xi=lambda x: np.array([x[0] ** 2]), dxi=lambda x: np.array([[2.0 * x[0]]]),
-        d2xi_contract=lambda x, chi: 2.0 * chi[..., 0, :1],
-        alpha=lambda x: np.array([[0.01]]), conn=flat_connector(1),
+        d2xi_contract=lambda x, chi: 2.0 * chi[..., 0, :] * np.ones_like(x),
+        alpha=lambda x: np.full(x.shape[:-1] + (1, 1), 0.01), conn=flat_connector(1),
         drift_b=lambda x: np.array([x[0] ** 2]),
     )
 
@@ -379,9 +377,10 @@ def _sq_drift_ailp_value():
     sigma0 = SymTensor2(x0, [[0.0]])
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    m_delta = ailp_state(model, path, alphas, taus, xis, sigma0, grid)
+    m_delta = ailp_state(model, path, path_hessian(model, path), alphas, taus, xis, sigma0,
+                         grid)
     return float(m_delta[0])
 
 
@@ -405,7 +404,8 @@ def _sff_fd_value():
     grid = FlowGrid(1.0, 256)
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
     taus = transition_jacobians(jacs, grid)
-    return float(flow_second_fundamental_form(model, path, taus, grid).coeffs[0, 0, 0])
+    form = flow_second_fundamental_form(model, path, path_hessian(model, path), taus, grid)
+    return float(form.coeffs[0, 0, 0])
 
 
 def _sff_fd_oracle():

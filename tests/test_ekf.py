@@ -16,7 +16,12 @@ from gifilter.harness import kalman_reference_run, van_loan_discretization
 from gifilter.models.cubic1d import cubic1d_analytic_flow
 from gifilter.observation import ObservationEvent, ObservationModel, wrap_angles
 
-from conftest import counting, random_obs_point, random_tracking_state
+from conftest import (
+    assert_broadcasts_over_points,
+    counting,
+    random_obs_point,
+    random_tracking_state,
+)
 
 
 def test_predict_linear_matches_exact_kalman(linear_params, linear_models):
@@ -33,17 +38,22 @@ def test_predict_linear_matches_exact_kalman(linear_params, linear_models):
 
 
 def test_predict_no_noise_no_drift_is_identity():
+    def zero_contract(x, chi):
+        return np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1]))
+
     model = DiffusionModel(
         dim=2,
         xi=lambda x: np.zeros(2),
         dxi=lambda x: np.zeros((2, 2)),
-        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
-        alpha=lambda x: np.zeros((2, 2)),
+        d2xi_contract=zero_contract,
+        alpha=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
         conn=flat_connector(2),
         drift_b=lambda x: np.zeros(2),
         ddrift_b=lambda x: np.zeros((2, 2)),
-        d2drift_b_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
+        d2drift_b_contract=zero_contract,
     )
+    rng = np.random.default_rng(56)
+    assert_broadcasts_over_points(model, rng.standard_normal((4, 2)), rng)
     m0 = np.array([1.0, -2.0])
     p0 = np.diag([0.3, 0.6])
     pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, p0)), 1.0, 8)
@@ -117,12 +127,12 @@ def test_predict_equals_own_loop_bit_for_bit(predict_cases, name, n_substeps):
     assert np.array_equal(pred.sigma_hat.mat, ref_cov)
 
 
-def test_predict_evaluates_each_callback_once_per_grid_point(predict_cases):
+def test_predict_evaluates_alpha_once_on_the_path(predict_cases):
     model, mean, cov, delta = predict_cases["tracking9d"]
     calls = Counter()
     model = counting(model, ("drift_b", "ddrift_b", "d2drift_b_contract", "alpha"), calls)
     ekf_predict(model, StateEstimate(mean, SymTensor2(mean, cov)), delta, 8)
-    assert calls == {"drift_b": 8, "ddrift_b": 9, "d2drift_b_contract": 8, "alpha": 9}
+    assert calls == {"drift_b": 8, "ddrift_b": 9, "d2drift_b_contract": 8, "alpha": 1}
 
 
 def test_update_linear_is_kalman(linear_params, linear_models):

@@ -1,5 +1,6 @@
 """Tests for flow integration, transition Jacobians, covariance, and AILPs."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,24 +14,32 @@ from gifilter.flow import (
     ailp_state,
     flow_second_fundamental_form,
     integrate_flow,
+    path_hessian,
     precompute,
     propagate_covariance,
     transition_jacobians,
 )
-from gifilter.geometry import SymTensor2, flat_connector
-from gifilter.harness import ScenarioConfig, build_scenario, van_loan_discretization
-from gifilter.models.cubic1d import cubic1d_analytic_ailp, cubic1d_analytic_flow
+from gifilter.geometry import SymTensor2, flat_connector, sym_outer
+from gifilter.harness import (
+    ScenarioConfig,
+    build_scenario,
+    transformed_cubic_model,
+    van_loan_discretization,
+)
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_analytic_ailp, cubic1d_analytic_flow
 
-from conftest import counting
+from conftest import assert_broadcasts_over_points, counting, random_tracking_state
+from fixture_defs import _linear_flow_model, _ou_model, _sq_drift_model
 
 
 def make_scalar_model(xi, dxi, d2xi, alpha):
+    # d2xi maps one float to a float; vectorize applies it at every point
     return DiffusionModel(
         dim=1,
         xi=lambda x: np.array([xi(x[0])]),
         dxi=lambda x: np.array([[dxi(x[0])]]),
-        d2xi_contract=lambda x, chi: d2xi(x[0]) * chi[..., 0, :1],
-        alpha=lambda x: np.array([[alpha]]),
+        d2xi_contract=lambda x, chi: np.vectorize(d2xi, otypes=[float])(x) * chi[..., 0, :],
+        alpha=lambda x: np.full(x.shape[:-1] + (1, 1), alpha),
         conn=flat_connector(1),
         drift_b=lambda x: np.array([xi(x[0])]),
     )
@@ -42,8 +51,8 @@ def make_linear_model(a_mat, alpha_mat):
         dim=p,
         xi=lambda x: a_mat @ x,
         dxi=lambda x: a_mat,
-        d2xi_contract=lambda x, chi: np.zeros(chi.shape[:-1]),
-        alpha=lambda x: alpha_mat,
+        d2xi_contract=lambda x, chi: np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1])),
+        alpha=lambda x: np.broadcast_to(alpha_mat, x.shape[:-1] + (p, p)),
         conn=flat_connector(p),
         drift_b=lambda x: a_mat @ x,
     )
@@ -53,11 +62,10 @@ CUBIC = make_scalar_model(lambda x: -0.5 * x ** 3, lambda x: -1.5 * x ** 2,
                           lambda x: -3.0 * x, 0.01)
 
 
-def test_flow_grid_times_uniform():
+def test_flow_grid_step_and_validation():
     grid = FlowGrid(2.0, 5)
-    times = grid.times
-    assert times[0] == 0.0 and times[-1] == 2.0
-    assert np.allclose(np.diff(times), grid.step)
+    assert grid.step == 0.4
+    assert np.array_equal(grid.weights, [0.2, 0.4, 0.4, 0.4, 0.4, 0.2])
     with pytest.raises(ValueError):
         FlowGrid(0.0, 4)
     with pytest.raises(ValueError):
@@ -165,7 +173,7 @@ def test_no_noise_no_drift_keeps_covariance():
     grid = FlowGrid(1.0, 8)
     path, jacs = integrate_flow(model, np.array([0.0]), grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[0.7]]), grid)
     assert all(abs(x[0, 0] - 0.7) < 1e-15 for x in xis)
 
@@ -176,7 +184,7 @@ def test_ou_variance_matches_lyapunov_solution():
     grid = FlowGrid(delta, 64)
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[sigma0]]), grid)
     expected = np.exp(-2 * a * delta) * sigma0 + sig ** 2 * (1 - np.exp(-2 * a * delta)) / (2 * a)
     assert abs(xis[-1][0, 0] - expected) < 1e-6
@@ -191,7 +199,7 @@ def test_covariance_stays_symmetric_psd_along_grid():
     path, jacs = integrate_flow(model, rng.standard_normal(3), grid)
     taus = transition_jacobians(jacs, grid)
     raw = rng.standard_normal((3, 3))
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, SymTensor2(path[0], raw @ raw.T), grid)
     for x in xis:
         assert np.array_equal(x, x.T)
@@ -211,9 +219,10 @@ def test_linear_model_has_zero_location_correction():
     x0 = rng.standard_normal(3)
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [model.alpha(x) for x in path]
+    alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, SymTensor2(x0, np.eye(3)), grid)
-    m_delta = ailp_state(model, path, alphas, taus, xis, SymTensor2(x0, np.eye(3)), grid)
+    m_delta = ailp_state(model, path, path_hessian(model, path), alphas, taus, xis,
+                         SymTensor2(x0, np.eye(3)), grid)
     assert np.array_equal(m_delta, np.zeros(3))
 
 
@@ -223,9 +232,10 @@ def test_cubic_location_correction_matches_analytic():
     sigma0 = SymTensor2(x0, np.array([[0.01]]))
     path, jacs = integrate_flow(CUBIC, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    alphas = [CUBIC.alpha(x) for x in path]
+    alphas = CUBIC.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    m_num = ailp_state(CUBIC, path, alphas, taus, xis, sigma0, grid)[0]
+    m_num = ailp_state(CUBIC, path, path_hessian(CUBIC, path), alphas, taus, xis, sigma0,
+                       grid)[0]
     m_ana = cubic1d_analytic_ailp(1.0, 0.01, 0.01, 1.0)
     assert abs(m_num - m_ana) / abs(m_ana) < 1e-4
 
@@ -239,7 +249,7 @@ def test_linear_flow_second_form_vanishes():
     grid = FlowGrid(0.3, 8)
     path, jacs = integrate_flow(model, rng.standard_normal(3), grid)
     taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(model, path, taus, grid)
+    form = flow_second_fundamental_form(model, path, path_hessian(model, path), taus, grid)
     assert np.array_equal(form.coeffs, np.zeros((3, 3, 3)))
 
 
@@ -250,7 +260,7 @@ def test_cubic_flow_second_form_matches_flow_map_hessian():
     grid = FlowGrid(delta, 256)
     path, jacs = integrate_flow(CUBIC, np.array([x0]), grid)
     taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(CUBIC, path, taus, grid)
+    form = flow_second_fundamental_form(CUBIC, path, path_hessian(CUBIC, path), taus, grid)
     fd = (cubic1d_analytic_flow(x0 + h, delta) - 2.0 * cubic1d_analytic_flow(x0, delta)
           + cubic1d_analytic_flow(x0 - h, delta)) / h ** 2
     assert abs(form.coeffs[0, 0, 0] - fd) / abs(fd) < 1e-3
@@ -263,7 +273,8 @@ def test_flow_second_form_grid_refinement_second_order():
         grid = FlowGrid(1.0, n)
         path, jacs = integrate_flow(CUBIC, x0, grid)
         taus = transition_jacobians(jacs, grid)
-        values.append(flow_second_fundamental_form(CUBIC, path, taus, grid).coeffs[0, 0, 0])
+        form = flow_second_fundamental_form(CUBIC, path, path_hessian(CUBIC, path), taus, grid)
+        values.append(form.coeffs[0, 0, 0])
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     for big, small in zip(diffs, diffs[1:]):
         assert 3.0 <= big / small <= 5.0
@@ -271,9 +282,6 @@ def test_flow_second_form_grid_refinement_second_order():
 
 def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
     # the stacked evaluation against the per-pair loop it replaced
-    from conftest import random_tracking_state
-    from gifilter.geometry import sym_outer
-
     model, _ = tracking_models
     conn = model.conn
     rng = np.random.default_rng(28)
@@ -281,7 +289,7 @@ def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
     grid = FlowGrid(0.1, 8)
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(model, path, taus, grid)
+    form = flow_second_fundamental_form(model, path, path_hessian(model, path), taus, grid)
     p, n, h = model.dim, grid.n_steps, grid.step
     basis = np.eye(p)
     tau = taus.tau_0_delta
@@ -343,14 +351,31 @@ def test_precompute_matches_finer_grid():
     assert rel(coarse.nabla_dphi.coeffs[0, 0, 0], fine.nabla_dphi.coeffs[0, 0, 0]) < 1e-4
 
 
-def test_precompute_evaluates_each_callback_once_per_grid_point():
-    # tracking9d: a curved connector, so ailp_state needs alpha as well
+def test_precompute_evaluates_alpha_and_hessian_once_on_the_path():
+    # tracking9d: a curved connector, so ailp_state needs alpha as well; the
+    # Taylor step calls d2xi_contract once per step, path_hessian once more
     scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
     calls = Counter()
-    model = counting(scenario.diffusion, ("xi", "dxi", "alpha"), calls)
+    model = counting(scenario.diffusion, ("xi", "dxi", "alpha", "d2xi_contract"), calls)
     mu0 = scenario.mu0
     precompute(model, mu0, SymTensor2(mu0, scenario.sigma0), FlowGrid(0.1, 8))
-    assert calls == {"xi": 8, "dxi": 9, "alpha": 9}
+    assert calls == {"xi": 8, "dxi": 9, "alpha": 1, "d2xi_contract": 9}
+
+
+def test_precompute_memory_stays_linear_in_the_grid():
+    # 2049 points of a 9-D model: one (n + 1) p^3 array is 12 MB, one
+    # (n + 1) p^4 pair stack would be 108 MB
+    scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
+    mu0 = scenario.mu0
+    sigma0 = SymTensor2(mu0, scenario.sigma0)
+    grid = FlowGrid(0.1, 2048)
+    tracemalloc.start()
+    try:
+        precompute(scenario.diffusion, mu0, sigma0, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_tau_delta_0_computed_once():
@@ -366,6 +391,125 @@ def test_tau_inverse_identity():
                         FlowGrid(1.0, 16))
     assert abs(bundle.tau_delta_0 @ bundle.tau_0_delta - np.eye(1))[0, 0] < 1e-8
     assert np.linalg.cond(bundle.tau_0_delta) < 1e12
+
+
+# --- the path-stacked evaluation against the per-grid-point loops ---------------
+
+
+def test_path_callbacks_broadcast_over_points(cubic_models, linear_models, tracking_models):
+    rng = np.random.default_rng(29)
+    line = rng.uniform(-1.5, 1.5, size=(6, 1))
+    models = [
+        (cubic_models[0], line),
+        (linear_models[0], rng.standard_normal((6, 3))),
+        (tracking_models[0], np.array([random_tracking_state(rng) for _ in range(6)])),
+        (transformed_cubic_model(Cubic1DParams())[0], line),
+        (CUBIC, line),
+        (make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0), line),
+        (make_linear_model(rng.standard_normal((3, 3)), np.eye(3)), rng.standard_normal((6, 3))),
+        (_linear_flow_model(), rng.standard_normal((6, 3))),
+        (_ou_model(), line),
+        (_sq_drift_model(), line),
+    ]
+    for model, points in models:
+        assert_broadcasts_over_points(model, points, rng)
+
+
+def _loop_transition_maps(jacs, grid):
+    # the former per-slice exponentials and tuple-valued products
+    def expm(m):
+        return np.exp(m) if m.shape == (1, 1) else scipy.linalg.expm(m)
+
+    n, h, p = grid.n_steps, grid.step, jacs[0].shape[0]
+    per_step = [expm(0.5 * h * (jacs[k] + jacs[k + 1])) for k in range(n)]
+    from_start = [np.eye(p)]
+    for tau in per_step:
+        from_start.append(tau @ from_start[-1])
+    to_end = [np.eye(p)] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        to_end[k] = to_end[k + 1] @ per_step[k]
+    return per_step, from_start, to_end
+
+
+def _loop_ailp_state(model, path, per_step, from_start, xis, sigma0, grid):
+    # the former transport recursion, with per-point callbacks
+    h, conn = grid.step, model.conn
+
+    def integrand(k):
+        val = model.d2xi_contract(path[k], xis[k])
+        if not conn.flat:
+            val = val - conn.contract(path[k], model.alpha(path[k]))
+        return val
+
+    kappa = np.zeros(model.dim)
+    prev = integrand(0)
+    for k in range(grid.n_steps):
+        cur = integrand(k + 1)
+        kappa = 0.5 * h * cur + per_step[k] @ (kappa + 0.5 * h * prev)
+        prev = cur
+    if not conn.flat:
+        kappa = (kappa - from_start[-1] @ conn.contract(path[0], sigma0.mat)
+                 + conn.contract(path[-1], xis[-1]))
+    return 0.5 * kappa
+
+
+def _loop_second_form(model, path, from_start, to_end, grid):
+    # the former per-grid-point pair loop of flow_second_fundamental_form
+    p, n, h, conn = model.dim, grid.n_steps, grid.step, model.conn
+    coeffs = np.zeros((p, p, p))
+    for k in range(n + 1):
+        weight = h * (0.5 if k in (0, n) else 1.0)
+        for i in range(p):
+            for j in range(p):
+                chi = sym_outer(from_start[k][:, i], from_start[k][:, j])
+                coeffs[:, i, j] += weight * to_end[k] @ model.d2xi_contract(path[k], chi)
+    if not conn.flat:
+        tau = from_start[-1]
+        basis = np.eye(p)
+        for i in range(p):
+            for j in range(p):
+                coeffs[:, i, j] += (conn.gamma(path[-1], tau[:, i], tau[:, j])
+                                    - tau @ conn.gamma(path[0], basis[i], basis[j]))
+    return 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
+
+
+def _rel_close(new, ref, rtol=1e-12):
+    return np.max(np.abs(new - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_steps", [8, 16])
+@pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d", "transformed_cubic"])
+def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_models,
+                                                          tracking_models, name, n_steps):
+    rng = np.random.default_rng(30)
+    raw = rng.standard_normal((3, 3))
+    cases = {
+        "cubic1d": (cubic_models[0], np.array([0.8]), np.array([[0.02]]), 1.0),
+        "linear": (linear_models[0], rng.standard_normal(3), raw @ raw.T, 0.05),
+        "tracking9d": (tracking_models[0],
+                       np.array([9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0]),
+                       np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0]), 0.1),
+        "transformed_cubic": (transformed_cubic_model(Cubic1DParams())[0], np.array([0.9]),
+                              np.array([[0.02]]), 1.0),
+    }
+    model, x0, cov0, delta = cases[name]
+    grid = FlowGrid(delta, n_steps)
+    sigma0 = SymTensor2(x0, cov0)
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    per_step, from_start, to_end = _loop_transition_maps(jacs, grid)
+    assert np.array_equal(taus.per_step, per_step)
+    assert np.array_equal(taus.from_start, from_start)
+    assert np.array_equal(taus.to_end, to_end)
+
+    alphas = model.alpha(path)
+    xis = propagate_covariance(alphas, taus, sigma0, grid)
+    hess = path_hessian(model, path)
+    m_delta = ailp_state(model, path, hess, alphas, taus, xis, sigma0, grid)
+    loop_m_delta = _loop_ailp_state(model, path, per_step, from_start, xis, sigma0, grid)
+    assert _rel_close(m_delta, loop_m_delta)
+    form = flow_second_fundamental_form(model, path, hess, taus, grid)
+    assert _rel_close(form.coeffs, _loop_second_form(model, path, from_start, to_end, grid))
 
 
 # --- drift consistency ----------------------------------------------------------
