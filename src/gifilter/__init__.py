@@ -47,9 +47,6 @@ from .geometry import (
     curvature,
     exp_map_series,
     flat_connector,
-    geodesic_flow,
-    levi_civita_connector,
-    log_map_series,
     pushforward_covariance,
 )
 from .ekf import ekf_predict, ekf_step, ekf_update

@@ -17,7 +17,6 @@ from .geometry import (
     SymTensor2,
     barycenter_correction,
     exp_map_series,
-    geodesic_flow,
     pushforward_covariance,
     symmetric_condition,
     symmetrize,
@@ -54,26 +53,19 @@ class FilterConfig:
 
     ``collar_enabled`` clamps the quadratic innovation term so its norm never
     exceeds the linear term's; ``quadratic_enabled=False`` drops the quadratic
-    term entirely (ablation).  ``jitter`` is added to the diagonal of the
-    innovation matrix before the gain solve.  ``use_geodesic_update`` swaps
-    the single-step series expansions for the geodesic-flow integrator.
+    term entirely (ablation).
     """
 
     delta: float
     n_substeps: int = 8
     collar_enabled: bool = True
     quadratic_enabled: bool = True
-    jitter: float = 0.0
-    use_geodesic_update: bool = False
-    geodesic_steps: int = 16
 
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
         if self.n_substeps < 1:
             raise ValueError("n_substeps must be >= 1")
-        if self.jitter < 0.0:
-            raise ValueError("jitter must be >= 0")
 
     def grid(self) -> FlowGrid:
         return FlowGrid(delta=self.delta, n_steps=self.n_substeps)
@@ -104,14 +96,10 @@ class GainRho:
         return self.rho_coeffs(z, z)
 
 
-def gain(
-    xi_delta: SymTensor2, j: np.ndarray, beta_at_ydelta: np.ndarray, jitter: float = 0.0
-) -> np.ndarray:
+def gain(xi_delta: SymTensor2, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
     """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a symmetric linear solve."""
     j = np.asarray(j, dtype=float)
     innov = symmetrize(j @ xi_delta.mat @ j.T + np.asarray(beta_at_ydelta, dtype=float))
-    if jitter > 0.0:
-        innov = innov + jitter * np.eye(innov.shape[0])
     if symmetric_condition(innov) > GAIN_COND_LIMIT:
         raise IllConditionedGainError(
             f"innovation matrix condition number exceeds {GAIN_COND_LIMIT:.0e}"
@@ -209,25 +197,20 @@ def update_estimate(
     mu: np.ndarray,
     sigma: SymTensor2,
     state_conn: ConnectorField,
-    use_geodesic: bool = False,
-    geodesic_steps: int = 16,
 ) -> StateEstimate:
     """Map the conditional moments at x_delta to the new state estimate.
 
-    The barycenter-corrected tangent vector is pushed through the exponential
-    map (series by default, geodesic integration on request) and the
-    covariance through the corresponding derivative map.
+    The barycenter-corrected tangent vector is pushed through the
+    third-order series exponential map, and the covariance through that
+    map's derivative I - Gamma(x_delta)(v, .).
     """
     v = barycenter_correction(mu, sigma, state_conn, x_delta)
     if state_conn.flat:
         return StateEstimate(x_delta + v, SymTensor2(x_delta + v, sigma.mat))
-    if use_geodesic:
-        mu_hat, fmat = geodesic_flow(x_delta, v, state_conn, steps=geodesic_steps)
-    else:
-        mu_hat = exp_map_series(x_delta, v, state_conn)
-        basis = np.eye(x_delta.size)
-        # column j of the derivative is e_j - Gamma(x_delta)(v (x) e_j)
-        fmat = basis - state_conn.gamma(x_delta, v, basis).T
+    mu_hat = exp_map_series(x_delta, v, state_conn)
+    basis = np.eye(x_delta.size)
+    # column j of the derivative is e_j - Gamma(x_delta)(v (x) e_j)
+    fmat = basis - state_conn.gamma(x_delta, v, basis).T
     return StateEstimate(mu_hat, pushforward_covariance(sigma, fmat, mu_hat))
 
 
@@ -271,16 +254,12 @@ def filter_step(
     nabla_dpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac, y_delta)
     obs_ailp = ailp_observation(bundle, nabla_dpsi, jac)
 
-    g = gain(bundle.xi_delta, jac, obs.beta(y_delta), config.jitter)
+    g = gain(bundle.xi_delta, jac, obs.beta(y_delta))
     gr = rho_build(g, jac, bundle.nabla_dphi, nabla_dpsi, bundle.tau_delta_0,
                    bundle.xi_delta)
     z_delta = pull_back_observation(y_delta, y_obs.y, obs.conn_obs, obs.angular_mask)
     mu, sigma = assimilate(bundle, obs_ailp, gr, z_delta, config)
-    new_est = update_estimate(
-        x_delta, mu, sigma, model.conn,
-        use_geodesic=config.use_geodesic_update,
-        geodesic_steps=config.geodesic_steps,
-    )
+    new_est = update_estimate(x_delta, mu, sigma, model.conn)
     repaired, min_eig = repair_psd(new_est.sigma_hat.mat)
     if min_eig < 0.0:
         if diag is not None:

@@ -109,11 +109,6 @@ class DiffusionModel:
     noise_matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constrain: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def drift_consistency_residual(self, x: np.ndarray) -> float:
-        """|xi(x) - b(x) - (1/2) Gamma(x)(alpha(x))| at one point."""
-        corr = 0.5 * self.conn.contract(x, self.alpha(x))
-        return float(np.linalg.norm(self.xi(x) - self.drift_b(x) - corr))
-
 
 @dataclass(frozen=True)
 class TransitionJacobians:
@@ -305,7 +300,6 @@ class PropagationBundle:
     xi_delta: SymTensor2
     m_delta: np.ndarray
     nabla_dphi: Bilinear3
-    grid: FlowGrid
 
     def __post_init__(self):
         p = self.x_path.shape[1]
@@ -353,5 +347,4 @@ def precompute(
         xi_delta=SymTensor2(x_path[-1], xis[-1]),
         m_delta=m_delta,
         nabla_dphi=nabla_dphi,
-        grid=grid,
     )

@@ -14,14 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError, NonFiniteError, SingularMetricError
+from .errors import NonFiniteError
 
 SYMMETRY_RTOL = 1e-12
-
-
-def sym_outer(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Symmetrized outer product (u w^T + w u^T) / 2."""
-    return 0.5 * (np.outer(u, w) + np.outer(w, u))
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -61,10 +56,6 @@ class SymTensor2:
         if not (np.isfinite(self.base).all() and np.isfinite(self.mat).all()):
             raise NonFiniteError("non-finite entries in SymTensor2")
         check_symmetric(self.mat, what="SymTensor2")
-
-    @property
-    def dim(self) -> int:
-        return self.base.size
 
 
 @dataclass
@@ -137,66 +128,6 @@ def flat_connector(dim: int) -> ConnectorField:
     return ConnectorField(dim=dim, gamma=gamma, dgamma=dgamma, flat=True)
 
 
-def metric_partials_fd(
-    beta_field: Callable[[np.ndarray], np.ndarray],
-    y: np.ndarray,
-    step_scale: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference partials d beta / d y_i, shape (dim, q, q).
-
-    Step per coordinate is step_scale * (1 + |y_i|), balancing truncation
-    against rounding at double precision.
-    """
-    y = np.asarray(y, dtype=float)
-    q = np.asarray(beta_field(y)).shape[0]
-    out = np.zeros((y.size, q, q))
-    for i in range(y.size):
-        h = step_scale * (1.0 + abs(float(y[i])))
-        yp = y.copy()
-        ym = y.copy()
-        yp[i] += h
-        ym[i] -= h
-        out[i] = (np.asarray(beta_field(yp)) - np.asarray(beta_field(ym))) / (2.0 * h)
-    return out
-
-
-def levi_civita_connector(
-    beta_field: Callable[[np.ndarray], np.ndarray],
-    y: np.ndarray,
-    dbeta: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    step_scale: float = 1e-5,
-) -> np.ndarray:
-    """Levi-Civita connector coefficients of the metric whose inverse is beta.
-
-    beta(y) is the contravariant (inverse) metric tensor; the returned array
-    G[m, i, j] is symmetric in (i, j).  Partials of beta are taken from
-    ``dbeta`` when supplied, otherwise by central finite differences.
-    """
-    y = np.asarray(y, dtype=float)
-    beta = np.asarray(beta_field(y), dtype=float)
-    if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
-        raise ValueError("beta must be a square matrix")
-    check_symmetric(beta, rtol=1e-10, what="beta")
-    eigs = np.linalg.eigvalsh(symmetrize(beta))
-    if eigs[0] <= 0.0 or eigs[0] < 1e-14 * eigs[-1]:
-        raise SingularMetricError(f"beta is not positive definite (min eig {eigs[0]:.3e})")
-    g0 = np.linalg.inv(symmetrize(beta))
-
-    if dbeta is not None:
-        dbeta_arr = np.asarray(dbeta(y), dtype=float)
-    else:
-        dbeta_arr = metric_partials_fd(beta_field, y, step_scale)
-
-    # d g0 / d y_k = -g0 (d beta / d y_k) g0
-    dg0 = -np.einsum("ab,kbc,cd->kad", g0, dbeta_arr, g0)
-
-    t1 = np.einsum("jk,ikm->mij", g0, dbeta_arr)
-    t2 = np.einsum("ik,jkm->mij", g0, dbeta_arr)
-    t3 = np.einsum("kij,mk->mij", dg0, beta)
-    gam = -0.5 * (t1 + t2 + t3)
-    return 0.5 * (gam + gam.transpose(0, 2, 1))
-
-
 def exp_map_series(x: np.ndarray, v: np.ndarray, conn: ConnectorField) -> np.ndarray:
     """Third-order expansion of the exponential map at x applied to v."""
     x = np.asarray(x, dtype=float)
@@ -205,59 +136,6 @@ def exp_map_series(x: np.ndarray, v: np.ndarray, conn: ConnectorField) -> np.nda
         return x + v
     g = conn.gamma(x, v, v)
     return x + v - 0.5 * g + (2.0 * conn.gamma(x, g, v) - conn.dgamma(x, v, v, v)) / 6.0
-
-
-def log_map_series(y: np.ndarray, z: np.ndarray, conn: ConnectorField) -> np.ndarray:
-    """Third-order expansion of the inverse exponential map at y applied to z."""
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(z, dtype=float) - y
-    if conn.flat:
-        return w
-    g = conn.gamma(y, w, w)
-    return w + 0.5 * g + (conn.dgamma(y, w, w, w) + conn.gamma(y, g, w)) / 6.0
-
-
-def geodesic_flow(
-    x: np.ndarray, v: np.ndarray, conn: ConnectorField, steps: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the geodesic ODE and its derivative flow over s in [0, 1].
-
-    Solves gamma' = zeta, zeta' = -Gamma(gamma)(zeta (x) zeta) together with
-    the linearized flow F' = Dh(gamma, zeta) F, F(0) = I, using a classical
-    fixed-step 4th-order Runge-Kutta integrator.  Returns the endpoint and
-    the position-position block F11(1), which pushes tangent vectors from
-    the start point to the endpoint.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    p = x.size
-    basis = np.eye(p)
-
-    def rhs(gam, zet, fmat):
-        acc = -conn.gamma(gam, zet, zet)
-        # column j of each block is the derivative along basis vector j
-        a21 = -conn.dgamma(gam, basis, zet, zet).T
-        a22 = -2.0 * conn.gamma(gam, zet, basis).T
-        dh = np.block([[np.zeros((p, p)), basis], [a21, a22]])
-        return zet, acc, dh @ fmat
-
-    gam = x.copy()
-    zet = v.copy()
-    fmat = np.eye(2 * p)
-    h = 1.0 / steps
-    for k in range(steps):
-        k1 = rhs(gam, zet, fmat)
-        k2 = rhs(gam + 0.5 * h * k1[0], zet + 0.5 * h * k1[1], fmat + 0.5 * h * k1[2])
-        k3 = rhs(gam + 0.5 * h * k2[0], zet + 0.5 * h * k2[1], fmat + 0.5 * h * k2[2])
-        k4 = rhs(gam + h * k3[0], zet + h * k3[1], fmat + h * k3[2])
-        gam = gam + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        zet = zet + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        fmat = fmat + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not (np.all(np.isfinite(gam)) and np.all(np.isfinite(zet))):
-            raise DivergenceError(f"geodesic flow diverged at step {k}", step=k)
-    return gam, fmat[:p, :p]
 
 
 def curvature(

@@ -22,7 +22,7 @@ import scipy.linalg
 
 from . import __version__
 from .ekf import ekf_step
-from .errors import FilterNumericsError
+from .errors import DivergenceError, FilterNumericsError, IllConditionedFlowError
 from .filter import FilterConfig, FilterDiagnostics, StateEstimate, filter_step
 from .flow import DiffusionModel
 from .geometry import ConnectorField, SymTensor2, flat_connector
@@ -60,7 +60,6 @@ class ScenarioConfig:
     filters: tuple = ("gif", "ekf")
     collar_enabled: bool = True
     quadratic_enabled: bool = True
-    jitter: float = 0.0
     mu0: Optional[list] = None
     sigma0: Optional[list] = None
     x0: Optional[list] = None
@@ -85,7 +84,6 @@ class ScenarioConfig:
             n_substeps=self.n_substeps,
             collar_enabled=self.collar_enabled,
             quadratic_enabled=self.quadratic_enabled,
-            jitter=self.jitter,
         )
 
     def to_dict(self) -> dict:
@@ -258,25 +256,31 @@ def _step_with_refinement(step_fn, base_substeps: int, max_refinements: int):
     The one-step flow schemes are explicit; when an update throws an estimate
     far from equilibrium the fixed default grid can leave the scheme outside
     its stability region even though the underlying flow contracts.  Doubling
-    the subdivision restores stability deterministically.  Returns
-    (result or None, refinements used).
+    the subdivision restores stability deterministically.  Only flow
+    stiffness is retried, a ``DivergenceError`` or ``IllConditionedFlowError``,
+    up to ``max_refinements`` times; any other ``FilterNumericsError`` (an
+    ill-conditioned gain, a non-finite update) does not depend on the grid
+    and gives up at once.  Returns (result or None, refinements used).
     """
-    last_error = None
     for k in range(max_refinements + 1):
         try:
             return step_fn(base_substeps * (2 ** k)), k
-        except FilterNumericsError as err:
-            last_error = err
+        except (DivergenceError, IllConditionedFlowError):
+            continue
+        except FilterNumericsError:
+            return None, k
     return None, max_refinements
 
 
 def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecord:
     """Run every enabled filter over the recorded observations.
 
-    The package's one filter loop.  A step that fails all refinement
-    attempts is recorded as aborted and the filter keeps its previous
-    estimate; one WARNING per filter names the count and the first such
-    cycle.  Errors are chart-norm distances between estimate and truth.
+    The package's one filter loop.  A step that fails is retried on finer
+    grids only when the flow was stiff (see :func:`_step_with_refinement`);
+    a step that fails for good is recorded as aborted and the filter keeps
+    its previous estimate.  One WARNING per filter names the count of
+    aborted cycles and the first one.  Errors are chart-norm distances
+    between estimate and truth.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -313,7 +317,7 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
             cov_rows[k] = state.sigma_hat.mat
             err_rows[k] = float(np.linalg.norm(state.mu_hat - record.truth[k]))
         if aborted.any():
-            logger.warning("%s: %d of %d cycles aborted at max grid refinement, first at cycle %d",
+            logger.warning("%s: %d of %d cycles aborted, first at cycle %d",
                            name, int(aborted.sum()), n, int(np.argmax(aborted)))
         record.estimates[name] = est_rows
         record.covariances[name] = cov_rows

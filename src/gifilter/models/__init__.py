@@ -1,11 +1,6 @@
 """Concrete model instantiations: 1-D cubic benchmark, 9-D tracking, linear."""
 
-from .cubic1d import (
-    Cubic1DParams,
-    cubic1d_analytic_ailp,
-    cubic1d_analytic_flow,
-    cubic1d_build,
-)
+from .cubic1d import Cubic1DParams, cubic1d_build
 from .linear import LinearParams, linear_build
 from .tracking import (
     Tracking9DParams,
@@ -13,15 +8,11 @@ from .tracking import (
     pack_state,
     project_state,
     split_state,
-    tracking9d_build,
     tracking_observation,
-    validate_state,
 )
 
 __all__ = [
     "Cubic1DParams",
-    "cubic1d_analytic_ailp",
-    "cubic1d_analytic_flow",
     "cubic1d_build",
     "LinearParams",
     "linear_build",
@@ -30,7 +21,5 @@ __all__ = [
     "pack_state",
     "project_state",
     "split_state",
-    "tracking9d_build",
     "tracking_observation",
-    "validate_state",
 ]

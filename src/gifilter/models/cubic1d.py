@@ -76,31 +76,5 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
         d2psi=d2psi,
         beta=lambda y: beta_mat,
         conn_obs=flat_connector(1),
-        dbeta=lambda y: np.zeros((1, 1, 1)),
     )
     return diffusion, observation
-
-
-def cubic1d_analytic_flow(x0: float, t: float) -> float:
-    """Closed-form flow of dx/dt = -x^3/2: x_t = x0 / sqrt(1 + x0^2 t)."""
-    radicand = 1.0 + x0 * x0 * t
-    if radicand <= 0.0:
-        raise ValueError("flow is undefined: 1 + x0^2 t must be positive")
-    return x0 / math.sqrt(radicand)
-
-
-def cubic1d_analytic_ailp(x0: float, sigma0: float, alpha: float, delta: float) -> float:
-    """Closed-form intrinsic location correction of X_delta for this model.
-
-    Singular at x0 = 0 (the expression carries x0^-4 and x0^-6 factors);
-    the numerical path in :func:`gifilter.flow.ailp_state` stays finite
-    there and is authoritative at that point.
-    """
-    if x0 == 0.0:
-        raise ValueError("analytic location correction is undefined at x0 = 0")
-    x_d = cubic1d_analytic_flow(x0, delta)
-    return -1.5 * (
-        alpha / (12.0 * x_d ** 3)
-        + (sigma0 - alpha / (3.0 * x0 ** 2)) * x_d ** 3 / x0 ** 4
-        - (sigma0 - alpha / (4.0 * x0 ** 2)) * x_d ** 5 / x0 ** 6
-    )

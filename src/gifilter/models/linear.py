@@ -76,6 +76,5 @@ def linear_build(params: LinearParams) -> tuple[DiffusionModel, ObservationModel
         d2psi=lambda x: np.zeros((q, p, p)),
         beta=lambda y: b_mat,
         conn_obs=flat_connector(q),
-        dbeta=lambda y: np.zeros((q, q, q)),
     )
     return diffusion, observation

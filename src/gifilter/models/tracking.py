@@ -90,17 +90,6 @@ def pack_state(p, v, a) -> np.ndarray:
                            np.asarray(a, dtype=float)])
 
 
-def validate_state(x: np.ndarray, rtol: float = 1e-8) -> None:
-    """Check the constraint manifold membership: |v| > 0 and v . a = 0."""
-    _, v, a = split_state(x)
-    speed = float(np.linalg.norm(v))
-    if speed < SPEED_FLOOR:
-        raise SingularStateError(f"speed {speed:.3e} below {SPEED_FLOOR:.0e}")
-    cross = abs(float(v @ a))
-    if cross > rtol * speed * max(float(np.linalg.norm(a)), 1e-300):
-        raise SingularStateError("acceleration is not orthogonal to velocity")
-
-
 def project_state(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Re-project onto the constraint manifold of the reference state.
 
@@ -235,15 +224,6 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         noise_matrix=noise_matrix,
         constrain=project_state,
     )
-
-
-def spherical_to_cartesian(y: np.ndarray) -> np.ndarray:
-    r, th, ph = y
-    return np.array([
-        r * math.sin(th) * math.cos(ph),
-        r * math.sin(th) * math.sin(ph),
-        r * math.cos(th),
-    ])
 
 
 def cartesian_to_spherical(d: np.ndarray) -> np.ndarray:
@@ -424,13 +404,6 @@ def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> Observa
         h, _, _ = _beta_h(params, r)
         return np.diag(h)
 
-    def dbeta(y):
-        r = float(y[0])
-        _, dh, _ = _beta_h(params, r)
-        out = np.zeros((5, 5, 5))
-        out[0] = np.diag(dh)
-        return out
-
     return ObservationModel(
         dim_obs=5,
         psi=psi,
@@ -438,13 +411,5 @@ def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> Observa
         d2psi=d2psi,
         beta=beta,
         conn_obs=observation_connector(params),
-        dbeta=dbeta,
         angular_mask=OBS_ANGULAR_MASK.copy(),
     )
-
-
-def tracking9d_build(
-    params: Tracking9DParams, time: float = 0.0
-) -> tuple[DiffusionModel, ObservationModel]:
-    """Assemble the tracking model; the observation side is frozen at ``time``."""
-    return tracking_diffusion(params), tracking_observation(params, time)

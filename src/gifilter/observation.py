@@ -29,12 +29,11 @@ class ObservationModel:
     ``psi`` maps state points to observation points; ``dpsi`` is its q x p
     Jacobian and ``d2psi`` its (q, p, p) second derivative.  ``beta`` is the
     observation covariance metric (symmetric positive definite wherever
-    evaluated) with connector ``conn_obs``; ``dbeta`` optionally supplies
-    the analytic partials of beta used when deriving the connector
-    numerically.  ``angular_mask`` flags observation coordinates that live
-    on a circle, so residuals can be wrapped before use.
+    evaluated) with connector ``conn_obs``.  ``angular_mask`` flags
+    observation coordinates that live on a circle, so residuals can be
+    wrapped before use.
 
-    ``psi``, ``dpsi``, ``d2psi``, ``beta`` and ``dbeta`` take one point;
+    ``psi``, ``dpsi``, ``d2psi`` and ``beta`` take one point;
     ``conn_obs`` broadcasts over the leading axes of its vector arguments
     like every :class:`ConnectorField`.
     """
@@ -45,7 +44,6 @@ class ObservationModel:
     d2psi: Callable[[np.ndarray], np.ndarray]
     beta: Callable[[np.ndarray], np.ndarray]
     conn_obs: ConnectorField
-    dbeta: Optional[Callable[[np.ndarray], np.ndarray]] = None
     angular_mask: Optional[np.ndarray] = None
 
     def normalize(self, y: np.ndarray) -> np.ndarray:

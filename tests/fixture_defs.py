@@ -49,9 +49,6 @@ from gifilter.geometry import (
     curvature,
     exp_map_series,
     flat_connector,
-    geodesic_flow,
-    levi_civita_connector,
-    log_map_series,
     pushforward_covariance,
 )
 from gifilter.harness import (
@@ -61,12 +58,7 @@ from gifilter.harness import (
     simulate_sde,
     trajectory_rng,
 )
-from gifilter.models.cubic1d import (
-    Cubic1DParams,
-    cubic1d_analytic_ailp,
-    cubic1d_analytic_flow,
-    cubic1d_build,
-)
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.tracking import (
     Tracking9DParams,
     observation_connector,
@@ -82,6 +74,15 @@ from gifilter.observation import (
 )
 
 import scipy.linalg
+
+from oracles import (
+    cubic1d_analytic_ailp,
+    cubic1d_analytic_flow,
+    geodesic_flow,
+    levi_civita_connector,
+    log_map_series,
+    tracking_dbeta,
+)
 
 
 @dataclass(frozen=True)
@@ -613,7 +614,7 @@ def _update_geodesic_gaps():
     for scale in (0.04, 0.02):
         mu = scale * direction
         sigma = SymTensor2(x, smat * scale ** 2)
-        series = update_estimate(x, mu, sigma, conn, use_geodesic=False)
+        series = update_estimate(x, mu, sigma, conn)
         endpoint, _ = geodesic_flow(x, barycenter_correction(mu, sigma, conn, x), conn,
                                     steps=64)
         out.append(float(np.linalg.norm(series.mu_hat - endpoint)))
@@ -666,7 +667,7 @@ def _connector_closed_vs_numeric_value():
     for _ in range(25):
         y = np.array([rng.uniform(0.5, 5.0), rng.uniform(0.3, 2.8), rng.uniform(-3, 3),
                       rng.uniform(1.0, 20.0), rng.standard_normal()])
-        numeric = levi_civita_connector(obs.beta, y, dbeta=obs.dbeta)
+        numeric = levi_civita_connector(obs.beta, y, dbeta=tracking_dbeta(params))
         for i in range(5):
             for j in range(5):
                 worst = max(worst, float(np.max(np.abs(

@@ -13,7 +13,6 @@ from gifilter.filter import FilterDiagnostics, StateEstimate, repair_psd
 from gifilter.geometry import SymTensor2, flat_connector, symmetric_condition, symmetrize
 from gifilter.flow import DiffusionModel
 from gifilter.harness import kalman_reference_run, van_loan_discretization
-from gifilter.models.cubic1d import cubic1d_analytic_flow
 from gifilter.observation import ObservationEvent, ObservationModel, wrap_angles
 
 from conftest import (
@@ -22,6 +21,7 @@ from conftest import (
     random_obs_point,
     random_tracking_state,
 )
+from oracles import cubic1d_analytic_flow
 
 
 def test_predict_linear_matches_exact_kalman(linear_params, linear_models):

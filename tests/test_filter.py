@@ -24,15 +24,14 @@ from gifilter.geometry import (
     SymTensor2,
     barycenter_correction,
     flat_connector,
-    geodesic_flow,
-    log_map_series,
 )
 from gifilter.harness import ScenarioConfig, build_scenario, kalman_reference_run
-from gifilter.models.cubic1d import Cubic1DParams, cubic1d_analytic_flow, cubic1d_build
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.tracking import tracking_connector
 from gifilter.observation import ObservationEvent, map_second_fundamental_form
 
 from conftest import counting, random_obs_point, random_tracking_state
+from oracles import cubic1d_analytic_flow, geodesic_flow, log_map_series
 
 
 # --- gain ---------------------------------------------------------------------
@@ -62,13 +61,11 @@ def test_gain_defining_identity_tracking_dims():
     assert np.max(np.abs(residual)) < 1e-10 * max(1.0, float(np.max(np.abs(xi_mat))))
 
 
-def test_gain_ill_conditioned_raises_and_jitter_recovers():
+def test_gain_ill_conditioned_raises():
     xi = SymTensor2(np.zeros(2), np.zeros((2, 2)))
     beta = np.diag([1.0, 1e-14])
     with pytest.raises(IllConditionedGainError):
         gain(xi, np.eye(2), beta)
-    g = gain(xi, np.eye(2), beta, jitter=1e-6)
-    assert np.array_equal(g, np.zeros((2, 2)))
 
 
 # --- rho ----------------------------------------------------------------------
@@ -255,11 +252,9 @@ def test_update_matches_geodesic_oracle_scaling():
     for scale in (0.04, 0.02):
         mu = scale * direction
         sigma = SymTensor2(x, smat * scale ** 2)
-        series = update_estimate(x, mu, sigma, conn, use_geodesic=False)
-        geo = update_estimate(x, mu, sigma, conn, use_geodesic=True, geodesic_steps=64)
+        series = update_estimate(x, mu, sigma, conn)
         v = barycenter_correction(mu, sigma, conn, x)
         endpoint, f11 = geodesic_flow(x, v, conn, steps=64)
-        assert np.allclose(geo.mu_hat, endpoint)
         mean_gaps.append(float(np.linalg.norm(series.mu_hat - endpoint)))
         # normalize covariance gap by sigma scale to expose the O(|v|) factor
         gap = np.linalg.norm(series.sigma_hat.mat - f11 @ sigma.mat @ f11.T)
@@ -394,7 +389,5 @@ def test_config_validation():
         FilterConfig(delta=0.0)
     with pytest.raises(ValueError):
         FilterConfig(delta=1.0, n_substeps=0)
-    with pytest.raises(ValueError):
-        FilterConfig(delta=1.0, jitter=-1.0)
     with pytest.raises(ValueError):
         StateEstimate(np.array([np.inf]), SymTensor2(np.array([0.0]), [[1.0]]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gifilter.ekf import ekf_step
-from gifilter.errors import IllConditionedGainError
+from gifilter.errors import DivergenceError, IllConditionedGainError
 from gifilter.filter import FilterConfig, StateEstimate, filter_step
 from gifilter.geometry import SymTensor2
 from gifilter.harness import (
@@ -26,9 +26,11 @@ from gifilter.harness import (
     trajectory_rng,
     transformed_cubic_model,
 )
-from gifilter.models.cubic1d import Cubic1DParams, cubic1d_analytic_flow, cubic1d_build
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.linear import LinearParams, linear_build
 from gifilter.observation import ObservationEvent, sample_observation
+
+from oracles import cubic1d_analytic_flow, drift_consistency_residual
 
 
 # --- configuration ------------------------------------------------------------
@@ -156,8 +158,8 @@ def test_non_finite_gif_update_aborts_the_cycle_not_the_run(caplog):
     # one line per filter, not one per aborted cycle; the EKF loses its
     # track from cycle 3 on
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
-        "gif: 1 of 5 cycles aborted at max grid refinement, first at cycle 2",
-        "ekf: 2 of 5 cycles aborted at max grid refinement, first at cycle 3",
+        "gif: 1 of 5 cycles aborted, first at cycle 2",
+        "ekf: 2 of 5 cycles aborted, first at cycle 3",
     ]
 
 
@@ -291,7 +293,7 @@ def test_step_refinement_retries_then_succeeds():
     def step(nsub):
         calls.append(nsub)
         if nsub < 30:
-            raise IllConditionedGainError("synthetic")
+            raise DivergenceError("synthetic")
         return "ok"
 
     result, level = _step_with_refinement(step, 8, 4)
@@ -302,10 +304,23 @@ def test_step_refinement_retries_then_succeeds():
 
 def test_step_refinement_gives_up():
     def step(nsub):
-        raise IllConditionedGainError("always")
+        raise DivergenceError("always")
 
     result, level = _step_with_refinement(step, 8, 3)
     assert result is None and level == 3
+
+
+def test_step_refinement_aborts_non_flow_error_at_once():
+    # a finer grid cannot repair an ill-conditioned gain: no retry
+    calls = []
+
+    def step(nsub):
+        calls.append(nsub)
+        raise IllConditionedGainError("grid-independent")
+
+    result, level = _step_with_refinement(step, 8, 3)
+    assert result is None and level == 0
+    assert calls == [8]
 
 
 @pytest.mark.parametrize("model,delta,n_obs", [("cubic1d", 1.0, 30), ("tracking9d", 0.1, 4)])
@@ -473,7 +488,7 @@ def test_transformed_model_internally_consistent():
     rng = np.random.default_rng(66)
     for _ in range(200):
         xt = np.array([phi(rng.uniform(-1.3, 1.3))])
-        assert model.drift_consistency_residual(xt) < 1e-12
+        assert drift_consistency_residual(model, xt) < 1e-12
     h = 1e-6
     for _ in range(50):
         xt = np.array([phi(rng.uniform(-1.2, 1.2))])

@@ -6,12 +6,10 @@ import pytest
 from gifilter.filter import FilterConfig, StateEstimate, filter_step, gain, rho_build
 from gifilter.flow import FlowGrid, integrate_flow, precompute
 from gifilter.geometry import SymTensor2
-from gifilter.models.cubic1d import (
-    Cubic1DParams,
-    cubic1d_analytic_ailp,
-    cubic1d_analytic_flow,
-)
+from gifilter.models.cubic1d import Cubic1DParams
 from gifilter.observation import map_second_fundamental_form
+
+from oracles import cubic1d_analytic_ailp, cubic1d_analytic_flow
 
 
 def test_params_validation():

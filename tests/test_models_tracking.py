@@ -5,7 +5,6 @@ import pytest
 
 from gifilter.errors import SingularObservationError, SingularStateError
 from gifilter.flow import FlowGrid, integrate_flow
-from gifilter.geometry import levi_civita_connector
 from gifilter.models.tracking import (
     Tracking9DParams,
     cartesian_to_spherical,
@@ -13,15 +12,19 @@ from gifilter.models.tracking import (
     observation_connector,
     pack_state,
     project_state,
-    spherical_to_cartesian,
     split_state,
-    tracking9d_build,
+    tracking_diffusion,
     tracking_observation,
-    validate_state,
     velocity_projection,
 )
 
 from conftest import random_obs_point, random_tracking_state
+from oracles import (
+    levi_civita_connector,
+    spherical_to_cartesian,
+    tracking_dbeta,
+    validate_state,
+)
 
 
 def test_params_validation():
@@ -160,7 +163,7 @@ def test_observation_connector_matches_numeric_derivation(tracking_params, track
     basis = np.eye(5)
     for _ in range(20):
         y = random_obs_point(rng)
-        numeric = levi_civita_connector(obs.beta, y, dbeta=obs.dbeta)
+        numeric = levi_civita_connector(obs.beta, y, dbeta=tracking_dbeta(tracking_params))
         for i in range(5):
             for j in range(5):
                 closed = conn.gamma(y, basis[i], basis[j])
@@ -211,7 +214,8 @@ def test_observation_azimuth_wrap(tracking_params):
 
 
 def test_build_returns_consistent_pair(tracking_params):
-    model, obs = tracking9d_build(tracking_params, time=2.0)
+    model = tracking_diffusion(tracking_params)
+    obs = tracking_observation(tracking_params, time=2.0)
     assert model.dim == 9
     assert obs.dim_obs == 5
     # missile state frozen at the build time
