@@ -6,6 +6,15 @@ together with a continuous-discrete EKF baseline and a Monte Carlo
 benchmark harness.
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before numpy is
+# first imported: the matrices here are tiny (at most 9 x 9), so threaded
+# BLAS only adds overhead, and under contention a stacked expm slows by
+# more than an order of magnitude.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     DivergenceError,
     FilterNumericsError,

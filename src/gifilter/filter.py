@@ -139,7 +139,7 @@ def rho_build(
         proj @ nabla_dphi.contract(gz_mean_back) - g @ nabla_dpsi.contract(gz_mean)
     )
     return GainRho(
-        g=g, j=j, rho_coeffs=Bilinear3(nabla_dphi.base, coeffs), rho_mean=rho_mean
+        g=g, j=j, rho_coeffs=Bilinear3(coeffs), rho_mean=rho_mean
     )
 
 

@@ -84,17 +84,19 @@ class DiffusionModel:
     may leave it unset.  ``constrain(x, ref)`` re-projects a simulated
     state onto the model's constraint manifold.
 
-    ``xi``, ``dxi``, ``drift_b``, ``ddrift_b``, ``noise_matrix`` and
-    ``constrain`` take one point x of shape (dim,).  ``alpha``,
-    ``d2xi_contract`` and ``d2drift_b_contract`` broadcast over points:
-    ``alpha(x)`` with x of shape (..., dim) returns (..., dim, dim), so
-    ``alpha(x_path)`` gives the whole grid at once, and the contractions
-    broadcast the leading axes of x against those of chi: x of shape
-    (..., dim) and chi of shape (..., dim, dim) give a value of the
-    broadcast shape (..., dim).  One call thus contracts a stack of tensors
-    at one point, or every basis pair at every path point (see
-    :func:`path_hessian`).  The connector broadcasts over its vector
-    arguments but takes one point (see :class:`ConnectorField`).
+    ``alpha``, ``d2xi_contract``, ``d2drift_b_contract`` and the
+    connector broadcast over points: ``alpha(x)`` with x of shape
+    (..., dim) returns (..., dim, dim), so ``alpha(x_path)`` gives the
+    whole grid at once, and the contractions broadcast the leading axes of
+    x against those of chi: x of shape (..., dim) and chi of shape
+    (..., dim, dim) give a value of the broadcast shape (..., dim).  One
+    call thus contracts a stack of tensors at one point, or every basis
+    pair at every path point (see :func:`path_hessian`); the connector
+    follows the same rule (see :class:`ConnectorField`).  ``xi``, ``dxi``,
+    ``drift_b``, ``ddrift_b``, ``noise_matrix`` and ``constrain`` take one
+    point x of shape (dim,): they run one call at a time in the sequential
+    Taylor and Euler loops, where broadcasting would make each call dearer
+    (a broadcasting cubic ``xi`` costs about twice as much per point).
     """
 
     dim: int
@@ -245,7 +247,7 @@ def ailp_state(
     conn = model.conn
     integrand = np.einsum("kaij,kij->ka", hess, xis)
     if not conn.flat:
-        integrand -= np.array([conn.contract(x, a) for x, a in zip(x_path, alphas)])
+        integrand -= conn.contract(x_path, alphas)
     weighted = grid.weights[:, None] * integrand
     m_delta = (taus.to_end @ weighted[:, :, None]).sum(axis=0)[:, 0]
     if not conn.flat:
@@ -287,7 +289,7 @@ def flow_second_fundamental_form(
         corr = np.einsum("ab,bij->aij", tau, conn.coefficients(x_path[0]))
         coeffs += np.moveaxis(end, -1, 0) - corr
     coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
-    return Bilinear3(base=np.asarray(x_path[0], dtype=float), coeffs=coeffs)
+    return Bilinear3(coeffs)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Chart-level differential geometry: connectors, exponential maps, curvature.
 
 All operations are pure functions of their arguments and safe to call from
-any number of threads.  Points and tangent vectors are plain 1-D numpy
-arrays in chart coordinates; symmetric 2-tensors and rank-3 bilinear maps
-carry their base point explicitly.
+any number of threads.  Points and tangent vectors are plain numpy arrays
+in chart coordinates; symmetric 2-tensors carry their base point
+explicitly.
 """
 
 from __future__ import annotations
@@ -60,13 +60,11 @@ class SymTensor2:
 
 @dataclass
 class Bilinear3:
-    """A bilinear map coeffs[k, i, j], symmetric in (i, j), based at a point."""
+    """A bilinear map coeffs[k, i, j], symmetric in (i, j)."""
 
-    base: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.base = np.asarray(self.base, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
             raise ValueError("Bilinear3 coefficients must have shape (out, in, in)")
@@ -89,14 +87,18 @@ class ConnectorField:
 
     ``gamma(x, u, v)`` is the symmetric bilinear map on tangent vectors at
     the point x; ``dgamma(x, w, u, v)`` is its directional derivative along
-    w.  Both broadcast over the leading axes of their vector arguments:
-    vectors of shapes (..., dim) give values of their broadcast shape
-    (..., dim), so one call evaluates a whole stack of vector tuples, e.g.
-    every basis pair with u = I[:, None] and v = I[None, :].  The ``flat``
-    flag short-circuits evaluation for identically-zero connectors.
-    ``contract_fn``, when given, computes sum_ij sym[i,j] gamma(x, e_i, e_j)
-    without forming the coefficients, broadcasting over the leading axes of
-    sym (..., dim, dim) in the same way.
+    w.  Every callback broadcasts over points as well as over its vector
+    arguments: a point x of shape (..., dim) and vectors of shapes
+    (..., dim) give a value of the broadcast shape (..., dim).  One call
+    thus evaluates a whole stack of vector tuples at one point, e.g. every
+    basis pair with u = I[:, None] and v = I[None, :], or one tuple at every
+    point of a flow path, as ``ailp_state`` does with ``contract``.  (The
+    drift and observation callbacks take one point instead: they run one
+    call at a time in sequential loops.)  The ``flat`` flag short-circuits
+    evaluation for identically-zero connectors.  ``contract_fn``, when
+    given, computes sum_ij sym[i,j] gamma(x, e_i, e_j) without forming the
+    coefficients, broadcasting the leading axes of x against those of sym
+    (..., dim, dim) in the same way.
     """
 
     dim: int
@@ -107,23 +109,26 @@ class ConnectorField:
 
     def contract(self, x: np.ndarray, sym: np.ndarray) -> np.ndarray:
         if self.flat:
-            return np.zeros(self.dim)
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(sym)[:-1]))
         if self.contract_fn is not None:
             return self.contract_fn(x, sym)
-        return np.einsum("kij,ij->k", self.coefficients(x), sym)
+        return np.einsum("...kij,...ij->...k", self.coefficients(x), sym)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Dense coefficient array G[k, i, j] = gamma(x, e_i, e_j)[k]."""
+        """Dense coefficients G[..., k, i, j] = gamma(x, e_i, e_j)[k] at
+        every point of x (..., dim)."""
         basis = np.eye(self.dim)
-        return np.moveaxis(self.gamma(x, basis[:, None], basis[None, :]), -1, 0)
+        pairs = self.gamma(x[..., None, None, :], basis[:, None], basis[None, :])
+        return np.moveaxis(pairs, -1, -3)
 
 
 def flat_connector(dim: int) -> ConnectorField:
     def gamma(x, u, v):
-        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u), np.shape(v)))
 
     def dgamma(x, w, u, v):
-        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(u), np.shape(v)))
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(w), np.shape(u),
+                                            np.shape(v)))
 
     return ConnectorField(dim=dim, gamma=gamma, dgamma=dgamma, flat=True)
 

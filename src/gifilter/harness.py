@@ -42,6 +42,7 @@ KNOWN_MODELS = ("cubic1d", "tracking9d", "linear")
 KNOWN_FILTERS = ("gif", "ekf")
 
 HISTOGRAM_BINS = 50
+TAIL_QUANTILE = 0.95  # errors above this pooled quantile count as tail events
 DEFAULT_SIM_SUBSTEPS = 20
 MAX_REFINEMENTS = 8
 
@@ -64,7 +65,6 @@ class ScenarioConfig:
     sigma0: Optional[list] = None
     x0: Optional[list] = None
     n_runs: int = 1
-    tail_quantile: float = 0.95
     max_refinements: int = MAX_REFINEMENTS
 
     def __post_init__(self):
@@ -375,7 +375,7 @@ def summarize(config: ScenarioConfig, records: list[TrajectoryRecord]) -> Benchm
     n_scored = min((pooled[n].size for n in config.filters), default=0)
     max_err = float(all_errs.max()) if all_errs.size else 1.0
     edges = np.linspace(0.0, max_err if max_err > 0 else 1.0, HISTOGRAM_BINS + 1)
-    tail_threshold = float(np.quantile(all_errs, config.tail_quantile)) if all_errs.size else 0.0
+    tail_threshold = float(np.quantile(all_errs, TAIL_QUANTILE)) if all_errs.size else 0.0
 
     per_filter = {}
     for name in config.filters:
@@ -440,12 +440,8 @@ def write_trajectory_csv(records: list[TrajectoryRecord], filters: tuple, path: 
             row += [_fmt(v) for v in rec.truth[k]]
             row += [_fmt(v) for v in rec.observations[k]]
             for name in filters:
-                if name in rec.estimates:
-                    row += [_fmt(v) for v in rec.estimates[name][k]]
-                    row += [_fmt(float(rec.errors[name][k])),
-                            str(int(rec.aborted[name][k]))]
-                else:
-                    row += ["nan"] * (p + 1) + ["0"]
+                row += [_fmt(v) for v in rec.estimates[name][k]]
+                row += [_fmt(float(rec.errors[name][k])), str(int(rec.aborted[name][k]))]
             row.append(str(int(diverged)))
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
@@ -564,12 +560,13 @@ def kalman_check(
 
 
 def _cubic_state_diffeo(coeff: float):
-    """phi(x) = x + coeff x^3 with derivatives and a Newton inverse.
+    """phi(x) = x + coeff x^3, coeff > 0, with derivatives and its inverse.
 
-    All five take floats or arrays.  ``phi_inv`` runs Newton elementwise and
-    stops each element by the rule |step| < 1e-15 (1 + |x|); one value takes
-    a plain float loop, which costs far less than array operations on it.
+    All five take floats or arrays.  ``phi_inv`` is the one real root of
+    coeff x^3 + x - z = 0 in closed form (the hyperbolic form of Cardano's
+    formula): x = 2 / sqrt(3 coeff) sinh(asinh(1.5 sqrt(3 coeff) z) / 3).
     """
+    root = math.sqrt(3.0 * coeff)
 
     def phi(x: float) -> float:
         return x + coeff * x ** 3
@@ -584,26 +581,7 @@ def _cubic_state_diffeo(coeff: float):
         return 6.0 * coeff
 
     def phi_inv(z):
-        if np.size(z) == 1:
-            value = np.asarray(z).item()
-            x = value / (1.0 + 3.0 * coeff * value * value) if abs(value) > 1.0 else value
-            for _ in range(60):
-                step = (phi(x) - value) / dphi(x)
-                x -= step
-                if abs(step) < 1e-15 * (1.0 + abs(x)):
-                    break
-            return x if np.ndim(z) == 0 else np.full(np.shape(z), x)
-        z = np.asarray(z, dtype=float)
-        x = np.where(np.abs(z) > 1.0, z / (1.0 + 3.0 * coeff * z * z), z)
-        step = np.full(z.shape, np.inf)
-        for _ in range(60):
-            live = np.abs(step) >= 1e-15 * (1.0 + np.abs(x))
-            if not live.any():
-                break
-            # a stopped element takes zero steps from here on
-            step = np.where(live, (phi(x) - z) / dphi(x), 0.0)
-            x = x - step
-        return x
+        return 2.0 / root * np.sinh(np.arcsinh(1.5 * root * z) / 3.0)
 
     return phi, dphi, d2phi, d3phi, phi_inv
 
@@ -653,11 +631,11 @@ def transformed_cubic_model(params: Cubic1DParams, coeff: float = 0.2):
         return np.array([dphi(x) * base_xi(x) + 0.5 * alpha0 * d2phi(x)])
 
     def gamma(xt, u, v):
-        x = phi_inv(xt[0])
+        x = phi_inv(xt[..., :1])
         return -d2phi(x) / dphi(x) ** 2 * (u[..., :1] * v[..., :1])
 
     def dgamma(xt, w, u, v):
-        x = phi_inv(xt[0])
+        x = phi_inv(xt[..., :1])
         fp, fpp, fppp = dphi(x), d2phi(x), d3phi(x)
         dcoef = -fppp / fp ** 3 + 2.0 * fpp ** 2 / fp ** 4
         return dcoef * w[..., :1] * (u[..., :1] * v[..., :1])

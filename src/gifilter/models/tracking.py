@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -79,6 +80,14 @@ class Tracking9DParams:
         if self.s1 + self.s2 <= 0.0 or self.s3 + self.s4 <= 0.0:
             raise ValueError("angle variances must be positive")
 
+    @cached_property
+    def variance_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Constant vectors (quad, inv, const) of the diagonal observation
+        variances h(r) = r^2 quad + inv / r + const."""
+        return (np.array([self.s0, 0.0, 0.0, self.s5, 0.0]),
+                np.array([0.0, self.s1, self.s3, 0.0, 0.0]),
+                np.array([0.0, self.s2, self.s4, 0.0, self.sigma_f ** 2]))
+
 
 def split_state(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
@@ -138,25 +147,25 @@ def tracking_connector() -> ConnectorField:
         return np.concatenate([np.zeros_like(mid), mid, bottom], axis=-1)
 
     def gamma(x, ze, si):
-        v = x[3:6]
-        return form(ze, si, v, 0.5 / float(v @ v))
+        v = x[..., 3:6]
+        return form(ze, si, v, 0.5 / _sq_norm(v))
 
     def dgamma(x, w, ze, si):
-        v = x[3:6]
-        vv = float(v @ v)
+        v = x[..., 3:6]
+        vv = _sq_norm(v)
         wv = w[..., 3:6]
-        radial = 2.0 * (wv @ v)[..., None] / vv
+        radial = 2.0 * (wv[..., None, :] @ v[..., :, None])[..., 0] / vv
         return form(ze, si, wv, 0.5 / vv) - radial * form(ze, si, v, 0.5 / vv)
 
     def contract(x, chi):
-        v = x[3:6]
-        inv2 = 0.5 / float(v @ v)
+        v = x[..., 3:6, None]
+        inv2 = 0.5 / _sq_norm(x[..., 3:6])
         chi_aa = chi[..., 6:9, 6:9]
         chi_va = chi[..., 3:6, 6:9]
         chi_av = chi[..., 6:9, 3:6]
-        out = np.zeros(np.shape(chi)[:-1])
-        out[..., 3:6] = (chi_aa + np.swapaxes(chi_aa, -1, -2)) @ v * inv2
-        out[..., 6:9] = -(chi_va + np.swapaxes(chi_av, -1, -2)) @ v * inv2
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(chi)[:-1]))
+        out[..., 3:6] = ((chi_aa + np.swapaxes(chi_aa, -1, -2)) @ v)[..., 0] * inv2
+        out[..., 6:9] = (-(chi_va + np.swapaxes(chi_av, -1, -2)) @ v)[..., 0] * inv2
         return out
 
     return ConnectorField(dim=9, gamma=gamma, dgamma=dgamma, contract_fn=contract)
@@ -290,30 +299,11 @@ def _inverse_map_derivatives(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return y, dphi, d2phi
 
 
-def _beta_h(params: Tracking9DParams, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal variance entries h_k(r) with first and second r-derivatives."""
-    h = np.array([
-        r * r * params.s0,
-        params.s1 / r + params.s2,
-        params.s3 / r + params.s4,
-        r * r * params.s5,
-        params.sigma_f ** 2,
-    ])
-    dh = np.array([
-        2.0 * r * params.s0,
-        -params.s1 / r ** 2,
-        -params.s3 / r ** 2,
-        2.0 * r * params.s5,
-        0.0,
-    ])
-    ddh = np.array([
-        2.0 * params.s0,
-        2.0 * params.s1 / r ** 3,
-        2.0 * params.s3 / r ** 3,
-        2.0 * params.s5,
-        0.0,
-    ])
-    return h, dh, ddh
+def _beta_h(params: Tracking9DParams, r) -> np.ndarray:
+    """Diagonal variance entries h_k(r); r of shape (..., 1) gives shape
+    (..., 5)."""
+    quad, inv, const = params.variance_terms
+    return r * r * quad + inv / r + const
 
 
 def observation_connector(params: Tracking9DParams) -> ConnectorField:
@@ -322,35 +312,33 @@ def observation_connector(params: Tracking9DParams) -> ConnectorField:
     Only the range coordinate enters the metric, so the derivative along a
     direction w is w^1 times the r-derivative of the coefficients.
     """
+    quad, inv, _ = params.variance_terms
 
-    def _pieces(r: float):
-        h, dh, ddh = _beta_h(params, r)
-        ratio = dh / h
-        kvec = np.zeros(5)
-        kvec[:4] = dh[:4] / h[:4] ** 2
-        return h, dh, ddh, ratio, kvec
+    def _pieces(y):
+        r = y[..., :1]
+        if r.min() < RANGE_FLOOR:
+            raise SingularObservationError("observation connector undefined at r ~ 0")
+        h = _beta_h(params, r)
+        dh = 2.0 * r * quad - inv / r ** 2
+        # kvec = dh / h^2 ends in 0: the fictitious observation's variance
+        # is constant
+        return r, h, dh, dh / h ** 2
 
     def gamma(y, u, v):
-        r = float(y[0])
-        if r < RANGE_FLOOR:
-            raise SingularObservationError("observation connector undefined at r ~ 0")
-        h, _, _, ratio, kvec = _pieces(r)
+        _, h, dh, kvec = _pieces(y)
         # u * v elementwise keeps the result exactly symmetric under swap
-        out = -0.5 * (u[..., :1] * v + v[..., :1] * u) * ratio
-        out[..., 0] += 0.5 * h[0] * np.sum(kvec * (u * v), axis=-1)
+        out = -0.5 * (u[..., :1] * v + v[..., :1] * u) * (dh / h)
+        out[..., 0] += 0.5 * h[..., 0] * (kvec * (u * v)).sum(axis=-1)
         return out
 
     def dgamma(y, w, u, v):
-        r = float(y[0])
-        if r < RANGE_FLOOR:
-            raise SingularObservationError("observation connector undefined at r ~ 0")
-        h, dh, ddh, ratio, kvec = _pieces(r)
-        dratio = ddh / h - ratio ** 2
-        dkvec = np.zeros(5)
-        dkvec[:4] = ddh[:4] / h[:4] ** 2 - 2.0 * dh[:4] ** 2 / h[:4] ** 3
+        r, h, dh, kvec = _pieces(y)
+        ddh = 2.0 * quad + 2.0 * inv / r ** 3
+        dratio = ddh / h - (dh / h) ** 2
+        dkvec = ddh / h ** 2 - 2.0 * dh ** 2 / h ** 3
         out = -0.5 * (u[..., :1] * v + v[..., :1] * u) * dratio
-        out[..., 0] += 0.5 * dh[0] * np.sum(kvec * (u * v), axis=-1)
-        out[..., 0] += 0.5 * h[0] * np.sum(dkvec * (u * v), axis=-1)
+        out[..., 0] += 0.5 * dh[..., 0] * (kvec * (u * v)).sum(axis=-1)
+        out[..., 0] += 0.5 * h[..., 0] * (dkvec * (u * v)).sum(axis=-1)
         return out * w[..., :1]
 
     return ConnectorField(dim=5, gamma=gamma, dgamma=dgamma)
@@ -401,8 +389,7 @@ def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> Observa
         r = float(y[0])
         if r < RANGE_FLOOR:
             raise SingularObservationError(f"range {r:.3e} below {RANGE_FLOOR:.0e}")
-        h, _, _ = _beta_h(params, r)
-        return np.diag(h)
+        return np.diag(_beta_h(params, r))
 
     return ObservationModel(
         dim_obs=5,

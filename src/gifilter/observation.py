@@ -33,9 +33,11 @@ class ObservationModel:
     observation coordinates that live on a circle, so residuals can be
     wrapped before use.
 
-    ``psi``, ``dpsi``, ``d2psi`` and ``beta`` take one point;
-    ``conn_obs`` broadcasts over the leading axes of its vector arguments
-    like every :class:`ConnectorField`.
+    ``psi``, ``dpsi``, ``d2psi`` and ``beta`` take one point: like the
+    drift callbacks of :class:`~gifilter.flow.DiffusionModel`, they are
+    called one point at a time, a few times per cycle, where broadcasting
+    would only make each call dearer.  ``conn_obs`` broadcasts over points
+    and vector arguments like every :class:`ConnectorField`.
     """
 
     dim_obs: int
@@ -45,10 +47,6 @@ class ObservationModel:
     beta: Callable[[np.ndarray], np.ndarray]
     conn_obs: ConnectorField
     angular_mask: Optional[np.ndarray] = None
-
-    def normalize(self, y: np.ndarray) -> np.ndarray:
-        """Fold angular coordinates of an observation point into (-pi, pi]."""
-        return wrap_angles(y, self.angular_mask)
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ def map_second_fundamental_form(
         gbar = obs.conn_obs.coefficients(y)
         coeffs += np.einsum("kab,ai,bj->kij", gbar, jac, jac)
     coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
-    return Bilinear3(base=x, coeffs=coeffs)
+    return Bilinear3(coeffs)
 
 
 def ailp_observation(
@@ -128,4 +126,4 @@ def sample_observation(
         y = y_center + v
     else:
         y = exp_map_series(y_center, v, obs.conn_obs)
-    return ObservationEvent(time=time, y=obs.normalize(y))
+    return ObservationEvent(time=time, y=wrap_angles(y, obs.angular_mask))

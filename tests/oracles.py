@@ -17,7 +17,7 @@ import numpy as np
 from gifilter.errors import DivergenceError, SingularMetricError, SingularStateError
 from gifilter.flow import DiffusionModel
 from gifilter.geometry import ConnectorField, check_symmetric, symmetrize
-from gifilter.models.tracking import SPEED_FLOOR, Tracking9DParams, _beta_h, split_state
+from gifilter.models.tracking import SPEED_FLOOR, Tracking9DParams, split_state
 
 
 def sym_outer(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -94,7 +94,8 @@ def tracking_dbeta(params: Tracking9DParams) -> Callable[[np.ndarray], np.ndarra
 
     def dbeta(y):
         r = float(y[0])
-        _, dh, _ = _beta_h(params, r)
+        dh = [2.0 * r * params.s0, -params.s1 / r ** 2, -params.s3 / r ** 2,
+              2.0 * r * params.s5, 0.0]
         out = np.zeros((5, 5, 5))
         out[0] = np.diag(dh)
         return out

@@ -85,8 +85,8 @@ def _cubic_pieces(x0=1.0, sigma0=0.01, n_steps=32):
 
 
 def test_rho_zero_forms_give_zero():
-    zero_form = Bilinear3(np.zeros(2), np.zeros((2, 2, 2)))
-    zero_obs_form = Bilinear3(np.zeros(2), np.zeros((1, 2, 2)))
+    zero_form = Bilinear3(np.zeros((2, 2, 2)))
+    zero_obs_form = Bilinear3(np.zeros((1, 2, 2)))
     g = np.ones((2, 1))
     gr = rho_build(g, np.ones((1, 2)), zero_form, zero_obs_form, np.eye(2),
                    SymTensor2(np.zeros(2), np.eye(2)))

@@ -1,5 +1,6 @@
 """Tests for flow integration, transition Jacobians, covariance, and AILPs."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -366,6 +367,25 @@ def test_precompute_evaluates_alpha_and_hessian_once_on_the_path():
     mu0 = scenario.mu0
     precompute(model, mu0, SymTensor2(mu0, scenario.sigma0), FlowGrid(0.1, 8))
     assert calls == {"xi": 8, "dxi": 9, "alpha": 1, "d2xi_contract": 9}
+
+
+@pytest.mark.parametrize("n_steps", [8, 64])
+def test_ailp_state_contracts_the_whole_path_in_one_call(n_steps):
+    # tracking9d's curved connector: one stacked contraction of alpha over
+    # the path, and one at each endpoint, whatever the grid size
+    scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
+    model = scenario.diffusion
+    calls = Counter()
+    counted = dataclasses.replace(model, conn=counting(model.conn, ("contract_fn",), calls))
+    grid = FlowGrid(0.1, n_steps)
+    mu0 = scenario.mu0
+    sigma0 = SymTensor2(mu0, scenario.sigma0)
+    path, jacs = integrate_flow(model, mu0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = model.alpha(path)
+    xis = propagate_covariance(alphas, taus, sigma0, grid)
+    ailp_state(counted, path, path_hessian(model, path), alphas, taus, xis, sigma0, grid)
+    assert calls == {"contract_fn": 3}
 
 
 def test_precompute_memory_stays_linear_in_the_grid():

@@ -155,33 +155,49 @@ def _assert_rel_close(stacked, loop, what):
     assert np.max(np.abs(stacked - loop)) <= 1e-12 * np.max(np.abs(loop)), what
 
 
+def _per_point_loop(fn, *args, core=None):
+    """fn at every index of the broadcast leading axes of args, one point
+    and one vector (core 1) or matrix (core 2) tuple per call."""
+    core = core or (1,) * len(args)
+    lead = [np.shape(a)[:np.ndim(a) - c] for a, c in zip(args, core)]
+    batch = np.broadcast_shapes(*lead)
+    full = [np.broadcast_to(a, batch + np.shape(a)[len(s):]) for a, s in zip(args, lead)]
+    vals = [fn(*(f[idx] for f in full)) for idx in np.ndindex(batch)]
+    return np.reshape(vals, batch + np.shape(vals[0]))
+
+
 def test_connector_callbacks_broadcast_like_per_vector_loop(connector_registry):
-    # the model protocol: one call over stacked vectors equals the loop over
-    # the individual vector tuples, whatever leading axes the stacks carry
+    # the model protocol: one call over stacked points and vectors equals the
+    # loop over the individual (point, vector tuple) cases, whatever leading
+    # axes the stacks carry
     rng = np.random.default_rng(404)
-    for name, conn, sampler in connector_registry:
-        x = sampler(rng)
+    registry = connector_registry + [("flat", flat_connector(3),
+                                      lambda rng: rng.standard_normal(3))]
+    for name, conn, sampler in registry:
         p = conn.dim
-        u = rng.standard_normal((3, 1, p))
+        x = np.array([sampler(rng) for _ in range(3)])[:, None, None, :]
+        u = rng.standard_normal((2, 1, p))
         v = rng.standard_normal((1, 4, p))
-        w = rng.standard_normal((2, 1, 1, p))
-        gamma_loop = [[conn.gamma(x, u[i, 0], v[0, j]) for j in range(4)] for i in range(3)]
-        _assert_rel_close(conn.gamma(x, u, v), gamma_loop, name)
-        dgamma_loop = [[[conn.dgamma(x, w[k, 0, 0], u[i, 0], v[0, j]) for j in range(4)]
-                        for i in range(3)] for k in range(2)]
-        _assert_rel_close(conn.dgamma(x, w, u, v), dgamma_loop, name)
-        # the basis-pair pattern of ConnectorField.coefficients
+        w = rng.standard_normal((2, 1, 1, 1, p))
+        raw = rng.standard_normal((4, p, p))
+        chi = raw + raw.transpose(0, 2, 1)
+        _assert_rel_close(conn.gamma(x, u, v), _per_point_loop(conn.gamma, x, u, v), name)
+        _assert_rel_close(conn.dgamma(x, w, u, v),
+                          _per_point_loop(conn.dgamma, x, w, u, v), name)
+        _assert_rel_close(conn.coefficients(x), _per_point_loop(conn.coefficients, x), name)
+        _assert_rel_close(conn.contract(x, chi),
+                          _per_point_loop(conn.contract, x, chi, core=(1, 2)), name)
+        if conn.contract_fn is not None:
+            _assert_rel_close(conn.contract_fn(x, chi),
+                              _per_point_loop(conn.contract_fn, x, chi, core=(1, 2)), name)
+        # at one point: the basis-pair pattern of ConnectorField.coefficients
         basis = np.eye(p)
+        point = x[0, 0, 0]
         coeff_loop = np.zeros((p, p, p))
         for i in range(p):
             for j in range(p):
-                coeff_loop[:, i, j] = conn.gamma(x, basis[i], basis[j])
-        _assert_rel_close(conn.coefficients(x), coeff_loop, name)
-        if conn.contract_fn is not None:
-            raw = rng.standard_normal((2, p, p))
-            chi = raw + raw.transpose(0, 2, 1)
-            _assert_rel_close(conn.contract_fn(x, chi),
-                              [conn.contract_fn(x, chi[k]) for k in range(2)], name)
+                coeff_loop[:, i, j] = conn.gamma(point, basis[i], basis[j])
+        _assert_rel_close(conn.coefficients(point), coeff_loop, name)
 
 
 def test_d2xi_contract_broadcasts_like_per_matrix_loop(cubic_models, linear_models,
@@ -451,14 +467,14 @@ def test_bilinear3_rejects_trailing_asymmetry():
     bad = np.zeros((1, 2, 2))
     bad[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
-        Bilinear3(np.zeros(2), bad)
+        Bilinear3(bad)
 
 
 def test_bilinear3_contract_and_call():
     coeffs = np.zeros((2, 2, 2))
     coeffs[0] = np.eye(2)
     coeffs[1] = np.array([[0.0, 1.0], [1.0, 0.0]])
-    form = Bilinear3(np.zeros(2), coeffs)
+    form = Bilinear3(coeffs)
     u = np.array([1.0, 2.0])
     assert np.allclose(form(u, u), [5.0, 4.0])
     assert np.allclose(form.contract(np.outer(u, u)), [5.0, 4.0])

@@ -14,6 +14,7 @@ from gifilter.filter import FilterConfig, StateEstimate, filter_step
 from gifilter.geometry import SymTensor2
 from gifilter.harness import (
     ScenarioConfig,
+    _cubic_state_diffeo,
     _step_with_refinement,
     build_scenario,
     config_from_dict,
@@ -499,3 +500,17 @@ def test_transformed_model_internally_consistent():
         assert abs(fd2[0] - ana2[0]) < 2e-3 * max(1.0, abs(ana2[0]))
         fd_psi = (obs.psi(xt + h) - obs.psi(xt - h)) / (2 * h)
         assert abs(fd_psi[0] - obs.dpsi(xt)[0, 0]) < 2e-7 * max(1.0, abs(fd_psi[0]))
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_closed_form_phi_inv_inverts_phi(as_array):
+    phi, _, _, _, phi_inv = _cubic_state_diffeo(0.2)
+    mags = np.logspace(-12, 6, 2001)
+    zs = np.concatenate([mags, -mags])
+    if as_array:
+        back = phi(phi_inv(zs))
+        assert phi_inv(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    else:
+        back = np.array([phi(phi_inv(float(z))) for z in zs])
+        assert phi_inv(0.0) == 0.0
+    assert np.all(np.abs(back - zs) <= 4e-15 * np.abs(zs))

@@ -17,6 +17,7 @@ from gifilter.models.tracking import (
     tracking_observation,
     velocity_projection,
 )
+from gifilter.observation import wrap_angles
 
 from conftest import random_obs_point, random_tracking_state
 from oracles import (
@@ -208,7 +209,7 @@ def test_observation_beta_spd_on_range(tracking_params):
 def test_observation_azimuth_wrap(tracking_params):
     obs = tracking_observation(tracking_params)
     y = np.array([1.0, 1.0, np.pi + 0.3, 5.0, 0.0])
-    wrapped = obs.normalize(y)
+    wrapped = wrap_angles(y, obs.angular_mask)
     assert -np.pi < wrapped[2] <= np.pi
     assert wrapped[2] == pytest.approx(0.3 - np.pi)
 
