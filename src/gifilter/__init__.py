@@ -28,7 +28,6 @@ from .errors import (
 from .filter import (
     FilterConfig,
     FilterDiagnostics,
-    GainRho,
     StateEstimate,
     assimilate,
     filter_step,

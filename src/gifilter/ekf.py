@@ -49,7 +49,7 @@ def ekf_predict(
     path, jacs = integrate_flow(b_model, est.mu_hat, grid)
     cov = propagate_covariance(model.alpha(path), transition_jacobians(jacs, grid),
                                est.sigma_hat, grid)
-    return StateEstimate(path[-1], SymTensor2(path[-1], cov[-1]))
+    return StateEstimate(path[-1], SymTensor2(cov[-1]))
 
 
 def ekf_update(
@@ -75,7 +75,7 @@ def ekf_update(
         else:
             logger.debug("EKF covariance eigenvalue floor applied (min eig %.3e)", min_eig)
         cov_new = repaired
-    return StateEstimate(m_new, SymTensor2(m_new, cov_new))
+    return StateEstimate(m_new, SymTensor2(cov_new))
 
 
 def ekf_step(

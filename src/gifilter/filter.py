@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import flow
 from .errors import IllConditionedGainError, NonFiniteError
 from .flow import FlowGrid, DiffusionModel, PropagationBundle, precompute
 from .geometry import (
@@ -45,6 +46,10 @@ class StateEstimate:
         self.mu_hat = np.asarray(self.mu_hat, dtype=float)
         if not np.isfinite(self.mu_hat).all():
             raise NonFiniteError("state estimate has non-finite coordinates")
+        p = self.mu_hat.size
+        if self.sigma_hat.mat.shape != (p, p):
+            raise ValueError(f"covariance shape {self.sigma_hat.mat.shape} does not match "
+                             f"state dimension {p}")
 
 
 @dataclass(frozen=True)
@@ -83,19 +88,6 @@ class FilterDiagnostics:
         logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
 
 
-@dataclass(frozen=True)
-class GainRho:
-    """Gain and observation Jacobian plus the quadratic correction and its mean."""
-
-    g: np.ndarray
-    j: np.ndarray
-    rho_coeffs: Bilinear3
-    rho_mean: np.ndarray
-
-    def rho(self, z: np.ndarray) -> np.ndarray:
-        return self.rho_coeffs(z, z)
-
-
 def gain(xi_delta: SymTensor2, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
     """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a symmetric linear solve."""
     j = np.asarray(j, dtype=float)
@@ -108,39 +100,33 @@ def gain(xi_delta: SymTensor2, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.
 
 
 def rho_build(
+    model: DiffusionModel,
+    bundle: PropagationBundle,
+    grid: FlowGrid,
     g: np.ndarray,
     j: np.ndarray,
-    nabla_dphi: Bilinear3,
     nabla_dpsi: Bilinear3,
-    tau_delta_0: np.ndarray,
-    xi_delta: SymTensor2,
-) -> GainRho:
-    """Assemble the quadratic innovation correction rho and its mean.
+    z_hat: np.ndarray,
+) -> np.ndarray:
+    """Quadratic innovation correction, centred on its mean.
 
-    rho(z (x) z) = (1/2) {[I - GJ] ndphi(tau Gz (x) tau Gz) - G ndpsi(Gz (x) Gz)}
-    with tau = tau_delta^0 pulling arguments back to the interval start.  The
-    mean substitutes the symmetric tensor G J Xi_delta for Gz (x) Gz, which
-    is E[Gz (x) Gz] under the innovation distribution; xi_delta is needed
-    here for that reason.
+    rho = (1/2) {[I - GJ] ndphi(tau S tau^T) - G ndpsi(S)},
+    S = Gz (x) Gz - G J Xi_delta,
+    with z = z_hat the innovation, tau = tau_delta^0 pulling S back to the
+    interval start and ndphi the flow form of
+    :func:`gifilter.flow.flow_second_fundamental_form`.  The correction is
+    linear in S, so the quadratic term and its mean are one contraction:
+    under the innovation distribution E[z (x) z] = J Xi_delta J^T + beta,
+    hence E[Gz (x) Gz] = G (J Xi J^T + beta) G^T = G J Xi_delta, and S has
+    zero mean.
     """
-    p = g.shape[0]
-    proj = np.eye(p) - g @ j
-    back = tau_delta_0 @ g
-    t_flow = np.einsum("kij,ia,jb->kab", nabla_dphi.coeffs, back, back)
-    t_flow = np.einsum("lk,kab->lab", proj, t_flow)
-    t_obs = np.einsum("kij,ia,jb->kab", nabla_dpsi.coeffs, g, g)
-    t_obs = np.einsum("lk,kab->lab", g, t_obs)
-    coeffs = 0.5 * (t_flow - t_obs)
-    coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
-
-    gz_mean = symmetrize(g @ j @ xi_delta.mat)
-    gz_mean_back = tau_delta_0 @ gz_mean @ tau_delta_0.T
-    rho_mean = 0.5 * (
-        proj @ nabla_dphi.contract(gz_mean_back) - g @ nabla_dpsi.contract(gz_mean)
-    )
-    return GainRho(
-        g=g, j=j, rho_coeffs=Bilinear3(coeffs), rho_mean=rho_mean
-    )
+    gz = g @ z_hat
+    s = np.outer(gz, gz) - symmetrize(g @ j @ bundle.xi_delta.mat)
+    back = bundle.tau_delta_0
+    flow_term = flow.flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
+                                                  back @ s @ back.T)
+    proj = np.eye(g.shape[0]) - g @ j
+    return 0.5 * (proj @ flow_term - g @ nabla_dpsi.contract(s))
 
 
 def pull_back_observation(
@@ -163,33 +149,35 @@ def pull_back_observation(
 
 def assimilate(
     bundle: PropagationBundle,
-    obs_ailp: np.ndarray,
-    gr: GainRho,
-    z_delta: np.ndarray,
+    g: np.ndarray,
+    j: np.ndarray,
+    z_hat: np.ndarray,
+    quad: Optional[np.ndarray],
     config: FilterConfig,
 ) -> tuple[np.ndarray, SymTensor2]:
     """Conditional moments of the state given the pulled-back observation.
 
-    The innovation is z_delta minus its predicted location.  The conditional
-    mean correction is quadratic in the innovation unless disabled; the
-    collar rescales the quadratic part so its norm never exceeds the linear
+    ``z_hat`` is the innovation: the pulled-back observation minus its
+    predicted location.  The conditional mean correction is the linear
+    term G z_hat plus ``quad``, the centred quadratic term of
+    :func:`rho_build` (None when the quadratic term is disabled).  It is
+    linear in S = Gz (x) Gz - G J Xi_delta, which has zero mean under the
+    innovation distribution, so the correction adds no bias.  The collar
+    rescales the quadratic part so its norm never exceeds the linear
     part's.  Returns the tangent-space mean at x_delta and the conditional
     covariance (I - GJ) Xi_delta, symmetrized.
     """
-    z_hat = z_delta - obs_ailp
-    linear = gr.g @ z_hat
+    linear = g @ z_hat
     mu = bundle.m_delta + linear
-    if config.quadratic_enabled:
-        quad = gr.rho(z_hat) - gr.rho_mean
+    if quad is not None:
         if config.collar_enabled:
             nq = float(np.linalg.norm(quad))
             nl = float(np.linalg.norm(linear))
             if nq > nl and nq > 0.0:
                 quad = quad * (nl / nq)
         mu = mu + quad
-    p = gr.g.shape[0]
-    sigma = symmetrize((np.eye(p) - gr.g @ gr.j) @ bundle.xi_delta.mat)
-    return mu, SymTensor2(bundle.x_delta, sigma)
+    sigma = symmetrize((np.eye(g.shape[0]) - g @ j) @ bundle.xi_delta.mat)
+    return mu, SymTensor2(sigma)
 
 
 def update_estimate(
@@ -206,12 +194,12 @@ def update_estimate(
     """
     v = barycenter_correction(mu, sigma, state_conn, x_delta)
     if state_conn.flat:
-        return StateEstimate(x_delta + v, SymTensor2(x_delta + v, sigma.mat))
+        return StateEstimate(x_delta + v, sigma)
     mu_hat = exp_map_series(x_delta, v, state_conn)
     basis = np.eye(x_delta.size)
     # column j of the derivative is e_j - Gamma(x_delta)(v (x) e_j)
     fmat = basis - state_conn.gamma(x_delta, v, basis).T
-    return StateEstimate(mu_hat, pushforward_covariance(sigma, fmat, mu_hat))
+    return StateEstimate(mu_hat, pushforward_covariance(sigma, fmat))
 
 
 def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -247,7 +235,8 @@ def filter_step(
     IllConditionedGainError without modifying the estimate; the caller
     decides whether to skip the observation or stop the track.
     """
-    bundle = precompute(model, est.mu_hat, est.sigma_hat, config.grid())
+    grid = config.grid()
+    bundle = precompute(model, est.mu_hat, est.sigma_hat, grid)
     x_delta = bundle.x_delta
     y_delta = obs.psi(x_delta)
     jac = np.asarray(obs.dpsi(x_delta), dtype=float)
@@ -255,10 +244,12 @@ def filter_step(
     obs_ailp = ailp_observation(bundle, nabla_dpsi, jac)
 
     g = gain(bundle.xi_delta, jac, obs.beta(y_delta))
-    gr = rho_build(g, jac, bundle.nabla_dphi, nabla_dpsi, bundle.tau_delta_0,
-                   bundle.xi_delta)
     z_delta = pull_back_observation(y_delta, y_obs.y, obs.conn_obs, obs.angular_mask)
-    mu, sigma = assimilate(bundle, obs_ailp, gr, z_delta, config)
+    z_hat = z_delta - obs_ailp
+    quad = None
+    if config.quadratic_enabled:
+        quad = rho_build(model, bundle, grid, g, jac, nabla_dpsi, z_hat)
+    mu, sigma = assimilate(bundle, g, jac, z_hat, quad, config)
     new_est = update_estimate(x_delta, mu, sigma, model.conn)
     repaired, min_eig = repair_psd(new_est.sigma_hat.mat)
     if min_eig < 0.0:
@@ -266,5 +257,5 @@ def filter_step(
             diag.record_repair(min_eig)
         else:
             logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
-        new_est = StateEstimate(new_est.mu_hat, SymTensor2(new_est.mu_hat, repaired))
+        new_est = StateEstimate(new_est.mu_hat, SymTensor2(repaired))
     return new_est

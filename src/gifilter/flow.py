@@ -1,18 +1,22 @@
 """Deterministic-flow precomputation over one inter-observation interval.
 
 Given a diffusion model and an initial estimate, this module computes the
-state path, transition Jacobians, propagated covariance, the intrinsic
-location correction for the state, and the second fundamental form of the
-flow map.  All quantities feed the filter update in :mod:`gifilter.filter`;
-the path, transition Jacobians and covariance also carry the EKF estimate
-of :mod:`gifilter.ekf`, run on the coordinate drift b.
+state path, transition Jacobians, propagated covariance and the intrinsic
+location correction for the state; :func:`flow_second_fundamental_form`
+contracts the second fundamental form of the flow map with one symmetric
+tensor when the filter update asks for it.  All quantities feed the filter
+update in :mod:`gifilter.filter`; the path, transition Jacobians and
+covariance also carry the EKF estimate of :mod:`gifilter.ekf`, run on the
+coordinate drift b.
 
 Only the Taylor step of :func:`integrate_flow` and the covariance
 recursion run point by point.  Everything else is evaluated once per
 interval over the whole grid, as arrays with a leading grid axis: the
-diffusion variance ``alpha(x_path)`` of shape (n + 1, p, p), the Hessian
-stack of :func:`path_hessian` of shape (n + 1, p, p, p), and the transition
-maps of :class:`TransitionJacobians` (one stacked matrix exponential).
+diffusion variance ``alpha(x_path)`` of shape (n + 1, p, p), the transition
+maps of :class:`TransitionJacobians` (one stacked matrix exponential), and
+each second-derivative integrand, one ``d2xi_contract`` call over the path
+with a stack of (n + 1, p, p) tensors.  No dense second-derivative array
+is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedFlowError
-from .geometry import Bilinear3, ConnectorField, SymTensor2, symmetrize
+from .geometry import ConnectorField, SymTensor2, symmetrize
 
 FLOW_COND_LIMIT = 1e12
 
@@ -90,8 +94,9 @@ class DiffusionModel:
     whole grid at once, and the contractions broadcast the leading axes of
     x against those of chi: x of shape (..., dim) and chi of shape
     (..., dim, dim) give a value of the broadcast shape (..., dim).  One
-    call thus contracts a stack of tensors at one point, or every basis
-    pair at every path point (see :func:`path_hessian`); the connector
+    call thus contracts one tensor at every path point (see
+    :func:`ailp_state` and :func:`flow_second_fundamental_form`); this
+    contraction is the only form of D2xi the filter uses.  The connector
     follows the same rule (see :class:`ConnectorField`).  ``xi``, ``dxi``,
     ``drift_b``, ``ddrift_b``, ``noise_matrix`` and ``constrain`` take one
     point x of shape (dim,): they run one call at a time in the sequential
@@ -214,23 +219,9 @@ def propagate_covariance(
     return xis
 
 
-def path_hessian(model: DiffusionModel, x_path: np.ndarray) -> np.ndarray:
-    """Dense second derivative H[k, a, i, j] = D2xi^a_ij at every path point.
-
-    One ``d2xi_contract`` call evaluates every symmetric basis pair
-    (e_i e_j^T + e_j e_i^T) / 2 at every point of x_path (shape (n + 1, p))
-    by broadcasting; the result has shape (n + 1, p, p, p).
-    """
-    basis = np.eye(model.dim)
-    pairs = 0.5 * (basis[:, None, :, None] * basis[None, :, None, :]
-                   + basis[None, :, :, None] * basis[:, None, None, :])
-    return np.moveaxis(model.d2xi_contract(x_path[:, None, None, :], pairs), -1, 1)
-
-
 def ailp_state(
     model: DiffusionModel,
     x_path: np.ndarray,
-    hess: np.ndarray,
     alphas: np.ndarray,
     taus: TransitionJacobians,
     xis: np.ndarray,
@@ -240,12 +231,12 @@ def ailp_state(
     """Intrinsic location correction m_delta for the state at the endpoint.
 
     kappa = integral of tau_t^delta [D2xi(Xi_t) - Gamma(alpha)] by the
-    trapezium rule, with D2xi taken from the Hessian stack ``hess`` of
-    :func:`path_hessian`; returns
+    trapezium rule, with D2xi(Xi_t) from one ``d2xi_contract`` call over the
+    whole path; returns
     (1/2) {kappa - tau_0^delta Gamma(x_0)(Sigma_0) + Gamma(x_delta)(Xi_delta)}.
     """
     conn = model.conn
-    integrand = np.einsum("kaij,kij->ka", hess, xis)
+    integrand = model.d2xi_contract(x_path, xis)
     if not conn.flat:
         integrand -= conn.contract(x_path, alphas)
     weighted = grid.weights[:, None] * integrand
@@ -262,34 +253,29 @@ def ailp_state(
 def flow_second_fundamental_form(
     model: DiffusionModel,
     x_path: np.ndarray,
-    hess: np.ndarray,
     taus: TransitionJacobians,
     grid: FlowGrid,
-) -> Bilinear3:
-    """Second fundamental form of the flow map over [0, delta], at the start point.
+    a: np.ndarray,
+) -> np.ndarray:
+    """Second fundamental form of the flow map over [0, delta], contracted
+    with one symmetric tensor ``a`` at the start point.
 
-    The D2xi integral, sum_k w_k tau_{t_k}^delta H_k(tau_0^{t_k} ., tau_0^{t_k} .)
-    with trapezium weights w_k and the Hessian stack ``hess`` of
-    :func:`path_hessian`, is formed by matmuls over the whole grid; the two
-    connector terms are added at the endpoints.  Coefficients are indexed
-    [k, i, j] with (i, j) arguments in the tangent space at x_0 and values
-    in the tangent space at x_delta.
+    nabla dphi(A) = sum_k w_k tau_{t_k}^delta D2xi(x_k)(tau_0^{t_k} A tau_0^{t_k}^T)
+                    + Gamma(x_delta)(tau A tau^T) - tau Gamma(x_0)(A),
+    with trapezium weights w_k and tau = tau_0^delta; the integrand is one
+    ``d2xi_contract`` call over the whole path.  The value is a tangent
+    vector at x_delta.
     """
-    p = model.dim
-    start = taus.from_start[:, None]
-    pulled = np.swapaxes(start, -1, -2) @ hess @ start  # [k, a, i, j]
-    pushed = grid.weights[:, None, None] * taus.to_end  # [k, d, a]
-    coeffs = (np.swapaxes(pushed, 0, 1).reshape(p, -1)
-              @ pulled.reshape(-1, p * p)).reshape(p, p, p)
+    start = taus.from_start
+    integrand = model.d2xi_contract(x_path, start @ a @ np.swapaxes(start, -1, -2))
+    weighted = grid.weights[:, None] * integrand
+    out = (taus.to_end @ weighted[:, :, None]).sum(axis=0)[:, 0]
     conn = model.conn
     if not conn.flat:
         tau = taus.tau_0_delta
-        cols = tau.T
-        end = conn.gamma(x_path[-1], cols[:, None], cols[None, :])
-        corr = np.einsum("ab,bij->aij", tau, conn.coefficients(x_path[0]))
-        coeffs += np.moveaxis(end, -1, 0) - corr
-    coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
-    return Bilinear3(coeffs)
+        out = (out + conn.contract(x_path[-1], tau @ a @ tau.T)
+               - tau @ conn.contract(x_path[0], a))
+    return out
 
 
 @dataclass
@@ -301,7 +287,6 @@ class PropagationBundle:
     xis: np.ndarray
     xi_delta: SymTensor2
     m_delta: np.ndarray
-    nabla_dphi: Bilinear3
 
     def __post_init__(self):
         p = self.x_path.shape[1]
@@ -328,8 +313,8 @@ def precompute(
     """Run the full flow precomputation from an estimate (x0, sigma0).
 
     The Taylor step evaluates ``xi``, ``dxi`` and ``d2xi_contract`` once per
-    grid step; ``alpha`` and the Hessian stack are then evaluated once each,
-    over the whole path.
+    grid step; ``alpha`` and the location correction's ``d2xi_contract``
+    are then evaluated once each, over the whole path.
     """
     x_path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
@@ -338,15 +323,12 @@ def precompute(
             f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
         )
     alphas = model.alpha(x_path)
-    hess = path_hessian(model, x_path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    m_delta = ailp_state(model, x_path, hess, alphas, taus, xis, sigma0, grid)
-    nabla_dphi = flow_second_fundamental_form(model, x_path, hess, taus, grid)
+    m_delta = ailp_state(model, x_path, alphas, taus, xis, sigma0, grid)
     return PropagationBundle(
         x_path=x_path,
         taus=taus,
         xis=xis,
-        xi_delta=SymTensor2(x_path[-1], xis[-1]),
+        xi_delta=SymTensor2(xis[-1]),
         m_delta=m_delta,
-        nabla_dphi=nabla_dphi,
     )

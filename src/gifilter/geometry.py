@@ -2,8 +2,8 @@
 
 All operations are pure functions of their arguments and safe to call from
 any number of threads.  Points and tangent vectors are plain numpy arrays
-in chart coordinates; symmetric 2-tensors carry their base point
-explicitly.
+in chart coordinates; a symmetric 2-tensor is a matrix whose base point
+is the estimate or grid point that holds it.
 """
 
 from __future__ import annotations
@@ -43,17 +43,15 @@ def check_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, what: str = "m
 
 @dataclass
 class SymTensor2:
-    """A contravariant symmetric 2-tensor attached to a base point."""
+    """A contravariant symmetric 2-tensor, as a square matrix."""
 
-    base: np.ndarray
     mat: np.ndarray
 
     def __post_init__(self):
-        self.base = np.asarray(self.base, dtype=float)
         self.mat = np.asarray(self.mat, dtype=float)
-        if self.mat.shape != (self.base.size, self.base.size):
-            raise ValueError("tensor shape does not match base dimension")
-        if not (np.isfinite(self.base).all() and np.isfinite(self.mat).all()):
+        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
+            raise ValueError(f"SymTensor2 needs a square matrix, got shape {self.mat.shape}")
+        if not np.isfinite(self.mat).all():
             raise NonFiniteError("non-finite entries in SymTensor2")
         check_symmetric(self.mat, what="SymTensor2")
 
@@ -72,9 +70,6 @@ class Bilinear3:
         skew = float(np.abs(self.coeffs - self.coeffs.transpose(0, 2, 1)).max())
         if skew > SYMMETRY_RTOL * scale:
             raise ValueError("Bilinear3 coefficients not symmetric in trailing indices")
-
-    def __call__(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,i,j->k", self.coeffs, u, w)
 
     def contract(self, sym: np.ndarray) -> np.ndarray:
         """Contract the trailing index pair against a symmetric matrix."""
@@ -180,7 +175,7 @@ def barycenter_correction(
     return mu - np.einsum("jk,jkl->l", sigma.mat, rmat) / 3.0
 
 
-def pushforward_covariance(sigma: SymTensor2, f: np.ndarray, new_base: np.ndarray) -> SymTensor2:
+def pushforward_covariance(sigma: SymTensor2, f: np.ndarray) -> SymTensor2:
     """Push a covariance tensor forward through a linear map: F sigma F^T."""
     f = np.asarray(f, dtype=float)
-    return SymTensor2(new_base, symmetrize(f @ sigma.mat @ f.T))
+    return SymTensor2(symmetrize(f @ sigma.mat @ f.T))

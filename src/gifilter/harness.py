@@ -300,8 +300,7 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
         else:
             def step(nsub, obs_model, st, event):
                 return ekf_step(model, obs_model, st, event, config.delta, nsub, diag=diag)
-        state = StateEstimate(scenario.mu0.copy(),
-                              SymTensor2(scenario.mu0, scenario.sigma0.copy()))
+        state = StateEstimate(scenario.mu0.copy(), SymTensor2(scenario.sigma0.copy()))
         for k in range(n):
             event = ObservationEvent(time=float(record.times[k]),
                                      y=record.observations[k])

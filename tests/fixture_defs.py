@@ -37,7 +37,6 @@ from gifilter.flow import (
     ailp_state,
     flow_second_fundamental_form,
     integrate_flow,
-    path_hessian,
     precompute,
     propagate_covariance,
     transition_jacobians,
@@ -209,7 +208,7 @@ def _barycenter_value():
     rng = np.random.default_rng(1008)
     raw = rng.standard_normal((9, 9)) * 0.3
     mu = rng.standard_normal(9) * 0.1
-    return barycenter_correction(mu, SymTensor2(x, raw @ raw.T), conn, x)
+    return barycenter_correction(mu, SymTensor2(raw @ raw.T), conn, x)
 
 
 def _barycenter_oracle():
@@ -232,7 +231,7 @@ def _pushforward_value():
     rng = np.random.default_rng(1009)
     raw = rng.standard_normal((4, 4))
     f = rng.standard_normal((4, 4))
-    return pushforward_covariance(SymTensor2(np.zeros(4), raw @ raw.T), f, np.zeros(4)).mat
+    return pushforward_covariance(SymTensor2(raw @ raw.T), f).mat
 
 
 def _pushforward_oracle():
@@ -313,7 +312,7 @@ def _ou_var_value():
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[0.2]]), grid)
+    xis = propagate_covariance(alphas, taus, SymTensor2([[0.2]]), grid)
     return float(xis[-1][0, 0])
 
 
@@ -329,7 +328,7 @@ def _cubic_var_value():
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(x0, [[0.0]]), grid)
+    xis = propagate_covariance(alphas, taus, SymTensor2([[0.0]]), grid)
     return float(xis[-1][0, 0])
 
 
@@ -351,13 +350,12 @@ def _cubic_ailp_value():
     model, _ = _cubic_model()
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
-    sigma0 = SymTensor2(x0, [[0.01]])
+    sigma0 = SymTensor2([[0.01]])
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    return float(ailp_state(model, path, path_hessian(model, path), alphas, taus, xis,
-                            sigma0, grid)[0])
+    return float(ailp_state(model, path, alphas, taus, xis, sigma0, grid)[0])
 
 
 def _sq_drift_model():
@@ -375,14 +373,12 @@ def _sq_drift_ailp_value():
     model = _sq_drift_model()
     grid = FlowGrid(1.0, 256)
     x0 = np.array([0.5])
-    sigma0 = SymTensor2(x0, [[0.0]])
+    sigma0 = SymTensor2([[0.0]])
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    m_delta = ailp_state(model, path, path_hessian(model, path), alphas, taus, xis, sigma0,
-                         grid)
-    return float(m_delta[0])
+    return float(ailp_state(model, path, alphas, taus, xis, sigma0, grid)[0])
 
 
 def _sq_drift_ailp_mc_oracle():
@@ -405,8 +401,8 @@ def _sff_fd_value():
     grid = FlowGrid(1.0, 256)
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
     taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(model, path, path_hessian(model, path), taus, grid)
-    return float(form.coeffs[0, 0, 0])
+    # in 1-D, contracting with [[1]] gives the form's one coefficient
+    return float(flow_second_fundamental_form(model, path, taus, grid, np.ones((1, 1)))[0])
 
 
 def _sff_fd_oracle():
@@ -418,13 +414,15 @@ def _sff_fd_oracle():
 def _precompute_pair(n_steps):
     model, _ = _cubic_model()
     x0 = np.array([1.0])
-    bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, n_steps))
+    grid = FlowGrid(1.0, n_steps)
+    bundle = precompute(model, x0, SymTensor2([[0.01]]), grid)
     return np.array([
         bundle.x_delta[0],
         bundle.tau_0_delta[0, 0],
         bundle.xi_delta.mat[0, 0],
         bundle.m_delta[0],
-        bundle.nabla_dphi.coeffs[0, 0, 0],
+        flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
+                                     np.ones((1, 1)))[0],
     ])
 
 
@@ -478,7 +476,7 @@ def _tracking_sff_oracle():
 def _obs_ailp_value():
     model, obs = _cubic_model()
     x0 = np.array([1.0])
-    bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, 256))
+    bundle = precompute(model, x0, SymTensor2([[0.01]]), FlowGrid(1.0, 256))
     jac = obs.dpsi(bundle.x_delta)
     ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,
                                         obs.psi(bundle.x_delta))
@@ -546,50 +544,59 @@ def _gain_residual_value():
     jac = rng.standard_normal((5, 9))
     raw_b = rng.standard_normal((5, 5))
     beta = raw_b @ raw_b.T + 0.5 * np.eye(5)
-    g = gain(SymTensor2(np.zeros(9), xi_mat), jac, beta)
+    g = gain(SymTensor2(xi_mat), jac, beta)
     return float(np.max(np.abs(g @ (jac @ xi_mat @ jac.T + beta) - xi_mat @ jac.T)))
 
 
 def _filter_fixture_pieces(n_steps=32):
     model, obs = _cubic_model()
     x0 = np.array([1.0])
-    bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, n_steps))
+    grid = FlowGrid(1.0, n_steps)
+    bundle = precompute(model, x0, SymTensor2([[0.01]]), grid)
     jac = obs.dpsi(bundle.x_delta)
     ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,
                                         obs.psi(bundle.x_delta))
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(bundle.x_delta)))
-    gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
-    return model, obs, bundle, jac, g, gr, ndpsi
+    return model, obs, bundle, grid, jac, g, ndpsi
 
 
 def _rho_eval_value():
-    *_, gr, _ = _filter_fixture_pieces()
-    return float(gr.rho(np.array([0.1]))[0])
+    model, _, bundle, grid, jac, g, ndpsi = _filter_fixture_pieces()
+    return float(rho_build(model, bundle, grid, g, jac, ndpsi, np.array([0.1]))[0])
+
+
+def _scalar_rho(model, bundle, grid, jac, g, ndpsi, z):
+    # 1-D term by term: the flow and observation forms are one coefficient
+    # each, S = (g z)^2 - g j Xi_delta, pulled back by tau_delta^0 squared
+    dphi = flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
+                                        np.ones((1, 1)))[0]
+    dpsi = ndpsi.coeffs[0, 0, 0]
+    g, j, tau = g[0, 0], jac[0, 0], bundle.tau_delta_0[0, 0]
+    s = (g * z) ** 2 - g * j * bundle.xi_delta.mat[0, 0]
+    return 0.5 * ((1.0 - g * j) * dphi * tau * tau * s - g * dpsi * s)
 
 
 def _rho_eval_oracle():
-    model, obs, bundle, jac, g, gr, ndpsi = _filter_fixture_pieces()
-    z = np.array([0.1])
-    gz = g @ z
-    back = bundle.tau_delta_0 @ gz
-    proj = np.eye(1) - g @ jac
-    return float((0.5 * (proj @ bundle.nabla_dphi(back, back) - g @ ndpsi(gz, gz)))[0])
+    model, _, bundle, grid, jac, g, ndpsi = _filter_fixture_pieces()
+    return float(_scalar_rho(model, bundle, grid, jac, g, ndpsi, 0.1))
 
 
 def _assimilate_value():
-    model, obs, bundle, jac, g, gr, _ = _filter_fixture_pieces()
+    model, _, bundle, grid, jac, g, ndpsi = _filter_fixture_pieces()
     cfg = FilterConfig(delta=1.0, collar_enabled=False)
-    mu, sigma = assimilate(bundle, np.array([0.013]), gr, np.array([0.23]), cfg)
+    z_hat = np.array([0.23]) - np.array([0.013])
+    quad = rho_build(model, bundle, grid, g, jac, ndpsi, z_hat)
+    mu, sigma = assimilate(bundle, g, jac, z_hat, quad, cfg)
     return np.array([mu[0], sigma.mat[0, 0]])
 
 
 def _assimilate_oracle():
-    model, obs, bundle, jac, g, gr, _ = _filter_fixture_pieces()
-    z_hat = np.array([0.23]) - np.array([0.013])
-    mu = (bundle.m_delta + g @ z_hat
-          + np.einsum("kab,a,b->k", gr.rho_coeffs.coeffs, z_hat, z_hat) - gr.rho_mean)
-    sigma = (np.eye(1) - g @ jac) @ bundle.xi_delta.mat
-    return np.array([mu[0], 0.5 * (sigma + sigma.T)[0, 0]])
+    model, _, bundle, grid, jac, g, ndpsi = _filter_fixture_pieces()
+    z_hat = 0.23 - 0.013
+    mu = (bundle.m_delta[0] + g[0, 0] * z_hat
+          + _scalar_rho(model, bundle, grid, jac, g, ndpsi, z_hat))
+    sigma = (1.0 - g[0, 0] * jac[0, 0]) * bundle.xi_delta.mat[0, 0]
+    return np.array([mu, sigma])
 
 
 def _filter_step_value():
@@ -597,7 +604,7 @@ def _filter_step_value():
 
     model, obs = _cubic_model()
     cfg = FilterConfig(delta=1.0, n_substeps=8)
-    est = StateEstimate(np.array([1.0]), SymTensor2(np.array([1.0]), [[0.01]]))
+    est = StateEstimate(np.array([1.0]), SymTensor2([[0.01]]))
     out = filter_step(model, obs, est, ObservationEvent(time=1.0, y=np.array([0.55])), cfg)
     return np.array([out.mu_hat[0], out.sigma_hat.mat[0, 0]])
 
@@ -613,7 +620,7 @@ def _update_geodesic_gaps():
     out = []
     for scale in (0.04, 0.02):
         mu = scale * direction
-        sigma = SymTensor2(x, smat * scale ** 2)
+        sigma = SymTensor2(smat * scale ** 2)
         series = update_estimate(x, mu, sigma, conn)
         endpoint, _ = geodesic_flow(x, barycenter_correction(mu, sigma, conn, x), conn,
                                     steps=64)
@@ -627,13 +634,13 @@ def _update_geodesic_gaps():
 def _ekf_predict_value():
     model, _ = _cubic_model()
     m0 = np.array([1.0])
-    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, [[0.01]])), 1.0, 64)
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2([[0.01]])), 1.0, 64)
     return float(pred.mu_hat[0])
 
 
 def _ekf_update_value():
     _, obs = _cubic_model()
-    est = StateEstimate(np.array([0.5]), SymTensor2(np.array([0.5]), [[0.04]]))
+    est = StateEstimate(np.array([0.5]), SymTensor2([[0.04]]))
     upd = ekf_update(est, obs, np.array([0.9]))
     return np.array([upd.mu_hat[0], upd.sigma_hat.mat[0, 0]])
 

@@ -5,8 +5,10 @@ quantity the package computes another way: the Levi-Civita connector from
 the metric by differentiation (criterion 5), the geodesic ODE and the
 series log map for the exponential map (criterion 6), the closed-form
 cubic flow and location correction (criterion 4), the drift-correction
-identity of a diffusion model, and the tracking model's constraint and
-inverse spherical transform.
+identity of a diffusion model, the tracking model's constraint and inverse
+spherical transform, and the dense second-derivative arrays the quadratic
+update was once built from (the Hessian stack, the flow form and the rho
+coefficients), against which its contractions are checked.
 """
 
 import math
@@ -15,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from gifilter.errors import DivergenceError, SingularMetricError, SingularStateError
-from gifilter.flow import DiffusionModel
+from gifilter.flow import DiffusionModel, FlowGrid, TransitionJacobians
 from gifilter.geometry import ConnectorField, check_symmetric, symmetrize
 from gifilter.models.tracking import SPEED_FLOOR, Tracking9DParams, split_state
 
@@ -185,6 +187,77 @@ def cubic1d_analytic_ailp(x0: float, sigma0: float, alpha: float, delta: float) 
         + (sigma0 - alpha / (3.0 * x0 ** 2)) * x_d ** 3 / x0 ** 4
         - (sigma0 - alpha / (4.0 * x0 ** 2)) * x_d ** 5 / x0 ** 6
     )
+
+
+# --- dense second-derivative forms of the quadratic update -----------------------------
+
+
+def path_hessian(model: DiffusionModel, x_path: np.ndarray) -> np.ndarray:
+    """Dense second derivative H[k, a, i, j] = D2xi^a_ij at every path point.
+
+    One ``d2xi_contract`` call evaluates every symmetric basis pair
+    (e_i e_j^T + e_j e_i^T) / 2 at every point of x_path (shape (n + 1, p))
+    by broadcasting; the result has shape (n + 1, p, p, p).
+    """
+    basis = np.eye(model.dim)
+    pairs = 0.5 * (basis[:, None, :, None] * basis[None, :, None, :]
+                   + basis[None, :, :, None] * basis[:, None, None, :])
+    return np.moveaxis(model.d2xi_contract(x_path[:, None, None, :], pairs), -1, 1)
+
+
+def dense_ailp_integrand(hess: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """D2xi(Xi_k) at every path point, from the Hessian stack."""
+    return np.einsum("kaij,kij->ka", hess, xis)
+
+
+def dense_flow_form(model: DiffusionModel, x_path: np.ndarray, taus: TransitionJacobians,
+                    grid: FlowGrid) -> np.ndarray:
+    """Coefficients [a, i, j] of the flow map's second fundamental form.
+
+    sum_k w_k tau_{t_k}^delta H_k(tau_0^{t_k} ., tau_0^{t_k} .) from the
+    Hessian stack, plus Gamma(x_delta)(tau ., tau .) - tau Gamma(x_0)(., .),
+    symmetrized in (i, j); (i, j) index the tangent space at x_0.
+    """
+    p = model.dim
+    hess = path_hessian(model, x_path)
+    start = taus.from_start[:, None]
+    pulled = np.swapaxes(start, -1, -2) @ hess @ start  # [k, a, i, j]
+    pushed = grid.weights[:, None, None] * taus.to_end  # [k, d, a]
+    coeffs = (np.swapaxes(pushed, 0, 1).reshape(p, -1)
+              @ pulled.reshape(-1, p * p)).reshape(p, p, p)
+    conn = model.conn
+    if not conn.flat:
+        tau = taus.tau_0_delta
+        cols = tau.T
+        end = conn.gamma(x_path[-1], cols[:, None], cols[None, :])
+        corr = np.einsum("ab,bij->aij", tau, conn.coefficients(x_path[0]))
+        coeffs += np.moveaxis(end, -1, 0) - corr
+    return 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
+
+
+def dense_rho_correction(g: np.ndarray, j: np.ndarray, flow_coeffs: np.ndarray,
+                         obs_coeffs: np.ndarray, tau_delta_0: np.ndarray,
+                         xi_delta: np.ndarray, z_hat: np.ndarray) -> np.ndarray:
+    """rho(z_hat (x) z_hat) - rho_mean from the dense rho coefficients.
+
+    rho[k, a, b] = (1/2) {[I - GJ] ndphi(tau G e_a, tau G e_b) - G ndpsi(G e_a, G e_b)}
+    with tau = tau_delta^0, and rho_mean the same forms contracted with
+    G J Xi_delta in place of Gz (x) Gz.
+    """
+    p = g.shape[0]
+    proj = np.eye(p) - g @ j
+    back = tau_delta_0 @ g
+    t_flow = np.einsum("kij,ia,jb->kab", flow_coeffs, back, back)
+    t_flow = np.einsum("lk,kab->lab", proj, t_flow)
+    t_obs = np.einsum("kij,ia,jb->kab", obs_coeffs, g, g)
+    t_obs = np.einsum("lk,kab->lab", g, t_obs)
+    coeffs = 0.5 * (t_flow - t_obs)
+    coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
+    gz_mean = symmetrize(g @ j @ xi_delta)
+    gz_mean_back = tau_delta_0 @ gz_mean @ tau_delta_0.T
+    rho_mean = 0.5 * (proj @ np.einsum("kij,ij->k", flow_coeffs, gz_mean_back)
+                      - g @ np.einsum("kij,ij->k", obs_coeffs, gz_mean))
+    return np.einsum("kab,a,b->k", coeffs, z_hat, z_hat) - rho_mean
 
 
 # --- model identities ------------------------------------------------------------------

@@ -27,7 +27,7 @@ from gifilter.models.tracking import (
     tracking_observation,
 )
 
-from conftest import random_obs_point, random_tracking_state
+from helpers import random_obs_point, random_tracking_state
 from oracles import (
     cubic1d_analytic_ailp,
     geodesic_flow,
@@ -116,7 +116,7 @@ def test_criterion_4_analytic_vs_numeric_ailp():
     for x0 in (0.6, 0.8, 1.0, 1.2, 1.4):
         for sigma0 in (0.005, 0.02):
             point = np.array([x0])
-            bundle = precompute(model, point, SymTensor2(point, [[sigma0]]), grid)
+            bundle = precompute(model, point, SymTensor2([[sigma0]]), grid)
             expected = cubic1d_analytic_ailp(x0, sigma0, 0.01, 1.0)
             worst = max(worst, abs(bundle.m_delta[0] - expected) / abs(expected))
     elapsed = time.time() - start

@@ -100,6 +100,13 @@ def test_missing_config_field_exits_one(tmp_path, capsys):
     assert "n_obs" in capsys.readouterr().err
 
 
+def test_covariance_of_the_wrong_dimension_exits_one(tmp_path, cubic_config, capsys):
+    raw = dict(json.loads(cubic_config.read_text()), sigma0=[[0.01, 0.0], [0.0, 0.01]])
+    cubic_config.write_text(json.dumps(raw))
+    assert cli_main(["benchmark", "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
+    assert "does not match state dimension 1" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert cli_main(["benchmark", "--frobnicate"]) == 1
 

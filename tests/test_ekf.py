@@ -15,7 +15,7 @@ from gifilter.flow import DiffusionModel
 from gifilter.harness import kalman_reference_run, van_loan_discretization
 from gifilter.observation import ObservationEvent, ObservationModel, wrap_angles
 
-from conftest import (
+from helpers import (
     assert_broadcasts_over_points,
     counting,
     random_obs_point,
@@ -30,7 +30,7 @@ def test_predict_linear_matches_exact_kalman(linear_params, linear_models):
     delta = 0.05
     m0 = rng.standard_normal(3)
     p0 = 0.4 * np.eye(3)
-    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, p0)), delta, n_substeps=128)
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(p0)), delta, n_substeps=128)
     fmat, qd = van_loan_discretization(
         linear_params.a_mat, linear_params.sigma_mat @ linear_params.sigma_mat.T, delta)
     assert np.max(np.abs(pred.mu_hat - fmat @ m0)) < 1e-8
@@ -56,7 +56,7 @@ def test_predict_no_noise_no_drift_is_identity():
     assert_broadcasts_over_points(model, rng.standard_normal((4, 2)), rng)
     m0 = np.array([1.0, -2.0])
     p0 = np.diag([0.3, 0.6])
-    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, p0)), 1.0, 8)
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(p0)), 1.0, 8)
     assert np.array_equal(pred.mu_hat, m0)
     assert np.array_equal(pred.sigma_hat.mat, p0)
 
@@ -64,7 +64,7 @@ def test_predict_no_noise_no_drift_is_identity():
 def test_predict_cubic_mean_matches_closed_form(cubic_models):
     model, _ = cubic_models
     m0 = np.array([1.0])
-    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(m0, [[0.01]])), 1.0, 64)
+    pred = ekf_predict(model, StateEstimate(m0, SymTensor2([[0.01]])), 1.0, 64)
     assert abs(pred.mu_hat[0] - cubic1d_analytic_flow(1.0, 1.0)) < 1e-6
 
 
@@ -74,7 +74,7 @@ def test_predict_requires_drift_derivatives(cubic_models):
     for missing in ("ddrift_b", "d2drift_b_contract"):
         bare = dataclasses.replace(model, **{missing: None})
         with pytest.raises(ValueError, match=missing):
-            ekf_predict(bare, StateEstimate(m0, SymTensor2(m0, [[0.02]])), 1.0, 64)
+            ekf_predict(bare, StateEstimate(m0, SymTensor2([[0.02]])), 1.0, 64)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def _loop_predict(model, mean, cov, delta, n_substeps):
 @pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d"])
 def test_predict_equals_own_loop_bit_for_bit(predict_cases, name, n_substeps):
     model, mean, cov, delta = predict_cases[name]
-    pred = ekf_predict(model, StateEstimate(mean, SymTensor2(mean, cov)), delta, n_substeps)
+    pred = ekf_predict(model, StateEstimate(mean, SymTensor2(cov)), delta, n_substeps)
     ref_mean, ref_cov = _loop_predict(model, mean, cov, delta, n_substeps)
     assert np.array_equal(pred.mu_hat, ref_mean)
     assert np.array_equal(pred.sigma_hat.mat, ref_cov)
@@ -131,7 +131,7 @@ def test_predict_evaluates_alpha_once_on_the_path(predict_cases):
     model, mean, cov, delta = predict_cases["tracking9d"]
     calls = Counter()
     model = counting(model, ("drift_b", "ddrift_b", "d2drift_b_contract", "alpha"), calls)
-    ekf_predict(model, StateEstimate(mean, SymTensor2(mean, cov)), delta, 8)
+    ekf_predict(model, StateEstimate(mean, SymTensor2(cov)), delta, 8)
     assert calls == {"drift_b": 8, "ddrift_b": 9, "d2drift_b_contract": 8, "alpha": 1}
 
 
@@ -142,7 +142,7 @@ def test_update_linear_is_kalman(linear_params, linear_models):
     raw = rng.standard_normal((3, 3))
     p = raw @ raw.T + 0.1 * np.eye(3)
     y = rng.standard_normal(2)
-    upd = ekf_update(StateEstimate(m, SymTensor2(m, p)), obs, y)
+    upd = ekf_update(StateEstimate(m, SymTensor2(p)), obs, y)
     j = linear_params.j_mat
     s = j @ p @ j.T + linear_params.b_mat
     k = p @ j.T @ np.linalg.inv(s)
@@ -155,7 +155,7 @@ def test_update_exact_observation_keeps_mean(cubic_models):
     _, obs = cubic_models
     m = np.array([0.6])
     p = np.array([[0.05]])
-    upd = ekf_update(StateEstimate(m, SymTensor2(m, p)), obs, obs.psi(m))
+    upd = ekf_update(StateEstimate(m, SymTensor2(p)), obs, obs.psi(m))
     assert np.array_equal(upd.mu_hat, m)
     assert upd.sigma_hat.mat[0, 0] < p[0, 0]
 
@@ -169,7 +169,7 @@ def test_update_matches_hand_computed_scalar(cubic_params, cubic_models):
     k = p * jval / s
     mean_expected = m + k * (y - m / (pc + m * m))
     cov_expected = (1.0 - k * jval) * p
-    upd = ekf_update(StateEstimate(np.array([m]), SymTensor2(np.array([m]), [[p]])), obs,
+    upd = ekf_update(StateEstimate(np.array([m]), SymTensor2([[p]])), obs,
                      np.array([y]))
     assert abs(upd.mu_hat[0] - mean_expected) < 1e-14
     assert abs(upd.sigma_hat.mat[0, 0] - cov_expected) < 1e-14
@@ -183,7 +183,7 @@ def test_ekf_equals_kalman_over_steps(linear_params, linear_models):
     p0 = 0.4 * np.eye(3)
     observations = rng.standard_normal((20, 2))
     ref_means, ref_covs = kalman_reference_run(linear_params, mu0, p0, observations, delta)
-    est = StateEstimate(mu0, SymTensor2(mu0, p0))
+    est = StateEstimate(mu0, SymTensor2(p0))
     for k in range(20):
         est = ekf_step(model, obs, est, ObservationEvent(time=0.0, y=observations[k]),
                        delta, nsub)
@@ -204,7 +204,7 @@ def test_update_ill_conditioned_innovation_raises():
     )
     m = np.zeros(2)
     with pytest.raises(IllConditionedGainError):
-        ekf_update(StateEstimate(m, SymTensor2(m, np.zeros((2, 2)))), obs, np.zeros(2))
+        ekf_update(StateEstimate(m, SymTensor2(np.zeros((2, 2)))), obs, np.zeros(2))
 
 
 def _inline_gain_update(pred, obs, y_obs):
@@ -224,7 +224,7 @@ def _inline_gain_update(pred, obs, y_obs):
     repaired, min_eig = repair_psd(cov_new)
     if min_eig < 0.0:
         cov_new = repaired
-    return StateEstimate(m_new, SymTensor2(m_new, cov_new))
+    return StateEstimate(m_new, SymTensor2(cov_new))
 
 
 def _update_outcome(update, pred, obs, y):
@@ -261,7 +261,7 @@ def test_update_equals_inline_gain_block_bit_for_bit(cubic_models, tracking_mode
         cases.append((stiff_obs, np.zeros(2), np.diag([0.0, var]), np.ones(2)))
     outcomes = []
     for obs, m, cov, y in cases:
-        pred = StateEstimate(m, SymTensor2(m, cov))
+        pred = StateEstimate(m, SymTensor2(cov))
         outcomes.append(_update_outcome(ekf_update, pred, obs, y))
         assert outcomes[-1] == _update_outcome(_inline_gain_update, pred, obs, y)
     assert outcomes.count("ill-conditioned") == 1
@@ -271,7 +271,7 @@ def test_cov_stays_psd_with_repair_logging(cubic_models):
     model, obs = cubic_models
     rng = np.random.default_rng(54)
     diag = FilterDiagnostics()
-    est = StateEstimate(np.array([0.3]), SymTensor2(np.array([0.3]), [[0.01]]))
+    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
     for k in range(50):
         event = ObservationEvent(time=float(k), y=np.array([rng.uniform(-1.5, 1.5)]))
         est = ekf_step(model, obs, est, event, 1.0, 16, diag=diag)

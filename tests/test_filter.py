@@ -1,5 +1,6 @@
 """Tests for the intrinsic filter update: gain, rho, assimilation, update."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -18,34 +19,44 @@ from gifilter.filter import (
     rho_build,
     update_estimate,
 )
-from gifilter.flow import FlowGrid, precompute
+from gifilter.flow import FlowGrid, flow_second_fundamental_form, precompute
 from gifilter.geometry import (
-    Bilinear3,
     SymTensor2,
     barycenter_correction,
     flat_connector,
 )
-from gifilter.harness import ScenarioConfig, build_scenario, kalman_reference_run
+from gifilter.harness import (
+    ScenarioConfig,
+    build_scenario,
+    kalman_reference_run,
+    transformed_cubic_model,
+)
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.tracking import tracking_connector
 from gifilter.observation import ObservationEvent, map_second_fundamental_form
 
-from conftest import counting, random_obs_point, random_tracking_state
-from oracles import cubic1d_analytic_flow, geodesic_flow, log_map_series
+from helpers import counting, random_obs_point, random_tracking_state
+from oracles import (
+    cubic1d_analytic_flow,
+    dense_flow_form,
+    dense_rho_correction,
+    geodesic_flow,
+    log_map_series,
+)
 
 
 # --- gain ---------------------------------------------------------------------
 
 
 def test_gain_zero_covariance_gives_zero():
-    xi = SymTensor2(np.zeros(3), np.zeros((3, 3)))
+    xi = SymTensor2(np.zeros((3, 3)))
     g = gain(xi, np.ones((2, 3)), np.eye(2))
     assert np.array_equal(g, np.zeros((3, 2)))
 
 
 def test_gain_scalar_formula():
     s, b = 0.7, 0.2
-    g = gain(SymTensor2(np.zeros(1), [[s]]), np.eye(1), [[b]])
+    g = gain(SymTensor2([[s]]), np.eye(1), [[b]])
     assert abs(g[0, 0] - s / (s + b)) < 1e-15
 
 
@@ -56,13 +67,13 @@ def test_gain_defining_identity_tracking_dims():
     jac = rng.standard_normal((5, 9))
     raw_b = rng.standard_normal((5, 5))
     beta = raw_b @ raw_b.T + 0.5 * np.eye(5)
-    g = gain(SymTensor2(np.zeros(9), xi_mat), jac, beta)
+    g = gain(SymTensor2(xi_mat), jac, beta)
     residual = g @ (jac @ xi_mat @ jac.T + beta) - xi_mat @ jac.T
     assert np.max(np.abs(residual)) < 1e-10 * max(1.0, float(np.max(np.abs(xi_mat))))
 
 
 def test_gain_ill_conditioned_raises():
-    xi = SymTensor2(np.zeros(2), np.zeros((2, 2)))
+    xi = SymTensor2(np.zeros((2, 2)))
     beta = np.diag([1.0, 1e-14])
     with pytest.raises(IllConditionedGainError):
         gain(xi, np.eye(2), beta)
@@ -71,55 +82,104 @@ def test_gain_ill_conditioned_raises():
 # --- rho ----------------------------------------------------------------------
 
 
-def _cubic_pieces(x0=1.0, sigma0=0.01, n_steps=32):
-    params = Cubic1DParams()
-    model, obs = cubic1d_build(params)
-    start = np.array([x0])
-    bundle = precompute(model, start, SymTensor2(start, [[sigma0]]), FlowGrid(1.0, n_steps))
+def _update_pieces(model, obs, x0, cov0, grid):
+    bundle = precompute(model, x0, SymTensor2(cov0), grid)
     x_delta = bundle.x_delta
     jac = obs.dpsi(x_delta)
     ndpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac, obs.psi(x_delta))
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(x_delta)))
-    gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
-    return params, model, obs, bundle, jac, g, gr
+
+    def rho(z_hat):
+        return rho_build(model, bundle, grid, g, jac, ndpsi, z_hat)
+
+    return bundle, jac, g, ndpsi, rho
 
 
-def test_rho_zero_forms_give_zero():
-    zero_form = Bilinear3(np.zeros((2, 2, 2)))
-    zero_obs_form = Bilinear3(np.zeros((1, 2, 2)))
-    g = np.ones((2, 1))
-    gr = rho_build(g, np.ones((1, 2)), zero_form, zero_obs_form, np.eye(2),
-                   SymTensor2(np.zeros(2), np.eye(2)))
-    assert np.array_equal(gr.rho_coeffs.coeffs, np.zeros((2, 1, 1)))
-    assert np.array_equal(gr.rho_mean, np.zeros(2))
-    assert np.array_equal(gr.rho(np.array([0.3])), np.zeros(2))
+def _cubic_pieces(x0=1.0, sigma0=0.01, n_steps=32):
+    model, obs = cubic1d_build(Cubic1DParams())
+    grid = FlowGrid(1.0, n_steps)
+    bundle, jac, g, ndpsi, rho = _update_pieces(model, obs, np.array([x0]),
+                                                 np.array([[sigma0]]), grid)
+    return model, obs, bundle, grid, jac, g, ndpsi, rho
 
 
-def test_rho_vanishes_at_zero_innovation():
-    *_, gr = _cubic_pieces()
-    assert np.array_equal(gr.rho(np.zeros(1)), np.zeros(1))
+def test_rho_zero_forms_give_zero(linear_models):
+    # a linear drift has no flow form; with a zero observation form the
+    # correction vanishes identically
+    model, obs = linear_models
+    zero_obs = dataclasses.replace(obs, d2psi=lambda x: np.zeros((2, 3, 3)))
+    _, _, _, _, rho = _update_pieces(model, zero_obs, np.ones(3), np.eye(3),
+                                     FlowGrid(0.05, 8))
+    assert np.array_equal(rho(np.array([0.3, -0.2])), np.zeros(3))
+    assert np.array_equal(rho(np.zeros(2)), np.zeros(3))
 
 
 def test_rho_matches_term_by_term_evaluation():
-    # rebuild the two bracket terms of the quadratic correction directly
-    _, model, obs, bundle, jac, g, gr = _cubic_pieces()
+    # rebuild the quadratic term and its mean separately: each bracket is
+    # one contraction of the flow and observation forms
+    model, obs, bundle, grid, jac, g, ndpsi, rho = _cubic_pieces()
     z = np.array([0.1])
-    gz = g @ z
-    back = bundle.tau_delta_0 @ gz
-    ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,
-                                        obs.psi(bundle.x_delta))
+    gz = np.outer(g @ z, g @ z)
+    gz_mean = g @ jac @ bundle.xi_delta.mat
+    back = bundle.tau_delta_0
+
+    def dphi(sym):
+        return flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
+                                            back @ sym @ back.T)
+
     proj = np.eye(1) - g @ jac
-    expected = 0.5 * (proj @ bundle.nabla_dphi(back, back) - g @ ndpsi(gz, gz))
-    assert np.allclose(gr.rho(z), expected, atol=1e-15)
+    expected = 0.5 * (proj @ (dphi(gz) - dphi(gz_mean))
+                      - g @ (ndpsi.contract(gz) - ndpsi.contract(gz_mean)))
+    assert np.allclose(rho(z), expected, atol=1e-15)
 
 
-def test_rho_mean_consistent_with_innovation_second_moment():
-    # E[rho(Z (x) Z)] can also be computed by contracting the coefficients
-    # with Var(Z) = J Xi J^T + beta; both routes must agree
-    _, model, obs, bundle, jac, g, gr = _cubic_pieces()
-    var_z = jac @ bundle.xi_delta.mat @ jac.T + obs.beta(obs.psi(bundle.x_delta))
-    contracted = np.einsum("kab,ab->k", gr.rho_coeffs.coeffs, var_z)
-    assert np.allclose(gr.rho_mean, contracted, rtol=1e-10, atol=1e-18)
+def _oracle_cases(name, tracking_models):
+    if name == "cubic1d":
+        model, obs = cubic1d_build(Cubic1DParams())
+        return model, obs, np.array([1.0]), np.array([[0.01]]), FlowGrid(1.0, 32)
+    if name == "transformed_cubic":
+        model, obs, _ = transformed_cubic_model(Cubic1DParams())
+        return model, obs, np.array([0.9]), np.array([[0.02]]), FlowGrid(1.0, 32)
+    model, obs = tracking_models
+    x0 = np.array([9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0])
+    cov0 = np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0])
+    return model, obs, x0, cov0, FlowGrid(0.1, 8)
+
+
+@pytest.mark.parametrize("name", ["cubic1d", "tracking9d", "transformed_cubic"])
+def test_rho_matches_the_dense_coefficient_oracle(tracking_models, name):
+    # the one contraction against rho(z) - rho_mean from the dense rho
+    # coefficients and dense flow form, zero innovation included
+    model, obs, x0, cov0, grid = _oracle_cases(name, tracking_models)
+    bundle, jac, g, ndpsi, rho = _update_pieces(model, obs, x0, cov0, grid)
+    flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.taus, grid)
+    rng = np.random.default_rng(48)
+    root = np.linalg.cholesky(jac @ bundle.xi_delta.mat @ jac.T
+                              + obs.beta(obs.psi(bundle.x_delta)))
+    for z_hat in [np.zeros(jac.shape[0])] + [root @ rng.standard_normal(jac.shape[0])
+                                             for _ in range(4)]:
+        expected = dense_rho_correction(g, jac, flow_coeffs, ndpsi.coeffs, bundle.tau_delta_0,
+                                        bundle.xi_delta.mat, z_hat)
+        got = rho(z_hat)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("name", ["cubic1d", "tracking9d", "transformed_cubic"])
+def test_rho_is_unbiased_over_innovation_sigma_points(tracking_models, name):
+    # the 2q sigma points +-sqrt(q) L e_i of N(0, C), C = J Xi J^T + beta =
+    # L L^T, match its first two moments; the correction is linear in the
+    # innovation's second moment and centred on its mean, so it averages to 0
+    model, obs, x0, cov0, grid = _oracle_cases(name, tracking_models)
+    bundle, jac, g, ndpsi, rho = _update_pieces(model, obs, x0, cov0, grid)
+    q = jac.shape[0]
+    root = np.linalg.cholesky(jac @ bundle.xi_delta.mat @ jac.T
+                              + obs.beta(obs.psi(bundle.x_delta)))
+    points = np.sqrt(q) * np.concatenate([root.T, -root.T])
+    values = np.array([rho(z) for z in points])
+    mean_term = rho(np.zeros(q))
+    scale = max(np.max(np.abs(values)), np.max(np.abs(mean_term)))
+    assert scale > 0.0
+    assert np.max(np.abs(values.mean(axis=0))) <= 1e-12 * scale
 
 
 # --- pull-back of the observation ----------------------------------------------
@@ -161,55 +221,53 @@ def test_pull_back_matches_log_series_to_cubic_order(tracking_params):
 def test_assimilate_zero_innovation_flat():
     # with the collar active, a vanishing linear term clamps the leftover
     # quadratic mean correction to zero, so mu reduces to m_delta exactly
-    _, model, obs, bundle, jac, g, gr = _cubic_pieces()
-    obs_ailp = np.array([0.05])
+    *_, bundle, grid, jac, g, ndpsi, rho = _cubic_pieces()
+    z_hat = np.zeros(1)
     cfg = FilterConfig(delta=1.0)
-    mu, sigma = assimilate(bundle, obs_ailp, gr, obs_ailp.copy(), cfg)
+    mu, sigma = assimilate(bundle, g, jac, z_hat, rho(z_hat), cfg)
     assert np.array_equal(mu, bundle.m_delta)
     no_collar = FilterConfig(delta=1.0, collar_enabled=False)
-    mu_free, _ = assimilate(bundle, obs_ailp, gr, obs_ailp.copy(), no_collar)
-    assert np.allclose(mu_free, bundle.m_delta - gr.rho_mean, atol=1e-18)
+    mu_free, _ = assimilate(bundle, g, jac, z_hat, rho(z_hat), no_collar)
+    assert np.allclose(mu_free, bundle.m_delta + rho(z_hat), atol=1e-18)
+    assert rho(z_hat)[0] != 0.0
     expected_cov = (1.0 - (g @ jac)[0, 0]) * bundle.xi_delta.mat[0, 0]
     assert abs(sigma.mat[0, 0] - expected_cov) < 1e-15
-    assert np.array_equal(sigma.base, bundle.x_delta)
 
 
 def test_assimilate_collar_never_lets_quadratic_dominate():
-    _, model, obs, bundle, jac, g, gr = _cubic_pieces(x0=0.34, sigma0=0.05)
+    *_, bundle, grid, jac, g, ndpsi, rho = _cubic_pieces(x0=0.34, sigma0=0.05)
     cfg = FilterConfig(delta=1.0, collar_enabled=True)
     no_collar = FilterConfig(delta=1.0, collar_enabled=False)
-    obs_ailp = np.zeros(1)
     for z in np.linspace(-3.0, 3.0, 41):
         z_vec = np.array([z])
-        mu, _ = assimilate(bundle, obs_ailp, gr, z_vec, cfg)
+        mu, _ = assimilate(bundle, g, jac, z_vec, rho(z_vec), cfg)
         linear = g @ z_vec
         quad = mu - bundle.m_delta - linear
         assert np.linalg.norm(quad) <= np.linalg.norm(linear) * (1 + 1e-12)
-        mu_free, _ = assimilate(bundle, obs_ailp, gr, z_vec, no_collar)
+        mu_free, _ = assimilate(bundle, g, jac, z_vec, rho(z_vec), no_collar)
         quad_free = mu_free - bundle.m_delta - linear
-        raw = gr.rho(z_vec) - gr.rho_mean
-        assert np.allclose(quad_free, raw, atol=1e-16)
+        assert np.allclose(quad_free, rho(z_vec), atol=1e-16)
 
 
 def test_assimilate_quadratic_disabled_drops_term():
-    _, model, obs, bundle, jac, g, gr = _cubic_pieces()
+    *_, bundle, grid, jac, g, ndpsi, rho = _cubic_pieces()
     cfg = FilterConfig(delta=1.0, quadratic_enabled=False)
     z_vec = np.array([0.4])
-    mu, _ = assimilate(bundle, np.zeros(1), gr, z_vec, cfg)
+    mu, _ = assimilate(bundle, g, jac, z_vec, None, cfg)
     assert np.allclose(mu, bundle.m_delta + g @ z_vec, atol=1e-16)
 
 
 def test_assimilate_matches_line_by_line_reimplementation():
-    _, model, obs, bundle, jac, g, gr = _cubic_pieces()
-    z_delta = np.array([0.23])
-    obs_ailp = np.array([0.013])
+    model, obs, bundle, grid, jac, g, ndpsi, rho = _cubic_pieces()
+    z_hat = np.array([0.23]) - np.array([0.013])
     cfg = FilterConfig(delta=1.0, collar_enabled=False)
-    mu, sigma = assimilate(bundle, obs_ailp, gr, z_delta, cfg)
-    # direct transcription of the conditional-moment formulas
-    z_hat = z_delta - obs_ailp
+    mu, sigma = assimilate(bundle, g, jac, z_hat, rho(z_hat), cfg)
+    # direct transcription of the conditional-moment formulas, with the
+    # quadratic term from the dense coefficients
+    flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.taus, grid)
     mu_direct = (bundle.m_delta + g @ z_hat
-                 + np.einsum("kab,a,b->k", gr.rho_coeffs.coeffs, z_hat, z_hat)
-                 - gr.rho_mean)
+                 + dense_rho_correction(g, jac, flow_coeffs, ndpsi.coeffs, bundle.tau_delta_0,
+                                        bundle.xi_delta.mat, z_hat))
     sigma_direct = (np.eye(1) - g @ jac) @ bundle.xi_delta.mat
     assert np.allclose(mu, mu_direct, atol=1e-16)
     assert np.allclose(sigma.mat, 0.5 * (sigma_direct + sigma_direct.T), atol=1e-16)
@@ -221,7 +279,7 @@ def test_assimilate_matches_line_by_line_reimplementation():
 def test_update_flat_is_translation():
     x = np.array([0.3, -0.7])
     mu = np.array([0.1, 0.2])
-    sigma = SymTensor2(x, np.array([[0.5, 0.1], [0.1, 0.4]]))
+    sigma = SymTensor2(np.array([[0.5, 0.1], [0.1, 0.4]]))
     est = update_estimate(x, mu, sigma, flat_connector(2))
     assert np.allclose(est.mu_hat, x + mu)
     assert np.array_equal(est.sigma_hat.mat, sigma.mat)
@@ -232,7 +290,7 @@ def test_update_zero_mean_keeps_point():
     rng = np.random.default_rng(43)
     x = random_tracking_state(rng)
     raw = rng.standard_normal((9, 9)) * 0.1
-    sigma = SymTensor2(x, raw @ raw.T)
+    sigma = SymTensor2(raw @ raw.T)
     est = update_estimate(x, np.zeros(9), sigma, conn)
     assert np.allclose(est.mu_hat, x)
     assert np.allclose(est.sigma_hat.mat, sigma.mat)
@@ -251,7 +309,7 @@ def test_update_matches_geodesic_oracle_scaling():
     cov_gaps = []
     for scale in (0.04, 0.02):
         mu = scale * direction
-        sigma = SymTensor2(x, smat * scale ** 2)
+        sigma = SymTensor2(smat * scale ** 2)
         series = update_estimate(x, mu, sigma, conn)
         v = barycenter_correction(mu, sigma, conn, x)
         endpoint, f11 = geodesic_flow(x, v, conn, steps=64)
@@ -269,7 +327,7 @@ def test_update_covariance_matches_column_loop():
     rng = np.random.default_rng(48)
     x = random_tracking_state(rng)
     raw = rng.standard_normal((9, 9)) * 0.1
-    sigma = SymTensor2(x, raw @ raw.T)
+    sigma = SymTensor2(raw @ raw.T)
     mu = rng.standard_normal(9) * 0.05
     est = update_estimate(x, mu, sigma, conn)
     v = barycenter_correction(mu, sigma, conn, x)
@@ -294,7 +352,7 @@ def test_filter_step_equals_kalman_on_linear_model(linear_params, linear_models)
     observations = rng.standard_normal((5, 2))
     ref_means, ref_covs = kalman_reference_run(linear_params, mu0, p0, observations, delta)
     cfg = FilterConfig(delta=delta, n_substeps=nsub)
-    est = StateEstimate(mu0, SymTensor2(mu0, p0))
+    est = StateEstimate(mu0, SymTensor2(p0))
     for k in range(5):
         est = filter_step(model, obs, est, ObservationEvent(time=0.0, y=observations[k]), cfg)
         assert np.max(np.abs(est.mu_hat - ref_means[k])) < 1e-8 * max(
@@ -308,7 +366,7 @@ def test_filter_step_zero_noise_limit_tracks_flow():
     model, obs = cubic1d_build(params)
     cfg = FilterConfig(delta=1.0, n_substeps=64)
     x = 1.0
-    est = StateEstimate(np.array([x]), SymTensor2(np.array([x]), [[0.0]]))
+    est = StateEstimate(np.array([x]), SymTensor2([[0.0]]))
     for n in range(1, 6):
         truth = cubic1d_analytic_flow(1.0, float(n))
         event = ObservationEvent(time=float(n), y=np.array([obs.psi(np.array([truth]))[0]]))
@@ -319,7 +377,7 @@ def test_filter_step_zero_noise_limit_tracks_flow():
 def test_filter_step_fixture_reproducible(cubic_models):
     model, obs = cubic_models
     cfg = FilterConfig(delta=1.0, n_substeps=8)
-    est = StateEstimate(np.array([1.0]), SymTensor2(np.array([1.0]), [[0.01]]))
+    est = StateEstimate(np.array([1.0]), SymTensor2([[0.01]]))
     event = ObservationEvent(time=1.0, y=np.array([0.55]))
     first = filter_step(model, obs, est, event, cfg)
     second = filter_step(model, obs, est, event, cfg)
@@ -334,10 +392,25 @@ def test_filter_step_evaluates_observation_jacobians_once():
     plain = scenario.observation_at(0.1)
     obs = counting(plain, ("psi", "dpsi", "d2psi"), calls)
     mu0 = scenario.mu0
-    est = StateEstimate(mu0, SymTensor2(mu0, scenario.sigma0))
+    est = StateEstimate(mu0, SymTensor2(scenario.sigma0))
     event = ObservationEvent(time=0.1, y=plain.psi(mu0))
     filter_step(scenario.diffusion, obs, est, event, FilterConfig(delta=0.1))
     assert calls == {"psi": 1, "dpsi": 1, "d2psi": 1}
+
+
+@pytest.mark.parametrize("quadratic", [True, False])
+def test_filter_step_contracts_d2xi_once_per_substep_and_path_term(quadratic):
+    # one call per Taylor step, one for the state location correction, and
+    # one for the flow form of the quadratic term unless it is disabled
+    scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
+    calls = Counter()
+    model = counting(scenario.diffusion, ("d2xi_contract",), calls)
+    obs = scenario.observation_at(0.1)
+    mu0 = scenario.mu0
+    est = StateEstimate(mu0, SymTensor2(scenario.sigma0))
+    cfg = FilterConfig(delta=0.1, n_substeps=8, quadratic_enabled=quadratic)
+    filter_step(model, obs, est, ObservationEvent(time=0.1, y=obs.psi(mu0)), cfg)
+    assert calls == {"d2xi_contract": cfg.n_substeps + (2 if quadratic else 1)}
 
 
 def test_filter_step_covariance_stays_psd(cubic_models):
@@ -345,7 +418,7 @@ def test_filter_step_covariance_stays_psd(cubic_models):
     cfg = FilterConfig(delta=1.0, n_substeps=8)
     diag = FilterDiagnostics()
     rng = np.random.default_rng(46)
-    est = StateEstimate(np.array([0.3]), SymTensor2(np.array([0.3]), [[0.01]]))
+    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
     for k in range(50):
         y = np.array([rng.uniform(-1.6, 1.6)])
         est = filter_step(model, obs, est, ObservationEvent(time=float(k), y=y), cfg,
@@ -361,7 +434,7 @@ def test_gain_identity_holds_along_benchmark_run(cubic_models):
     model, obs = cubic_models
     cfg = FilterConfig(delta=1.0, n_substeps=8)
     rng = np.random.default_rng(47)
-    est = StateEstimate(np.array([0.3]), SymTensor2(np.array([0.3]), [[0.01]]))
+    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
     for k in range(200):
         bundle = _precompute(model, est.mu_hat, est.sigma_hat, cfg.grid())
         jac = obs.dpsi(bundle.x_delta)
@@ -390,4 +463,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(delta=1.0, n_substeps=0)
     with pytest.raises(ValueError):
-        StateEstimate(np.array([np.inf]), SymTensor2(np.array([0.0]), [[1.0]]))
+        StateEstimate(np.array([np.inf]), SymTensor2([[1.0]]))
+    with pytest.raises(ValueError, match="does not match state dimension 1"):
+        StateEstimate(np.array([0.5]), SymTensor2(np.eye(2)))

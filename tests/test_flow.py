@@ -15,7 +15,6 @@ from gifilter.flow import (
     ailp_state,
     flow_second_fundamental_form,
     integrate_flow,
-    path_hessian,
     precompute,
     propagate_covariance,
     transition_jacobians,
@@ -29,12 +28,15 @@ from gifilter.harness import (
 )
 from gifilter.models.cubic1d import Cubic1DParams
 
-from conftest import assert_broadcasts_over_points, counting, random_tracking_state
+from helpers import assert_broadcasts_over_points, counting, random_tracking_state
 from fixture_defs import _linear_flow_model, _ou_model, _sq_drift_model
 from oracles import (
     cubic1d_analytic_ailp,
     cubic1d_analytic_flow,
+    dense_ailp_integrand,
+    dense_flow_form,
     drift_consistency_residual,
+    path_hessian,
     sym_outer,
 )
 
@@ -169,7 +171,7 @@ def test_ill_conditioned_flow_detected():
     model = make_linear_model(a_mat, np.zeros((2, 2)))
     x0 = np.zeros(2)
     with pytest.raises(IllConditionedFlowError):
-        precompute(model, x0, SymTensor2(x0, np.eye(2)), FlowGrid(1.0, 64))
+        precompute(model, x0, SymTensor2(np.eye(2)), FlowGrid(1.0, 64))
 
 
 # --- propagate_covariance -------------------------------------------------------
@@ -181,7 +183,7 @@ def test_no_noise_no_drift_keeps_covariance():
     path, jacs = integrate_flow(model, np.array([0.0]), grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[0.7]]), grid)
+    xis = propagate_covariance(alphas, taus, SymTensor2([[0.7]]), grid)
     assert all(abs(x[0, 0] - 0.7) < 1e-15 for x in xis)
 
 
@@ -192,7 +194,7 @@ def test_ou_variance_matches_lyapunov_solution():
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], [[sigma0]]), grid)
+    xis = propagate_covariance(alphas, taus, SymTensor2([[sigma0]]), grid)
     expected = np.exp(-2 * a * delta) * sigma0 + sig ** 2 * (1 - np.exp(-2 * a * delta)) / (2 * a)
     assert abs(xis[-1][0, 0] - expected) < 1e-6
 
@@ -207,7 +209,7 @@ def test_covariance_stays_symmetric_psd_along_grid():
     taus = transition_jacobians(jacs, grid)
     raw = rng.standard_normal((3, 3))
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(path[0], raw @ raw.T), grid)
+    xis = propagate_covariance(alphas, taus, SymTensor2(raw @ raw.T), grid)
     for x in xis:
         assert np.array_equal(x, x.T)
         eigs = np.linalg.eigvalsh(x)
@@ -227,27 +229,30 @@ def test_linear_model_has_zero_location_correction():
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(x0, np.eye(3)), grid)
-    m_delta = ailp_state(model, path, path_hessian(model, path), alphas, taus, xis,
-                         SymTensor2(x0, np.eye(3)), grid)
+    xis = propagate_covariance(alphas, taus, SymTensor2(np.eye(3)), grid)
+    m_delta = ailp_state(model, path, alphas, taus, xis, SymTensor2(np.eye(3)), grid)
     assert np.array_equal(m_delta, np.zeros(3))
 
 
 def test_cubic_location_correction_matches_analytic():
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
-    sigma0 = SymTensor2(x0, np.array([[0.01]]))
+    sigma0 = SymTensor2(np.array([[0.01]]))
     path, jacs = integrate_flow(CUBIC, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = CUBIC.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    m_num = ailp_state(CUBIC, path, path_hessian(CUBIC, path), alphas, taus, xis, sigma0,
-                       grid)[0]
+    m_num = ailp_state(CUBIC, path, alphas, taus, xis, sigma0, grid)[0]
     m_ana = cubic1d_analytic_ailp(1.0, 0.01, 0.01, 1.0)
     assert abs(m_num - m_ana) / abs(m_ana) < 1e-4
 
 
 # --- flow second fundamental form ------------------------------------------------
+
+
+def _random_sym(rng, p):
+    raw = rng.standard_normal((p, p))
+    return raw + raw.T
 
 
 def test_linear_flow_second_form_vanishes():
@@ -256,8 +261,8 @@ def test_linear_flow_second_form_vanishes():
     grid = FlowGrid(0.3, 8)
     path, jacs = integrate_flow(model, rng.standard_normal(3), grid)
     taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(model, path, path_hessian(model, path), taus, grid)
-    assert np.array_equal(form.coeffs, np.zeros((3, 3, 3)))
+    form = flow_second_fundamental_form(model, path, taus, grid, _random_sym(rng, 3))
+    assert np.array_equal(form, np.zeros(3))
 
 
 def test_cubic_flow_second_form_matches_flow_map_hessian():
@@ -267,10 +272,10 @@ def test_cubic_flow_second_form_matches_flow_map_hessian():
     grid = FlowGrid(delta, 256)
     path, jacs = integrate_flow(CUBIC, np.array([x0]), grid)
     taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(CUBIC, path, path_hessian(CUBIC, path), taus, grid)
+    form = flow_second_fundamental_form(CUBIC, path, taus, grid, np.ones((1, 1)))[0]
     fd = (cubic1d_analytic_flow(x0 + h, delta) - 2.0 * cubic1d_analytic_flow(x0, delta)
           + cubic1d_analytic_flow(x0 - h, delta)) / h ** 2
-    assert abs(form.coeffs[0, 0, 0] - fd) / abs(fd) < 1e-3
+    assert abs(form - fd) / abs(fd) < 1e-3
 
 
 def test_flow_second_form_grid_refinement_second_order():
@@ -280,8 +285,7 @@ def test_flow_second_form_grid_refinement_second_order():
         grid = FlowGrid(1.0, n)
         path, jacs = integrate_flow(CUBIC, x0, grid)
         taus = transition_jacobians(jacs, grid)
-        form = flow_second_fundamental_form(CUBIC, path, path_hessian(CUBIC, path), taus, grid)
-        values.append(form.coeffs[0, 0, 0])
+        values.append(flow_second_fundamental_form(CUBIC, path, taus, grid, np.ones((1, 1)))[0])
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     for big, small in zip(diffs, diffs[1:]):
         assert 3.0 <= big / small <= 5.0
@@ -296,7 +300,8 @@ def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
     grid = FlowGrid(0.1, 8)
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(model, path, path_hessian(model, path), taus, grid)
+    sym = _random_sym(rng, model.dim)
+    form = flow_second_fundamental_form(model, path, taus, grid, sym)
     p, n, h = model.dim, grid.n_steps, grid.step
     basis = np.eye(p)
     tau = taus.tau_0_delta
@@ -310,7 +315,8 @@ def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
                 loop[:, i, j] += weight * taus.to_end[k] @ model.d2xi_contract(path[k], chi)
             loop[:, i, j] += (conn.gamma(path[-1], tau[:, i], tau[:, j])
                               - tau @ conn.gamma(path[0], basis[i], basis[j]))
-    assert np.max(np.abs(form.coeffs - loop)) <= 1e-12 * np.max(np.abs(loop))
+    expected = np.einsum("kij,ij->k", loop, sym)
+    assert np.max(np.abs(form - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # --- precompute -------------------------------------------------------------------
@@ -319,12 +325,14 @@ def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
 def test_precompute_degenerate_model_is_trivial():
     model = make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0)
     x0 = np.array([0.4])
-    bundle = precompute(model, x0, SymTensor2(x0, [[0.25]]), FlowGrid(1.0, 4))
+    grid = FlowGrid(1.0, 4)
+    bundle = precompute(model, x0, SymTensor2([[0.25]]), grid)
     assert np.allclose(bundle.x_delta, x0)
     assert np.allclose(bundle.tau_0_delta, np.eye(1))
     assert np.allclose(bundle.xi_delta.mat, 0.25)
     assert np.array_equal(bundle.m_delta, np.zeros(1))
-    assert np.array_equal(bundle.nabla_dphi.coeffs, np.zeros((1, 1, 1)))
+    form = flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, np.ones((1, 1)))
+    assert np.array_equal(form, np.zeros(1))
 
 
 def test_precompute_linear_matches_kalman_predict():
@@ -335,7 +343,7 @@ def test_precompute_linear_matches_kalman_predict():
     delta = 0.05
     x0 = rng.standard_normal(3)
     p0 = np.eye(3) * 0.3
-    bundle = precompute(model, x0, SymTensor2(x0, p0), FlowGrid(delta, 128))
+    bundle = precompute(model, x0, SymTensor2(p0), FlowGrid(delta, 128))
     fmat, qd = van_loan_discretization(a_mat, sig @ sig.T, delta)
     assert np.max(np.abs(bundle.x_delta - fmat @ x0)) < 1e-9
     assert np.max(np.abs(bundle.xi_delta.mat - (fmat @ p0 @ fmat.T + qd))) < 1e-8
@@ -344,9 +352,10 @@ def test_precompute_linear_matches_kalman_predict():
 
 def test_precompute_matches_finer_grid():
     x0 = np.array([1.0])
-    sigma0 = SymTensor2(x0, np.array([[0.01]]))
-    coarse = precompute(CUBIC, x0, sigma0, FlowGrid(1.0, 64))
-    fine = precompute(CUBIC, x0, sigma0, FlowGrid(1.0, 640))
+    sigma0 = SymTensor2(np.array([[0.01]]))
+    coarse_grid, fine_grid = FlowGrid(1.0, 64), FlowGrid(1.0, 640)
+    coarse = precompute(CUBIC, x0, sigma0, coarse_grid)
+    fine = precompute(CUBIC, x0, sigma0, fine_grid)
 
     def rel(a, b):
         return abs(a - b) / max(abs(b), 1e-30)
@@ -355,17 +364,19 @@ def test_precompute_matches_finer_grid():
     assert rel(coarse.tau_0_delta[0, 0], fine.tau_0_delta[0, 0]) < 1e-4
     assert rel(coarse.xi_delta.mat[0, 0], fine.xi_delta.mat[0, 0]) < 1e-4
     assert rel(coarse.m_delta[0], fine.m_delta[0]) < 1e-4
-    assert rel(coarse.nabla_dphi.coeffs[0, 0, 0], fine.nabla_dphi.coeffs[0, 0, 0]) < 1e-4
+    one = np.ones((1, 1))
+    assert rel(flow_second_fundamental_form(CUBIC, coarse.x_path, coarse.taus, coarse_grid, one),
+               flow_second_fundamental_form(CUBIC, fine.x_path, fine.taus, fine_grid, one)) < 1e-4
 
 
 def test_precompute_evaluates_alpha_and_hessian_once_on_the_path():
     # tracking9d: a curved connector, so ailp_state needs alpha as well; the
-    # Taylor step calls d2xi_contract once per step, path_hessian once more
+    # Taylor step calls d2xi_contract once per step, ailp_state once more
     scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
     calls = Counter()
     model = counting(scenario.diffusion, ("xi", "dxi", "alpha", "d2xi_contract"), calls)
     mu0 = scenario.mu0
-    precompute(model, mu0, SymTensor2(mu0, scenario.sigma0), FlowGrid(0.1, 8))
+    precompute(model, mu0, SymTensor2(scenario.sigma0), FlowGrid(0.1, 8))
     assert calls == {"xi": 8, "dxi": 9, "alpha": 1, "d2xi_contract": 9}
 
 
@@ -379,25 +390,28 @@ def test_ailp_state_contracts_the_whole_path_in_one_call(n_steps):
     counted = dataclasses.replace(model, conn=counting(model.conn, ("contract_fn",), calls))
     grid = FlowGrid(0.1, n_steps)
     mu0 = scenario.mu0
-    sigma0 = SymTensor2(mu0, scenario.sigma0)
+    sigma0 = SymTensor2(scenario.sigma0)
     path, jacs = integrate_flow(model, mu0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    ailp_state(counted, path, path_hessian(model, path), alphas, taus, xis, sigma0, grid)
+    ailp_state(counted, path, alphas, taus, xis, sigma0, grid)
     assert calls == {"contract_fn": 3}
 
 
 def test_precompute_memory_stays_linear_in_the_grid():
-    # 2049 points of a 9-D model: one (n + 1) p^3 array is 12 MB, one
-    # (n + 1) p^4 pair stack would be 108 MB
+    # one 2048-substep interval of a 9-D model, precompute plus one flow-form
+    # contraction: (n + 1) p^2 arrays are 1.3 MB each, where a dense
+    # (n + 1) p^3 Hessian stack would be 12 MB and a p^4 pair stack 108 MB
     scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
+    model = scenario.diffusion
     mu0 = scenario.mu0
-    sigma0 = SymTensor2(mu0, scenario.sigma0)
+    sigma0 = SymTensor2(scenario.sigma0)
     grid = FlowGrid(0.1, 2048)
     tracemalloc.start()
     try:
-        precompute(scenario.diffusion, mu0, sigma0, grid)
+        bundle = precompute(model, mu0, sigma0, grid)
+        flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, sigma0.mat)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -413,7 +427,7 @@ def test_tau_delta_0_computed_once():
 
 
 def test_tau_inverse_identity():
-    bundle = precompute(CUBIC, np.array([1.0]), SymTensor2(np.array([1.0]), [[0.01]]),
+    bundle = precompute(CUBIC, np.array([1.0]), SymTensor2([[0.01]]),
                         FlowGrid(1.0, 16))
     assert abs(bundle.tau_delta_0 @ bundle.tau_0_delta - np.eye(1))[0, 0] < 1e-8
     assert np.linalg.cond(bundle.tau_0_delta) < 1e12
@@ -480,7 +494,7 @@ def _loop_ailp_state(model, path, per_step, from_start, xis, sigma0, grid):
 
 
 def _loop_second_form(model, path, from_start, to_end, grid):
-    # the former per-grid-point pair loop of flow_second_fundamental_form
+    # the per-grid-point pair loop of the dense flow form, coefficients [a, i, j]
     p, n, h, conn = model.dim, grid.n_steps, grid.step, model.conn
     coeffs = np.zeros((p, p, p))
     for k in range(n + 1):
@@ -520,7 +534,7 @@ def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_m
     }
     model, x0, cov0, delta = cases[name]
     grid = FlowGrid(delta, n_steps)
-    sigma0 = SymTensor2(x0, cov0)
+    sigma0 = SymTensor2(cov0)
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     per_step, from_start, to_end = _loop_transition_maps(jacs, grid)
@@ -530,19 +544,59 @@ def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_m
 
     alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
-    hess = path_hessian(model, path)
-    m_delta = ailp_state(model, path, hess, alphas, taus, xis, sigma0, grid)
+    m_delta = ailp_state(model, path, alphas, taus, xis, sigma0, grid)
     loop_m_delta = _loop_ailp_state(model, path, per_step, from_start, xis, sigma0, grid)
     assert _rel_close(m_delta, loop_m_delta)
-    form = flow_second_fundamental_form(model, path, hess, taus, grid)
-    assert _rel_close(form.coeffs, _loop_second_form(model, path, from_start, to_end, grid))
+    a = _random_sym(rng, model.dim)
+    form = flow_second_fundamental_form(model, path, taus, grid, a)
+    loop = _loop_second_form(model, path, from_start, to_end, grid)
+    assert _rel_close(form, np.einsum("kij,ij->k", loop, a))
+
+
+@pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d", "transformed_cubic"])
+def test_contractions_match_the_dense_hessian_oracle(cubic_models, linear_models,
+                                                     tracking_models, name):
+    # the contractions through d2xi_contract against the dense Hessian stack
+    # and flow form they replaced
+    rng = np.random.default_rng(31)
+    raw = rng.standard_normal((3, 3))
+    cases = {
+        "cubic1d": (cubic_models[0], np.array([0.8]), np.array([[0.02]]), 1.0),
+        "linear": (linear_models[0], rng.standard_normal(3), raw @ raw.T, 0.05),
+        "tracking9d": (tracking_models[0],
+                       np.array([9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0]),
+                       np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0]), 0.1),
+        "transformed_cubic": (transformed_cubic_model(Cubic1DParams())[0], np.array([0.9]),
+                              np.array([[0.02]]), 1.0),
+    }
+    model, x0, cov0, delta = cases[name]
+    grid = FlowGrid(delta, 16)
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = model.alpha(path)
+    xis = propagate_covariance(alphas, taus, SymTensor2(cov0), grid)
+    integrand = dense_ailp_integrand(path_hessian(model, path), xis)
+    contracted = model.d2xi_contract(path, xis)
+    if np.any(integrand):
+        assert _rel_close(contracted, integrand)
+    else:
+        assert not np.any(contracted)
+    dense = dense_flow_form(model, path, taus, grid)
+    for _ in range(3):
+        a = _random_sym(rng, model.dim)
+        form = flow_second_fundamental_form(model, path, taus, grid, a)
+        expected = np.einsum("kij,ij->k", dense, a)
+        if np.any(expected):
+            assert _rel_close(form, expected)
+        else:
+            assert not np.any(form)
 
 
 # --- drift consistency ----------------------------------------------------------
 
 
 def test_drift_consistency_all_models(cubic_models, tracking_models, linear_models):
-    from conftest import random_tracking_state
+    from helpers import random_tracking_state
 
     rng = np.random.default_rng(27)
     cubic, _ = cubic_models

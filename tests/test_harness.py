@@ -235,10 +235,10 @@ def _hand_written_invariance_mismatch(params, delta, sigma0, n_steps, n_substeps
     ys = _hand_written_euler_observations(params, delta, n_steps, seed)
     cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
     mu0 = 0.3
-    est_a = StateEstimate(np.array([mu0]), SymTensor2(np.array([mu0]), np.array([[sigma0]])))
+    est_a = StateEstimate(np.array([mu0]), SymTensor2(np.array([[sigma0]])))
     mu0_t = phi(mu0)
     sig0_t = dphi(mu0) ** 2 * sigma0
-    est_b = StateEstimate(np.array([mu0_t]), SymTensor2(np.array([mu0_t]), np.array([[sig0_t]])))
+    est_b = StateEstimate(np.array([mu0_t]), SymTensor2(np.array([[sig0_t]])))
     total = 0.0
     for k in range(n_steps):
         event = ObservationEvent(time=(k + 1) * delta, y=np.array([ys[k]]))
@@ -338,7 +338,7 @@ def test_run_filters_covariances_equal_step_chain(model, delta, n_obs):
     for name, step in steps.items():
         assert not record.aborted[name].any()
         assert record.covariances[name].shape == (n_obs, scenario.x0.size, scenario.x0.size)
-        st = StateEstimate(scenario.mu0.copy(), SymTensor2(scenario.mu0, scenario.sigma0.copy()))
+        st = StateEstimate(scenario.mu0.copy(), SymTensor2(scenario.sigma0.copy()))
         for k in range(n_obs):
             t = float(record.times[k])
             st = step(st, scenario.observation_at(t),
@@ -454,7 +454,7 @@ def _step_loop_kalman_check(seed=20240817, n_steps=200, p_dim=3, q_dim=2, delta=
     observations = rng.standard_normal((n_steps, q_dim)) * 2.0
     ref_means, ref_covs = kalman_reference_run(params, mu0, p0, observations, delta)
     cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
-    est = StateEstimate(mu0.copy(), SymTensor2(mu0, p0.copy()))
+    est = StateEstimate(mu0.copy(), SymTensor2(p0.copy()))
     worst_mean = 0.0
     worst_cov = 0.0
     for k in range(n_steps):

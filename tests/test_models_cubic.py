@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gifilter.filter import FilterConfig, StateEstimate, filter_step, gain, rho_build
-from gifilter.flow import FlowGrid, integrate_flow, precompute
+from gifilter.flow import FlowGrid, flow_second_fundamental_form, integrate_flow, precompute
 from gifilter.geometry import SymTensor2
 from gifilter.models.cubic1d import Cubic1DParams
 from gifilter.observation import map_second_fundamental_form
@@ -76,7 +76,7 @@ def test_analytic_ailp_matches_numeric_on_grid(cubic_models):
     for x0 in (0.6, 0.8, 1.0, 1.2, 1.4):
         for sigma0 in (0.005, 0.02):
             start = np.array([x0])
-            bundle = precompute(model, start, SymTensor2(start, [[sigma0]]), grid)
+            bundle = precompute(model, start, SymTensor2([[sigma0]]), grid)
             expected = cubic1d_analytic_ailp(x0, sigma0, 0.01, 1.0)
             assert abs(bundle.m_delta[0] - expected) / abs(expected) < 1e-4
 
@@ -86,16 +86,21 @@ def test_flat_specialization_keeps_corrections_alive(cubic_models):
     # term: with sigma0 > 0 all of them must be nonzero on this fixture
     model, obs = cubic_models
     x0 = np.array([1.0])
-    bundle = precompute(model, x0, SymTensor2(x0, [[0.01]]), FlowGrid(1.0, 32))
+    grid = FlowGrid(1.0, 32)
+    bundle = precompute(model, x0, SymTensor2([[0.01]]), grid)
     assert bundle.m_delta[0] != 0.0
-    assert bundle.nabla_dphi.coeffs[0, 0, 0] != 0.0
+    one = np.ones((1, 1))
+    assert flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, one)[0] != 0.0
     jac = obs.dpsi(bundle.x_delta)
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(bundle.x_delta)))
     ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,
                                         obs.psi(bundle.x_delta))
-    gr = rho_build(g, jac, bundle.nabla_dphi, ndpsi, bundle.tau_delta_0, bundle.xi_delta)
-    assert gr.rho_coeffs.coeffs[0, 0, 0] != 0.0
-    assert gr.rho_mean[0] != 0.0
+    # the correction at zero innovation is minus its mean; at 0.1 it is not
+    # the mean's negative, so the quadratic part is alive too
+    at_zero = rho_build(model, bundle, grid, g, jac, ndpsi, np.zeros(1))
+    at_point = rho_build(model, bundle, grid, g, jac, ndpsi, np.array([0.1]))
+    assert at_zero[0] != 0.0
+    assert at_point[0] != at_zero[0]
 
 
 def test_filter_step_runs_on_benchmark_params(cubic_models):
@@ -103,7 +108,7 @@ def test_filter_step_runs_on_benchmark_params(cubic_models):
     from gifilter.observation import ObservationEvent
 
     cfg = FilterConfig(delta=1.0, n_substeps=8)
-    est = StateEstimate(np.array([0.3]), SymTensor2(np.array([0.3]), [[0.01]]))
+    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
     out = filter_step(model, obs, est, ObservationEvent(time=1.0, y=np.array([0.4])), cfg)
     assert np.isfinite(out.mu_hat[0])
     assert out.sigma_hat.mat[0, 0] > 0.0

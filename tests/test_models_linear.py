@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gifilter.flow import FlowGrid, precompute
+from gifilter.flow import FlowGrid, flow_second_fundamental_form, precompute
 from gifilter.geometry import SymTensor2
 from gifilter.models.linear import LinearParams
 
@@ -30,9 +30,12 @@ def test_precompute_has_no_intrinsic_corrections(linear_params, linear_models):
     model, _ = linear_models
     rng = np.random.default_rng(92)
     x0 = rng.standard_normal(3)
-    bundle = precompute(model, x0, SymTensor2(x0, np.eye(3)), FlowGrid(0.3, 16))
+    grid = FlowGrid(0.3, 16)
+    bundle = precompute(model, x0, SymTensor2(np.eye(3)), grid)
     assert np.array_equal(bundle.m_delta, np.zeros(3))
-    assert np.array_equal(bundle.nabla_dphi.coeffs, np.zeros((3, 3, 3)))
+    raw = rng.standard_normal((3, 3))
+    form = flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, raw + raw.T)
+    assert np.array_equal(form, np.zeros(3))
 
 
 def test_transition_matches_matrix_exponential(linear_params, linear_models):
@@ -40,6 +43,6 @@ def test_transition_matches_matrix_exponential(linear_params, linear_models):
     rng = np.random.default_rng(93)
     x0 = rng.standard_normal(3)
     delta = 0.4
-    bundle = precompute(model, x0, SymTensor2(x0, np.eye(3)), FlowGrid(delta, 64))
+    bundle = precompute(model, x0, SymTensor2(np.eye(3)), FlowGrid(delta, 64))
     expected = scipy.linalg.expm(delta * linear_params.a_mat)
     assert np.max(np.abs(bundle.tau_0_delta - expected)) < 1e-10

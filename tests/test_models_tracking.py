@@ -19,7 +19,7 @@ from gifilter.models.tracking import (
 )
 from gifilter.observation import wrap_angles
 
-from conftest import random_obs_point, random_tracking_state
+from helpers import random_obs_point, random_tracking_state
 from oracles import (
     levi_civita_connector,
     spherical_to_cartesian,
