@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Write a BENCH file: perfbench's final JSON lines for two checkouts.
+
+Runs ``perfbench/run.py`` of each checkout, from that checkout's root, and
+keeps the last JSON line of every run; it measures nothing itself.  Given
+``--pairs N`` it runs each workload's ``--trace 0`` N times per checkout,
+alternating which checkout goes first, then one ``--trace 1`` run per
+workload and checkout; every run is perfbench's own length.  With
+``--tier1`` it also times the Tier-1 suite of each checkout and keeps its
+``ACCEPTANCE`` lines, which give the times of criteria 1-3.  The file
+records the environment, each checkout's revision (its HEAD and the git
+tree of its ``src/`` as checked out, uncommitted changes to tracked files
+included), every run, and per metric the median of each side and their
+ratio (change / parent).
+
+    python3 scripts/bench_file.py --parent ../parent --change . --pairs 3 \\
+        --out BENCH_9.json [--workloads cubic-long tracking] [--tier1]
+
+Results are appended to ``<out>.partial.jsonl`` as they arrive, so an
+interrupted run keeps what it measured; ``--resume`` reuses them, and runs
+what is missing, if both checkouts are still at the revisions it recorded.
+Two calls with ``--resume`` give workloads different numbers of pairs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("cubic-long", "cubic-ensemble", "tracking")
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def revision(root: Path) -> dict:
+    """HEAD of checkout ``root`` and the git tree of its ``src/``.
+
+    ``git stash create`` snapshots the tracked files without touching the
+    checkout; on a clean checkout it prints nothing and HEAD is the state.
+    """
+    def git(*args: str) -> str:
+        done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        return done.stdout.strip()
+
+    head = git("rev-parse", "HEAD")
+    state = git("stash", "create") or head
+    return {"head": head or "unknown", "src_tree": git("rev-parse", f"{state}:src") or "unknown"}
+
+
+def run_perfbench(root: Path, workload: str, trace: int) -> dict:
+    """The last JSON line of one perfbench run in checkout ``root``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=_env(),
+                          check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_tier1(root: Path) -> dict:
+    """Wall time of the Tier-1 suite, its ACCEPTANCE lines, and the times of
+    criteria 1-3 as those lines report them."""
+    env = _env()
+    env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
+                                 else "")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rP",
+                           "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+                          cwd=root, capture_output=True, text=True, env=env)
+    out = {"wall_s": time.perf_counter() - start, "exit_code": done.returncode,
+           "summary": done.stdout.strip().splitlines()[-1],
+           "acceptance": [line for line in done.stdout.splitlines()
+                          if line.startswith("ACCEPTANCE ")]}
+    for number in (1, 2, 3):
+        found = re.search(rf"^ACCEPTANCE {number}: .* ([\d.]+)s \(< [\d.]+s\)",
+                          done.stdout, re.MULTILINE)
+        out[f"criterion_{number}_s"] = float(found.group(1)) if found else None
+    return out
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per trace-0 workload and metric: each side's median and their ratio."""
+    out = {}
+    for workload in sorted({r["workload"] for r in runs if r["trace"] == 0}):
+        rows = {}
+        for side in ("parent", "change"):
+            for r in runs:
+                if r["trace"] == 0 and r["workload"] == workload and r["side"] == side:
+                    for name, metric in r["result"]["metrics"].items():
+                        rows.setdefault(name, {}).setdefault(side, []).append(metric["value"])
+        out[workload] = {
+            name: {
+                "parent_median": statistics.median(v["parent"]),
+                "change_median": statistics.median(v["change"]),
+                "ratio": statistics.median(v["change"]) / statistics.median(v["parent"]),
+                "parent_runs": v["parent"],
+                "change_runs": v["change"],
+            }
+            for name, v in rows.items() if v.get("parent") and v.get("change")
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=1)
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    parser.add_argument("--tier1", action="store_true")
+    parser.add_argument("--resume", action="store_true")
+    args = parser.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    revisions = {side: revision(root) for side, root in roots.items()}
+
+    partial = args.out.with_name(args.out.name + ".partial.jsonl")
+    done = []
+    if args.resume and partial.exists():
+        done = [json.loads(line) for line in partial.read_text().splitlines() if line]
+    elif partial.exists():
+        partial.unlink()
+    recorded = [e["revisions"] for e in done if e["kind"] == "revisions"]
+    if recorded and recorded[0] != revisions:
+        sys.exit(f"{partial} was measured at {recorded[0]}, the checkouts are at {revisions}")
+
+    def record(entry: dict) -> None:
+        done.append(entry)
+        with partial.open("a") as fh:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+    def have(kind: str, **keys) -> bool:
+        return any(e["kind"] == kind and all(e.get(k) == v for k, v in keys.items())
+                   for e in done)
+
+    if not recorded:
+        record({"kind": "revisions", "revisions": revisions})
+    plan = [(w, 0, i) for w in args.workloads for i in range(args.pairs)]
+    plan += [(w, 1, 0) for w in args.workloads]
+    for workload, trace, index in plan:
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            if have("perfbench", side=side, workload=workload, trace=trace, index=index):
+                continue
+            result = run_perfbench(roots[side], workload, trace)
+            record({"kind": "perfbench", "side": side, "workload": workload, "trace": trace,
+                    "index": index, "result": result})
+    if args.tier1:
+        for side in ("parent", "change"):
+            if not have("tier1", side=side):
+                record({"kind": "tier1", "side": side, "result": run_tier1(roots[side])})
+
+    import numpy
+    import scipy
+
+    runs = [e for e in done if e["kind"] == "perfbench"]
+    bench = {
+        "environment": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(),
+            "python": sys.version.split()[0],
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": "1",
+        },
+        "revisions": revisions,
+        "runs": runs,
+        "tier1": {e["side"]: e["result"] for e in done if e["kind"] == "tier1"},
+        "trace0_summary": summarize(runs),
+    }
+    args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {args.out} ({len(runs)} perfbench runs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

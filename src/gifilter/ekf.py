@@ -12,7 +12,6 @@ update is the standard first-order correction.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from typing import Optional
 
@@ -21,12 +20,12 @@ import numpy as np
 from .filter import FilterDiagnostics, StateEstimate, gain, repair_psd
 from .flow import (
     DiffusionModel,
-    FlowGrid,
+    flow_grid,
     integrate_flow,
     propagate_covariance,
     transition_jacobians,
 )
-from .geometry import SymTensor2, symmetrize
+from .geometry import SymTensor2, identity, symmetrize
 from .observation import ObservationEvent, ObservationModel, wrap_angles
 
 logger = logging.getLogger(__name__)
@@ -40,12 +39,8 @@ def ekf_predict(
     Raises ValueError when the model lacks ``ddrift_b`` or
     ``d2drift_b_contract``.
     """
-    for name in ("ddrift_b", "d2drift_b_contract"):
-        if getattr(model, name) is None:
-            raise ValueError(f"the EKF needs the model's {name}")
-    b_model = dataclasses.replace(model, xi=model.drift_b, dxi=model.ddrift_b,
-                                  d2xi_contract=model.d2drift_b_contract)
-    grid = FlowGrid(delta=delta, n_steps=n_substeps)
+    b_model = model.drift_b_model
+    grid = flow_grid(delta, n_substeps)
     path, jacs = integrate_flow(b_model, est.mu_hat, grid)
     cov = propagate_covariance(model.alpha(path), transition_jacobians(jacs, grid),
                                est.sigma_hat, grid)
@@ -67,7 +62,7 @@ def ekf_update(
     k_gain = gain(pred.sigma_hat, jac, obs.beta(y_pred))
     residual = wrap_angles(np.asarray(y_obs, dtype=float) - y_pred, obs.angular_mask)
     m_new = m + k_gain @ residual
-    cov_new = symmetrize((np.eye(m.size) - k_gain @ jac) @ cov)
+    cov_new = symmetrize((identity(m.size) - k_gain @ jac) @ cov)
     repaired, min_eig = repair_psd(cov_new)
     if min_eig < 0.0:
         if diag is not None:

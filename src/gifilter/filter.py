@@ -4,6 +4,7 @@ innovation pull-back, and exponential-barycenter state update."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,13 +12,14 @@ import numpy as np
 
 from . import flow
 from .errors import IllConditionedGainError, NonFiniteError
-from .flow import FlowGrid, DiffusionModel, PropagationBundle, precompute
+from .flow import FlowGrid, DiffusionModel, PropagationBundle, flow_grid, precompute
 from .geometry import (
     Bilinear3,
     ConnectorField,
     SymTensor2,
     barycenter_correction,
     exp_map_series,
+    identity,
     pushforward_covariance,
     symmetric_condition,
     symmetrize,
@@ -73,7 +75,7 @@ class FilterConfig:
             raise ValueError("n_substeps must be >= 1")
 
     def grid(self) -> FlowGrid:
-        return FlowGrid(delta=self.delta, n_steps=self.n_substeps)
+        return flow_grid(self.delta, self.n_substeps)
 
 
 @dataclass
@@ -91,12 +93,13 @@ class FilterDiagnostics:
 def gain(xi_delta: SymTensor2, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
     """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a symmetric linear solve."""
     j = np.asarray(j, dtype=float)
-    innov = symmetrize(j @ xi_delta.mat @ j.T + np.asarray(beta_at_ydelta, dtype=float))
+    j_xi = j @ xi_delta.mat
+    innov = symmetrize(j_xi @ j.T + np.asarray(beta_at_ydelta, dtype=float))
     if symmetric_condition(innov) > GAIN_COND_LIMIT:
         raise IllConditionedGainError(
             f"innovation matrix condition number exceeds {GAIN_COND_LIMIT:.0e}"
         )
-    return np.linalg.solve(innov, j @ xi_delta.mat).T
+    return np.linalg.solve(innov, j_xi).T
 
 
 def rho_build(
@@ -125,7 +128,7 @@ def rho_build(
     back = bundle.tau_delta_0
     flow_term = flow.flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
                                                   back @ s @ back.T)
-    proj = np.eye(g.shape[0]) - g @ j
+    proj = identity(g.shape[0]) - g @ j
     return 0.5 * (proj @ flow_term - g @ nabla_dpsi.contract(s))
 
 
@@ -171,12 +174,12 @@ def assimilate(
     mu = bundle.m_delta + linear
     if quad is not None:
         if config.collar_enabled:
-            nq = float(np.linalg.norm(quad))
-            nl = float(np.linalg.norm(linear))
+            nq = math.sqrt(quad @ quad)
+            nl = math.sqrt(linear @ linear)
             if nq > nl and nq > 0.0:
                 quad = quad * (nl / nq)
         mu = mu + quad
-    sigma = symmetrize((np.eye(g.shape[0]) - g @ j) @ bundle.xi_delta.mat)
+    sigma = symmetrize((identity(g.shape[0]) - g @ j) @ bundle.xi_delta.mat)
     return mu, SymTensor2(sigma)
 
 
@@ -196,7 +199,7 @@ def update_estimate(
     if state_conn.flat:
         return StateEstimate(x_delta + v, sigma)
     mu_hat = exp_map_series(x_delta, v, state_conn)
-    basis = np.eye(x_delta.size)
+    basis = identity(x_delta.size)
     # column j of the derivative is e_j - Gamma(x_delta)(v (x) e_j)
     fmat = basis - state_conn.gamma(x_delta, v, basis).T
     return StateEstimate(mu_hat, pushforward_covariance(sigma, fmat))

@@ -9,27 +9,31 @@ update in :mod:`gifilter.filter`; the path, transition Jacobians and
 covariance also carry the EKF estimate of :mod:`gifilter.ekf`, run on the
 coordinate drift b.
 
-Only the Taylor step of :func:`integrate_flow` and the covariance
-recursion run point by point.  Everything else is evaluated once per
-interval over the whole grid, as arrays with a leading grid axis: the
-diffusion variance ``alpha(x_path)`` of shape (n + 1, p, p), the transition
-maps of :class:`TransitionJacobians` (one stacked matrix exponential), and
-each second-derivative integrand, one ``d2xi_contract`` call over the path
-with a stack of (n + 1, p, p) tensors.  No dense second-derivative array
-is formed.
+Only the Taylor step of :func:`integrate_flow` runs point by point.
+Everything else is evaluated once per interval over the whole grid, as
+arrays with a leading grid axis: the diffusion variance ``alpha(x_path)``
+of shape (n + 1, p, p), the per-step transition maps of
+:class:`TransitionJacobians` (one stacked matrix exponential), each
+second-derivative integrand (one ``d2xi_contract`` call over the path with
+a stack of (n + 1, p, p) tensors), and the recursions along the grid.  The
+transition products and the covariance recursion compose associatively,
+so a parallel-prefix scan (:func:`_compose_scan`) forms them in
+ceil(log2 n) array rounds instead of n sequential steps.  No dense
+second-derivative array is formed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedFlowError
-from .geometry import ConnectorField, SymTensor2, symmetrize
+from .geometry import ConnectorField, SymTensor2, identity
 
 FLOW_COND_LIMIT = 1e12
 
@@ -61,10 +65,18 @@ class FlowGrid:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Trapezium-rule weights of the n_steps + 1 grid points."""
+        """Trapezium-rule weights of the n_steps + 1 grid points (read-only)."""
         weights = np.full(self.n_steps + 1, self.step)
         weights[0] = weights[-1] = 0.5 * self.step
+        weights.flags.writeable = False
         return weights
+
+
+@lru_cache(maxsize=32)
+def flow_grid(delta: float, n_steps: int) -> FlowGrid:
+    """The grid of (delta, n_steps), built once and then shared, so that a
+    filter cycle neither rebuilds it nor its weights."""
+    return FlowGrid(delta=delta, n_steps=n_steps)
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,55 @@ class DiffusionModel:
     noise_matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constrain: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
+    @cached_property
+    def drift_b_model(self) -> "DiffusionModel":
+        """This model with the coordinate drift b, ``ddrift_b`` and
+        ``d2drift_b_contract`` in place of xi and its derivatives: what the
+        EKF propagates.  Built once per model; ValueError when either
+        derivative of b is unset."""
+        for name in ("ddrift_b", "d2drift_b_contract"):
+            if getattr(self, name) is None:
+                raise ValueError(f"the EKF needs the model's {name}")
+        return dataclasses.replace(self, xi=self.drift_b, dxi=self.ddrift_b,
+                                   d2xi_contract=self.d2drift_b_contract)
+
+
+def _compose_scan(maps: np.ndarray, offsets: Optional[np.ndarray] = None) -> None:
+    """Inclusive prefix composition, in place, of the maps X -> A_k X A_k^T + B_k.
+
+    ``maps`` holds the A_k, shape (N, p, p) with N a power of two, and
+    ``offsets`` the B_k of the same shape (None when only the products are
+    wanted).  Afterwards entry k holds the composition of maps 0..k: the
+    product A_k ... A_0 and the offset C_k with
+    (map_k o ... o map_0)(X) = (A_k ... A_0) X (A_k ... A_0)^T + C_k.
+    This is Sklansky's scan: in round r every block of 2^(r+1) entries
+    composes its upper half with the last entry of its lower half, so
+    log2 N array rounds replace N sequential steps.  Two maps compose as
+    (A2, B2) o (A1, B1) = (A2 A1, A2 B1 A2^T + B2).
+    """
+    size, p, _ = maps.shape
+    half = 1
+    while half < size:
+        blocks = maps.reshape(-1, 2 * half, p, p)
+        later = blocks[:, half:]
+        if offsets is not None:
+            off = offsets.reshape(-1, 2 * half, p, p)
+            off[:, half:] += later @ off[:, half - 1:half] @ np.swapaxes(later, -1, -2)
+        blocks[:, half:] = later @ blocks[:, half - 1:half]
+        half *= 2
+
+
+def _scan_buffer(per_step: np.ndarray) -> np.ndarray:
+    """(N + 2, p, p) stack: the identity, the n per-step maps, then
+    identities to the end, with N the power of two at or above n.  The
+    scans run over entries 1..N, so the identities past the maps pad them
+    and the first and last entries stay the identity."""
+    n, p, _ = per_step.shape
+    buf = np.empty((2 + (1 << (n - 1).bit_length()), p, p))
+    buf[0] = buf[n + 1:] = identity(p)
+    buf[1:n + 1] = per_step
+    return buf
+
 
 @dataclass(frozen=True)
 class TransitionJacobians:
@@ -123,31 +184,46 @@ class TransitionJacobians:
 
     Every field is an array stacked along the grid: ``per_step`` has shape
     (n, p, p), ``from_start`` and ``to_end`` shape (n + 1, p, p).  The
-    products are formed on first use, so a caller that needs only the
-    per-step maps (the covariance recursion) pays for nothing else.
+    products are formed on first use, each by one parallel-prefix scan
+    (:func:`_compose_scan`).
     """
 
     per_step: np.ndarray  # tau_{t_k}^{t_(k+1)} for k = 0..n-1
 
     @cached_property
     def from_start(self) -> np.ndarray:
-        """tau_0^{t_k} for k = 0..n."""
-        n, p, _ = self.per_step.shape
-        out = np.empty((n + 1, p, p))
-        out[0] = np.eye(p)
-        for k in range(n):
-            np.matmul(self.per_step[k], out[k], out=out[k + 1])
-        return out
+        """tau_0^{t_k} for k = 0..n.
+
+        The covariance scan of :func:`propagate_covariance` forms these
+        products on the way and hands them over (:meth:`keep_from_start`);
+        GIF and EKF run it first, so this scan serves only callers that
+        want the products without a covariance.  Both give the same array,
+        bit for bit: the products do not depend on the offsets.
+        """
+        buf = _scan_buffer(self.per_step)
+        _compose_scan(buf[1:-1])
+        return buf[:self.per_step.shape[0] + 1]
+
+    def keep_from_start(self, products: np.ndarray) -> None:
+        """Take ``products`` as ``from_start`` unless that is formed already.
+
+        ``cached_property`` keeps its value in the instance dict, which a
+        frozen dataclass leaves writable.
+        """
+        self.__dict__.setdefault("from_start", products)
 
     @cached_property
     def to_end(self) -> np.ndarray:
-        """tau_{t_k}^delta for k = 0..n."""
-        n, p, _ = self.per_step.shape
-        out = np.empty((n + 1, p, p))
-        out[n] = np.eye(p)
-        for k in range(n - 1, -1, -1):
-            np.matmul(out[k + 1], self.per_step[k], out=out[k])
-        return out
+        """tau_{t_k}^delta for k = 0..n.
+
+        Entry k is tau_(n-1) ... tau_k.  Read in reverse order and
+        transposed, the scan's products A_j ... A_0 are the transposes of
+        exactly these, so the scan runs on that view of the buffer and
+        leaves them in place, in grid order.
+        """
+        buf = _scan_buffer(self.per_step)
+        _compose_scan(np.swapaxes(buf[-2:0:-1], -1, -2))
+        return buf[1:self.per_step.shape[0] + 2]
 
     @cached_property
     def tau_0_delta(self) -> np.ndarray:
@@ -210,12 +286,33 @@ def propagate_covariance(
 ) -> np.ndarray:
     """Trapezium recursion for the propagated covariance Xi_t along the grid,
     from the diffusion variance alpha at each grid point (shape
-    (n + 1, p, p)); returns Xi at every grid point, shape (n + 1, p, p)."""
-    half = 0.5 * grid.step * alphas
-    xis = np.empty_like(half)
-    xis[0] = symmetrize(np.asarray(sigma0.mat, dtype=float))
-    for k, tau in enumerate(taus.per_step):
-        xis[k + 1] = symmetrize(half[k + 1] + tau @ (xis[k] + half[k]) @ tau.T)
+    (n + 1, p, p)); returns Xi at every grid point, shape (n + 1, p, p).
+
+    Step k is the map X -> tau_k (X + H_k) tau_k^T + H_(k+1), H = (h/2)
+    alpha, i.e. X -> tau_k X tau_k^T + B_k with B_k = tau_k H_k tau_k^T +
+    H_(k+1).  With Sigma_0 folded into B_0 the composed map of steps 0..k
+    sends 0 to Xi_(k+1), so one scan of :func:`_compose_scan` gives every
+    Xi and, as the products of the same compositions, ``taus.from_start``,
+    which it hands to ``taus`` (:meth:`TransitionJacobians.keep_from_start`).
+    """
+    tau = taus.per_step
+    n = tau.shape[0]
+    h_half = 0.5 * grid.step
+    products = _scan_buffer(tau)
+    xis = np.zeros_like(products)
+    xis[0] = sigma0.mat
+    offsets = xis[1:n + 1]  # B_k, formed in place: the path can be long
+    np.multiply(h_half, alphas[:-1], out=offsets)
+    offsets[0] += sigma0.mat
+    np.matmul(tau @ offsets, np.swapaxes(tau, -1, -2), out=offsets)
+    offsets += h_half * alphas[1:]
+    _compose_scan(products[1:-1], xis[1:-1])
+    taus.keep_from_start(products[:n + 1])
+    # congruence keeps the skew part of Sigma_0 skew, so one symmetrization
+    # at the end removes it from every Xi_k (in place, like B_k)
+    xis = xis[:n + 1]
+    xis += np.swapaxes(xis, -1, -2)
+    xis *= 0.5
     return xis
 
 
@@ -284,13 +381,12 @@ class PropagationBundle:
 
     x_path: np.ndarray
     taus: TransitionJacobians
-    xis: np.ndarray
     xi_delta: SymTensor2
     m_delta: np.ndarray
 
     def __post_init__(self):
         p = self.x_path.shape[1]
-        resid = self.taus.tau_delta_0 @ self.taus.tau_0_delta - np.eye(p)
+        resid = self.taus.tau_delta_0 @ self.taus.tau_0_delta - identity(p)
         if np.abs(resid).max() > 1e-8:
             raise IllConditionedFlowError("tau_delta_0 . tau_0_delta deviates from identity")
 
@@ -314,21 +410,22 @@ def precompute(
 
     The Taylor step evaluates ``xi``, ``dxi`` and ``d2xi_contract`` once per
     grid step; ``alpha`` and the location correction's ``d2xi_contract``
-    are then evaluated once each, over the whole path.
+    are then evaluated once each, over the whole path.  The condition check
+    on tau_0^delta follows the covariance scan, which forms tau_0^delta.
     """
     x_path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
-    if np.linalg.cond(taus.tau_0_delta) > FLOW_COND_LIMIT:
+    alphas = model.alpha(x_path)
+    xis = propagate_covariance(alphas, taus, sigma0, grid)
+    singular = np.linalg.svd(taus.tau_0_delta, compute_uv=False)  # the 2-norm condition
+    if singular[0] > FLOW_COND_LIMIT * singular[-1]:
         raise IllConditionedFlowError(
             f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
         )
-    alphas = model.alpha(x_path)
-    xis = propagate_covariance(alphas, taus, sigma0, grid)
     m_delta = ailp_state(model, x_path, alphas, taus, xis, sigma0, grid)
     return PropagationBundle(
         x_path=x_path,
         taus=taus,
-        xis=xis,
-        xi_delta=SymTensor2(xis[-1]),
+        xi_delta=SymTensor2(xis[-1].copy()),  # a view would keep the whole path
         m_delta=m_delta,
     )

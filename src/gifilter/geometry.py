@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,7 +21,16 @@ SYMMETRY_RTOL = 1e-12
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
+    """The symmetric part of a matrix."""
     return 0.5 * (mat + mat.T)
+
+
+@lru_cache(maxsize=16)
+def identity(dim: int) -> np.ndarray:
+    """The dim x dim identity matrix, one read-only array per dim."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def symmetric_condition(mat: np.ndarray) -> float:
@@ -36,8 +46,13 @@ def symmetric_condition(mat: np.ndarray) -> float:
 
 
 def check_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, what: str = "matrix") -> None:
-    scale = max(float(np.abs(mat).max()), 1.0)
-    if float(np.abs(mat - mat.T).max()) > rtol * scale:
+    """Raise NonFiniteError on a non-finite entry and ValueError when the
+    matrix is not symmetric within rtol of max(max|mat|, 1); one max|mat|
+    serves both checks."""
+    scale = float(np.abs(mat).max())
+    if not math.isfinite(scale):
+        raise NonFiniteError(f"non-finite entries in {what}")
+    if float(np.abs(mat - mat.T).max()) > rtol * max(scale, 1.0):
         raise ValueError(f"{what} is not symmetric within {rtol:g} relative")
 
 
@@ -51,8 +66,6 @@ class SymTensor2:
         self.mat = np.asarray(self.mat, dtype=float)
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError(f"SymTensor2 needs a square matrix, got shape {self.mat.shape}")
-        if not np.isfinite(self.mat).all():
-            raise NonFiniteError("non-finite entries in SymTensor2")
         check_symmetric(self.mat, what="SymTensor2")
 
 
@@ -112,7 +125,7 @@ class ConnectorField:
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Dense coefficients G[..., k, i, j] = gamma(x, e_i, e_j)[k] at
         every point of x (..., dim)."""
-        basis = np.eye(self.dim)
+        basis = identity(self.dim)
         pairs = self.gamma(x[..., None, None, :], basis[:, None], basis[None, :])
         return np.moveaxis(pairs, -1, -3)
 
@@ -170,7 +183,7 @@ def barycenter_correction(
     mu = np.asarray(mu, dtype=float)
     if conn.flat or not np.any(mu):
         return mu.copy()
-    basis = np.eye(conn.dim)
+    basis = identity(conn.dim)
     rmat = curvature(conn, x, mu, basis[:, None], basis[None, :])
     return mu - np.einsum("jk,jkl->l", sigma.mat, rmat) / 3.0
 

@@ -9,6 +9,7 @@ with deterministic CSV/JSON output.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -208,8 +209,8 @@ def simulate_sde(
 
     Noise is loaded through the model's ``noise_matrix`` sigma(x), which
     simulation requires (ValueError without it); constrained models are
-    re-projected after every substep.  A non-finite state marks the row and
-    stops the simulation early.
+    re-projected after every substep.  A state that turns non-finite within
+    a cycle marks that cycle's row and stops the simulation early.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -231,16 +232,19 @@ def simulate_sde(
     # overflow surfaces as the explicit divergence marker, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            # one draw per cycle: the same stream as one draw per substep
+            # One draw per cycle: the same stream as one draw per substep.  A
+            # non-finite coordinate stays non-finite through Euler steps, so
+            # one check per cycle finds a divergence; a constraint must never
+            # see one, so constrained models also check before each call.
             for normals in rng.standard_normal((config.sim_substeps, noise_dim)):
                 shock = model.noise_matrix(x) @ normals
                 x = x + model.drift_b(x) * dt + shock * sqrt_dt
-                if not np.isfinite(x).all():
-                    diverged_at = k
-                    break
                 if model.constrain is not None:
+                    if not np.isfinite(x).all():
+                        break
                     x = model.constrain(x, ref)
-            if diverged_at is not None:
+            if not np.isfinite(x).all():
+                diverged_at = k
                 break
             truth[k] = x
             obs_model = scenario.observation_at(float(times[k]))
@@ -294,9 +298,12 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
         err_rows = np.full(record.n_obs, np.nan)
         aborted = np.zeros(record.n_obs, dtype=bool)
         if name == "gif":
+            # one config per grid size and track, not one per cycle
+            config_for = functools.cache(
+                lambda nsub: dataclasses.replace(base_cfg, n_substeps=nsub))
+
             def step(nsub, obs_model, st, event):
-                cfg = dataclasses.replace(base_cfg, n_substeps=nsub)
-                return filter_step(model, obs_model, st, event, cfg, diag=diag)
+                return filter_step(model, obs_model, st, event, config_for(nsub), diag=diag)
         else:
             def step(nsub, obs_model, st, event):
                 return ekf_step(model, obs_model, st, event, config.delta, nsub, diag=diag)
@@ -314,7 +321,8 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
                 state = result
             est_rows[k] = state.mu_hat
             cov_rows[k] = state.sigma_hat.mat
-            err_rows[k] = float(np.linalg.norm(state.mu_hat - record.truth[k]))
+            miss = state.mu_hat - record.truth[k]
+            err_rows[k] = math.sqrt(miss @ miss)
         if aborted.any():
             logger.warning("%s: %d of %d cycles aborted, first at cycle %d",
                            name, int(aborted.sum()), n, int(np.argmax(aborted)))

@@ -6,9 +6,11 @@ the metric by differentiation (criterion 5), the geodesic ODE and the
 series log map for the exponential map (criterion 6), the closed-form
 cubic flow and location correction (criterion 4), the drift-correction
 identity of a diffusion model, the tracking model's constraint and inverse
-spherical transform, and the dense second-derivative arrays the quadratic
+spherical transform, the dense second-derivative arrays the quadratic
 update was once built from (the Hessian stack, the flow form and the rho
-coefficients), against which its contractions are checked.
+coefficients), against which its contractions are checked, and the
+step-by-step transition products and covariance recursion, against which
+the flow module's prefix scans are checked.
 """
 
 import math
@@ -258,6 +260,41 @@ def dense_rho_correction(g: np.ndarray, j: np.ndarray, flow_coeffs: np.ndarray,
     rho_mean = 0.5 * (proj @ np.einsum("kij,ij->k", flow_coeffs, gz_mean_back)
                       - g @ np.einsum("kij,ij->k", obs_coeffs, gz_mean))
     return np.einsum("kab,a,b->k", coeffs, z_hat, z_hat) - rho_mean
+
+
+# --- the sequential recursions the flow scans replace ----------------------------------
+
+
+def loop_from_start(per_step: np.ndarray) -> np.ndarray:
+    """tau_0^{t_k} for k = 0..n by the step-by-step product tau_k tau_0^{t_k}."""
+    n, p, _ = per_step.shape
+    out = np.empty((n + 1, p, p))
+    out[0] = np.eye(p)
+    for k in range(n):
+        np.matmul(per_step[k], out[k], out=out[k + 1])
+    return out
+
+
+def loop_to_end(per_step: np.ndarray) -> np.ndarray:
+    """tau_{t_k}^delta for k = 0..n by the backward product tau_{t_(k+1)}^delta tau_k."""
+    n, p, _ = per_step.shape
+    out = np.empty((n + 1, p, p))
+    out[n] = np.eye(p)
+    for k in range(n - 1, -1, -1):
+        np.matmul(out[k + 1], per_step[k], out=out[k])
+    return out
+
+
+def loop_covariance(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndarray,
+                    grid: FlowGrid) -> np.ndarray:
+    """Xi at every grid point by the trapezium recursion, one step at a time:
+    Xi_(k+1) = H_(k+1) + tau_k (Xi_k + H_k) tau_k^T, H = (h/2) alpha."""
+    half = 0.5 * grid.step * alphas
+    xis = np.empty_like(half)
+    xis[0] = symmetrize(np.asarray(sigma0, dtype=float))
+    for k, tau in enumerate(per_step):
+        xis[k + 1] = symmetrize(half[k + 1] + tau @ (xis[k] + half[k]) @ tau.T)
+    return xis
 
 
 # --- model identities ------------------------------------------------------------------

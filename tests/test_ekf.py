@@ -120,11 +120,14 @@ def _loop_predict(model, mean, cov, delta, n_substeps):
 @pytest.mark.parametrize("n_substeps", [8, 16])
 @pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d"])
 def test_predict_equals_own_loop_bit_for_bit(predict_cases, name, n_substeps):
+    # the mean path is the same arithmetic, bit for bit; the covariance comes
+    # from a prefix scan that reassociates the products, so it matches the
+    # loop to rounding
     model, mean, cov, delta = predict_cases[name]
     pred = ekf_predict(model, StateEstimate(mean, SymTensor2(cov)), delta, n_substeps)
     ref_mean, ref_cov = _loop_predict(model, mean, cov, delta, n_substeps)
     assert np.array_equal(pred.mu_hat, ref_mean)
-    assert np.array_equal(pred.sigma_hat.mat, ref_cov)
+    assert np.max(np.abs(pred.sigma_hat.mat - ref_cov)) <= 1e-12 * np.max(np.abs(ref_cov))
 
 
 def test_predict_evaluates_alpha_once_on_the_path(predict_cases):

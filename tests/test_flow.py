@@ -12,14 +12,16 @@ from gifilter.errors import DivergenceError, IllConditionedFlowError
 from gifilter.flow import (
     DiffusionModel,
     FlowGrid,
+    TransitionJacobians,
     ailp_state,
+    flow_grid,
     flow_second_fundamental_form,
     integrate_flow,
     precompute,
     propagate_covariance,
     transition_jacobians,
 )
-from gifilter.geometry import SymTensor2, flat_connector
+from gifilter.geometry import SYMMETRY_RTOL, SymTensor2, check_symmetric, flat_connector
 from gifilter.harness import (
     ScenarioConfig,
     build_scenario,
@@ -36,6 +38,9 @@ from oracles import (
     dense_ailp_integrand,
     dense_flow_form,
     drift_consistency_residual,
+    loop_covariance,
+    loop_from_start,
+    loop_to_end,
     path_hessian,
     sym_outer,
 )
@@ -418,6 +423,18 @@ def test_precompute_memory_stays_linear_in_the_grid():
     assert peak < 50e6
 
 
+def test_grids_and_the_ekf_drift_model_are_built_once(cubic_models):
+    grid = flow_grid(0.5, 8)
+    assert flow_grid(0.5, 8) is grid
+    assert grid == FlowGrid(0.5, 8)
+    assert not grid.weights.flags.writeable
+    model = cubic_models[0]
+    b_model = model.drift_b_model
+    assert model.drift_b_model is b_model
+    assert b_model.xi is model.drift_b and b_model.dxi is model.ddrift_b
+    assert b_model.d2xi_contract is model.d2drift_b_contract
+
+
 def test_tau_delta_0_computed_once():
     grid = FlowGrid(1.0, 16)
     _, jacs = integrate_flow(CUBIC, np.array([1.0]), grid)
@@ -456,19 +473,13 @@ def test_path_callbacks_broadcast_over_points(cubic_models, linear_models, track
 
 
 def _loop_transition_maps(jacs, grid):
-    # the former per-slice exponentials and tuple-valued products
+    # the former per-slice exponentials, and the step-by-step products
     def expm(m):
         return np.exp(m) if m.shape == (1, 1) else scipy.linalg.expm(m)
 
-    n, h, p = grid.n_steps, grid.step, jacs[0].shape[0]
-    per_step = [expm(0.5 * h * (jacs[k] + jacs[k + 1])) for k in range(n)]
-    from_start = [np.eye(p)]
-    for tau in per_step:
-        from_start.append(tau @ from_start[-1])
-    to_end = [np.eye(p)] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        to_end[k] = to_end[k + 1] @ per_step[k]
-    return per_step, from_start, to_end
+    n, h = grid.n_steps, grid.step
+    per_step = np.array([expm(0.5 * h * (jacs[k] + jacs[k + 1])) for k in range(n)])
+    return per_step, loop_from_start(per_step), loop_to_end(per_step)
 
 
 def _loop_ailp_state(model, path, per_step, from_start, xis, sigma0, grid):
@@ -517,13 +528,10 @@ def _rel_close(new, ref, rtol=1e-12):
     return np.max(np.abs(new - ref)) <= rtol * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n_steps", [8, 16])
-@pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d", "transformed_cubic"])
-def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_models,
-                                                          tracking_models, name, n_steps):
-    rng = np.random.default_rng(30)
+def _propagation_cases(cubic_models, linear_models, tracking_models, rng):
+    """(model, x0, covariance, delta) for each model the propagation tests run."""
     raw = rng.standard_normal((3, 3))
-    cases = {
+    return {
         "cubic1d": (cubic_models[0], np.array([0.8]), np.array([[0.02]]), 1.0),
         "linear": (linear_models[0], rng.standard_normal(3), raw @ raw.T, 0.05),
         "tracking9d": (tracking_models[0],
@@ -532,15 +540,47 @@ def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_m
         "transformed_cubic": (transformed_cubic_model(Cubic1DParams())[0], np.array([0.9]),
                               np.array([[0.02]]), 1.0),
     }
-    model, x0, cov0, delta = cases[name]
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 13, 16, 96, 2048])
+@pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d", "transformed_cubic"])
+def test_scanned_products_and_covariance_match_the_loops(cubic_models, linear_models,
+                                                         tracking_models, name, n_steps):
+    # grid sizes that are not powers of two run the scans on identity padding
+    rng = np.random.default_rng(32)
+    model, x0, cov0, delta = _propagation_cases(cubic_models, linear_models, tracking_models,
+                                                rng)[name]
+    grid = FlowGrid(delta, n_steps)
+    path, jacs = integrate_flow(model, x0, grid)
+    taus = transition_jacobians(jacs, grid)
+    alphas = model.alpha(path)
+    xis = propagate_covariance(alphas, taus, SymTensor2(cov0), grid)
+    # from_start as the covariance scan left it, and from the product scan
+    # alone: the same array bit for bit
+    assert _rel_close(taus.from_start, loop_from_start(taus.per_step))
+    assert np.array_equal(TransitionJacobians(taus.per_step).from_start, taus.from_start)
+    assert _rel_close(taus.to_end, loop_to_end(taus.per_step))
+    assert _rel_close(xis, loop_covariance(alphas, taus.per_step, cov0, grid))
+    for xi in xis:
+        check_symmetric(xi, rtol=SYMMETRY_RTOL)
+
+
+@pytest.mark.parametrize("n_steps", [8, 16])
+@pytest.mark.parametrize("name", ["cubic1d", "linear", "tracking9d", "transformed_cubic"])
+def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_models,
+                                                          tracking_models, name, n_steps):
+    rng = np.random.default_rng(30)
+    model, x0, cov0, delta = _propagation_cases(cubic_models, linear_models, tracking_models,
+                                                rng)[name]
     grid = FlowGrid(delta, n_steps)
     sigma0 = SymTensor2(cov0)
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     per_step, from_start, to_end = _loop_transition_maps(jacs, grid)
     assert np.array_equal(taus.per_step, per_step)
-    assert np.array_equal(taus.from_start, from_start)
-    assert np.array_equal(taus.to_end, to_end)
+    # the products come from a prefix scan, which reassociates them
+    assert _rel_close(taus.from_start, from_start)
+    assert _rel_close(taus.to_end, to_end)
 
     alphas = model.alpha(path)
     xis = propagate_covariance(alphas, taus, sigma0, grid)
@@ -559,17 +599,8 @@ def test_contractions_match_the_dense_hessian_oracle(cubic_models, linear_models
     # the contractions through d2xi_contract against the dense Hessian stack
     # and flow form they replaced
     rng = np.random.default_rng(31)
-    raw = rng.standard_normal((3, 3))
-    cases = {
-        "cubic1d": (cubic_models[0], np.array([0.8]), np.array([[0.02]]), 1.0),
-        "linear": (linear_models[0], rng.standard_normal(3), raw @ raw.T, 0.05),
-        "tracking9d": (tracking_models[0],
-                       np.array([9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0]),
-                       np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0]), 0.1),
-        "transformed_cubic": (transformed_cubic_model(Cubic1DParams())[0], np.array([0.9]),
-                              np.array([[0.02]]), 1.0),
-    }
-    model, x0, cov0, delta = cases[name]
+    model, x0, cov0, delta = _propagation_cases(cubic_models, linear_models, tracking_models,
+                                                rng)[name]
     grid = FlowGrid(delta, 16)
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)

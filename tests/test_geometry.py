@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gifilter.errors import SingularMetricError
+from gifilter.errors import NonFiniteError, SingularMetricError
 from gifilter.geometry import (
     Bilinear3,
     ConnectorField,
@@ -14,6 +14,7 @@ from gifilter.geometry import (
     curvature,
     exp_map_series,
     flat_connector,
+    identity,
     pushforward_covariance,
     symmetric_condition,
 )
@@ -461,6 +462,21 @@ def test_pushforward_matches_index_loop_and_stays_psd(data):
 def test_symtensor_rejects_asymmetric():
     with pytest.raises(ValueError):
         SymTensor2(np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symtensor_rejects_non_finite(bad):
+    # one max|mat| serves the finiteness and the symmetry check
+    with pytest.raises(NonFiniteError):
+        SymTensor2(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_identity_is_shared_and_read_only():
+    eye = identity(3)
+    assert identity(3) is eye
+    assert np.array_equal(eye, np.eye(3))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
 
 
 def test_bilinear3_rejects_trailing_asymmetry():

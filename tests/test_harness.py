@@ -11,6 +11,7 @@ import pytest
 from gifilter.ekf import ekf_step
 from gifilter.errors import DivergenceError, IllConditionedGainError
 from gifilter.filter import FilterConfig, StateEstimate, filter_step
+from gifilter import harness
 from gifilter.geometry import SymTensor2
 from gifilter.harness import (
     ScenarioConfig,
@@ -170,6 +171,25 @@ def test_simulate_sde_requires_noise_matrix():
         scenario, diffusion=dataclasses.replace(scenario.diffusion, noise_matrix=None))
     with pytest.raises(ValueError, match="noise_matrix"):
         simulate_sde(no_noise, trajectory_rng(0, 0))
+
+
+def test_simulate_sde_never_constrains_a_non_finite_state():
+    # the diverging cubic run of the bit-for-bit test below, with a
+    # constraint that records whether its input was finite
+    config = ScenarioConfig(model="cubic1d", model_params={"alpha": 10.0}, n_obs=40,
+                            sim_substeps=4, seed=0)
+    scenario = build_scenario(config)
+    finite = []
+
+    def constrain(x, ref):
+        finite.append(bool(np.isfinite(x).all()))
+        return x
+
+    constrained = dataclasses.replace(
+        scenario, diffusion=dataclasses.replace(scenario.diffusion, constrain=constrain))
+    record = simulate_sde(constrained, trajectory_rng(0, 0))
+    assert record.diverged_at == 12
+    assert len(finite) >= 12 * config.sim_substeps and all(finite)
 
 
 def _per_substep_simulation(scenario, rng):
@@ -345,6 +365,24 @@ def test_run_filters_covariances_equal_step_chain(model, delta, n_obs):
                       ObservationEvent(time=t, y=record.observations[k]))
             assert np.array_equal(record.covariances[name][k], st.sigma_hat.mat)
             assert np.array_equal(record.estimates[name][k], st.mu_hat)
+
+
+def test_run_filters_builds_one_config_per_grid_size(monkeypatch):
+    # every cycle of a track on the base grid shares one FilterConfig
+    seen = []
+
+    def spy(model, obs, est, y_obs, config, diag=None):
+        seen.append(config)
+        return filter_step(model, obs, est, y_obs, config, diag=diag)
+
+    monkeypatch.setattr(harness, "filter_step", spy)
+    config = ScenarioConfig(model="cubic1d", n_obs=6, seed=2, filters=("gif",))
+    scenario = build_scenario(config)
+    run_filters(scenario, simulate_sde(scenario, trajectory_rng(2, 0)))
+    assert len(seen) == 6
+    assert all(cfg is seen[0] for cfg in seen)
+    assert seen[0] == config.filter_config()
+    assert seen[0].grid() is seen[0].grid()
 
 
 def test_linear_scenario_filters_agree():
