@@ -8,6 +8,16 @@ the projection onto the plane orthogonal to the velocity.  Observations
 are range, polar angle, azimuth (all relative to a missile with known
 state), the relative speed, and a fictitious zero observation of the
 velocity-acceleration inner product.
+
+The callbacks run one call at a time in the flow's Taylor loop and the
+simulator's Euler loop, so nothing constant is rebuilt per call: the 3x3
+identity is ``geometry.identity(3)``; the constant parts of ``dxi`` (the
+two identity blocks) and of ``d2psi`` are read-only templates copied per
+call; the angular mask is one read-only array; and ``beta`` and the
+observation connector are built once per parameter set
+(``Tracking9DParams._observation_parts``), so a per-time observation model
+only binds the missile state at its time.  Every callback still returns a
+fresh array, which its caller may write into.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import numpy as np
 
 from ..errors import SingularObservationError, SingularStateError
 from ..flow import DiffusionModel
-from ..geometry import ConnectorField
+from ..geometry import ConnectorField, identity
 from ..observation import ObservationModel
 
 MissileState = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -30,6 +40,19 @@ SPEED_FLOOR = 1e-6
 RANGE_FLOOR = 1e-6
 
 OBS_ANGULAR_MASK = np.array([False, False, True, False, False])
+OBS_ANGULAR_MASK.flags.writeable = False
+
+_EYE3 = identity(3)
+
+# dxi's rows for dp/dt = v and dv/dt = a; the acceleration rows vary
+_DXI_TEMPLATE = np.zeros((9, 9))
+_DXI_TEMPLATE[0:3, 3:6] = _DXI_TEMPLATE[3:6, 6:9] = _EYE3
+_DXI_TEMPLATE.flags.writeable = False
+
+# d2psi's block of the inner product a.v; the other blocks vary
+_D2PSI_TEMPLATE = np.zeros((5, 9, 9))
+_D2PSI_TEMPLATE[4, 3:6, 6:9] = _D2PSI_TEMPLATE[4, 6:9, 3:6] = _EYE3
+_D2PSI_TEMPLATE.flags.writeable = False
 
 
 def constant_velocity_missile(p0, v0, a0=None) -> MissileState:
@@ -88,6 +111,13 @@ class Tracking9DParams:
                 np.array([0.0, self.s1, self.s3, 0.0, 0.0]),
                 np.array([0.0, self.s2, self.s4, 0.0, self.sigma_f ** 2]))
 
+    @cached_property
+    def _observation_parts(self) -> tuple[Callable[[np.ndarray], np.ndarray], ConnectorField]:
+        """The observation metric ``beta`` and its connector.  Neither
+        depends on the missile, so every per-time observation model of
+        these parameters shares them."""
+        return _observation_beta(self), observation_connector(self)
+
 
 def split_state(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
@@ -106,8 +136,10 @@ def project_state(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     projected orthogonal to the new velocity.
     """
     p, v, a = split_state(x)
-    speed_ref = float(np.linalg.norm(ref[3:6]))
-    nv = float(np.linalg.norm(v))
+    ref_v = ref[3:6]
+    # math.sqrt(v @ v) is bit for bit numpy's 1-D norm, without its overhead
+    speed_ref = math.sqrt(ref_v @ ref_v)
+    nv = math.sqrt(v @ v)
     if nv < SPEED_FLOOR:
         raise SingularStateError("cannot project a state with vanishing speed")
     v_new = v * (speed_ref / nv)
@@ -123,7 +155,7 @@ def _sq_norm(v: np.ndarray) -> np.ndarray:
 def velocity_projection(v: np.ndarray) -> np.ndarray:
     """Projection onto the orthogonal complement of v, for every velocity
     in a stack (..., 3)."""
-    return np.eye(3) - v[..., :, None] * v[..., None, :] / _sq_norm(v)[..., None]
+    return _EYE3 - v[..., :, None] * v[..., None, :] / _sq_norm(v)[..., None]
 
 
 def tracking_connector() -> ConnectorField:
@@ -140,8 +172,8 @@ def tracking_connector() -> ConnectorField:
         # S(ze (x) si) d * inv2; d is v or a stack of velocity blocks w_v
         zv, za = ze[..., 3:6], ze[..., 6:9]
         sv, sa = si[..., 3:6], si[..., 6:9]
-        sad = np.sum(sa * d, axis=-1, keepdims=True)
-        zad = np.sum(za * d, axis=-1, keepdims=True)
+        sad = (sa * d).sum(axis=-1, keepdims=True)
+        zad = (za * d).sum(axis=-1, keepdims=True)
         mid = (za * sad + sa * zad) * inv2
         bottom = -(zv * sad + sv * zad) * inv2
         return np.concatenate([np.zeros_like(mid), mid, bottom], axis=-1)
@@ -163,12 +195,22 @@ def tracking_connector() -> ConnectorField:
         chi_aa = chi[..., 6:9, 6:9]
         chi_va = chi[..., 3:6, 6:9]
         chi_av = chi[..., 6:9, 3:6]
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(chi)[:-1]))
-        out[..., 3:6] = ((chi_aa + np.swapaxes(chi_aa, -1, -2)) @ v)[..., 0] * inv2
-        out[..., 6:9] = (-(chi_va + np.swapaxes(chi_av, -1, -2)) @ v)[..., 0] * inv2
+        mid = ((chi_aa + np.swapaxes(chi_aa, -1, -2)) @ v)[..., 0] * inv2
+        bottom = (-(chi_va + np.swapaxes(chi_av, -1, -2)) @ v)[..., 0] * inv2
+        out = np.zeros(mid.shape[:-1] + (9,))
+        out[..., 3:6] = mid
+        out[..., 6:9] = bottom
         return out
 
     return ConnectorField(dim=9, gamma=gamma, dgamma=dgamma, contract_fn=contract)
+
+
+def _speed_squared(v: np.ndarray) -> float:
+    """|v|^2 of one velocity; SingularStateError below SPEED_FLOOR."""
+    vv = float(v @ v)
+    if vv < SPEED_FLOOR ** 2:
+        raise SingularStateError("speed collapsed during flow evaluation")
+    return vv
 
 
 def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
@@ -176,25 +218,22 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
     gam2 = params.gamma_noise ** 2
 
     def xi(x):
-        _, v, a = split_state(x)
-        vv = float(v @ v)
-        if vv < SPEED_FLOOR ** 2:
-            raise SingularStateError("speed collapsed during flow evaluation")
+        v, a = x[3:6], x[6:9]
+        vv = _speed_squared(v)
         rho = float(a @ a) / vv
         proj_a = a - v * float(v @ a) / vv
         return np.concatenate([v, a, -rho * v - lam * proj_a])
 
     def dxi(x):
-        _, v, a = split_state(x)
-        vv = float(v @ v)
+        # integrate_flow evaluates dxi at the interval's end without xi, so
+        # it guards the speed itself
+        v, a = x[3:6], x[6:9]
+        vv = _speed_squared(v)
         rho = float(a @ a) / vv
-        proj = np.eye(3) - np.outer(v, v) / vv
-        q_mat = np.outer(v, a) / vv
-        out = np.zeros((9, 9))
-        out[0:3, 3:6] = np.eye(3)
-        out[3:6, 6:9] = np.eye(3)
-        out[6:9, 3:6] = lam * q_mat - rho * np.eye(3)
-        out[6:9, 6:9] = -lam * proj - 2.0 * q_mat
+        q_mat = v[:, None] * a / vv
+        out = _DXI_TEMPLATE.copy()
+        out[6:9, 3:6] = lam * q_mat - rho * _EYE3
+        out[6:9, 6:9] = -lam * (_EYE3 - v[:, None] * v / vv) - 2.0 * q_mat
         return out
 
     def d2xi_contract(x, chi):
@@ -203,9 +242,10 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         chi_va = chi[..., 3:6, 6:9]
         chi_av = chi[..., 6:9, 3:6]
         trace = np.trace(chi_aa, axis1=-2, axis2=-1)[..., None]
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(chi)[:-1]))
         chi_a = ((chi_va + chi_av) @ a[..., None])[..., 0]
-        out[..., 6:9] = (-2.0 / _sq_norm(v)) * (trace * v + chi_a)
+        value = (-2.0 / _sq_norm(v)) * (trace * v + chi_a)
+        out = np.zeros(value.shape[:-1] + (9,))
+        out[..., 6:9] = value
         return out
 
     def alpha(x):
@@ -214,9 +254,8 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         return out
 
     def noise_matrix(x):
-        _, v, _ = split_state(x)
         out = np.zeros((9, 3))
-        out[6:9, :] = params.gamma_noise * velocity_projection(v)
+        out[6:9, :] = params.gamma_noise * velocity_projection(x[3:6])
         return out
 
     # Gamma(x)(sigma sigma(x)) vanishes identically, so b coincides with xi
@@ -235,20 +274,24 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
     )
 
 
-def cartesian_to_spherical(d: np.ndarray) -> np.ndarray:
-    """Inverse spherical transform: range, angle from vertical, azimuth."""
-    r = float(np.linalg.norm(d))
+def _spherical(d: np.ndarray) -> tuple[float, float, float]:
+    """(range, angle from vertical, azimuth) of one Cartesian vector."""
+    r = math.sqrt(d @ d)
     if r < RANGE_FLOOR:
         raise SingularObservationError(f"range {r:.3e} below {RANGE_FLOOR:.0e}")
-    rho_xy = math.hypot(float(d[0]), float(d[1]))
+    dx, dy, dz = d.tolist()
+    rho_xy = math.hypot(dx, dy)
     if rho_xy < RANGE_FLOOR:
         raise SingularObservationError("direction too close to vertical for azimuth")
-    theta = math.acos(max(-1.0, min(1.0, float(d[2]) / r)))
-    phi = math.atan2(float(d[1]), float(d[0]))
-    return np.array([r, theta, phi])
+    return r, math.acos(max(-1.0, min(1.0, dz / r))), math.atan2(dy, dx)
 
 
-def _spherical_jacobian(y: np.ndarray) -> np.ndarray:
+def cartesian_to_spherical(d: np.ndarray) -> np.ndarray:
+    """Inverse spherical transform: range, angle from vertical, azimuth."""
+    return np.array(_spherical(np.asarray(d, dtype=float)))
+
+
+def _spherical_jacobian(y: tuple[float, float, float]) -> np.ndarray:
     """D h at spherical coordinates y = (r, theta, phi)."""
     r, th, ph = y
     st, ct = math.sin(th), math.cos(th)
@@ -260,7 +303,7 @@ def _spherical_jacobian(y: np.ndarray) -> np.ndarray:
     ])
 
 
-def _spherical_hessian(y: np.ndarray) -> np.ndarray:
+def _spherical_hessian(y: tuple[float, float, float]) -> np.ndarray:
     """D^2 h at y, indexed [component, coord_i, coord_j]."""
     r, th, ph = y
     st, ct = math.sin(th), math.cos(th)
@@ -282,21 +325,6 @@ def _spherical_hessian(y: np.ndarray) -> np.ndarray:
     out[2, 0, 1] = out[2, 1, 0] = -st
     out[2, 1, 1] = -r * ct
     return out
-
-
-def _inverse_map_derivatives(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Phi(d), DPhi(d), D2Phi(d)) from the forward map's derivatives.
-
-    Differentiating h(Phi(d)) = d twice gives
-    D2Phi(u, w) = -Dh^{-1} D2h(DPhi u, DPhi w).
-    """
-    y = cartesian_to_spherical(d)
-    dh = _spherical_jacobian(y)
-    dphi = np.linalg.inv(dh)
-    d2h = _spherical_hessian(y)
-    inner = np.einsum("mab,ai,bj->mij", d2h, dphi, dphi)
-    d2phi = -np.einsum("km,mij->kij", dphi, inner)
-    return y, dphi, d2phi
 
 
 def _beta_h(params: Tracking9DParams, r) -> np.ndarray:
@@ -344,28 +372,48 @@ def observation_connector(params: Tracking9DParams) -> ConnectorField:
     return ConnectorField(dim=5, gamma=gamma, dgamma=dgamma)
 
 
+def _observation_beta(params: Tracking9DParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The diagonal observation metric beta(y) = diag h(r)."""
+
+    def beta(y):
+        r = float(y[0])
+        if r < RANGE_FLOOR:
+            raise SingularObservationError(f"range {r:.3e} below {RANGE_FLOOR:.0e}")
+        return np.diag(_beta_h(params, r))
+
+    return beta
+
+
+def _relative_speed(w: np.ndarray) -> float:
+    """|w| of the relative velocity; SingularObservationError below
+    SPEED_FLOOR."""
+    nw = math.sqrt(w @ w)
+    if nw < SPEED_FLOOR:
+        raise SingularObservationError("relative speed is numerically zero")
+    return nw
+
+
 def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> ObservationModel:
-    """Observation model with the missile state frozen at one observation time."""
+    """Observation model with the missile state frozen at one observation time.
+
+    It binds the missile state at ``time``; ``beta``, the connector and
+    the angular mask are the ones every model of ``params`` shares.
+    """
     p_m, v_m, _ = params.missile(time)
     p_m = np.asarray(p_m, dtype=float)
     v_m = np.asarray(v_m, dtype=float)
 
     def psi(x):
         p, v, a = split_state(x)
-        sph = cartesian_to_spherical(p - p_m)
-        w = v - v_m
-        nw = float(np.linalg.norm(w))
-        if nw < SPEED_FLOOR:
-            raise SingularObservationError("relative speed is numerically zero")
-        return np.concatenate([sph, [nw, float(a @ v)]])
+        r, theta, phi = _spherical(p - p_m)
+        nw = _relative_speed(v - v_m)
+        return np.array([r, theta, phi, nw, float(a @ v)])
 
     def dpsi(x):
         p, v, a = split_state(x)
-        _, dphi, _ = _inverse_map_derivatives(p - p_m)
+        dphi = np.linalg.inv(_spherical_jacobian(_spherical(p - p_m)))
         w = v - v_m
-        nw = float(np.linalg.norm(w))
-        if nw < SPEED_FLOOR:
-            raise SingularObservationError("relative speed is numerically zero")
+        nw = _relative_speed(w)
         out = np.zeros((5, 9))
         out[0:3, 0:3] = dphi
         out[3, 3:6] = w / nw
@@ -374,29 +422,26 @@ def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> Observa
         return out
 
     def d2psi(x):
-        p, v, a = split_state(x)
-        _, _, d2phi = _inverse_map_derivatives(p - p_m)
+        # Differentiating h(Phi(d)) = d twice gives the inverse map's
+        # D2Phi(u, w) = -Dh^{-1} D2h(DPhi u, DPhi w).
+        p, v, _ = split_state(x)
+        y = _spherical(p - p_m)
+        dphi = np.linalg.inv(_spherical_jacobian(y))
+        inner = np.einsum("mab,ai,bj->mij", _spherical_hessian(y), dphi, dphi)
         w = v - v_m
-        nw = float(np.linalg.norm(w))
-        out = np.zeros((5, 9, 9))
-        out[0:3, 0:3, 0:3] = d2phi
-        out[3, 3:6, 3:6] = (np.eye(3) - np.outer(w, w) / (nw * nw)) / nw
-        out[4, 3:6, 6:9] = np.eye(3)
-        out[4, 6:9, 3:6] = np.eye(3)
+        nw = math.sqrt(w @ w)
+        out = _D2PSI_TEMPLATE.copy()
+        out[0:3, 0:3, 0:3] = -np.einsum("km,mij->kij", dphi, inner)
+        out[3, 3:6, 3:6] = (_EYE3 - w[:, None] * w / (nw * nw)) / nw
         return out
 
-    def beta(y):
-        r = float(y[0])
-        if r < RANGE_FLOOR:
-            raise SingularObservationError(f"range {r:.3e} below {RANGE_FLOOR:.0e}")
-        return np.diag(_beta_h(params, r))
-
+    beta, conn_obs = params._observation_parts
     return ObservationModel(
         dim_obs=5,
         psi=psi,
         dpsi=dpsi,
         d2psi=d2psi,
         beta=beta,
-        conn_obs=observation_connector(params),
-        angular_mask=OBS_ANGULAR_MASK.copy(),
+        conn_obs=conn_obs,
+        angular_mask=OBS_ANGULAR_MASK,
     )

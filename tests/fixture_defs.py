@@ -694,6 +694,17 @@ def _run_filters_freeze_value():
     return np.concatenate([record.errors["gif"], record.errors["ekf"]])
 
 
+def _tracking_run_freeze_value():
+    """GIF and EKF estimates, then their aborted flags (as 0/1), of a short
+    tracking9d run: pins the model callbacks' arithmetic bit for bit."""
+    config = ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=909)
+    scenario = build_scenario(config)
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(909, 0)))
+    return np.concatenate([record.estimates["gif"].ravel(), record.estimates["ekf"].ravel(),
+                           record.aborted["gif"].astype(float),
+                           record.aborted["ekf"].astype(float)])
+
+
 FIXTURES = [
     FixtureDef("geometry/levi_civita_exp_metric", _lc_2d_value, _lc_2d_oracle, "abs", 1e-7),
     FixtureDef("geometry/exp_series_vs_geodesic", _exp_vs_geodesic_value,
@@ -754,6 +765,8 @@ FIXTURES = [
                lambda: cubic1d_analytic_flow(0.7, 1.0), "abs", 1e-8),
     FixtureDef("harness/run_filters_frozen_errors", _run_filters_freeze_value,
                _run_filters_freeze_value, "abs", 0.0),
+    FixtureDef("harness/tracking_run_frozen", _tracking_run_freeze_value,
+               _tracking_run_freeze_value, "abs", 0.0),
 ]
 
 

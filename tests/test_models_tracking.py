@@ -5,6 +5,8 @@ import pytest
 
 from gifilter.errors import SingularObservationError, SingularStateError
 from gifilter.flow import FlowGrid, integrate_flow
+from gifilter.geometry import identity
+from gifilter.models import tracking
 from gifilter.models.tracking import (
     Tracking9DParams,
     cartesian_to_spherical,
@@ -232,3 +234,63 @@ def test_missile_trajectory_callback():
     assert np.array_equal(p1, [21.0, 0.0, 0.0])
     assert np.array_equal(v0, [10.0, 0.0, 0.0])
     assert np.array_equal(a0, np.zeros(3))
+
+
+def test_dxi_rejects_a_vanishing_speed(tracking_models):
+    # integrate_flow evaluates dxi at an interval's end without xi there, so
+    # dxi must raise the model's own error, not a bare ZeroDivisionError
+    model, _ = tracking_models
+    x = pack_state(np.ones(3), np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(SingularStateError):
+        model.dxi(x)
+    with pytest.raises(SingularStateError):
+        model.xi(x)
+
+
+def test_callbacks_return_fresh_arrays(tracking_params):
+    """Callers write into callback outputs (``ailp_state`` subtracts from
+    one in place), so a callback that returned a cached constant, or a view
+    of one, would corrupt its later calls."""
+    model = tracking_diffusion(tracking_params)
+    obs = tracking_observation(tracking_params, time=1.0)
+    x = pack_state([9000.0, 2000.0, 3000.0], [-200.0, 80.0, 0.0], [0.0, 0.0, 20.0])
+    rng = np.random.default_rng(909)
+    u, w, z = rng.standard_normal((3, 9))
+    chi = np.outer(model.xi(x), model.xi(x))
+    y = obs.psi(x)
+    yu, yw, yz = rng.standard_normal((3, 5))
+    calls = {
+        "xi": lambda: model.xi(x),
+        "dxi": lambda: model.dxi(x),
+        "d2xi_contract": lambda: model.d2xi_contract(x, chi),
+        "alpha": lambda: model.alpha(x),
+        "noise_matrix": lambda: model.noise_matrix(x),
+        "constrain": lambda: model.constrain(x, x),
+        "psi": lambda: obs.psi(x),
+        "dpsi": lambda: obs.dpsi(x),
+        "d2psi": lambda: obs.d2psi(x),
+        "beta": lambda: obs.beta(y),
+        "gamma": lambda: model.conn.gamma(x, u, w),
+        "dgamma": lambda: model.conn.dgamma(x, z, u, w),
+        "contract": lambda: model.conn.contract(x, chi),
+        "obs_gamma": lambda: obs.conn_obs.gamma(y, yu, yw),
+        "obs_dgamma": lambda: obs.conn_obs.dgamma(y, yz, yu, yw),
+    }
+    for name, call in calls.items():
+        first = call()
+        expected = first.copy()
+        first[...] = np.nan
+        assert np.array_equal(call(), expected), name
+    for constant in (identity(3), tracking._DXI_TEMPLATE, tracking._D2PSI_TEMPLATE,
+                     tracking.OBS_ANGULAR_MASK):
+        assert not constant.flags.writeable
+
+
+def test_observation_models_share_what_the_time_does_not_change(tracking_params):
+    early = tracking_observation(tracking_params, time=0.0)
+    late = tracking_observation(tracking_params, time=3.0)
+    assert early.beta is late.beta
+    assert early.conn_obs is late.conn_obs
+    assert early.angular_mask is late.angular_mask
+    x = pack_state([9000.0, 2000.0, 3000.0], [-200.0, 80.0, 0.0], [0.0, 0.0, 20.0])
+    assert not np.array_equal(early.psi(x), late.psi(x))
