@@ -28,7 +28,6 @@ from .errors import (
 from .filter import (
     FilterConfig,
     FilterDiagnostics,
-    StateEstimate,
     assimilate,
     filter_step,
     gain,
@@ -48,18 +47,14 @@ from .flow import (
     transition_jacobians,
 )
 from .geometry import (
-    Bilinear3,
     ConnectorField,
-    SymTensor2,
     barycenter_correction,
     curvature,
     exp_map_series,
     flat_connector,
-    pushforward_covariance,
 )
 from .ekf import ekf_predict, ekf_step, ekf_update
 from .observation import (
-    ObservationEvent,
     ObservationModel,
     ailp_observation,
     map_second_fundamental_form,

@@ -17,49 +17,46 @@ from typing import Optional
 
 import numpy as np
 
-from .filter import FilterDiagnostics, StateEstimate, gain, repair_psd
-from .flow import (
-    DiffusionModel,
-    flow_grid,
-    integrate_flow,
-    propagate_covariance,
-    transition_jacobians,
-)
-from .geometry import SymTensor2, identity, symmetrize
-from .observation import ObservationEvent, ObservationModel, wrap_angles
+# flow's functions are looked up on the module at each call, so that a
+# wrapper installed there (a tracer, a test double) sees the EKF's calls too
+from . import flow
+from .filter import Estimate, FilterDiagnostics, gain, repair_psd
+from .flow import DiffusionModel
+from .geometry import identity, symmetrize
+from .observation import ObservationModel, wrap_angles
 
 logger = logging.getLogger(__name__)
 
 
 def ekf_predict(
-    model: DiffusionModel, est: StateEstimate, delta: float, n_substeps: int = 8
-) -> StateEstimate:
+    model: DiffusionModel, est: Estimate, delta: float, n_substeps: int = 8
+) -> Estimate:
     """Propagate mean and covariance over one inter-observation interval.
 
     Raises ValueError when the model lacks ``ddrift_b`` or
     ``d2drift_b_contract``.
     """
+    mean, cov = est
     b_model = model.drift_b_model
-    grid = flow_grid(delta, n_substeps)
-    path, jacs = integrate_flow(b_model, est.mu_hat, grid)
-    cov = propagate_covariance(model.alpha(path), transition_jacobians(jacs, grid),
-                               est.sigma_hat, grid)
-    return StateEstimate(path[-1], SymTensor2(cov[-1]))
+    grid = flow.flow_grid(delta, n_substeps)
+    path, jacs = flow.integrate_flow(b_model, mean, grid)
+    covs = flow.propagate_covariance(model.alpha(path), flow.transition_jacobians(jacs, grid),
+                                     cov, grid)
+    return path[-1], covs[-1]
 
 
 def ekf_update(
-    pred: StateEstimate,
+    pred: Estimate,
     obs: ObservationModel,
     y_obs: np.ndarray,
     diag: Optional[FilterDiagnostics] = None,
-) -> StateEstimate:
+) -> Estimate:
     """Standard first-order measurement update with angular residual wrap,
     using the GIF's :func:`gifilter.filter.gain` for the Kalman gain."""
-    m = pred.mu_hat
-    cov = pred.sigma_hat.mat
+    m, cov = pred
     jac = np.asarray(obs.dpsi(m), dtype=float)
     y_pred = obs.psi(m)
-    k_gain = gain(pred.sigma_hat, jac, obs.beta(y_pred))
+    k_gain = gain(cov, jac, obs.beta(y_pred))
     residual = wrap_angles(np.asarray(y_obs, dtype=float) - y_pred, obs.angular_mask)
     m_new = m + k_gain @ residual
     cov_new = symmetrize((identity(m.size) - k_gain @ jac) @ cov)
@@ -70,18 +67,18 @@ def ekf_update(
         else:
             logger.debug("EKF covariance eigenvalue floor applied (min eig %.3e)", min_eig)
         cov_new = repaired
-    return StateEstimate(m_new, SymTensor2(cov_new))
+    return m_new, cov_new
 
 
 def ekf_step(
     model: DiffusionModel,
     obs: ObservationModel,
-    est: StateEstimate,
-    y_obs: ObservationEvent,
+    est: Estimate,
+    y_obs: np.ndarray,
     delta: float,
     n_substeps: int = 8,
     diag: Optional[FilterDiagnostics] = None,
-) -> StateEstimate:
+) -> Estimate:
     """One predict-update cycle."""
     pred = ekf_predict(model, est, delta, n_substeps)
-    return ekf_update(pred, obs, y_obs.y, diag=diag)
+    return ekf_update(pred, obs, y_obs, diag=diag)

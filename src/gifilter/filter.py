@@ -14,18 +14,14 @@ from . import flow
 from .errors import IllConditionedGainError, NonFiniteError
 from .flow import FlowGrid, DiffusionModel, PropagationBundle, flow_grid, precompute
 from .geometry import (
-    Bilinear3,
     ConnectorField,
-    SymTensor2,
     barycenter_correction,
     exp_map_series,
     identity,
-    pushforward_covariance,
     symmetric_condition,
     symmetrize,
 )
 from .observation import (
-    ObservationEvent,
     ObservationModel,
     ailp_observation,
     map_second_fundamental_form,
@@ -36,22 +32,10 @@ logger = logging.getLogger(__name__)
 
 GAIN_COND_LIMIT = 1e12
 
-
-@dataclass
-class StateEstimate:
-    """Filter state: a point on state space plus a covariance tensor there."""
-
-    mu_hat: np.ndarray
-    sigma_hat: SymTensor2
-
-    def __post_init__(self):
-        self.mu_hat = np.asarray(self.mu_hat, dtype=float)
-        if not np.isfinite(self.mu_hat).all():
-            raise NonFiniteError("state estimate has non-finite coordinates")
-        p = self.mu_hat.size
-        if self.sigma_hat.mat.shape != (p, p):
-            raise ValueError(f"covariance shape {self.sigma_hat.mat.shape} does not match "
-                             f"state dimension {p}")
+# A filter estimate: the point mu, shape (p,), and the covariance sigma
+# there, shape (p, p).  Nothing checks it within a cycle;
+# gifilter.harness.run_filters checks each step's result once.
+Estimate = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -90,10 +74,10 @@ class FilterDiagnostics:
         logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
 
 
-def gain(xi_delta: SymTensor2, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
+def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
     """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a symmetric linear solve."""
     j = np.asarray(j, dtype=float)
-    j_xi = j @ xi_delta.mat
+    j_xi = j @ xi_delta
     innov = symmetrize(j_xi @ j.T + np.asarray(beta_at_ydelta, dtype=float))
     if symmetric_condition(innov) > GAIN_COND_LIMIT:
         raise IllConditionedGainError(
@@ -108,7 +92,7 @@ def rho_build(
     grid: FlowGrid,
     g: np.ndarray,
     j: np.ndarray,
-    nabla_dpsi: Bilinear3,
+    nabla_dpsi: np.ndarray,
     z_hat: np.ndarray,
 ) -> np.ndarray:
     """Quadratic innovation correction, centred on its mean.
@@ -116,7 +100,9 @@ def rho_build(
     rho = (1/2) {[I - GJ] ndphi(tau S tau^T) - G ndpsi(S)},
     S = Gz (x) Gz - G J Xi_delta,
     with z = z_hat the innovation, tau = tau_delta^0 pulling S back to the
-    interval start and ndphi the flow form of
+    interval start, ndpsi the (q, p, p) coefficients of
+    :func:`gifilter.observation.map_second_fundamental_form` and ndphi the
+    flow form of
     :func:`gifilter.flow.flow_second_fundamental_form`.  The correction is
     linear in S, so the quadratic term and its mean are one contraction:
     under the innovation distribution E[z (x) z] = J Xi_delta J^T + beta,
@@ -124,12 +110,12 @@ def rho_build(
     zero mean.
     """
     gz = g @ z_hat
-    s = np.outer(gz, gz) - symmetrize(g @ j @ bundle.xi_delta.mat)
+    s = np.outer(gz, gz) - symmetrize(g @ j @ bundle.xi_delta)
     back = bundle.tau_delta_0
     flow_term = flow.flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
                                                   back @ s @ back.T)
     proj = identity(g.shape[0]) - g @ j
-    return 0.5 * (proj @ flow_term - g @ nabla_dpsi.contract(s))
+    return 0.5 * (proj @ flow_term - g @ np.einsum("kij,ij->k", nabla_dpsi, s))
 
 
 def pull_back_observation(
@@ -157,7 +143,7 @@ def assimilate(
     z_hat: np.ndarray,
     quad: Optional[np.ndarray],
     config: FilterConfig,
-) -> tuple[np.ndarray, SymTensor2]:
+) -> Estimate:
     """Conditional moments of the state given the pulled-back observation.
 
     ``z_hat`` is the innovation: the pulled-back observation minus its
@@ -179,37 +165,38 @@ def assimilate(
             if nq > nl and nq > 0.0:
                 quad = quad * (nl / nq)
         mu = mu + quad
-    sigma = symmetrize((identity(g.shape[0]) - g @ j) @ bundle.xi_delta.mat)
-    return mu, SymTensor2(sigma)
+    return mu, symmetrize((identity(g.shape[0]) - g @ j) @ bundle.xi_delta)
 
 
 def update_estimate(
     x_delta: np.ndarray,
     mu: np.ndarray,
-    sigma: SymTensor2,
+    sigma: np.ndarray,
     state_conn: ConnectorField,
-) -> StateEstimate:
-    """Map the conditional moments at x_delta to the new state estimate.
+) -> Estimate:
+    """Map the conditional moments at x_delta to the new estimate (mu, sigma).
 
     The barycenter-corrected tangent vector is pushed through the
     third-order series exponential map, and the covariance through that
-    map's derivative I - Gamma(x_delta)(v, .).
+    map's derivative F = I - Gamma(x_delta)(v, .), as F sigma F^T.
     """
     v = barycenter_correction(mu, sigma, state_conn, x_delta)
     if state_conn.flat:
-        return StateEstimate(x_delta + v, sigma)
+        return x_delta + v, sigma
     mu_hat = exp_map_series(x_delta, v, state_conn)
     basis = identity(x_delta.size)
     # column j of the derivative is e_j - Gamma(x_delta)(v (x) e_j)
     fmat = basis - state_conn.gamma(x_delta, v, basis).T
-    return StateEstimate(mu_hat, pushforward_covariance(sigma, fmat))
+    return mu_hat, symmetrize(fmat @ sigma @ fmat.T)
 
 
 def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Clip negative covariance eigenvalues at zero.
 
     Returns the repaired matrix and the most negative eigenvalue found
-    (0.0 when no repair was needed).
+    (0.0 when no repair was needed).  A non-finite entry passes through
+    for the caller's check of the estimate, or raises NonFiniteError where
+    the eigendecomposition fails on it.
     """
     mat = symmetrize(mat)
     if mat.shape == (1, 1):
@@ -217,7 +204,10 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
         if val >= 0.0:
             return mat, 0.0
         return np.zeros((1, 1)), val
-    eigs, vecs = np.linalg.eigh(mat)
+    try:
+        eigs, vecs = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError(f"covariance eigendecomposition failed: {exc}") from exc
     if eigs[0] >= 0.0:
         return mat, 0.0
     clipped = np.clip(eigs, 0.0, None)
@@ -227,11 +217,11 @@ def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
 def filter_step(
     model: DiffusionModel,
     obs: ObservationModel,
-    est: StateEstimate,
-    y_obs: ObservationEvent,
+    est: Estimate,
+    y_obs: np.ndarray,
     config: FilterConfig,
     diag: Optional[FilterDiagnostics] = None,
-) -> StateEstimate:
+) -> Estimate:
     """One full filter cycle: propagate the estimate and assimilate one observation.
 
     Deterministic given its inputs.  An ill-conditioned gain raises
@@ -239,7 +229,7 @@ def filter_step(
     decides whether to skip the observation or stop the track.
     """
     grid = config.grid()
-    bundle = precompute(model, est.mu_hat, est.sigma_hat, grid)
+    bundle = precompute(model, *est, grid)
     x_delta = bundle.x_delta
     y_delta = obs.psi(x_delta)
     jac = np.asarray(obs.dpsi(x_delta), dtype=float)
@@ -247,18 +237,18 @@ def filter_step(
     obs_ailp = ailp_observation(bundle, nabla_dpsi, jac)
 
     g = gain(bundle.xi_delta, jac, obs.beta(y_delta))
-    z_delta = pull_back_observation(y_delta, y_obs.y, obs.conn_obs, obs.angular_mask)
+    z_delta = pull_back_observation(y_delta, y_obs, obs.conn_obs, obs.angular_mask)
     z_hat = z_delta - obs_ailp
     quad = None
     if config.quadratic_enabled:
         quad = rho_build(model, bundle, grid, g, jac, nabla_dpsi, z_hat)
     mu, sigma = assimilate(bundle, g, jac, z_hat, quad, config)
-    new_est = update_estimate(x_delta, mu, sigma, model.conn)
-    repaired, min_eig = repair_psd(new_est.sigma_hat.mat)
+    mu_hat, sigma_hat = update_estimate(x_delta, mu, sigma, model.conn)
+    repaired, min_eig = repair_psd(sigma_hat)
     if min_eig < 0.0:
         if diag is not None:
             diag.record_repair(min_eig)
         else:
             logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
-        new_est = StateEstimate(new_est.mu_hat, SymTensor2(repaired))
-    return new_est
+        sigma_hat = repaired
+    return mu_hat, sigma_hat

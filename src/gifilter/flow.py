@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergenceError, IllConditionedFlowError
-from .geometry import ConnectorField, SymTensor2, identity
+from .geometry import ConnectorField, identity
 
 FLOW_COND_LIMIT = 1e12
 
@@ -281,7 +281,7 @@ def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> TransitionJacobian
 def propagate_covariance(
     alphas: np.ndarray,
     taus: TransitionJacobians,
-    sigma0: SymTensor2,
+    sigma0: np.ndarray,
     grid: FlowGrid,
 ) -> np.ndarray:
     """Trapezium recursion for the propagated covariance Xi_t along the grid,
@@ -300,10 +300,10 @@ def propagate_covariance(
     h_half = 0.5 * grid.step
     products = _scan_buffer(tau)
     xis = np.zeros_like(products)
-    xis[0] = sigma0.mat
+    xis[0] = sigma0
     offsets = xis[1:n + 1]  # B_k, formed in place: the path can be long
     np.multiply(h_half, alphas[:-1], out=offsets)
-    offsets[0] += sigma0.mat
+    offsets[0] += sigma0
     np.matmul(tau @ offsets, np.swapaxes(tau, -1, -2), out=offsets)
     offsets += h_half * alphas[1:]
     _compose_scan(products[1:-1], xis[1:-1])
@@ -322,7 +322,7 @@ def ailp_state(
     alphas: np.ndarray,
     taus: TransitionJacobians,
     xis: np.ndarray,
-    sigma0: SymTensor2,
+    sigma0: np.ndarray,
     grid: FlowGrid,
 ) -> np.ndarray:
     """Intrinsic location correction m_delta for the state at the endpoint.
@@ -341,7 +341,7 @@ def ailp_state(
     if not conn.flat:
         m_delta = (
             m_delta
-            - taus.tau_0_delta @ conn.contract(x_path[0], sigma0.mat)
+            - taus.tau_0_delta @ conn.contract(x_path[0], sigma0)
             + conn.contract(x_path[-1], xis[-1])
         )
     return 0.5 * m_delta
@@ -381,7 +381,7 @@ class PropagationBundle:
 
     x_path: np.ndarray
     taus: TransitionJacobians
-    xi_delta: SymTensor2
+    xi_delta: np.ndarray
     m_delta: np.ndarray
 
     def __post_init__(self):
@@ -404,7 +404,7 @@ class PropagationBundle:
 
 
 def precompute(
-    model: DiffusionModel, x0: np.ndarray, sigma0: SymTensor2, grid: FlowGrid
+    model: DiffusionModel, x0: np.ndarray, sigma0: np.ndarray, grid: FlowGrid
 ) -> PropagationBundle:
     """Run the full flow precomputation from an estimate (x0, sigma0).
 
@@ -426,6 +426,6 @@ def precompute(
     return PropagationBundle(
         x_path=x_path,
         taus=taus,
-        xi_delta=SymTensor2(xis[-1].copy()),  # a view would keep the whole path
+        xi_delta=xis[-1].copy(),  # a view would keep the whole path
         m_delta=m_delta,
     )

@@ -1,9 +1,13 @@
 """Chart-level differential geometry: connectors, exponential maps, curvature.
 
 All operations are pure functions of their arguments and safe to call from
-any number of threads.  Points and tangent vectors are plain numpy arrays
-in chart coordinates; a symmetric 2-tensor is a matrix whose base point
-is the estimate or grid point that holds it.
+any number of threads.  Points, tangent vectors, symmetric 2-tensors and
+bilinear maps are plain numpy arrays in chart coordinates; a tensor's base
+point is the estimate or grid point that holds it.  A filter estimate is a
+``(mu, sigma)`` pair of arrays, shapes (p,) and (p, p); nothing checks it
+on the way through a cycle, and :func:`gifilter.harness.run_filters`
+checks each step's result once (finite, of those shapes, and symmetric
+within ``SYMMETRY_RTOL`` by :func:`check_symmetric`).
 """
 
 from __future__ import annotations
@@ -54,39 +58,6 @@ def check_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, what: str = "m
         raise NonFiniteError(f"non-finite entries in {what}")
     if float(np.abs(mat - mat.T).max()) > rtol * max(scale, 1.0):
         raise ValueError(f"{what} is not symmetric within {rtol:g} relative")
-
-
-@dataclass
-class SymTensor2:
-    """A contravariant symmetric 2-tensor, as a square matrix."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=float)
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise ValueError(f"SymTensor2 needs a square matrix, got shape {self.mat.shape}")
-        check_symmetric(self.mat, what="SymTensor2")
-
-
-@dataclass
-class Bilinear3:
-    """A bilinear map coeffs[k, i, j], symmetric in (i, j)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
-            raise ValueError("Bilinear3 coefficients must have shape (out, in, in)")
-        scale = max(float(np.abs(self.coeffs).max()), 1.0)
-        skew = float(np.abs(self.coeffs - self.coeffs.transpose(0, 2, 1)).max())
-        if skew > SYMMETRY_RTOL * scale:
-            raise ValueError("Bilinear3 coefficients not symmetric in trailing indices")
-
-    def contract(self, sym: np.ndarray) -> np.ndarray:
-        """Contract the trailing index pair against a symmetric matrix."""
-        return np.einsum("kij,ij->k", self.coeffs, sym)
 
 
 @dataclass(frozen=True)
@@ -173,7 +144,7 @@ def curvature(
 
 
 def barycenter_correction(
-    mu: np.ndarray, sigma: SymTensor2, conn: ConnectorField, x: np.ndarray
+    mu: np.ndarray, sigma: np.ndarray, conn: ConnectorField, x: np.ndarray
 ) -> np.ndarray:
     """Approximate exponential-barycenter tangent vector from (mu, sigma).
 
@@ -185,10 +156,5 @@ def barycenter_correction(
         return mu.copy()
     basis = identity(conn.dim)
     rmat = curvature(conn, x, mu, basis[:, None], basis[None, :])
-    return mu - np.einsum("jk,jkl->l", sigma.mat, rmat) / 3.0
+    return mu - np.einsum("jk,jkl->l", sigma, rmat) / 3.0
 
-
-def pushforward_covariance(sigma: SymTensor2, f: np.ndarray) -> SymTensor2:
-    """Push a covariance tensor forward through a linear map: F sigma F^T."""
-    f = np.asarray(f, dtype=float)
-    return SymTensor2(symmetrize(f @ sigma.mat @ f.T))

@@ -23,10 +23,15 @@ import scipy.linalg
 
 from . import __version__
 from .ekf import ekf_step
-from .errors import DivergenceError, FilterNumericsError, IllConditionedFlowError
-from .filter import FilterConfig, FilterDiagnostics, StateEstimate, filter_step
+from .errors import (
+    DivergenceError,
+    FilterNumericsError,
+    IllConditionedFlowError,
+    NonFiniteError,
+)
+from .filter import Estimate, FilterConfig, FilterDiagnostics, filter_step
 from .flow import DiffusionModel
-from .geometry import ConnectorField, SymTensor2, flat_connector
+from .geometry import ConnectorField, check_symmetric, flat_connector
 from .models.cubic1d import Cubic1DParams, cubic1d_build
 from .models.linear import LinearParams, linear_build
 from .models.tracking import (
@@ -35,7 +40,7 @@ from .models.tracking import (
     tracking_diffusion,
     tracking_observation,
 )
-from .observation import ObservationEvent, ObservationModel, sample_observation
+from .observation import ObservationModel, sample_observation
 
 logger = logging.getLogger(__name__)
 
@@ -248,8 +253,7 @@ def simulate_sde(
                 break
             truth[k] = x
             obs_model = scenario.observation_at(float(times[k]))
-            event = sample_observation(obs_model, x, rng, time=float(times[k]))
-            observations[k] = event.y
+            observations[k] = sample_observation(obs_model, x, rng)
     return TrajectoryRecord(times=times, truth=truth, observations=observations,
                             diverged_at=diverged_at)
 
@@ -276,15 +280,33 @@ def _step_with_refinement(step_fn, base_substeps: int, max_refinements: int):
     return None, max_refinements
 
 
+def _checked(est: Estimate, dim: int) -> Estimate:
+    """The estimate (mu, sigma) itself, once it is found to have shapes
+    (dim,) and (dim, dim), finite entries and a sigma symmetric within
+    ``SYMMETRY_RTOL``: ValueError when it is not, NonFiniteError (also a
+    ValueError) for a non-finite entry."""
+    mu, sigma = est
+    if np.shape(mu) != (dim,) or np.shape(sigma) != (dim, dim):
+        raise ValueError(f"estimate of shapes {np.shape(mu)} and {np.shape(sigma)} does "
+                         f"not match state dimension {dim}")
+    if not np.isfinite(mu).all():
+        raise NonFiniteError("state estimate has non-finite coordinates")
+    check_symmetric(sigma, what="covariance")
+    return est
+
+
 def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecord:
     """Run every enabled filter over the recorded observations.
 
     The package's one filter loop.  A step that fails is retried on finer
     grids only when the flow was stiff (see :func:`_step_with_refinement`);
     a step that fails for good is recorded as aborted and the filter keeps
-    its previous estimate.  One WARNING per filter names the count of
-    aborted cycles and the first one.  Errors are chart-norm distances
-    between estimate and truth.
+    its previous estimate.  Estimates are (mu, sigma) arrays, each checked
+    once by :func:`_checked`: the scenario's mu0 and sigma0 on entry, where
+    a bad one raises ValueError, and each step's result inside its attempt,
+    where a non-finite one aborts that cycle.  One WARNING per filter names
+    the count of aborted cycles and the first one.  Errors are chart-norm
+    distances between estimate and truth.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -302,26 +324,27 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
             config_for = functools.cache(
                 lambda nsub: dataclasses.replace(base_cfg, n_substeps=nsub))
 
-            def step(nsub, obs_model, st, event):
-                return filter_step(model, obs_model, st, event, config_for(nsub), diag=diag)
+            def step(nsub, obs_model, st, y):
+                return filter_step(model, obs_model, st, y, config_for(nsub), diag=diag)
         else:
-            def step(nsub, obs_model, st, event):
-                return ekf_step(model, obs_model, st, event, config.delta, nsub, diag=diag)
-        state = StateEstimate(scenario.mu0.copy(), SymTensor2(scenario.sigma0.copy()))
+            def step(nsub, obs_model, st, y):
+                return ekf_step(model, obs_model, st, y, config.delta, nsub, diag=diag)
+        state = _checked((np.array(scenario.mu0, dtype=float),
+                          np.array(scenario.sigma0, dtype=float)), model.dim)
         for k in range(n):
-            event = ObservationEvent(time=float(record.times[k]),
-                                     y=record.observations[k])
+            y = record.observations[k]
             obs_model = scenario.observation_at(float(record.times[k]))
             result, _ = _step_with_refinement(
-                lambda nsub: step(nsub, obs_model, state, event),
+                lambda nsub: _checked(step(nsub, obs_model, state, y), model.dim),
                 config.n_substeps, config.max_refinements)
             if result is None:
                 aborted[k] = True
             else:
                 state = result
-            est_rows[k] = state.mu_hat
-            cov_rows[k] = state.sigma_hat.mat
-            miss = state.mu_hat - record.truth[k]
+            mu, sigma = state
+            est_rows[k] = mu
+            cov_rows[k] = sigma
+            miss = mu - record.truth[k]
             err_rows[k] = math.sqrt(miss @ miss)
         if aborted.any():
             logger.warning("%s: %d of %d cycles aborted, first at cycle %d",

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import SingularMetricError
 from .flow import PropagationBundle
-from .geometry import Bilinear3, ConnectorField, exp_map_series, symmetrize
+from .geometry import ConnectorField, exp_map_series, symmetrize
 
 
 def wrap_angles(w: np.ndarray, angular_mask: Optional[np.ndarray]) -> np.ndarray:
@@ -49,16 +49,6 @@ class ObservationModel:
     angular_mask: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class ObservationEvent:
-    time: float
-    y: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("observation has non-finite coordinates")
-
-
 def beta_sqrt(beta: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD matrix via eigendecomposition."""
     beta = symmetrize(np.asarray(beta, dtype=float))
@@ -74,8 +64,9 @@ def map_second_fundamental_form(
     x: np.ndarray,
     jac: np.ndarray,
     y: np.ndarray,
-) -> Bilinear3:
-    """Second fundamental form of psi at x, as a (q, p, p) bilinear map.
+) -> np.ndarray:
+    """Second fundamental form of psi at x, as the (q, p, p) coefficients
+    of a bilinear map, symmetric in the last two indices.
 
     nabla dpsi(v, w) = D2psi(v, w) - Dpsi Gamma(v, w)
                      + Gamma_bar(y)(Dpsi v, Dpsi w),
@@ -88,12 +79,11 @@ def map_second_fundamental_form(
     if not obs.conn_obs.flat:
         gbar = obs.conn_obs.coefficients(y)
         coeffs += np.einsum("kab,ai,bj->kij", gbar, jac, jac)
-    coeffs = 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
-    return Bilinear3(coeffs)
+    return 0.5 * (coeffs + coeffs.transpose(0, 2, 1))
 
 
 def ailp_observation(
-    bundle: PropagationBundle, nabla_dpsi: Bilinear3, jac: np.ndarray
+    bundle: PropagationBundle, nabla_dpsi: np.ndarray, jac: np.ndarray
 ) -> np.ndarray:
     """Intrinsic location correction of psi(X_delta) in the tangent space at y_delta.
 
@@ -103,16 +93,16 @@ def ailp_observation(
     (1/2) nabla dpsi(Xi_delta) + J m_delta
       = (1/2) {D2psi(Xi) - J Gamma(Xi) + Gamma_bar(J Xi J^T)} + J m_delta.
     """
-    return 0.5 * nabla_dpsi.contract(bundle.xi_delta.mat) + jac @ bundle.m_delta
+    return 0.5 * np.einsum("kij,ij->k", nabla_dpsi, bundle.xi_delta) + jac @ bundle.m_delta
 
 
 def sample_observation(
     obs: ObservationModel,
     true_state: np.ndarray,
     rng: np.random.Generator,
-    time: float = 0.0,
-) -> ObservationEvent:
-    """Draw one noisy observation of psi(true_state).
+) -> np.ndarray:
+    """Draw one noisy observation of psi(true_state), with its angular
+    coordinates wrapped; ValueError when it is not finite.
 
     The noise is a zero-mean Gaussian in the tangent space at psi(X), with
     covariance beta there, pushed to the observation manifold through the
@@ -126,4 +116,6 @@ def sample_observation(
         y = y_center + v
     else:
         y = exp_map_series(y_center, v, obs.conn_obs)
-    return ObservationEvent(time=time, y=wrap_angles(y, obs.angular_mask))
+    if not np.isfinite(y).all():
+        raise ValueError("observation has non-finite coordinates")
+    return wrap_angles(y, obs.angular_mask)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gifilter.flow import FlowGrid, integrate_flow, precompute
-from gifilter.geometry import SymTensor2, exp_map_series
+from gifilter.geometry import exp_map_series
 from gifilter.harness import ScenarioConfig, invariance_check, kalman_check, run_benchmark
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.tracking import (
@@ -116,7 +116,7 @@ def test_criterion_4_analytic_vs_numeric_ailp():
     for x0 in (0.6, 0.8, 1.0, 1.2, 1.4):
         for sigma0 in (0.005, 0.02):
             point = np.array([x0])
-            bundle = precompute(model, point, SymTensor2([[sigma0]]), grid)
+            bundle = precompute(model, point, np.array([[sigma0]]), grid)
             expected = cubic1d_analytic_ailp(x0, sigma0, 0.01, 1.0)
             worst = max(worst, abs(bundle.m_delta[0] - expected) / abs(expected))
     elapsed = time.time() - start

@@ -9,11 +9,11 @@ import scipy.linalg
 
 from gifilter.ekf import ekf_predict, ekf_step, ekf_update
 from gifilter.errors import IllConditionedGainError
-from gifilter.filter import FilterDiagnostics, StateEstimate, repair_psd
-from gifilter.geometry import SymTensor2, flat_connector, symmetric_condition, symmetrize
+from gifilter.filter import FilterDiagnostics, repair_psd
+from gifilter.geometry import flat_connector, symmetric_condition, symmetrize
 from gifilter.flow import DiffusionModel
 from gifilter.harness import kalman_reference_run, van_loan_discretization
-from gifilter.observation import ObservationEvent, ObservationModel, wrap_angles
+from gifilter.observation import ObservationModel, wrap_angles
 
 from helpers import (
     assert_broadcasts_over_points,
@@ -30,11 +30,11 @@ def test_predict_linear_matches_exact_kalman(linear_params, linear_models):
     delta = 0.05
     m0 = rng.standard_normal(3)
     p0 = 0.4 * np.eye(3)
-    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(p0)), delta, n_substeps=128)
+    mean, cov = ekf_predict(model, (m0, p0), delta, n_substeps=128)
     fmat, qd = van_loan_discretization(
         linear_params.a_mat, linear_params.sigma_mat @ linear_params.sigma_mat.T, delta)
-    assert np.max(np.abs(pred.mu_hat - fmat @ m0)) < 1e-8
-    assert np.max(np.abs(pred.sigma_hat.mat - (fmat @ p0 @ fmat.T + qd))) < 1e-8
+    assert np.max(np.abs(mean - fmat @ m0)) < 1e-8
+    assert np.max(np.abs(cov - (fmat @ p0 @ fmat.T + qd))) < 1e-8
 
 
 def test_predict_no_noise_no_drift_is_identity():
@@ -56,16 +56,16 @@ def test_predict_no_noise_no_drift_is_identity():
     assert_broadcasts_over_points(model, rng.standard_normal((4, 2)), rng)
     m0 = np.array([1.0, -2.0])
     p0 = np.diag([0.3, 0.6])
-    pred = ekf_predict(model, StateEstimate(m0, SymTensor2(p0)), 1.0, 8)
-    assert np.array_equal(pred.mu_hat, m0)
-    assert np.array_equal(pred.sigma_hat.mat, p0)
+    mean, cov = ekf_predict(model, (m0, p0), 1.0, 8)
+    assert np.array_equal(mean, m0)
+    assert np.array_equal(cov, p0)
 
 
 def test_predict_cubic_mean_matches_closed_form(cubic_models):
     model, _ = cubic_models
     m0 = np.array([1.0])
-    pred = ekf_predict(model, StateEstimate(m0, SymTensor2([[0.01]])), 1.0, 64)
-    assert abs(pred.mu_hat[0] - cubic1d_analytic_flow(1.0, 1.0)) < 1e-6
+    mean, _ = ekf_predict(model, (m0, np.array([[0.01]])), 1.0, 64)
+    assert abs(mean[0] - cubic1d_analytic_flow(1.0, 1.0)) < 1e-6
 
 
 def test_predict_requires_drift_derivatives(cubic_models):
@@ -74,7 +74,7 @@ def test_predict_requires_drift_derivatives(cubic_models):
     for missing in ("ddrift_b", "d2drift_b_contract"):
         bare = dataclasses.replace(model, **{missing: None})
         with pytest.raises(ValueError, match=missing):
-            ekf_predict(bare, StateEstimate(m0, SymTensor2([[0.02]])), 1.0, 64)
+            ekf_predict(bare, (m0, np.array([[0.02]])), 1.0, 64)
 
 
 @pytest.fixture(scope="module")
@@ -124,17 +124,17 @@ def test_predict_equals_own_loop_bit_for_bit(predict_cases, name, n_substeps):
     # from a prefix scan that reassociates the products, so it matches the
     # loop to rounding
     model, mean, cov, delta = predict_cases[name]
-    pred = ekf_predict(model, StateEstimate(mean, SymTensor2(cov)), delta, n_substeps)
+    pred_mean, pred_cov = ekf_predict(model, (mean, cov), delta, n_substeps)
     ref_mean, ref_cov = _loop_predict(model, mean, cov, delta, n_substeps)
-    assert np.array_equal(pred.mu_hat, ref_mean)
-    assert np.max(np.abs(pred.sigma_hat.mat - ref_cov)) <= 1e-12 * np.max(np.abs(ref_cov))
+    assert np.array_equal(pred_mean, ref_mean)
+    assert np.max(np.abs(pred_cov - ref_cov)) <= 1e-12 * np.max(np.abs(ref_cov))
 
 
 def test_predict_evaluates_alpha_once_on_the_path(predict_cases):
     model, mean, cov, delta = predict_cases["tracking9d"]
     calls = Counter()
     model = counting(model, ("drift_b", "ddrift_b", "d2drift_b_contract", "alpha"), calls)
-    ekf_predict(model, StateEstimate(mean, SymTensor2(cov)), delta, 8)
+    ekf_predict(model, (mean, cov), delta, 8)
     assert calls == {"drift_b": 8, "ddrift_b": 9, "d2drift_b_contract": 8, "alpha": 1}
 
 
@@ -145,22 +145,22 @@ def test_update_linear_is_kalman(linear_params, linear_models):
     raw = rng.standard_normal((3, 3))
     p = raw @ raw.T + 0.1 * np.eye(3)
     y = rng.standard_normal(2)
-    upd = ekf_update(StateEstimate(m, SymTensor2(p)), obs, y)
+    mean, cov = ekf_update((m, p), obs, y)
     j = linear_params.j_mat
     s = j @ p @ j.T + linear_params.b_mat
     k = p @ j.T @ np.linalg.inv(s)
-    assert np.allclose(upd.mu_hat, m + k @ (y - j @ m), atol=1e-12)
+    assert np.allclose(mean, m + k @ (y - j @ m), atol=1e-12)
     expected = (np.eye(3) - k @ j) @ p
-    assert np.allclose(upd.sigma_hat.mat, 0.5 * (expected + expected.T), atol=1e-12)
+    assert np.allclose(cov, 0.5 * (expected + expected.T), atol=1e-12)
 
 
 def test_update_exact_observation_keeps_mean(cubic_models):
     _, obs = cubic_models
     m = np.array([0.6])
     p = np.array([[0.05]])
-    upd = ekf_update(StateEstimate(m, SymTensor2(p)), obs, obs.psi(m))
-    assert np.array_equal(upd.mu_hat, m)
-    assert upd.sigma_hat.mat[0, 0] < p[0, 0]
+    mean, cov = ekf_update((m, p), obs, obs.psi(m))
+    assert np.array_equal(mean, m)
+    assert cov[0, 0] < p[0, 0]
 
 
 def test_update_matches_hand_computed_scalar(cubic_params, cubic_models):
@@ -172,10 +172,9 @@ def test_update_matches_hand_computed_scalar(cubic_params, cubic_models):
     k = p * jval / s
     mean_expected = m + k * (y - m / (pc + m * m))
     cov_expected = (1.0 - k * jval) * p
-    upd = ekf_update(StateEstimate(np.array([m]), SymTensor2([[p]])), obs,
-                     np.array([y]))
-    assert abs(upd.mu_hat[0] - mean_expected) < 1e-14
-    assert abs(upd.sigma_hat.mat[0, 0] - cov_expected) < 1e-14
+    mean, cov = ekf_update((np.array([m]), np.array([[p]])), obs, np.array([y]))
+    assert abs(mean[0] - mean_expected) < 1e-14
+    assert abs(cov[0, 0] - cov_expected) < 1e-14
 
 
 def test_ekf_equals_kalman_over_steps(linear_params, linear_models):
@@ -186,13 +185,12 @@ def test_ekf_equals_kalman_over_steps(linear_params, linear_models):
     p0 = 0.4 * np.eye(3)
     observations = rng.standard_normal((20, 2))
     ref_means, ref_covs = kalman_reference_run(linear_params, mu0, p0, observations, delta)
-    est = StateEstimate(mu0, SymTensor2(p0))
+    mean, cov = mu0, p0
     for k in range(20):
-        est = ekf_step(model, obs, est, ObservationEvent(time=0.0, y=observations[k]),
-                       delta, nsub)
-        assert np.max(np.abs(est.mu_hat - ref_means[k])) < 1e-10 * max(
+        mean, cov = ekf_step(model, obs, (mean, cov), observations[k], delta, nsub)
+        assert np.max(np.abs(mean - ref_means[k])) < 1e-10 * max(
             1.0, float(np.max(np.abs(ref_means[k]))))
-        assert np.max(np.abs(est.sigma_hat.mat - ref_covs[k])) < 1e-10 * float(
+        assert np.max(np.abs(cov - ref_covs[k])) < 1e-10 * float(
             np.max(np.abs(ref_covs[k])))
 
 
@@ -207,14 +205,13 @@ def test_update_ill_conditioned_innovation_raises():
     )
     m = np.zeros(2)
     with pytest.raises(IllConditionedGainError):
-        ekf_update(StateEstimate(m, SymTensor2(np.zeros((2, 2)))), obs, np.zeros(2))
+        ekf_update((m, np.zeros((2, 2))), obs, np.zeros(2))
 
 
 def _inline_gain_update(pred, obs, y_obs):
     """ekf_update with its former inline innovation matrix, condition check
     and solve in place of filter.gain."""
-    m = pred.mu_hat
-    cov = pred.sigma_hat.mat
+    m, cov = pred
     jac = np.asarray(obs.dpsi(m), dtype=float)
     y_pred = obs.psi(m)
     innov = symmetrize(jac @ cov @ jac.T + np.asarray(obs.beta(y_pred), dtype=float))
@@ -227,15 +224,15 @@ def _inline_gain_update(pred, obs, y_obs):
     repaired, min_eig = repair_psd(cov_new)
     if min_eig < 0.0:
         cov_new = repaired
-    return StateEstimate(m_new, SymTensor2(cov_new))
+    return m_new, cov_new
 
 
 def _update_outcome(update, pred, obs, y):
     try:
-        est = update(pred, obs, y)
+        mean, cov = update(pred, obs, y)
     except IllConditionedGainError:
         return "ill-conditioned"
-    return est.mu_hat.tobytes(), est.sigma_hat.mat.tobytes()
+    return mean.tobytes(), cov.tobytes()
 
 
 def test_update_equals_inline_gain_block_bit_for_bit(cubic_models, tracking_models):
@@ -264,7 +261,7 @@ def test_update_equals_inline_gain_block_bit_for_bit(cubic_models, tracking_mode
         cases.append((stiff_obs, np.zeros(2), np.diag([0.0, var]), np.ones(2)))
     outcomes = []
     for obs, m, cov, y in cases:
-        pred = StateEstimate(m, SymTensor2(cov))
+        pred = m, cov
         outcomes.append(_update_outcome(ekf_update, pred, obs, y))
         assert outcomes[-1] == _update_outcome(_inline_gain_update, pred, obs, y)
     assert outcomes.count("ill-conditioned") == 1
@@ -274,8 +271,8 @@ def test_cov_stays_psd_with_repair_logging(cubic_models):
     model, obs = cubic_models
     rng = np.random.default_rng(54)
     diag = FilterDiagnostics()
-    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
+    mean, cov = np.array([0.3]), np.array([[0.01]])
     for k in range(50):
-        event = ObservationEvent(time=float(k), y=np.array([rng.uniform(-1.5, 1.5)]))
-        est = ekf_step(model, obs, est, event, 1.0, 16, diag=diag)
-        assert est.sigma_hat.mat[0, 0] >= 0.0
+        y = np.array([rng.uniform(-1.5, 1.5)])
+        mean, cov = ekf_step(model, obs, (mean, cov), y, 1.0, 16, diag=diag)
+        assert cov[0, 0] >= 0.0

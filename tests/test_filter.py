@@ -10,7 +10,6 @@ from gifilter.errors import IllConditionedGainError
 from gifilter.filter import (
     FilterConfig,
     FilterDiagnostics,
-    StateEstimate,
     assimilate,
     filter_step,
     gain,
@@ -20,11 +19,7 @@ from gifilter.filter import (
     update_estimate,
 )
 from gifilter.flow import FlowGrid, flow_second_fundamental_form, precompute
-from gifilter.geometry import (
-    SymTensor2,
-    barycenter_correction,
-    flat_connector,
-)
+from gifilter.geometry import barycenter_correction, flat_connector
 from gifilter.harness import (
     ScenarioConfig,
     build_scenario,
@@ -33,7 +28,7 @@ from gifilter.harness import (
 )
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.tracking import tracking_connector
-from gifilter.observation import ObservationEvent, map_second_fundamental_form
+from gifilter.observation import map_second_fundamental_form
 
 from helpers import counting, random_obs_point, random_tracking_state
 from oracles import (
@@ -49,14 +44,14 @@ from oracles import (
 
 
 def test_gain_zero_covariance_gives_zero():
-    xi = SymTensor2(np.zeros((3, 3)))
+    xi = np.zeros((3, 3))
     g = gain(xi, np.ones((2, 3)), np.eye(2))
     assert np.array_equal(g, np.zeros((3, 2)))
 
 
 def test_gain_scalar_formula():
     s, b = 0.7, 0.2
-    g = gain(SymTensor2([[s]]), np.eye(1), [[b]])
+    g = gain(np.array([[s]]), np.eye(1), [[b]])
     assert abs(g[0, 0] - s / (s + b)) < 1e-15
 
 
@@ -67,13 +62,13 @@ def test_gain_defining_identity_tracking_dims():
     jac = rng.standard_normal((5, 9))
     raw_b = rng.standard_normal((5, 5))
     beta = raw_b @ raw_b.T + 0.5 * np.eye(5)
-    g = gain(SymTensor2(xi_mat), jac, beta)
+    g = gain(xi_mat, jac, beta)
     residual = g @ (jac @ xi_mat @ jac.T + beta) - xi_mat @ jac.T
     assert np.max(np.abs(residual)) < 1e-10 * max(1.0, float(np.max(np.abs(xi_mat))))
 
 
 def test_gain_ill_conditioned_raises():
-    xi = SymTensor2(np.zeros((2, 2)))
+    xi = np.zeros((2, 2))
     beta = np.diag([1.0, 1e-14])
     with pytest.raises(IllConditionedGainError):
         gain(xi, np.eye(2), beta)
@@ -83,7 +78,7 @@ def test_gain_ill_conditioned_raises():
 
 
 def _update_pieces(model, obs, x0, cov0, grid):
-    bundle = precompute(model, x0, SymTensor2(cov0), grid)
+    bundle = precompute(model, x0, cov0, grid)
     x_delta = bundle.x_delta
     jac = obs.dpsi(x_delta)
     ndpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac, obs.psi(x_delta))
@@ -120,16 +115,18 @@ def test_rho_matches_term_by_term_evaluation():
     model, obs, bundle, grid, jac, g, ndpsi, rho = _cubic_pieces()
     z = np.array([0.1])
     gz = np.outer(g @ z, g @ z)
-    gz_mean = g @ jac @ bundle.xi_delta.mat
+    gz_mean = g @ jac @ bundle.xi_delta
     back = bundle.tau_delta_0
 
     def dphi(sym):
         return flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
                                             back @ sym @ back.T)
 
+    def dpsi(sym):
+        return np.einsum("kij,ij->k", ndpsi, sym)
+
     proj = np.eye(1) - g @ jac
-    expected = 0.5 * (proj @ (dphi(gz) - dphi(gz_mean))
-                      - g @ (ndpsi.contract(gz) - ndpsi.contract(gz_mean)))
+    expected = 0.5 * (proj @ (dphi(gz) - dphi(gz_mean)) - g @ (dpsi(gz) - dpsi(gz_mean)))
     assert np.allclose(rho(z), expected, atol=1e-15)
 
 
@@ -154,12 +151,12 @@ def test_rho_matches_the_dense_coefficient_oracle(tracking_models, name):
     bundle, jac, g, ndpsi, rho = _update_pieces(model, obs, x0, cov0, grid)
     flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.taus, grid)
     rng = np.random.default_rng(48)
-    root = np.linalg.cholesky(jac @ bundle.xi_delta.mat @ jac.T
+    root = np.linalg.cholesky(jac @ bundle.xi_delta @ jac.T
                               + obs.beta(obs.psi(bundle.x_delta)))
     for z_hat in [np.zeros(jac.shape[0])] + [root @ rng.standard_normal(jac.shape[0])
                                              for _ in range(4)]:
-        expected = dense_rho_correction(g, jac, flow_coeffs, ndpsi.coeffs, bundle.tau_delta_0,
-                                        bundle.xi_delta.mat, z_hat)
+        expected = dense_rho_correction(g, jac, flow_coeffs, ndpsi, bundle.tau_delta_0,
+                                        bundle.xi_delta, z_hat)
         got = rho(z_hat)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -172,7 +169,7 @@ def test_rho_is_unbiased_over_innovation_sigma_points(tracking_models, name):
     model, obs, x0, cov0, grid = _oracle_cases(name, tracking_models)
     bundle, jac, g, ndpsi, rho = _update_pieces(model, obs, x0, cov0, grid)
     q = jac.shape[0]
-    root = np.linalg.cholesky(jac @ bundle.xi_delta.mat @ jac.T
+    root = np.linalg.cholesky(jac @ bundle.xi_delta @ jac.T
                               + obs.beta(obs.psi(bundle.x_delta)))
     points = np.sqrt(q) * np.concatenate([root.T, -root.T])
     values = np.array([rho(z) for z in points])
@@ -230,8 +227,8 @@ def test_assimilate_zero_innovation_flat():
     mu_free, _ = assimilate(bundle, g, jac, z_hat, rho(z_hat), no_collar)
     assert np.allclose(mu_free, bundle.m_delta + rho(z_hat), atol=1e-18)
     assert rho(z_hat)[0] != 0.0
-    expected_cov = (1.0 - (g @ jac)[0, 0]) * bundle.xi_delta.mat[0, 0]
-    assert abs(sigma.mat[0, 0] - expected_cov) < 1e-15
+    expected_cov = (1.0 - (g @ jac)[0, 0]) * bundle.xi_delta[0, 0]
+    assert abs(sigma[0, 0] - expected_cov) < 1e-15
 
 
 def test_assimilate_collar_never_lets_quadratic_dominate():
@@ -266,11 +263,11 @@ def test_assimilate_matches_line_by_line_reimplementation():
     # quadratic term from the dense coefficients
     flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.taus, grid)
     mu_direct = (bundle.m_delta + g @ z_hat
-                 + dense_rho_correction(g, jac, flow_coeffs, ndpsi.coeffs, bundle.tau_delta_0,
-                                        bundle.xi_delta.mat, z_hat))
-    sigma_direct = (np.eye(1) - g @ jac) @ bundle.xi_delta.mat
+                 + dense_rho_correction(g, jac, flow_coeffs, ndpsi, bundle.tau_delta_0,
+                                        bundle.xi_delta, z_hat))
+    sigma_direct = (np.eye(1) - g @ jac) @ bundle.xi_delta
     assert np.allclose(mu, mu_direct, atol=1e-16)
-    assert np.allclose(sigma.mat, 0.5 * (sigma_direct + sigma_direct.T), atol=1e-16)
+    assert np.allclose(sigma, 0.5 * (sigma_direct + sigma_direct.T), atol=1e-16)
 
 
 # --- state update -----------------------------------------------------------------
@@ -279,10 +276,10 @@ def test_assimilate_matches_line_by_line_reimplementation():
 def test_update_flat_is_translation():
     x = np.array([0.3, -0.7])
     mu = np.array([0.1, 0.2])
-    sigma = SymTensor2(np.array([[0.5, 0.1], [0.1, 0.4]]))
-    est = update_estimate(x, mu, sigma, flat_connector(2))
-    assert np.allclose(est.mu_hat, x + mu)
-    assert np.array_equal(est.sigma_hat.mat, sigma.mat)
+    sigma = np.array([[0.5, 0.1], [0.1, 0.4]])
+    mu_hat, sigma_hat = update_estimate(x, mu, sigma, flat_connector(2))
+    assert np.allclose(mu_hat, x + mu)
+    assert np.array_equal(sigma_hat, sigma)
 
 
 def test_update_zero_mean_keeps_point():
@@ -290,10 +287,10 @@ def test_update_zero_mean_keeps_point():
     rng = np.random.default_rng(43)
     x = random_tracking_state(rng)
     raw = rng.standard_normal((9, 9)) * 0.1
-    sigma = SymTensor2(raw @ raw.T)
-    est = update_estimate(x, np.zeros(9), sigma, conn)
-    assert np.allclose(est.mu_hat, x)
-    assert np.allclose(est.sigma_hat.mat, sigma.mat)
+    sigma = raw @ raw.T
+    mu_hat, sigma_hat = update_estimate(x, np.zeros(9), sigma, conn)
+    assert np.allclose(mu_hat, x)
+    assert np.allclose(sigma_hat, sigma)
 
 
 def test_update_matches_geodesic_oracle_scaling():
@@ -309,13 +306,13 @@ def test_update_matches_geodesic_oracle_scaling():
     cov_gaps = []
     for scale in (0.04, 0.02):
         mu = scale * direction
-        sigma = SymTensor2(smat * scale ** 2)
-        series = update_estimate(x, mu, sigma, conn)
+        sigma = smat * scale ** 2
+        series_mu, series_sigma = update_estimate(x, mu, sigma, conn)
         v = barycenter_correction(mu, sigma, conn, x)
         endpoint, f11 = geodesic_flow(x, v, conn, steps=64)
-        mean_gaps.append(float(np.linalg.norm(series.mu_hat - endpoint)))
+        mean_gaps.append(float(np.linalg.norm(series_mu - endpoint)))
         # normalize covariance gap by sigma scale to expose the O(|v|) factor
-        gap = np.linalg.norm(series.sigma_hat.mat - f11 @ sigma.mat @ f11.T)
+        gap = np.linalg.norm(series_sigma - f11 @ sigma @ f11.T)
         cov_gaps.append(float(gap) / scale ** 2)
     assert 12.0 <= mean_gaps[0] / mean_gaps[1] <= 20.0
     assert 1.5 <= cov_gaps[0] / cov_gaps[1] <= 3.0
@@ -327,17 +324,17 @@ def test_update_covariance_matches_column_loop():
     rng = np.random.default_rng(48)
     x = random_tracking_state(rng)
     raw = rng.standard_normal((9, 9)) * 0.1
-    sigma = SymTensor2(raw @ raw.T)
+    sigma = raw @ raw.T
     mu = rng.standard_normal(9) * 0.05
-    est = update_estimate(x, mu, sigma, conn)
+    _, sigma_hat = update_estimate(x, mu, sigma, conn)
     v = barycenter_correction(mu, sigma, conn, x)
     basis = np.eye(9)
     fmat = np.eye(9)
     for col in range(9):
         fmat[:, col] -= conn.gamma(x, v, basis[col])
-    expected = fmat @ sigma.mat @ fmat.T
+    expected = fmat @ sigma @ fmat.T
     expected = 0.5 * (expected + expected.T)
-    assert np.max(np.abs(est.sigma_hat.mat - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(sigma_hat - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # --- full filter step ---------------------------------------------------------------
@@ -352,12 +349,12 @@ def test_filter_step_equals_kalman_on_linear_model(linear_params, linear_models)
     observations = rng.standard_normal((5, 2))
     ref_means, ref_covs = kalman_reference_run(linear_params, mu0, p0, observations, delta)
     cfg = FilterConfig(delta=delta, n_substeps=nsub)
-    est = StateEstimate(mu0, SymTensor2(p0))
+    mu, sigma = mu0, p0
     for k in range(5):
-        est = filter_step(model, obs, est, ObservationEvent(time=0.0, y=observations[k]), cfg)
-        assert np.max(np.abs(est.mu_hat - ref_means[k])) < 1e-8 * max(
+        mu, sigma = filter_step(model, obs, (mu, sigma), observations[k], cfg)
+        assert np.max(np.abs(mu - ref_means[k])) < 1e-8 * max(
             1.0, float(np.max(np.abs(ref_means[k]))))
-        assert np.max(np.abs(est.sigma_hat.mat - ref_covs[k])) < 1e-8 * float(
+        assert np.max(np.abs(sigma - ref_covs[k])) < 1e-8 * float(
             np.max(np.abs(ref_covs[k])))
 
 
@@ -366,23 +363,23 @@ def test_filter_step_zero_noise_limit_tracks_flow():
     model, obs = cubic1d_build(params)
     cfg = FilterConfig(delta=1.0, n_substeps=64)
     x = 1.0
-    est = StateEstimate(np.array([x]), SymTensor2([[0.0]]))
+    mu, sigma = np.array([x]), np.array([[0.0]])
     for n in range(1, 6):
         truth = cubic1d_analytic_flow(1.0, float(n))
-        event = ObservationEvent(time=float(n), y=np.array([obs.psi(np.array([truth]))[0]]))
-        est = filter_step(model, obs, est, event, cfg)
-        assert abs(est.mu_hat[0] - truth) < 1e-6
+        y = np.array([obs.psi(np.array([truth]))[0]])
+        mu, sigma = filter_step(model, obs, (mu, sigma), y, cfg)
+        assert abs(mu[0] - truth) < 1e-6
 
 
 def test_filter_step_fixture_reproducible(cubic_models):
     model, obs = cubic_models
     cfg = FilterConfig(delta=1.0, n_substeps=8)
-    est = StateEstimate(np.array([1.0]), SymTensor2([[0.01]]))
-    event = ObservationEvent(time=1.0, y=np.array([0.55]))
-    first = filter_step(model, obs, est, event, cfg)
-    second = filter_step(model, obs, est, event, cfg)
-    assert np.array_equal(first.mu_hat, second.mu_hat)
-    assert np.array_equal(first.sigma_hat.mat, second.sigma_hat.mat)
+    est = (np.array([1.0]), np.array([[0.01]]))
+    y = np.array([0.55])
+    first = filter_step(model, obs, est, y, cfg)
+    second = filter_step(model, obs, est, y, cfg)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
 def test_filter_step_evaluates_observation_jacobians_once():
@@ -392,9 +389,8 @@ def test_filter_step_evaluates_observation_jacobians_once():
     plain = scenario.observation_at(0.1)
     obs = counting(plain, ("psi", "dpsi", "d2psi"), calls)
     mu0 = scenario.mu0
-    est = StateEstimate(mu0, SymTensor2(scenario.sigma0))
-    event = ObservationEvent(time=0.1, y=plain.psi(mu0))
-    filter_step(scenario.diffusion, obs, est, event, FilterConfig(delta=0.1))
+    filter_step(scenario.diffusion, obs, (mu0, scenario.sigma0), plain.psi(mu0),
+                FilterConfig(delta=0.1))
     assert calls == {"psi": 1, "dpsi": 1, "d2psi": 1}
 
 
@@ -407,9 +403,8 @@ def test_filter_step_contracts_d2xi_once_per_substep_and_path_term(quadratic):
     model = counting(scenario.diffusion, ("d2xi_contract",), calls)
     obs = scenario.observation_at(0.1)
     mu0 = scenario.mu0
-    est = StateEstimate(mu0, SymTensor2(scenario.sigma0))
     cfg = FilterConfig(delta=0.1, n_substeps=8, quadratic_enabled=quadratic)
-    filter_step(model, obs, est, ObservationEvent(time=0.1, y=obs.psi(mu0)), cfg)
+    filter_step(model, obs, (mu0, scenario.sigma0), obs.psi(mu0), cfg)
     assert calls == {"d2xi_contract": cfg.n_substeps + (2 if quadratic else 1)}
 
 
@@ -418,12 +413,12 @@ def test_filter_step_covariance_stays_psd(cubic_models):
     cfg = FilterConfig(delta=1.0, n_substeps=8)
     diag = FilterDiagnostics()
     rng = np.random.default_rng(46)
-    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
+    est = (np.array([0.3]), np.array([[0.01]]))
     for k in range(50):
         y = np.array([rng.uniform(-1.6, 1.6)])
-        est = filter_step(model, obs, est, ObservationEvent(time=float(k), y=y), cfg,
-                          diag=diag)
-        assert est.sigma_hat.mat[0, 0] >= 0.0
+        est = filter_step(model, obs, est, y, cfg, diag=diag)
+        _, sigma = est
+        assert sigma[0, 0] >= 0.0
 
 
 def test_gain_identity_holds_along_benchmark_run(cubic_models):
@@ -434,16 +429,16 @@ def test_gain_identity_holds_along_benchmark_run(cubic_models):
     model, obs = cubic_models
     cfg = FilterConfig(delta=1.0, n_substeps=8)
     rng = np.random.default_rng(47)
-    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
+    est = (np.array([0.3]), np.array([[0.01]]))
     for k in range(200):
-        bundle = _precompute(model, est.mu_hat, est.sigma_hat, cfg.grid())
+        bundle = _precompute(model, *est, cfg.grid())
         jac = obs.dpsi(bundle.x_delta)
         beta = obs.beta(obs.psi(bundle.x_delta))
         g = gain(bundle.xi_delta, jac, beta)
-        resid = g @ (jac @ bundle.xi_delta.mat @ jac.T + beta) - bundle.xi_delta.mat @ jac.T
+        resid = g @ (jac @ bundle.xi_delta @ jac.T + beta) - bundle.xi_delta @ jac.T
         assert np.max(np.abs(resid)) < 1e-10
         y = np.array([rng.uniform(-1.6, 1.6)])
-        est = filter_step(model, obs, est, ObservationEvent(time=float(k), y=y), cfg)
+        est = filter_step(model, obs, est, y, cfg)
 
 
 def test_repair_psd_clips_negative_eigenvalues():
@@ -462,7 +457,3 @@ def test_config_validation():
         FilterConfig(delta=0.0)
     with pytest.raises(ValueError):
         FilterConfig(delta=1.0, n_substeps=0)
-    with pytest.raises(ValueError):
-        StateEstimate(np.array([np.inf]), SymTensor2([[1.0]]))
-    with pytest.raises(ValueError, match="does not match state dimension 1"):
-        StateEstimate(np.array([0.5]), SymTensor2(np.eye(2)))

@@ -21,7 +21,7 @@ from gifilter.flow import (
     propagate_covariance,
     transition_jacobians,
 )
-from gifilter.geometry import SYMMETRY_RTOL, SymTensor2, check_symmetric, flat_connector
+from gifilter.geometry import SYMMETRY_RTOL, check_symmetric, flat_connector
 from gifilter.harness import (
     ScenarioConfig,
     build_scenario,
@@ -176,7 +176,7 @@ def test_ill_conditioned_flow_detected():
     model = make_linear_model(a_mat, np.zeros((2, 2)))
     x0 = np.zeros(2)
     with pytest.raises(IllConditionedFlowError):
-        precompute(model, x0, SymTensor2(np.eye(2)), FlowGrid(1.0, 64))
+        precompute(model, x0, np.eye(2), FlowGrid(1.0, 64))
 
 
 # --- propagate_covariance -------------------------------------------------------
@@ -188,7 +188,7 @@ def test_no_noise_no_drift_keeps_covariance():
     path, jacs = integrate_flow(model, np.array([0.0]), grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2([[0.7]]), grid)
+    xis = propagate_covariance(alphas, taus, np.array([[0.7]]), grid)
     assert all(abs(x[0, 0] - 0.7) < 1e-15 for x in xis)
 
 
@@ -199,7 +199,7 @@ def test_ou_variance_matches_lyapunov_solution():
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2([[sigma0]]), grid)
+    xis = propagate_covariance(alphas, taus, np.array([[sigma0]]), grid)
     expected = np.exp(-2 * a * delta) * sigma0 + sig ** 2 * (1 - np.exp(-2 * a * delta)) / (2 * a)
     assert abs(xis[-1][0, 0] - expected) < 1e-6
 
@@ -214,7 +214,7 @@ def test_covariance_stays_symmetric_psd_along_grid():
     taus = transition_jacobians(jacs, grid)
     raw = rng.standard_normal((3, 3))
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(raw @ raw.T), grid)
+    xis = propagate_covariance(alphas, taus, raw @ raw.T, grid)
     for x in xis:
         assert np.array_equal(x, x.T)
         eigs = np.linalg.eigvalsh(x)
@@ -234,15 +234,15 @@ def test_linear_model_has_zero_location_correction():
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(np.eye(3)), grid)
-    m_delta = ailp_state(model, path, alphas, taus, xis, SymTensor2(np.eye(3)), grid)
+    xis = propagate_covariance(alphas, taus, np.eye(3), grid)
+    m_delta = ailp_state(model, path, alphas, taus, xis, np.eye(3), grid)
     assert np.array_equal(m_delta, np.zeros(3))
 
 
 def test_cubic_location_correction_matches_analytic():
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
-    sigma0 = SymTensor2(np.array([[0.01]]))
+    sigma0 = np.array([[0.01]])
     path, jacs = integrate_flow(CUBIC, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = CUBIC.alpha(path)
@@ -331,10 +331,10 @@ def test_precompute_degenerate_model_is_trivial():
     model = make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0)
     x0 = np.array([0.4])
     grid = FlowGrid(1.0, 4)
-    bundle = precompute(model, x0, SymTensor2([[0.25]]), grid)
+    bundle = precompute(model, x0, np.array([[0.25]]), grid)
     assert np.allclose(bundle.x_delta, x0)
     assert np.allclose(bundle.tau_0_delta, np.eye(1))
-    assert np.allclose(bundle.xi_delta.mat, 0.25)
+    assert np.allclose(bundle.xi_delta, 0.25)
     assert np.array_equal(bundle.m_delta, np.zeros(1))
     form = flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, np.ones((1, 1)))
     assert np.array_equal(form, np.zeros(1))
@@ -348,16 +348,16 @@ def test_precompute_linear_matches_kalman_predict():
     delta = 0.05
     x0 = rng.standard_normal(3)
     p0 = np.eye(3) * 0.3
-    bundle = precompute(model, x0, SymTensor2(p0), FlowGrid(delta, 128))
+    bundle = precompute(model, x0, p0, FlowGrid(delta, 128))
     fmat, qd = van_loan_discretization(a_mat, sig @ sig.T, delta)
     assert np.max(np.abs(bundle.x_delta - fmat @ x0)) < 1e-9
-    assert np.max(np.abs(bundle.xi_delta.mat - (fmat @ p0 @ fmat.T + qd))) < 1e-8
+    assert np.max(np.abs(bundle.xi_delta - (fmat @ p0 @ fmat.T + qd))) < 1e-8
     assert np.array_equal(bundle.m_delta, np.zeros(3))
 
 
 def test_precompute_matches_finer_grid():
     x0 = np.array([1.0])
-    sigma0 = SymTensor2(np.array([[0.01]]))
+    sigma0 = np.array([[0.01]])
     coarse_grid, fine_grid = FlowGrid(1.0, 64), FlowGrid(1.0, 640)
     coarse = precompute(CUBIC, x0, sigma0, coarse_grid)
     fine = precompute(CUBIC, x0, sigma0, fine_grid)
@@ -367,7 +367,7 @@ def test_precompute_matches_finer_grid():
 
     assert rel(coarse.x_delta[0], fine.x_delta[0]) < 1e-4
     assert rel(coarse.tau_0_delta[0, 0], fine.tau_0_delta[0, 0]) < 1e-4
-    assert rel(coarse.xi_delta.mat[0, 0], fine.xi_delta.mat[0, 0]) < 1e-4
+    assert rel(coarse.xi_delta[0, 0], fine.xi_delta[0, 0]) < 1e-4
     assert rel(coarse.m_delta[0], fine.m_delta[0]) < 1e-4
     one = np.ones((1, 1))
     assert rel(flow_second_fundamental_form(CUBIC, coarse.x_path, coarse.taus, coarse_grid, one),
@@ -381,7 +381,7 @@ def test_precompute_evaluates_alpha_and_hessian_once_on_the_path():
     calls = Counter()
     model = counting(scenario.diffusion, ("xi", "dxi", "alpha", "d2xi_contract"), calls)
     mu0 = scenario.mu0
-    precompute(model, mu0, SymTensor2(scenario.sigma0), FlowGrid(0.1, 8))
+    precompute(model, mu0, scenario.sigma0, FlowGrid(0.1, 8))
     assert calls == {"xi": 8, "dxi": 9, "alpha": 1, "d2xi_contract": 9}
 
 
@@ -395,7 +395,7 @@ def test_ailp_state_contracts_the_whole_path_in_one_call(n_steps):
     counted = dataclasses.replace(model, conn=counting(model.conn, ("contract_fn",), calls))
     grid = FlowGrid(0.1, n_steps)
     mu0 = scenario.mu0
-    sigma0 = SymTensor2(scenario.sigma0)
+    sigma0 = scenario.sigma0
     path, jacs = integrate_flow(model, mu0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
@@ -411,12 +411,12 @@ def test_precompute_memory_stays_linear_in_the_grid():
     scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
     model = scenario.diffusion
     mu0 = scenario.mu0
-    sigma0 = SymTensor2(scenario.sigma0)
+    sigma0 = scenario.sigma0
     grid = FlowGrid(0.1, 2048)
     tracemalloc.start()
     try:
         bundle = precompute(model, mu0, sigma0, grid)
-        flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, sigma0.mat)
+        flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, sigma0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -444,7 +444,7 @@ def test_tau_delta_0_computed_once():
 
 
 def test_tau_inverse_identity():
-    bundle = precompute(CUBIC, np.array([1.0]), SymTensor2([[0.01]]),
+    bundle = precompute(CUBIC, np.array([1.0]), np.array([[0.01]]),
                         FlowGrid(1.0, 16))
     assert abs(bundle.tau_delta_0 @ bundle.tau_0_delta - np.eye(1))[0, 0] < 1e-8
     assert np.linalg.cond(bundle.tau_0_delta) < 1e12
@@ -499,7 +499,7 @@ def _loop_ailp_state(model, path, per_step, from_start, xis, sigma0, grid):
         kappa = 0.5 * h * cur + per_step[k] @ (kappa + 0.5 * h * prev)
         prev = cur
     if not conn.flat:
-        kappa = (kappa - from_start[-1] @ conn.contract(path[0], sigma0.mat)
+        kappa = (kappa - from_start[-1] @ conn.contract(path[0], sigma0)
                  + conn.contract(path[-1], xis[-1]))
     return 0.5 * kappa
 
@@ -554,7 +554,7 @@ def test_scanned_products_and_covariance_match_the_loops(cubic_models, linear_mo
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(cov0), grid)
+    xis = propagate_covariance(alphas, taus, cov0, grid)
     # from_start as the covariance scan left it, and from the product scan
     # alone: the same array bit for bit
     assert _rel_close(taus.from_start, loop_from_start(taus.per_step))
@@ -573,7 +573,7 @@ def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_m
     model, x0, cov0, delta = _propagation_cases(cubic_models, linear_models, tracking_models,
                                                 rng)[name]
     grid = FlowGrid(delta, n_steps)
-    sigma0 = SymTensor2(cov0)
+    sigma0 = cov0
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     per_step, from_start, to_end = _loop_transition_maps(jacs, grid)
@@ -605,7 +605,7 @@ def test_contractions_match_the_dense_hessian_oracle(cubic_models, linear_models
     path, jacs = integrate_flow(model, x0, grid)
     taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, SymTensor2(cov0), grid)
+    xis = propagate_covariance(alphas, taus, cov0, grid)
     integrand = dense_ailp_integrand(path_hessian(model, path), xis)
     contracted = model.d2xi_contract(path, xis)
     if np.any(integrand):

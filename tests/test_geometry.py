@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gifilter.errors import NonFiniteError, SingularMetricError
+from gifilter.filter import update_estimate
 from gifilter.geometry import (
-    Bilinear3,
     ConnectorField,
-    SymTensor2,
     barycenter_correction,
+    check_symmetric,
     curvature,
     exp_map_series,
     flat_connector,
     identity,
-    pushforward_covariance,
     symmetric_condition,
 )
 from gifilter.harness import transformed_cubic_model
@@ -27,7 +26,6 @@ from oracles import (
     geodesic_flow,
     levi_civita_connector,
     log_map_series,
-    sym_outer,
     tracking_dbeta,
 )
 
@@ -397,7 +395,7 @@ def test_curvature_matches_holonomy_estimate():
 
 def test_barycenter_flat_returns_mu():
     mu = np.array([0.2, -0.4, 1.0])
-    sigma = SymTensor2(np.eye(3))
+    sigma = np.eye(3)
     assert np.array_equal(barycenter_correction(mu, sigma, flat_connector(3), np.zeros(3)), mu)
 
 
@@ -406,7 +404,7 @@ def test_barycenter_zero_mu_is_zero():
     rng = np.random.default_rng(12)
     x = random_tracking_state(rng)
     raw = rng.standard_normal((9, 9))
-    sigma = SymTensor2(raw @ raw.T)
+    sigma = raw @ raw.T
     out = barycenter_correction(np.zeros(9), sigma, conn, x)
     assert np.array_equal(out, np.zeros(9))
 
@@ -418,7 +416,7 @@ def test_barycenter_matches_triple_loop():
     raw = rng.standard_normal((9, 9)) * 0.3
     smat = raw @ raw.T
     mu = rng.standard_normal(9) * 0.1
-    fast = barycenter_correction(mu, SymTensor2(smat), conn, x)
+    fast = barycenter_correction(mu, smat, conn, x)
     basis = np.eye(9)
     acc = np.zeros(9)
     for i in range(9):
@@ -428,12 +426,27 @@ def test_barycenter_matches_triple_loop():
     assert np.allclose(fast, mu - acc / 3.0, atol=1e-12)
 
 
+def _constant_connector(coeffs):
+    """A connector with the constant coefficients coeffs[k, i, j]."""
+
+    def gamma(x, u, v):
+        return np.einsum("kij,...i,...j->...k", coeffs, u, v)
+
+    def dgamma(x, w, u, v):
+        return np.zeros(np.broadcast_shapes(np.shape(w), np.shape(u), np.shape(v)))
+
+    return ConnectorField(dim=coeffs.shape[0], gamma=gamma, dgamma=dgamma)
+
+
 def test_pushforward_identity_and_scaling():
-    sigma = SymTensor2(np.array([[1.0, 0.2], [0.2, 2.0]]))
-    same = pushforward_covariance(sigma, np.eye(2))
-    assert np.array_equal(same.mat, sigma.mat)
-    scaled = pushforward_covariance(SymTensor2(np.eye(2)), 2.0 * np.eye(2))
-    assert np.allclose(scaled.mat, 4.0 * np.eye(2))
+    # update_estimate carries sigma through F = I - Gamma(x)(v, .): F = I
+    # on flat geometry, and F = 2 in 1-D with Gamma = c u w and c v = -1
+    sigma = np.array([[1.0, 0.2], [0.2, 2.0]])
+    _, same = update_estimate(np.zeros(2), np.array([0.1, 0.2]), sigma, flat_connector(2))
+    assert np.array_equal(same, sigma)
+    conn = _constant_connector(np.array([[[-2.0]]]))
+    _, scaled = update_estimate(np.zeros(1), np.array([0.5]), np.array([[0.3]]), conn)
+    assert np.allclose(scaled, 4.0 * 0.3)
 
 
 @given(data=st.data())
@@ -443,32 +456,40 @@ def test_pushforward_matches_index_loop_and_stays_psd(data):
     dim = data.draw(st.integers(1, 4))
     raw = rng.standard_normal((dim, dim))
     smat = raw @ raw.T
-    fmat = rng.standard_normal((dim, dim))
-    out = pushforward_covariance(SymTensor2(smat), fmat)
+    coeffs = rng.standard_normal((dim, dim, dim))
+    conn = _constant_connector(coeffs + coeffs.transpose(0, 2, 1))
+    x = np.zeros(dim)
+    mu = rng.standard_normal(dim)
+    _, out = update_estimate(x, mu, smat, conn)
+    v = barycenter_correction(mu, smat, conn, x)
+    fmat = np.eye(dim)
+    for col in range(dim):
+        fmat[:, col] -= conn.gamma(x, v, np.eye(dim)[col])
     loop = np.zeros((dim, dim))
     for i in range(dim):
         for j in range(dim):
             for a in range(dim):
                 for b in range(dim):
                     loop[i, j] += fmat[i, a] * smat[a, b] * fmat[j, b]
-    assert np.allclose(out.mat, 0.5 * (loop + loop.T), atol=1e-10)
-    eigs = np.linalg.eigvalsh(out.mat)
+    assert np.allclose(out, 0.5 * (loop + loop.T), atol=1e-10)
+    eigs = np.linalg.eigvalsh(out)
     assert eigs[0] >= -1e-10 * max(eigs[-1], 0.0)
 
 
-# --- container validation ----------------------------------------------------
+# --- the symmetric-tensor check --------------------------------------------------
+# run_filters applies check_symmetric to every covariance it accepts
 
 
 def test_symtensor_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        SymTensor2(np.array([[1.0, 0.5], [0.1, 1.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        check_symmetric(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_symtensor_rejects_non_finite(bad):
     # one max|mat| serves the finiteness and the symmetry check
     with pytest.raises(NonFiniteError):
-        SymTensor2(np.array([[1.0, 0.0], [0.0, bad]]))
+        check_symmetric(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 def test_identity_is_shared_and_read_only():
@@ -477,21 +498,3 @@ def test_identity_is_shared_and_read_only():
     assert np.array_equal(eye, np.eye(3))
     with pytest.raises(ValueError):
         eye[0, 0] = 2.0
-
-
-def test_bilinear3_rejects_trailing_asymmetry():
-    bad = np.zeros((1, 2, 2))
-    bad[0, 0, 1] = 1.0
-    with pytest.raises(ValueError):
-        Bilinear3(bad)
-
-
-def test_bilinear3_contract():
-    coeffs = np.zeros((2, 2, 2))
-    coeffs[0] = np.eye(2)
-    coeffs[1] = np.array([[0.0, 1.0], [1.0, 0.0]])
-    form = Bilinear3(coeffs)
-    u = np.array([1.0, 2.0])
-    w = np.array([-1.0, 0.5])
-    assert np.allclose(form.contract(np.outer(u, u)), [5.0, 4.0])
-    assert np.allclose(form.contract(sym_outer(u, w)), [0.0, -1.5])

@@ -10,9 +10,10 @@ import pytest
 
 from gifilter.ekf import ekf_step
 from gifilter.errors import DivergenceError, IllConditionedGainError
-from gifilter.filter import FilterConfig, StateEstimate, filter_step
-from gifilter import harness
-from gifilter.geometry import SymTensor2
+from gifilter import filter as gfilter
+from gifilter import flow, harness
+from gifilter.filter import FilterConfig, filter_step
+from gifilter.geometry import flat_connector
 from gifilter.harness import (
     ScenarioConfig,
     _cubic_state_diffeo,
@@ -30,7 +31,7 @@ from gifilter.harness import (
 )
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.linear import LinearParams, linear_build
-from gifilter.observation import ObservationEvent, sample_observation
+from gifilter.observation import sample_observation
 
 from oracles import cubic1d_analytic_flow, drift_consistency_residual
 
@@ -165,6 +166,113 @@ def test_non_finite_gif_update_aborts_the_cycle_not_the_run(caplog):
     ]
 
 
+def _spoil_mu(mu, sigma):
+    return np.full_like(mu, np.inf), sigma
+
+
+def _spoil_sigma(mu, sigma):
+    sigma = sigma.copy()
+    sigma[0, 0] = np.nan
+    return mu, sigma
+
+
+@pytest.mark.parametrize("spoil", [_spoil_mu, _spoil_sigma], ids=["mu", "sigma"])
+@pytest.mark.parametrize("name,step_name", [("gif", "filter_step"), ("ekf", "ekf_step")])
+def test_step_with_a_non_finite_result_aborts_its_cycle(monkeypatch, name, step_name, spoil):
+    # run_filters checks each step's result once, inside the attempt: a
+    # non-finite entry aborts that cycle only, without a retry, and the
+    # filter keeps its previous estimate
+    step = getattr(harness, step_name)
+    calls = []
+
+    def third_step_spoiled(*args, **kwargs):
+        calls.append(None)
+        result = step(*args, **kwargs)
+        return spoil(*result) if len(calls) == 3 else result
+
+    monkeypatch.setattr(harness, step_name, third_step_spoiled)
+    scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=5, seed=1, filters=(name,)))
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(1, 0)))
+    assert len(calls) == 5
+    assert record.aborted[name].tolist() == [False, False, True, False, False]
+    assert np.array_equal(record.estimates[name][2], record.estimates[name][1])
+    assert np.array_equal(record.covariances[name][2], record.covariances[name][1])
+    assert np.all(np.isfinite(record.covariances[name]))
+
+
+def test_non_finite_covariance_inside_a_gif_step_aborts_the_cycle(monkeypatch):
+    # a NaN covariance entry out of the curved update reaches repair_psd,
+    # whose eigendecomposition fails on it with NonFiniteError: the cycle
+    # aborts and the run goes on
+    update = gfilter.update_estimate
+    calls = []
+
+    def second_update_spoiled(x_delta, mu, sigma, conn):
+        calls.append(None)
+        mu_hat, sigma_hat = update(x_delta, mu, sigma, conn)
+        if len(calls) == 2:
+            sigma_hat = sigma_hat.copy()
+            sigma_hat[0, 0] = np.nan
+        return mu_hat, sigma_hat
+
+    monkeypatch.setattr(gfilter, "update_estimate", second_update_spoiled)
+    scenario = build_scenario(ScenarioConfig(model="tracking9d", delta=0.1, n_obs=3, seed=0,
+                                             filters=("gif",)))
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(0, 0)))
+    assert record.aborted["gif"].tolist() == [False, True, False]
+    assert np.array_equal(record.covariances["gif"][1], record.covariances["gif"][0])
+
+
+_ASYMMETRIC = np.eye(9)
+_ASYMMETRIC[0, 1] = 0.5
+
+
+@pytest.mark.parametrize("model,field,value,match", [
+    ("cubic1d", "sigma0", [[0.01, 0.0], [0.0, 0.01]], "does not match state dimension 1"),
+    ("cubic1d", "sigma0", [[math.nan]], "non-finite"),
+    ("cubic1d", "mu0", [math.inf], "non-finite"),
+    ("tracking9d", "sigma0", _ASYMMETRIC.tolist(), "not symmetric"),
+], ids=["sigma0-shape", "sigma0-non-finite", "mu0-non-finite", "sigma0-asymmetric"])
+def test_bad_initial_estimate_raises_value_error(model, field, value, match):
+    # the scenario's estimate is checked once, on entry, as invalid input
+    scenario = build_scenario(ScenarioConfig(model=model, n_obs=2, **{field: value}))
+    record = simulate_sde(scenario, trajectory_rng(0, 0))
+    with pytest.raises(ValueError, match=match):
+        run_filters(scenario, record)
+
+
+def test_gif_without_its_intrinsic_terms_is_the_ekf_on_tracking(monkeypatch):
+    # With the quadratic term off, the observation AILP at 0, the flat
+    # pull-back Z = w, the state AILP m_delta at 0 and the flat update
+    # x_delta + mu, a GIF cycle does the EKF's arithmetic: on tracking9d
+    # xi = b, because Gamma(alpha) vanishes, so both filters propagate
+    # alike and the two tracks agree bit for bit.
+    def run(seed, n_obs):
+        config = ScenarioConfig(model="tracking9d", delta=0.1, n_obs=n_obs, seed=seed,
+                                quadratic_enabled=False)
+        scenario = build_scenario(config)
+        return run_filters(scenario, simulate_sde(scenario, trajectory_rng(seed, 0)))
+
+    pull_back = gfilter.pull_back_observation
+    monkeypatch.setattr(gfilter, "ailp_observation",
+                        lambda bundle, form, jac: np.zeros(jac.shape[0]))
+    monkeypatch.setattr(flow, "ailp_state", lambda model, x_path, *rest: np.zeros(model.dim))
+    monkeypatch.setattr(gfilter, "pull_back_observation",
+                        lambda y_delta, y_obs, conn, mask: pull_back(
+                            y_delta, y_obs, flat_connector(conn.dim), mask))
+    # the curved update alone already sets the two apart
+    partial = run(0, 10)
+    assert not np.array_equal(partial.estimates["gif"], partial.estimates["ekf"])
+
+    monkeypatch.setattr(gfilter, "update_estimate",
+                        lambda x_delta, mu, sigma, conn: (x_delta + mu, sigma))
+    for seed in (0, 2, 5):
+        record = run(seed, 100)
+        assert not record.aborted["gif"].any() and not record.aborted["ekf"].any()
+        assert record.estimates["gif"].tobytes() == record.estimates["ekf"].tobytes()
+        assert record.covariances["gif"].tobytes() == record.covariances["ekf"].tobytes()
+
+
 def test_simulate_sde_requires_noise_matrix():
     scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=3))
     no_noise = dataclasses.replace(
@@ -213,7 +321,7 @@ def _per_substep_simulation(scenario, rng):
                     x = model.constrain(x, ref)
             truth[k] = x
             obs_model = scenario.observation_at(float(times[k]))
-            observations[k] = sample_observation(obs_model, x, rng, time=float(times[k])).y
+            observations[k] = sample_observation(obs_model, x, rng)
     return truth, observations, None
 
 
@@ -255,16 +363,16 @@ def _hand_written_invariance_mismatch(params, delta, sigma0, n_steps, n_substeps
     ys = _hand_written_euler_observations(params, delta, n_steps, seed)
     cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
     mu0 = 0.3
-    est_a = StateEstimate(np.array([mu0]), SymTensor2(np.array([[sigma0]])))
+    est_a = (np.array([mu0]), np.array([[sigma0]]))
     mu0_t = phi(mu0)
     sig0_t = dphi(mu0) ** 2 * sigma0
-    est_b = StateEstimate(np.array([mu0_t]), SymTensor2(np.array([[sig0_t]])))
+    est_b = (np.array([mu0_t]), np.array([[sig0_t]]))
     total = 0.0
     for k in range(n_steps):
-        event = ObservationEvent(time=(k + 1) * delta, y=np.array([ys[k]]))
-        est_a = filter_step(base_model, base_obs, est_a, event, cfg)
-        est_b = filter_step(tr_model, tr_obs, est_b, event, cfg)
-        total += abs(phi(est_a.mu_hat[0]) - est_b.mu_hat[0])
+        y = np.array([ys[k]])
+        est_a = filter_step(base_model, base_obs, est_a, y, cfg)
+        est_b = filter_step(tr_model, tr_obs, est_b, y, cfg)
+        total += abs(phi(est_a[0][0]) - est_b[0][0])
     return total / n_steps
 
 
@@ -350,21 +458,20 @@ def test_run_filters_covariances_equal_step_chain(model, delta, n_obs):
     scenario = build_scenario(config)
     record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(2, 0)))
     steps = {
-        "gif": lambda st, obs, event: filter_step(scenario.diffusion, obs, st, event,
-                                                   config.filter_config()),
-        "ekf": lambda st, obs, event: ekf_step(scenario.diffusion, obs, st, event, delta,
-                                               config.n_substeps),
+        "gif": lambda st, obs, y: filter_step(scenario.diffusion, obs, st, y,
+                                               config.filter_config()),
+        "ekf": lambda st, obs, y: ekf_step(scenario.diffusion, obs, st, y, delta,
+                                           config.n_substeps),
     }
     for name, step in steps.items():
         assert not record.aborted[name].any()
         assert record.covariances[name].shape == (n_obs, scenario.x0.size, scenario.x0.size)
-        st = StateEstimate(scenario.mu0.copy(), SymTensor2(scenario.sigma0.copy()))
+        mu, sigma = scenario.mu0, scenario.sigma0
         for k in range(n_obs):
             t = float(record.times[k])
-            st = step(st, scenario.observation_at(t),
-                      ObservationEvent(time=t, y=record.observations[k]))
-            assert np.array_equal(record.covariances[name][k], st.sigma_hat.mat)
-            assert np.array_equal(record.estimates[name][k], st.mu_hat)
+            mu, sigma = step((mu, sigma), scenario.observation_at(t), record.observations[k])
+            assert np.array_equal(record.covariances[name][k], sigma)
+            assert np.array_equal(record.estimates[name][k], mu)
 
 
 def test_run_filters_builds_one_config_per_grid_size(monkeypatch):
@@ -492,17 +599,15 @@ def _step_loop_kalman_check(seed=20240817, n_steps=200, p_dim=3, q_dim=2, delta=
     observations = rng.standard_normal((n_steps, q_dim)) * 2.0
     ref_means, ref_covs = kalman_reference_run(params, mu0, p0, observations, delta)
     cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
-    est = StateEstimate(mu0.copy(), SymTensor2(p0.copy()))
+    mu, sigma = mu0.copy(), p0.copy()
     worst_mean = 0.0
     worst_cov = 0.0
     for k in range(n_steps):
-        event = ObservationEvent(time=(k + 1) * delta, y=observations[k])
-        est = filter_step(model, obs, est, event, cfg)
+        mu, sigma = filter_step(model, obs, (mu, sigma), observations[k], cfg)
         scale_m = max(float(np.max(np.abs(ref_means[k]))), 1e-12)
         scale_p = max(float(np.max(np.abs(ref_covs[k]))), 1e-12)
-        worst_mean = max(worst_mean, float(np.max(np.abs(est.mu_hat - ref_means[k]))) / scale_m)
-        worst_cov = max(worst_cov,
-                        float(np.max(np.abs(est.sigma_hat.mat - ref_covs[k]))) / scale_p)
+        worst_mean = max(worst_mean, float(np.max(np.abs(mu - ref_means[k]))) / scale_m)
+        worst_cov = max(worst_cov, float(np.max(np.abs(sigma - ref_covs[k]))) / scale_p)
     return {
         "seed": seed,
         "n_steps": n_steps,

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from gifilter.filter import FilterConfig, StateEstimate, filter_step, gain, rho_build
+from gifilter.filter import FilterConfig, filter_step, gain, rho_build
 from gifilter.flow import FlowGrid, flow_second_fundamental_form, integrate_flow, precompute
-from gifilter.geometry import SymTensor2
 from gifilter.models.cubic1d import Cubic1DParams
 from gifilter.observation import map_second_fundamental_form
 
@@ -76,7 +75,7 @@ def test_analytic_ailp_matches_numeric_on_grid(cubic_models):
     for x0 in (0.6, 0.8, 1.0, 1.2, 1.4):
         for sigma0 in (0.005, 0.02):
             start = np.array([x0])
-            bundle = precompute(model, start, SymTensor2([[sigma0]]), grid)
+            bundle = precompute(model, start, np.array([[sigma0]]), grid)
             expected = cubic1d_analytic_ailp(x0, sigma0, 0.01, 1.0)
             assert abs(bundle.m_delta[0] - expected) / abs(expected) < 1e-4
 
@@ -87,7 +86,7 @@ def test_flat_specialization_keeps_corrections_alive(cubic_models):
     model, obs = cubic_models
     x0 = np.array([1.0])
     grid = FlowGrid(1.0, 32)
-    bundle = precompute(model, x0, SymTensor2([[0.01]]), grid)
+    bundle = precompute(model, x0, np.array([[0.01]]), grid)
     assert bundle.m_delta[0] != 0.0
     one = np.ones((1, 1))
     assert flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, one)[0] != 0.0
@@ -105,10 +104,8 @@ def test_flat_specialization_keeps_corrections_alive(cubic_models):
 
 def test_filter_step_runs_on_benchmark_params(cubic_models):
     model, obs = cubic_models
-    from gifilter.observation import ObservationEvent
-
     cfg = FilterConfig(delta=1.0, n_substeps=8)
-    est = StateEstimate(np.array([0.3]), SymTensor2([[0.01]]))
-    out = filter_step(model, obs, est, ObservationEvent(time=1.0, y=np.array([0.4])), cfg)
-    assert np.isfinite(out.mu_hat[0])
-    assert out.sigma_hat.mat[0, 0] > 0.0
+    mu, sigma = filter_step(model, obs, (np.array([0.3]), np.array([[0.01]])),
+                            np.array([0.4]), cfg)
+    assert np.isfinite(mu[0])
+    assert sigma[0, 0] > 0.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ import scipy.stats
 
 from gifilter.errors import SingularMetricError
 from gifilter.flow import FlowGrid, precompute
-from gifilter.geometry import SymTensor2, flat_connector
+from gifilter.geometry import flat_connector
 from gifilter.harness import ScenarioConfig, build_scenario
 from gifilter.observation import (
-    ObservationEvent,
     ObservationModel,
     ailp_observation,
     beta_sqrt,
@@ -22,6 +22,7 @@ from gifilter.observation import (
 )
 
 from helpers import random_tracking_state
+from oracles import sym_outer
 
 
 def test_wrap_angles_reduces_to_halfopen_interval():
@@ -48,7 +49,7 @@ def test_linear_observation_flat_form_vanishes(linear_models):
     rng = np.random.default_rng(31)
     x = rng.standard_normal(3)
     form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x), obs.psi(x))
-    assert np.array_equal(form.coeffs, np.zeros((2, 3, 3)))
+    assert np.array_equal(form, np.zeros((2, 3, 3)))
 
 
 def test_cubic_form_is_plain_second_derivative(cubic_models, cubic_params):
@@ -58,7 +59,7 @@ def test_cubic_form_is_plain_second_derivative(cubic_models, cubic_params):
         x = np.array([x0])
         form = map_second_fundamental_form(obs, model.conn, x, obs.dpsi(x), obs.psi(x))
         expected = 2.0 * x0 * (x0 ** 2 - 3.0 * p) / (p + x0 ** 2) ** 3
-        assert abs(form.coeffs[0, 0, 0] - expected) < 1e-12 * max(1.0, abs(expected))
+        assert abs(form[0, 0, 0] - expected) < 1e-12 * max(1.0, abs(expected))
 
 
 def test_tracking_form_matches_finite_difference_assembly(tracking_models):
@@ -85,7 +86,20 @@ def test_tracking_form_matches_finite_difference_assembly(tracking_models):
     expected -= np.einsum("ka,aij->kij", jac, model.conn.coefficients(x))
     expected += np.einsum("kab,ai,bj->kij", obs.conn_obs.coefficients(y), jac, jac)
     scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(form.coeffs - expected)) < 1e-6 * scale
+    assert np.max(np.abs(form - expected)) < 1e-6 * scale
+
+
+def test_form_is_symmetric_in_its_trailing_indices():
+    # an identity map whose d2psi is skew in (i, j) gives the symmetric part
+    d2psi = np.zeros((2, 2, 2))
+    d2psi[0, 0, 1] = 1.0
+    obs = ObservationModel(dim_obs=2, psi=lambda x: x.copy(), dpsi=lambda x: np.eye(2),
+                           d2psi=lambda x: d2psi, beta=lambda y: np.eye(2),
+                           conn_obs=flat_connector(2))
+    x = np.zeros(2)
+    form = map_second_fundamental_form(obs, flat_connector(2), x, np.eye(2), x)
+    assert np.array_equal(form, form.transpose(0, 2, 1))
+    assert form[0, 0, 1] == 0.5
 
 
 def test_observation_jacobians_match_finite_differences(
@@ -142,7 +156,7 @@ def _obs_ailp_term_by_term(bundle, obs, state_conn):
     # (1/2) {D2psi(Xi) - J Gamma(Xi) + Gamma_bar(J Xi J^T)} + J m_delta, each
     # term evaluated on its own rather than through the second fundamental form
     x_delta = bundle.x_delta
-    xi = bundle.xi_delta.mat
+    xi = bundle.xi_delta
     jac = np.asarray(obs.dpsi(x_delta), dtype=float)
     out = np.einsum("kij,ij->k", np.asarray(obs.d2psi(x_delta), dtype=float), xi)
     if not state_conn.flat:
@@ -157,17 +171,29 @@ def test_observation_ailp_matches_term_by_term_formula(model_name):
     scenario = build_scenario(ScenarioConfig(model=model_name, n_obs=1, delta=0.1))
     model, obs = scenario.diffusion, scenario.observation_at(0.1)
     mu0 = scenario.mu0
-    bundle = precompute(model, mu0, SymTensor2(scenario.sigma0), FlowGrid(0.1, 8))
+    bundle = precompute(model, mu0, scenario.sigma0, FlowGrid(0.1, 8))
     out = _obs_ailp(bundle, obs, model.conn)
     oracle = _obs_ailp_term_by_term(bundle, obs, model.conn)
     assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_ailp_observation_contracts_the_form():
+    # (1/2) sum_ij form[k, i, j] Xi[i, j], here with J m_delta = 0
+    form = np.zeros((2, 2, 2))
+    form[0] = np.eye(2)
+    form[1] = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = np.array([1.0, 2.0])
+    w = np.array([-1.0, 0.5])
+    for xi, expected in ((np.outer(u, u), [5.0, 4.0]), (sym_outer(u, w), [0.0, -1.5])):
+        bundle = SimpleNamespace(xi_delta=xi, m_delta=np.zeros(2))
+        assert np.allclose(ailp_observation(bundle, form, np.eye(2)), 0.5 * np.array(expected))
 
 
 def test_linear_observation_ailp_vanishes(linear_models):
     model, obs = linear_models
     rng = np.random.default_rng(34)
     x0 = rng.standard_normal(3)
-    bundle = precompute(model, x0, SymTensor2(np.eye(3) * 0.4), FlowGrid(0.2, 8))
+    bundle = precompute(model, x0, np.eye(3) * 0.4, FlowGrid(0.2, 8))
     out = _obs_ailp(bundle, obs, model.conn)
     assert np.array_equal(out, np.zeros(2))
 
@@ -183,7 +209,7 @@ def test_identity_observation_ailp_reduces_to_state_term(cubic_models):
         conn_obs=flat_connector(1),
     )
     x0 = np.array([1.0])
-    bundle = precompute(model, x0, SymTensor2([[0.01]]), FlowGrid(1.0, 32))
+    bundle = precompute(model, x0, np.array([[0.01]]), FlowGrid(1.0, 32))
     out = _obs_ailp(bundle, identity_obs, model.conn)
     assert np.array_equal(out, bundle.m_delta)
 
@@ -191,9 +217,9 @@ def test_identity_observation_ailp_reduces_to_state_term(cubic_models):
 def test_observation_ailp_linear_in_moments(cubic_models):
     model, obs = cubic_models
     x0 = np.array([0.8])
-    bundle = precompute(model, x0, SymTensor2([[0.02]]), FlowGrid(1.0, 16))
+    bundle = precompute(model, x0, np.array([[0.02]]), FlowGrid(1.0, 16))
     no_mean = dataclasses.replace(bundle, m_delta=np.zeros(1))
-    doubled = dataclasses.replace(no_mean, xi_delta=SymTensor2(2.0 * bundle.xi_delta.mat))
+    doubled = dataclasses.replace(no_mean, xi_delta=2.0 * bundle.xi_delta)
     base = _obs_ailp(no_mean, obs, model.conn)
     twice = _obs_ailp(doubled, obs, model.conn)
     assert np.allclose(twice, 2.0 * base, rtol=0, atol=1e-15)
@@ -214,8 +240,8 @@ def test_sampling_tiny_noise_recovers_psi(cubic_models):
     )
     rng = np.random.default_rng(35)
     x = np.array([0.7])
-    event = sample_observation(tiny, x, rng)
-    assert abs(event.y[0] - obs.psi(x)[0]) < 1e-8
+    y = sample_observation(tiny, x, rng)
+    assert abs(y[0] - obs.psi(x)[0]) < 1e-8
 
 
 def test_sampling_is_deterministic_per_seed(tracking_models):
@@ -223,10 +249,9 @@ def test_sampling_is_deterministic_per_seed(tracking_models):
     rng = np.random.default_rng(36)
     x = random_tracking_state(rng, scale=1.0)
     x[0:3] += np.array([5.0, 0.0, 2.0])
-    first = sample_observation(obs, x, np.random.default_rng(99), time=1.0)
-    second = sample_observation(obs, x, np.random.default_rng(99), time=1.0)
-    assert np.array_equal(first.y, second.y)
-    assert first.time == second.time == 1.0
+    first = sample_observation(obs, x, np.random.default_rng(99))
+    second = sample_observation(obs, x, np.random.default_rng(99))
+    assert np.array_equal(first, second)
 
 
 def test_sampling_moments_flat_model(cubic_models):
@@ -238,7 +263,7 @@ def test_sampling_moments_flat_model(cubic_models):
     beta = obs.beta(obs.psi(x))[0, 0]
     draws = center + math.sqrt(beta) * rng.standard_normal(n)
     # moment check against an independent direct construction of the law
-    samples = np.array([sample_observation(obs, x, rng).y[0] for _ in range(2000)])
+    samples = np.array([sample_observation(obs, x, rng)[0] for _ in range(2000)])
     se_mean = math.sqrt(beta / samples.size)
     assert abs(samples.mean() - center) < 3.0 * se_mean
     se_var = beta * math.sqrt(2.0 / (samples.size - 1))
@@ -257,7 +282,7 @@ def test_sampling_standard_normal_chi_square():
     )
     rng = np.random.default_rng(38)
     n = 10 ** 5 // 2
-    draws = np.concatenate([sample_observation(obs, np.zeros(2), rng).y for _ in range(n)])
+    draws = np.concatenate([sample_observation(obs, np.zeros(2), rng) for _ in range(n)])
     edges = scipy.stats.norm.ppf(np.linspace(0.0, 1.0, 41))
     counts, _ = np.histogram(draws, bins=edges)
     expected = np.full(40, draws.size / 40.0)
@@ -287,6 +312,15 @@ def test_beta_sqrt_squares_back():
     assert np.allclose(root, root.T)
 
 
-def test_observation_event_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        ObservationEvent(time=0.0, y=np.array([np.nan]))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_observation_rejects_nonfinite(bad):
+    obs = ObservationModel(
+        dim_obs=2,
+        psi=lambda x: np.array([x[0], bad]),
+        dpsi=lambda x: np.eye(2),
+        d2psi=lambda x: np.zeros((2, 2, 2)),
+        beta=lambda y: np.eye(2),
+        conn_obs=flat_connector(2),
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_observation(obs, np.zeros(2), np.random.default_rng(0))
