@@ -10,8 +10,10 @@ workload and checkout; every run is perfbench's own length.  With
 ``ACCEPTANCE`` lines, which give the times of criteria 1-3.  The file
 records the environment, each checkout's revision (its HEAD and the git
 tree of its ``src/`` as checked out, uncommitted changes to tracked files
-included), every run, and per metric the median of each side and their
-ratio (change / parent).
+included), every run, and per metric the median of each side, their
+ratio (change / parent), the parent's interquartile range, and how many of
+the index pairs (the parent's and the change's run of one index) the change
+won in the direction ``BENCHMARK.json`` gives for the metric.
 
     python3 scripts/bench_file.py --parent ../parent --change . --pairs 3 \\
         --out BENCH_9.json [--workloads cubic-long tracking] [--tier1]
@@ -89,8 +91,32 @@ def run_tier1(root: Path) -> dict:
     return out
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per trace-0 workload and metric: each side's median and their ratio."""
+def metric_directions(benchmark: Path) -> dict:
+    """Metric name -> "lower" or "higher", as ``benchmark``'s end_to_end
+    entries give it (read only)."""
+    spec = json.loads(benchmark.read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def _iqr(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return high - low
+
+
+def _pairs_won(parent: dict, change: dict, better: str):
+    """Index pairs, and the number in which the change is strictly better;
+    a tie counts for neither side."""
+    pairs = [(parent[i], change[i]) for i in sorted(parent.keys() & change.keys())]
+    sign = -1.0 if better == "lower" else 1.0
+    return len(pairs), sum(1 for p, c in pairs if sign * (c - p) > 0.0)
+
+
+def summarize(runs: list[dict], directions: dict) -> dict:
+    """Per trace-0 workload and metric: each side's median and their ratio,
+    the parent's interquartile range, and the pairs the change won, by
+    ``directions`` (metric name -> "lower" or "higher")."""
     out = {}
     for workload in sorted({r["workload"] for r in runs if r["trace"] == 0}):
         rows = {}
@@ -98,17 +124,24 @@ def summarize(runs: list[dict]) -> dict:
             for r in runs:
                 if r["trace"] == 0 and r["workload"] == workload and r["side"] == side:
                     for name, metric in r["result"]["metrics"].items():
-                        rows.setdefault(name, {}).setdefault(side, []).append(metric["value"])
-        out[workload] = {
-            name: {
-                "parent_median": statistics.median(v["parent"]),
-                "change_median": statistics.median(v["change"]),
-                "ratio": statistics.median(v["change"]) / statistics.median(v["parent"]),
-                "parent_runs": v["parent"],
-                "change_runs": v["change"],
+                        rows.setdefault(name, {}).setdefault(side, {})[r["index"]] = (
+                            metric["value"])
+        out[workload] = {}
+        for name, v in rows.items():
+            if not (v.get("parent") and v.get("change")):
+                continue
+            parent, change = list(v["parent"].values()), list(v["change"].values())
+            pairs, won = _pairs_won(v["parent"], v["change"], directions[name])
+            out[workload][name] = {
+                "parent_median": statistics.median(parent),
+                "change_median": statistics.median(change),
+                "ratio": statistics.median(change) / statistics.median(parent),
+                "parent_iqr": _iqr(parent),
+                "pairs": pairs,
+                "pairs_won": won,
+                "parent_runs": parent,
+                "change_runs": change,
             }
-            for name, v in rows.items() if v.get("parent") and v.get("change")
-        }
     return out
 
 
@@ -166,6 +199,7 @@ def main(argv=None) -> int:
     import scipy
 
     runs = [e for e in done if e["kind"] == "perfbench"]
+    directions = metric_directions(roots["change"] / "BENCHMARK.json")
     bench = {
         "environment": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -178,7 +212,7 @@ def main(argv=None) -> int:
         "revisions": revisions,
         "runs": runs,
         "tier1": {e["side"]: e["result"] for e in done if e["kind"] == "tier1"},
-        "trace0_summary": summarize(runs),
+        "trace0_summary": summarize(runs, directions),
     }
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out} ({len(runs)} perfbench runs)")

@@ -12,7 +12,6 @@ update is the standard first-order correction.
 
 from __future__ import annotations
 
-import logging
 from typing import Optional
 
 import numpy as np
@@ -24,8 +23,6 @@ from .filter import Estimate, FilterDiagnostics, gain, repair_psd
 from .flow import DiffusionModel
 from .geometry import identity, symmetrize
 from .observation import ObservationModel, wrap_angles
-
-logger = logging.getLogger(__name__)
 
 
 def ekf_predict(
@@ -40,8 +37,8 @@ def ekf_predict(
     b_model = model.drift_b_model
     grid = flow.flow_grid(delta, n_substeps)
     path, jacs = flow.integrate_flow(b_model, mean, grid)
-    covs = flow.propagate_covariance(model.alpha(path), flow.transition_jacobians(jacs, grid),
-                                     cov, grid)
+    covs, _ = flow.propagate_covariance(model.alpha(path),
+                                        flow.transition_jacobians(jacs, grid), cov, grid)
     return path[-1], covs[-1]
 
 
@@ -60,14 +57,7 @@ def ekf_update(
     residual = wrap_angles(np.asarray(y_obs, dtype=float) - y_pred, obs.angular_mask)
     m_new = m + k_gain @ residual
     cov_new = symmetrize((identity(m.size) - k_gain @ jac) @ cov)
-    repaired, min_eig = repair_psd(cov_new)
-    if min_eig < 0.0:
-        if diag is not None:
-            diag.record_repair(min_eig)
-        else:
-            logger.debug("EKF covariance eigenvalue floor applied (min eig %.3e)", min_eig)
-        cov_new = repaired
-    return m_new, cov_new
+    return m_new, repair_psd(cov_new, diag)
 
 
 def ekf_step(

@@ -69,10 +69,6 @@ class FilterDiagnostics:
 
     psd_repairs: int = 0
 
-    def record_repair(self, min_eig: float) -> None:
-        self.psd_repairs += 1
-        logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
-
 
 def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
     """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a symmetric linear solve."""
@@ -112,8 +108,8 @@ def rho_build(
     gz = g @ z_hat
     s = np.outer(gz, gz) - symmetrize(g @ j @ bundle.xi_delta)
     back = bundle.tau_delta_0
-    flow_term = flow.flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
-                                                  back @ s @ back.T)
+    flow_term = flow.flow_second_fundamental_form(model, bundle.x_path, bundle.from_start,
+                                                  bundle.to_end, grid, back @ s @ back.T)
     proj = identity(g.shape[0]) - g @ j
     return 0.5 * (proj @ flow_term - g @ np.einsum("kij,ij->k", nabla_dpsi, s))
 
@@ -190,28 +186,34 @@ def update_estimate(
     return mu_hat, symmetrize(fmat @ sigma @ fmat.T)
 
 
-def repair_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clip negative covariance eigenvalues at zero.
+def repair_psd(mat: np.ndarray, diag: Optional[FilterDiagnostics] = None) -> np.ndarray:
+    """The symmetrized covariance with negative eigenvalues clipped at zero.
 
-    Returns the repaired matrix and the most negative eigenvalue found
-    (0.0 when no repair was needed).  A non-finite entry passes through
-    for the caller's check of the estimate, or raises NonFiniteError where
-    the eigendecomposition fails on it.
+    Each clip is counted in ``diag.psd_repairs`` (when given) and logged at
+    debug level with the most negative eigenvalue.  A non-finite entry
+    passes through uncounted for the caller's check of the estimate (a NaN
+    eigenvalue is not negative), or raises NonFiniteError where the
+    eigendecomposition fails on it.
     """
     mat = symmetrize(mat)
     if mat.shape == (1, 1):
-        val = float(mat[0, 0])
-        if val >= 0.0:
-            return mat, 0.0
-        return np.zeros((1, 1)), val
-    try:
-        eigs, vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NonFiniteError(f"covariance eigendecomposition failed: {exc}") from exc
-    if eigs[0] >= 0.0:
-        return mat, 0.0
-    clipped = np.clip(eigs, 0.0, None)
-    return (vecs * clipped) @ vecs.T, float(eigs[0])
+        min_eig = float(mat[0, 0])
+        if not min_eig < 0.0:
+            return mat
+        repaired = np.zeros((1, 1))
+    else:
+        try:
+            eigs, vecs = np.linalg.eigh(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteError(f"covariance eigendecomposition failed: {exc}") from exc
+        min_eig = float(eigs[0])
+        if not min_eig < 0.0:
+            return mat
+        repaired = (vecs * np.clip(eigs, 0.0, None)) @ vecs.T
+    if diag is not None:
+        diag.psd_repairs += 1
+    logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
+    return repaired
 
 
 def filter_step(
@@ -244,11 +246,4 @@ def filter_step(
         quad = rho_build(model, bundle, grid, g, jac, nabla_dpsi, z_hat)
     mu, sigma = assimilate(bundle, g, jac, z_hat, quad, config)
     mu_hat, sigma_hat = update_estimate(x_delta, mu, sigma, model.conn)
-    repaired, min_eig = repair_psd(sigma_hat)
-    if min_eig < 0.0:
-        if diag is not None:
-            diag.record_repair(min_eig)
-        else:
-            logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
-        sigma_hat = repaired
-    return mu_hat, sigma_hat
+    return mu_hat, repair_psd(sigma_hat, diag)

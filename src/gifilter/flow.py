@@ -11,14 +11,17 @@ coordinate drift b.
 
 Only the Taylor step of :func:`integrate_flow` runs point by point.
 Everything else is evaluated once per interval over the whole grid, as
-arrays with a leading grid axis: the diffusion variance ``alpha(x_path)``
-of shape (n + 1, p, p), the per-step transition maps of
-:class:`TransitionJacobians` (one stacked matrix exponential), each
+plain arrays with a leading grid axis: the diffusion variance
+``alpha(x_path)`` of shape (n + 1, p, p), the per-step transition maps of
+:func:`transition_jacobians` (one stacked matrix exponential), each
 second-derivative integrand (one ``d2xi_contract`` call over the path with
 a stack of (n + 1, p, p) tensors), and the recursions along the grid.  The
 transition products and the covariance recursion compose associatively,
 so a parallel-prefix scan (:func:`_compose_scan`) forms them in
-ceil(log2 n) array rounds instead of n sequential steps.  No dense
+ceil(log2 n) array rounds instead of n sequential steps.  Each product has
+one producer: :func:`propagate_covariance` returns tau_0^{t_k} with the
+covariance, from the same scan, and :func:`precompute` forms
+tau_{t_k}^delta and the inverse tau_delta^0 once per cycle.  No dense
 second-derivative array is formed.
 """
 
@@ -178,60 +181,17 @@ def _scan_buffer(per_step: np.ndarray) -> np.ndarray:
     return buf
 
 
-@dataclass(frozen=True)
-class TransitionJacobians:
-    """Per-step linearized flow maps over one grid, and their products.
+def _to_end(per_step: np.ndarray) -> np.ndarray:
+    """tau_{t_k}^delta for k = 0..n, shape (n + 1, p, p), from the per-step maps.
 
-    Every field is an array stacked along the grid: ``per_step`` has shape
-    (n, p, p), ``from_start`` and ``to_end`` shape (n + 1, p, p).  The
-    products are formed on first use, each by one parallel-prefix scan
-    (:func:`_compose_scan`).
+    Entry k is tau_(n-1) ... tau_k.  Read in reverse order and transposed,
+    the scan's products A_j ... A_0 are the transposes of exactly these, so
+    the scan runs on that view of the buffer and leaves them in place, in
+    grid order.
     """
-
-    per_step: np.ndarray  # tau_{t_k}^{t_(k+1)} for k = 0..n-1
-
-    @cached_property
-    def from_start(self) -> np.ndarray:
-        """tau_0^{t_k} for k = 0..n.
-
-        The covariance scan of :func:`propagate_covariance` forms these
-        products on the way and hands them over (:meth:`keep_from_start`);
-        GIF and EKF run it first, so this scan serves only callers that
-        want the products without a covariance.  Both give the same array,
-        bit for bit: the products do not depend on the offsets.
-        """
-        buf = _scan_buffer(self.per_step)
-        _compose_scan(buf[1:-1])
-        return buf[:self.per_step.shape[0] + 1]
-
-    def keep_from_start(self, products: np.ndarray) -> None:
-        """Take ``products`` as ``from_start`` unless that is formed already.
-
-        ``cached_property`` keeps its value in the instance dict, which a
-        frozen dataclass leaves writable.
-        """
-        self.__dict__.setdefault("from_start", products)
-
-    @cached_property
-    def to_end(self) -> np.ndarray:
-        """tau_{t_k}^delta for k = 0..n.
-
-        Entry k is tau_(n-1) ... tau_k.  Read in reverse order and
-        transposed, the scan's products A_j ... A_0 are the transposes of
-        exactly these, so the scan runs on that view of the buffer and
-        leaves them in place, in grid order.
-        """
-        buf = _scan_buffer(self.per_step)
-        _compose_scan(np.swapaxes(buf[-2:0:-1], -1, -2))
-        return buf[1:self.per_step.shape[0] + 2]
-
-    @cached_property
-    def tau_0_delta(self) -> np.ndarray:
-        return self.from_start[-1]
-
-    @cached_property
-    def tau_delta_0(self) -> np.ndarray:
-        return np.linalg.inv(self.tau_0_delta)
+    buf = _scan_buffer(per_step)
+    _compose_scan(np.swapaxes(buf[-2:0:-1], -1, -2))
+    return buf[1:per_step.shape[0] + 2]
 
 
 def integrate_flow(
@@ -267,60 +227,59 @@ def integrate_flow(
     return path, jacs
 
 
-def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> TransitionJacobians:
-    """Per-step transition maps via the trapezium matrix exponential.
+def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> np.ndarray:
+    """Per-step transition maps tau_{t_k}^{t_(k+1)}, k = 0..n-1, shape (n, p, p).
 
     tau over one sub-interval is exp((h/2) [Dxi(x_u) + Dxi(x_t)]), from the
     Jacobians at the grid points (shape (n + 1, p, p)), all n of them in
-    one stacked exponential; products accumulate the two-parameter
-    semigroup from the start and to the end of the interval.
+    one stacked exponential.
     """
-    return TransitionJacobians(per_step=_expm(0.5 * grid.step * (jacs[:-1] + jacs[1:])))
+    return _expm(0.5 * grid.step * (jacs[:-1] + jacs[1:]))
 
 
 def propagate_covariance(
     alphas: np.ndarray,
-    taus: TransitionJacobians,
+    per_step: np.ndarray,
     sigma0: np.ndarray,
     grid: FlowGrid,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Trapezium recursion for the propagated covariance Xi_t along the grid,
     from the diffusion variance alpha at each grid point (shape
-    (n + 1, p, p)); returns Xi at every grid point, shape (n + 1, p, p).
+    (n + 1, p, p)) and the per-step maps of :func:`transition_jacobians`.
+    Returns Xi and the products tau_0^{t_k} at every grid point, each of
+    shape (n + 1, p, p).
 
     Step k is the map X -> tau_k (X + H_k) tau_k^T + H_(k+1), H = (h/2)
     alpha, i.e. X -> tau_k X tau_k^T + B_k with B_k = tau_k H_k tau_k^T +
     H_(k+1).  With Sigma_0 folded into B_0 the composed map of steps 0..k
     sends 0 to Xi_(k+1), so one scan of :func:`_compose_scan` gives every
-    Xi and, as the products of the same compositions, ``taus.from_start``,
-    which it hands to ``taus`` (:meth:`TransitionJacobians.keep_from_start`).
+    Xi and, as the products of the same compositions, tau_0^{t_k}.
     """
-    tau = taus.per_step
-    n = tau.shape[0]
+    n = per_step.shape[0]
     h_half = 0.5 * grid.step
-    products = _scan_buffer(tau)
+    products = _scan_buffer(per_step)
     xis = np.zeros_like(products)
     xis[0] = sigma0
     offsets = xis[1:n + 1]  # B_k, formed in place: the path can be long
     np.multiply(h_half, alphas[:-1], out=offsets)
     offsets[0] += sigma0
-    np.matmul(tau @ offsets, np.swapaxes(tau, -1, -2), out=offsets)
+    np.matmul(per_step @ offsets, np.swapaxes(per_step, -1, -2), out=offsets)
     offsets += h_half * alphas[1:]
     _compose_scan(products[1:-1], xis[1:-1])
-    taus.keep_from_start(products[:n + 1])
     # congruence keeps the skew part of Sigma_0 skew, so one symmetrization
     # at the end removes it from every Xi_k (in place, like B_k)
     xis = xis[:n + 1]
     xis += np.swapaxes(xis, -1, -2)
     xis *= 0.5
-    return xis
+    return xis, products[:n + 1]
 
 
 def ailp_state(
     model: DiffusionModel,
     x_path: np.ndarray,
     alphas: np.ndarray,
-    taus: TransitionJacobians,
+    from_start: np.ndarray,
+    to_end: np.ndarray,
     xis: np.ndarray,
     sigma0: np.ndarray,
     grid: FlowGrid,
@@ -329,7 +288,8 @@ def ailp_state(
 
     kappa = integral of tau_t^delta [D2xi(Xi_t) - Gamma(alpha)] by the
     trapezium rule, with D2xi(Xi_t) from one ``d2xi_contract`` call over the
-    whole path; returns
+    whole path, ``from_start`` and ``to_end`` the products tau_0^{t_k} and
+    tau_{t_k}^delta (each (n + 1, p, p)); returns
     (1/2) {kappa - tau_0^delta Gamma(x_0)(Sigma_0) + Gamma(x_delta)(Xi_delta)}.
     """
     conn = model.conn
@@ -337,11 +297,11 @@ def ailp_state(
     if not conn.flat:
         integrand -= conn.contract(x_path, alphas)
     weighted = grid.weights[:, None] * integrand
-    m_delta = (taus.to_end @ weighted[:, :, None]).sum(axis=0)[:, 0]
+    m_delta = (to_end @ weighted[:, :, None]).sum(axis=0)[:, 0]
     if not conn.flat:
         m_delta = (
             m_delta
-            - taus.tau_0_delta @ conn.contract(x_path[0], sigma0)
+            - from_start[-1] @ conn.contract(x_path[0], sigma0)
             + conn.contract(x_path[-1], xis[-1])
         )
     return 0.5 * m_delta
@@ -350,7 +310,8 @@ def ailp_state(
 def flow_second_fundamental_form(
     model: DiffusionModel,
     x_path: np.ndarray,
-    taus: TransitionJacobians,
+    from_start: np.ndarray,
+    to_end: np.ndarray,
     grid: FlowGrid,
     a: np.ndarray,
 ) -> np.ndarray:
@@ -359,17 +320,17 @@ def flow_second_fundamental_form(
 
     nabla dphi(A) = sum_k w_k tau_{t_k}^delta D2xi(x_k)(tau_0^{t_k} A tau_0^{t_k}^T)
                     + Gamma(x_delta)(tau A tau^T) - tau Gamma(x_0)(A),
-    with trapezium weights w_k and tau = tau_0^delta; the integrand is one
-    ``d2xi_contract`` call over the whole path.  The value is a tangent
+    with trapezium weights w_k, tau = tau_0^delta and the products
+    ``from_start`` and ``to_end`` as in :func:`ailp_state`; the integrand is
+    one ``d2xi_contract`` call over the whole path.  The value is a tangent
     vector at x_delta.
     """
-    start = taus.from_start
-    integrand = model.d2xi_contract(x_path, start @ a @ np.swapaxes(start, -1, -2))
+    integrand = model.d2xi_contract(x_path, from_start @ a @ np.swapaxes(from_start, -1, -2))
     weighted = grid.weights[:, None] * integrand
-    out = (taus.to_end @ weighted[:, :, None]).sum(axis=0)[:, 0]
+    out = (to_end @ weighted[:, :, None]).sum(axis=0)[:, 0]
     conn = model.conn
     if not conn.flat:
-        tau = taus.tau_0_delta
+        tau = from_start[-1]
         out = (out + conn.contract(x_path[-1], tau @ a @ tau.T)
                - tau @ conn.contract(x_path[0], a))
     return out
@@ -377,30 +338,21 @@ def flow_second_fundamental_form(
 
 @dataclass
 class PropagationBundle:
-    """All precomputed flow quantities over one inter-observation interval."""
+    """All precomputed flow quantities over one inter-observation interval:
+    the path (n + 1, p), the products tau_0^{t_k} and tau_{t_k}^delta
+    (n + 1, p, p), the inverse tau_delta^0 of tau_0^delta, the propagated
+    covariance Xi_delta and the location correction m_delta."""
 
     x_path: np.ndarray
-    taus: TransitionJacobians
+    from_start: np.ndarray
+    to_end: np.ndarray
+    tau_delta_0: np.ndarray
     xi_delta: np.ndarray
     m_delta: np.ndarray
-
-    def __post_init__(self):
-        p = self.x_path.shape[1]
-        resid = self.taus.tau_delta_0 @ self.taus.tau_0_delta - identity(p)
-        if np.abs(resid).max() > 1e-8:
-            raise IllConditionedFlowError("tau_delta_0 . tau_0_delta deviates from identity")
 
     @property
     def x_delta(self) -> np.ndarray:
         return self.x_path[-1]
-
-    @property
-    def tau_0_delta(self) -> np.ndarray:
-        return self.taus.tau_0_delta
-
-    @property
-    def tau_delta_0(self) -> np.ndarray:
-        return self.taus.tau_delta_0
 
 
 def precompute(
@@ -410,22 +362,31 @@ def precompute(
 
     The Taylor step evaluates ``xi``, ``dxi`` and ``d2xi_contract`` once per
     grid step; ``alpha`` and the location correction's ``d2xi_contract``
-    are then evaluated once each, over the whole path.  The condition check
-    on tau_0^delta follows the covariance scan, which forms tau_0^delta.
+    are then evaluated once each, over the whole path.  tau_0^delta is
+    checked twice: its condition number once the covariance scan has formed
+    it, and its computed inverse tau_delta^0 after the location correction.
     """
     x_path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
+    per_step = transition_jacobians(jacs, grid)
     alphas = model.alpha(x_path)
-    xis = propagate_covariance(alphas, taus, sigma0, grid)
-    singular = np.linalg.svd(taus.tau_0_delta, compute_uv=False)  # the 2-norm condition
+    xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
+    tau_0_delta = from_start[-1]
+    singular = np.linalg.svd(tau_0_delta, compute_uv=False)  # the 2-norm condition
     if singular[0] > FLOW_COND_LIMIT * singular[-1]:
         raise IllConditionedFlowError(
             f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
         )
-    m_delta = ailp_state(model, x_path, alphas, taus, xis, sigma0, grid)
+    to_end = _to_end(per_step)
+    m_delta = ailp_state(model, x_path, alphas, from_start, to_end, xis, sigma0, grid)
+    tau_delta_0 = np.linalg.inv(tau_0_delta)
+    resid = tau_delta_0 @ tau_0_delta - identity(model.dim)
+    if np.abs(resid).max() > 1e-8:
+        raise IllConditionedFlowError("tau_delta_0 . tau_0_delta deviates from identity")
     return PropagationBundle(
         x_path=x_path,
-        taus=taus,
+        from_start=from_start,
+        to_end=to_end,
+        tau_delta_0=tau_delta_0,
         xi_delta=xis[-1].copy(),  # a view would keep the whole path
         m_delta=m_delta,
     )

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -44,13 +45,45 @@ from .observation import ObservationModel, sample_observation
 
 logger = logging.getLogger(__name__)
 
-KNOWN_MODELS = ("cubic1d", "tracking9d", "linear")
+MODEL_PARAMS = {"cubic1d": Cubic1DParams, "tracking9d": Tracking9DParams,
+                "linear": LinearParams}
+KNOWN_MODELS = tuple(MODEL_PARAMS)
 KNOWN_FILTERS = ("gif", "ekf")
 
 HISTOGRAM_BINS = 50
 TAIL_QUANTILE = 0.95  # errors above this pooled quantile count as tail events
 DEFAULT_SIM_SUBSTEPS = 20
 MAX_REFINEMENTS = 8
+
+# What a config field of each declared type must hold, and how to say so.
+FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "dict": (dict, "an object"),
+    "tuple": (tuple, "a list"),
+}
+
+
+def _accepted_model_params(model: str) -> dict:
+    """The model_params names ``model`` accepts -> whether each must be a
+    number: the fields of its params class (a number where annotated float)
+    but those build_scenario supplies, cubic1d's delta from the scenario and
+    tracking9d's missile, which it builds from missile_p0 and missile_v0."""
+    fields = dataclasses.fields(MODEL_PARAMS[model])
+    names = {f.name: f.type in (float, "float") for f in fields
+             if f.name not in ("delta", "missile")}
+    if model == "tracking9d":
+        names.update(missile_p0=False, missile_v0=False)
+    return names
+
+
+def _check_type(name: str, value, kind: type, expected: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is a ``kind`` (a bool is
+    only ever a bool, not a number)."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +107,26 @@ class ScenarioConfig:
     max_refinements: int = MAX_REFINEMENTS
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type in FIELD_TYPES:
+                _check_type(f.name, getattr(self, f.name), *FIELD_TYPES[f.type])
         if self.model not in KNOWN_MODELS:
             raise ValueError(f"unknown model '{self.model}' (expected one of {KNOWN_MODELS})")
+        accepted = _accepted_model_params(self.model)
+        for name, value in self.model_params.items():
+            if name not in accepted:
+                raise ValueError(f"unknown {self.model} parameter '{name}' "
+                                 f"(expected some of {tuple(accepted)})")
+            if accepted[name]:
+                _check_type(f"model parameter {name}", value, numbers.Real, "a number")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if self.n_substeps < 1:
+            raise ValueError("n_substeps must be >= 1")
+        if self.sim_substeps < 1:
+            raise ValueError("sim_substeps must be >= 1")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be >= 0")
         if self.n_obs < 1:
             raise ValueError("n_obs must be >= 1")
         if self.n_runs < 1 or self.n_obs % self.n_runs != 0:

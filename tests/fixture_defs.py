@@ -33,6 +33,7 @@ from gifilter.filter import (
 )
 from gifilter.flow import (
     FlowGrid,
+    _to_end,
     ailp_state,
     flow_second_fundamental_form,
     integrate_flow,
@@ -285,8 +286,11 @@ def _linear_flow_oracle():
 def _tau_value():
     _, x0 = _linear_flow_inputs()
     grid = FlowGrid(0.7, 32)
-    _, jacs = integrate_flow(_linear_flow_model(), x0, grid)
-    return transition_jacobians(jacs, grid).tau_0_delta
+    model = _linear_flow_model()
+    path, jacs = integrate_flow(model, x0, grid)
+    # the products do not depend on the covariance the scan carries
+    return propagate_covariance(model.alpha(path), transition_jacobians(jacs, grid),
+                                np.zeros((3, 3)), grid)[1][-1]
 
 
 def _tau_oracle():
@@ -309,9 +313,9 @@ def _ou_var_value():
     model = _ou_model()
     grid = FlowGrid(0.5, 64)
     path, jacs = integrate_flow(model, np.array([1.0]), grid)
-    taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, np.array([[0.2]]), grid)
+    xis, _ = propagate_covariance(alphas, transition_jacobians(jacs, grid), np.array([[0.2]]),
+                                  grid)
     return float(xis[-1][0, 0])
 
 
@@ -325,9 +329,9 @@ def _cubic_var_value():
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
     path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, np.array([[0.0]]), grid)
+    xis, _ = propagate_covariance(alphas, transition_jacobians(jacs, grid), np.array([[0.0]]),
+                                  grid)
     return float(xis[-1][0, 0])
 
 
@@ -351,10 +355,11 @@ def _cubic_ailp_value():
     x0 = np.array([1.0])
     sigma0 = np.array([[0.01]])
     path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
+    per_step = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, sigma0, grid)
-    return float(ailp_state(model, path, alphas, taus, xis, sigma0, grid)[0])
+    xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
+    return float(ailp_state(model, path, alphas, from_start, _to_end(per_step), xis, sigma0,
+                            grid)[0])
 
 
 def _sq_drift_model():
@@ -374,10 +379,11 @@ def _sq_drift_ailp_value():
     x0 = np.array([0.5])
     sigma0 = np.array([[0.0]])
     path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
+    per_step = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, sigma0, grid)
-    return float(ailp_state(model, path, alphas, taus, xis, sigma0, grid)[0])
+    xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
+    return float(ailp_state(model, path, alphas, from_start, _to_end(per_step), xis, sigma0,
+                            grid)[0])
 
 
 def _sq_drift_ailp_mc_oracle():
@@ -398,10 +404,10 @@ def _sq_drift_ailp_mc_oracle():
 def _sff_fd_value():
     model, _ = _cubic_model()
     grid = FlowGrid(1.0, 256)
-    path, jacs = integrate_flow(model, np.array([1.0]), grid)
-    taus = transition_jacobians(jacs, grid)
+    bundle = precompute(model, np.array([1.0]), np.zeros((1, 1)), grid)
     # in 1-D, contracting with [[1]] gives the form's one coefficient
-    return float(flow_second_fundamental_form(model, path, taus, grid, np.ones((1, 1)))[0])
+    return float(flow_second_fundamental_form(model, bundle.x_path, bundle.from_start,
+                                              bundle.to_end, grid, np.ones((1, 1)))[0])
 
 
 def _sff_fd_oracle():
@@ -417,11 +423,11 @@ def _precompute_pair(n_steps):
     bundle = precompute(model, x0, np.array([[0.01]]), grid)
     return np.array([
         bundle.x_delta[0],
-        bundle.tau_0_delta[0, 0],
+        bundle.from_start[-1][0, 0],
         bundle.xi_delta[0, 0],
         bundle.m_delta[0],
-        flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
-                                     np.ones((1, 1)))[0],
+        flow_second_fundamental_form(model, bundle.x_path, bundle.from_start, bundle.to_end,
+                                     grid, np.ones((1, 1)))[0],
     ])
 
 
@@ -567,8 +573,8 @@ def _rho_eval_value():
 def _scalar_rho(model, bundle, grid, jac, g, ndpsi, z):
     # 1-D term by term: the flow and observation forms are one coefficient
     # each, S = (g z)^2 - g j Xi_delta, pulled back by tau_delta^0 squared
-    dphi = flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
-                                        np.ones((1, 1)))[0]
+    dphi = flow_second_fundamental_form(model, bundle.x_path, bundle.from_start, bundle.to_end,
+                                        grid, np.ones((1, 1)))[0]
     dpsi = ndpsi[0, 0, 0]
     g, j, tau = g[0, 0], jac[0, 0], bundle.tau_delta_0[0, 0]
     s = (g * z) ** 2 - g * j * bundle.xi_delta[0, 0]

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from gifilter.errors import DivergenceError, SingularMetricError, SingularStateError
-from gifilter.flow import DiffusionModel, FlowGrid, TransitionJacobians
+from gifilter.flow import DiffusionModel, FlowGrid
 from gifilter.geometry import ConnectorField, check_symmetric, symmetrize
 from gifilter.models.tracking import SPEED_FLOOR, Tracking9DParams, split_state
 
@@ -212,8 +212,8 @@ def dense_ailp_integrand(hess: np.ndarray, xis: np.ndarray) -> np.ndarray:
     return np.einsum("kaij,kij->ka", hess, xis)
 
 
-def dense_flow_form(model: DiffusionModel, x_path: np.ndarray, taus: TransitionJacobians,
-                    grid: FlowGrid) -> np.ndarray:
+def dense_flow_form(model: DiffusionModel, x_path: np.ndarray, from_start: np.ndarray,
+                    to_end: np.ndarray, grid: FlowGrid) -> np.ndarray:
     """Coefficients [a, i, j] of the flow map's second fundamental form.
 
     sum_k w_k tau_{t_k}^delta H_k(tau_0^{t_k} ., tau_0^{t_k} .) from the
@@ -222,14 +222,14 @@ def dense_flow_form(model: DiffusionModel, x_path: np.ndarray, taus: TransitionJ
     """
     p = model.dim
     hess = path_hessian(model, x_path)
-    start = taus.from_start[:, None]
+    start = from_start[:, None]
     pulled = np.swapaxes(start, -1, -2) @ hess @ start  # [k, a, i, j]
-    pushed = grid.weights[:, None, None] * taus.to_end  # [k, d, a]
+    pushed = grid.weights[:, None, None] * to_end  # [k, d, a]
     coeffs = (np.swapaxes(pushed, 0, 1).reshape(p, -1)
               @ pulled.reshape(-1, p * p)).reshape(p, p, p)
     conn = model.conn
     if not conn.flat:
-        tau = taus.tau_0_delta
+        tau = from_start[-1]
         cols = tau.T
         end = conn.gamma(x_path[-1], cols[:, None], cols[None, :])
         corr = np.einsum("ab,bij->aij", tau, conn.coefficients(x_path[0]))

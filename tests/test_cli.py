@@ -100,6 +100,45 @@ def test_missing_config_field_exits_one(tmp_path, capsys):
     assert "n_obs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["filter", "simulate"])
+def test_out_of_range_config_number_exits_one(tmp_path, cubic_config, capsys, command):
+    # max_refinements -1 used to abort every cycle and exit 0
+    raw = dict(json.loads(cubic_config.read_text()), max_refinements=-1, n_obs=5)
+    cubic_config.write_text(json.dumps(raw))
+    assert cli_main([command, "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_refinements must be >= 0" in err
+
+
+def test_zero_substeps_flag_exits_one(tmp_path, cubic_config, capsys):
+    assert cli_main(["filter", "--config", str(cubic_config), "--out", str(tmp_path),
+                     "--substeps", "0"]) == 1
+    assert "n_substeps must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"n_obs": "5"}, "n_obs must be an integer, got '5'"),
+    ({"model_params": {"bogus": 1}}, "unknown cubic1d parameter 'bogus'"),
+])
+def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, capsys, change,
+                                                    named):
+    # both used to end in a TypeError traceback
+    cubic_config.write_text(json.dumps(dict(json.loads(cubic_config.read_text()), **change)))
+    assert cli_main(["filter", "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+
+def test_type_error_after_loading_still_surfaces(tmp_path, cubic_config, monkeypatch):
+    # the CLI reports bad configs; it does not swallow a program fault
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the program")
+
+    monkeypatch.setattr("gifilter.cli.run_benchmark", broken)
+    with pytest.raises(TypeError, match="a fault in the program"):
+        cli_main(["filter", "--config", str(cubic_config), "--out", str(tmp_path)])
+
+
 def test_covariance_of_the_wrong_dimension_exits_one(tmp_path, cubic_config, capsys):
     raw = dict(json.loads(cubic_config.read_text()), sigma0=[[0.01, 0.0], [0.0, 0.01]])
     cubic_config.write_text(json.dumps(raw))

@@ -221,10 +221,7 @@ def _inline_gain_update(pred, obs, y_obs):
     residual = wrap_angles(np.asarray(y_obs, dtype=float) - y_pred, obs.angular_mask)
     m_new = m + k_gain @ residual
     cov_new = symmetrize((np.eye(m.size) - k_gain @ jac) @ cov)
-    repaired, min_eig = repair_psd(cov_new)
-    if min_eig < 0.0:
-        cov_new = repaired
-    return m_new, cov_new
+    return m_new, repair_psd(cov_new)
 
 
 def _update_outcome(update, pred, obs, y):

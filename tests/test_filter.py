@@ -1,6 +1,7 @@
 """Tests for the intrinsic filter update: gain, rho, assimilation, update."""
 
 import dataclasses
+import logging
 from collections import Counter
 
 import numpy as np
@@ -119,8 +120,8 @@ def test_rho_matches_term_by_term_evaluation():
     back = bundle.tau_delta_0
 
     def dphi(sym):
-        return flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid,
-                                            back @ sym @ back.T)
+        return flow_second_fundamental_form(model, bundle.x_path, bundle.from_start,
+                                            bundle.to_end, grid, back @ sym @ back.T)
 
     def dpsi(sym):
         return np.einsum("kij,ij->k", ndpsi, sym)
@@ -149,7 +150,7 @@ def test_rho_matches_the_dense_coefficient_oracle(tracking_models, name):
     # coefficients and dense flow form, zero innovation included
     model, obs, x0, cov0, grid = _oracle_cases(name, tracking_models)
     bundle, jac, g, ndpsi, rho = _update_pieces(model, obs, x0, cov0, grid)
-    flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.taus, grid)
+    flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.from_start, bundle.to_end, grid)
     rng = np.random.default_rng(48)
     root = np.linalg.cholesky(jac @ bundle.xi_delta @ jac.T
                               + obs.beta(obs.psi(bundle.x_delta)))
@@ -261,7 +262,7 @@ def test_assimilate_matches_line_by_line_reimplementation():
     mu, sigma = assimilate(bundle, g, jac, z_hat, rho(z_hat), cfg)
     # direct transcription of the conditional-moment formulas, with the
     # quadratic term from the dense coefficients
-    flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.taus, grid)
+    flow_coeffs = dense_flow_form(model, bundle.x_path, bundle.from_start, bundle.to_end, grid)
     mu_direct = (bundle.m_delta + g @ z_hat
                  + dense_rho_correction(g, jac, flow_coeffs, ndpsi, bundle.tau_delta_0,
                                         bundle.xi_delta, z_hat))
@@ -441,15 +442,35 @@ def test_gain_identity_holds_along_benchmark_run(cubic_models):
         est = filter_step(model, obs, est, y, cfg)
 
 
-def test_repair_psd_clips_negative_eigenvalues():
-    mat = np.array([[1.0, 0.0], [0.0, -0.5]])
-    fixed, min_eig = repair_psd(mat)
-    assert min_eig == -0.5
+def test_repair_psd_clips_negative_eigenvalues(caplog):
+    diag = FilterDiagnostics()
+    with caplog.at_level(logging.DEBUG, logger="gifilter.filter"):
+        fixed = repair_psd(np.array([[1.0, 0.0], [0.0, -0.5]]), diag)
+        assert np.array_equal(repair_psd(np.eye(2), diag), np.eye(2))
+        assert np.array_equal(repair_psd(np.array([[-2.0]]), diag), [[0.0]])
+        assert np.array_equal(repair_psd(np.array([[3.0]])), [[3.0]])
+        repair_psd(np.array([[-1.0]]))  # logged, counted nowhere
     assert np.linalg.eigvalsh(fixed)[0] >= 0.0
-    clean, flag = repair_psd(np.eye(2))
-    assert flag == 0.0
-    scalar, neg = repair_psd(np.array([[-2.0]]))
-    assert scalar[0, 0] == 0.0 and neg == -2.0
+    assert diag.psd_repairs == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "covariance eigenvalue floor applied (min eig -5.000e-01)",
+        "covariance eigenvalue floor applied (min eig -2.000e+00)",
+        "covariance eigenvalue floor applied (min eig -1.000e+00)",
+    ]
+
+
+@pytest.mark.parametrize("mat", [[[np.nan]], [[np.nan, 0.0], [0.0, 1.0]],
+                                 [[1.0, np.nan], [np.nan, 1.0]]],
+                         ids=["1x1", "2x2-diagonal", "2x2-off-diagonal"])
+def test_repair_psd_passes_a_nan_through_uncounted(mat, caplog):
+    # a NaN eigenvalue is not negative: the matrix reaches the caller's check
+    # of the estimate unrepaired, and no repair is counted or logged
+    diag = FilterDiagnostics()
+    with caplog.at_level(logging.DEBUG, logger="gifilter.filter"):
+        out = repair_psd(np.array(mat), diag)
+    assert np.array_equal(out, mat, equal_nan=True)
+    assert diag.psd_repairs == 0
+    assert caplog.records == []
 
 
 def test_config_validation():

@@ -9,10 +9,12 @@ import pytest
 import scipy.linalg
 
 from gifilter.errors import DivergenceError, IllConditionedFlowError
+from gifilter import flow
+from gifilter.filter import FilterConfig, filter_step
 from gifilter.flow import (
     DiffusionModel,
     FlowGrid,
-    TransitionJacobians,
+    _to_end,
     ailp_state,
     flow_grid,
     flow_second_fundamental_form,
@@ -70,6 +72,22 @@ def make_linear_model(a_mat, alpha_mat):
         conn=flat_connector(p),
         drift_b=lambda x: a_mat @ x,
     )
+
+
+def _from_start(per_step, grid):
+    """tau_0^{t_k} as propagate_covariance forms them; they do not depend
+    on the covariance, so a zero one does."""
+    n, p, _ = per_step.shape
+    return propagate_covariance(np.zeros((n + 1, p, p)), per_step, np.zeros((p, p)), grid)[1]
+
+
+def _propagate(model, x0, sigma0, grid):
+    """Path, diffusion variances, covariances and both products over one grid."""
+    path, jacs = integrate_flow(model, x0, grid)
+    per_step = transition_jacobians(jacs, grid)
+    alphas = model.alpha(path)
+    xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
+    return path, alphas, xis, from_start, _to_end(per_step)
 
 
 CUBIC = make_scalar_model(lambda x: -0.5 * x ** 3, lambda x: -1.5 * x ** 2,
@@ -140,10 +158,11 @@ def test_zero_drift_identity_jacobians():
     model = make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0)
     grid = FlowGrid(1.0, 8)
     _, jacs = integrate_flow(model, np.array([0.2]), grid)
-    taus = transition_jacobians(jacs, grid)
-    for tau in taus.per_step:
+    per_step = transition_jacobians(jacs, grid)
+    assert per_step.shape == (8, 1, 1)
+    for tau in per_step:
         assert np.allclose(tau, np.eye(1))
-    assert np.allclose(taus.tau_0_delta, np.eye(1))
+    assert np.allclose(_from_start(per_step, grid)[-1], np.eye(1))
 
 
 def test_constant_jacobian_matches_matrix_exponential():
@@ -152,22 +171,22 @@ def test_constant_jacobian_matches_matrix_exponential():
     model = make_linear_model(a_mat, np.zeros((3, 3)))
     grid = FlowGrid(0.7, 32)
     _, jacs = integrate_flow(model, rng.standard_normal(3), grid)
-    taus = transition_jacobians(jacs, grid)
-    assert np.max(np.abs(taus.tau_0_delta - scipy.linalg.expm(0.7 * a_mat))) < 1e-10
+    tau = _from_start(transition_jacobians(jacs, grid), grid)[-1]
+    assert np.max(np.abs(tau - scipy.linalg.expm(0.7 * a_mat))) < 1e-10
 
 
 def test_semigroup_association_order():
     grid = FlowGrid(1.0, 16)
     _, jacs = integrate_flow(CUBIC, np.array([1.0]), grid)
-    taus = transition_jacobians(jacs, grid)
+    per_step = transition_jacobians(jacs, grid)
     forward = np.eye(1)
-    for tau in taus.per_step:
+    for tau in per_step:
         forward = tau @ forward
     backward = np.eye(1)
-    for tau in reversed(taus.per_step):
+    for tau in reversed(per_step):
         backward = backward @ tau
     assert abs(forward[0, 0] - backward[0, 0]) < 1e-12
-    assert abs(forward[0, 0] - taus.tau_0_delta[0, 0]) < 1e-12
+    assert abs(forward[0, 0] - _from_start(per_step, grid)[-1, 0, 0]) < 1e-12
 
 
 def test_ill_conditioned_flow_detected():
@@ -185,10 +204,7 @@ def test_ill_conditioned_flow_detected():
 def test_no_noise_no_drift_keeps_covariance():
     model = make_scalar_model(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, 0.0)
     grid = FlowGrid(1.0, 8)
-    path, jacs = integrate_flow(model, np.array([0.0]), grid)
-    taus = transition_jacobians(jacs, grid)
-    alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, np.array([[0.7]]), grid)
+    xis = _propagate(model, np.array([0.0]), np.array([[0.7]]), grid)[2]
     assert all(abs(x[0, 0] - 0.7) < 1e-15 for x in xis)
 
 
@@ -196,10 +212,7 @@ def test_ou_variance_matches_lyapunov_solution():
     a, sig, delta, sigma0 = 0.5, 0.3, 0.5, 0.2
     model = make_scalar_model(lambda x: -a * x, lambda x: -a, lambda x: 0.0, sig ** 2)
     grid = FlowGrid(delta, 64)
-    path, jacs = integrate_flow(model, np.array([1.0]), grid)
-    taus = transition_jacobians(jacs, grid)
-    alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, np.array([[sigma0]]), grid)
+    xis = _propagate(model, np.array([1.0]), np.array([[sigma0]]), grid)[2]
     expected = np.exp(-2 * a * delta) * sigma0 + sig ** 2 * (1 - np.exp(-2 * a * delta)) / (2 * a)
     assert abs(xis[-1][0, 0] - expected) < 1e-6
 
@@ -210,11 +223,9 @@ def test_covariance_stays_symmetric_psd_along_grid():
     sig = rng.standard_normal((3, 3)) * 0.5
     model = make_linear_model(a_mat, sig @ sig.T)
     grid = FlowGrid(0.5, 32)
-    path, jacs = integrate_flow(model, rng.standard_normal(3), grid)
-    taus = transition_jacobians(jacs, grid)
+    x0 = rng.standard_normal(3)
     raw = rng.standard_normal((3, 3))
-    alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, raw @ raw.T, grid)
+    xis = _propagate(model, x0, raw @ raw.T, grid)[2]
     for x in xis:
         assert np.array_equal(x, x.T)
         eigs = np.linalg.eigvalsh(x)
@@ -231,11 +242,8 @@ def test_linear_model_has_zero_location_correction():
     model = make_linear_model(a_mat, sig @ sig.T)
     grid = FlowGrid(0.4, 16)
     x0 = rng.standard_normal(3)
-    path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
-    alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, np.eye(3), grid)
-    m_delta = ailp_state(model, path, alphas, taus, xis, np.eye(3), grid)
+    path, alphas, xis, from_start, to_end = _propagate(model, x0, np.eye(3), grid)
+    m_delta = ailp_state(model, path, alphas, from_start, to_end, xis, np.eye(3), grid)
     assert np.array_equal(m_delta, np.zeros(3))
 
 
@@ -243,11 +251,8 @@ def test_cubic_location_correction_matches_analytic():
     grid = FlowGrid(1.0, 128)
     x0 = np.array([1.0])
     sigma0 = np.array([[0.01]])
-    path, jacs = integrate_flow(CUBIC, x0, grid)
-    taus = transition_jacobians(jacs, grid)
-    alphas = CUBIC.alpha(path)
-    xis = propagate_covariance(alphas, taus, sigma0, grid)
-    m_num = ailp_state(CUBIC, path, alphas, taus, xis, sigma0, grid)[0]
+    path, alphas, xis, from_start, to_end = _propagate(CUBIC, x0, sigma0, grid)
+    m_num = ailp_state(CUBIC, path, alphas, from_start, to_end, xis, sigma0, grid)[0]
     m_ana = cubic1d_analytic_ailp(1.0, 0.01, 0.01, 1.0)
     assert abs(m_num - m_ana) / abs(m_ana) < 1e-4
 
@@ -264,9 +269,9 @@ def test_linear_flow_second_form_vanishes():
     rng = np.random.default_rng(25)
     model = make_linear_model(rng.standard_normal((3, 3)), np.zeros((3, 3)))
     grid = FlowGrid(0.3, 8)
-    path, jacs = integrate_flow(model, rng.standard_normal(3), grid)
-    taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(model, path, taus, grid, _random_sym(rng, 3))
+    path, _, _, from_start, to_end = _propagate(model, rng.standard_normal(3), np.eye(3), grid)
+    form = flow_second_fundamental_form(model, path, from_start, to_end, grid,
+                                        _random_sym(rng, 3))
     assert np.array_equal(form, np.zeros(3))
 
 
@@ -275,9 +280,9 @@ def test_cubic_flow_second_form_matches_flow_map_hessian():
     # map, checked against central differences of the closed-form flow
     delta, x0, h = 1.0, 1.0, 1e-4
     grid = FlowGrid(delta, 256)
-    path, jacs = integrate_flow(CUBIC, np.array([x0]), grid)
-    taus = transition_jacobians(jacs, grid)
-    form = flow_second_fundamental_form(CUBIC, path, taus, grid, np.ones((1, 1)))[0]
+    path, _, _, from_start, to_end = _propagate(CUBIC, np.array([x0]), np.eye(1), grid)
+    form = flow_second_fundamental_form(CUBIC, path, from_start, to_end, grid,
+                                        np.ones((1, 1)))[0]
     fd = (cubic1d_analytic_flow(x0 + h, delta) - 2.0 * cubic1d_analytic_flow(x0, delta)
           + cubic1d_analytic_flow(x0 - h, delta)) / h ** 2
     assert abs(form - fd) / abs(fd) < 1e-3
@@ -288,9 +293,9 @@ def test_flow_second_form_grid_refinement_second_order():
     values = []
     for n in (8, 16, 32, 64):
         grid = FlowGrid(1.0, n)
-        path, jacs = integrate_flow(CUBIC, x0, grid)
-        taus = transition_jacobians(jacs, grid)
-        values.append(flow_second_fundamental_form(CUBIC, path, taus, grid, np.ones((1, 1)))[0])
+        path, _, _, from_start, to_end = _propagate(CUBIC, x0, np.eye(1), grid)
+        values.append(flow_second_fundamental_form(CUBIC, path, from_start, to_end, grid,
+                                                   np.ones((1, 1)))[0])
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     for big, small in zip(diffs, diffs[1:]):
         assert 3.0 <= big / small <= 5.0
@@ -303,21 +308,20 @@ def test_tracking_flow_second_form_matches_pair_loop(tracking_models):
     rng = np.random.default_rng(28)
     x0 = random_tracking_state(rng, speed=200.0, scale=20.0)
     grid = FlowGrid(0.1, 8)
-    path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
+    path, _, _, from_start, to_end = _propagate(model, x0, np.eye(model.dim), grid)
     sym = _random_sym(rng, model.dim)
-    form = flow_second_fundamental_form(model, path, taus, grid, sym)
+    form = flow_second_fundamental_form(model, path, from_start, to_end, grid, sym)
     p, n, h = model.dim, grid.n_steps, grid.step
     basis = np.eye(p)
-    tau = taus.tau_0_delta
+    tau = from_start[-1]
     loop = np.zeros((p, p, p))
     for i in range(p):
         for j in range(p):
             for k in range(n + 1):
                 weight = h * (0.5 if k in (0, n) else 1.0)
-                a = taus.from_start[k]
+                a = from_start[k]
                 chi = sym_outer(a[:, i], a[:, j])
-                loop[:, i, j] += weight * taus.to_end[k] @ model.d2xi_contract(path[k], chi)
+                loop[:, i, j] += weight * to_end[k] @ model.d2xi_contract(path[k], chi)
             loop[:, i, j] += (conn.gamma(path[-1], tau[:, i], tau[:, j])
                               - tau @ conn.gamma(path[0], basis[i], basis[j]))
     expected = np.einsum("kij,ij->k", loop, sym)
@@ -333,10 +337,11 @@ def test_precompute_degenerate_model_is_trivial():
     grid = FlowGrid(1.0, 4)
     bundle = precompute(model, x0, np.array([[0.25]]), grid)
     assert np.allclose(bundle.x_delta, x0)
-    assert np.allclose(bundle.tau_0_delta, np.eye(1))
+    assert np.allclose(bundle.from_start[-1], np.eye(1))
     assert np.allclose(bundle.xi_delta, 0.25)
     assert np.array_equal(bundle.m_delta, np.zeros(1))
-    form = flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, np.ones((1, 1)))
+    form = flow_second_fundamental_form(model, bundle.x_path, bundle.from_start, bundle.to_end,
+                                        grid, np.ones((1, 1)))
     assert np.array_equal(form, np.zeros(1))
 
 
@@ -366,12 +371,14 @@ def test_precompute_matches_finer_grid():
         return abs(a - b) / max(abs(b), 1e-30)
 
     assert rel(coarse.x_delta[0], fine.x_delta[0]) < 1e-4
-    assert rel(coarse.tau_0_delta[0, 0], fine.tau_0_delta[0, 0]) < 1e-4
+    assert rel(coarse.from_start[-1, 0, 0], fine.from_start[-1, 0, 0]) < 1e-4
     assert rel(coarse.xi_delta[0, 0], fine.xi_delta[0, 0]) < 1e-4
     assert rel(coarse.m_delta[0], fine.m_delta[0]) < 1e-4
     one = np.ones((1, 1))
-    assert rel(flow_second_fundamental_form(CUBIC, coarse.x_path, coarse.taus, coarse_grid, one),
-               flow_second_fundamental_form(CUBIC, fine.x_path, fine.taus, fine_grid, one)) < 1e-4
+    assert rel(flow_second_fundamental_form(CUBIC, coarse.x_path, coarse.from_start,
+                                            coarse.to_end, coarse_grid, one),
+               flow_second_fundamental_form(CUBIC, fine.x_path, fine.from_start, fine.to_end,
+                                            fine_grid, one)) < 1e-4
 
 
 def test_precompute_evaluates_alpha_and_hessian_once_on_the_path():
@@ -396,11 +403,8 @@ def test_ailp_state_contracts_the_whole_path_in_one_call(n_steps):
     grid = FlowGrid(0.1, n_steps)
     mu0 = scenario.mu0
     sigma0 = scenario.sigma0
-    path, jacs = integrate_flow(model, mu0, grid)
-    taus = transition_jacobians(jacs, grid)
-    alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, sigma0, grid)
-    ailp_state(counted, path, alphas, taus, xis, sigma0, grid)
+    path, alphas, xis, from_start, to_end = _propagate(model, mu0, sigma0, grid)
+    ailp_state(counted, path, alphas, from_start, to_end, xis, sigma0, grid)
     assert calls == {"contract_fn": 3}
 
 
@@ -416,7 +420,8 @@ def test_precompute_memory_stays_linear_in_the_grid():
     tracemalloc.start()
     try:
         bundle = precompute(model, mu0, sigma0, grid)
-        flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, sigma0)
+        flow_second_fundamental_form(model, bundle.x_path, bundle.from_start, bundle.to_end,
+                                     grid, sigma0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -435,19 +440,49 @@ def test_grids_and_the_ekf_drift_model_are_built_once(cubic_models):
     assert b_model.d2xi_contract is model.d2drift_b_contract
 
 
-def test_tau_delta_0_computed_once():
-    grid = FlowGrid(1.0, 16)
-    _, jacs = integrate_flow(CUBIC, np.array([1.0]), grid)
-    taus = transition_jacobians(jacs, grid)
-    assert taus.tau_delta_0 is taus.tau_delta_0
-    assert np.array_equal(taus.tau_delta_0, np.linalg.inv(taus.tau_0_delta))
+def test_tau_delta_0_computed_once(monkeypatch, cubic_models):
+    # one GIF cycle forms tau_delta^0 and the products to the end once each
+    # (precompute), and rho_build and ailp_state read them from the bundle;
+    # cubic1d's callbacks invert nothing themselves
+    model, obs = cubic_models
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(flow, "_to_end", counted("to_end", flow._to_end))
+    x0, sigma0 = np.array([0.8]), np.array([[0.02]])
+    filter_step(model, obs, (x0, sigma0), np.array([0.5]), FilterConfig(delta=1.0))
+    assert calls == {"inv": 1, "to_end": 1}
+    bundle = precompute(model, x0, sigma0, FlowGrid(1.0, 8))
+    assert np.array_equal(bundle.tau_delta_0, np.linalg.inv(bundle.from_start[-1]))
 
 
 def test_tau_inverse_identity():
     bundle = precompute(CUBIC, np.array([1.0]), np.array([[0.01]]),
                         FlowGrid(1.0, 16))
-    assert abs(bundle.tau_delta_0 @ bundle.tau_0_delta - np.eye(1))[0, 0] < 1e-8
-    assert np.linalg.cond(bundle.tau_0_delta) < 1e12
+    tau = bundle.from_start[-1]
+    assert abs(bundle.tau_delta_0 @ tau - np.eye(1))[0, 0] < 1e-8
+    assert np.linalg.cond(tau) < 1e12
+
+
+def test_inverse_residual_check_rejects_a_flow_that_passes_the_condition_check():
+    # a non-normal saddle: the condition number of tau_0^delta stays under
+    # FLOW_COND_LIMIT, but its computed inverse is off the identity by more
+    # than 1e-8, so only the residual check after ailp_state catches it
+    basis = np.random.default_rng(1).standard_normal((2, 2))
+    a_mat = basis @ np.diag([11.0, -11.0]) @ np.linalg.inv(basis)
+    model = make_linear_model(a_mat, np.zeros((2, 2)))
+    grid = FlowGrid(1.0, 64)
+    x0 = np.zeros(2)
+    tau = _from_start(transition_jacobians(integrate_flow(model, x0, grid)[1], grid), grid)[-1]
+    assert np.linalg.cond(tau) < 1e12
+    with pytest.raises(IllConditionedFlowError, match="deviates from identity"):
+        precompute(model, x0, np.eye(2), grid)
 
 
 # --- the path-stacked evaluation against the per-grid-point loops ---------------
@@ -552,15 +587,12 @@ def test_scanned_products_and_covariance_match_the_loops(cubic_models, linear_mo
                                                 rng)[name]
     grid = FlowGrid(delta, n_steps)
     path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
+    per_step = transition_jacobians(jacs, grid)
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, cov0, grid)
-    # from_start as the covariance scan left it, and from the product scan
-    # alone: the same array bit for bit
-    assert _rel_close(taus.from_start, loop_from_start(taus.per_step))
-    assert np.array_equal(TransitionJacobians(taus.per_step).from_start, taus.from_start)
-    assert _rel_close(taus.to_end, loop_to_end(taus.per_step))
-    assert _rel_close(xis, loop_covariance(alphas, taus.per_step, cov0, grid))
+    xis, from_start = propagate_covariance(alphas, per_step, cov0, grid)
+    assert _rel_close(from_start, loop_from_start(per_step))
+    assert _rel_close(_to_end(per_step), loop_to_end(per_step))
+    assert _rel_close(xis, loop_covariance(alphas, per_step, cov0, grid))
     for xi in xis:
         check_symmetric(xi, rtol=SYMMETRY_RTOL)
 
@@ -575,20 +607,21 @@ def test_path_stacked_propagation_matches_per_point_loops(cubic_models, linear_m
     grid = FlowGrid(delta, n_steps)
     sigma0 = cov0
     path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
+    scan_per_step = transition_jacobians(jacs, grid)
     per_step, from_start, to_end = _loop_transition_maps(jacs, grid)
-    assert np.array_equal(taus.per_step, per_step)
+    assert np.array_equal(scan_per_step, per_step)
     # the products come from a prefix scan, which reassociates them
-    assert _rel_close(taus.from_start, from_start)
-    assert _rel_close(taus.to_end, to_end)
-
     alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, sigma0, grid)
-    m_delta = ailp_state(model, path, alphas, taus, xis, sigma0, grid)
+    xis, scan_from_start = propagate_covariance(alphas, scan_per_step, sigma0, grid)
+    scan_to_end = _to_end(scan_per_step)
+    assert _rel_close(scan_from_start, from_start)
+    assert _rel_close(scan_to_end, to_end)
+
+    m_delta = ailp_state(model, path, alphas, scan_from_start, scan_to_end, xis, sigma0, grid)
     loop_m_delta = _loop_ailp_state(model, path, per_step, from_start, xis, sigma0, grid)
     assert _rel_close(m_delta, loop_m_delta)
     a = _random_sym(rng, model.dim)
-    form = flow_second_fundamental_form(model, path, taus, grid, a)
+    form = flow_second_fundamental_form(model, path, scan_from_start, scan_to_end, grid, a)
     loop = _loop_second_form(model, path, from_start, to_end, grid)
     assert _rel_close(form, np.einsum("kij,ij->k", loop, a))
 
@@ -602,20 +635,17 @@ def test_contractions_match_the_dense_hessian_oracle(cubic_models, linear_models
     model, x0, cov0, delta = _propagation_cases(cubic_models, linear_models, tracking_models,
                                                 rng)[name]
     grid = FlowGrid(delta, 16)
-    path, jacs = integrate_flow(model, x0, grid)
-    taus = transition_jacobians(jacs, grid)
-    alphas = model.alpha(path)
-    xis = propagate_covariance(alphas, taus, cov0, grid)
+    path, _, xis, from_start, to_end = _propagate(model, x0, cov0, grid)
     integrand = dense_ailp_integrand(path_hessian(model, path), xis)
     contracted = model.d2xi_contract(path, xis)
     if np.any(integrand):
         assert _rel_close(contracted, integrand)
     else:
         assert not np.any(contracted)
-    dense = dense_flow_form(model, path, taus, grid)
+    dense = dense_flow_form(model, path, from_start, to_end, grid)
     for _ in range(3):
         a = _random_sym(rng, model.dim)
-        form = flow_second_fundamental_form(model, path, taus, grid, a)
+        form = flow_second_fundamental_form(model, path, from_start, to_end, grid, a)
         expected = np.einsum("kij,ij->k", dense, a)
         if np.any(expected):
             assert _rel_close(form, expected)

@@ -10,6 +10,7 @@ import pytest
 
 from gifilter.ekf import ekf_step
 from gifilter.errors import DivergenceError, IllConditionedGainError
+from gifilter import ekf as gekf
 from gifilter import filter as gfilter
 from gifilter import flow, harness
 from gifilter.filter import FilterConfig, filter_step
@@ -47,6 +48,61 @@ def test_config_rejects_unknown_model():
 def test_config_rejects_unknown_filter():
     with pytest.raises(ValueError, match="unknown filter"):
         ScenarioConfig(filters=("gif", "ukf"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", -1.0), ("delta", 0.0), ("delta", math.nan), ("delta", math.inf),
+    ("n_substeps", 0), ("sim_substeps", 0), ("max_refinements", -1),
+])
+def test_config_rejects_out_of_range_numbers(field, value):
+    # each used to fail late: delta -1 as a math domain error in the
+    # simulator, sim_substeps 0 as a ZeroDivisionError, and max_refinements
+    # -1 by silently aborting every cycle
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{field: value})
+    assert ScenarioConfig(max_refinements=0).max_refinements == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_obs", "5"), ("n_obs", 5.0), ("seed", True), ("delta", "1.0"), ("sim_substeps", None),
+    ("quadratic_enabled", 1), ("model", 3), ("model_params", [1]), ("filters", "gif"),
+])
+def test_config_rejects_mistyped_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ScenarioConfig(**{field: value})
+
+
+@pytest.mark.parametrize("model, params, match", [
+    ("cubic1d", {"bogus": 1}, "unknown cubic1d parameter 'bogus'"),
+    ("cubic1d", {"delta": 2.0}, "unknown cubic1d parameter 'delta'"),
+    ("tracking9d", {"missile": 1}, "unknown tracking9d parameter 'missile'"),
+    ("cubic1d", {"alpha": "0.1"}, "model parameter alpha must be a number"),
+    ("tracking9d", {"lam": None}, "model parameter lam must be a number"),
+])
+def test_config_rejects_unknown_or_mistyped_model_params(model, params, match):
+    with pytest.raises(ValueError, match=match):
+        ScenarioConfig(model=model, model_params=params)
+
+
+def test_config_accepts_every_documented_model_param():
+    ScenarioConfig(model="cubic1d", model_params={"p_crit": 1, "alpha": 0.1, "beta": 0.2})
+    build_scenario(ScenarioConfig(model="tracking9d", model_params={
+        "lam": 0.4, "sigma_f": 2.0, "missile_p0": [1.0, 0.0, 0.0], "missile_v0": [0.0, 1.0, 0.0]}))
+
+
+@pytest.mark.parametrize("model", harness.KNOWN_MODELS)
+def test_config_model_params_follow_the_params_class(model):
+    # every field of the model's params class is a model parameter but those
+    # build_scenario supplies; a float field must be given a number
+    for f in dataclasses.fields(harness.MODEL_PARAMS[model]):
+        if f.name in ("delta", "missile"):
+            continue
+        if f.type in (float, "float"):
+            ScenarioConfig(model=model, model_params={f.name: 1})
+            with pytest.raises(ValueError, match=f"model parameter {f.name} must be a number"):
+                ScenarioConfig(model=model, model_params={f.name: "1"})
+        else:
+            ScenarioConfig(model=model, model_params={f.name: [[1.0]]})
 
 
 def test_config_runs_must_divide_cycles():
@@ -221,6 +277,26 @@ def test_non_finite_covariance_inside_a_gif_step_aborts_the_cycle(monkeypatch):
     record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(0, 0)))
     assert record.aborted["gif"].tolist() == [False, True, False]
     assert np.array_equal(record.covariances["gif"][1], record.covariances["gif"][0])
+
+
+@pytest.mark.parametrize("name, module", [("gif", gfilter), ("ekf", gekf)], ids=["gif", "ekf"])
+def test_nan_covariance_through_repair_psd_aborts_the_cycle(monkeypatch, name, module):
+    # a 1x1 NaN covariance has no negative eigenvalue, so repair_psd passes it
+    # through uncounted and the cycle's check of the estimate aborts it
+    repair = module.repair_psd
+    calls = []
+
+    def second_repair_spoiled(mat, diag=None):
+        calls.append(None)
+        return repair(np.full_like(mat, np.nan) if len(calls) == 2 else mat, diag)
+
+    monkeypatch.setattr(module, "repair_psd", second_repair_spoiled)
+    scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=3, seed=0, filters=(name,)))
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(0, 0)))
+    assert len(calls) == 3
+    assert record.aborted[name].tolist() == [False, True, False]
+    assert np.array_equal(record.covariances[name][1], record.covariances[name][0])
+    assert record.diagnostics[name].psd_repairs == 0
 
 
 _ASYMMETRIC = np.eye(9)

@@ -89,7 +89,8 @@ def test_flat_specialization_keeps_corrections_alive(cubic_models):
     bundle = precompute(model, x0, np.array([[0.01]]), grid)
     assert bundle.m_delta[0] != 0.0
     one = np.ones((1, 1))
-    assert flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, one)[0] != 0.0
+    assert flow_second_fundamental_form(model, bundle.x_path, bundle.from_start, bundle.to_end,
+                                        grid, one)[0] != 0.0
     jac = obs.dpsi(bundle.x_delta)
     g = gain(bundle.xi_delta, jac, obs.beta(obs.psi(bundle.x_delta)))
     ndpsi = map_second_fundamental_form(obs, model.conn, bundle.x_delta, jac,

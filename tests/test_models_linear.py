@@ -33,7 +33,8 @@ def test_precompute_has_no_intrinsic_corrections(linear_params, linear_models):
     bundle = precompute(model, x0, np.eye(3), grid)
     assert np.array_equal(bundle.m_delta, np.zeros(3))
     raw = rng.standard_normal((3, 3))
-    form = flow_second_fundamental_form(model, bundle.x_path, bundle.taus, grid, raw + raw.T)
+    form = flow_second_fundamental_form(model, bundle.x_path, bundle.from_start, bundle.to_end,
+                                        grid, raw + raw.T)
     assert np.array_equal(form, np.zeros(3))
 
 
@@ -44,4 +45,4 @@ def test_transition_matches_matrix_exponential(linear_params, linear_models):
     delta = 0.4
     bundle = precompute(model, x0, np.eye(3), FlowGrid(delta, 64))
     expected = scipy.linalg.expm(delta * linear_params.a_mat)
-    assert np.max(np.abs(bundle.tau_0_delta - expected)) < 1e-10
+    assert np.max(np.abs(bundle.from_start[-1] - expected)) < 1e-10
