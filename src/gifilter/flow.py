@@ -9,7 +9,8 @@ update in :mod:`gifilter.filter`; the path, transition Jacobians and
 covariance also carry the EKF estimate of :mod:`gifilter.ekf`, run on the
 coordinate drift b.
 
-Only the Taylor step of :func:`integrate_flow` runs point by point.
+Only the Taylor step of :func:`integrate_flow` runs point by point, and
+it checks the finished path for a divergence once per interval.
 Everything else is evaluated once per interval over the whole grid, as
 plain arrays with a leading grid axis: the diffusion variance
 ``alpha(x_path)`` of shape (n + 1, p, p), the per-step transition maps of
@@ -202,7 +203,9 @@ def integrate_flow(
     Returns the state at every grid time, shape (n_steps + 1, dim), and the
     Jacobian Dxi at each of those points, shape (n_steps + 1, dim, dim),
     which the scheme evaluates anyway and :func:`transition_jacobians`
-    reuses.
+    reuses.  A non-finite state raises DivergenceError naming its step; the
+    path is checked once, when it is finished, or when a callback raises
+    on a state that has already diverged.
     """
     x0 = np.asarray(x0, dtype=float)
     h = grid.step
@@ -210,21 +213,35 @@ def integrate_flow(
     jacs = np.empty((grid.n_steps + 1, model.dim, model.dim))
     path[0] = x0
     x = x0
-    # overflow surfaces as the explicit divergence check below, not a warning
+    # overflow surfaces as the one divergence check of the finished path,
+    # not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.n_steps):
-            xi = model.xi(x)
-            dxi = model.dxi(x)
-            jacs[k] = dxi
-            dxi_xi = dxi @ xi
-            third = model.d2xi_contract(x, xi[:, None] * xi) + dxi @ dxi_xi
-            x = x + h * xi + 0.5 * h * h * dxi_xi + (h ** 3 / 6.0) * third
-            if not np.isfinite(x).all():
-                raise DivergenceError(f"flow integration diverged at step {k + 1}",
-                                      step=k + 1)
-            path[k + 1] = x
+        try:
+            for k in range(grid.n_steps):
+                xi = model.xi(x)
+                dxi = model.dxi(x)
+                jacs[k] = dxi
+                dxi_xi = dxi @ xi
+                third = model.d2xi_contract(x, xi[:, None] * xi) + dxi @ dxi_xi
+                x = x + h * xi + 0.5 * h * h * dxi_xi + (h ** 3 / 6.0) * third
+                path[k + 1] = x
+        except Exception:
+            # a callback that fails on a state already gone non-finite
+            # reports the divergence, as a check after every step would
+            _check_diverged(path[:k + 1])
+            raise
+    _check_diverged(path)
     jacs[-1] = model.dxi(x)
     return path, jacs
+
+
+def _check_diverged(path: np.ndarray) -> None:
+    """DivergenceError naming the first step whose state, a row of ``path``
+    past the start, is non-finite."""
+    finite = np.isfinite(path[1:]).all(axis=1)
+    if not finite.all():
+        step = 1 + int(np.argmin(finite))
+        raise DivergenceError(f"flow integration diverged at step {step}", step=step)
 
 
 def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> np.ndarray:

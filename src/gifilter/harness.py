@@ -86,6 +86,17 @@ def _check_type(name: str, value, kind: type, expected: str) -> None:
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
+def _check_numbers(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an array of numbers (a
+    string or a bool is not one, as for a scalar field, nor is a ragged list)."""
+    try:
+        kind = np.asarray(value).dtype.kind
+    except ValueError:  # a ragged list
+        kind = None
+    if kind not in ("i", "u", "f"):
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one benchmark or simulation scenario."""
@@ -119,6 +130,11 @@ class ScenarioConfig:
                                  f"(expected some of {tuple(accepted)})")
             if accepted[name]:
                 _check_type(f"model parameter {name}", value, numbers.Real, "a number")
+            else:
+                _check_numbers(f"model parameter {name}", value)
+        for name in ("mu0", "sigma0", "x0"):
+            if getattr(self, name) is not None:
+                _check_numbers(name, getattr(self, name))
         if not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if self.n_substeps < 1:
@@ -195,12 +211,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         x0 = np.array([0.3])
         sigma0 = np.array([[cp.alpha]])
     elif config.model == "linear":
-        lp = LinearParams(
-            a_mat=np.asarray(params["a_mat"], dtype=float),
-            sigma_mat=np.asarray(params["sigma_mat"], dtype=float),
-            j_mat=np.asarray(params["j_mat"], dtype=float),
-            b_mat=np.asarray(params["b_mat"], dtype=float),
-        )
+        # checked here, not in ScenarioConfig: a caller that builds its own
+        # linear model (kalman_check) leaves the parameters out
+        missing = [f.name for f in dataclasses.fields(LinearParams) if f.name not in params]
+        if missing:
+            raise ValueError(f"missing linear parameter: {', '.join(missing)}")
+        lp = LinearParams(**params)
         diffusion, obs = linear_build(lp)
         observation_at = lambda t: obs
         x0 = np.zeros(lp.state_dim)

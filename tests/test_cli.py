@@ -119,10 +119,18 @@ def test_zero_substeps_flag_exits_one(tmp_path, cubic_config, capsys):
 @pytest.mark.parametrize("change, named", [
     ({"n_obs": "5"}, "n_obs must be an integer, got '5'"),
     ({"model_params": {"bogus": 1}}, "unknown cubic1d parameter 'bogus'"),
+    ({"mu0": ["abc"]}, "mu0 must be an array of numbers, got ['abc']"),
+    ({"sigma0": [["abc"]]}, "sigma0 must be an array of numbers, got [['abc']]"),
+    ({"x0": ["abc"]}, "x0 must be an array of numbers, got ['abc']"),
+    ({"model": "linear", "model_params": {"sigma_mat": [[1.0]], "j_mat": [[1.0]],
+                                          "b_mat": [[1.0]]}},
+     "missing linear parameter: a_mat"),
 ])
 def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, capsys, change,
                                                     named):
-    # both used to end in a TypeError traceback
+    # the first two used to end in a TypeError traceback; the others in a
+    # message that did not name the field ("could not convert string to
+    # float: 'abc'", or the bare "'a_mat'" of a KeyError)
     cubic_config.write_text(json.dumps(dict(json.loads(cubic_config.read_text()), **change)))
     assert cli_main(["filter", "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gifilter.errors import DivergenceError, IllConditionedFlowError
+from gifilter.errors import DivergenceError, IllConditionedFlowError, SingularStateError
 from gifilter import flow
 from gifilter.filter import FilterConfig, filter_step
 from gifilter.flow import (
@@ -146,9 +146,36 @@ def test_linear_flow_matches_matrix_exponential():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_flow_divergence_reports_step():
     model = make_scalar_model(lambda x: x ** 3, lambda x: 3 * x ** 2, lambda x: 6 * x, 0.0)
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError, match="diverged at step 3") as err:
         integrate_flow(model, np.array([5.0]), FlowGrid(10.0, 5))
-    assert err.value.step is not None
+    assert err.value.step == 3
+
+
+def _refuse_non_finite(fn):
+    def guarded(x, *rest):
+        if not np.isfinite(x).all():
+            raise SingularStateError("non-finite state")
+        return fn(x, *rest)
+    return guarded
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("callback", ["xi", "dxi", "d2xi_contract"])
+def test_a_callback_refusing_a_diverged_state_still_reports_the_divergence(callback):
+    # the path is checked once per interval, so the steps after a divergence
+    # hand its non-finite state to the callbacks; one that raises on it
+    # ends as the DivergenceError of a check after every step, at the same
+    # step, which the harness retries on a finer grid
+    base = make_scalar_model(lambda x: x ** 3, lambda x: 3 * x ** 2, lambda x: 6 * x, 0.0)
+    model = dataclasses.replace(base, **{callback: _refuse_non_finite(getattr(base, callback))})
+    with pytest.raises(DivergenceError, match="diverged at step 3") as err:
+        integrate_flow(model, np.array([5.0]), FlowGrid(10.0, 5))
+    assert err.value.step == 3
+    # the start state is no step of the flow: refusing it is the callback's
+    # own error, as it always was
+    with pytest.raises(SingularStateError):
+        integrate_flow(model, np.array([np.nan]), FlowGrid(10.0, 5))
 
 
 # --- transition_jacobians ------------------------------------------------------

@@ -66,6 +66,8 @@ def test_config_rejects_out_of_range_numbers(field, value):
 @pytest.mark.parametrize("field, value", [
     ("n_obs", "5"), ("n_obs", 5.0), ("seed", True), ("delta", "1.0"), ("sim_substeps", None),
     ("quadratic_enabled", 1), ("model", 3), ("model_params", [1]), ("filters", "gif"),
+    ("mu0", ["abc"]), ("mu0", ["0.3"]), ("sigma0", [[{"a": 1}]]), ("sigma0", [True]),
+    ("x0", [[1.0], [2.0, 3.0]]),
 ])
 def test_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -78,6 +80,8 @@ def test_config_rejects_mistyped_fields(field, value):
     ("tracking9d", {"missile": 1}, "unknown tracking9d parameter 'missile'"),
     ("cubic1d", {"alpha": "0.1"}, "model parameter alpha must be a number"),
     ("tracking9d", {"lam": None}, "model parameter lam must be a number"),
+    ("tracking9d", {"missile_v0": ["abc", 0.0, 0.0]}, "model parameter missile_v0 must be"),
+    ("linear", {"sigma_mat": [["abc"]]}, "model parameter sigma_mat must be"),
 ])
 def test_config_rejects_unknown_or_mistyped_model_params(model, params, match):
     with pytest.raises(ValueError, match=match):
@@ -103,6 +107,14 @@ def test_config_model_params_follow_the_params_class(model):
                 ScenarioConfig(model=model, model_params={f.name: "1"})
         else:
             ScenarioConfig(model=model, model_params={f.name: [[1.0]]})
+
+
+def test_build_scenario_names_missing_linear_parameters():
+    # used to raise the bare KeyError "'a_mat'"
+    config = ScenarioConfig(model="linear", n_obs=2,
+                            model_params={"sigma_mat": [[1.0]], "j_mat": [[1.0]]})
+    with pytest.raises(ValueError, match="missing linear parameter: a_mat, b_mat"):
+        build_scenario(config)
 
 
 def test_config_runs_must_divide_cycles():
