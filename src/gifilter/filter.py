@@ -53,8 +53,8 @@ class FilterConfig:
     quadratic_enabled: bool = True
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.n_substeps < 1:
             raise ValueError("n_substeps must be >= 1")
 

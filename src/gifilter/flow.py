@@ -24,11 +24,24 @@ one producer: :func:`propagate_covariance` returns tau_0^{t_k} with the
 covariance, from the same scan, and :func:`precompute` forms
 tau_{t_k}^delta and the inverse tau_delta^0 once per cycle.  No dense
 second-derivative array is formed.
+
+A one-dimensional state takes a float path, chosen from the array shapes
+alone: the Taylor step when ``model.dim == 1``, and both scans when the
+per-step maps are 1x1.  On 1-element arrays numpy's per-call overhead
+outweighs the arithmetic, so these run on Python floats instead
+(:func:`_taylor_floats`, :func:`_compose_scan_floats`), performing the
+array code's operations in its order, the scans' identity padding and
+the final symmetrization included, and forming each 1x1 product a @ b as
+0.0 + a * b, as matmul does.  Both paths give the same bits; the array
+helpers (:func:`_taylor_arrays`, :func:`_covariance_arrays`,
+:func:`_to_end_arrays`) serve every other dimension.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -58,10 +71,10 @@ class FlowGrid:
     n_steps: int = 8
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+            raise ValueError("n_steps must be an integer >= 1")
 
     @property
     def step(self) -> float:
@@ -170,6 +183,28 @@ def _compose_scan(maps: np.ndarray, offsets: Optional[np.ndarray] = None) -> Non
         half *= 2
 
 
+def _compose_scan_floats(maps: list, offsets: Optional[list] = None) -> None:
+    """:func:`_compose_scan` of 1x1 maps held in lists of Python floats, in
+    place and equal to it bit for bit: the same compositions in the same
+    order, with each 1x1 product a @ b formed as 0.0 + a * b, which drops
+    the sign of a zero as matmul does."""
+    size = len(maps)
+    half = 1
+    while half < size:
+        for start in range(half, size, 2 * half):
+            a_last = maps[start - 1]
+            if offsets is None:
+                for j in range(start, start + half):
+                    maps[j] = 0.0 + maps[j] * a_last
+            else:
+                b_last = offsets[start - 1]
+                for j in range(start, start + half):
+                    a = maps[j]
+                    offsets[j] += 0.0 + (0.0 + a * b_last) * a
+                    maps[j] = 0.0 + a * a_last
+        half *= 2
+
+
 def _scan_buffer(per_step: np.ndarray) -> np.ndarray:
     """(N + 2, p, p) stack: the identity, the n per-step maps, then
     identities to the end, with N the power of two at or above n.  The
@@ -188,11 +223,29 @@ def _to_end(per_step: np.ndarray) -> np.ndarray:
     Entry k is tau_(n-1) ... tau_k.  Read in reverse order and transposed,
     the scan's products A_j ... A_0 are the transposes of exactly these, so
     the scan runs on that view of the buffer and leaves them in place, in
-    grid order.
+    grid order.  A 1x1 map takes the float path of :func:`_to_end_floats`.
     """
+    if per_step.shape[-1] == 1:
+        return _to_end_floats(per_step)
+    return _to_end_arrays(per_step)
+
+
+def _to_end_arrays(per_step: np.ndarray) -> np.ndarray:
+    """:func:`_to_end` on arrays, for any p."""
     buf = _scan_buffer(per_step)
     _compose_scan(np.swapaxes(buf[-2:0:-1], -1, -2))
     return buf[1:per_step.shape[0] + 2]
+
+
+def _to_end_floats(per_step: np.ndarray) -> np.ndarray:
+    """:func:`_to_end` of 1x1 maps on Python floats, equal to
+    :func:`_to_end_arrays` bit for bit: the reversed scan order, with the
+    identity padding first, and an identity as entry n."""
+    n = per_step.shape[0]
+    size = 1 << (n - 1).bit_length()
+    maps = [1.0] * (size - n) + per_step[::-1, 0, 0].tolist()
+    _compose_scan_floats(maps)
+    return np.array(maps[size - n:][::-1] + [1.0]).reshape(n + 1, 1, 1)
 
 
 def integrate_flow(
@@ -205,34 +258,79 @@ def integrate_flow(
     which the scheme evaluates anyway and :func:`transition_jacobians`
     reuses.  A non-finite state raises DivergenceError naming its step; the
     path is checked once, when it is finished, or when a callback raises
-    on a state that has already diverged.
+    on a state that has already diverged.  A one-dimensional state steps on
+    Python floats (:func:`_taylor_floats`), any other on arrays
+    (:func:`_taylor_arrays`); both give the same path bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
-    h = grid.step
-    path = np.empty((grid.n_steps + 1, model.dim))
+    # zeros: the rows a failed step never reached pass the divergence check
+    path = np.zeros((grid.n_steps + 1, model.dim))
     jacs = np.empty((grid.n_steps + 1, model.dim, model.dim))
     path[0] = x0
-    x = x0
+    taylor_steps = _taylor_floats if model.dim == 1 else _taylor_arrays
     # overflow surfaces as the one divergence check of the finished path,
     # not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for k in range(grid.n_steps):
-                xi = model.xi(x)
-                dxi = model.dxi(x)
-                jacs[k] = dxi
-                dxi_xi = dxi @ xi
-                third = model.d2xi_contract(x, xi[:, None] * xi) + dxi @ dxi_xi
-                x = x + h * xi + 0.5 * h * h * dxi_xi + (h ** 3 / 6.0) * third
-                path[k + 1] = x
+            x = taylor_steps(model, x0, grid.step, path, jacs)
         except Exception:
             # a callback that fails on a state already gone non-finite
             # reports the divergence, as a check after every step would
-            _check_diverged(path[:k + 1])
+            _check_diverged(path)
             raise
     _check_diverged(path)
     jacs[-1] = model.dxi(x)
     return path, jacs
+
+
+def _taylor_arrays(model: DiffusionModel, x: np.ndarray, h: float,
+                   path: np.ndarray, jacs: np.ndarray) -> np.ndarray:
+    """The Taylor steps of :func:`integrate_flow` on arrays, for any dim:
+    from ``x``, the state in row 0 of ``path``, fills rows 1..n of ``path``
+    and rows 0..n-1 of ``jacs``, and returns the last state."""
+    for k in range(path.shape[0] - 1):
+        xi = model.xi(x)
+        dxi = model.dxi(x)
+        jacs[k] = dxi
+        dxi_xi = dxi @ xi
+        third = model.d2xi_contract(x, xi[:, None] * xi) + dxi @ dxi_xi
+        x = x + h * xi + 0.5 * h * h * dxi_xi + (h ** 3 / 6.0) * third
+        path[k + 1] = x
+    return x
+
+
+def _taylor_floats(model: DiffusionModel, x0: np.ndarray, h: float,
+                   path: np.ndarray, jacs: np.ndarray) -> np.ndarray:
+    """:func:`_taylor_arrays` for a one-dimensional state, on Python floats.
+
+    The arithmetic is the array step's, operation by operation, with each
+    1x1 product a @ b formed as 0.0 + a * b as matmul forms it, so every
+    row equals the array path's bit for bit.  The callbacks still get (1,)
+    states, as views of ``path``, and (1, 1) tensors chi, as views of one
+    stack.  Float arithmetic overflows to inf without raising, as the
+    arrays do under :func:`integrate_flow`'s errstate.
+    """
+    n = path.shape[0] - 1
+    states = path.reshape(-1)
+    slopes = jacs.reshape(-1)
+    chis = np.empty((n, 1, 1))
+    chi_values = chis.reshape(-1)
+    xi_at, dxi_at, d2xi_contract = model.xi, model.dxi, model.d2xi_contract
+    h2 = 0.5 * h * h
+    h3 = h ** 3 / 6.0
+    x_arr = x0
+    x = float(states[0])
+    for k in range(n):
+        xi = xi_at(x_arr).item()
+        dxi = dxi_at(x_arr).item()
+        slopes[k] = dxi
+        dxi_xi = 0.0 + dxi * xi
+        chi_values[k] = xi * xi
+        third = d2xi_contract(x_arr, chis[k]).item() + (0.0 + dxi * dxi_xi)
+        x = x + h * xi + h2 * dxi_xi + h3 * third
+        states[k + 1] = x
+        x_arr = path[k + 1]
+    return x_arr
 
 
 def _check_diverged(path: np.ndarray) -> None:
@@ -270,10 +368,19 @@ def propagate_covariance(
     alpha, i.e. X -> tau_k X tau_k^T + B_k with B_k = tau_k H_k tau_k^T +
     H_(k+1).  With Sigma_0 folded into B_0 the composed map of steps 0..k
     sends 0 to Xi_(k+1), so one scan of :func:`_compose_scan` gives every
-    Xi and, as the products of the same compositions, tau_0^{t_k}.
+    Xi and, as the products of the same compositions, tau_0^{t_k}.  A 1x1
+    map takes the float path of :func:`_covariance_floats`.
     """
-    n = per_step.shape[0]
     h_half = 0.5 * grid.step
+    if per_step.shape[-1] == 1:
+        return _covariance_floats(alphas, per_step, sigma0, h_half)
+    return _covariance_arrays(alphas, per_step, sigma0, h_half)
+
+
+def _covariance_arrays(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndarray,
+                       h_half: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`propagate_covariance` on arrays, for any p, with h_half = h / 2."""
+    n = per_step.shape[0]
     products = _scan_buffer(per_step)
     xis = np.zeros_like(products)
     xis[0] = sigma0
@@ -289,6 +396,28 @@ def propagate_covariance(
     xis += np.swapaxes(xis, -1, -2)
     xis *= 0.5
     return xis, products[:n + 1]
+
+
+def _covariance_floats(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndarray,
+                       h_half: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_covariance_arrays` of 1x1 maps on Python floats, equal to it
+    bit for bit: the same B_k, the scan of :func:`_compose_scan_floats` over
+    the same identity padding, and the same final symmetrization."""
+    n = per_step.shape[0]
+    taus = per_step[:, 0, 0].tolist()
+    halves = [h_half * a for a in alphas[:, 0, 0].tolist()]
+    sigma = float(sigma0[0, 0])
+    offsets = halves[:n]
+    offsets[0] += sigma
+    for k, tau in enumerate(taus):
+        offsets[k] = 0.0 + (0.0 + tau * offsets[k]) * tau + halves[k + 1]
+    pad = (1 << (n - 1).bit_length()) - n
+    products = taus + [1.0] * pad
+    offsets += [0.0] * pad
+    _compose_scan_floats(products, offsets)
+    xis = [(x + x) * 0.5 for x in [sigma] + offsets[:n]]
+    return (np.array(xis).reshape(n + 1, 1, 1),
+            np.array([1.0] + products[:n]).reshape(n + 1, 1, 1))
 
 
 def ailp_state(

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from gifilter.errors import DivergenceError, IllConditionedFlowError, SingularStateError
 from gifilter import flow
+from gifilter.ekf import ekf_step
 from gifilter.filter import FilterConfig, filter_step
 from gifilter.flow import (
     DiffusionModel,
@@ -94,14 +95,25 @@ CUBIC = make_scalar_model(lambda x: -0.5 * x ** 3, lambda x: -1.5 * x ** 2,
                           lambda x: -3.0 * x, 0.01)
 
 
-def test_flow_grid_step_and_validation():
+def test_flow_grid_step_and_validation(cubic_models):
     grid = FlowGrid(2.0, 5)
     assert grid.step == 0.4
     assert np.array_equal(grid.weights, [0.2, 0.4, 0.4, 0.4, 0.4, 0.2])
-    with pytest.raises(ValueError):
-        FlowGrid(0.0, 4)
-    with pytest.raises(ValueError):
-        FlowGrid(1.0, 0)
+    assert FlowGrid(1.0, np.int64(4)).n_steps == 4
+    for delta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            FlowGrid(delta, 4)
+    for n_steps in (0, 8.5, 8.0):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            FlowGrid(1.0, n_steps)
+    # a bad interval is a config error, not a numerics error the harness
+    # would retry on finer grids
+    model, obs = cubic_models
+    est = (np.array([0.5]), np.array([[0.1]]))
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        filter_step(model, obs, est, np.array([0.3]), FilterConfig(delta=float("nan")))
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        ekf_step(model, obs, est, np.array([0.3]), delta=float("inf"), n_substeps=8)
 
 
 # --- integrate_flow ----------------------------------------------------------
@@ -142,12 +154,41 @@ def test_linear_flow_matches_matrix_exponential():
     assert np.max(np.abs(path[-1] - expected)) < 1e-8
 
 
+def make_inert_2d_model(xi, dxi, d2xi):
+    """The dynamics of ``make_scalar_model`` in coordinate 0 of a 2-D state
+    whose coordinate 1 never moves: the same flow on the array path."""
+    def d2xi_contract(x, chi):
+        out = np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1]))
+        out[..., 0] = np.vectorize(d2xi, otypes=[float])(x[..., 0]) * chi[..., 0, 0]
+        return out
+
+    return DiffusionModel(
+        dim=2,
+        xi=lambda x: np.array([xi(x[0]), 0.0]),
+        dxi=lambda x: np.array([[dxi(x[0]), 0.0], [0.0, 0.0]]),
+        d2xi_contract=d2xi_contract,
+        alpha=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
+        conn=flat_connector(2),
+        drift_b=lambda x: np.array([xi(x[0]), 0.0]),
+    )
+
+
+def _exploding_flow(dim):
+    """dx/dt = x^3, as a scalar model (the float path) or in a 2-D model with
+    an inert coordinate (the array path), and its start state from x_0."""
+    dynamics = (lambda x: x ** 3, lambda x: 3 * x ** 2, lambda x: 6 * x)
+    if dim == 1:
+        return make_scalar_model(*dynamics, 0.0), lambda x0: np.array([x0])
+    return make_inert_2d_model(*dynamics), lambda x0: np.array([x0, 0.0])
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_flow_divergence_reports_step():
-    model = make_scalar_model(lambda x: x ** 3, lambda x: 3 * x ** 2, lambda x: 6 * x, 0.0)
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_flow_divergence_reports_step(dim):
+    model, start = _exploding_flow(dim)
     with pytest.raises(DivergenceError, match="diverged at step 3") as err:
-        integrate_flow(model, np.array([5.0]), FlowGrid(10.0, 5))
+        integrate_flow(model, start(5.0), FlowGrid(10.0, 5))
     assert err.value.step == 3
 
 
@@ -161,21 +202,61 @@ def _refuse_non_finite(fn):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 @pytest.mark.parametrize("callback", ["xi", "dxi", "d2xi_contract"])
-def test_a_callback_refusing_a_diverged_state_still_reports_the_divergence(callback):
+def test_a_callback_refusing_a_diverged_state_still_reports_the_divergence(callback, dim):
     # the path is checked once per interval, so the steps after a divergence
     # hand its non-finite state to the callbacks; one that raises on it
     # ends as the DivergenceError of a check after every step, at the same
     # step, which the harness retries on a finer grid
-    base = make_scalar_model(lambda x: x ** 3, lambda x: 3 * x ** 2, lambda x: 6 * x, 0.0)
+    base, start = _exploding_flow(dim)
     model = dataclasses.replace(base, **{callback: _refuse_non_finite(getattr(base, callback))})
     with pytest.raises(DivergenceError, match="diverged at step 3") as err:
-        integrate_flow(model, np.array([5.0]), FlowGrid(10.0, 5))
+        integrate_flow(model, start(5.0), FlowGrid(10.0, 5))
     assert err.value.step == 3
     # the start state is no step of the flow: refusing it is the callback's
     # own error, as it always was
     with pytest.raises(SingularStateError):
-        integrate_flow(model, np.array([np.nan]), FlowGrid(10.0, 5))
+        integrate_flow(model, start(np.nan), FlowGrid(10.0, 5))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("sigma0", [0.0, -0.0, 0.3])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 64, 2048])
+def test_the_float_path_equals_the_array_path_bit_for_bit(cubic_models, n_steps, sigma0):
+    # a 1-D state steps and scans on Python floats; the array helpers are
+    # the path of every other dim, called here on the same 1-D inputs
+    model = cubic_models[0]
+    grid = FlowGrid(1.0, n_steps)
+    x0 = np.array([0.8])
+    path, jacs = integrate_flow(model, x0, grid)
+    array_path = np.zeros_like(path)
+    array_jacs = np.empty_like(jacs)
+    array_path[0] = x0
+    last = flow._taylor_arrays(model, x0, grid.step, array_path, array_jacs)
+    array_jacs[-1] = model.dxi(last)
+    assert _same_bits(path, array_path) and _same_bits(jacs, array_jacs)
+
+    # the cubic's maps and variances, then adversarial ones the scans must
+    # compose exactly alike: negative and signed-zero maps with signed-zero
+    # variances, and variances so large that Xi overflows
+    rng = np.random.default_rng(n_steps)
+    cubic_maps = transition_jacobians(jacs, grid)
+    signed = rng.choice([-1.5, -0.0, 0.0, 0.7, 1.2], size=(n_steps, 1, 1))
+    signed *= rng.uniform(0.5, 1.5, size=signed.shape)
+    zero_or_not = rng.choice([-0.0, 0.0, 0.02], size=(n_steps + 1, 1, 1))
+    huge = np.full((n_steps + 1, 1, 1), np.finfo(float).max)
+    cov0 = np.array([[sigma0]])
+    for per_step, alphas in ((cubic_maps, model.alpha(path)), (signed, zero_or_not),
+                             (cubic_maps, huge)):
+        floats = propagate_covariance(alphas, per_step, cov0, grid)
+        arrays = flow._covariance_arrays(alphas, per_step, cov0, 0.5 * grid.step)
+        assert all(_same_bits(f, a) for f, a in zip(floats, arrays))
+        assert _same_bits(_to_end(per_step), flow._to_end_arrays(per_step))
 
 
 # --- transition_jacobians ------------------------------------------------------
