@@ -5,8 +5,10 @@ For each workload of ``perfbench/workloads.py`` and workload seeds 0-2, it
 runs every config through ``run_benchmark`` and hashes, run by run, the
 bytes of the truth, the observations, and per filter the estimates, the
 covariances and the aborted flags.  It prints each config's GIF and EKF
-abort counts and then the digest, so two checkouts whose outputs are bit
-for bit the same print the same last line.  It times nothing and reads
+abort counts, then one digest per workload (a line ``<workload>
+<sha256>``), then the digest over all of them, so two checkouts whose
+outputs are bit for bit the same print the same last line, and a change
+that moves one workload's bits shows which.  It times nothing and reads
 nothing of perfbench but the workload definitions.  Run from anywhere; the
 program is imported from this checkout's ``src/``:
 
@@ -54,21 +56,38 @@ def abort_counts(records, filters) -> dict:
     return {name: int(sum(rec.aborted[name].sum() for rec in records)) for name in filters}
 
 
-def main() -> int:
-    workloads = load_workloads()
-    logging.getLogger("gifilter").setLevel(logging.ERROR)  # the counts are printed
-    digest = hashlib.sha256()
-    n_configs = 0
+def digests(runs) -> tuple[dict, str]:
+    """The sha256 of each workload's outputs, by workload name, and of all of
+    them in order, from ``runs``: (workload name, config, records) triples."""
+    total = hashlib.sha256()
+    per_workload = {}
+    for name, config, records in runs:
+        for digest in (total, per_workload.setdefault(name, hashlib.sha256())):
+            update_digest(digest, records, config.filters)
+    return {name: d.hexdigest() for name, d in per_workload.items()}, total.hexdigest()
+
+
+def solve(workloads):
+    """Run every config of every workload, printing its abort counts, and
+    yield (workload name, config, records)."""
     for name in workloads.WORKLOAD_NAMES:
         for seed in SEEDS:
             for index, config in enumerate(workloads.build_workload(name, seed)):
                 _, records = run_benchmark(config)
-                update_digest(digest, records, config.filters)
                 counts = " ".join(f"{f} {n}" for f, n in
                                   abort_counts(records, config.filters).items())
                 print(f"{name} seed {seed} config {index}: aborted {counts}")
-                n_configs += 1
-    print(f"sha256 {digest.hexdigest()} ({n_configs} configs)")
+                yield name, config, records
+
+
+def main() -> int:
+    workloads = load_workloads()
+    logging.getLogger("gifilter").setLevel(logging.ERROR)  # the counts are printed
+    runs = list(solve(workloads))
+    per_workload, total = digests(runs)
+    for name, hexdigest in per_workload.items():
+        print(f"{name} {hexdigest}")
+    print(f"sha256 {total} ({len(runs)} configs)")
     return 0
 
 

@@ -26,14 +26,16 @@ tau_{t_k}^delta and the inverse tau_delta^0 once per cycle.  No dense
 second-derivative array is formed.
 
 A one-dimensional state takes a float path, chosen from the array shapes
-alone: the Taylor step when ``model.dim == 1``, and both scans when the
-per-step maps are 1x1.  On 1-element arrays numpy's per-call overhead
-outweighs the arithmetic, so these run on Python floats instead
-(:func:`_taylor_floats`, :func:`_compose_scan_floats`), performing the
-array code's operations in its order, the scans' identity padding and
-the final symmetrization included, and forming each 1x1 product a @ b as
-0.0 + a * b, as matmul does.  Both paths give the same bits; the array
-helpers (:func:`_taylor_arrays`, :func:`_covariance_arrays`,
+alone: the Taylor step when ``model.dim == 1``, and the covariance and
+tau_{t_k}^delta when the per-step maps are 1x1.  On 1-element arrays
+numpy's per-call overhead outweighs the arithmetic, so these run on Python
+floats.  The Taylor step (:func:`_taylor_floats`) performs the array
+step's operations in its order and gives its bits.  The scans have no
+per-call overhead to amortise on floats, so :func:`_covariance_floats`
+and :func:`_to_end_floats` run the step-by-step recursions instead, each
+1x1 product a @ b formed as 0.0 + a * b, as matmul does; they may differ
+from the array scans in the last bits.  The array helpers
+(:func:`_taylor_arrays`, :func:`_covariance_arrays`,
 :func:`_to_end_arrays`) serve every other dimension.
 """
 
@@ -183,28 +185,6 @@ def _compose_scan(maps: np.ndarray, offsets: Optional[np.ndarray] = None) -> Non
         half *= 2
 
 
-def _compose_scan_floats(maps: list, offsets: Optional[list] = None) -> None:
-    """:func:`_compose_scan` of 1x1 maps held in lists of Python floats, in
-    place and equal to it bit for bit: the same compositions in the same
-    order, with each 1x1 product a @ b formed as 0.0 + a * b, which drops
-    the sign of a zero as matmul does."""
-    size = len(maps)
-    half = 1
-    while half < size:
-        for start in range(half, size, 2 * half):
-            a_last = maps[start - 1]
-            if offsets is None:
-                for j in range(start, start + half):
-                    maps[j] = 0.0 + maps[j] * a_last
-            else:
-                b_last = offsets[start - 1]
-                for j in range(start, start + half):
-                    a = maps[j]
-                    offsets[j] += 0.0 + (0.0 + a * b_last) * a
-                    maps[j] = 0.0 + a * a_last
-        half *= 2
-
-
 def _scan_buffer(per_step: np.ndarray) -> np.ndarray:
     """(N + 2, p, p) stack: the identity, the n per-step maps, then
     identities to the end, with N the power of two at or above n.  The
@@ -220,10 +200,11 @@ def _scan_buffer(per_step: np.ndarray) -> np.ndarray:
 def _to_end(per_step: np.ndarray) -> np.ndarray:
     """tau_{t_k}^delta for k = 0..n, shape (n + 1, p, p), from the per-step maps.
 
-    Entry k is tau_(n-1) ... tau_k.  Read in reverse order and transposed,
-    the scan's products A_j ... A_0 are the transposes of exactly these, so
-    the scan runs on that view of the buffer and leaves them in place, in
-    grid order.  A 1x1 map takes the float path of :func:`_to_end_floats`.
+    Entry k is tau_(n-1) ... tau_k.  On arrays, read in reverse order and
+    transposed, the scan's products A_j ... A_0 are the transposes of
+    exactly these, so the scan runs on that view of the buffer and leaves
+    them in place, in grid order.  A 1x1 map takes the backward recursion
+    of :func:`_to_end_floats`.
     """
     if per_step.shape[-1] == 1:
         return _to_end_floats(per_step)
@@ -238,14 +219,12 @@ def _to_end_arrays(per_step: np.ndarray) -> np.ndarray:
 
 
 def _to_end_floats(per_step: np.ndarray) -> np.ndarray:
-    """:func:`_to_end` of 1x1 maps on Python floats, equal to
-    :func:`_to_end_arrays` bit for bit: the reversed scan order, with the
-    identity padding first, and an identity as entry n."""
-    n = per_step.shape[0]
-    size = 1 << (n - 1).bit_length()
-    maps = [1.0] * (size - n) + per_step[::-1, 0, 0].tolist()
-    _compose_scan_floats(maps)
-    return np.array(maps[size - n:][::-1] + [1.0]).reshape(n + 1, 1, 1)
+    """:func:`_to_end` of 1x1 maps on Python floats, step by step:
+    to_end_n = 1 and to_end_k = to_end_(k+1) tau_k."""
+    to_end = [1.0]
+    for tau in per_step[::-1, 0, 0].tolist():
+        to_end.append(0.0 + to_end[-1] * tau)
+    return np.array(to_end[::-1]).reshape(-1, 1, 1)
 
 
 def integrate_flow(
@@ -366,10 +345,11 @@ def propagate_covariance(
 
     Step k is the map X -> tau_k (X + H_k) tau_k^T + H_(k+1), H = (h/2)
     alpha, i.e. X -> tau_k X tau_k^T + B_k with B_k = tau_k H_k tau_k^T +
-    H_(k+1).  With Sigma_0 folded into B_0 the composed map of steps 0..k
-    sends 0 to Xi_(k+1), so one scan of :func:`_compose_scan` gives every
-    Xi and, as the products of the same compositions, tau_0^{t_k}.  A 1x1
-    map takes the float path of :func:`_covariance_floats`.
+    H_(k+1).  On arrays, with Sigma_0 folded into B_0, the composed map of
+    steps 0..k sends 0 to Xi_(k+1), so one scan of :func:`_compose_scan`
+    gives every Xi and, as the products of the same compositions,
+    tau_0^{t_k}.  A 1x1 map takes the step-by-step recursion of
+    :func:`_covariance_floats`.
     """
     h_half = 0.5 * grid.step
     if per_step.shape[-1] == 1:
@@ -400,24 +380,22 @@ def _covariance_arrays(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndar
 
 def _covariance_floats(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndarray,
                        h_half: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_covariance_arrays` of 1x1 maps on Python floats, equal to it
-    bit for bit: the same B_k, the scan of :func:`_compose_scan_floats` over
-    the same identity padding, and the same final symmetrization."""
-    n = per_step.shape[0]
-    taus = per_step[:, 0, 0].tolist()
+    """:func:`propagate_covariance` of 1x1 maps on Python floats, step by
+    step: Xi_(k+1) = H_(k+1) + tau_k (Xi_k + H_k) tau_k and
+    from_start_(k+1) = tau_k from_start_k."""
     halves = [h_half * a for a in alphas[:, 0, 0].tolist()]
     sigma = float(sigma0[0, 0])
-    offsets = halves[:n]
-    offsets[0] += sigma
-    for k, tau in enumerate(taus):
-        offsets[k] = 0.0 + (0.0 + tau * offsets[k]) * tau + halves[k + 1]
-    pad = (1 << (n - 1).bit_length()) - n
-    products = taus + [1.0] * pad
-    offsets += [0.0] * pad
-    _compose_scan_floats(products, offsets)
-    xis = [(x + x) * 0.5 for x in [sigma] + offsets[:n]]
-    return (np.array(xis).reshape(n + 1, 1, 1),
-            np.array([1.0] + products[:n]).reshape(n + 1, 1, 1))
+    xis = [0.5 * (sigma + sigma)]
+    from_start = [1.0]
+    for k, tau in enumerate(per_step[:, 0, 0].tolist()):
+        # 0.0 + a * b drops a zero's sign as a 1x1 matmul does, and
+        # 0.5 * (v + v) sends v past half the float range to inf as a
+        # symmetrization does: both keep the bits of the matrix recursion
+        v = halves[k + 1] + (0.0 + (0.0 + tau * (xis[k] + halves[k])) * tau)
+        xis.append(0.5 * (v + v))
+        from_start.append(0.0 + tau * from_start[k])
+    return (np.array(xis).reshape(-1, 1, 1),
+            np.array(from_start).reshape(-1, 1, 1))
 
 
 def ailp_state(

@@ -81,20 +81,25 @@ def _accepted_model_params(model: str) -> dict:
 
 def _check_type(name: str, value, kind: type, expected: str) -> None:
     """ValueError naming ``name`` unless ``value`` is a ``kind`` (a bool is
-    only ever a bool, not a number)."""
+    only ever a bool, not a number) and, if a number, finite."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if kind is numbers.Real and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_numbers(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is an array of numbers (a
-    string or a bool is not one, as for a scalar field, nor is a ragged list)."""
+    """ValueError naming ``name`` unless ``value`` is an array of finite
+    numbers (a string or a bool is not a number, as for a scalar field, nor
+    is a ragged list an array)."""
     try:
-        kind = np.asarray(value).dtype.kind
+        array = np.asarray(value)
     except ValueError:  # a ragged list
-        kind = None
-    if kind not in ("i", "u", "f"):
+        array = None
+    if array is None or array.dtype.kind not in ("i", "u", "f"):
         raise ValueError(f"{name} must be an array of numbers, got {value!r}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

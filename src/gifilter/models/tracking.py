@@ -287,11 +287,6 @@ def _spherical(d: np.ndarray) -> tuple[float, float, float]:
     return r, math.acos(max(-1.0, min(1.0, dz / r))), math.atan2(dy, dx)
 
 
-def cartesian_to_spherical(d: np.ndarray) -> np.ndarray:
-    """Inverse spherical transform: range, angle from vertical, azimuth."""
-    return np.array(_spherical(np.asarray(d, dtype=float)))
-
-
 def _spherical_jacobian(y: tuple[float, float, float]) -> np.ndarray:
     """D h at spherical coordinates y = (r, theta, phi)."""
     r, th, ph = y

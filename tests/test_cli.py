@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -125,12 +126,18 @@ def test_zero_substeps_flag_exits_one(tmp_path, cubic_config, capsys):
     ({"model": "linear", "model_params": {"sigma_mat": [[1.0]], "j_mat": [[1.0]],
                                           "b_mat": [[1.0]]}},
      "missing linear parameter: a_mat"),
+    ({"model_params": {"p_crit": math.inf}}, "model parameter p_crit must be finite, got inf"),
+    ({"model_params": {"alpha": math.nan}}, "model parameter alpha must be finite, got nan"),
+    ({"x0": [math.nan], "mu0": [0.3]}, "x0 must be finite, got [nan]"),
+    ({"mu0": [math.inf]}, "mu0 must be finite, got [inf]"),
 ])
 def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, capsys, change,
                                                     named):
-    # the first two used to end in a TypeError traceback; the others in a
-    # message that did not name the field ("could not convert string to
-    # float: 'abc'", or the bare "'a_mat'" of a KeyError)
+    # the first two used to end in a TypeError traceback; the next four in
+    # a message that did not name the field ("could not convert string to
+    # float: 'abc'", or the bare "'a_mat'" of a KeyError); the non-finite
+    # numbers JSON accepts as NaN and Infinity used to run, aborting every
+    # cycle, filtering none, or exiting 2 as a numerical failure
     cubic_config.write_text(json.dumps(dict(json.loads(cubic_config.read_text()), **change)))
     assert cli_main(["filter", "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()

@@ -228,8 +228,11 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("sigma0", [0.0, -0.0, 0.3])
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 64, 2048])
 def test_the_float_path_equals_the_array_path_bit_for_bit(cubic_models, n_steps, sigma0):
-    # a 1-D state steps and scans on Python floats; the array helpers are
-    # the path of every other dim, called here on the same 1-D inputs
+    # a 1-D state steps and recurses on Python floats: the Taylor step
+    # equals the array step, the path of every other dim, called here on
+    # the same 1-D inputs, and the covariance, tau_0^{t_k} and
+    # tau_{t_k}^delta equal the step-by-step matrix recursions of the loop
+    # oracles
     model = cubic_models[0]
     grid = FlowGrid(1.0, n_steps)
     x0 = np.array([0.8])
@@ -241,9 +244,9 @@ def test_the_float_path_equals_the_array_path_bit_for_bit(cubic_models, n_steps,
     array_jacs[-1] = model.dxi(last)
     assert _same_bits(path, array_path) and _same_bits(jacs, array_jacs)
 
-    # the cubic's maps and variances, then adversarial ones the scans must
-    # compose exactly alike: negative and signed-zero maps with signed-zero
-    # variances, and variances so large that Xi overflows
+    # the cubic's maps and variances, then adversarial ones the recursions
+    # must compose exactly alike: negative and signed-zero maps with
+    # signed-zero variances, and variances so large that Xi overflows
     rng = np.random.default_rng(n_steps)
     cubic_maps = transition_jacobians(jacs, grid)
     signed = rng.choice([-1.5, -0.0, 0.0, 0.7, 1.2], size=(n_steps, 1, 1))
@@ -253,10 +256,10 @@ def test_the_float_path_equals_the_array_path_bit_for_bit(cubic_models, n_steps,
     cov0 = np.array([[sigma0]])
     for per_step, alphas in ((cubic_maps, model.alpha(path)), (signed, zero_or_not),
                              (cubic_maps, huge)):
-        floats = propagate_covariance(alphas, per_step, cov0, grid)
-        arrays = flow._covariance_arrays(alphas, per_step, cov0, 0.5 * grid.step)
-        assert all(_same_bits(f, a) for f, a in zip(floats, arrays))
-        assert _same_bits(_to_end(per_step), flow._to_end_arrays(per_step))
+        xis, from_start = propagate_covariance(alphas, per_step, cov0, grid)
+        assert _same_bits(xis, loop_covariance(alphas, per_step, cov0, grid))
+        assert _same_bits(from_start, loop_from_start(per_step))
+        assert _same_bits(_to_end(per_step), loop_to_end(per_step))
 
 
 # --- transition_jacobians ------------------------------------------------------

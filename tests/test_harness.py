@@ -67,7 +67,8 @@ def test_config_rejects_out_of_range_numbers(field, value):
     ("n_obs", "5"), ("n_obs", 5.0), ("seed", True), ("delta", "1.0"), ("sim_substeps", None),
     ("quadratic_enabled", 1), ("model", 3), ("model_params", [1]), ("filters", "gif"),
     ("mu0", ["abc"]), ("mu0", ["0.3"]), ("sigma0", [[{"a": 1}]]), ("sigma0", [True]),
-    ("x0", [[1.0], [2.0, 3.0]]),
+    ("x0", [[1.0], [2.0, 3.0]]), ("x0", [math.nan]), ("mu0", [math.inf]),
+    ("sigma0", [[math.nan]]), ("sigma0", [-math.inf]),
 ])
 def test_config_rejects_mistyped_fields(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -82,6 +83,13 @@ def test_config_rejects_mistyped_fields(field, value):
     ("tracking9d", {"lam": None}, "model parameter lam must be a number"),
     ("tracking9d", {"missile_v0": ["abc", 0.0, 0.0]}, "model parameter missile_v0 must be"),
     ("linear", {"sigma_mat": [["abc"]]}, "model parameter sigma_mat must be"),
+    # non-finite numbers, which JSON's NaN and Infinity let in: each used to
+    # run, ending in "0 cycles", aborted cycles or a numerical failure
+    ("cubic1d", {"p_crit": math.inf}, "model parameter p_crit must be finite, got inf"),
+    ("cubic1d", {"alpha": math.nan}, "model parameter alpha must be finite, got nan"),
+    ("tracking9d", {"lam": math.nan}, "model parameter lam must be finite, got nan"),
+    ("tracking9d", {"missile_v0": [math.inf, 0.0, 0.0]}, "model parameter missile_v0 must be"),
+    ("linear", {"a_mat": [[math.nan]]}, r"model parameter a_mat must be finite, got \[\[nan\]\]"),
 ])
 def test_config_rejects_unknown_or_mistyped_model_params(model, params, match):
     with pytest.raises(ValueError, match=match):
@@ -322,9 +330,12 @@ _ASYMMETRIC[0, 1] = 0.5
     ("tracking9d", "sigma0", _ASYMMETRIC.tolist(), "not symmetric"),
 ], ids=["sigma0-shape", "sigma0-non-finite", "mu0-non-finite", "sigma0-asymmetric"])
 def test_bad_initial_estimate_raises_value_error(model, field, value, match):
-    # the scenario's estimate is checked once, on entry, as invalid input
-    scenario = build_scenario(ScenarioConfig(model=model, n_obs=2, **{field: value}))
+    # the scenario's estimate is checked once, on entry, as invalid input;
+    # the scenario is built directly, as kalman_check builds one, since a
+    # config refuses the non-finite values itself
+    scenario = build_scenario(ScenarioConfig(model=model, n_obs=2))
     record = simulate_sde(scenario, trajectory_rng(0, 0))
+    scenario = dataclasses.replace(scenario, **{field: np.array(value)})
     with pytest.raises(ValueError, match=match):
         run_filters(scenario, record)
 

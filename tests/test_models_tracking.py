@@ -9,7 +9,6 @@ from gifilter.geometry import identity
 from gifilter.models import tracking
 from gifilter.models.tracking import (
     Tracking9DParams,
-    cartesian_to_spherical,
     constant_velocity_missile,
     observation_connector,
     pack_state,
@@ -179,7 +178,7 @@ def test_spherical_transform_roundtrip():
         y = np.array([rng.uniform(0.5, 20.0), rng.uniform(0.1, 3.0),
                       rng.uniform(-3.1, 3.1)])
         d = spherical_to_cartesian(y)
-        back = cartesian_to_spherical(d)
+        back = np.array(tracking._spherical(d))
         assert np.max(np.abs(back - y)) < 1e-10
 
 
@@ -196,7 +195,7 @@ def test_observation_values_and_errors(tracking_params):
         obs.psi(pack_state(p_m, [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
     # vertical direction leaves the azimuth undefined
     with pytest.raises(SingularObservationError):
-        cartesian_to_spherical(np.array([0.0, 0.0, 5.0]))
+        tracking._spherical(np.array([0.0, 0.0, 5.0]))
 
 
 def test_observation_beta_spd_on_range(tracking_params):

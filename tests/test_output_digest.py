@@ -35,9 +35,17 @@ def _digest(script, solved):
     return digest.hexdigest()
 
 
+def _runs(solved):
+    """``solved`` as the (workload name, config, records) triples of
+    ``digests``, each config its own workload."""
+    return [(config.model, config, records) for config, records in solved]
+
+
 def test_digest_repeats(digest_script):
     solved = _solve()
     assert _digest(digest_script, solved) == _digest(digest_script, _solve())
+    # the total is the one digest over every workload's outputs, in order
+    assert digest_script.digests(_runs(solved))[1] == _digest(digest_script, solved)
     assert digest_script.abort_counts(solved[0][1], ("gif", "ekf")) == {"gif": 0, "ekf": 0}
 
 
@@ -46,10 +54,14 @@ def test_digest_repeats(digest_script):
     ("aborted", "gif"),
 ])
 def test_one_flipped_bit_changes_the_digest(digest_script, field, name):
+    # ... and of the workloads' digests only that of its own workload
     solved = _solve()
-    before = _digest(digest_script, solved)
+    workloads_before, before = digest_script.digests(_runs(solved))
     (record,) = solved[1][1]
     array = getattr(record, field)
     array = array if name is None else array[name]
     array.reshape(-1).view(np.uint8)[-1] ^= 1  # the last byte's lowest bit
-    assert _digest(digest_script, solved) != before
+    workloads_after, after = digest_script.digests(_runs(solved))
+    assert after != before
+    assert workloads_after["cubic1d"] == workloads_before["cubic1d"]
+    assert workloads_after["tracking9d"] != workloads_before["tracking9d"]
