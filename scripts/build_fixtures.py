@@ -7,7 +7,7 @@ differences, index loops, or Monte Carlo).  Each pair is checked at the
 declared tolerance; only when every oracle reports ok is the set written
 to tests/fixtures/derived.json, which the test suite then re-asserts
 bitwise.  Otherwise the script exits 1 and leaves the file untouched.  Run
-from the repository root:
+from anywhere; the program is imported from this checkout's ``src/``:
 
     python3 scripts/build_fixtures.py
 """
@@ -18,6 +18,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from fixture_defs import FIXTURES, check_against_oracle, to_jsonable  # noqa: E402

@@ -32,15 +32,10 @@ from .errors import (
 )
 from .filter import Estimate, FilterConfig, FilterDiagnostics, filter_step
 from .flow import DiffusionModel
-from .geometry import ConnectorField, check_symmetric, flat_connector
+from .geometry import SYMMETRY_RTOL, ConnectorField, check_symmetric, flat_connector
 from .models.cubic1d import Cubic1DParams, cubic1d_build
 from .models.linear import LinearParams, linear_build
-from .models.tracking import (
-    Tracking9DParams,
-    constant_velocity_missile,
-    tracking_diffusion,
-    tracking_observation,
-)
+from .models.tracking import Tracking9DParams, tracking_diffusion, tracking_observation
 from .observation import ObservationModel, sample_observation
 
 logger = logging.getLogger(__name__)
@@ -68,15 +63,9 @@ FIELD_TYPES = {
 
 def _accepted_model_params(model: str) -> dict:
     """The model_params names ``model`` accepts -> whether each must be a
-    number: the fields of its params class (a number where annotated float)
-    but those build_scenario supplies, cubic1d's delta from the scenario and
-    tracking9d's missile, which it builds from missile_p0 and missile_v0."""
-    fields = dataclasses.fields(MODEL_PARAMS[model])
-    names = {f.name: f.type in (float, "float") for f in fields
-             if f.name not in ("delta", "missile")}
-    if model == "tracking9d":
-        names.update(missile_p0=False, missile_v0=False)
-    return names
+    number: the fields of its params class, a number where annotated float
+    and an array of numbers otherwise."""
+    return {f.name: f.type in (float, "float") for f in dataclasses.fields(MODEL_PARAMS[model])}
 
 
 def _check_type(name: str, value, kind: type, expected: str) -> None:
@@ -155,6 +144,8 @@ class ScenarioConfig:
         for f in self.filters:
             if f not in KNOWN_FILTERS:
                 raise ValueError(f"unknown filter '{f}' (expected subset of {KNOWN_FILTERS})")
+        if len(set(self.filters)) != len(self.filters):
+            raise ValueError(f"filters must name each filter once, got {list(self.filters)}")
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(
@@ -206,9 +197,9 @@ class Scenario:
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
-    params = dict(config.model_params)
+    params = config.model_params
     if config.model == "cubic1d":
-        cp = Cubic1DParams(delta=config.delta, **params)
+        cp = Cubic1DParams(**params)
         diffusion, obs = cubic1d_build(cp)
         observation_at = lambda t: obs
         # stationary benchmark defaults: start truth and estimate at 0.3,
@@ -227,16 +218,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         x0 = np.zeros(lp.state_dim)
         sigma0 = np.eye(lp.state_dim)
     else:  # tracking9d
-        missile_p0 = np.asarray(params.pop("missile_p0", [0.0, 0.0, 0.0]), dtype=float)
-        missile_v0 = np.asarray(params.pop("missile_v0", [250.0, 0.0, 0.0]), dtype=float)
-        tp = Tracking9DParams(
-            missile=constant_velocity_missile(missile_p0, missile_v0), **params
-        )
+        tp = Tracking9DParams(**params)
         diffusion = tracking_diffusion(tp)
         observation_at = lambda t: tracking_observation(tp, t)
         x0 = np.array([9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0])
         sigma0 = np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0])
 
+    p = diffusion.dim
     if config.x0 is not None:
         x0 = np.asarray(config.x0, dtype=float)
     mu0 = x0.copy() if config.mu0 is None else np.asarray(config.mu0, dtype=float)
@@ -244,6 +232,14 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         sigma0 = np.asarray(config.sigma0, dtype=float)
         if sigma0.ndim == 1:
             sigma0 = np.diag(sigma0)
+    for name, value, shape in (("x0", x0, (p,)), ("mu0", mu0, (p,)), ("sigma0", sigma0, (p, p))):
+        if value.shape != shape:
+            raise ValueError(f"{name} of shape {value.shape} does not match state dimension "
+                             f"{p}: expected {shape}")
+    check_symmetric(sigma0, what="sigma0")
+    smallest = float(np.linalg.eigvalsh(sigma0)[0])
+    if smallest < -SYMMETRY_RTOL * float(np.abs(sigma0).max()):
+        raise ValueError(f"sigma0 must be positive semi-definite, has eigenvalue {smallest:g}")
     return Scenario(config, diffusion, observation_at, x0, mu0, sigma0)
 
 
@@ -605,17 +601,16 @@ def kalman_reference_run(params: LinearParams, mu0, p0, observations, delta: flo
     return np.array(means), np.array(covs)
 
 
-def kalman_check(
-    seed: int = 20240817,
-    n_steps: int = 200,
-    p_dim: int = 3,
-    q_dim: int = 2,
-    delta: float = 0.01,
-    n_substeps: int = 96,
-) -> dict:
+# The Kalman study's state and observation dimensions, cycle length and grid
+KALMAN_P_DIM, KALMAN_Q_DIM, KALMAN_DELTA, KALMAN_SUBSTEPS = 3, 2, 0.01, 96
+
+
+def kalman_check(seed: int = 20240817, n_steps: int = 200) -> dict:
     """Max relative deviation of the intrinsic filter from the Kalman filter
-    on a randomized linear configuration, run by :func:`run_filters`
-    without grid refinement; it passes only with no ``aborted_cycles``."""
+    over ``n_steps`` cycles on a linear configuration drawn from ``seed``,
+    run by :func:`run_filters` without grid refinement; it passes only with
+    no ``aborted_cycles``."""
+    p_dim, q_dim, delta = KALMAN_P_DIM, KALMAN_Q_DIM, KALMAN_DELTA
     rng = np.random.default_rng(seed)
     a_mat = rng.standard_normal((p_dim, p_dim)) * 0.6
     sigma_mat = rng.standard_normal((p_dim, p_dim)) * 0.4
@@ -631,7 +626,7 @@ def kalman_check(
     ref_means, ref_covs = kalman_reference_run(params, mu0, p0, observations, delta)
 
     config = ScenarioConfig(model="linear", delta=delta, n_obs=n_steps,
-                            n_substeps=n_substeps, filters=("gif",), max_refinements=0)
+                            n_substeps=KALMAN_SUBSTEPS, filters=("gif",), max_refinements=0)
     scenario = Scenario(config, model, lambda t: obs, mu0, mu0, p0)
     record = run_filters(scenario, TrajectoryRecord(
         times=delta * np.arange(1, n_steps + 1),
@@ -660,27 +655,29 @@ def kalman_check(
 
 # --- coordinate invariance study ---------------------------------------------
 
+CHART_COEFF = 0.2  # the distorted chart is phi(x) = x + CHART_COEFF x^3
 
-def _cubic_state_diffeo(coeff: float):
-    """phi(x) = x + coeff x^3, coeff > 0, with derivatives and its inverse.
+
+def _cubic_state_diffeo():
+    """phi(x) = x + c x^3, c = CHART_COEFF > 0, with derivatives and inverse.
 
     All five take floats or arrays.  ``phi_inv`` is the one real root of
-    coeff x^3 + x - z = 0 in closed form (the hyperbolic form of Cardano's
-    formula): x = 2 / sqrt(3 coeff) sinh(asinh(1.5 sqrt(3 coeff) z) / 3).
+    c x^3 + x - z = 0 in closed form (the hyperbolic form of Cardano's
+    formula): x = 2 / sqrt(3 c) sinh(asinh(1.5 sqrt(3 c) z) / 3).
     """
-    root = math.sqrt(3.0 * coeff)
+    root = math.sqrt(3.0 * CHART_COEFF)
 
     def phi(x: float) -> float:
-        return x + coeff * x ** 3
+        return x + CHART_COEFF * x ** 3
 
     def dphi(x: float) -> float:
-        return 1.0 + 3.0 * coeff * x ** 2
+        return 1.0 + 3.0 * CHART_COEFF * x ** 2
 
     def d2phi(x: float) -> float:
-        return 6.0 * coeff * x
+        return 6.0 * CHART_COEFF * x
 
     def d3phi(x: float) -> float:
-        return 6.0 * coeff
+        return 6.0 * CHART_COEFF
 
     def phi_inv(z):
         return 2.0 / root * np.sinh(np.arcsinh(1.5 * root * z) / 3.0)
@@ -688,14 +685,14 @@ def _cubic_state_diffeo(coeff: float):
     return phi, dphi, d2phi, d3phi, phi_inv
 
 
-def transformed_cubic_model(params: Cubic1DParams, coeff: float = 0.2):
-    """The cubic benchmark model pushed through phi(x) = x + coeff x^3.
+def transformed_cubic_model(params: Cubic1DParams):
+    """The cubic benchmark model pushed through phi(x) = x + CHART_COEFF x^3.
 
     Drift, noise, connector, and observation function transform by the chain
     rule; the observation space is left untouched.  Used to probe coordinate
     invariance of the filter.
     """
-    phi, dphi, d2phi, d3phi, phi_inv = _cubic_state_diffeo(coeff)
+    phi, dphi, d2phi, d3phi, phi_inv = _cubic_state_diffeo()
     alpha0 = params.alpha
     p_crit = params.p_crit
 
@@ -776,57 +773,44 @@ def transformed_cubic_model(params: Cubic1DParams, coeff: float = 0.2):
     return diffusion, observation, (phi, dphi)
 
 
-def _invariance_mismatch(config: ScenarioConfig, coeff: float = 0.2) -> tuple[float, int]:
-    """Mean |phi(estimate in base chart) - estimate in transformed chart| on
-    one simulated track, and the aborted cycles of both charts."""
-    base = build_scenario(config)
-    record = run_filters(base, simulate_sde(base, trajectory_rng(config.seed, 0)))
-    tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(
-        Cubic1DParams(**config.model_params), coeff)
-    x0 = float(base.mu0[0])
-    mu0 = np.array([phi(x0)])
-    transformed = Scenario(config, tr_model, lambda t: tr_obs, mu0, mu0,
-                           dphi(x0) ** 2 * base.sigma0)
-    tr_record = run_filters(transformed, TrajectoryRecord(
-        record.times, phi(record.truth), record.observations))
-    gap = phi(record.estimates["gif"][:, 0]) - tr_record.estimates["gif"][:, 0]
-    aborted = int(record.aborted["gif"].sum() + tr_record.aborted["gif"].sum())
-    return float(np.mean(np.abs(gap))), aborted
-
-
-def invariance_check(
-    seed: int = 7,
-    n_steps: int = 1000,
-    n_substeps: int = 64,
-    alpha: float = 0.01,
-    beta: float = 0.001,
-    sigma0: float = 0.01,
-    delta: float = 1.0,
-    p_crit: float = 0.5,
-) -> dict:
+def invariance_check(seed: int = 7, n_steps: int = 1000) -> dict:
     """Coordinate-invariance scaling study on the cubic model.
 
     Runs the filter in the original chart and in a cubically distorted chart
     on the same observations, and measures how the chart mismatch of the two
-    estimates shrinks when the noise scale gamma is halved (alpha, beta,
-    sigma0 by 1/4 and delta by 1/2).  Fourth-order invariance predicts a
-    factor near 16.  The default p_crit keeps the state away from the
-    observation map's critical points, where the small-noise asymptotics
-    the scaling law relies on would break down.
+    estimates shrinks when the noise scale gamma is halved: alpha 0.01,
+    beta 0.001 and delta 1, then alpha and beta (and so the prior variance,
+    build_scenario's alpha) by 1/4 and delta by 1/2.  Fourth-order
+    invariance predicts a factor near 16.  Its p_crit of 0.5 keeps the
+    state away from the observation map's critical points, where the
+    small-noise asymptotics the scaling law relies on would break down.
 
-    Tracks come from :func:`simulate_sde` and :func:`run_filters` (no grid
+    Tracks of ``n_steps`` cycles from ``seed`` come from
+    :func:`simulate_sde` and :func:`run_filters` (64 substeps, no grid
     refinement); the study passes only with no ``aborted_cycles``.
     """
 
-    def track(alpha, beta, delta, sigma0):
-        return _invariance_mismatch(ScenarioConfig(
-            model="cubic1d", model_params={"p_crit": p_crit, "alpha": alpha, "beta": beta},
-            delta=delta, n_obs=n_steps, n_substeps=n_substeps, sim_substeps=50, seed=seed,
-            filters=("gif",), x0=[0.3], sigma0=[[sigma0]], max_refinements=0,
-        ))
+    def track(alpha, beta, delta):
+        """Mean |phi(estimate in base chart) - estimate in transformed chart|
+        on one simulated track, and the aborted cycles of both charts."""
+        model_params = {"p_crit": 0.5, "alpha": alpha, "beta": beta}
+        base = build_scenario(ScenarioConfig(
+            model="cubic1d", model_params=model_params, delta=delta, n_obs=n_steps,
+            n_substeps=64, sim_substeps=50, seed=seed, filters=("gif",), max_refinements=0))
+        record = run_filters(base, simulate_sde(base, trajectory_rng(seed, 0)))
+        tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(Cubic1DParams(**model_params))
+        x0 = float(base.mu0[0])
+        mu0 = np.array([phi(x0)])
+        transformed = Scenario(base.config, tr_model, lambda t: tr_obs, mu0, mu0,
+                               dphi(x0) ** 2 * base.sigma0)
+        tr_record = run_filters(transformed, TrajectoryRecord(
+            record.times, phi(record.truth), record.observations))
+        gap = phi(record.estimates["gif"][:, 0]) - tr_record.estimates["gif"][:, 0]
+        aborted = int(record.aborted["gif"].sum() + tr_record.aborted["gif"].sum())
+        return float(np.mean(np.abs(gap))), aborted
 
-    mismatch_full, aborted_full = track(alpha, beta, delta, sigma0)
-    mismatch_half, aborted_half = track(alpha / 4.0, beta / 4.0, delta / 2.0, sigma0 / 4.0)
+    mismatch_full, aborted_full = track(0.01, 0.001, 1.0)
+    mismatch_half, aborted_half = track(0.01 / 4.0, 0.001 / 4.0, 1.0 / 2.0)
     ratio = mismatch_full / mismatch_half if mismatch_half > 0 else float("inf")
     aborted = aborted_full + aborted_half
     return {

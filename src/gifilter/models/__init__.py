@@ -4,7 +4,6 @@ from .cubic1d import Cubic1DParams, cubic1d_build
 from .linear import LinearParams, linear_build
 from .tracking import (
     Tracking9DParams,
-    constant_velocity_missile,
     pack_state,
     project_state,
     split_state,
@@ -17,7 +16,6 @@ __all__ = [
     "LinearParams",
     "linear_build",
     "Tracking9DParams",
-    "constant_velocity_missile",
     "pack_state",
     "project_state",
     "split_state",

@@ -24,7 +24,6 @@ class Cubic1DParams:
     p_crit: float = 0.1
     alpha: float = 0.01
     beta: float = 0.001
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.p_crit <= 0.0 or self.alpha <= 0.0 or self.beta <= 0.0:

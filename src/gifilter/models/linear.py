@@ -25,6 +25,14 @@ class LinearParams:
         object.__setattr__(self, "sigma_mat", np.asarray(self.sigma_mat, dtype=float))
         object.__setattr__(self, "j_mat", np.asarray(self.j_mat, dtype=float))
         object.__setattr__(self, "b_mat", np.asarray(self.b_mat, dtype=float))
+        p = self.a_mat.shape[0] if self.a_mat.ndim else 0  # states
+        m = self.sigma_mat.shape[-1] if self.sigma_mat.ndim else 0  # noise inputs
+        q = self.j_mat.shape[0] if self.j_mat.ndim else 0  # observations
+        for name, label, shape in (("a_mat", "(p, p)", (p, p)), ("sigma_mat", "(p, m)", (p, m)),
+                                   ("j_mat", "(q, p)", (q, p)), ("b_mat", "(q, q)", (q, q))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {label} = {shape}, "
+                                 f"got {getattr(self, name).shape}")
         eigs = np.linalg.eigvalsh(0.5 * (self.b_mat + self.b_mat.T))
         if eigs[0] <= 0.0:
             raise ValueError("observation covariance b_mat must be SPD")

@@ -23,7 +23,7 @@ fresh array, which its caller may write into.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -33,8 +33,6 @@ from ..errors import SingularObservationError, SingularStateError
 from ..flow import DiffusionModel
 from ..geometry import ConnectorField, identity
 from ..observation import ObservationModel
-
-MissileState = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 SPEED_FLOOR = 1e-6
 RANGE_FLOOR = 1e-6
@@ -55,18 +53,6 @@ _D2PSI_TEMPLATE[4, 3:6, 6:9] = _D2PSI_TEMPLATE[4, 6:9, 3:6] = _EYE3
 _D2PSI_TEMPLATE.flags.writeable = False
 
 
-def constant_velocity_missile(p0, v0, a0=None) -> MissileState:
-    """Missile trajectory with constant velocity (the benchmark default)."""
-    p0 = np.asarray(p0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    a0 = np.zeros(3) if a0 is None else np.asarray(a0, dtype=float)
-
-    def state(t: float):
-        return p0 + t * v0, v0, a0
-
-    return state
-
-
 @dataclass(frozen=True)
 class Tracking9DParams:
     """Time constant, noise intensity, and observation variance constants.
@@ -74,8 +60,8 @@ class Tracking9DParams:
     ``gamma_noise`` is the acceleration noise intensity (gamma = sqrt(lam c1)
     in the underlying OU parametrization; we parametrize by gamma directly).
     ``s0 .. s5`` and ``sigma_f`` set the range-dependent observation
-    variances; ``missile`` maps an observation time to the known missile
-    (position, velocity, acceleration).
+    variances.  The missile flies at constant velocity ``missile_v0`` from
+    ``missile_p0``, both kept as tuples of 3 floats (hashable, comparable).
     """
 
     lam: float = 0.5
@@ -87,13 +73,15 @@ class Tracking9DParams:
     s4: float = 1e-6
     s5: float = 1e-8
     sigma_f: float = 1.0
-    missile: MissileState = field(
-        default_factory=lambda: constant_velocity_missile(
-            np.zeros(3), np.array([250.0, 0.0, 0.0])
-        )
-    )
+    missile_p0: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    missile_v0: tuple[float, float, float] = (250.0, 0.0, 0.0)
 
     def __post_init__(self):
+        for name in ("missile_p0", "missile_v0"):
+            vec = np.asarray(getattr(self, name), dtype=float)
+            if vec.shape != (3,):
+                raise ValueError(f"{name} must be a vector of 3 numbers, got shape {vec.shape}")
+            object.__setattr__(self, name, tuple(vec.tolist()))
         if self.lam <= 0.0 or self.gamma_noise <= 0.0:
             raise ValueError("lam and gamma_noise must be positive")
         if min(self.s0, self.s5) <= 0.0 or self.sigma_f <= 0.0:
@@ -110,6 +98,11 @@ class Tracking9DParams:
         return (np.array([self.s0, 0.0, 0.0, self.s5, 0.0]),
                 np.array([0.0, self.s1, self.s3, 0.0, 0.0]),
                 np.array([0.0, self.s2, self.s4, 0.0, self.sigma_f ** 2]))
+
+    @cached_property
+    def missile_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """The missile's position at time 0 and its velocity, as arrays."""
+        return np.array(self.missile_p0), np.array(self.missile_v0)
 
     @cached_property
     def _observation_parts(self) -> tuple[Callable[[np.ndarray], np.ndarray], ConnectorField]:
@@ -392,12 +385,11 @@ def _relative_speed(w: np.ndarray) -> float:
 def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> ObservationModel:
     """Observation model with the missile state frozen at one observation time.
 
-    It binds the missile state at ``time``; ``beta``, the connector and
-    the angular mask are the ones every model of ``params`` shares.
+    It binds the missile at p0 + time v0, flying at v0; ``beta``, the
+    connector and the angular mask are the ones every model shares.
     """
-    p_m, v_m, _ = params.missile(time)
-    p_m = np.asarray(p_m, dtype=float)
-    v_m = np.asarray(v_m, dtype=float)
+    p0, v_m = params.missile_start
+    p_m = p0 + time * v_m
 
     def psi(x):
         p, v, a = split_state(x)

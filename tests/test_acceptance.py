@@ -46,7 +46,7 @@ def _report(number: int, passed: bool, detail: str) -> None:
 
 def test_criterion_1_kalman_equivalence():
     start = time.time()
-    report = kalman_check(n_steps=200, p_dim=3, q_dim=2)
+    report = kalman_check(n_steps=200)
     elapsed = time.time() - start
     detail = (f"max rel deviation mean {report['max_rel_mean_deviation']:.2e}, "
               f"cov {report['max_rel_cov_deviation']:.2e} (<= 1e-8), {elapsed:.1f}s (< 5s)")

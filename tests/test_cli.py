@@ -16,6 +16,9 @@ from gifilter.harness import (
 )
 
 
+LINEAR = {"a_mat": [[-1]], "sigma_mat": [[1]], "j_mat": [[1]], "b_mat": [[1]]}
+
+
 @pytest.fixture
 def cubic_config(tmp_path):
     path = tmp_path / "config.json"
@@ -130,6 +133,21 @@ def test_zero_substeps_flag_exits_one(tmp_path, cubic_config, capsys):
     ({"model_params": {"alpha": math.nan}}, "model parameter alpha must be finite, got nan"),
     ({"x0": [math.nan], "mu0": [0.3]}, "x0 must be finite, got [nan]"),
     ({"mu0": [math.inf]}, "mu0 must be finite, got [inf]"),
+    # malformed shapes and inconsistent configs: each used to end in a
+    # traceback or an error naming no field, or to run and exit 0
+    ({"model": "linear", "model_params": dict(LINEAR, sigma_mat=[1])},
+     "sigma_mat must have shape (p, m) = (1, 1), got (1,)"),
+    ({"model": "linear", "model_params": dict(LINEAR, a_mat=[-1])},
+     "a_mat must have shape (p, p) = (1, 1), got (1,)"),
+    ({"model": "linear", "model_params": dict(LINEAR, j_mat=[[1, 2]])},
+     "j_mat must have shape (q, p) = (1, 1), got (1, 2)"),
+    ({"x0": [0.3, 0.1]}, "x0 of shape (2,) does not match state dimension 1"),
+    ({"model": "tracking9d", "model_params": {}, "n_obs": 2, "x0": [0.0] * 10},
+     "x0 of shape (10,) does not match state dimension 9"),
+    ({"model": "tracking9d", "model_params": {"missile_p0": [1, 2]}, "n_obs": 2},
+     "missile_p0 must be a vector of 3 numbers, got shape (2,)"),
+    ({"sigma0": [-0.01]}, "sigma0 must be positive semi-definite, has eigenvalue -0.01"),
+    ({"filters": ["gif", "gif"]}, "filters must name each filter once, got ['gif', 'gif']"),
 ])
 def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, capsys, change,
                                                     named):

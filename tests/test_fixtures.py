@@ -7,6 +7,9 @@ oracles are held to their frozen values and standard errors.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,16 @@ def test_build_script_writes_only_when_every_oracle_passes(tmp_path, monkeypatch
     monkeypatch.setattr(build, "FIXTURES", [passing])
     assert build.main() == 0
     assert json.loads(target.read_text())["passing"]["value"] == 1.0
+
+
+def test_build_script_loads_without_pythonpath(tmp_path):
+    # the script puts src/ on sys.path itself; it used to end in "No module
+    # named 'gifilter'" unless PYTHONPATH named src/.  run_name keeps main()
+    # from running, so nothing is built or written
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = ("import runpy, sys; ns = runpy.run_path(sys.argv[1], run_name='check'); "
+            "print(len(ns['FIXTURES']), ns['main'].__name__)")
+    run = subprocess.run([sys.executable, "-c", code, str(BUILD_SCRIPT)], env=env,
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(len(FIXTURES)), "main"]

@@ -50,6 +50,12 @@ def test_config_rejects_unknown_filter():
         ScenarioConfig(filters=("gif", "ukf"))
 
 
+def test_config_rejects_a_repeated_filter():
+    # used to run the GIF twice and write its columns twice
+    with pytest.raises(ValueError, match=r"filters must name each filter once, got \['gif', "):
+        ScenarioConfig(filters=("gif", "gif"))
+
+
 @pytest.mark.parametrize("field, value", [
     ("delta", -1.0), ("delta", 0.0), ("delta", math.nan), ("delta", math.inf),
     ("n_substeps", 0), ("sim_substeps", 0), ("max_refinements", -1),
@@ -104,17 +110,71 @@ def test_config_accepts_every_documented_model_param():
 
 @pytest.mark.parametrize("model", harness.KNOWN_MODELS)
 def test_config_model_params_follow_the_params_class(model):
-    # every field of the model's params class is a model parameter but those
-    # build_scenario supplies; a float field must be given a number
+    # every field of the model's params class is a model parameter; a float
+    # field must be given a number
     for f in dataclasses.fields(harness.MODEL_PARAMS[model]):
-        if f.name in ("delta", "missile"):
-            continue
         if f.type in (float, "float"):
             ScenarioConfig(model=model, model_params={f.name: 1})
             with pytest.raises(ValueError, match=f"model parameter {f.name} must be a number"):
                 ScenarioConfig(model=model, model_params={f.name: "1"})
         else:
             ScenarioConfig(model=model, model_params={f.name: [[1.0]]})
+
+
+def _linear_params(p: int) -> dict:
+    """A stable p-state linear model observed through its first state."""
+    return {"a_mat": (-np.eye(p)).tolist(), "sigma_mat": np.eye(p).tolist(),
+            "j_mat": np.eye(1, p).tolist(), "b_mat": [[1.0]]}
+
+
+LINEAR_PARAMS = _linear_params(1)
+
+
+@pytest.mark.parametrize("model, change, match", [
+    # each used to end in a traceback, a message naming no field, or a run
+    ("linear", {"model_params": dict(LINEAR_PARAMS, sigma_mat=[1.0])},
+     r"sigma_mat must have shape \(p, m\) = \(1, 1\), got \(1,\)"),
+    ("linear", {"model_params": dict(LINEAR_PARAMS, a_mat=[-1.0])},
+     r"a_mat must have shape \(p, p\) = \(1, 1\), got \(1,\)"),
+    ("linear", {"model_params": dict(LINEAR_PARAMS, j_mat=[[1.0, 2.0]])},
+     r"j_mat must have shape \(q, p\) = \(1, 1\), got \(1, 2\)"),
+    ("linear", {"model_params": dict(LINEAR_PARAMS, b_mat=[[1.0, 0.0], [0.0, 1.0]])},
+     r"b_mat must have shape \(q, q\) = \(1, 1\), got \(2, 2\)"),
+    ("tracking9d", {"model_params": {"missile_p0": [1.0, 2.0]}},
+     r"missile_p0 must be a vector of 3 numbers, got shape \(2,\)"),
+    ("tracking9d", {"model_params": {"missile_v0": [[250.0, 0.0, 0.0]]}},
+     r"missile_v0 must be a vector of 3 numbers, got shape \(1, 3\)"),
+    ("cubic1d", {"x0": [0.3, 0.1]}, r"x0 of shape \(2,\) does not match state dimension 1"),
+    ("cubic1d", {"mu0": [[0.3]]}, r"mu0 of shape \(1, 1\) does not match state dimension 1"),
+    ("tracking9d", {"x0": [0.0] * 10}, r"x0 of shape \(10,\) does not match state dimension 9"),
+    ("cubic1d", {"sigma0": [0.01, 0.01]},
+     r"sigma0 of shape \(2, 2\) does not match state dimension 1"),
+    ("linear", {"model_params": LINEAR_PARAMS, "sigma0": [[[1.0]]]},
+     r"sigma0 of shape \(1, 1, 1\) does not match state dimension 1"),
+])
+def test_build_scenario_rejects_malformed_shapes(model, change, match):
+    with pytest.raises(ValueError, match=match):
+        build_scenario(ScenarioConfig(model=model, **change))
+
+
+@pytest.mark.parametrize("sigma0, match", [
+    ([-0.01], "sigma0 must be positive semi-definite, has eigenvalue -0.01"),
+    ([[1.0, 2.0], [2.0, 1.0]], "sigma0 must be positive semi-definite, has eigenvalue -1"),
+    ([[1.0, 0.5], [0.0, 1.0]], "sigma0 is not symmetric"),
+])
+def test_build_scenario_rejects_a_prior_that_is_no_covariance(sigma0, match):
+    # a negative prior variance used to run both filters without complaint
+    with pytest.raises(ValueError, match=match):
+        build_scenario(ScenarioConfig(model="linear", model_params=_linear_params(len(sigma0)),
+                                      sigma0=sigma0))
+
+
+def test_build_scenario_accepts_a_singular_prior_and_rounding_below_zero():
+    # PSD within SYMMETRY_RTOL of the largest entry: a zero variance passes,
+    # and so does an eigenvalue a rounding error below zero
+    build_scenario(ScenarioConfig(model="cubic1d", sigma0=[[0.0]]))
+    build_scenario(ScenarioConfig(model="linear", model_params=_linear_params(2),
+                                  sigma0=[[1.0, 1.0], [1.0, 1.0 - 1e-15]]))
 
 
 def test_build_scenario_names_missing_linear_parameters():
@@ -458,7 +518,8 @@ def _hand_written_euler_observations(params, delta, n_steps, seed):
 def _hand_written_invariance_mismatch(params, delta, sigma0, n_steps, n_substeps, seed):
     """The invariance study's former filter loop, both charts interleaved."""
     base_model, base_obs = cubic1d_build(params)
-    tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(params, 0.2)
+    assert harness.CHART_COEFF == 0.2  # the chart the former loop ran in
+    tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(params)
     ys = _hand_written_euler_observations(params, delta, n_steps, seed)
     cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
     mu0 = 0.3
@@ -746,7 +807,8 @@ def test_transformed_model_internally_consistent():
 
 @pytest.mark.parametrize("as_array", [False, True])
 def test_closed_form_phi_inv_inverts_phi(as_array):
-    phi, _, _, _, phi_inv = _cubic_state_diffeo(0.2)
+    phi, _, _, _, phi_inv = _cubic_state_diffeo()
+    assert phi(1.0) == 1.0 + harness.CHART_COEFF
     mags = np.logspace(-12, 6, 2001)
     zs = np.concatenate([mags, -mags])
     if as_array:

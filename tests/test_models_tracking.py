@@ -9,7 +9,6 @@ from gifilter.geometry import identity
 from gifilter.models import tracking
 from gifilter.models.tracking import (
     Tracking9DParams,
-    constant_velocity_missile,
     observation_connector,
     pack_state,
     project_state,
@@ -186,7 +185,8 @@ def test_observation_values_and_errors(tracking_params):
     obs = tracking_observation(tracking_params, time=0.0)
     x = pack_state([3.0, 4.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     y = obs.psi(x)
-    p_m, v_m, _ = tracking_params.missile(0.0)
+    # at time 0 the missile is at p0, flying at v0
+    p_m, v_m = np.array(tracking_params.missile_p0), np.array(tracking_params.missile_v0)
     d = x[0:3] - p_m
     assert y[0] == pytest.approx(np.linalg.norm(d))
     assert y[3] == pytest.approx(np.linalg.norm(x[3:6] - v_m))
@@ -220,20 +220,26 @@ def test_build_returns_consistent_pair(tracking_params):
     obs = tracking_observation(tracking_params, time=2.0)
     assert model.dim == 9
     assert obs.dim_obs == 5
-    # missile state frozen at the build time
-    p_m, _, _ = tracking_params.missile(2.0)
-    x = pack_state(p_m + np.array([3.0, 4.0, 1.0]), [2.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    # missile state frozen at the build time: at p0 + 2 v0, flying at v0
+    v_m = np.array(tracking_params.missile_v0)
+    p_m = np.array(tracking_params.missile_p0) + 2.0 * v_m
+    x = pack_state(p_m + np.array([3.0, 4.0, 1.0]), v_m + [2.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     assert obs.psi(x)[0] == pytest.approx(np.sqrt(26.0))
+    assert obs.psi(x)[3] == pytest.approx(2.0)
 
 
-def test_missile_trajectory_callback():
-    missile = constant_velocity_missile([1.0, 0.0, 0.0], [10.0, 0.0, 0.0])
-    p0, v0, a0 = missile(0.0)
-    p1, _, _ = missile(2.0)
-    assert np.array_equal(p1, [21.0, 0.0, 0.0])
-    assert np.array_equal(v0, [10.0, 0.0, 0.0])
-    assert np.array_equal(a0, np.zeros(3))
-
+def test_missile_flies_at_constant_velocity_from_its_start():
+    params = Tracking9DParams(missile_p0=[1, 0.0, 0.0], missile_v0=np.array([10.0, 0.0, 0.0]))
+    assert params.missile_p0 == (1.0, 0.0, 0.0) and params.missile_v0 == (10.0, 0.0, 0.0)
+    assert params == Tracking9DParams(missile_p0=(1.0, 0.0, 0.0), missile_v0=(10.0, 0.0, 0.0))
+    assert hash(params) == hash(Tracking9DParams(missile_p0=(1.0, 0.0, 0.0),
+                                                 missile_v0=(10.0, 0.0, 0.0)))
+    obs = tracking_observation(params, time=2.0)
+    # 3 m past p0 + t v0 = (21, 0, 0) in x, and 7 m/s faster than the missile
+    x = pack_state([24.0, 0.1, 0.0], [17.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    y = obs.psi(x)
+    assert y[0] == pytest.approx(np.hypot(3.0, 0.1))
+    assert y[3] == pytest.approx(7.0)
 
 def test_dxi_rejects_a_vanishing_speed(tracking_models):
     # integrate_flow evaluates dxi at an interval's end without xi there, so

@@ -46,6 +46,12 @@ def test_every_export_has_a_caller_in_the_package():
     assert sorted(exported - _names_read_in_package()) == []
 
 
+def test_models_all_lists_exactly_what_the_package_exports():
+    # a name deleted from a model module leaves neither an import nor an
+    # __all__ entry behind
+    assert sorted(gifilter.models.__all__) == sorted(_exported(gifilter.models))
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Records the thread variables at the moment numpy is first imported.
