@@ -71,7 +71,13 @@ class FilterDiagnostics:
 
 
 def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
-    """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a symmetric linear solve."""
+    """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a linear solve.
+
+    With a scalar state and a scalar innovation (p = q = 1) the solve is
+    the float division b / a of J Xi by the innovation, which gives the
+    bits of LAPACK's solve with its one right-hand side; any other shape
+    keeps the LAPACK solve.
+    """
     j = np.asarray(j, dtype=float)
     j_xi = j @ xi_delta
     innov = symmetrize(j_xi @ j.T + np.asarray(beta_at_ydelta, dtype=float))
@@ -79,6 +85,8 @@ def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.
         raise IllConditionedGainError(
             f"innovation matrix condition number exceeds {GAIN_COND_LIMIT:.0e}"
         )
+    if j_xi.shape == (1, 1):
+        return np.array([[float(j_xi[0, 0]) / float(innov[0, 0])]])
     return np.linalg.solve(innov, j_xi).T
 
 

@@ -36,7 +36,14 @@ and :func:`_to_end_floats` run the step-by-step recursions instead, each
 1x1 product a @ b formed as 0.0 + a * b, as matmul does; they may differ
 from the array scans in the last bits.  The array helpers
 (:func:`_taylor_arrays`, :func:`_covariance_arrays`,
-:func:`_to_end_arrays`) serve every other dimension.
+:func:`_to_end_arrays`) serve every other dimension.  A 1x1 tau_0^delta
+reaches no LAPACK call either: :func:`_check_condition` tests |tau| in
+place of an svd, and :func:`_checked_inverse` forms 1 / tau in place of
+``inv``, with LAPACK's bits.  The filter update does the same for 1x1
+matrices in :func:`gifilter.filter.gain` (the solve),
+:func:`gifilter.geometry.symmetric_condition` (the eigvalsh) and
+:func:`gifilter.observation.beta_sqrt` (the eigh), so a scalar model's
+cycle makes no LAPACK call at all.
 """
 
 from __future__ import annotations
@@ -479,6 +486,48 @@ class PropagationBundle:
         return self.x_path[-1]
 
 
+def _check_condition(tau: np.ndarray) -> None:
+    """IllConditionedFlowError unless ``tau`` (tau_0^delta) is finite and
+    nonsingular, with a 2-norm condition number of at most FLOW_COND_LIMIT.
+
+    A 1x1 map takes no svd: its one singular value is |tau|, so it passes
+    exactly when |tau| is finite and nonzero.  (LAPACK's svd rescales a
+    value far from 1 and may return |tau| off by an ulp; no value passes
+    or fails on that.)
+    """
+    if tau.shape == (1, 1):
+        largest = smallest = abs(float(tau[0, 0]))
+    elif np.isfinite(tau).all():
+        singular = np.linalg.svd(tau, compute_uv=False)
+        largest, smallest = float(singular[0]), float(singular[-1])
+    else:
+        largest = smallest = math.nan
+    if not 0.0 < smallest < math.inf:
+        raise IllConditionedFlowError("accumulated transition Jacobian is singular or not finite")
+    if largest > FLOW_COND_LIMIT * smallest:
+        raise IllConditionedFlowError(
+            f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
+        )
+
+
+def _checked_inverse(tau: np.ndarray) -> np.ndarray:
+    """The inverse tau_delta^0 of a ``tau`` that passed :func:`_check_condition`;
+    IllConditionedFlowError when tau_delta^0 tau deviates from the identity
+    by more than 1e-8 in some entry.  A 1x1 map is inverted as 1 / tau, the
+    bits of LAPACK's inverse."""
+    if tau.shape == (1, 1):
+        value = float(tau[0, 0])
+        reciprocal = 1.0 / value
+        off = abs(reciprocal * value - 1.0)
+        inverse = np.array([[reciprocal]])
+    else:
+        inverse = np.linalg.inv(tau)
+        off = np.abs(inverse @ tau - identity(tau.shape[0])).max()
+    if off > 1e-8:
+        raise IllConditionedFlowError("tau_delta_0 . tau_0_delta deviates from identity")
+    return inverse
+
+
 def precompute(
     model: DiffusionModel, x0: np.ndarray, sigma0: np.ndarray, grid: FlowGrid
 ) -> PropagationBundle:
@@ -488,24 +537,18 @@ def precompute(
     grid step; ``alpha`` and the location correction's ``d2xi_contract``
     are then evaluated once each, over the whole path.  tau_0^delta is
     checked twice: its condition number once the covariance scan has formed
-    it, and its computed inverse tau_delta^0 after the location correction.
+    it (:func:`_check_condition`), and its computed inverse tau_delta^0
+    after the location correction (:func:`_checked_inverse`).
     """
     x_path, jacs = integrate_flow(model, x0, grid)
     per_step = transition_jacobians(jacs, grid)
     alphas = model.alpha(x_path)
     xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
     tau_0_delta = from_start[-1]
-    singular = np.linalg.svd(tau_0_delta, compute_uv=False)  # the 2-norm condition
-    if singular[0] > FLOW_COND_LIMIT * singular[-1]:
-        raise IllConditionedFlowError(
-            f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
-        )
+    _check_condition(tau_0_delta)
     to_end = _to_end(per_step)
     m_delta = ailp_state(model, x_path, alphas, from_start, to_end, xis, sigma0, grid)
-    tau_delta_0 = np.linalg.inv(tau_0_delta)
-    resid = tau_delta_0 @ tau_0_delta - identity(model.dim)
-    if np.abs(resid).max() > 1e-8:
-        raise IllConditionedFlowError("tau_delta_0 . tau_0_delta deviates from identity")
+    tau_delta_0 = _checked_inverse(tau_0_delta)
     return PropagationBundle(
         x_path=x_path,
         from_start=from_start,

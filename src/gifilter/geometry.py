@@ -40,8 +40,13 @@ def identity(dim: int) -> np.ndarray:
 def symmetric_condition(mat: np.ndarray) -> float:
     """Condition number max|lambda| / min|lambda| of a symmetric matrix.
 
-    Infinite when the matrix is singular or has non-finite entries.
+    Infinite when the matrix is singular or has non-finite entries.  A 1x1
+    matrix takes no eigvalsh: its condition number is 1 when its entry is
+    finite and nonzero.
     """
+    if mat.shape == (1, 1):
+        value = float(mat[0, 0])
+        return 1.0 if 0.0 < abs(value) < math.inf else math.inf
     if not np.all(np.isfinite(mat)):
         return math.inf
     eigs = np.abs(np.linalg.eigvalsh(mat))

@@ -35,7 +35,12 @@ from .flow import DiffusionModel
 from .geometry import SYMMETRY_RTOL, ConnectorField, check_symmetric, flat_connector
 from .models.cubic1d import Cubic1DParams, cubic1d_build
 from .models.linear import LinearParams, linear_build
-from .models.tracking import Tracking9DParams, tracking_diffusion, tracking_observation
+from .models.tracking import (
+    SPEED_FLOOR,
+    Tracking9DParams,
+    tracking_diffusion,
+    tracking_observation,
+)
 from .observation import ObservationModel, sample_observation
 
 logger = logging.getLogger(__name__)
@@ -236,6 +241,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         if value.shape != shape:
             raise ValueError(f"{name} of shape {value.shape} does not match state dimension "
                              f"{p}: expected {shape}")
+    if config.model == "tracking9d":
+        for name, value in (("x0", x0), ("mu0", mu0)):
+            speed = math.sqrt(value[3:6] @ value[3:6])
+            if speed < SPEED_FLOOR:
+                raise ValueError(f"{name} has speed {speed:g}, below the tracking9d "
+                                 f"speed floor {SPEED_FLOOR:g}")
     check_symmetric(sigma0, what="sigma0")
     smallest = float(np.linalg.eigvalsh(sigma0)[0])
     if smallest < -SYMMETRY_RTOL * float(np.abs(sigma0).max()):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,8 +51,19 @@ class ObservationModel:
 
 
 def beta_sqrt(beta: np.ndarray) -> np.ndarray:
-    """Symmetric square root of an SPD matrix via eigendecomposition."""
+    """Symmetric square root of an SPD matrix via eigendecomposition;
+    SingularMetricError when its smallest eigenvalue is not positive.
+
+    A 1x1 matrix takes no eigh: its root is sqrt(b) of its one entry b, as
+    eigh's eigenvalue b and eigenvector 1 give it.  A NaN entry passes
+    through as it does through eigh.
+    """
     beta = symmetrize(np.asarray(beta, dtype=float))
+    if beta.shape == (1, 1):
+        value = float(beta[0, 0])
+        if value <= 0.0:
+            raise SingularMetricError(f"observation covariance not SPD (min eig {value:.3e})")
+        return np.array([[math.sqrt(value)]])
     eigs, vecs = np.linalg.eigh(beta)
     if eigs[0] <= 0.0:
         raise SingularMetricError(f"observation covariance not SPD (min eig {eigs[0]:.3e})")

@@ -1,5 +1,5 @@
 """Helpers shared by the test modules: state samplers, callback counters,
-the point-broadcast check and a test metric.
+the point-broadcast check, a test metric and a model whose flow collapses.
 
 They live here rather than in ``conftest.py`` because test modules import
 them by name, and a second ``conftest`` module (the benchmark's own tests)
@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 
+from gifilter.flow import DiffusionModel
+from gifilter.geometry import flat_connector
 from gifilter.models.tracking import pack_state
 
 
@@ -79,3 +81,17 @@ def exp_metric_2d_partials(y):
     out = np.zeros((2, 2, 2))
     out[1, 0, 0] = 2.0 * np.exp(2.0 * y[1])
     return out
+
+
+def collapsing_model(dim):
+    """xi = 0 with Dxi = -1e307 I: the path stays at its start, but every
+    per-step map, and so tau_0^delta, underflows to 0."""
+    return DiffusionModel(
+        dim=dim,
+        xi=lambda x: np.zeros(dim),
+        dxi=lambda x: -1e307 * np.eye(dim),
+        d2xi_contract=lambda x, chi: np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1])),
+        alpha=lambda x: np.zeros(x.shape[:-1] + (dim, dim)),
+        conn=flat_connector(dim),
+        drift_b=lambda x: np.zeros(dim),
+    )

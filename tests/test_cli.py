@@ -148,6 +148,14 @@ def test_zero_substeps_flag_exits_one(tmp_path, cubic_config, capsys):
      "missile_p0 must be a vector of 3 numbers, got shape (2,)"),
     ({"sigma0": [-0.01]}, "sigma0 must be positive semi-definite, has eigenvalue -0.01"),
     ({"filters": ["gif", "gif"]}, "filters must name each filter once, got ['gif', 'gif']"),
+    # a tracking9d start without speed: the simulation used to exit 2 with
+    # a numpy RuntimeWarning, and the filters to abort every cycle
+    ({"model": "tracking9d", "model_params": {}, "n_obs": 2,
+      "x0": [9000, 2000, 3000, 0, 0, 0, 0, 0, 0]},
+     "x0 has speed 0, below the tracking9d speed floor 1e-06"),
+    ({"model": "tracking9d", "model_params": {}, "n_obs": 2,
+      "mu0": [9000, 2000, 3000, 0, 0, 0, 0, 0, 20]},
+     "mu0 has speed 0, below the tracking9d speed floor 1e-06"),
 ])
 def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, capsys, change,
                                                     named):
@@ -160,6 +168,15 @@ def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, caps
     assert cli_main(["filter", "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+
+def test_simulate_from_a_tracking_start_without_speed_exits_one(tmp_path, cubic_config, capsys):
+    # used to exit 2 as "speed collapsed during flow evaluation", after a
+    # numpy RuntimeWarning
+    cubic_config.write_text(json.dumps({"model": "tracking9d", "n_obs": 3,
+                                        "x0": [9000, 2000, 3000, 0, 0, 0, 0, 0, 0]}))
+    assert cli_main(["simulate", "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
+    assert "x0 has speed 0, below the tracking9d speed floor" in capsys.readouterr().err
 
 
 def test_type_error_after_loading_still_surfaces(tmp_path, cubic_config, monkeypatch):

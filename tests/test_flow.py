@@ -32,8 +32,14 @@ from gifilter.harness import (
     van_loan_discretization,
 )
 from gifilter.models.cubic1d import Cubic1DParams
+from gifilter.observation import ObservationModel
 
-from helpers import assert_broadcasts_over_points, counting, random_tracking_state
+from helpers import (
+    assert_broadcasts_over_points,
+    collapsing_model,
+    counting,
+    random_tracking_state,
+)
 from fixture_defs import _linear_flow_model, _ou_model, _sq_drift_model
 from oracles import (
     cubic1d_analytic_ailp,
@@ -551,26 +557,39 @@ def test_grids_and_the_ekf_drift_model_are_built_once(cubic_models):
     assert b_model.d2xi_contract is model.d2drift_b_contract
 
 
+def _one_observation_of_coordinate_0(dim):
+    """A flat observation of coordinate 0 of a dim-dimensional state."""
+    jac = np.eye(1, dim)
+    return ObservationModel(dim_obs=1, psi=lambda x: x[:1], dpsi=lambda x: jac,
+                            d2psi=lambda x: np.zeros((1, dim, dim)),
+                            beta=lambda y: np.array([[0.1]]), conn_obs=flat_connector(1))
+
+
 def test_tau_delta_0_computed_once(monkeypatch, cubic_models):
     # one GIF cycle forms tau_delta^0 and the products to the end once each
     # (precompute), and rho_build and ailp_state read them from the bundle;
-    # cubic1d's callbacks invert nothing themselves
-    model, obs = cubic_models
-    calls = Counter()
+    # a 1x1 tau_0^delta is inverted on floats and a 2x2 one by one LAPACK
+    # inv, and neither model's callbacks invert anything themselves
+    inert = make_inert_2d_model(lambda x: -x ** 3, lambda x: -3 * x ** 2, lambda x: -6 * x)
+    cases = [(cubic_models, 0), ((inert, _one_observation_of_coordinate_0(2)), 1)]
+    inv, to_end = np.linalg.inv, flow._to_end
+    for (model, obs), inversions in cases:
+        calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
-    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-    monkeypatch.setattr(flow, "_to_end", counted("to_end", flow._to_end))
-    x0, sigma0 = np.array([0.8]), np.array([[0.02]])
-    filter_step(model, obs, (x0, sigma0), np.array([0.5]), FilterConfig(delta=1.0))
-    assert calls == {"inv": 1, "to_end": 1}
-    bundle = precompute(model, x0, sigma0, FlowGrid(1.0, 8))
-    assert np.array_equal(bundle.tau_delta_0, np.linalg.inv(bundle.from_start[-1]))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+        monkeypatch.setattr(flow, "_to_end", counted("to_end", to_end))
+        x0, sigma0 = np.full(model.dim, 0.8), 0.02 * np.eye(model.dim)
+        filter_step(model, obs, (x0, sigma0), np.array([0.5]), FilterConfig(delta=1.0))
+        assert (calls["inv"], calls["to_end"]) == (inversions, 1), model.dim
+        monkeypatch.undo()
+        bundle = precompute(model, x0, sigma0, FlowGrid(1.0, 8))
+        assert np.array_equal(bundle.tau_delta_0, np.linalg.inv(bundle.from_start[-1]))
 
 
 def test_tau_inverse_identity():
@@ -594,6 +613,25 @@ def test_inverse_residual_check_rejects_a_flow_that_passes_the_condition_check()
     assert np.linalg.cond(tau) < 1e12
     with pytest.raises(IllConditionedFlowError, match="deviates from identity"):
         precompute(model, x0, np.eye(2), grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1x1", "2x2"])
+def test_singular_tau_0_delta_is_an_ill_conditioned_flow(dim):
+    # all singular values 0 used to pass the condition test, and the inverse
+    # then raised numpy's bare LinAlgError ("Singular matrix")
+    with pytest.raises(IllConditionedFlowError, match="singular or not finite"):
+        precompute(collapsing_model(dim), np.ones(dim), np.eye(dim), FlowGrid(1.0, 8))
+
+
+@pytest.mark.parametrize("tau", [
+    [[0.0]], [[-0.0]], [[np.inf]], [[-np.inf]], [[np.nan]],
+    np.zeros((2, 2)), [[1.0, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]],
+], ids=["0", "-0", "inf", "-inf", "nan", "2x2-zero", "2x2-nan", "2x2-inf"])
+def test_degenerate_tau_0_delta_fails_the_condition_check(tau):
+    # an svd of a NaN entry used to raise numpy's bare LinAlgError ("SVD did
+    # not converge"); each of these is now the retried flow error
+    with pytest.raises(IllConditionedFlowError, match="singular or not finite"):
+        flow._check_condition(np.array(tau))
 
 
 # --- the path-stacked evaluation against the per-grid-point loops ---------------

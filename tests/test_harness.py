@@ -17,6 +17,7 @@ from gifilter.filter import FilterConfig, filter_step
 from gifilter.geometry import flat_connector
 from gifilter.harness import (
     ScenarioConfig,
+    TrajectoryRecord,
     _cubic_state_diffeo,
     _step_with_refinement,
     build_scenario,
@@ -34,6 +35,7 @@ from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.linear import LinearParams, linear_build
 from gifilter.observation import sample_observation
 
+from helpers import collapsing_model
 from oracles import cubic1d_analytic_flow, drift_consistency_residual
 
 
@@ -175,6 +177,28 @@ def test_build_scenario_accepts_a_singular_prior_and_rounding_below_zero():
     build_scenario(ScenarioConfig(model="cubic1d", sigma0=[[0.0]]))
     build_scenario(ScenarioConfig(model="linear", model_params=_linear_params(2),
                                   sigma0=[[1.0, 1.0], [1.0, 1.0 - 1e-15]]))
+
+
+_MOVING = [9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0]
+_AT_REST = [9000.0, 2000.0, 3000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 20.0]
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"x0": _AT_REST}, "x0 has speed 0, below the tracking9d speed floor 1e-06"),
+    ({"x0": _MOVING, "mu0": _AT_REST}, "mu0 has speed 0, below the tracking9d speed floor"),
+    ({"mu0": _MOVING[:3] + [1e-7, 0.0, 0.0] + _MOVING[6:]}, "mu0 has speed 1e-07, below"),
+], ids=["x0", "mu0", "mu0-below-floor"])
+def test_build_scenario_rejects_a_tracking_start_without_speed(change, match):
+    # the flow needs |v| >= SPEED_FLOOR: a simulation from a zero-speed x0
+    # used to end as a numerical failure with a numpy RuntimeWarning, and
+    # filters from a zero-speed mu0 aborted every cycle
+    with pytest.raises(ValueError, match=match):
+        build_scenario(ScenarioConfig(model="tracking9d", n_obs=2, **change))
+
+
+def test_build_scenario_accepts_a_tracking_start_at_the_speed_floor():
+    build_scenario(ScenarioConfig(model="tracking9d", n_obs=2,
+                                  x0=_MOVING[:3] + [1e-6, 0.0, 0.0] + _MOVING[6:]))
 
 
 def test_build_scenario_names_missing_linear_parameters():
@@ -377,6 +401,21 @@ def test_nan_covariance_through_repair_psd_aborts_the_cycle(monkeypatch, name, m
     assert record.aborted[name].tolist() == [False, True, False]
     assert np.array_equal(record.covariances[name][1], record.covariances[name][0])
     assert record.diagnostics[name].psd_repairs == 0
+
+
+def test_a_singular_flow_aborts_the_gif_cycle_instead_of_crashing():
+    # tau_0^delta underflows to 0 on every grid: each attempt raises the
+    # retried IllConditionedFlowError (it used to be numpy's bare
+    # LinAlgError, which escaped run_filters), and every cycle aborts
+    scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=3, filters=("gif",),
+                                             max_refinements=1))
+    scenario = dataclasses.replace(scenario, diffusion=collapsing_model(1))
+    times = np.arange(1.0, 4.0)
+    record = TrajectoryRecord(times=times, truth=np.zeros((3, 1)),
+                              observations=np.full((3, 1), 0.5))
+    record = run_filters(scenario, record)
+    assert record.aborted["gif"].tolist() == [True, True, True]
+    assert np.array_equal(record.estimates["gif"], np.full((3, 1), scenario.mu0))
 
 
 _ASYMMETRIC = np.eye(9)
