@@ -7,13 +7,17 @@ keeps the last JSON line of every run; it measures nothing itself.  Given
 alternating which checkout goes first, then one ``--trace 1`` run per
 workload and checkout; every run is perfbench's own length.  With
 ``--tier1`` it also times the Tier-1 suite of each checkout and keeps its
-``ACCEPTANCE`` lines, which give the times of criteria 1-3.  The file
-records the environment, each checkout's revision (its HEAD and the git
-tree of its ``src/`` as checked out, uncommitted changes to tracked files
-included), every run, and per metric the median of each side, their
-ratio (change / parent), the parent's interquartile range, and how many of
-the index pairs (the parent's and the change's run of one index) the change
-won in the direction ``BENCHMARK.json`` gives for the metric.
+``ACCEPTANCE`` lines, which give the times of criteria 1-3.  Every call
+also runs ``scripts/output_digest.py`` once in each checkout and keeps its
+digest lines, one per workload and one over all of them, with a
+per-workload ``outputs_identical``, so a claim of bit-identical outputs is
+in the file.  The file records the environment, each checkout's revision
+(its HEAD and the git tree of its ``src/`` as checked out, uncommitted
+changes to tracked files included), every run, and per metric the median
+of each side, their ratio (change / parent), the parent's interquartile
+range, and how many of the index pairs (the parent's and the change's run
+of one index) the change won in the direction ``BENCHMARK.json`` gives for
+the metric.
 
     python3 scripts/bench_file.py --parent ../parent --change . --pairs 3 \\
         --out BENCH_9.json [--workloads cubic-long tracking] [--tier1]
@@ -88,6 +92,37 @@ def run_tier1(root: Path) -> dict:
         found = re.search(rf"^ACCEPTANCE {number}: .* ([\d.]+)s \(< [\d.]+s\)",
                           done.stdout, re.MULTILINE)
         out[f"criterion_{number}_s"] = float(found.group(1)) if found else None
+    return out
+
+
+DIGEST_LINE = re.compile(r"^\S+ [0-9a-f]{64}( \(\d+ configs\))?$")
+
+
+def digest_lines(stdout: str) -> list[str]:
+    """The digest lines of ``scripts/output_digest.py``'s output: one
+    ``<workload> <sha256>`` per workload, then ``sha256 <sha256> (<n>
+    configs)`` over all of them; its per-config abort counts are left out."""
+    return [line for line in stdout.splitlines() if DIGEST_LINE.match(line)]
+
+
+def run_digest(root: Path) -> list[str]:
+    """The digest lines of ``scripts/output_digest.py`` run in checkout
+    ``root``."""
+    done = subprocess.run([sys.executable, "scripts/output_digest.py"], cwd=root,
+                          capture_output=True, text=True, env=_env(), check=True)
+    return digest_lines(done.stdout)
+
+
+def compare_digests(parent: list[str], change: list[str]) -> dict:
+    """Per workload named in either side's digest lines (and ``sha256``
+    for the total): each side's digest, None where a side has none, and
+    ``outputs_identical``, true only when both have one and they agree."""
+    sides = [dict(line.split()[:2] for line in lines) for lines in (parent, change)]
+    out = {}
+    for name in dict.fromkeys([*sides[0], *sides[1]]):
+        before, after = sides[0].get(name), sides[1].get(name)
+        out[name] = {"parent": before, "change": after,
+                     "outputs_identical": before is not None and before == after}
     return out
 
 
@@ -190,6 +225,9 @@ def main(argv=None) -> int:
             result = run_perfbench(roots[side], workload, trace)
             record({"kind": "perfbench", "side": side, "workload": workload, "trace": trace,
                     "index": index, "result": result})
+    for side in ("parent", "change"):
+        if not have("digest", side=side):
+            record({"kind": "digest", "side": side, "lines": run_digest(roots[side])})
     if args.tier1:
         for side in ("parent", "change"):
             if not have("tier1", side=side):
@@ -199,6 +237,7 @@ def main(argv=None) -> int:
     import scipy
 
     runs = [e for e in done if e["kind"] == "perfbench"]
+    digests = {e["side"]: e["lines"] for e in done if e["kind"] == "digest"}
     directions = metric_directions(roots["change"] / "BENCHMARK.json")
     bench = {
         "environment": {
@@ -212,6 +251,8 @@ def main(argv=None) -> int:
         "revisions": revisions,
         "runs": runs,
         "tier1": {e["side"]: e["result"] for e in done if e["kind"] == "tier1"},
+        "output_digest": dict(digests, comparison=compare_digests(digests["parent"],
+                                                                  digests["change"])),
         "trace0_summary": summarize(runs, directions),
     }
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

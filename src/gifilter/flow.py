@@ -139,7 +139,9 @@ class DiffusionModel:
     ``drift_b``, ``ddrift_b``, ``noise_matrix`` and ``constrain`` take one
     point x of shape (dim,): they run one call at a time in the sequential
     Taylor and Euler loops, where broadcasting would make each call dearer
-    (a broadcasting cubic ``xi`` costs about twice as much per point).
+    (a broadcasting cubic ``xi`` costs about twice as much per point).  On
+    the simulator's float path the Euler loop passes one (1,) array,
+    overwritten between calls, so a callback must not keep its argument.
     """
 
     dim: int
@@ -333,9 +335,14 @@ def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> np.ndarray:
 
     tau over one sub-interval is exp((h/2) [Dxi(x_u) + Dxi(x_t)]), from the
     Jacobians at the grid points (shape (n + 1, p, p)), all n of them in
-    one stacked exponential.
+    one stacked exponential.  The Jacobians are halved before they are
+    summed, so that no sum overflows with a numpy warning (an ``np.errstate``
+    around the sum costs more than the extra product); halving is exact
+    above the subnormal range, so this is (h/2) [Dxi(x_u) + Dxi(x_t)] bit
+    for bit.
     """
-    return _expm(0.5 * grid.step * (jacs[:-1] + jacs[1:]))
+    half = 0.5 * jacs
+    return _expm(grid.step * (half[:-1] + half[1:]))
 
 
 def propagate_covariance(

@@ -294,7 +294,16 @@ def simulate_sde(
     Noise is loaded through the model's ``noise_matrix`` sigma(x), which
     simulation requires (ValueError without it); constrained models are
     re-projected after every substep.  A state that turns non-finite within
-    a cycle marks that cycle's row and stops the simulation early.
+    a cycle marks that cycle's row and stops the simulation early; so does
+    an overflow, without a warning.
+
+    The substeps run through one of two helpers, chosen from the array
+    shapes alone: a one-dimensional state loaded by a 1x1 noise matrix
+    steps on Python floats (:func:`_euler_floats`), any other on arrays
+    (:func:`_euler_arrays`), tracking9d included.  A one-dimensional state
+    with m > 1 noise inputs keeps the arrays, since its (1, m) @ (m,)
+    product may be a BLAS dot with its own summation order.  Both give the
+    same truth and observations bit for bit.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -312,29 +321,69 @@ def simulate_sde(
     diverged_at = None
 
     noise_dim = model.noise_matrix(x).shape[1]
+    euler = _euler_floats if model.dim == 1 and noise_dim == 1 else _euler_arrays
 
     # overflow surfaces as the explicit divergence marker, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            # One draw per cycle: the same stream as one draw per substep.  A
-            # non-finite coordinate stays non-finite through Euler steps, so
-            # one check per cycle finds a divergence; a constraint must never
-            # see one, so constrained models also check before each call.
-            for normals in rng.standard_normal((config.sim_substeps, noise_dim)):
-                shock = model.noise_matrix(x) @ normals
-                x = x + model.drift_b(x) * dt + shock * sqrt_dt
-                if model.constrain is not None:
-                    if not np.isfinite(x).all():
-                        break
-                    x = model.constrain(x, ref)
-            if not np.isfinite(x).all():
+            # One draw per cycle: the same stream as one draw per substep.
+            x = euler(model, x, ref, rng.standard_normal((config.sim_substeps, noise_dim)),
+                      dt, sqrt_dt)
+            if x is None:
                 diverged_at = k
                 break
             truth[k] = x
             obs_model = scenario.observation_at(float(times[k]))
-            observations[k] = sample_observation(obs_model, x, rng)
+            observations[k] = sample_observation(obs_model, truth[k], rng)
     return TrajectoryRecord(times=times, truth=truth, observations=observations,
                             diverged_at=diverged_at)
+
+
+def _euler_arrays(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
+                  normals: np.ndarray, dt: float, sqrt_dt: float) -> Optional[np.ndarray]:
+    """The Euler substeps of one :func:`simulate_sde` cycle on arrays, for
+    any shape: from state ``x`` with one row of ``normals`` per substep,
+    the state at the cycle's end, or None when it is not finite.
+
+    A non-finite coordinate stays non-finite through Euler steps, so one
+    check per cycle finds a divergence; a constraint must never see one,
+    so constrained models also check before each call.
+    """
+    for row in normals:
+        shock = model.noise_matrix(x) @ row
+        x = x + model.drift_b(x) * dt + shock * sqrt_dt
+        if model.constrain is not None:
+            if not np.isfinite(x).all():
+                return None
+            x = model.constrain(x, ref)
+    return x if np.isfinite(x).all() else None
+
+
+def _euler_floats(model: DiffusionModel, x_arr: np.ndarray, ref: np.ndarray,
+                  normals: np.ndarray, dt: float, sqrt_dt: float) -> Optional[np.ndarray]:
+    """:func:`_euler_arrays` for a one-dimensional state and a 1x1 noise
+    matrix, on Python floats.
+
+    The arithmetic is the array step's, operation by operation, with the
+    1x1 product sigma @ n formed as 0.0 + sigma * n as matmul forms it, so
+    every state equals the array loop's bit for bit.  The callbacks still
+    get a (1,) state: ``x_arr``, overwritten in place before each call
+    and returned at the cycle's end, each callback's value read at once.
+    Float products and sums overflow to inf without raising, as the
+    arrays do under :func:`simulate_sde`'s errstate.
+    """
+    drift_b, noise_matrix, constrain = model.drift_b, model.noise_matrix, model.constrain
+    x = x_arr.item()
+    for n in normals.reshape(-1).tolist():
+        shock = 0.0 + noise_matrix(x_arr).item() * n
+        x = x + drift_b(x_arr).item() * dt + shock * sqrt_dt
+        if constrain is not None:
+            if not math.isfinite(x):
+                return None
+            x_arr[0] = x
+            x = constrain(x_arr, ref).item()
+        x_arr[0] = x
+    return x_arr if math.isfinite(x) else None
 
 
 def _step_with_refinement(step_fn, base_substeps: int, max_refinements: int):

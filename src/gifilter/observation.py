@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularMetricError
+from .errors import NonFiniteError, SingularMetricError
 from .flow import PropagationBundle
 from .geometry import ConnectorField, exp_map_series, symmetrize
 
@@ -114,7 +114,8 @@ def sample_observation(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw one noisy observation of psi(true_state), with its angular
-    coordinates wrapped; ValueError when it is not finite.
+    coordinates wrapped; NonFiniteError, a ValueError, when it is not
+    finite: a numerical failure, not a bad argument.
 
     The noise is a zero-mean Gaussian in the tangent space at psi(X), with
     covariance beta there, pushed to the observation manifold through the
@@ -129,5 +130,5 @@ def sample_observation(
     else:
         y = exp_map_series(y_center, v, obs.conn_obs)
     if not np.isfinite(y).all():
-        raise ValueError("observation has non-finite coordinates")
+        raise NonFiniteError("observation has non-finite coordinates")
     return wrap_angles(y, obs.angular_mask)

@@ -83,15 +83,20 @@ def exp_metric_2d_partials(y):
     return out
 
 
-def collapsing_model(dim):
-    """xi = 0 with Dxi = -1e307 I: the path stays at its start, but every
-    per-step map, and so tau_0^delta, underflows to 0."""
+def collapsing_model(dim, slope=-1e307):
+    """xi = b = 0 with Dxi = Db = slope I: the path stays at its start, but
+    every per-step map, and so tau_0^delta, underflows to 0.  At slope
+    -1e308 the sum of two adjacent Jacobians is past the float range."""
+    dxi = lambda x: slope * np.eye(dim)
+    d2xi_contract = lambda x, chi: np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1]))
     return DiffusionModel(
         dim=dim,
         xi=lambda x: np.zeros(dim),
-        dxi=lambda x: -1e307 * np.eye(dim),
-        d2xi_contract=lambda x, chi: np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1])),
+        dxi=dxi,
+        d2xi_contract=d2xi_contract,
         alpha=lambda x: np.zeros(x.shape[:-1] + (dim, dim)),
         conn=flat_connector(dim),
         drift_b=lambda x: np.zeros(dim),
+        ddrift_b=dxi,
+        d2drift_b_contract=d2xi_contract,
     )

@@ -69,3 +69,36 @@ def test_directions_come_from_the_benchmark_declaration(bench):
     assert directions == {m["name"]: m["better"] for m in spec["end_to_end"]}
     assert directions["wall_s"] == "lower" and directions["gif_cycles_per_s"] == "higher"
     assert (ROOT / "BENCHMARK.json").read_text() == text
+
+
+_HEX = {c: c * 64 for c in "abcd"}
+
+
+def test_digest_lines_keep_the_workload_and_total_digests(bench):
+    stdout = "\n".join([
+        "cubic-long seed 0 config 0: aborted gif 0 ekf 1",
+        f"cubic-long {_HEX['a']}",
+        f"tracking {_HEX['b']}",
+        f"sha256 {_HEX['c']} (39 configs)",
+        "",
+    ])
+    assert bench.digest_lines(stdout) == [
+        f"cubic-long {_HEX['a']}", f"tracking {_HEX['b']}", f"sha256 {_HEX['c']} (39 configs)"]
+
+
+def test_outputs_are_identical_only_where_both_digests_agree(bench):
+    parent = [f"cubic-long {_HEX['a']}", f"tracking {_HEX['b']}",
+              f"sha256 {_HEX['c']} (39 configs)"]
+    change = [f"cubic-long {_HEX['a']}", f"tracking {_HEX['d']}", f"extra {_HEX['a']}",
+              f"sha256 {_HEX['d']} (40 configs)"]
+    out = bench.compare_digests(parent, change)
+    assert list(out) == ["cubic-long", "tracking", "sha256", "extra"]
+    assert out["cubic-long"] == {"parent": _HEX["a"], "change": _HEX["a"],
+                                 "outputs_identical": True}
+    assert out["tracking"]["outputs_identical"] is False
+    assert out["sha256"] == {"parent": _HEX["c"], "change": _HEX["d"],
+                             "outputs_identical": False}
+    # a workload one side lacks is not identical
+    assert out["extra"] == {"parent": None, "change": _HEX["a"], "outputs_identical": False}
+    assert not any(v["outputs_identical"] for v in bench.compare_digests([], change).values())
+    assert bench.compare_digests([], []) == {}

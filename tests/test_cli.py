@@ -179,6 +179,19 @@ def test_simulate_from_a_tracking_start_without_speed_exits_one(tmp_path, cubic_
     assert "x0 has speed 0, below the tracking9d speed floor" in capsys.readouterr().err
 
 
+def test_non_finite_observation_of_a_finite_truth_exits_two(tmp_path, cubic_config, capsys):
+    # the truth stays at 1e308, but psi = 10 x overflows: a numerical
+    # failure, which used to exit 1 as "error: observation has non-finite
+    # coordinates", as if the config were malformed
+    cubic_config.write_text(json.dumps({
+        "model": "linear", "n_obs": 3, "x0": [1e308],
+        "model_params": {"a_mat": [[0]], "sigma_mat": [[1]], "j_mat": [[10]],
+                         "b_mat": [[1]]}}))
+    assert cli_main(["simulate", "--config", str(cubic_config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: observation has non-finite coordinates\n")
+
+
 def test_type_error_after_loading_still_surfaces(tmp_path, cubic_config, monkeypatch):
     # the CLI reports bad configs; it does not swallow a program fault
     def broken(*args, **kwargs):

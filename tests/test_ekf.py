@@ -17,6 +17,7 @@ from gifilter.observation import ObservationModel, wrap_angles
 
 from helpers import (
     assert_broadcasts_over_points,
+    collapsing_model,
     counting,
     random_obs_point,
     random_tracking_state,
@@ -66,6 +67,18 @@ def test_predict_cubic_mean_matches_closed_form(cubic_models):
     m0 = np.array([1.0])
     mean, _ = ekf_predict(model, (m0, np.array([[0.01]])), 1.0, 64)
     assert abs(mean[0] - cubic1d_analytic_flow(1.0, 1.0)) < 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1x1", "2x2"])
+def test_predict_through_an_overflowing_jacobian_sum_is_silent(dim):
+    # -1e308 + -1e308 is past the float range; the per-step maps underflow
+    # to 0 and collapse the covariance onto the mean, which b = 0 leaves at
+    # its start, with no numpy overflow warning on the way
+    mean, cov = ekf_predict(collapsing_model(dim, slope=-1e308),
+                            (np.ones(dim), np.eye(dim)), 1.0, 8)
+    assert np.array_equal(mean, np.ones(dim))
+    assert np.array_equal(cov, np.zeros((dim, dim)))
 
 
 def test_predict_requires_drift_derivatives(cubic_models):

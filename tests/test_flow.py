@@ -623,6 +623,16 @@ def test_singular_tau_0_delta_is_an_ill_conditioned_flow(dim):
         precompute(collapsing_model(dim), np.ones(dim), np.eye(dim), FlowGrid(1.0, 8))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1x1", "2x2"])
+def test_overflowing_jacobian_sum_is_a_silent_ill_conditioned_flow(dim):
+    # -1e308 + -1e308 is past the float range: transition_jacobians used to
+    # print numpy's "overflow encountered in add" before the same error
+    with pytest.raises(IllConditionedFlowError, match="singular or not finite"):
+        precompute(collapsing_model(dim, slope=-1e308), np.ones(dim), np.eye(dim),
+                   FlowGrid(1.0, 8))
+
+
 @pytest.mark.parametrize("tau", [
     [[0.0]], [[-0.0]], [[np.inf]], [[-np.inf]], [[np.nan]],
     np.zeros((2, 2)), [[1.0, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]],

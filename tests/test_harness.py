@@ -479,7 +479,19 @@ def test_simulate_sde_requires_noise_matrix():
         simulate_sde(no_noise, trajectory_rng(0, 0))
 
 
-def test_simulate_sde_never_constrains_a_non_finite_state():
+def _euler_helpers_run(monkeypatch):
+    """The names of the Euler helpers simulate_sde calls, one per cycle,
+    recorded from here on."""
+    ran = []
+    for name in ("_euler_floats", "_euler_arrays"):
+        def helper(*args, _name=name, _fn=getattr(harness, name)):
+            ran.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(harness, name, helper)
+    return ran
+
+
+def test_simulate_sde_never_constrains_a_non_finite_state(monkeypatch):
     # the diverging cubic run of the bit-for-bit test below, with a
     # constraint that records whether its input was finite
     config = ScenarioConfig(model="cubic1d", model_params={"alpha": 10.0}, n_obs=40,
@@ -493,9 +505,22 @@ def test_simulate_sde_never_constrains_a_non_finite_state():
 
     constrained = dataclasses.replace(
         scenario, diffusion=dataclasses.replace(scenario.diffusion, constrain=constrain))
+    ran = _euler_helpers_run(monkeypatch)
     record = simulate_sde(constrained, trajectory_rng(0, 0))
     assert record.diverged_at == 12
     assert len(finite) >= 12 * config.sim_substeps and all(finite)
+    assert set(ran) == {"_euler_floats"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_sde_overflow_in_the_first_substep_is_a_silent_divergence(monkeypatch):
+    # -0.5 x^3 overflows at x = 1e103: the float step adds and multiplies
+    # without raising, and numpy's warnings stay inside the errstate
+    config = ScenarioConfig(model="cubic1d", n_obs=5, x0=[1e103])
+    ran = _euler_helpers_run(monkeypatch)
+    record = simulate_sde(build_scenario(config), trajectory_rng(0, 0))
+    assert record.diverged_at == 0 and ran == ["_euler_floats"]
+    assert np.isnan(record.truth).all() and np.isnan(record.observations).all()
 
 
 def _per_substep_simulation(scenario, rng):
@@ -523,16 +548,29 @@ def _per_substep_simulation(scenario, rng):
     return truth, observations, None
 
 
-@pytest.mark.parametrize("config,diverged_at", [
-    (ScenarioConfig(model="cubic1d", n_obs=30, seed=4), None),
-    (ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=5), None),
+def _linear_1d(sigma_mat):
+    """A one-dimensional linear config loaded by ``sigma_mat``."""
+    return ScenarioConfig(model="linear", model_params={
+        "a_mat": [[-0.5]], "sigma_mat": sigma_mat, "j_mat": [[2.0]], "b_mat": [[0.1]]},
+        n_obs=30, seed=6)
+
+
+@pytest.mark.parametrize("config,diverged_at,helper", [
+    (ScenarioConfig(model="cubic1d", n_obs=30, seed=4), None, "_euler_floats"),
+    (ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=5), None, "_euler_arrays"),
     # large noise on a coarse grid: the Euler scheme blows up in cycle 12
     (ScenarioConfig(model="cubic1d", model_params={"alpha": 10.0}, n_obs=40,
-                    sim_substeps=4, seed=0), 12),
-], ids=["cubic1d", "tracking9d", "diverging"])
-def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, diverged_at):
+                    sim_substeps=4, seed=0), 12, "_euler_floats"),
+    (_linear_1d([[0.7]]), None, "_euler_floats"),
+    # one state, two noise inputs: the (1, 2) @ (2,) product stays on arrays
+    (_linear_1d([[0.6, 0.5]]), None, "_euler_arrays"),
+], ids=["cubic1d", "tracking9d", "diverging", "linear-1x1-noise", "linear-1x2-noise"])
+def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, diverged_at, helper,
+                                                           monkeypatch):
     scenario = build_scenario(config)
+    ran = _euler_helpers_run(monkeypatch)
     record = simulate_sde(scenario, trajectory_rng(config.seed, 0))
+    assert set(ran) == {helper}
     truth, observations, loop_diverged_at = _per_substep_simulation(
         scenario, trajectory_rng(config.seed, 0))
     assert record.diverged_at == loop_diverged_at == diverged_at

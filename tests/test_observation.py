@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gifilter.errors import SingularMetricError
+from gifilter.errors import NonFiniteError, SingularMetricError
 from gifilter.flow import FlowGrid, precompute
 from gifilter.geometry import flat_connector
 from gifilter.harness import ScenarioConfig, build_scenario
@@ -322,5 +322,7 @@ def test_sample_observation_rejects_nonfinite(bad):
         beta=lambda y: np.eye(2),
         conn_obs=flat_connector(2),
     )
-    with pytest.raises(ValueError, match="non-finite"):
+    # a numerical failure (the CLI exits 2), and still a ValueError
+    with pytest.raises(NonFiniteError, match="non-finite") as raised:
         sample_observation(obs, np.zeros(2), np.random.default_rng(0))
+    assert isinstance(raised.value, ValueError)
