@@ -13,7 +13,8 @@ digest lines, one per workload and one over all of them, with a
 per-workload ``outputs_identical``, so a claim of bit-identical outputs is
 in the file.  The file records the environment, each checkout's revision
 (its HEAD and the git tree of its ``src/`` as checked out, uncommitted
-changes to tracked files included), every run, and per metric the median
+changes to tracked files included), the lines of each checkout's
+``src/**/*.py`` and their net change, every run, and per metric the median
 of each side, their ratio (change / parent), the parent's interquartile
 range, and how many of the index pairs (the parent's and the change's run
 of one index) the change won in the direction ``BENCHMARK.json`` gives for
@@ -64,6 +65,15 @@ def revision(root: Path) -> dict:
     head = git("rev-parse", "HEAD")
     state = git("stash", "create") or head
     return {"head": head or "unknown", "src_tree": git("rev-parse", f"{state}:src") or "unknown"}
+
+
+def source_lines(parent: Path, change: Path) -> dict:
+    """Lines of the ``src/**/*.py`` files of each checkout, as checked out,
+    and ``net``, the change's count less the parent's."""
+    count = {side: sum(len(path.read_text().splitlines())
+                       for path in (root / "src").rglob("*.py"))
+             for side, root in (("parent", parent), ("change", change))}
+    return dict(count, net=count["change"] - count["parent"])
 
 
 def run_perfbench(root: Path, workload: str, trace: int) -> dict:
@@ -249,6 +259,7 @@ def main(argv=None) -> int:
             "blas_threads": "1",
         },
         "revisions": revisions,
+        "source_lines": source_lines(roots["parent"], roots["change"]),
         "runs": runs,
         "tier1": {e["side"]: e["result"] for e in done if e["kind"] == "tier1"},
         "output_digest": dict(digests, comparison=compare_digests(digests["parent"],

@@ -31,14 +31,17 @@ def ekf_predict(
     """Propagate mean and covariance over one inter-observation interval.
 
     Raises ValueError when the model lacks ``ddrift_b`` or
-    ``d2drift_b_contract``.
+    ``d2drift_b_contract``.  Overflow is silent, as in
+    :func:`gifilter.flow.precompute`: an overflowing covariance comes back
+    non-finite.
     """
     mean, cov = est
     b_model = model.drift_b_model
     grid = flow.flow_grid(delta, n_substeps)
-    path, jacs = flow.integrate_flow(b_model, mean, grid)
-    covs, _ = flow.propagate_covariance(model.alpha(path),
-                                        flow.transition_jacobians(jacs, grid), cov, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        path, jacs = flow.integrate_flow(b_model, mean, grid)
+        covs, _ = flow.propagate_covariance(model.alpha(path),
+                                            flow.transition_jacobians(jacs, grid), cov, grid)
     return path[-1], covs[-1]
 
 

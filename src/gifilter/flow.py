@@ -23,7 +23,10 @@ ceil(log2 n) array rounds instead of n sequential steps.  Each product has
 one producer: :func:`propagate_covariance` returns tau_0^{t_k} with the
 covariance, from the same scan, and :func:`precompute` forms
 tau_{t_k}^delta and the inverse tau_delta^0 once per cycle.  No dense
-second-derivative array is formed.
+second-derivative array is formed.  Overflow is silenced once per
+interval, by the ``np.errstate`` of :func:`precompute` and
+:func:`gifilter.ekf.ekf_predict`: it ends as an error or a non-finite
+covariance, not a numpy warning.
 
 A one-dimensional state takes a float path, chosen from the array shapes
 alone: the Taylor step when ``model.dim == 1``, and the covariance and
@@ -37,10 +40,10 @@ and :func:`_to_end_floats` run the step-by-step recursions instead, each
 from the array scans in the last bits.  The array helpers
 (:func:`_taylor_arrays`, :func:`_covariance_arrays`,
 :func:`_to_end_arrays`) serve every other dimension.  A 1x1 tau_0^delta
-reaches no LAPACK call either: :func:`_check_condition` tests |tau| in
-place of an svd, and :func:`_checked_inverse` forms 1 / tau in place of
-``inv``, with LAPACK's bits.  The filter update does the same for 1x1
-matrices in :func:`gifilter.filter.gain` (the solve),
+reaches no LAPACK call either: :func:`_checked_inverse` tests |tau| in
+place of an svd and forms 1 / tau in place of ``inv``, with LAPACK's
+bits.  The filter update does the same for 1x1 matrices in
+:func:`gifilter.filter.gain` (the solve),
 :func:`gifilter.geometry.symmetric_condition` (the eigvalsh) and
 :func:`gifilter.observation.beta_sqrt` (the eigh), so a scalar model's
 cycle makes no LAPACK call at all.
@@ -248,7 +251,9 @@ def integrate_flow(
     path is checked once, when it is finished, or when a callback raises
     on a state that has already diverged.  A one-dimensional state steps on
     Python floats (:func:`_taylor_floats`), any other on arrays
-    (:func:`_taylor_arrays`); both give the same path bit for bit.
+    (:func:`_taylor_arrays`); both give the same path bit for bit.  Called
+    outside the callers' errstate, the array steps may show numpy's
+    overflow warnings before the DivergenceError.
     """
     x0 = np.asarray(x0, dtype=float)
     # zeros: the rows a failed step never reached pass the divergence check
@@ -256,16 +261,13 @@ def integrate_flow(
     jacs = np.empty((grid.n_steps + 1, model.dim, model.dim))
     path[0] = x0
     taylor_steps = _taylor_floats if model.dim == 1 else _taylor_arrays
-    # overflow surfaces as the one divergence check of the finished path,
-    # not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            x = taylor_steps(model, x0, grid.step, path, jacs)
-        except Exception:
-            # a callback that fails on a state already gone non-finite
-            # reports the divergence, as a check after every step would
-            _check_diverged(path)
-            raise
+    try:
+        x = taylor_steps(model, x0, grid.step, path, jacs)
+    except Exception:
+        # a callback that fails on a state already gone non-finite
+        # reports the divergence, as a check after every step would
+        _check_diverged(path)
+        raise
     _check_diverged(path)
     jacs[-1] = model.dxi(x)
     return path, jacs
@@ -295,8 +297,8 @@ def _taylor_floats(model: DiffusionModel, x0: np.ndarray, h: float,
     1x1 product a @ b formed as 0.0 + a * b as matmul forms it, so every
     row equals the array path's bit for bit.  The callbacks still get (1,)
     states, as views of ``path``, and (1, 1) tensors chi, as views of one
-    stack.  Float arithmetic overflows to inf without raising, as the
-    arrays do under :func:`integrate_flow`'s errstate.
+    stack.  Float arithmetic overflows to inf without raising or
+    warning, as the arrays do under the callers' errstate.
     """
     n = path.shape[0] - 1
     states = path.reshape(-1)
@@ -335,14 +337,10 @@ def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> np.ndarray:
 
     tau over one sub-interval is exp((h/2) [Dxi(x_u) + Dxi(x_t)]), from the
     Jacobians at the grid points (shape (n + 1, p, p)), all n of them in
-    one stacked exponential.  The Jacobians are halved before they are
-    summed, so that no sum overflows with a numpy warning (an ``np.errstate``
-    around the sum costs more than the extra product); halving is exact
-    above the subnormal range, so this is (h/2) [Dxi(x_u) + Dxi(x_t)] bit
-    for bit.
+    one stacked exponential.  Called outside the callers' errstate, a sum
+    past the float range may show numpy's overflow warnings.
     """
-    half = 0.5 * jacs
-    return _expm(grid.step * (half[:-1] + half[1:]))
+    return _expm(0.5 * grid.step * (jacs[:-1] + jacs[1:]))
 
 
 def propagate_covariance(
@@ -493,17 +491,21 @@ class PropagationBundle:
         return self.x_path[-1]
 
 
-def _check_condition(tau: np.ndarray) -> None:
-    """IllConditionedFlowError unless ``tau`` (tau_0^delta) is finite and
-    nonsingular, with a 2-norm condition number of at most FLOW_COND_LIMIT.
+def _checked_inverse(tau: np.ndarray) -> np.ndarray:
+    """The inverse tau_delta^0 of ``tau`` (tau_0^delta); IllConditionedFlowError
+    unless tau is finite and nonsingular, with a 2-norm condition number of
+    at most FLOW_COND_LIMIT, and tau_delta^0 tau is within 1e-8 of the
+    identity in every entry.
 
     A 1x1 map takes no svd: its one singular value is |tau|, so it passes
     exactly when |tau| is finite and nonzero.  (LAPACK's svd rescales a
     value far from 1 and may return |tau| off by an ulp; no value passes
-    or fails on that.)
+    or fails on that.)  It is inverted as 1 / tau, the bits of LAPACK's
+    inverse.
     """
     if tau.shape == (1, 1):
-        largest = smallest = abs(float(tau[0, 0]))
+        value = float(tau[0, 0])
+        largest = smallest = abs(value)
     elif np.isfinite(tau).all():
         singular = np.linalg.svd(tau, compute_uv=False)
         largest, smallest = float(singular[0]), float(singular[-1])
@@ -515,15 +517,7 @@ def _check_condition(tau: np.ndarray) -> None:
         raise IllConditionedFlowError(
             f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
         )
-
-
-def _checked_inverse(tau: np.ndarray) -> np.ndarray:
-    """The inverse tau_delta^0 of a ``tau`` that passed :func:`_check_condition`;
-    IllConditionedFlowError when tau_delta^0 tau deviates from the identity
-    by more than 1e-8 in some entry.  A 1x1 map is inverted as 1 / tau, the
-    bits of LAPACK's inverse."""
     if tau.shape == (1, 1):
-        value = float(tau[0, 0])
         reciprocal = 1.0 / value
         off = abs(reciprocal * value - 1.0)
         inverse = np.array([[reciprocal]])
@@ -543,19 +537,17 @@ def precompute(
     The Taylor step evaluates ``xi``, ``dxi`` and ``d2xi_contract`` once per
     grid step; ``alpha`` and the location correction's ``d2xi_contract``
     are then evaluated once each, over the whole path.  tau_0^delta is
-    checked twice: its condition number once the covariance scan has formed
-    it (:func:`_check_condition`), and its computed inverse tau_delta^0
-    after the location correction (:func:`_checked_inverse`).
+    checked once, by :func:`_checked_inverse` as soon as the covariance
+    scan has formed it.  Overflow is silent and ends as a flow error.
     """
-    x_path, jacs = integrate_flow(model, x0, grid)
-    per_step = transition_jacobians(jacs, grid)
-    alphas = model.alpha(x_path)
-    xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
-    tau_0_delta = from_start[-1]
-    _check_condition(tau_0_delta)
-    to_end = _to_end(per_step)
-    m_delta = ailp_state(model, x_path, alphas, from_start, to_end, xis, sigma0, grid)
-    tau_delta_0 = _checked_inverse(tau_0_delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_path, jacs = integrate_flow(model, x0, grid)
+        per_step = transition_jacobians(jacs, grid)
+        alphas = model.alpha(x_path)
+        xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
+        tau_delta_0 = _checked_inverse(from_start[-1])
+        to_end = _to_end(per_step)
+        m_delta = ailp_state(model, x_path, alphas, from_start, to_end, xis, sigma0, grid)
     return PropagationBundle(
         x_path=x_path,
         from_start=from_start,

@@ -78,10 +78,13 @@ class ConnectorField:
     basis pair with u = I[:, None] and v = I[None, :], or one tuple at every
     point of a flow path, as ``ailp_state`` does with ``contract``.  (The
     drift and observation callbacks take one point instead: they run one
-    call at a time in sequential loops.)  The ``flat`` flag short-circuits
-    evaluation for identically-zero connectors.  ``contract_fn``, when
-    given, computes sum_ij sym[i,j] gamma(x, e_i, e_j) without forming the
-    coefficients, broadcasting the leading axes of x against those of sym
+    call at a time in sequential loops.)  The ``flat`` flag marks an
+    identically-zero connector for the callers, which skip its terms when
+    it is set; ``contract``, :func:`exp_map_series` and :func:`curvature`
+    do not test it, and give zeros for :func:`flat_connector` by their
+    general formulas.  ``contract_fn``, when given, computes
+    sum_ij sym[i,j] gamma(x, e_i, e_j) without forming the coefficients,
+    broadcasting the leading axes of x against those of sym
     (..., dim, dim) in the same way.
     """
 
@@ -92,8 +95,6 @@ class ConnectorField:
     contract_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def contract(self, x: np.ndarray, sym: np.ndarray) -> np.ndarray:
-        if self.flat:
-            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(sym)[:-1]))
         if self.contract_fn is not None:
             return self.contract_fn(x, sym)
         return np.einsum("...kij,...ij->...k", self.coefficients(x), sym)
@@ -121,8 +122,6 @@ def exp_map_series(x: np.ndarray, v: np.ndarray, conn: ConnectorField) -> np.nda
     """Third-order expansion of the exponential map at x applied to v."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if conn.flat:
-        return x + v
     g = conn.gamma(x, v, v)
     return x + v - 0.5 * g + (2.0 * conn.gamma(x, g, v) - conn.dgamma(x, v, v, v)) / 6.0
 
@@ -138,8 +137,6 @@ def curvature(
     consistent with connector symmetry.  Broadcasts over the leading axes
     of u, v and w like the connector callbacks.
     """
-    if conn.flat:
-        return np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v), np.shape(w)))
     return (
         conn.dgamma(x, v, u, w)
         - conn.dgamma(x, u, v, w)

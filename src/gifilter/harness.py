@@ -297,13 +297,14 @@ def simulate_sde(
     a cycle marks that cycle's row and stops the simulation early; so does
     an overflow, without a warning.
 
-    The substeps run through one of two helpers, chosen from the array
-    shapes alone: a one-dimensional state loaded by a 1x1 noise matrix
-    steps on Python floats (:func:`_euler_floats`), any other on arrays
+    The substeps run through one of two helpers: an unconstrained
+    one-dimensional state loaded by a 1x1 noise matrix steps on Python
+    floats (:func:`_euler_floats`), any other on arrays
     (:func:`_euler_arrays`), tracking9d included.  A one-dimensional state
     with m > 1 noise inputs keeps the arrays, since its (1, m) @ (m,)
-    product may be a BLAS dot with its own summation order.  Both give the
-    same truth and observations bit for bit.
+    product may be a BLAS dot with its own summation order, and so does a
+    constrained one, whose constraint is checked and applied by the array
+    loop alone.  Both give the same truth and observations bit for bit.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -321,7 +322,8 @@ def simulate_sde(
     diverged_at = None
 
     noise_dim = model.noise_matrix(x).shape[1]
-    euler = _euler_floats if model.dim == 1 and noise_dim == 1 else _euler_arrays
+    scalar = model.dim == 1 and noise_dim == 1 and model.constrain is None
+    euler = _euler_floats if scalar else _euler_arrays
 
     # overflow surfaces as the explicit divergence marker, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,8 +363,9 @@ def _euler_arrays(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
 
 def _euler_floats(model: DiffusionModel, x_arr: np.ndarray, ref: np.ndarray,
                   normals: np.ndarray, dt: float, sqrt_dt: float) -> Optional[np.ndarray]:
-    """:func:`_euler_arrays` for a one-dimensional state and a 1x1 noise
-    matrix, on Python floats.
+    """:func:`_euler_arrays` for an unconstrained one-dimensional state and
+    a 1x1 noise matrix, on Python floats; a constrained model takes the
+    arrays.
 
     The arithmetic is the array step's, operation by operation, with the
     1x1 product sigma @ n formed as 0.0 + sigma * n as matmul forms it, so
@@ -372,16 +375,11 @@ def _euler_floats(model: DiffusionModel, x_arr: np.ndarray, ref: np.ndarray,
     Float products and sums overflow to inf without raising, as the
     arrays do under :func:`simulate_sde`'s errstate.
     """
-    drift_b, noise_matrix, constrain = model.drift_b, model.noise_matrix, model.constrain
+    drift_b, noise_matrix = model.drift_b, model.noise_matrix
     x = x_arr.item()
     for n in normals.reshape(-1).tolist():
         shock = 0.0 + noise_matrix(x_arr).item() * n
         x = x + drift_b(x_arr).item() * dt + shock * sqrt_dt
-        if constrain is not None:
-            if not math.isfinite(x):
-                return None
-            x_arr[0] = x
-            x = constrain(x_arr, ref).item()
         x_arr[0] = x
     return x_arr if math.isfinite(x) else None
 

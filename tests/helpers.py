@@ -85,8 +85,9 @@ def exp_metric_2d_partials(y):
 
 def collapsing_model(dim, slope=-1e307):
     """xi = b = 0 with Dxi = Db = slope I: the path stays at its start, but
-    every per-step map, and so tau_0^delta, underflows to 0.  At slope
-    -1e308 the sum of two adjacent Jacobians is past the float range."""
+    every per-step map, and so tau_0^delta, underflows to 0, or overflows
+    at a large positive slope such as 1e4.  At slope -1e308 the sum of two
+    adjacent Jacobians is past the float range."""
     dxi = lambda x: slope * np.eye(dim)
     d2xi_contract = lambda x, chi: np.zeros(np.broadcast_shapes(x.shape, chi.shape[:-1]))
     return DiffusionModel(

@@ -66,7 +66,7 @@ def test_criterion_2_coordinate_invariance_scaling():
 def test_criterion_3_benchmark_properties():
     start = time.time()
 
-    def summaries(p_crit, alpha, beta, quadratic):
+    def summaries(p_crit, alpha, beta, quadratic, filters=("gif", "ekf")):
         out = {}
         for seed in BENCHMARK_SEEDS:
             config = ScenarioConfig(
@@ -76,13 +76,18 @@ def test_criterion_3_benchmark_properties():
                 n_obs=10000,
                 seed=seed,
                 quadratic_enabled=quadratic,
+                filters=filters,
             )
             summary, _ = run_benchmark(config)
             out[seed] = summary.per_filter
         return out
 
     extreme_quad = summaries(0.1, 0.01, 0.001, quadratic=True)
-    extreme_noquad = summaries(0.1, 0.01, 0.001, quadratic=False)
+    # the EKF ignores quadratic_enabled and both arms simulate the same truth
+    # per seed, so the EKF track of the arm without the quadratic terms is
+    # the one above (pinned by test_harness.py::
+    # test_ekf_track_ignores_the_gif_only_switches); only the GIF runs again
+    extreme_noquad = summaries(0.1, 0.01, 0.001, quadratic=False, filters=("gif",))
     mild = summaries(5.0, 1e-4, 1e-4, quadratic=True)
 
     tail_wins = sum(
@@ -93,7 +98,7 @@ def test_criterion_3_benchmark_properties():
         gap_quad = abs(extreme_quad[s]["gif"]["mean_abs_error"]
                        - extreme_quad[s]["ekf"]["mean_abs_error"])
         gap_noquad = abs(extreme_noquad[s]["gif"]["mean_abs_error"]
-                         - extreme_noquad[s]["ekf"]["mean_abs_error"])
+                         - extreme_quad[s]["ekf"]["mean_abs_error"])
         gap_shrinks += gap_noquad < gap_quad
     gif_mild = np.mean([mild[s]["gif"]["mean_abs_error"] for s in BENCHMARK_SEEDS])
     ekf_mild = np.mean([mild[s]["ekf"]["mean_abs_error"] for s in BENCHMARK_SEEDS])

@@ -102,3 +102,29 @@ def test_outputs_are_identical_only_where_both_digests_agree(bench):
     assert out["extra"] == {"parent": None, "change": _HEX["a"], "outputs_identical": False}
     assert not any(v["outputs_identical"] for v in bench.compare_digests([], change).values())
     assert bench.compare_digests([], []) == {}
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_source_lines_count_the_python_files_under_src(bench, tmp_path):
+    # only src/**/*.py counts: not a data file under src, nor a script or a
+    # test outside it; a last line without a newline still counts
+    parent = _tree(tmp_path / "parent", {
+        "src/pkg/__init__.py": "",
+        "src/pkg/a.py": "x = 1\ny = 2\n\n",
+        "src/pkg/sub/b.py": "z = 3",
+        "src/pkg/data.json": "{}\n{}\n",
+        "scripts/tool.py": "print()\n",
+    })
+    change = _tree(tmp_path / "change", {
+        "src/pkg/__init__.py": "",
+        "src/pkg/a.py": "x = 1\n",
+        "tests/test_a.py": "def test():\n    pass\n",
+    })
+    assert bench.source_lines(parent, change) == {"parent": 4, "change": 1, "net": -3}

@@ -81,6 +81,18 @@ def test_predict_through_an_overflowing_jacobian_sum_is_silent(dim):
     assert np.array_equal(cov, np.zeros((dim, dim)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1x1", "2x2"])
+def test_predict_through_an_expanding_jacobian_is_silent(dim):
+    # Db = +1e4 I overflows the per-step exponential: the covariance comes
+    # back non-finite for the caller's check, with no numpy warning, as the
+    # GIF's precompute ends in IllConditionedFlowError
+    mean, cov = ekf_predict(collapsing_model(dim, slope=1e4),
+                            (np.ones(dim), np.eye(dim)), 1.0, 8)
+    assert np.array_equal(mean, np.ones(dim))
+    assert not np.isfinite(cov).all()
+
+
 def test_predict_requires_drift_derivatives(cubic_models):
     model, _ = cubic_models
     m0 = np.array([0.8])

@@ -603,7 +603,8 @@ def test_tau_inverse_identity():
 def test_inverse_residual_check_rejects_a_flow_that_passes_the_condition_check():
     # a non-normal saddle: the condition number of tau_0^delta stays under
     # FLOW_COND_LIMIT, but its computed inverse is off the identity by more
-    # than 1e-8, so only the residual check after ailp_state catches it
+    # than 1e-8, so only the identity-residual test of _checked_inverse
+    # catches it
     basis = np.random.default_rng(1).standard_normal((2, 2))
     a_mat = basis @ np.diag([11.0, -11.0]) @ np.linalg.inv(basis)
     model = make_linear_model(a_mat, np.zeros((2, 2)))
@@ -633,6 +634,17 @@ def test_overflowing_jacobian_sum_is_a_silent_ill_conditioned_flow(dim):
                    FlowGrid(1.0, 8))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1x1", "2x2"])
+def test_expanding_jacobian_is_a_silent_ill_conditioned_flow(dim):
+    # Dxi = +1e4 I overflows the per-step exponential, which used to print
+    # numpy's overflow warnings (and invalid-value ones from the covariance
+    # scan and _to_end at p = 2) before the same error
+    with pytest.raises(IllConditionedFlowError, match="singular or not finite"):
+        precompute(collapsing_model(dim, slope=1e4), np.ones(dim), np.eye(dim),
+                   FlowGrid(1.0, 8))
+
+
 @pytest.mark.parametrize("tau", [
     [[0.0]], [[-0.0]], [[np.inf]], [[-np.inf]], [[np.nan]],
     np.zeros((2, 2)), [[1.0, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]],
@@ -641,7 +653,7 @@ def test_degenerate_tau_0_delta_fails_the_condition_check(tau):
     # an svd of a NaN entry used to raise numpy's bare LinAlgError ("SVD did
     # not converge"); each of these is now the retried flow error
     with pytest.raises(IllConditionedFlowError, match="singular or not finite"):
-        flow._check_condition(np.array(tau))
+        flow._checked_inverse(np.array(tau))
 
 
 # --- the path-stacked evaluation against the per-grid-point loops ---------------

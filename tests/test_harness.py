@@ -471,6 +471,29 @@ def test_gif_without_its_intrinsic_terms_is_the_ekf_on_tracking(monkeypatch):
         assert record.covariances["gif"].tobytes() == record.covariances["ekf"].tobytes()
 
 
+def test_ekf_track_ignores_the_gif_only_switches():
+    # acceptance criterion 3 takes the EKF's errors of its arm without the
+    # quadratic terms from the arm with them, on the same seed.  Without the
+    # collar the GIF loses most cycles of this regime, each after its
+    # retries, so those arms run the EKF alone
+    tracks = {}
+    for quadratic in (True, False):
+        for collar in (True, False):
+            config = ScenarioConfig(
+                model="cubic1d", model_params={"p_crit": 0.1, "alpha": 0.01, "beta": 0.001},
+                n_obs=200, seed=3, quadratic_enabled=quadratic, collar_enabled=collar,
+                filters=("gif", "ekf") if collar else ("ekf",))
+            (record,) = run_benchmark(config)[1]
+            tracks[quadratic, collar] = record
+    ekf_tracks = {rec.estimates["ekf"].tobytes() + rec.covariances["ekf"].tobytes()
+                  + rec.aborted["ekf"].tobytes() + rec.errors["ekf"].tobytes()
+                  for rec in tracks.values()}
+    assert len(ekf_tracks) == 1
+    # the switches do act on the GIF
+    assert (tracks[True, True].estimates["gif"].tobytes()
+            != tracks[False, True].estimates["gif"].tobytes())
+
+
 def test_simulate_sde_requires_noise_matrix():
     scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=3))
     no_noise = dataclasses.replace(
@@ -509,7 +532,8 @@ def test_simulate_sde_never_constrains_a_non_finite_state(monkeypatch):
     record = simulate_sde(constrained, trajectory_rng(0, 0))
     assert record.diverged_at == 12
     assert len(finite) >= 12 * config.sim_substeps and all(finite)
-    assert set(ran) == {"_euler_floats"}
+    # a constrained model takes the arrays, whatever its dimension
+    assert set(ran) == {"_euler_arrays"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -555,19 +579,32 @@ def _linear_1d(sigma_mat):
         n_obs=30, seed=6)
 
 
-@pytest.mark.parametrize("config,diverged_at,helper", [
-    (ScenarioConfig(model="cubic1d", n_obs=30, seed=4), None, "_euler_floats"),
-    (ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=5), None, "_euler_arrays"),
+def _clip_near_start(x, ref):
+    """A constraint that moves the state: clip it to within 0.5 of the start."""
+    return np.clip(x, ref - 0.5, ref + 0.5)
+
+
+@pytest.mark.parametrize("config,constrain,diverged_at,helper", [
+    (ScenarioConfig(model="cubic1d", n_obs=30, seed=4), None, None, "_euler_floats"),
+    (ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=5), None, None,
+     "_euler_arrays"),
     # large noise on a coarse grid: the Euler scheme blows up in cycle 12
     (ScenarioConfig(model="cubic1d", model_params={"alpha": 10.0}, n_obs=40,
-                    sim_substeps=4, seed=0), 12, "_euler_floats"),
-    (_linear_1d([[0.7]]), None, "_euler_floats"),
+                    sim_substeps=4, seed=0), None, 12, "_euler_floats"),
+    (_linear_1d([[0.7]]), None, None, "_euler_floats"),
     # one state, two noise inputs: the (1, 2) @ (2,) product stays on arrays
-    (_linear_1d([[0.6, 0.5]]), None, "_euler_arrays"),
-], ids=["cubic1d", "tracking9d", "diverging", "linear-1x1-noise", "linear-1x2-noise"])
-def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, diverged_at, helper,
-                                                           monkeypatch):
+    (_linear_1d([[0.6, 0.5]]), None, None, "_euler_arrays"),
+    # one state under a constraint: the constraint runs on arrays only
+    (ScenarioConfig(model="cubic1d", model_params={"alpha": 1.0}, n_obs=30, seed=4),
+     _clip_near_start, None, "_euler_arrays"),
+], ids=["cubic1d", "tracking9d", "diverging", "linear-1x1-noise", "linear-1x2-noise",
+        "cubic1d-constrained"])
+def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, constrain, diverged_at,
+                                                           helper, monkeypatch):
     scenario = build_scenario(config)
+    if constrain is not None:
+        scenario = dataclasses.replace(scenario, diffusion=dataclasses.replace(
+            scenario.diffusion, constrain=constrain))
     ran = _euler_helpers_run(monkeypatch)
     record = simulate_sde(scenario, trajectory_rng(config.seed, 0))
     assert set(ran) == {helper}

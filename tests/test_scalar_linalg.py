@@ -75,11 +75,6 @@ def _lapack_inverse(tau):
     return inverse
 
 
-def _float_inverse(tau):
-    flow._check_condition(tau)
-    return flow._checked_inverse(tau)
-
-
 def test_the_table_holds_every_kind_of_value():
     finite = VALUES[np.isfinite(VALUES)]
     assert np.isnan(VALUES).any() and np.isposinf(VALUES).any() and np.isneginf(VALUES).any()
@@ -132,14 +127,14 @@ def test_gain_keeps_lapack_for_several_right_hand_sides(monkeypatch):
 def test_inverse_of_a_scalar_tau_equals_lapack():
     for value in VALUES:
         tau = np.array([[value]])
-        outcome = _outcome(_float_inverse, tau)
+        outcome = _outcome(flow._checked_inverse, tau)
         if math.isfinite(value) and value != 0.0:
             assert outcome == _outcome(_lapack_inverse, tau), value
         else:
             # LAPACK raised LinAlgError on these, or passed inf and NaN on;
             # the branch raises what the array path raises on diag(value, value)
             assert outcome is IllConditionedFlowError, value
-            assert _outcome(flow._check_condition, np.diag([value, value])) is outcome
+            assert _outcome(flow._checked_inverse, np.diag([value, value])) is outcome
 
 
 # --- how many LAPACK calls one cycle makes ----------------------------------------
