@@ -37,6 +37,7 @@ from .filter import (
 )
 from .flow import (
     DiffusionModel,
+    FloatForms,
     FlowGrid,
     PropagationBundle,
     ailp_state,

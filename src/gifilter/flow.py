@@ -28,22 +28,24 @@ interval, by the ``np.errstate`` of :func:`precompute` and
 :func:`gifilter.ekf.ekf_predict`: it ends as an error or a non-finite
 covariance, not a numpy warning.
 
-A one-dimensional state takes a float path, chosen from the array shapes
-alone: the Taylor step when ``model.dim == 1``, and the covariance and
-tau_{t_k}^delta when the per-step maps are 1x1.  On 1-element arrays
-numpy's per-call overhead outweighs the arithmetic, so these run on Python
-floats.  The Taylor step (:func:`_taylor_floats`) performs the array
-step's operations in its order and gives its bits.  The scans have no
-per-call overhead to amortise on floats, so :func:`_covariance_floats`
-and :func:`_to_end_floats` run the step-by-step recursions instead, each
-1x1 product a @ b formed as 0.0 + a * b, as matmul does; they may differ
-from the array scans in the last bits.  The array helpers
-(:func:`_taylor_arrays`, :func:`_covariance_arrays`,
-:func:`_to_end_arrays`) serve every other dimension.  A 1x1 tau_0^delta
-reaches no LAPACK call either: :func:`_checked_inverse` tests |tau| in
-place of an svd and forms 1 / tau in place of ``inv``, with LAPACK's
-bits.  The filter update does the same for 1x1 matrices in
-:func:`gifilter.filter.gain` (the solve),
+A one-dimensional state takes a float path.  The Taylor step runs on
+Python floats when the model supplies the float forms of its one-point
+callbacks (:class:`FloatForms`), and the covariance and tau_{t_k}^delta
+when the per-step maps are 1x1, chosen from the array shapes alone.  On
+1-element arrays numpy's per-call overhead outweighs the arithmetic, and
+so does building the array a callback returns.  The Taylor step
+(:func:`_taylor_floats`) performs the array step's operations in its
+order and, with forms that give their array callbacks' bits, gives its
+bits.  The scans have no per-call overhead to amortise on floats, so
+:func:`_covariance_floats` and :func:`_to_end_floats` run the
+step-by-step recursions instead, each 1x1 product a @ b formed as
+0.0 + a * b, as matmul does; they may differ from the array scans in the
+last bits.  The array helpers (:func:`_taylor_arrays`,
+:func:`_covariance_arrays`, :func:`_to_end_arrays`) serve every other
+model and dimension.  A 1x1 tau_0^delta reaches no LAPACK call either:
+:func:`_checked_inverse` tests |tau| in place of an svd and forms 1 / tau
+in place of ``inv``, with LAPACK's bits.  The filter update does the same
+for 1x1 matrices in :func:`gifilter.filter.gain` (the solve),
 :func:`gifilter.geometry.symmetric_condition` (the eigvalsh) and
 :func:`gifilter.observation.beta_sqrt` (the eigh), so a scalar model's
 cycle makes no LAPACK call at all.
@@ -109,6 +111,31 @@ def flow_grid(delta: float, n_steps: int) -> FlowGrid:
 
 
 @dataclass(frozen=True)
+class FloatForms:
+    """Float forms of a one-dimensional model's one-point callbacks, named
+    after the :class:`DiffusionModel` fields they stand for.
+
+    Each takes and returns Python floats in place of (1,) and (1, 1)
+    arrays: ``xi``, ``dxi``, ``drift_b`` and ``ddrift_b`` take the
+    coordinate x; ``d2xi_contract`` and ``d2drift_b_contract`` take x and
+    the one entry chi of the tensor; ``noise_matrix`` returns the one
+    loading entry sigma(x).  A form does its array callback's operations
+    in the same order and gives its bits, a non-finite value included.
+    Where a Python float's ``**`` raises OverflowError, numpy returns
+    +-inf, so a form must return that infinity in place of raising.  The
+    xi forms are required; the b forms are optional, as for the arrays.
+    """
+
+    xi: Callable[[float], float]
+    dxi: Callable[[float], float]
+    d2xi_contract: Callable[[float, float], float]
+    drift_b: Optional[Callable[[float], float]] = None
+    ddrift_b: Optional[Callable[[float], float]] = None
+    d2drift_b_contract: Optional[Callable[[float, float], float]] = None
+    noise_matrix: Optional[Callable[[float], float]] = None
+
+
+@dataclass(frozen=True)
 class DiffusionModel:
     """Callable bundle describing a Markov diffusion in one chart.
 
@@ -142,9 +169,15 @@ class DiffusionModel:
     ``drift_b``, ``ddrift_b``, ``noise_matrix`` and ``constrain`` take one
     point x of shape (dim,): they run one call at a time in the sequential
     Taylor and Euler loops, where broadcasting would make each call dearer
-    (a broadcasting cubic ``xi`` costs about twice as much per point).  On
-    the simulator's float path the Euler loop passes one (1,) array,
-    overwritten between calls, so a callback must not keep its argument.
+    (a broadcasting cubic ``xi`` costs about twice as much per point).
+
+    A one-dimensional model may also give ``float_forms``, the
+    :class:`FloatForms` of its one-point callbacks.  The Taylor loop of
+    :func:`integrate_flow` then calls the xi forms, and the Euler loop of
+    :func:`gifilter.harness.simulate_sde` the ``drift_b`` and
+    ``noise_matrix`` forms, in place of the array callbacks, so that no
+    array is built per call; every other use, the whole-path
+    contractions included, keeps the arrays.
     """
 
     dim: int
@@ -158,18 +191,29 @@ class DiffusionModel:
     d2drift_b_contract: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     noise_matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constrain: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    float_forms: Optional[FloatForms] = None
+
+    def __post_init__(self):
+        if self.float_forms is not None and self.dim != 1:
+            raise ValueError("float forms need a one-dimensional state")
 
     @cached_property
     def drift_b_model(self) -> "DiffusionModel":
         """This model with the coordinate drift b, ``ddrift_b`` and
         ``d2drift_b_contract`` in place of xi and its derivatives: what the
-        EKF propagates.  Built once per model; ValueError when either
-        derivative of b is unset."""
+        EKF propagates.  The float forms of b take the xi slots likewise,
+        when all three are given.  Built once per model; ValueError when
+        either derivative of b is unset."""
         for name in ("ddrift_b", "d2drift_b_contract"):
             if getattr(self, name) is None:
                 raise ValueError(f"the EKF needs the model's {name}")
+        forms = self.float_forms
+        if forms is not None:
+            b_forms = (forms.drift_b, forms.ddrift_b, forms.d2drift_b_contract)
+            forms = None if None in b_forms else dataclasses.replace(
+                forms, xi=b_forms[0], dxi=b_forms[1], d2xi_contract=b_forms[2])
         return dataclasses.replace(self, xi=self.drift_b, dxi=self.ddrift_b,
-                                   d2xi_contract=self.d2drift_b_contract)
+                                   d2xi_contract=self.d2drift_b_contract, float_forms=forms)
 
 
 def _compose_scan(maps: np.ndarray, offsets: Optional[np.ndarray] = None) -> None:
@@ -249,35 +293,35 @@ def integrate_flow(
     which the scheme evaluates anyway and :func:`transition_jacobians`
     reuses.  A non-finite state raises DivergenceError naming its step; the
     path is checked once, when it is finished, or when a callback raises
-    on a state that has already diverged.  A one-dimensional state steps on
-    Python floats (:func:`_taylor_floats`), any other on arrays
-    (:func:`_taylor_arrays`); both give the same path bit for bit.  Called
-    outside the callers' errstate, the array steps may show numpy's
-    overflow warnings before the DivergenceError.
+    on a state that has already diverged.  A model with float forms
+    (:class:`FloatForms`) steps on Python floats through them
+    (:func:`_taylor_floats`), the last Jacobian included; any other steps
+    on arrays (:func:`_taylor_arrays`).  Both give the same path bit for
+    bit.  Called outside the callers' errstate, the array steps may show
+    numpy's overflow warnings before the DivergenceError.
     """
-    x0 = np.asarray(x0, dtype=float)
     # zeros: the rows a failed step never reached pass the divergence check
     path = np.zeros((grid.n_steps + 1, model.dim))
     jacs = np.empty((grid.n_steps + 1, model.dim, model.dim))
     path[0] = x0
-    taylor_steps = _taylor_floats if model.dim == 1 else _taylor_arrays
+    taylor_steps = _taylor_arrays if model.float_forms is None else _taylor_floats
     try:
-        x = taylor_steps(model, x0, grid.step, path, jacs)
+        taylor_steps(model, grid.step, path, jacs)
     except Exception:
         # a callback that fails on a state already gone non-finite
         # reports the divergence, as a check after every step would
         _check_diverged(path)
         raise
     _check_diverged(path)
-    jacs[-1] = model.dxi(x)
     return path, jacs
 
 
-def _taylor_arrays(model: DiffusionModel, x: np.ndarray, h: float,
-                   path: np.ndarray, jacs: np.ndarray) -> np.ndarray:
+def _taylor_arrays(model: DiffusionModel, h: float, path: np.ndarray,
+                   jacs: np.ndarray) -> None:
     """The Taylor steps of :func:`integrate_flow` on arrays, for any dim:
-    from ``x``, the state in row 0 of ``path``, fills rows 1..n of ``path``
-    and rows 0..n-1 of ``jacs``, and returns the last state."""
+    from the state in row 0 of ``path``, fills rows 1..n of ``path`` and
+    every row of ``jacs``."""
+    x = path[0]
     for k in range(path.shape[0] - 1):
         xi = model.xi(x)
         dxi = model.dxi(x)
@@ -286,41 +330,36 @@ def _taylor_arrays(model: DiffusionModel, x: np.ndarray, h: float,
         third = model.d2xi_contract(x, xi[:, None] * xi) + dxi @ dxi_xi
         x = x + h * xi + 0.5 * h * h * dxi_xi + (h ** 3 / 6.0) * third
         path[k + 1] = x
-    return x
+    jacs[-1] = model.dxi(x)
 
 
-def _taylor_floats(model: DiffusionModel, x0: np.ndarray, h: float,
-                   path: np.ndarray, jacs: np.ndarray) -> np.ndarray:
-    """:func:`_taylor_arrays` for a one-dimensional state, on Python floats.
+def _taylor_floats(model: DiffusionModel, h: float, path: np.ndarray,
+                   jacs: np.ndarray) -> None:
+    """:func:`_taylor_arrays` through the model's float forms, on Python floats.
 
     The arithmetic is the array step's, operation by operation, with each
-    1x1 product a @ b formed as 0.0 + a * b as matmul forms it, so every
-    row equals the array path's bit for bit.  The callbacks still get (1,)
-    states, as views of ``path``, and (1, 1) tensors chi, as views of one
-    stack.  Float arithmetic overflows to inf without raising or
-    warning, as the arrays do under the callers' errstate.
+    1x1 product a @ b formed as 0.0 + a * b as matmul forms it, so with
+    forms that give their array callbacks' bits every row equals the
+    array path's bit for bit.  Float arithmetic overflows to inf without
+    raising or warning, as the arrays do under the callers' errstate.
     """
+    forms = model.float_forms
+    xi_at, dxi_at, d2xi_contract = forms.xi, forms.dxi, forms.d2xi_contract
     n = path.shape[0] - 1
     states = path.reshape(-1)
     slopes = jacs.reshape(-1)
-    chis = np.empty((n, 1, 1))
-    chi_values = chis.reshape(-1)
-    xi_at, dxi_at, d2xi_contract = model.xi, model.dxi, model.d2xi_contract
     h2 = 0.5 * h * h
     h3 = h ** 3 / 6.0
-    x_arr = x0
     x = float(states[0])
     for k in range(n):
-        xi = xi_at(x_arr).item()
-        dxi = dxi_at(x_arr).item()
+        xi = xi_at(x)
+        dxi = dxi_at(x)
         slopes[k] = dxi
         dxi_xi = 0.0 + dxi * xi
-        chi_values[k] = xi * xi
-        third = d2xi_contract(x_arr, chis[k]).item() + (0.0 + dxi * dxi_xi)
+        third = d2xi_contract(x, xi * xi) + (0.0 + dxi * dxi_xi)
         x = x + h * xi + h2 * dxi_xi + h3 * third
         states[k + 1] = x
-        x_arr = path[k + 1]
-    return x_arr
+    slopes[n] = dxi_at(x)
 
 
 def _check_diverged(path: np.ndarray) -> None:

@@ -31,7 +31,7 @@ from .errors import (
     NonFiniteError,
 )
 from .filter import Estimate, FilterConfig, FilterDiagnostics, filter_step
-from .flow import DiffusionModel
+from .flow import DiffusionModel, FloatForms
 from .geometry import SYMMETRY_RTOL, ConnectorField, check_symmetric, flat_connector
 from .models.cubic1d import Cubic1DParams, cubic1d_build
 from .models.linear import LinearParams, linear_build
@@ -297,14 +297,13 @@ def simulate_sde(
     a cycle marks that cycle's row and stops the simulation early; so does
     an overflow, without a warning.
 
-    The substeps run through one of two helpers: an unconstrained
-    one-dimensional state loaded by a 1x1 noise matrix steps on Python
-    floats (:func:`_euler_floats`), any other on arrays
-    (:func:`_euler_arrays`), tracking9d included.  A one-dimensional state
-    with m > 1 noise inputs keeps the arrays, since its (1, m) @ (m,)
-    product may be a BLAS dot with its own summation order, and so does a
-    constrained one, whose constraint is checked and applied by the array
-    loop alone.  Both give the same truth and observations bit for bit.
+    The substeps run through one of two helpers.  An unconstrained model
+    with the float forms of ``drift_b`` and ``noise_matrix``
+    (:class:`gifilter.flow.FloatForms`) and one noise input steps on
+    Python floats through them (:func:`_euler_floats`); any other on
+    arrays (:func:`_euler_arrays`), tracking9d included.  Only the array
+    loop checks and applies a constraint.  Both give the same truth and
+    observations bit for bit.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -322,8 +321,11 @@ def simulate_sde(
     diverged_at = None
 
     noise_dim = model.noise_matrix(x).shape[1]
-    scalar = model.dim == 1 and noise_dim == 1 and model.constrain is None
-    euler = _euler_floats if scalar else _euler_arrays
+    forms = model.float_forms
+    on_floats = (forms is not None and forms.drift_b is not None
+                 and forms.noise_matrix is not None and noise_dim == 1
+                 and model.constrain is None)
+    euler = _euler_floats if on_floats else _euler_arrays
 
     # overflow surfaces as the explicit divergence marker, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,27 +363,25 @@ def _euler_arrays(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
     return x if np.isfinite(x).all() else None
 
 
-def _euler_floats(model: DiffusionModel, x_arr: np.ndarray, ref: np.ndarray,
+def _euler_floats(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
                   normals: np.ndarray, dt: float, sqrt_dt: float) -> Optional[np.ndarray]:
-    """:func:`_euler_arrays` for an unconstrained one-dimensional state and
-    a 1x1 noise matrix, on Python floats; a constrained model takes the
-    arrays.
+    """:func:`_euler_arrays` through the float forms of ``drift_b`` and
+    ``noise_matrix``, on Python floats, for an unconstrained model with
+    one noise input; the state arrives and leaves as a (1,) array.
 
     The arithmetic is the array step's, operation by operation, with the
     1x1 product sigma @ n formed as 0.0 + sigma * n as matmul forms it, so
-    every state equals the array loop's bit for bit.  The callbacks still
-    get a (1,) state: ``x_arr``, overwritten in place before each call
-    and returned at the cycle's end, each callback's value read at once.
-    Float products and sums overflow to inf without raising, as the
-    arrays do under :func:`simulate_sde`'s errstate.
+    every state equals the array loop's bit for bit.  Float products and
+    sums overflow to inf without raising, as the arrays do under
+    :func:`simulate_sde`'s errstate.
     """
-    drift_b, noise_matrix = model.drift_b, model.noise_matrix
-    x = x_arr.item()
+    forms = model.float_forms
+    drift_b, noise_matrix = forms.drift_b, forms.noise_matrix
+    x = x.item()
     for n in normals.reshape(-1).tolist():
-        shock = 0.0 + noise_matrix(x_arr).item() * n
-        x = x + drift_b(x_arr).item() * dt + shock * sqrt_dt
-        x_arr[0] = x
-    return x_arr if math.isfinite(x) else None
+        shock = 0.0 + noise_matrix(x) * n
+        x = x + drift_b(x) * dt + shock * sqrt_dt
+    return np.array([x]) if math.isfinite(x) else None
 
 
 def _step_with_refinement(step_fn, base_substeps: int, max_refinements: int):
@@ -755,7 +755,10 @@ def transformed_cubic_model(params: Cubic1DParams):
     p_crit = params.p_crit
 
     def base_xi(x: float) -> float:
-        return -0.5 * x ** 3
+        try:
+            return -0.5 * x ** 3
+        except OverflowError:  # a float's power past the range: numpy's inf
+            return -0.5 * math.copysign(math.inf, x)
 
     def base_dxi(x: float) -> float:
         return -1.5 * x ** 2
@@ -797,11 +800,33 @@ def transformed_cubic_model(params: Cubic1DParams):
         dcoef = -fppp / fp ** 3 + 2.0 * fpp ** 2 / fp ** 4
         return dcoef * w[..., :1] * (u[..., :1] * v[..., :1])
 
+    # The float forms of xi, dxi and d2xi_contract.  phi_inv keeps numpy's
+    # sinh and arcsinh, which the arrays use.  d2xi_contract runs on
+    # arrays, where numpy forms x ** 2 as x * x and x ** 3 by its vector
+    # power, so its form does the same.
+    def xi_form(z):
+        x = float(phi_inv(z))
+        return dphi(x) * base_xi(x)
+
+    def dxi_form(z):
+        x = float(phi_inv(z))
+        return base_dxi(x) + d2phi(x) * base_xi(x) / dphi(x)
+
+    def d2xi_contract_form(z, chi):
+        x = float(phi_inv(z))
+        fp, fpp, fppp = 1.0 + 3.0 * CHART_COEFF * (x * x), d2phi(x), d3phi(x)
+        xi0 = -0.5 * float(np.power(x, 3))
+        val = (base_d2xi(x)
+               + (fppp * xi0 + fpp * (-1.5 * (x * x))) / fp
+               - fpp * fpp * xi0 / (fp * fp)) / fp
+        return val * chi
+
     conn = ConnectorField(dim=1, gamma=gamma, dgamma=dgamma)
 
     diffusion = DiffusionModel(
         dim=1, xi=xi, dxi=dxi, d2xi_contract=d2xi_contract, alpha=alpha,
         conn=conn, drift_b=drift_b,
+        float_forms=FloatForms(xi=xi_form, dxi=dxi_form, d2xi_contract=d2xi_contract_form),
     )
 
     def psi(xt):

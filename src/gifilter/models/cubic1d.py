@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..flow import DiffusionModel
+from ..flow import DiffusionModel, FloatForms
 from ..geometry import flat_connector
 from ..observation import ObservationModel
 
@@ -26,14 +26,15 @@ class Cubic1DParams:
     beta: float = 0.001
 
     def __post_init__(self):
-        if self.p_crit <= 0.0 or self.alpha <= 0.0 or self.beta <= 0.0:
+        if not all(0.0 < v < math.inf for v in (self.p_crit, self.alpha, self.beta)):
             raise ValueError("p_crit, alpha and beta must be positive")
 
 
 def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationModel]:
     p_crit = params.p_crit
     beta_mat = np.array([[params.beta]])
-    noise = np.array([[math.sqrt(params.alpha)]])
+    loading = math.sqrt(params.alpha)
+    noise = np.array([[loading]])
 
     def xi(x):
         return np.array([-0.5 * x[0] ** 3])
@@ -43,6 +44,23 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
 
     def d2xi_contract(x, chi):
         return -3.0 * x * chi[..., 0, :]
+
+    # The float forms: the same operations on Python floats, where a power
+    # past the float range gives numpy's infinity instead of raising
+    def xi_form(x):
+        try:
+            return -0.5 * x ** 3
+        except OverflowError:
+            return -0.5 * math.copysign(math.inf, x)
+
+    def dxi_form(x):
+        try:
+            return -1.5 * x ** 2
+        except OverflowError:
+            return -1.5 * math.inf
+
+    def d2xi_contract_form(x, chi):
+        return -3.0 * x * chi
 
     diffusion = DiffusionModel(
         dim=1,
@@ -55,6 +73,10 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
         ddrift_b=dxi,
         d2drift_b_contract=d2xi_contract,
         noise_matrix=lambda x: noise,
+        float_forms=FloatForms(
+            xi=xi_form, dxi=dxi_form, d2xi_contract=d2xi_contract_form,
+            drift_b=xi_form, ddrift_b=dxi_form, d2drift_b_contract=d2xi_contract_form,
+            noise_matrix=lambda x: loading),
     )
 
     def psi(x):

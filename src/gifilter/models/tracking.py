@@ -81,12 +81,15 @@ class Tracking9DParams:
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a vector of 3 numbers, got shape {vec.shape}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, tuple(vec.tolist()))
-        if self.lam <= 0.0 or self.gamma_noise <= 0.0:
+        # chained comparisons: NaN and inf fail them
+        if not (0.0 < self.lam < math.inf and 0.0 < self.gamma_noise < math.inf):
             raise ValueError("lam and gamma_noise must be positive")
-        if min(self.s0, self.s5) <= 0.0 or self.sigma_f <= 0.0:
+        if not all(0.0 < v < math.inf for v in (self.s0, self.s5, self.sigma_f)):
             raise ValueError("s0, s5 and sigma_f must be positive")
-        if min(self.s1, self.s2, self.s3, self.s4) < 0.0:
+        if not all(0.0 <= v < math.inf for v in (self.s1, self.s2, self.s3, self.s4)):
             raise ValueError("variance constants must be non-negative")
         if self.s1 + self.s2 <= 0.0 or self.s3 + self.s4 <= 0.0:
             raise ValueError("angle variances must be positive")

@@ -14,6 +14,7 @@ from gifilter.ekf import ekf_step
 from gifilter.filter import FilterConfig, filter_step
 from gifilter.flow import (
     DiffusionModel,
+    FloatForms,
     FlowGrid,
     _to_end,
     ailp_state,
@@ -180,12 +181,16 @@ def make_inert_2d_model(xi, dxi, d2xi):
 
 
 def _exploding_flow(dim):
-    """dx/dt = x^3, as a scalar model (the float path) or in a 2-D model with
-    an inert coordinate (the array path), and its start state from x_0."""
-    dynamics = (lambda x: x ** 3, lambda x: 3 * x ** 2, lambda x: 6 * x)
+    """dx/dt = x^3, as a scalar model with float forms (the float path) or in
+    a 2-D model with an inert coordinate (the array path), and its start
+    state from x_0.  The powers are products, which overflow to inf on
+    Python floats as on arrays."""
+    xi, dxi, d2xi = lambda x: x * x * x, lambda x: 3 * x * x, lambda x: 6 * x
     if dim == 1:
-        return make_scalar_model(*dynamics, 0.0), lambda x0: np.array([x0])
-    return make_inert_2d_model(*dynamics), lambda x0: np.array([x0, 0.0])
+        forms = FloatForms(xi=xi, dxi=dxi, d2xi_contract=lambda x, chi: d2xi(x) * chi)
+        model = dataclasses.replace(make_scalar_model(xi, dxi, d2xi, 0.0), float_forms=forms)
+        return model, lambda x0: np.array([x0])
+    return make_inert_2d_model(xi, dxi, d2xi), lambda x0: np.array([x0, 0.0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -216,7 +221,10 @@ def test_a_callback_refusing_a_diverged_state_still_reports_the_divergence(callb
     # ends as the DivergenceError of a check after every step, at the same
     # step, which the harness retries on a finer grid
     base, start = _exploding_flow(dim)
-    model = dataclasses.replace(base, **{callback: _refuse_non_finite(getattr(base, callback))})
+    # the callbacks the Taylor loop calls: the float forms of the scalar model
+    owner = base if base.float_forms is None else base.float_forms
+    refusing = dataclasses.replace(owner, **{callback: _refuse_non_finite(getattr(owner, callback))})
+    model = refusing if owner is base else dataclasses.replace(base, float_forms=refusing)
     with pytest.raises(DivergenceError, match="diverged at step 3") as err:
         integrate_flow(model, start(5.0), FlowGrid(10.0, 5))
     assert err.value.step == 3
@@ -235,20 +243,21 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 64, 2048])
 def test_the_float_path_equals_the_array_path_bit_for_bit(cubic_models, n_steps, sigma0):
     # a 1-D state steps and recurses on Python floats: the Taylor step
-    # equals the array step, the path of every other dim, called here on
-    # the same 1-D inputs, and the covariance, tau_0^{t_k} and
-    # tau_{t_k}^delta equal the step-by-step matrix recursions of the loop
-    # oracles
-    model = cubic_models[0]
+    # through the float forms equals the array step through the array
+    # callbacks, the path of every other model, called here on the same
+    # inputs, in the cubic's chart and in the transformed one; and the
+    # covariance, tau_0^{t_k} and tau_{t_k}^delta equal the step-by-step
+    # matrix recursions of the loop oracles
+    transformed = transformed_cubic_model(Cubic1DParams())[0]
     grid = FlowGrid(1.0, n_steps)
-    x0 = np.array([0.8])
-    path, jacs = integrate_flow(model, x0, grid)
-    array_path = np.zeros_like(path)
-    array_jacs = np.empty_like(jacs)
-    array_path[0] = x0
-    last = flow._taylor_arrays(model, x0, grid.step, array_path, array_jacs)
-    array_jacs[-1] = model.dxi(last)
-    assert _same_bits(path, array_path) and _same_bits(jacs, array_jacs)
+    for model in (transformed, cubic_models[0]):  # the cubic's path feeds the maps below
+        x0 = np.array([0.8])
+        path, jacs = integrate_flow(model, x0, grid)
+        array_path = np.zeros_like(path)
+        array_jacs = np.empty_like(jacs)
+        array_path[0] = x0
+        flow._taylor_arrays(model, grid.step, array_path, array_jacs)
+        assert _same_bits(path, array_path) and _same_bits(jacs, array_jacs)
 
     # the cubic's maps and variances, then adversarial ones the recursions
     # must compose exactly alike: negative and signed-zero maps with
@@ -266,6 +275,20 @@ def test_the_float_path_equals_the_array_path_bit_for_bit(cubic_models, n_steps,
         assert _same_bits(xis, loop_covariance(alphas, per_step, cov0, grid))
         assert _same_bits(from_start, loop_from_start(per_step))
         assert _same_bits(_to_end(per_step), loop_to_end(per_step))
+
+
+def test_float_forms_belong_to_a_scalar_state_and_follow_b_to_the_ekf(cubic_models):
+    model = cubic_models[0]
+    forms = model.float_forms
+    with pytest.raises(ValueError, match="float forms need a one-dimensional state"):
+        dataclasses.replace(make_linear_model(np.eye(2), np.eye(2)), float_forms=forms)
+    # the EKF's model takes the b forms in the xi slots, or, without the
+    # forms of b's derivatives, none, and so the array loop
+    b_forms = model.drift_b_model.float_forms
+    assert (b_forms.xi, b_forms.dxi, b_forms.d2xi_contract) == (
+        forms.drift_b, forms.ddrift_b, forms.d2drift_b_contract)
+    partial = FloatForms(forms.xi, forms.dxi, forms.d2xi_contract, drift_b=forms.drift_b)
+    assert dataclasses.replace(model, float_forms=partial).drift_b_model.float_forms is None
 
 
 # --- transition_jacobians ------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gifilter import flow, harness
 from gifilter.filter import FilterConfig, filter_step
 from gifilter.geometry import flat_connector
 from gifilter.harness import (
+    Scenario,
     ScenarioConfig,
     TrajectoryRecord,
     _cubic_state_diffeo,
@@ -538,8 +540,10 @@ def test_simulate_sde_never_constrains_a_non_finite_state(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_sde_overflow_in_the_first_substep_is_a_silent_divergence(monkeypatch):
-    # -0.5 x^3 overflows at x = 1e103: the float step adds and multiplies
-    # without raising, and numpy's warnings stay inside the errstate
+    # -0.5 x^3 overflows at x = 1e103: the float form of the drift returns
+    # numpy's -inf where Python's power raises, the float step adds and
+    # multiplies without raising, and numpy's warnings stay inside the
+    # errstate
     config = ScenarioConfig(model="cubic1d", n_obs=5, x0=[1e103])
     ran = _euler_helpers_run(monkeypatch)
     record = simulate_sde(build_scenario(config), trajectory_rng(0, 0))
@@ -591,7 +595,8 @@ def _clip_near_start(x, ref):
     # large noise on a coarse grid: the Euler scheme blows up in cycle 12
     (ScenarioConfig(model="cubic1d", model_params={"alpha": 10.0}, n_obs=40,
                     sim_substeps=4, seed=0), None, 12, "_euler_floats"),
-    (_linear_1d([[0.7]]), None, None, "_euler_floats"),
+    # the linear model gives no float forms, even at p = 1
+    (_linear_1d([[0.7]]), None, None, "_euler_arrays"),
     # one state, two noise inputs: the (1, 2) @ (2,) product stays on arrays
     (_linear_1d([[0.6, 0.5]]), None, None, "_euler_arrays"),
     # one state under a constraint: the constraint runs on arrays only
@@ -613,6 +618,58 @@ def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, constrain, di
     assert record.diverged_at == loop_diverged_at == diverged_at
     assert np.array_equal(record.truth, truth, equal_nan=True)
     assert np.array_equal(record.observations, observations, equal_nan=True)
+
+
+ONE_POINT_CALLBACKS = ("xi", "dxi", "d2xi_contract", "drift_b", "ddrift_b",
+                       "d2drift_b_contract", "noise_matrix")
+
+
+def test_scalar_models_step_on_floats_without_array_callbacks(monkeypatch):
+    # cubic1d's truth, GIF and EKF, and the GIF in the transformed chart,
+    # run the float Taylor and Euler loops, and no array callback is called
+    # inside them: a model that fell back to the array loops, or a float
+    # loop that called an array xi or dxi, fails here
+    ran, inside, strays = [], [], []
+    for module, name in ((flow, "_taylor_floats"), (flow, "_taylor_arrays"),
+                         (harness, "_euler_floats"), (harness, "_euler_arrays")):
+        def helper(*args, _name=name, _fn=getattr(module, name)):
+            ran.append(_name)
+            inside.append(_name)
+            try:
+                return _fn(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(module, name, helper)
+
+    def watched(model):
+        """``model`` whose one-point array callbacks note each call made
+        inside a loop helper."""
+        def watch(name, fn):
+            def callback(*args):
+                if inside:
+                    strays.append((name, inside[-1]))
+                return fn(*args)
+            return callback
+        return dataclasses.replace(model, **{name: watch(name, getattr(model, name))
+                                             for name in ONE_POINT_CALLBACKS
+                                             if getattr(model, name) is not None})
+
+    n_obs = 4
+    base = build_scenario(ScenarioConfig(model="cubic1d", n_obs=n_obs, seed=2))
+    cubic = dataclasses.replace(base, diffusion=watched(base.diffusion))
+    record = run_filters(cubic, simulate_sde(cubic, trajectory_rng(2, 0)))
+    tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(Cubic1DParams())
+    mu0 = np.array([phi(float(base.mu0[0]))])
+    transformed = Scenario(ScenarioConfig(model="cubic1d", n_obs=n_obs, filters=("gif",)),
+                           watched(tr_model), lambda t: tr_obs, mu0, mu0,
+                           dphi(float(base.mu0[0])) ** 2 * base.sigma0)
+    tr_record = run_filters(transformed, TrajectoryRecord(record.times, phi(record.truth),
+                                                          record.observations))
+    assert not any(rec.aborted[f].any() for rec, f in
+                   ((record, "gif"), (record, "ekf"), (tr_record, "gif")))
+    # one Euler loop per simulated cycle, one Taylor loop per filter cycle
+    assert Counter(ran) == {"_euler_floats": n_obs, "_taylor_floats": 3 * n_obs}
+    assert strays == []
 
 
 def _hand_written_euler_observations(params, delta, n_steps, seed):

@@ -1,8 +1,12 @@
 """Tests for the one-dimensional cubic benchmark model."""
 
+import math
+
 import numpy as np
 import pytest
 
+from gifilter.ekf import ekf_predict
+from gifilter.errors import DivergenceError
 from gifilter.filter import FilterConfig, filter_step, gain, rho_build
 from gifilter.flow import FlowGrid, flow_second_fundamental_form, integrate_flow, precompute
 from gifilter.models.cubic1d import Cubic1DParams
@@ -16,6 +20,33 @@ def test_params_validation():
         Cubic1DParams(p_crit=0.0)
     with pytest.raises(ValueError):
         Cubic1DParams(alpha=-1.0)
+
+
+@pytest.mark.parametrize("name", ["p_crit", "alpha", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(name, value):
+    # a NaN passed the sign test, and an infinite alpha made the noise
+    # loading sqrt(alpha) infinite
+    with pytest.raises(ValueError, match="p_crit, alpha and beta must be positive"):
+        Cubic1DParams(**{name: value})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu, step", [(1e20, 2), (1e30, 2), (1e103, 1), (-1e103, 1),
+                                      (1e155, 1), (math.inf, 1), (math.nan, 1)])
+def test_an_overflowing_flow_ends_as_a_divergence(cubic_models, mu, step):
+    # from 1e103 the drift's x^3 passes the float range at once, from 1e155
+    # its slope's x^2, and from 1e20 or 1e30 the cube after one step: the
+    # float forms return numpy's infinity where Python's power raises, so
+    # the GIF's precompute and the EKF's prediction end in the arrays'
+    # DivergenceError, with no OverflowError and no warning
+    model = cubic_models[0]
+    mean, cov = np.array([mu]), np.array([[0.1]])
+    with pytest.raises(DivergenceError) as gif:
+        precompute(model, mean, cov, FlowGrid(1.0, 8))
+    with pytest.raises(DivergenceError) as ekf:
+        ekf_predict(model, (mean, cov), 1.0, 8)
+    assert gif.value.step == ekf.value.step == step
 
 
 def test_drift_and_observation_values(cubic_models, cubic_params):

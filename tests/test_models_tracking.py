@@ -1,5 +1,7 @@
 """Tests for the 9-D constrained target-tracking model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,32 @@ def test_params_validation():
         Tracking9DParams(s0=0.0)
     with pytest.raises(ValueError):
         Tracking9DParams(s1=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, message", [
+    ("lam", "lam and gamma_noise must be positive"),
+    ("gamma_noise", "lam and gamma_noise must be positive"),
+    ("s0", "s0, s5 and sigma_f must be positive"),
+    ("s5", "s0, s5 and sigma_f must be positive"),
+    ("sigma_f", "s0, s5 and sigma_f must be positive"),
+    ("s1", "variance constants must be non-negative"),
+    ("s2", "variance constants must be non-negative"),
+    ("s3", "variance constants must be non-negative"),
+    ("s4", "variance constants must be non-negative"),
+])
+def test_params_reject_non_finite_values(name, message, value):
+    # NaN passed every sign test, and inf every one
+    with pytest.raises(ValueError, match=message):
+        Tracking9DParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["missile_p0", "missile_v0"])
+def test_params_reject_a_non_finite_missile(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Tracking9DParams(**{name: (0.0, math.nan, 0.0)})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Tracking9DParams(**{name: (math.inf, 0.0, 0.0)})
 
 
 def test_state_packing_roundtrip():

@@ -1,10 +1,11 @@
-"""The 1x1 float branches against the LAPACK calls they replace, and a guard
-on how many LAPACK calls one filter or simulation cycle makes.
+"""The 1x1 float branches against the LAPACK calls they replace, the float
+forms of the one-dimensional models against their array callbacks, and a
+guard on how many LAPACK calls one filter or simulation cycle makes.
 
-Each reference below is the array code the branch replaces, run on the
-same 1x1 input: a branch must give its bytes, or raise the same exception
-class, on every value of the table, which covers random values, values
-near e^+-50, 1e+-300, subnormals, +-0.0, +-inf and NaN.
+Each reference below is the array code the branch or form replaces, run on
+the same 1x1 input: a branch must give its bytes, or raise the same
+exception class, on every value of the table, which covers random values,
+values near e^+-50, 1e+-300, subnormals, +-0.0, +-inf and NaN.
 """
 
 import math
@@ -18,7 +19,14 @@ from gifilter.ekf import ekf_step
 from gifilter.errors import IllConditionedFlowError, IllConditionedGainError, SingularMetricError
 from gifilter.filter import filter_step, gain
 from gifilter.geometry import identity, symmetric_condition, symmetrize
-from gifilter.harness import ScenarioConfig, build_scenario, simulate_sde, trajectory_rng
+from gifilter.harness import (
+    ScenarioConfig,
+    build_scenario,
+    simulate_sde,
+    trajectory_rng,
+    transformed_cubic_model,
+)
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.observation import beta_sqrt
 
 _RNG = np.random.default_rng(2024)
@@ -135,6 +143,43 @@ def test_inverse_of_a_scalar_tau_equals_lapack():
             # the branch raises what the array path raises on diag(value, value)
             assert outcome is IllConditionedFlowError, value
             assert _outcome(flow._checked_inverse, np.diag([value, value])) is outcome
+
+
+# --- the float forms against their array callbacks ----------------------------
+
+# where the cubic drift's powers pass the float range, so that Python's
+# power raises: x^3 past 5.6e102 and x^2 past 1.3e154; in the transformed
+# chart, z past 3.6e307, where phi_inv(z) passes 5.6e102
+_POWER_OVERFLOWS = [6e102, -6e102, 2e154, -2e154, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("chart", ["cubic1d", "transformed"])
+def test_float_forms_equal_their_array_callbacks(chart):
+    params = Cubic1DParams()
+    model = (cubic1d_build(params) if chart == "cubic1d" else transformed_cubic_model(params))[0]
+    forms = model.float_forms
+    # Python floats, as the float loops pass them: a numpy scalar's power
+    # would not raise
+    points = VALUES.tolist() + _POWER_OVERFLOWS
+    random_chis = np.random.default_rng(11).choice(VALUES, size=len(points)).tolist()
+    checked = Counter()
+    for value, random_chi in zip(points, random_chis):
+        x = np.array([value])
+        for name in ("xi", "dxi", "drift_b", "ddrift_b", "noise_matrix"):
+            form = getattr(forms, name)
+            if form is not None:
+                assert _outcome(form, value) == _outcome(getattr(model, name), x), (name, value)
+                checked[name] += 1
+        for name in ("d2xi_contract", "d2drift_b_contract"):
+            form = getattr(forms, name)
+            for chi in (0.37, random_chi) if form is not None else ():
+                assert (_outcome(form, value, chi)
+                        == _outcome(getattr(model, name), x, np.array([[chi]]))), (name, value, chi)
+                checked[name] += 1
+    # cubic1d gives every form, the transformed chart the xi forms
+    expected = (("xi", "dxi", "d2xi_contract", "drift_b", "ddrift_b", "d2drift_b_contract",
+                 "noise_matrix") if chart == "cubic1d" else ("xi", "dxi", "d2xi_contract"))
+    assert sorted(checked) == sorted(expected)
 
 
 # --- how many LAPACK calls one cycle makes ----------------------------------------
