@@ -10,11 +10,7 @@ class SingularMetricError(FilterNumericsError):
 
 
 class DivergenceError(FilterNumericsError):
-    """An integration produced non-finite values."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """An integration produced non-finite values (at a step it does not name)."""
 
 
 class IllConditionedFlowError(FilterNumericsError):

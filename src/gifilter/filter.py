@@ -42,6 +42,7 @@ Estimate = tuple[np.ndarray, np.ndarray]
 class FilterConfig:
     """Knobs for one filter track.
 
+    ``delta`` and ``n_substeps`` are checked by building their grid.
     ``collar_enabled`` clamps the quadratic innovation term so its norm never
     exceeds the linear term's; ``quadratic_enabled=False`` drops the quadratic
     term entirely (ablation).
@@ -53,10 +54,7 @@ class FilterConfig:
     quadratic_enabled: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
-        if self.n_substeps < 1:
-            raise ValueError("n_substeps must be >= 1")
+        self.grid()
 
     def grid(self) -> FlowGrid:
         return flow_grid(self.delta, self.n_substeps)
@@ -195,15 +193,14 @@ def update_estimate(
 
 
 def repair_psd(mat: np.ndarray, diag: Optional[FilterDiagnostics] = None) -> np.ndarray:
-    """The symmetrized covariance with negative eigenvalues clipped at zero.
+    """The covariance with negative eigenvalues clipped at zero.
 
-    Each clip is counted in ``diag.psd_repairs`` (when given) and logged at
+    ``mat`` must be symmetric, as every caller's update leaves it.  Each clip is counted in ``diag.psd_repairs`` (when given) and logged at
     debug level with the most negative eigenvalue.  A non-finite entry
     passes through uncounted for the caller's check of the estimate (a NaN
     eigenvalue is not negative), or raises NonFiniteError where the
     eigendecomposition fails on it.
     """
-    mat = symmetrize(mat)
     if mat.shape == (1, 1):
         min_eig = float(mat[0, 0])
         if not min_eig < 0.0:

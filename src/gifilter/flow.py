@@ -87,7 +87,8 @@ class FlowGrid:
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+        if (not isinstance(self.n_steps, numbers.Integral) or isinstance(self.n_steps, bool)
+                or self.n_steps < 1):
             raise ValueError("n_steps must be an integer >= 1")
 
     @property
@@ -103,10 +104,11 @@ class FlowGrid:
         return weights
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def flow_grid(delta: float, n_steps: int) -> FlowGrid:
     """The grid of (delta, n_steps), built once and then shared, so that a
-    filter cycle neither rebuilds it nor its weights."""
+    filter cycle neither rebuilds it nor its weights; typed, so that True
+    never finds the grid of 1."""
     return FlowGrid(delta=delta, n_steps=n_steps)
 
 
@@ -291,9 +293,9 @@ def integrate_flow(
     Returns the state at every grid time, shape (n_steps + 1, dim), and the
     Jacobian Dxi at each of those points, shape (n_steps + 1, dim, dim),
     which the scheme evaluates anyway and :func:`transition_jacobians`
-    reuses.  A non-finite state raises DivergenceError naming its step; the
-    path is checked once, when it is finished, or when a callback raises
-    on a state that has already diverged.  A model with float forms
+    reuses.  A non-finite state raises DivergenceError; the path is
+    checked once, when it is finished, or when a callback raises on a
+    state that has already diverged.  A model with float forms
     (:class:`FloatForms`) steps on Python floats through them
     (:func:`_taylor_floats`), the last Jacobian included; any other steps
     on arrays (:func:`_taylor_arrays`).  Both give the same path bit for
@@ -363,12 +365,11 @@ def _taylor_floats(model: DiffusionModel, h: float, path: np.ndarray,
 
 
 def _check_diverged(path: np.ndarray) -> None:
-    """DivergenceError naming the first step whose state, a row of ``path``
-    past the start, is non-finite."""
-    finite = np.isfinite(path[1:]).all(axis=1)
-    if not finite.all():
-        step = 1 + int(np.argmin(finite))
-        raise DivergenceError(f"flow integration diverged at step {step}", step=step)
+    """DivergenceError when a state of ``path`` past the start is non-finite;
+    it names no step, as a non-finite coordinate stays non-finite through
+    every later Taylor step."""
+    if not np.isfinite(path[1:]).all():
+        raise DivergenceError("flow integration diverged")
 
 
 def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> np.ndarray:

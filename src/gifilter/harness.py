@@ -32,7 +32,7 @@ from .errors import (
 )
 from .filter import Estimate, FilterConfig, FilterDiagnostics, filter_step
 from .flow import DiffusionModel, FloatForms
-from .geometry import SYMMETRY_RTOL, ConnectorField, check_symmetric, flat_connector
+from .geometry import SYMMETRY_RTOL, ConnectorField, check_symmetric
 from .models.cubic1d import Cubic1DParams, cubic1d_build
 from .models.linear import LinearParams, linear_build
 from .models.tracking import (
@@ -421,6 +421,7 @@ def _checked(est: Estimate, dim: int) -> Estimate:
     return est
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecord:
     """Run every enabled filter over the recorded observations.
 
@@ -431,8 +432,9 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
     once by :func:`_checked`: the scenario's mu0 and sigma0 on entry, where
     a bad one raises ValueError, and each step's result inside its attempt,
     where a non-finite one aborts that cycle.  One WARNING per filter names
-    the count of aborted cycles and the first one.  Errors are chart-norm
-    distances between estimate and truth.
+    the count of aborted cycles and the first one.  An overflow is silent,
+    as in :func:`simulate_sde`: it ends as its cycle's abort, not a numpy
+    warning.  Errors are chart-norm distances between estimate and truth.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -747,12 +749,12 @@ def transformed_cubic_model(params: Cubic1DParams):
     """The cubic benchmark model pushed through phi(x) = x + CHART_COEFF x^3.
 
     Drift, noise, connector, and observation function transform by the chain
-    rule; the observation space is left untouched.  Used to probe coordinate
-    invariance of the filter.
+    rule; the observation space is left untouched, and the observation
+    callbacks are cubic1d's own composed with phi's inverse.  Used to probe
+    coordinate invariance of the filter.
     """
     phi, dphi, d2phi, d3phi, phi_inv = _cubic_state_diffeo()
     alpha0 = params.alpha
-    p_crit = params.p_crit
 
     def base_xi(x: float) -> float:
         try:
@@ -829,30 +831,21 @@ def transformed_cubic_model(params: Cubic1DParams):
         float_forms=FloatForms(xi=xi_form, dxi=dxi_form, d2xi_contract=d2xi_contract_form),
     )
 
+    base = cubic1d_build(params)[1]
+
     def psi(xt):
-        x = phi_inv(xt[0])
-        return np.array([x / (p_crit + x * x)])
-
-    def base_dpsi(x):
-        return (p_crit - x * x) / (p_crit + x * x) ** 2
-
-    def base_d2psi(x):
-        return 2.0 * x * (x * x - 3.0 * p_crit) / (p_crit + x * x) ** 3
+        return base.psi(phi_inv(xt))
 
     def dpsi(xt):
-        x = phi_inv(xt[0])
-        return np.array([[base_dpsi(x) / dphi(x)]])
+        x = phi_inv(xt)
+        return base.dpsi(x) / dphi(x)
 
     def d2psi(xt):
-        x = phi_inv(xt[0])
+        x = phi_inv(xt)
         fp, fpp = dphi(x), d2phi(x)
-        return np.array([[[base_d2psi(x) / fp ** 2 - base_dpsi(x) * fpp / fp ** 3]]])
+        return base.d2psi(x) / fp ** 2 - base.dpsi(x) * fpp / fp ** 3
 
-    observation = ObservationModel(
-        dim_obs=1, psi=psi, dpsi=dpsi, d2psi=d2psi,
-        beta=lambda y: np.array([[params.beta]]),
-        conn_obs=flat_connector(1),
-    )
+    observation = dataclasses.replace(base, psi=psi, dpsi=dpsi, d2psi=d2psi)
     return diffusion, observation, (phi, dphi)
 
 

@@ -21,10 +21,9 @@ class LinearParams:
     b_mat: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a_mat", np.asarray(self.a_mat, dtype=float))
-        object.__setattr__(self, "sigma_mat", np.asarray(self.sigma_mat, dtype=float))
-        object.__setattr__(self, "j_mat", np.asarray(self.j_mat, dtype=float))
-        object.__setattr__(self, "b_mat", np.asarray(self.b_mat, dtype=float))
+        names = ("a_mat", "sigma_mat", "j_mat", "b_mat")
+        for name in names:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         p = self.a_mat.shape[0] if self.a_mat.ndim else 0  # states
         m = self.sigma_mat.shape[-1] if self.sigma_mat.ndim else 0  # noise inputs
         q = self.j_mat.shape[0] if self.j_mat.ndim else 0  # observations
@@ -33,6 +32,8 @@ class LinearParams:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {label} = {shape}, "
                                  f"got {getattr(self, name).shape}")
+        if not all(np.isfinite(getattr(self, name)).all() for name in names):
+            raise ValueError("a_mat, sigma_mat, j_mat and b_mat must be finite")
         eigs = np.linalg.eigvalsh(0.5 * (self.b_mat + self.b_mat.T))
         if eigs[0] <= 0.0:
             raise ValueError("observation covariance b_mat must be SPD")

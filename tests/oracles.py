@@ -159,7 +159,7 @@ def geodesic_flow(
         zet = zet + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         fmat = fmat + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         if not (np.all(np.isfinite(gam)) and np.all(np.isfinite(zet))):
-            raise DivergenceError(f"geodesic flow diverged at step {k}", step=k)
+            raise DivergenceError(f"geodesic flow diverged at step {k}")
     return gam, fmat[:p, :p]
 
 

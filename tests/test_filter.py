@@ -478,3 +478,10 @@ def test_config_validation():
         FilterConfig(delta=0.0)
     with pytest.raises(ValueError):
         FilterConfig(delta=1.0, n_substeps=0)
+    # the config's grid is its one check: a fraction used to construct and
+    # fail at the first step, and True to run one substep; the cached grid
+    # of 1 must not stand in for True
+    FilterConfig(delta=1.0, n_substeps=1).grid()
+    for n_substeps in (True, 2.5):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+            FilterConfig(delta=1.0, n_substeps=n_substeps)

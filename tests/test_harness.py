@@ -405,6 +405,44 @@ def test_nan_covariance_through_repair_psd_aborts_the_cycle(monkeypatch, name, m
     assert record.diagnostics[name].psd_repairs == 0
 
 
+def test_repair_psd_receives_exactly_symmetric_matrices(monkeypatch):
+    # repair_psd does not symmetrize: each update that feeds it ends in
+    # symmetrize, flat or not, on one-, three- and nine-dimensional states
+    seen = []
+
+    def checked(module):
+        repair = module.repair_psd
+
+        def wrapped(mat, diag=None):
+            seen.append((module.__name__, np.array_equal(mat, mat.T)))
+            return repair(mat, diag)
+        return wrapped
+
+    for module in (gfilter, gekf):
+        monkeypatch.setattr(module, "repair_psd", checked(module))
+    for model, delta, n_obs in (("cubic1d", 1.0, 30), ("tracking9d", 0.1, 5)):
+        scenario = build_scenario(ScenarioConfig(model=model, delta=delta, n_obs=n_obs, seed=1))
+        run_filters(scenario, simulate_sde(scenario, trajectory_rng(1, 0)))
+    # the GIF of the invariance study, also in its distorted chart, whose
+    # connector is not flat, and on the flat three-dimensional linear model
+    invariance_check(n_steps=20)
+    kalman_check(n_steps=20)
+    assert {name for name, _ in seen} == {"gifilter.filter", "gifilter.ekf"}
+    assert len(seen) >= 2 * 30 + 2 * 5 + 4 * 20 + 20
+    assert all(symmetric for _, symmetric in seen)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_update_aborts_its_cycles_without_a_warning():
+    # extreme cubic on 4 substeps: the EKF estimate runs off, and its
+    # update's observation callbacks overflow outside the flow's errstate;
+    # the cycles abort, and no numpy warning leaks from them
+    scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=400, n_substeps=4,
+                                             seed=0, filters=("ekf",)))
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(0, 0)))
+    assert record.aborted["ekf"].any()
+
+
 def test_a_singular_flow_aborts_the_gif_cycle_instead_of_crashing():
     # tau_0^delta underflows to 0 on every grid: each attempt raises the
     # retried IllConditionedFlowError (it used to be numpy's bare

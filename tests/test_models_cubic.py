@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gifilter import flow
 from gifilter.ekf import ekf_predict
 from gifilter.errors import DivergenceError
 from gifilter.filter import FilterConfig, filter_step, gain, rho_build
@@ -42,11 +43,17 @@ def test_an_overflowing_flow_ends_as_a_divergence(cubic_models, mu, step):
     # DivergenceError, with no OverflowError and no warning
     model = cubic_models[0]
     mean, cov = np.array([mu]), np.array([[0.1]])
-    with pytest.raises(DivergenceError) as gif:
+    with pytest.raises(DivergenceError):
         precompute(model, mean, cov, FlowGrid(1.0, 8))
-    with pytest.raises(DivergenceError) as ekf:
+    with pytest.raises(DivergenceError):
         ekf_predict(model, (mean, cov), 1.0, 8)
-    assert gif.value.step == ekf.value.step == step
+    # the error names no step; the Taylor path is finite before ``step``
+    # and non-finite from there on
+    path, jacs = np.zeros((9, 1)), np.empty((9, 1, 1))
+    path[0] = mean
+    flow._taylor_floats(model, 1.0 / 8, path, jacs)
+    finite = np.isfinite(path[:, 0])
+    assert finite[1:step].all() and not finite[step:].any()
 
 
 def test_drift_and_observation_values(cubic_models, cubic_params):

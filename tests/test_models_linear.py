@@ -13,6 +13,16 @@ def test_params_require_spd_observation_covariance():
         LinearParams(np.eye(2), np.eye(2), np.eye(2), np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("name", ["a_mat", "sigma_mat", "j_mat", "b_mat"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_values(name, value):
+    # a NaN drift or an infinite noise loading used to construct
+    mats = {"a_mat": [[-1.0]], "sigma_mat": [[1.0]], "j_mat": [[1.0]], "b_mat": [[1.0]]}
+    mats[name] = [[value]]
+    with pytest.raises(ValueError, match="a_mat, sigma_mat, j_mat and b_mat must be finite"):
+        LinearParams(**mats)
+
+
 def test_structure_is_exactly_linear(linear_models):
     model, obs = linear_models
     rng = np.random.default_rng(91)
