@@ -62,7 +62,7 @@ FIELD_TYPES = {
     "bool": (bool, "true or false"),
     "str": (str, "a string"),
     "dict": (dict, "an object"),
-    "tuple": (tuple, "a list"),
+    "tuple": (tuple, "a tuple"),
 }
 
 
@@ -175,7 +175,9 @@ REQUIRED_CONFIG_FIELDS = ("model", "n_obs")
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from parsed JSON, naming any missing field."""
+    """Build a ScenarioConfig from a parsed JSON object, naming a missing or mistyped field."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config must be a JSON object, got {raw!r}")
     for name in REQUIRED_CONFIG_FIELDS:
         if name not in raw:
             raise ValueError(f"missing config field: {name}")
@@ -185,7 +187,10 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     clean = dict(raw)
     if "filters" in clean:
-        clean["filters"] = tuple(clean["filters"])
+        filters = clean["filters"]
+        if not isinstance(filters, list) or not all(isinstance(f, str) for f in filters):
+            raise ValueError(f"filters must be a list of strings, got {filters!r}")
+        clean["filters"] = tuple(filters)
     return ScenarioConfig(**clean)
 
 
@@ -718,79 +723,86 @@ def kalman_check(seed: int = 20240817, n_steps: int = 200) -> dict:
 CHART_COEFF = 0.2  # the distorted chart is phi(x) = x + CHART_COEFF x^3
 
 
-def _cubic_state_diffeo():
-    """phi(x) = x + c x^3, c = CHART_COEFF > 0, with derivatives and inverse.
+# phi, its derivatives and its inverse each take a float or an array
+def phi(x):
+    return x + CHART_COEFF * x ** 3
 
-    All five take floats or arrays.  ``phi_inv`` is the one real root of
-    c x^3 + x - z = 0 in closed form (the hyperbolic form of Cardano's
-    formula): x = 2 / sqrt(3 c) sinh(asinh(1.5 sqrt(3 c) z) / 3).
-    """
+
+def dphi(x):
+    return 1.0 + 3.0 * CHART_COEFF * x ** 2
+
+
+def d2phi(x):
+    return 6.0 * CHART_COEFF * x
+
+
+def d3phi(x):
+    return 6.0 * CHART_COEFF
+
+
+def phi_inv(z):
+    """The one real root x of c x^3 + x - z = 0, c = CHART_COEFF > 0, in
+    closed form (the hyperbolic form of Cardano's formula):
+    x = 2 / sqrt(3 c) sinh(asinh(1.5 sqrt(3 c) z) / 3)."""
     root = math.sqrt(3.0 * CHART_COEFF)
-
-    def phi(x: float) -> float:
-        return x + CHART_COEFF * x ** 3
-
-    def dphi(x: float) -> float:
-        return 1.0 + 3.0 * CHART_COEFF * x ** 2
-
-    def d2phi(x: float) -> float:
-        return 6.0 * CHART_COEFF * x
-
-    def d3phi(x: float) -> float:
-        return 6.0 * CHART_COEFF
-
-    def phi_inv(z):
-        return 2.0 / root * np.sinh(np.arcsinh(1.5 * root * z) / 3.0)
-
-    return phi, dphi, d2phi, d3phi, phi_inv
+    return 2.0 / root * np.sinh(np.arcsinh(1.5 * root * z) / 3.0)
 
 
-def transformed_cubic_model(params: Cubic1DParams):
+def transformed_cubic_model(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationModel]:
     """The cubic benchmark model pushed through phi(x) = x + CHART_COEFF x^3.
 
-    Drift, noise, connector, and observation function transform by the chain
-    rule; the observation space is left untouched, and the observation
-    callbacks are cubic1d's own composed with phi's inverse.  Used to probe
-    coordinate invariance of the filter.
+    Drift, noise, connector and observation map transform by the chain
+    rule, the observation space is left untouched, and the drift and the
+    observation map are cubic1d's own at x = phi_inv(z): the drift its
+    float forms, so that its arithmetic is written there alone.  Each
+    drift callback has one body for floats and arrays.  ``xi`` and ``dxi``
+    take one point, converted with ``float`` after phi_inv, so that a form
+    and its array give the same bits.  The contraction's coefficient also
+    runs over whole paths, where numpy's array ``x ** 3`` is its vector
+    power, not the libm pow of a float's ``**``; so it keeps its own
+    ``np.power(x, 3)`` and ``x * x`` and takes from cubic1d only the -3x
+    of ``d2xi_contract``.  Used to probe coordinate invariance of the filter.
     """
-    phi, dphi, d2phi, d3phi, phi_inv = _cubic_state_diffeo()
+    base_model, base_obs = cubic1d_build(params)
+    base = base_model.float_forms
     alpha0 = params.alpha
 
-    def base_xi(x: float) -> float:
-        try:
-            return -0.5 * x ** 3
-        except OverflowError:  # a float's power past the range: numpy's inf
-            return -0.5 * math.copysign(math.inf, x)
+    def xi_form(z):
+        x = float(phi_inv(z))
+        return dphi(x) * base.xi(x)
 
-    def base_dxi(x: float) -> float:
-        return -1.5 * x ** 2
+    def dxi_form(z):
+        x = float(phi_inv(z))
+        return base.dxi(x) + d2phi(x) * base.xi(x) / dphi(x)
 
-    def base_d2xi(x: float) -> float:
-        return -3.0 * x
+    def d2xi_coeff(x, cube):
+        """The coefficient of chi at x = phi_inv(z), given cube = np.power(x, 3)."""
+        fp, fpp = 1.0 + 3.0 * CHART_COEFF * (x * x), d2phi(x)
+        xi0 = -0.5 * cube
+        return (base.d2xi_contract(x, 1.0)
+                + (d3phi(x) * xi0 + fpp * (-1.5 * (x * x))) / fp
+                - fpp * fpp * xi0 / (fp * fp)) / fp
+
+    def d2xi_contract_form(z, chi):
+        x = float(phi_inv(z))
+        return d2xi_coeff(x, float(np.power(x, 3))) * chi
 
     def xi(xt):
-        x = phi_inv(xt[0])
-        return np.array([dphi(x) * base_xi(x)])
+        return np.array([xi_form(xt[0])])
 
     def dxi(xt):
-        x = phi_inv(xt[0])
-        return np.array([[base_dxi(x) + d2phi(x) * base_xi(x) / dphi(x)]])
+        return np.array([[dxi_form(xt[0])]])
 
     def d2xi_contract(xt, chi):
         x = phi_inv(xt)
-        fp, fpp, fppp = dphi(x), d2phi(x), d3phi(x)
-        val = (base_d2xi(x)
-               + (fppp * base_xi(x) + fpp * base_dxi(x)) / fp
-               - fpp ** 2 * base_xi(x) / fp ** 2) / fp
-        return val * chi[..., 0, :]
+        return d2xi_coeff(x, np.power(x, 3)) * chi[..., 0, :]
+
+    def drift_b(xt):
+        return xi(xt) + 0.5 * alpha0 * d2phi(phi_inv(xt))
 
     def alpha(xt):
         x = phi_inv(xt)
         return (dphi(x) ** 2 * alpha0)[..., None]
-
-    def drift_b(xt):
-        x = phi_inv(xt[0])
-        return np.array([dphi(x) * base_xi(x) + 0.5 * alpha0 * d2phi(x)])
 
     def gamma(xt, u, v):
         x = phi_inv(xt[..., :1])
@@ -802,27 +814,6 @@ def transformed_cubic_model(params: Cubic1DParams):
         dcoef = -fppp / fp ** 3 + 2.0 * fpp ** 2 / fp ** 4
         return dcoef * w[..., :1] * (u[..., :1] * v[..., :1])
 
-    # The float forms of xi, dxi and d2xi_contract.  phi_inv keeps numpy's
-    # sinh and arcsinh, which the arrays use.  d2xi_contract runs on
-    # arrays, where numpy forms x ** 2 as x * x and x ** 3 by its vector
-    # power, so its form does the same.
-    def xi_form(z):
-        x = float(phi_inv(z))
-        return dphi(x) * base_xi(x)
-
-    def dxi_form(z):
-        x = float(phi_inv(z))
-        return base_dxi(x) + d2phi(x) * base_xi(x) / dphi(x)
-
-    def d2xi_contract_form(z, chi):
-        x = float(phi_inv(z))
-        fp, fpp, fppp = 1.0 + 3.0 * CHART_COEFF * (x * x), d2phi(x), d3phi(x)
-        xi0 = -0.5 * float(np.power(x, 3))
-        val = (base_d2xi(x)
-               + (fppp * xi0 + fpp * (-1.5 * (x * x))) / fp
-               - fpp * fpp * xi0 / (fp * fp)) / fp
-        return val * chi
-
     conn = ConnectorField(dim=1, gamma=gamma, dgamma=dgamma)
 
     diffusion = DiffusionModel(
@@ -831,22 +822,20 @@ def transformed_cubic_model(params: Cubic1DParams):
         float_forms=FloatForms(xi=xi_form, dxi=dxi_form, d2xi_contract=d2xi_contract_form),
     )
 
-    base = cubic1d_build(params)[1]
-
     def psi(xt):
-        return base.psi(phi_inv(xt))
+        return base_obs.psi(phi_inv(xt))
 
     def dpsi(xt):
         x = phi_inv(xt)
-        return base.dpsi(x) / dphi(x)
+        return base_obs.dpsi(x) / dphi(x)
 
     def d2psi(xt):
         x = phi_inv(xt)
         fp, fpp = dphi(x), d2phi(x)
-        return base.d2psi(x) / fp ** 2 - base.dpsi(x) * fpp / fp ** 3
+        return base_obs.d2psi(x) / fp ** 2 - base_obs.dpsi(x) * fpp / fp ** 3
 
-    observation = dataclasses.replace(base, psi=psi, dpsi=dpsi, d2psi=d2psi)
-    return diffusion, observation, (phi, dphi)
+    observation = dataclasses.replace(base_obs, psi=psi, dpsi=dpsi, d2psi=d2psi)
+    return diffusion, observation
 
 
 def invariance_check(seed: int = 7, n_steps: int = 1000) -> dict:
@@ -874,7 +863,7 @@ def invariance_check(seed: int = 7, n_steps: int = 1000) -> dict:
             model="cubic1d", model_params=model_params, delta=delta, n_obs=n_steps,
             n_substeps=64, sim_substeps=50, seed=seed, filters=("gif",), max_refinements=0))
         record = run_filters(base, simulate_sde(base, trajectory_rng(seed, 0)))
-        tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(Cubic1DParams(**model_params))
+        tr_model, tr_obs = transformed_cubic_model(Cubic1DParams(**model_params))
         x0 = float(base.mu0[0])
         mu0 = np.array([phi(x0)])
         transformed = Scenario(base.config, tr_model, lambda t: tr_obs, mu0, mu0,

@@ -31,22 +31,19 @@ class Cubic1DParams:
 
 
 def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationModel]:
+    """The diffusion and observation models of ``params``.
+
+    The drift is written once, in its float forms (:class:`FloatForms`):
+    ``xi`` and ``dxi`` call theirs on their one entry, a numpy scalar, and
+    ``d2xi_contract`` on ``chi[..., 0, :]``, so each array does its form's
+    operations and gives its bits.  Where a float's ``**`` raises
+    OverflowError, the forms return numpy's +-inf instead.
+    """
     p_crit = params.p_crit
     beta_mat = np.array([[params.beta]])
     loading = math.sqrt(params.alpha)
     noise = np.array([[loading]])
 
-    def xi(x):
-        return np.array([-0.5 * x[0] ** 3])
-
-    def dxi(x):
-        return np.array([[-1.5 * x[0] ** 2]])
-
-    def d2xi_contract(x, chi):
-        return -3.0 * x * chi[..., 0, :]
-
-    # The float forms: the same operations on Python floats, where a power
-    # past the float range gives numpy's infinity instead of raising
     def xi_form(x):
         try:
             return -0.5 * x ** 3
@@ -61,6 +58,15 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
 
     def d2xi_contract_form(x, chi):
         return -3.0 * x * chi
+
+    def xi(x):
+        return np.array([xi_form(x[0])])
+
+    def dxi(x):
+        return np.array([[dxi_form(x[0])]])
+
+    def d2xi_contract(x, chi):
+        return d2xi_contract_form(x, chi[..., 0, :])
 
     diffusion = DiffusionModel(
         dim=1,

@@ -48,8 +48,8 @@ def test_criterion_1_kalman_equivalence():
     start = time.time()
     report = kalman_check(n_steps=200)
     elapsed = time.time() - start
-    detail = (f"max rel deviation mean {report['max_rel_mean_deviation']:.2e}, "
-              f"cov {report['max_rel_cov_deviation']:.2e} (<= 1e-8), {elapsed:.1f}s (< 5s)")
+    detail = (f"max rel deviation mean {report['max_rel_mean_deviation']!r}, "
+              f"cov {report['max_rel_cov_deviation']!r} (<= 1e-8), {elapsed:.1f}s (< 5s)")
     _report(1, report["passed"] and elapsed < 5.0, detail)
 
 
@@ -57,9 +57,9 @@ def test_criterion_2_coordinate_invariance_scaling():
     start = time.time()
     report = invariance_check(n_steps=1000)
     elapsed = time.time() - start
-    detail = (f"mismatch ratio {report['ratio']:.1f} in [8, 32] "
-              f"(full {report['mismatch_full_noise']:.3e}, "
-              f"half {report['mismatch_half_noise']:.3e}), {elapsed:.1f}s (< 60s)")
+    detail = (f"mismatch ratio {report['ratio']!r} in [8, 32] "
+              f"(full {report['mismatch_full_noise']!r}, "
+              f"half {report['mismatch_half_noise']!r}), {elapsed:.1f}s (< 60s)")
     _report(2, report["passed"] and elapsed < 60.0, detail)
 
 

@@ -156,6 +156,13 @@ def test_zero_substeps_flag_exits_one(tmp_path, cubic_config, capsys):
     ({"model": "tracking9d", "model_params": {}, "n_obs": 2,
       "mu0": [9000, 2000, 3000, 0, 0, 0, 0, 0, 20]},
      "mu0 has speed 0, below the tracking9d speed floor 1e-06"),
+    # filters 5 and null used to raise a TypeError out of cli_main, "gif" to
+    # report the unknown filter 'g', and {"gif": 1} to run the GIF
+    ({"filters": 5}, "filters must be a list of strings, got 5"),
+    ({"filters": None}, "filters must be a list of strings, got None"),
+    ({"filters": "gif"}, "filters must be a list of strings, got 'gif'"),
+    ({"filters": {"gif": 1}}, "filters must be a list of strings, got {'gif': 1}"),
+    ({"filters": ["gif", 1]}, "filters must be a list of strings, got ['gif', 1]"),
 ])
 def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, capsys, change,
                                                     named):
@@ -168,6 +175,17 @@ def test_mistyped_config_exits_one_naming_the_field(tmp_path, cubic_config, caps
     assert cli_main(["filter", "--config", str(cubic_config), "--out", str(tmp_path)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+
+@pytest.mark.parametrize("text", ["3", '["model", "n_obs"]'])
+def test_a_config_that_is_not_an_object_exits_one(tmp_path, capsys, text):
+    # the number used to raise a TypeError out of cli_main, and the list to
+    # report a missing model
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli_main(["filter", "--config", str(path), "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: a config must be a JSON object, got {json.loads(text)!r}"]
 
 
 def test_simulate_from_a_tracking_start_without_speed_exits_one(tmp_path, cubic_config, capsys):

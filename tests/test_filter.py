@@ -136,7 +136,7 @@ def _oracle_cases(name, tracking_models):
         model, obs = cubic1d_build(Cubic1DParams())
         return model, obs, np.array([1.0]), np.array([[0.01]]), FlowGrid(1.0, 32)
     if name == "transformed_cubic":
-        model, obs, _ = transformed_cubic_model(Cubic1DParams())
+        model, obs = transformed_cubic_model(Cubic1DParams())
         return model, obs, np.array([0.9]), np.array([[0.02]]), FlowGrid(1.0, 32)
     model, obs = tracking_models
     x0 = np.array([9000.0, 2000.0, 3000.0, -200.0, 80.0, 0.0, 0.0, 0.0, 20.0])

@@ -20,13 +20,15 @@ from gifilter.harness import (
     Scenario,
     ScenarioConfig,
     TrajectoryRecord,
-    _cubic_state_diffeo,
     _step_with_refinement,
     build_scenario,
     config_from_dict,
+    dphi,
     invariance_check,
     kalman_check,
     kalman_reference_run,
+    phi,
+    phi_inv,
     run_benchmark,
     run_filters,
     simulate_sde,
@@ -58,6 +60,12 @@ def test_config_rejects_a_repeated_filter():
     # used to run the GIF twice and write its columns twice
     with pytest.raises(ValueError, match=r"filters must name each filter once, got \['gif', "):
         ScenarioConfig(filters=("gif", "gif"))
+
+
+def test_config_asks_python_code_for_a_tuple_of_filters():
+    # used to say "filters must be a list", which a list did not satisfy
+    with pytest.raises(ValueError, match=r"filters must be a tuple, got \['gif'\]"):
+        ScenarioConfig(filters=["gif"])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -696,7 +704,7 @@ def test_scalar_models_step_on_floats_without_array_callbacks(monkeypatch):
     base = build_scenario(ScenarioConfig(model="cubic1d", n_obs=n_obs, seed=2))
     cubic = dataclasses.replace(base, diffusion=watched(base.diffusion))
     record = run_filters(cubic, simulate_sde(cubic, trajectory_rng(2, 0)))
-    tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(Cubic1DParams())
+    tr_model, tr_obs = transformed_cubic_model(Cubic1DParams())
     mu0 = np.array([phi(float(base.mu0[0]))])
     transformed = Scenario(ScenarioConfig(model="cubic1d", n_obs=n_obs, filters=("gif",)),
                            watched(tr_model), lambda t: tr_obs, mu0, mu0,
@@ -728,7 +736,7 @@ def _hand_written_invariance_mismatch(params, delta, sigma0, n_steps, n_substeps
     """The invariance study's former filter loop, both charts interleaved."""
     base_model, base_obs = cubic1d_build(params)
     assert harness.CHART_COEFF == 0.2  # the chart the former loop ran in
-    tr_model, tr_obs, (phi, dphi) = transformed_cubic_model(params)
+    tr_model, tr_obs = transformed_cubic_model(params)
     ys = _hand_written_euler_observations(params, delta, n_steps, seed)
     cfg = FilterConfig(delta=delta, n_substeps=n_substeps)
     mu0 = 0.3
@@ -997,7 +1005,7 @@ def test_kalman_check_equals_step_loop_bit_for_bit(seed, n_steps):
 def test_transformed_model_internally_consistent():
     # chain-rule transform must satisfy the same drift-correction identity
     # as any registered model, and match finite differences of its own pieces
-    model, obs, (phi, dphi) = transformed_cubic_model(Cubic1DParams())
+    model, obs = transformed_cubic_model(Cubic1DParams())
     rng = np.random.default_rng(66)
     for _ in range(200):
         xt = np.array([phi(rng.uniform(-1.3, 1.3))])
@@ -1014,9 +1022,39 @@ def test_transformed_model_internally_consistent():
         assert abs(fd_psi[0] - obs.dpsi(xt)[0, 0]) < 2e-7 * max(1.0, abs(fd_psi[0]))
 
 
+def test_the_chart_drift_composes_cubic1d_float_forms(monkeypatch):
+    # with cubic1d's drift forms doubled, the chart's xi, dxi and drift_b
+    # follow: doubling is exact, so xi and dxi double bit for bit, and
+    # drift_b gains one more xi; the contraction's -3x term doubles too
+    chart, _ = transformed_cubic_model(Cubic1DParams())
+
+    def doubled_drift(params):
+        model, obs = cubic1d_build(params)
+        forms = model.float_forms
+        doubled = dataclasses.replace(
+            forms, xi=lambda x: 2.0 * forms.xi(x), dxi=lambda x: 2.0 * forms.dxi(x),
+            d2xi_contract=lambda x, chi: 2.0 * forms.d2xi_contract(x, chi))
+        return dataclasses.replace(model, float_forms=doubled), obs
+
+    monkeypatch.setattr(harness, "cubic1d_build", doubled_drift)
+    doubled, _ = transformed_cubic_model(Cubic1DParams())
+    chi = np.array([[0.7]])
+    for z in np.linspace(-2.0, 2.0, 41):
+        zt = np.array([z])
+        x = float(phi_inv(z))
+        assert doubled.xi(zt).tolist() == (2.0 * chart.xi(zt)).tolist()
+        assert doubled.dxi(zt).tolist() == (2.0 * chart.dxi(zt)).tolist()
+        assert doubled.float_forms.xi(z) == 2.0 * chart.float_forms.xi(z)
+        assert doubled.float_forms.dxi(z) == 2.0 * chart.float_forms.dxi(z)
+        assert np.allclose(doubled.drift_b(zt), chart.drift_b(zt) + chart.xi(zt),
+                           rtol=1e-13, atol=1e-15)
+        extra = -3.0 * x * 0.7 / dphi(x)
+        assert np.allclose(doubled.d2xi_contract(zt, chi),
+                           chart.d2xi_contract(zt, chi) + extra, rtol=1e-13, atol=1e-15)
+
+
 @pytest.mark.parametrize("as_array", [False, True])
 def test_closed_form_phi_inv_inverts_phi(as_array):
-    phi, _, _, _, phi_inv = _cubic_state_diffeo()
     assert phi(1.0) == 1.0 + harness.CHART_COEFF
     mags = np.logspace(-12, 6, 2001)
     zs = np.concatenate([mags, -mags])
