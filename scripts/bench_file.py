@@ -6,8 +6,12 @@ keeps the last JSON line of every run; it measures nothing itself.  Given
 ``--pairs N`` it runs each workload's ``--trace 0`` N times per checkout,
 alternating which checkout goes first, then one ``--trace 1`` run per
 workload and checkout; every run is perfbench's own length.  With
-``--tier1`` it also times the Tier-1 suite of each checkout and keeps its
-``ACCEPTANCE`` lines, which give the times of criteria 1-3.  Every call
+``--tier1`` it also times the Tier-1 suite of each checkout once and keeps
+its ``ACCEPTANCE`` lines, which give the times of criteria 1-3; then it
+runs criteria 1 and 2 alone ``CRITERIA_RUNS`` times per checkout,
+alternating which checkout goes first, and keeps each side's times of
+the two as lists, since one run of each cannot tell a change from the
+host's noise.  Every call
 also runs ``scripts/output_digest.py`` once in each checkout and keeps its
 digest lines, one per workload and one over all of them, with a
 per-workload ``outputs_identical``, so a claim of bit-identical outputs is
@@ -43,6 +47,7 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("cubic-long", "cubic-ensemble", "tracking")
+CRITERIA_RUNS = 5
 
 
 def _env() -> dict:
@@ -84,25 +89,45 @@ def run_perfbench(root: Path, workload: str, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def run_tier1(root: Path) -> dict:
-    """Wall time of the Tier-1 suite, its ACCEPTANCE lines, and the times of
-    criteria 1-3 as those lines report them."""
+def _pytest(root: Path, *args: str) -> tuple[subprocess.CompletedProcess, float]:
+    """One pytest run in checkout ``root`` on its ``src/``, and its wall time."""
     env = _env()
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH")
                                  else "")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rP",
-                           "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+                           "-p", "no:cacheprovider", *args],
                           cwd=root, capture_output=True, text=True, env=env)
-    out = {"wall_s": time.perf_counter() - start, "exit_code": done.returncode,
+    return done, time.perf_counter() - start
+
+
+def criterion_times(stdout: str, numbers) -> dict:
+    """``criterion_<n>_s`` for each n of ``numbers``: the time its
+    ``ACCEPTANCE`` line in ``stdout`` reports, None without one."""
+    out = {}
+    for number in numbers:
+        found = re.search(rf"^ACCEPTANCE {number}: .* ([\d.]+)s \(< [\d.]+s\)",
+                          stdout, re.MULTILINE)
+        out[f"criterion_{number}_s"] = float(found.group(1)) if found else None
+    return out
+
+
+def run_tier1(root: Path) -> dict:
+    """Wall time of the Tier-1 suite, its ACCEPTANCE lines, and the times of
+    criteria 1-3 as those lines report them."""
+    done, wall = _pytest(root, "--continue-on-collection-errors")
+    out = {"wall_s": wall, "exit_code": done.returncode,
            "summary": done.stdout.strip().splitlines()[-1],
            "acceptance": [line for line in done.stdout.splitlines()
                           if line.startswith("ACCEPTANCE ")]}
-    for number in (1, 2, 3):
-        found = re.search(rf"^ACCEPTANCE {number}: .* ([\d.]+)s \(< [\d.]+s\)",
-                          done.stdout, re.MULTILINE)
-        out[f"criterion_{number}_s"] = float(found.group(1)) if found else None
-    return out
+    return dict(out, **criterion_times(done.stdout, (1, 2, 3)))
+
+
+def run_criteria(root: Path) -> dict:
+    """The times of acceptance criteria 1 and 2, run alone in checkout
+    ``root``, as their ACCEPTANCE lines report them."""
+    done, _ = _pytest(root, "tests/test_acceptance.py", "-k", "criterion_1 or criterion_2")
+    return criterion_times(done.stdout, (1, 2))
 
 
 DIGEST_LINE = re.compile(r"^\S+ [0-9a-f]{64}( \(\d+ configs\))?$")
@@ -242,11 +267,24 @@ def main(argv=None) -> int:
         for side in ("parent", "change"):
             if not have("tier1", side=side):
                 record({"kind": "tier1", "side": side, "result": run_tier1(roots[side])})
+        for index in range(CRITERIA_RUNS):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            for side in order:
+                if not have("criteria", side=side, index=index):
+                    record({"kind": "criteria", "side": side, "index": index,
+                            "result": run_criteria(roots[side])})
 
     import numpy
     import scipy
 
     runs = [e for e in done if e["kind"] == "perfbench"]
+    tier1 = {e["side"]: e["result"] for e in done if e["kind"] == "tier1"}
+    for side, result in tier1.items():
+        criteria = sorted((e for e in done if e["kind"] == "criteria" and e["side"] == side),
+                          key=lambda e: e["index"])
+        for number in (1, 2):
+            result[f"criterion_{number}_runs_s"] = [
+                e["result"][f"criterion_{number}_s"] for e in criteria]
     digests = {e["side"]: e["lines"] for e in done if e["kind"] == "digest"}
     directions = metric_directions(roots["change"] / "BENCHMARK.json")
     bench = {
@@ -261,7 +299,7 @@ def main(argv=None) -> int:
         "revisions": revisions,
         "source_lines": source_lines(roots["parent"], roots["change"]),
         "runs": runs,
-        "tier1": {e["side"]: e["result"] for e in done if e["kind"] == "tier1"},
+        "tier1": tier1,
         "output_digest": dict(digests, comparison=compare_digests(digests["parent"],
                                                                   digests["change"])),
         "trace0_summary": summarize(runs, directions),

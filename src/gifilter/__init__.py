@@ -20,6 +20,7 @@ from .errors import (
     FilterNumericsError,
     IllConditionedFlowError,
     IllConditionedGainError,
+    IndefiniteCovarianceError,
     NonFiniteError,
     SingularMetricError,
     SingularObservationError,
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .filter import (
     FilterConfig,
-    FilterDiagnostics,
     assimilate,
     filter_step,
     gain,

@@ -64,6 +64,8 @@ def _load_config(args) -> "ScenarioConfig":
         overrides["seed"] = args.seed
     if args.filters is not None:
         overrides["filters"] = tuple(f.strip() for f in args.filters.split(",") if f.strip())
+        if not overrides["filters"]:
+            raise ValueError(f"--filters must name at least one filter, got {args.filters!r}")
     if args.no_collar:
         overrides["collar_enabled"] = False
     if args.no_quadratic:

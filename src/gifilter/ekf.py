@@ -12,14 +12,12 @@ update is the standard first-order correction.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 # flow's functions are looked up on the module at each call, so that a
 # wrapper installed there (a tracer, a test double) sees the EKF's calls too
 from . import flow
-from .filter import Estimate, FilterDiagnostics, gain, repair_psd
+from .filter import Estimate, gain, repair_psd
 from .flow import DiffusionModel
 from .geometry import identity, symmetrize
 from .observation import ObservationModel, wrap_angles
@@ -45,14 +43,10 @@ def ekf_predict(
     return path[-1], covs[-1]
 
 
-def ekf_update(
-    pred: Estimate,
-    obs: ObservationModel,
-    y_obs: np.ndarray,
-    diag: Optional[FilterDiagnostics] = None,
-) -> Estimate:
+def ekf_update(pred: Estimate, obs: ObservationModel, y_obs: np.ndarray) -> Estimate:
     """Standard first-order measurement update with angular residual wrap,
-    using the GIF's :func:`gifilter.filter.gain` for the Kalman gain."""
+    using the GIF's :func:`gifilter.filter.gain` and, on the covariance,
+    :func:`gifilter.filter.repair_psd`."""
     m, cov = pred
     jac = np.asarray(obs.dpsi(m), dtype=float)
     y_pred = obs.psi(m)
@@ -60,7 +54,7 @@ def ekf_update(
     residual = wrap_angles(np.asarray(y_obs, dtype=float) - y_pred, obs.angular_mask)
     m_new = m + k_gain @ residual
     cov_new = symmetrize((identity(m.size) - k_gain @ jac) @ cov)
-    return m_new, repair_psd(cov_new, diag)
+    return m_new, repair_psd(cov_new)
 
 
 def ekf_step(
@@ -70,8 +64,7 @@ def ekf_step(
     y_obs: np.ndarray,
     delta: float,
     n_substeps: int = 8,
-    diag: Optional[FilterDiagnostics] = None,
 ) -> Estimate:
-    """One predict-update cycle."""
+    """One predict-update cycle: :func:`ekf_predict`, then :func:`ekf_update`."""
     pred = ekf_predict(model, est, delta, n_substeps)
-    return ekf_update(pred, obs, y_obs, diag=diag)
+    return ekf_update(pred, obs, y_obs)

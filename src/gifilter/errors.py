@@ -21,6 +21,10 @@ class IllConditionedGainError(FilterNumericsError):
     """The innovation matrix in the gain solve is numerically singular."""
 
 
+class IndefiniteCovarianceError(FilterNumericsError):
+    """An updated covariance is indefinite beyond rounding: its update failed."""
+
+
 class SingularStateError(FilterNumericsError):
     """A state violates the domain of the model (e.g. vanishing speed)."""
 

@@ -11,9 +11,10 @@ from typing import Optional
 import numpy as np
 
 from . import flow
-from .errors import IllConditionedGainError, NonFiniteError
+from .errors import IllConditionedGainError, IndefiniteCovarianceError, NonFiniteError
 from .flow import FlowGrid, DiffusionModel, PropagationBundle, flow_grid, precompute
 from .geometry import (
+    SYMMETRY_RTOL,
     ConnectorField,
     barycenter_correction,
     exp_map_series,
@@ -58,14 +59,6 @@ class FilterConfig:
 
     def grid(self) -> FlowGrid:
         return flow_grid(self.delta, self.n_substeps)
-
-
-@dataclass
-class FilterDiagnostics:
-    """Mutable counters for numerics events across a filter run (aborted
-    cycles are recorded per cycle in ``TrajectoryRecord.aborted``)."""
-
-    psd_repairs: int = 0
 
 
 def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
@@ -192,20 +185,21 @@ def update_estimate(
     return mu_hat, symmetrize(fmat @ sigma @ fmat.T)
 
 
-def repair_psd(mat: np.ndarray, diag: Optional[FilterDiagnostics] = None) -> np.ndarray:
-    """The covariance with negative eigenvalues clipped at zero.
+def repair_psd(mat: np.ndarray) -> np.ndarray:
+    """The updated covariance ``mat``, held to the PSD rule that ``sigma0`` meets.
 
-    ``mat`` must be symmetric, as every caller's update leaves it.  Each clip is counted in ``diag.psd_repairs`` (when given) and logged at
-    debug level with the most negative eigenvalue.  A non-finite entry
-    passes through uncounted for the caller's check of the estimate (a NaN
-    eigenvalue is not negative), or raises NonFiniteError where the
-    eigendecomposition fails on it.
+    ``mat`` must be symmetric, as every caller's update leaves it.  An
+    eigenvalue below zero by at most ``SYMMETRY_RTOL`` times max|mat| is
+    rounding, clipped at zero and logged at debug level; one lower, as is
+    any negative 1x1 entry, means the update failed and raises
+    IndefiniteCovarianceError.  A non-finite entry passes through for the
+    caller's check of the estimate (a NaN eigenvalue is not negative), or
+    raises NonFiniteError where the eigendecomposition fails on it.
     """
     if mat.shape == (1, 1):
         min_eig = float(mat[0, 0])
         if not min_eig < 0.0:
             return mat
-        repaired = np.zeros((1, 1))
     else:
         try:
             eigs, vecs = np.linalg.eigh(mat)
@@ -214,11 +208,10 @@ def repair_psd(mat: np.ndarray, diag: Optional[FilterDiagnostics] = None) -> np.
         min_eig = float(eigs[0])
         if not min_eig < 0.0:
             return mat
-        repaired = (vecs * np.clip(eigs, 0.0, None)) @ vecs.T
-    if diag is not None:
-        diag.psd_repairs += 1
-    logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
-    return repaired
+        if min_eig >= -SYMMETRY_RTOL * float(np.abs(mat).max()):
+            logger.debug("covariance eigenvalue floor applied (min eig %.3e)", min_eig)
+            return (vecs * np.clip(eigs, 0.0, None)) @ vecs.T
+    raise IndefiniteCovarianceError(f"covariance is indefinite, has eigenvalue {min_eig:g}")
 
 
 def filter_step(
@@ -227,13 +220,12 @@ def filter_step(
     est: Estimate,
     y_obs: np.ndarray,
     config: FilterConfig,
-    diag: Optional[FilterDiagnostics] = None,
 ) -> Estimate:
     """One full filter cycle: propagate the estimate and assimilate one observation.
 
-    Deterministic given its inputs.  An ill-conditioned gain raises
-    IllConditionedGainError without modifying the estimate; the caller
-    decides whether to skip the observation or stop the track.
+    Deterministic given its inputs.  An ill-conditioned gain, or an updated
+    covariance :func:`repair_psd` finds indefinite, raises without modifying
+    the estimate; the caller decides whether to skip the observation or stop the track.
     """
     grid = config.grid()
     bundle = precompute(model, *est, grid)
@@ -251,4 +243,4 @@ def filter_step(
         quad = rho_build(model, bundle, grid, g, jac, nabla_dpsi, z_hat)
     mu, sigma = assimilate(bundle, g, jac, z_hat, quad, config)
     mu_hat, sigma_hat = update_estimate(x_delta, mu, sigma, model.conn)
-    return mu_hat, repair_psd(sigma_hat, diag)
+    return mu_hat, repair_psd(sigma_hat)

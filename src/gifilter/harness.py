@@ -30,7 +30,7 @@ from .errors import (
     IllConditionedFlowError,
     NonFiniteError,
 )
-from .filter import Estimate, FilterConfig, FilterDiagnostics, filter_step
+from .filter import Estimate, FilterConfig, filter_step
 from .flow import DiffusionModel, FloatForms
 from .geometry import SYMMETRY_RTOL, ConnectorField, check_symmetric
 from .models.cubic1d import Cubic1DParams, cubic1d_build
@@ -175,7 +175,8 @@ REQUIRED_CONFIG_FIELDS = ("model", "n_obs")
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed JSON object, naming a missing or mistyped field."""
+    """Build a ScenarioConfig from a parsed JSON object, naming a missing or
+    mistyped field or a ``filters`` list naming no filter (simulation passes none)."""
     if not isinstance(raw, dict):
         raise ValueError(f"a config must be a JSON object, got {raw!r}")
     for name in REQUIRED_CONFIG_FIELDS:
@@ -190,6 +191,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         filters = clean["filters"]
         if not isinstance(filters, list) or not all(isinstance(f, str) for f in filters):
             raise ValueError(f"filters must be a list of strings, got {filters!r}")
+        if not filters:
+            raise ValueError("filters must name at least one filter, got []")
         clean["filters"] = tuple(filters)
     return ScenarioConfig(**clean)
 
@@ -270,7 +273,8 @@ def trajectory_rng(seed: int, run_index: int) -> np.random.Generator:
 class TrajectoryRecord:
     """Per-cycle truth, observations, and (once filtered) per filter name the
     ``estimates`` (n_obs, p), ``covariances`` (n_obs, p, p), ``errors`` and
-    ``aborted`` flags (n_obs,); rows past ``n_valid`` are NaN."""
+    ``aborted`` flags (n_obs,); rows past ``n_valid`` are NaN, and an aborted
+    cycle repeats the estimate and covariance of the cycle before."""
 
     times: np.ndarray
     truth: np.ndarray
@@ -280,7 +284,6 @@ class TrajectoryRecord:
     covariances: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
     aborted: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def n_obs(self) -> int:
@@ -436,10 +439,12 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
     its previous estimate.  Estimates are (mu, sigma) arrays, each checked
     once by :func:`_checked`: the scenario's mu0 and sigma0 on entry, where
     a bad one raises ValueError, and each step's result inside its attempt,
-    where a non-finite one aborts that cycle.  One WARNING per filter names
-    the count of aborted cycles and the first one.  An overflow is silent,
-    as in :func:`simulate_sde`: it ends as its cycle's abort, not a numpy
-    warning.  Errors are chart-norm distances between estimate and truth.
+    where a non-finite or indefinite one (see
+    :func:`gifilter.filter.repair_psd`) aborts that cycle.  One WARNING per
+    filter names the count of aborted cycles and the first one.  An overflow
+    is silent, as in :func:`simulate_sde`: it ends as its cycle's abort, not
+    a numpy warning.  Errors are chart-norm distances between estimate and
+    truth.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -447,7 +452,6 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
     base_cfg = config.filter_config()
 
     for name in config.filters:
-        diag = FilterDiagnostics()
         est_rows = np.full((record.n_obs, model.dim), np.nan)
         cov_rows = np.full((record.n_obs, model.dim, model.dim), np.nan)
         err_rows = np.full(record.n_obs, np.nan)
@@ -458,10 +462,10 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
                 lambda nsub: dataclasses.replace(base_cfg, n_substeps=nsub))
 
             def step(nsub, obs_model, st, y):
-                return filter_step(model, obs_model, st, y, config_for(nsub), diag=diag)
+                return filter_step(model, obs_model, st, y, config_for(nsub))
         else:
             def step(nsub, obs_model, st, y):
-                return ekf_step(model, obs_model, st, y, config.delta, nsub, diag=diag)
+                return ekf_step(model, obs_model, st, y, config.delta, nsub)
         state = _checked((np.array(scenario.mu0, dtype=float),
                           np.array(scenario.sigma0, dtype=float)), model.dim)
         for k in range(n):
@@ -486,7 +490,6 @@ def run_filters(scenario: Scenario, record: TrajectoryRecord) -> TrajectoryRecor
         record.covariances[name] = cov_rows
         record.errors[name] = err_rows
         record.aborted[name] = aborted
-        record.diagnostics[name] = diag
     return record
 
 
@@ -525,14 +528,12 @@ def summarize(config: ScenarioConfig, records: list[TrajectoryRecord]) -> Benchm
     """Pool errors across runs and compute the benchmark statistics."""
     pooled = {}
     aborted_counts = {}
-    repairs = {}
     for name in config.filters:
         chunks = [rec.errors[name][: rec.n_valid] for rec in records]
         errs = np.concatenate(chunks) if chunks else np.zeros(0)
         pooled[name] = errs[np.isfinite(errs)]
         aborted_counts[name] = int(sum(rec.aborted[name][: rec.n_valid].sum()
                                        for rec in records))
-        repairs[name] = int(sum(rec.diagnostics[name].psd_repairs for rec in records))
     all_errs = (np.concatenate([pooled[n] for n in config.filters])
                 if config.filters else np.zeros(0))
     n_scored = min((pooled[n].size for n in config.filters), default=0)
@@ -551,7 +552,6 @@ def summarize(config: ScenarioConfig, records: list[TrajectoryRecord]) -> Benchm
             "tail_threshold": tail_threshold,
             "tail_frequency": float(np.mean(errs > tail_threshold)) if errs.size else 0.0,
             "histogram_counts": counts,
-            "psd_repairs": repairs[name],
             "aborted_steps": aborted_counts[name],
         }
     return BenchmarkSummary(config=config, n_scored=int(n_scored),

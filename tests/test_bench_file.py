@@ -71,6 +71,21 @@ def test_directions_come_from_the_benchmark_declaration(bench):
     assert (ROOT / "BENCHMARK.json").read_text() == text
 
 
+def test_criterion_times_come_from_the_acceptance_lines(bench):
+    # the time is the last "<t>s (< <bound>s)" of each criterion's line; a
+    # criterion without a line, or one of another number, reads None
+    stdout = "\n".join([
+        ".. [ 50%]",
+        "ACCEPTANCE 1: PASS - max rel deviation mean 1.98e-09, cov 4.43e-09 (<= 1e-8), "
+        "0.5s (< 5s)",
+        "ACCEPTANCE 2: PASS - mismatch ratio 18.9 in [8, 32] (full 4.254e-06, half "
+        "2.246e-07), 2.3s (< 60s)",
+        "ACCEPTANCE 12: PASS - 7s (< 9s)",
+    ])
+    assert bench.criterion_times(stdout, (1, 2, 3)) == {
+        "criterion_1_s": 0.5, "criterion_2_s": 2.3, "criterion_3_s": None}
+
+
 _HEX = {c: c * 64 for c in "abcd"}
 
 

@@ -188,6 +188,33 @@ def test_a_config_that_is_not_an_object_exits_one(tmp_path, capsys, text):
     assert lines == [f"error: a config must be a JSON object, got {json.loads(text)!r}"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "filter", "benchmark"])
+@pytest.mark.parametrize("flag, change, named", [
+    ([], {"filters": []}, "filters must name at least one filter, got []"),
+    (["--filters", ","], {}, "--filters must name at least one filter, got ','"),
+    (["--filters", ""], {}, "--filters must name at least one filter, got ''"),
+], ids=["config", "flag-comma", "flag-empty"])
+def test_a_filter_list_naming_no_filter_exits_one(tmp_path, cubic_config, capsys, command,
+                                                  flag, change, named):
+    # each used to exit 0 having run no filter: filter wrote a trajectory.csv
+    # without estimates, benchmark a summary.json with no filters
+    cubic_config.write_text(json.dumps(dict(json.loads(cubic_config.read_text()), **change)))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cubic_config), "--out", str(out), *flag]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {named}"]
+    assert not out.exists()
+
+
+def test_summary_reports_seven_statistics_per_filter(tmp_path, cubic_config):
+    assert cli_main(["benchmark", "--config", str(cubic_config), "--out", str(tmp_path)]) == 0
+    per_filter = json.loads((tmp_path / "summary.json").read_text())["filters"]
+    assert sorted(per_filter) == ["ekf", "gif"]
+    for stats in per_filter.values():
+        assert sorted(stats) == sorted([
+            "mean_abs_error", "median_abs_error", "max_abs_error", "tail_threshold",
+            "tail_frequency", "histogram_counts", "aborted_steps"])
+
+
 def test_simulate_from_a_tracking_start_without_speed_exits_one(tmp_path, cubic_config, capsys):
     # used to exit 2 as "speed collapsed during flow evaluation", after a
     # numpy RuntimeWarning

@@ -7,10 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gifilter.errors import IllConditionedGainError
+from gifilter.errors import IllConditionedGainError, IndefiniteCovarianceError
 from gifilter.filter import (
     FilterConfig,
-    FilterDiagnostics,
     assimilate,
     filter_step,
     gain,
@@ -412,12 +411,11 @@ def test_filter_step_contracts_d2xi_once_per_substep_and_path_term(quadratic):
 def test_filter_step_covariance_stays_psd(cubic_models):
     model, obs = cubic_models
     cfg = FilterConfig(delta=1.0, n_substeps=8)
-    diag = FilterDiagnostics()
     rng = np.random.default_rng(46)
     est = (np.array([0.3]), np.array([[0.01]]))
     for k in range(50):
         y = np.array([rng.uniform(-1.6, 1.6)])
-        est = filter_step(model, obs, est, y, cfg, diag=diag)
+        est = filter_step(model, obs, est, y, cfg)
         _, sigma = est
         assert sigma[0, 0] >= 0.0
 
@@ -443,19 +441,20 @@ def test_gain_identity_holds_along_benchmark_run(cubic_models):
 
 
 def test_repair_psd_clips_negative_eigenvalues(caplog):
-    diag = FilterDiagnostics()
+    # an eigenvalue below zero by rounding, here -1e-14 times the largest
+    # entry, is clipped; one below -SYMMETRY_RTOL times it means the update
+    # failed, as does any negative 1x1 entry, and raises
     with caplog.at_level(logging.DEBUG, logger="gifilter.filter"):
-        fixed = repair_psd(np.array([[1.0, 0.0], [0.0, -0.5]]), diag)
-        assert np.array_equal(repair_psd(np.eye(2), diag), np.eye(2))
-        assert np.array_equal(repair_psd(np.array([[-2.0]]), diag), [[0.0]])
-        assert np.array_equal(repair_psd(np.array([[3.0]])), [[3.0]])
-        repair_psd(np.array([[-1.0]]))  # logged, counted nowhere
+        fixed = repair_psd(np.array([[1.0, 0.0], [0.0, -1e-14]]))
+        for psd in (np.eye(2), np.array([[3.0]]), np.zeros((1, 1))):
+            assert repair_psd(psd) is psd
+        for mat in ([[1.0, 0.0], [0.0, -0.5]], [[1.0, 0.0], [0.0, -2e-12]], [[-2.0]]):
+            with pytest.raises(IndefiniteCovarianceError, match="indefinite, has eigenvalue"):
+                repair_psd(np.array(mat))
     assert np.linalg.eigvalsh(fixed)[0] >= 0.0
-    assert diag.psd_repairs == 2
+    assert np.array_equal(fixed, [[1.0, 0.0], [0.0, 0.0]])
     assert [r.getMessage() for r in caplog.records] == [
-        "covariance eigenvalue floor applied (min eig -5.000e-01)",
-        "covariance eigenvalue floor applied (min eig -2.000e+00)",
-        "covariance eigenvalue floor applied (min eig -1.000e+00)",
+        "covariance eigenvalue floor applied (min eig -1.000e-14)",
     ]
 
 
@@ -464,12 +463,10 @@ def test_repair_psd_clips_negative_eigenvalues(caplog):
                          ids=["1x1", "2x2-diagonal", "2x2-off-diagonal"])
 def test_repair_psd_passes_a_nan_through_uncounted(mat, caplog):
     # a NaN eigenvalue is not negative: the matrix reaches the caller's check
-    # of the estimate unrepaired, and no repair is counted or logged
-    diag = FilterDiagnostics()
+    # of the estimate unrepaired, and nothing is raised or logged
     with caplog.at_level(logging.DEBUG, logger="gifilter.filter"):
-        out = repair_psd(np.array(mat), diag)
+        out = repair_psd(np.array(mat))
     assert np.array_equal(out, mat, equal_nan=True)
-    assert diag.psd_repairs == 0
     assert caplog.records == []
 
 

@@ -396,13 +396,13 @@ def test_non_finite_covariance_inside_a_gif_step_aborts_the_cycle(monkeypatch):
 @pytest.mark.parametrize("name, module", [("gif", gfilter), ("ekf", gekf)], ids=["gif", "ekf"])
 def test_nan_covariance_through_repair_psd_aborts_the_cycle(monkeypatch, name, module):
     # a 1x1 NaN covariance has no negative eigenvalue, so repair_psd passes it
-    # through uncounted and the cycle's check of the estimate aborts it
+    # through and the cycle's check of the estimate aborts it
     repair = module.repair_psd
     calls = []
 
-    def second_repair_spoiled(mat, diag=None):
+    def second_repair_spoiled(mat):
         calls.append(None)
-        return repair(np.full_like(mat, np.nan) if len(calls) == 2 else mat, diag)
+        return repair(np.full_like(mat, np.nan) if len(calls) == 2 else mat)
 
     monkeypatch.setattr(module, "repair_psd", second_repair_spoiled)
     scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=3, seed=0, filters=(name,)))
@@ -410,7 +410,29 @@ def test_nan_covariance_through_repair_psd_aborts_the_cycle(monkeypatch, name, m
     assert len(calls) == 3
     assert record.aborted[name].tolist() == [False, True, False]
     assert np.array_equal(record.covariances[name][1], record.covariances[name][0])
-    assert record.diagnostics[name].psd_repairs == 0
+
+
+@pytest.mark.parametrize("model, delta", [("cubic1d", 1.0), ("tracking9d", 0.1)])
+@pytest.mark.parametrize("name, module", [("gif", gfilter), ("ekf", gekf)], ids=["gif", "ekf"])
+def test_indefinite_covariance_aborts_its_cycle(monkeypatch, name, module, model, delta):
+    # an updated covariance negative beyond rounding comes from a failed
+    # update: repair_psd raises on it instead of clipping it, so that cycle
+    # aborts, keeps the previous estimate, and the run goes on
+    repair = module.repair_psd
+    calls = []
+
+    def second_repair_indefinite(mat):
+        calls.append(None)
+        return repair(-mat if len(calls) == 2 else mat)
+
+    monkeypatch.setattr(module, "repair_psd", second_repair_indefinite)
+    scenario = build_scenario(ScenarioConfig(model=model, delta=delta, n_obs=3, seed=0,
+                                             filters=(name,)))
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(0, 0)))
+    assert len(calls) == 3
+    assert record.aborted[name].tolist() == [False, True, False]
+    assert np.array_equal(record.estimates[name][1], record.estimates[name][0])
+    assert np.array_equal(record.covariances[name][1], record.covariances[name][0])
 
 
 def test_repair_psd_receives_exactly_symmetric_matrices(monkeypatch):
@@ -421,9 +443,9 @@ def test_repair_psd_receives_exactly_symmetric_matrices(monkeypatch):
     def checked(module):
         repair = module.repair_psd
 
-        def wrapped(mat, diag=None):
+        def wrapped(mat):
             seen.append((module.__name__, np.array_equal(mat, mat.T)))
-            return repair(mat, diag)
+            return repair(mat)
         return wrapped
 
     for module in (gfilter, gekf):
@@ -855,9 +877,9 @@ def test_run_filters_builds_one_config_per_grid_size(monkeypatch):
     # every cycle of a track on the base grid shares one FilterConfig
     seen = []
 
-    def spy(model, obs, est, y_obs, config, diag=None):
+    def spy(model, obs, est, y_obs, config):
         seen.append(config)
-        return filter_step(model, obs, est, y_obs, config, diag=diag)
+        return filter_step(model, obs, est, y_obs, config)
 
     monkeypatch.setattr(harness, "filter_step", spy)
     config = ScenarioConfig(model="cubic1d", n_obs=6, seed=2, filters=("gif",))
