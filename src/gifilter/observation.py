@@ -50,20 +50,26 @@ class ObservationModel:
     angular_mask: Optional[np.ndarray] = None
 
 
+def _scalar_root(value: float) -> float:
+    """sqrt(b) of the one entry b of a symmetrized 1x1 metric, as eigh's
+    eigenvalue b and eigenvector 1 give it; SingularMetricError when b is
+    not positive.  A NaN entry passes through as it does through eigh."""
+    if value <= 0.0:
+        raise SingularMetricError(f"observation covariance not SPD (min eig {value:.3e})")
+    return math.sqrt(value)
+
+
 def beta_sqrt(beta: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD matrix via eigendecomposition;
     SingularMetricError when its smallest eigenvalue is not positive.
 
-    A 1x1 matrix takes no eigh: its root is sqrt(b) of its one entry b, as
-    eigh's eigenvalue b and eigenvector 1 give it.  A NaN entry passes
-    through as it does through eigh.
+    A 1x1 matrix takes no eigh: its root is :func:`_scalar_root` of its one
+    entry, the rule the scalar branch of :func:`sample_observation` applies
+    too.
     """
     beta = symmetrize(np.asarray(beta, dtype=float))
     if beta.shape == (1, 1):
-        value = float(beta[0, 0])
-        if value <= 0.0:
-            raise SingularMetricError(f"observation covariance not SPD (min eig {value:.3e})")
-        return np.array([[math.sqrt(value)]])
+        return np.array([[_scalar_root(float(beta[0, 0]))]])
     eigs, vecs = np.linalg.eigh(beta)
     if eigs[0] <= 0.0:
         raise SingularMetricError(f"observation covariance not SPD (min eig {eigs[0]:.3e})")
@@ -121,8 +127,21 @@ def sample_observation(
     covariance beta there, pushed to the observation manifold through the
     exponential map of the observation connector.  For a flat observation
     geometry this reduces to Y = psi(X) + beta^(1/2) V.
+
+    A scalar flat observation (``dim_obs == 1``, a flat ``conn_obs`` and no
+    ``angular_mask``, as in cubic1d) is drawn on Python floats, with the
+    same operations in the same order: the 1x1 product formed as
+    ``0.0 + r * n``, as matmul forms it, and ``rng.standard_normal()``
+    drawing the value ``standard_normal(1)`` would.  The observation and
+    the random stream keep their bits.
     """
     y_center = np.asarray(obs.psi(np.asarray(true_state, dtype=float)), dtype=float)
+    if obs.dim_obs == 1 and obs.conn_obs.flat and obs.angular_mask is None:
+        b = float(np.asarray(obs.beta(y_center), dtype=float)[0, 0])
+        y = y_center[0] + (0.0 + _scalar_root(0.5 * (b + b)) * rng.standard_normal())
+        if not math.isfinite(y):
+            raise NonFiniteError("observation has non-finite coordinates")
+        return np.array([y])
     root = beta_sqrt(obs.beta(y_center))
     v = root @ rng.standard_normal(obs.dim_obs)
     if obs.conn_obs.flat:

@@ -86,6 +86,17 @@ def test_criterion_times_come_from_the_acceptance_lines(bench):
         "criterion_1_s": 0.5, "criterion_2_s": 2.3, "criterion_3_s": None}
 
 
+def test_criterion_times_keep_milliseconds(bench):
+    # criteria 1 and 2 print three decimals, criterion 3 one
+    stdout = "\n".join([
+        "ACCEPTANCE 1: PASS - max rel deviation mean 1.98e-09, cov 4.43e-09 (<= 1e-8), "
+        "0.412s (< 5s)",
+        "ACCEPTANCE 3: PASS - (c) mild-regime mean ratio 0.9999 (within 10%); 20.3s (< 600s)",
+    ])
+    assert bench.criterion_times(stdout, (1, 3)) == {
+        "criterion_1_s": 0.412, "criterion_3_s": 20.3}
+
+
 _HEX = {c: c * 64 for c in "abcd"}
 
 

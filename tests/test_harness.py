@@ -37,7 +37,7 @@ from gifilter.harness import (
 )
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.linear import LinearParams, linear_build
-from gifilter.observation import sample_observation
+from gifilter.observation import beta_sqrt, sample_observation
 
 from helpers import collapsing_model
 from oracles import cubic1d_analytic_flow, drift_consistency_residual
@@ -620,7 +620,9 @@ def test_simulate_sde_overflow_in_the_first_substep_is_a_silent_divergence(monke
 
 
 def _per_substep_simulation(scenario, rng):
-    """simulate_sde's former loop, one noise draw per substep."""
+    """simulate_sde's former loop, one noise draw per substep; a flat
+    observation without angular coordinates is drawn by the general
+    formula psi(X) + beta^(1/2) V, not by sample_observation."""
     config, model = scenario.config, scenario.diffusion
     dt = config.delta / config.sim_substeps
     x = np.array(scenario.x0, dtype=float)
@@ -640,7 +642,12 @@ def _per_substep_simulation(scenario, rng):
                     x = model.constrain(x, ref)
             truth[k] = x
             obs_model = scenario.observation_at(float(times[k]))
-            observations[k] = sample_observation(obs_model, x, rng)
+            if obs_model.conn_obs.flat and obs_model.angular_mask is None:
+                y_center = obs_model.psi(x)
+                observations[k] = (y_center + beta_sqrt(obs_model.beta(y_center))
+                                   @ rng.standard_normal(obs_model.dim_obs))
+            else:
+                observations[k] = sample_observation(obs_model, x, rng)
     return truth, observations, None
 
 
@@ -686,6 +693,29 @@ def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, constrain, di
     assert record.diverged_at == loop_diverged_at == diverged_at
     assert np.array_equal(record.truth, truth, equal_nan=True)
     assert np.array_equal(record.observations, observations, equal_nan=True)
+
+
+@pytest.mark.parametrize("config,calls", [
+    (ScenarioConfig(model="cubic1d", n_obs=30, seed=4), 30),
+    (ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=5), 10),
+    (ScenarioConfig(model="cubic1d", model_params={"alpha": 10.0}, n_obs=40,
+                    sim_substeps=4, seed=0), 12),
+    (ScenarioConfig(model="cubic1d", n_obs=5, x0=[1e103]), 0),
+], ids=["cubic1d", "tracking9d", "diverging", "diverging-in-the-first-substep"])
+def test_simulate_sde_draws_every_observation_through_sample_observation(config, calls,
+                                                                        monkeypatch):
+    # perfbench times the draw as the span it wraps around
+    # harness.sample_observation: every simulated cycle calls it once, and
+    # no cycle after a divergence does
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return sample_observation(*args)
+
+    monkeypatch.setattr(harness, "sample_observation", counted)
+    record = simulate_sde(build_scenario(config), trajectory_rng(config.seed, 0))
+    assert len(drawn) == record.n_valid == calls
 
 
 ONE_POINT_CALLBACKS = ("xi", "dxi", "d2xi_contract", "drift_b", "ddrift_b",

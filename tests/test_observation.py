@@ -10,8 +10,10 @@ import scipy.stats
 
 from gifilter.errors import NonFiniteError, SingularMetricError
 from gifilter.flow import FlowGrid, precompute
-from gifilter.geometry import flat_connector
+from gifilter.geometry import ConnectorField, exp_map_series, flat_connector
 from gifilter.harness import ScenarioConfig, build_scenario
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
+from gifilter.models.linear import LinearParams, linear_build
 from gifilter.observation import (
     ObservationModel,
     ailp_observation,
@@ -326,3 +328,99 @@ def test_sample_observation_rejects_nonfinite(bad):
     with pytest.raises(NonFiniteError, match="non-finite") as raised:
         sample_observation(obs, np.zeros(2), np.random.default_rng(0))
     assert isinstance(raised.value, ValueError)
+
+
+# --- the scalar flat observation on floats ---------------------------------------
+
+
+def _general_draw(obs, x, rng):
+    """Y = psi(X) + beta^(1/2) V with the 1x1 root and matmul of the
+    array path, independent of sample_observation."""
+    y_center = np.asarray(obs.psi(np.asarray(x, dtype=float)), dtype=float)
+    return y_center + beta_sqrt(obs.beta(y_center)) @ rng.standard_normal(1)
+
+
+def _scalar_observations():
+    """(state dimension, observation model) of each one-observation flat model."""
+    linear = LinearParams(a_mat=[[-0.5, 0.2], [0.0, -1.0]], sigma_mat=[[0.3], [0.2]],
+                          j_mat=[[2.0, -0.7]], b_mat=[[0.1]])
+    return {
+        "cubic1d-extreme": (1, cubic1d_build(Cubic1DParams())[1]),
+        "cubic1d-mild": (1, cubic1d_build(Cubic1DParams(p_crit=5.0, alpha=1e-4, beta=1e-4))[1]),
+        "linear-one-observation": (2, linear_build(linear)[1]),
+    }
+
+
+def _scalar_obs(psi=lambda x: x.copy(), beta=lambda y: np.array([[0.04]])):
+    """A flat one-observation model of ``psi`` and ``beta``."""
+    return ObservationModel(dim_obs=1, psi=psi, dpsi=lambda x: np.eye(1),
+                            d2psi=lambda x: np.zeros((1, 1, 1)), beta=beta,
+                            conn_obs=flat_connector(1))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize("name", sorted(_scalar_observations()))
+def test_scalar_observation_equals_the_general_formula_bit_for_bit(name, bit_generator,
+                                                                   monkeypatch):
+    dim, obs = _scalar_observations()[name]
+    points = 1.5 * np.random.default_rng(40).standard_normal((1000, dim))
+    # the scalar branch takes no array root: a draw that reached the
+    # general path would fail here
+    monkeypatch.setattr("gifilter.observation.beta_sqrt", None)
+    scalar_rng = np.random.Generator(bit_generator(41))
+    general_rng = np.random.Generator(bit_generator(41))
+    drawn = np.concatenate([sample_observation(obs, x, scalar_rng) for x in points])
+    expected = np.concatenate([_general_draw(obs, x, general_rng) for x in points])
+    assert drawn.tobytes() == expected.tobytes()
+    # the stream moved by one normal per draw on both sides
+    assert scalar_rng.standard_normal() == general_rng.standard_normal()
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0])
+def test_scalar_observation_rejects_a_metric_as_beta_sqrt_does(entry):
+    with pytest.raises(SingularMetricError) as general:
+        beta_sqrt(np.array([[entry]]))
+    obs = _scalar_obs(beta=lambda y: np.array([[entry]]))
+    with pytest.raises(SingularMetricError) as scalar:
+        sample_observation(obs, np.zeros(1), np.random.default_rng(0))
+    assert str(scalar.value) == str(general.value)
+
+
+def test_scalar_observation_with_a_nan_metric_is_not_finite():
+    obs = _scalar_obs(beta=lambda y: np.array([[np.nan]]))
+    assert np.isnan(beta_sqrt(np.array([[np.nan]]))).all()
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        sample_observation(obs, np.zeros(1), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scalar_observation_rejects_a_nonfinite_psi(bad):
+    obs = _scalar_obs(psi=lambda x: np.array([bad]))
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        sample_observation(obs, np.zeros(1), np.random.default_rng(0))
+
+
+def test_one_angular_observation_is_still_wrapped():
+    obs = dataclasses.replace(_scalar_obs(psi=lambda x: np.array([3.5 * np.pi])),
+                              angular_mask=np.array([True]))
+    y = sample_observation(obs, np.zeros(1), np.random.default_rng(42))
+    expected = wrap_angles(_general_draw(obs, np.zeros(1), np.random.default_rng(42)),
+                           obs.angular_mask)
+    assert -np.pi < y[0] <= np.pi
+    assert y.tobytes() == expected.tobytes()
+
+
+def test_one_observation_on_a_curved_connector_still_takes_the_exponential_map():
+    def gamma(x, u, v):
+        return 0.8 * u[..., :1] * v[..., :1]
+
+    def dgamma(x, w, u, v):
+        return np.zeros(np.broadcast_shapes(w.shape, u.shape, v.shape))
+
+    conn = ConnectorField(dim=1, gamma=gamma, dgamma=dgamma)
+    obs = dataclasses.replace(_scalar_obs(), conn_obs=conn)
+    x = np.array([0.3])
+    y = sample_observation(obs, x, np.random.default_rng(43))
+    v = beta_sqrt(obs.beta(x)) @ np.random.default_rng(43).standard_normal(1)
+    assert y.tobytes() == exp_map_series(x, v, conn).tobytes()
+    assert y[0] != (x + v)[0]
