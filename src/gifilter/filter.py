@@ -61,23 +61,59 @@ class FilterConfig:
         return flow_grid(self.delta, self.n_substeps)
 
 
+def scalar_cycle(model: DiffusionModel, obs: ObservationModel) -> bool:
+    """Whether a filter cycle of ``model`` and ``obs`` runs on Python floats.
+
+    It does when both give float forms, the model's with ``alpha``, and
+    both geometries are flat with no angular coordinate: then
+    :func:`filter_step` and :func:`gifilter.ekf.ekf_step` turn the
+    estimate into two floats once, every stage takes its float branch
+    from the type of its arguments, and the result arrays are built once
+    at the end.  The float forms hold a one-dimensional state and a scalar
+    observation.
+    """
+    forms = model.float_forms
+    return (forms is not None and forms.alpha is not None and obs.float_forms is not None
+            and model.conn.flat and obs.conn_obs.flat and obs.angular_mask is None)
+
+
+def _scalar_gain(xi_delta: float, j: float, beta: float) -> float:
+    """:func:`gain` of p = q = 1 on floats, each 1x1 product formed as
+    0.0 + a * b as matmul forms it."""
+    j_xi = 0.0 + j * xi_delta
+    v = (0.0 + j_xi * j) + beta
+    innov = 0.5 * (v + v)
+    # the condition number of a 1x1 matrix is 1 unless it is singular or not finite
+    if not 0.0 < abs(innov) < math.inf:
+        raise IllConditionedGainError(
+            f"innovation matrix condition number exceeds {GAIN_COND_LIMIT:.0e}"
+        )
+    return j_xi / innov
+
+
 def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
     """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a linear solve.
 
     With a scalar state and a scalar innovation (p = q = 1) the solve is
     the float division b / a of J Xi by the innovation, which gives the
-    bits of LAPACK's solve with its one right-hand side; any other shape
-    keeps the LAPACK solve.
+    bits of LAPACK's solve with its one right-hand side, and the
+    condition test of the innovation needs no eigvalsh
+    (:func:`_scalar_gain`, which the floats of a scalar flat cycle call
+    directly); any other shape keeps the LAPACK calls.
     """
+    if isinstance(j, float):
+        return _scalar_gain(xi_delta, j, beta_at_ydelta)
     j = np.asarray(j, dtype=float)
+    beta_at_ydelta = np.asarray(beta_at_ydelta, dtype=float)
+    if j.shape == (1, 1):
+        return np.array([[_scalar_gain(float(xi_delta[0, 0]), float(j[0, 0]),
+                                       float(beta_at_ydelta[0, 0]))]])
     j_xi = j @ xi_delta
-    innov = symmetrize(j_xi @ j.T + np.asarray(beta_at_ydelta, dtype=float))
+    innov = symmetrize(j_xi @ j.T + beta_at_ydelta)
     if symmetric_condition(innov) > GAIN_COND_LIMIT:
         raise IllConditionedGainError(
             f"innovation matrix condition number exceeds {GAIN_COND_LIMIT:.0e}"
         )
-    if j_xi.shape == (1, 1):
-        return np.array([[float(j_xi[0, 0]) / float(innov[0, 0])]])
     return np.linalg.solve(innov, j_xi).T
 
 
@@ -102,8 +138,19 @@ def rho_build(
     linear in S, so the quadratic term and its mean are one contraction:
     under the innovation distribution E[z (x) z] = J Xi_delta J^T + beta,
     hence E[Gz (x) Gz] = G (J Xi J^T + beta) G^T = G J Xi_delta, and S has
-    zero mean.
+    zero mean.  The floats of a scalar flat cycle give a float, each 1x1
+    product formed as 0.0 + a * b, as matmul and einsum form it.
     """
+    if isinstance(g, float):
+        gz = 0.0 + g * z_hat
+        g_j = 0.0 + g * j
+        g_j_xi = 0.0 + g_j * bundle.xi_delta
+        s = gz * gz - 0.5 * (g_j_xi + g_j_xi)
+        back = bundle.tau_delta_0
+        flow_term = flow.flow_second_fundamental_form(model, bundle.x_path, bundle.from_start,
+                                                      bundle.to_end, grid,
+                                                      0.0 + (0.0 + back * s) * back)
+        return 0.5 * ((0.0 + (1.0 - g_j) * flow_term) - (0.0 + g * (0.0 + nabla_dpsi * s)))
     gz = g @ z_hat
     s = np.outer(gz, gz) - symmetrize(g @ j @ bundle.xi_delta)
     back = bundle.tau_delta_0
@@ -122,7 +169,10 @@ def pull_back_observation(
     """Pull the observation back to the tangent space at the predicted point.
 
     Z = w + (1/2) Gamma_bar(y_delta)(w (x) w), w the wrapped chart residual.
+    On the floats of a scalar flat cycle, Z is the difference.
     """
+    if isinstance(y_delta, float):
+        return y_obs - y_delta
     w = wrap_angles(
         np.asarray(y_obs, dtype=float) - np.asarray(y_delta, dtype=float), angular_mask
     )
@@ -149,8 +199,21 @@ def assimilate(
     innovation distribution, so the correction adds no bias.  The collar
     rescales the quadratic part so its norm never exceeds the linear
     part's.  Returns the tangent-space mean at x_delta and the conditional
-    covariance (I - GJ) Xi_delta, symmetrized.
+    covariance (I - GJ) Xi_delta, symmetrized; floats for the floats of a
+    scalar flat cycle.
     """
+    if isinstance(g, float):
+        linear = 0.0 + g * z_hat
+        mu = bundle.m_delta + linear
+        if quad is not None:
+            if config.collar_enabled:
+                nq = math.sqrt(quad * quad)
+                nl = math.sqrt(linear * linear)
+                if nq > nl and nq > 0.0:
+                    quad = quad * (nl / nq)
+            mu = mu + quad
+        cov = 0.0 + (1.0 - (0.0 + g * j)) * bundle.xi_delta
+        return mu, 0.5 * (cov + cov)
     linear = g @ z_hat
     mu = bundle.m_delta + linear
     if quad is not None:
@@ -173,7 +236,8 @@ def update_estimate(
 
     The barycenter-corrected tangent vector is pushed through the
     third-order series exponential map, and the covariance through that
-    map's derivative F = I - Gamma(x_delta)(v, .), as F sigma F^T.
+    map's derivative F = I - Gamma(x_delta)(v, .), as F sigma F^T.  On a
+    flat connector the floats of a scalar flat cycle give floats.
     """
     v = barycenter_correction(mu, sigma, state_conn, x_delta)
     if state_conn.flat:
@@ -194,10 +258,11 @@ def repair_psd(mat: np.ndarray) -> np.ndarray:
     any negative 1x1 entry, means the update failed and raises
     IndefiniteCovarianceError.  A non-finite entry passes through for the
     caller's check of the estimate (a NaN eigenvalue is not negative), or
-    raises NonFiniteError where the eigendecomposition fails on it.
+    raises NonFiniteError where the eigendecomposition fails on it.  The
+    float covariance of a scalar flat cycle is its own eigenvalue.
     """
-    if mat.shape == (1, 1):
-        min_eig = float(mat[0, 0])
+    if isinstance(mat, float) or mat.shape == (1, 1):
+        min_eig = mat if isinstance(mat, float) else float(mat[0, 0])
         if not min_eig < 0.0:
             return mat
     else:
@@ -226,16 +291,28 @@ def filter_step(
     Deterministic given its inputs.  An ill-conditioned gain, or an updated
     covariance :func:`repair_psd` finds indefinite, raises without modifying
     the estimate; the caller decides whether to skip the observation or stop the track.
+
+    A cycle that :func:`scalar_cycle` admits, cubic1d's, turns (mu, sigma)
+    and the observation into Python floats once and passes floats through
+    every stage, each of which takes its float branch from the type of its
+    arguments; the (1,) and (1, 1) result arrays are built once, at the
+    end.  Every stage is still called, and gives the array path's bits.
     """
     grid = config.grid()
+    scalar = scalar_cycle(model, obs)
+    if scalar:
+        est, y_obs = _floats(est, y_obs)
+        psi, dpsi, beta = obs.float_forms.psi, obs.float_forms.dpsi, obs.float_forms.beta
+    else:
+        psi, dpsi, beta = obs.psi, obs.dpsi, obs.beta
     bundle = precompute(model, *est, grid)
     x_delta = bundle.x_delta
-    y_delta = obs.psi(x_delta)
-    jac = np.asarray(obs.dpsi(x_delta), dtype=float)
+    y_delta = psi(x_delta)
+    jac = dpsi(x_delta) if scalar else np.asarray(dpsi(x_delta), dtype=float)
     nabla_dpsi = map_second_fundamental_form(obs, model.conn, x_delta, jac, y_delta)
     obs_ailp = ailp_observation(bundle, nabla_dpsi, jac)
 
-    g = gain(bundle.xi_delta, jac, obs.beta(y_delta))
+    g = gain(bundle.xi_delta, jac, beta(y_delta))
     z_delta = pull_back_observation(y_delta, y_obs, obs.conn_obs, obs.angular_mask)
     z_hat = z_delta - obs_ailp
     quad = None
@@ -243,4 +320,16 @@ def filter_step(
         quad = rho_build(model, bundle, grid, g, jac, nabla_dpsi, z_hat)
     mu, sigma = assimilate(bundle, g, jac, z_hat, quad, config)
     mu_hat, sigma_hat = update_estimate(x_delta, mu, sigma, model.conn)
-    return mu_hat, repair_psd(sigma_hat)
+    est = mu_hat, repair_psd(sigma_hat)
+    return _arrays(est) if scalar else est
+
+
+def _floats(est: Estimate, y_obs: np.ndarray) -> tuple[tuple[float, float], float]:
+    """The one entries of a scalar cycle's (mu, sigma) and observation, as floats."""
+    mu, sigma = est
+    return (float(mu[0]), float(sigma[0, 0])), float(y_obs[0])
+
+
+def _arrays(est: tuple[float, float]) -> Estimate:
+    """The (1,) and (1, 1) arrays of a scalar cycle's float estimate."""
+    return np.array([est[0]]), np.array([[est[1]]])

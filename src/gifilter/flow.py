@@ -45,10 +45,23 @@ last bits.  The array helpers (:func:`_taylor_arrays`,
 model and dimension.  A 1x1 tau_0^delta reaches no LAPACK call either:
 :func:`_checked_inverse` tests |tau| in place of an svd and forms 1 / tau
 in place of ``inv``, with LAPACK's bits.  The filter update does the same
-for 1x1 matrices in :func:`gifilter.filter.gain` (the solve),
-:func:`gifilter.geometry.symmetric_condition` (the eigvalsh) and
-:func:`gifilter.observation.beta_sqrt` (the eigh), so a scalar model's
-cycle makes no LAPACK call at all.
+for 1x1 matrices in :func:`gifilter.filter.gain` (the eigvalsh of its
+condition test and the solve) and :func:`gifilter.observation.beta_sqrt`
+(the eigh), so a scalar model's cycle makes no LAPACK call at all.
+
+A scalar flat cycle (:func:`gifilter.filter.scalar_cycle`, cubic1d's)
+goes further and builds no array between its stages.  Its estimate
+reaches :func:`precompute` and :func:`gifilter.ekf.ekf_predict` as two
+Python floats, and every stage here takes its float branch from the type
+of its arguments: a path, its Jacobians, the per-step maps, the
+variances and the products are lists of floats, and Xi_delta,
+tau_delta^0 and m_delta are floats.  The same float recursions serve the
+1x1 arrays above.  Two steps stay numpy, for their bits: the n per-step
+exponentials of :func:`transition_jacobians`, one ``np.exp`` over a list
+(``math.exp`` differs from it in the last bit on some arguments), and
+each trapezium sum of :func:`_trapezium_floats`, one ``.sum()`` of a
+1-D array, which adds in the pairwise order of the arrays' sum over the
+grid axis, where a Python loop would not.
 """
 
 from __future__ import annotations
@@ -121,11 +134,14 @@ class FloatForms:
     arrays: ``xi``, ``dxi``, ``drift_b`` and ``ddrift_b`` take the
     coordinate x; ``d2xi_contract`` and ``d2drift_b_contract`` take x and
     the one entry chi of the tensor; ``noise_matrix`` returns the one
-    loading entry sigma(x).  A form does its array callback's operations
-    in the same order and gives its bits, a non-finite value included.
-    Where a Python float's ``**`` raises OverflowError, numpy returns
-    +-inf, so a form must return that infinity in place of raising.  The
-    xi forms are required; the b forms are optional, as for the arrays.
+    loading entry sigma(x) and ``alpha`` the one entry of alpha(x).  A
+    form does its array callback's operations in the same order and gives
+    its bits, a non-finite value included.  Where Python float arithmetic
+    raises (``**`` past the float range, a division by zero), numpy
+    returns +-inf or NaN, so a form must return that value in place of
+    raising.  The xi forms are required; the b forms are optional, as for
+    the arrays, and ``alpha`` is needed only by the scalar flat cycle of
+    :func:`gifilter.filter.filter_step` and :func:`gifilter.ekf.ekf_step`.
     """
 
     xi: Callable[[float], float]
@@ -135,6 +151,7 @@ class FloatForms:
     ddrift_b: Optional[Callable[[float], float]] = None
     d2drift_b_contract: Optional[Callable[[float, float], float]] = None
     noise_matrix: Optional[Callable[[float], float]] = None
+    alpha: Optional[Callable[[float], float]] = None
 
 
 @dataclass(frozen=True)
@@ -178,8 +195,10 @@ class DiffusionModel:
     :func:`integrate_flow` then calls the xi forms, and the Euler loop of
     :func:`gifilter.harness.simulate_sde` the ``drift_b`` and
     ``noise_matrix`` forms, in place of the array callbacks, so that no
-    array is built per call; every other use, the whole-path
-    contractions included, keeps the arrays.
+    array is built per call.  A scalar flat cycle (see
+    :func:`gifilter.filter.scalar_cycle`) calls the forms for every use,
+    the whole-path contractions and ``alpha`` included; any other cycle
+    keeps the arrays there.
     """
 
     dim: int
@@ -255,17 +274,19 @@ def _scan_buffer(per_step: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _to_end(per_step: np.ndarray) -> np.ndarray:
+def _to_end(per_step):
     """tau_{t_k}^delta for k = 0..n, shape (n + 1, p, p), from the per-step maps.
 
     Entry k is tau_(n-1) ... tau_k.  On arrays, read in reverse order and
     transposed, the scan's products A_j ... A_0 are the transposes of
     exactly these, so the scan runs on that view of the buffer and leaves
     them in place, in grid order.  A 1x1 map takes the backward recursion
-    of :func:`_to_end_floats`.
+    of :func:`_to_end_floats`, and the list of a float path gives a list.
     """
-    if per_step.shape[-1] == 1:
+    if isinstance(per_step, list):
         return _to_end_floats(per_step)
+    if per_step.shape[-1] == 1:
+        return np.array(_to_end_floats(per_step[:, 0, 0].tolist())).reshape(-1, 1, 1)
     return _to_end_arrays(per_step)
 
 
@@ -276,18 +297,18 @@ def _to_end_arrays(per_step: np.ndarray) -> np.ndarray:
     return buf[1:per_step.shape[0] + 2]
 
 
-def _to_end_floats(per_step: np.ndarray) -> np.ndarray:
+def _to_end_floats(per_step: list) -> list:
     """:func:`_to_end` of 1x1 maps on Python floats, step by step:
     to_end_n = 1 and to_end_k = to_end_(k+1) tau_k."""
     to_end = [1.0]
-    for tau in per_step[::-1, 0, 0].tolist():
+    for tau in reversed(per_step):
         to_end.append(0.0 + to_end[-1] * tau)
-    return np.array(to_end[::-1]).reshape(-1, 1, 1)
+    return to_end[::-1]
 
 
 def integrate_flow(
-    model: DiffusionModel, x0: np.ndarray, grid: FlowGrid
-) -> tuple[np.ndarray, np.ndarray]:
+    model: DiffusionModel, x0, grid: FlowGrid
+) -> tuple:
     """Integrate dx/dt = xi(x) with a one-step third-order Taylor scheme.
 
     Returns the state at every grid time, shape (n_steps + 1, dim), and the
@@ -299,14 +320,22 @@ def integrate_flow(
     (:class:`FloatForms`) steps on Python floats through them
     (:func:`_taylor_floats`), the last Jacobian included; any other steps
     on arrays (:func:`_taylor_arrays`).  Both give the same path bit for
-    bit.  Called outside the callers' errstate, the array steps may show
-    numpy's overflow warnings before the DivergenceError.
+    bit.  A float ``x0``, the start of a scalar flat cycle, gives the path
+    and the Jacobians as two lists of n_steps + 1 floats.  Called outside
+    the callers' errstate, the array steps may show numpy's overflow
+    warnings before the DivergenceError.
     """
-    # zeros: the rows a failed step never reached pass the divergence check
-    path = np.zeros((grid.n_steps + 1, model.dim))
-    jacs = np.empty((grid.n_steps + 1, model.dim, model.dim))
-    path[0] = x0
-    taylor_steps = _taylor_arrays if model.float_forms is None else _taylor_floats
+    on_floats = isinstance(x0, float)
+    if model.float_forms is None:
+        # zeros: the rows a failed step never reached pass the divergence check
+        path = np.zeros((grid.n_steps + 1, model.dim))
+        jacs = np.empty((grid.n_steps + 1, model.dim, model.dim))
+        path[0] = x0
+        taylor_steps = _taylor_arrays
+    else:
+        path = [x0 if on_floats else float(x0[0])] + [0.0] * grid.n_steps
+        jacs = [0.0] * (grid.n_steps + 1)
+        taylor_steps = _taylor_floats
     try:
         taylor_steps(model, grid.step, path, jacs)
     except Exception:
@@ -315,7 +344,9 @@ def integrate_flow(
         _check_diverged(path)
         raise
     _check_diverged(path)
-    return path, jacs
+    if on_floats or model.float_forms is None:
+        return path, jacs
+    return np.array(path)[:, None], np.array(jacs)[:, None, None]
 
 
 def _taylor_arrays(model: DiffusionModel, h: float, path: np.ndarray,
@@ -335,51 +366,61 @@ def _taylor_arrays(model: DiffusionModel, h: float, path: np.ndarray,
     jacs[-1] = model.dxi(x)
 
 
-def _taylor_floats(model: DiffusionModel, h: float, path: np.ndarray,
-                   jacs: np.ndarray) -> None:
-    """:func:`_taylor_arrays` through the model's float forms, on Python floats.
+def _taylor_floats(model: DiffusionModel, h: float, path: list, jacs: list) -> None:
+    """:func:`_taylor_arrays` through the model's float forms, on lists of
+    Python floats: from the state in entry 0 of ``path``, fills entries
+    1..n of ``path`` and every entry of ``jacs``.
 
     The arithmetic is the array step's, operation by operation, with each
     1x1 product a @ b formed as 0.0 + a * b as matmul forms it, so with
-    forms that give their array callbacks' bits every row equals the
+    forms that give their array callbacks' bits every entry equals the
     array path's bit for bit.  Float arithmetic overflows to inf without
     raising or warning, as the arrays do under the callers' errstate.
     """
     forms = model.float_forms
     xi_at, dxi_at, d2xi_contract = forms.xi, forms.dxi, forms.d2xi_contract
-    n = path.shape[0] - 1
-    states = path.reshape(-1)
-    slopes = jacs.reshape(-1)
+    n = len(path) - 1
     h2 = 0.5 * h * h
     h3 = h ** 3 / 6.0
-    x = float(states[0])
+    x = path[0]
     for k in range(n):
         xi = xi_at(x)
         dxi = dxi_at(x)
-        slopes[k] = dxi
+        jacs[k] = dxi
         dxi_xi = 0.0 + dxi * xi
         third = d2xi_contract(x, xi * xi) + (0.0 + dxi * dxi_xi)
         x = x + h * xi + h2 * dxi_xi + h3 * third
-        states[k + 1] = x
-    slopes[n] = dxi_at(x)
+        path[k + 1] = x
+    jacs[n] = dxi_at(x)
 
 
-def _check_diverged(path: np.ndarray) -> None:
-    """DivergenceError when a state of ``path`` past the start is non-finite;
-    it names no step, as a non-finite coordinate stays non-finite through
-    every later Taylor step."""
-    if not np.isfinite(path[1:]).all():
+def _check_diverged(path) -> None:
+    """DivergenceError when a state of ``path`` (an array or a list of
+    floats) past the start is non-finite; it names no step, as a
+    non-finite coordinate stays non-finite through every later Taylor
+    step."""
+    if isinstance(path, list):
+        finite = all(map(math.isfinite, path[1:]))
+    else:
+        finite = np.isfinite(path[1:]).all()
+    if not finite:
         raise DivergenceError("flow integration diverged")
 
 
-def transition_jacobians(jacs: np.ndarray, grid: FlowGrid) -> np.ndarray:
+def transition_jacobians(jacs, grid: FlowGrid):
     """Per-step transition maps tau_{t_k}^{t_(k+1)}, k = 0..n-1, shape (n, p, p).
 
     tau over one sub-interval is exp((h/2) [Dxi(x_u) + Dxi(x_t)]), from the
     Jacobians at the grid points (shape (n + 1, p, p)), all n of them in
-    one stacked exponential.  Called outside the callers' errstate, a sum
-    past the float range may show numpy's overflow warnings.
+    one stacked exponential.  The list of a float path gives a list: its n
+    arguments, formed on floats, go through one ``np.exp``, whose bits
+    ``math.exp`` does not always give.  Called outside the callers'
+    errstate, a sum past the float range may show numpy's overflow
+    warnings.
     """
+    if isinstance(jacs, list):
+        half_step = 0.5 * grid.step
+        return np.exp([half_step * (a + b) for a, b in zip(jacs, jacs[1:])]).tolist()
     return _expm(0.5 * grid.step * (jacs[:-1] + jacs[1:]))
 
 
@@ -401,11 +442,17 @@ def propagate_covariance(
     steps 0..k sends 0 to Xi_(k+1), so one scan of :func:`_compose_scan`
     gives every Xi and, as the products of the same compositions,
     tau_0^{t_k}.  A 1x1 map takes the step-by-step recursion of
-    :func:`_covariance_floats`.
+    :func:`_covariance_floats`; the lists and float ``sigma0`` of a
+    scalar flat cycle give it two lists of floats.
     """
     h_half = 0.5 * grid.step
-    if per_step.shape[-1] == 1:
+    if isinstance(sigma0, float):
         return _covariance_floats(alphas, per_step, sigma0, h_half)
+    if per_step.shape[-1] == 1:
+        xis, from_start = _covariance_floats(alphas[:, 0, 0].tolist(),
+                                             per_step[:, 0, 0].tolist(),
+                                             float(sigma0[0, 0]), h_half)
+        return np.array(xis).reshape(-1, 1, 1), np.array(from_start).reshape(-1, 1, 1)
     return _covariance_arrays(alphas, per_step, sigma0, h_half)
 
 
@@ -430,24 +477,22 @@ def _covariance_arrays(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndar
     return xis, products[:n + 1]
 
 
-def _covariance_floats(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndarray,
-                       h_half: float) -> tuple[np.ndarray, np.ndarray]:
+def _covariance_floats(alphas: list, per_step: list, sigma: float,
+                       h_half: float) -> tuple[list, list]:
     """:func:`propagate_covariance` of 1x1 maps on Python floats, step by
     step: Xi_(k+1) = H_(k+1) + tau_k (Xi_k + H_k) tau_k and
     from_start_(k+1) = tau_k from_start_k."""
-    halves = [h_half * a for a in alphas[:, 0, 0].tolist()]
-    sigma = float(sigma0[0, 0])
+    halves = [h_half * a for a in alphas]
     xis = [0.5 * (sigma + sigma)]
     from_start = [1.0]
-    for k, tau in enumerate(per_step[:, 0, 0].tolist()):
+    for k, tau in enumerate(per_step):
         # 0.0 + a * b drops a zero's sign as a 1x1 matmul does, and
         # 0.5 * (v + v) sends v past half the float range to inf as a
         # symmetrization does: both keep the bits of the matrix recursion
         v = halves[k + 1] + (0.0 + (0.0 + tau * (xis[k] + halves[k])) * tau)
         xis.append(0.5 * (v + v))
         from_start.append(0.0 + tau * from_start[k])
-    return (np.array(xis).reshape(-1, 1, 1),
-            np.array(from_start).reshape(-1, 1, 1))
+    return xis, from_start
 
 
 def ailp_state(
@@ -467,7 +512,13 @@ def ailp_state(
     whole path, ``from_start`` and ``to_end`` the products tau_0^{t_k} and
     tau_{t_k}^delta (each (n + 1, p, p)); returns
     (1/2) {kappa - tau_0^delta Gamma(x_0)(Sigma_0) + Gamma(x_delta)(Xi_delta)}.
+    A scalar flat cycle passes lists, a float ``sigma0`` and a flat
+    connector, and gets a float: its integrand is the float form of
+    ``d2xi_contract`` at each point, summed by :func:`_trapezium_floats`.
     """
+    if isinstance(sigma0, float):
+        d2xi_contract = model.float_forms.d2xi_contract
+        return 0.5 * _trapezium_floats(grid, to_end, list(map(d2xi_contract, x_path, xis)))
     conn = model.conn
     integrand = model.d2xi_contract(x_path, xis)
     if not conn.flat:
@@ -499,8 +550,14 @@ def flow_second_fundamental_form(
     with trapezium weights w_k, tau = tau_0^delta and the products
     ``from_start`` and ``to_end`` as in :func:`ailp_state`; the integrand is
     one ``d2xi_contract`` call over the whole path.  The value is a tangent
-    vector at x_delta.
+    vector at x_delta.  A scalar flat cycle passes lists, a float ``a`` and
+    a flat connector, and gets a float, as in :func:`ailp_state`.
     """
+    if isinstance(a, float):
+        d2xi_contract = model.float_forms.d2xi_contract
+        # from_start @ a @ from_start^T, one 1x1 matmul at a time
+        pulled = [0.0 + (0.0 + f * a) * f for f in from_start]
+        return _trapezium_floats(grid, to_end, list(map(d2xi_contract, x_path, pulled)))
     integrand = model.d2xi_contract(x_path, from_start @ a @ np.swapaxes(from_start, -1, -2))
     weighted = grid.weights[:, None] * integrand
     out = (to_end @ weighted[:, :, None]).sum(axis=0)[:, 0]
@@ -512,12 +569,25 @@ def flow_second_fundamental_form(
     return out
 
 
+def _trapezium_floats(grid: FlowGrid, to_end: list, integrand: list) -> float:
+    """sum_k w_k tau_{t_k}^delta v_k over the grid, with v_k the floats of
+    ``integrand``: the array path's (n + 1, 1, 1) sum, bit for bit.  Each
+    term is formed as 0.0 + e * (w v), as the 1x1 matmul forms it, and the
+    terms are summed by one numpy ``.sum()`` of a 1-D array, which adds
+    them in the pairwise order of the array's ``.sum(axis=0)``, where a
+    Python loop would add them in turn."""
+    terms = [0.0 + e * (w * v) for e, w, v in zip(to_end, grid.weights.tolist(), integrand)]
+    return float(np.array(terms).sum())
+
+
 @dataclass
 class PropagationBundle:
     """All precomputed flow quantities over one inter-observation interval:
     the path (n + 1, p), the products tau_0^{t_k} and tau_{t_k}^delta
     (n + 1, p, p), the inverse tau_delta^0 of tau_0^delta, the propagated
-    covariance Xi_delta and the location correction m_delta."""
+    covariance Xi_delta and the location correction m_delta.  In a scalar
+    flat cycle the path and the products are lists of floats and the rest
+    floats."""
 
     x_path: np.ndarray
     from_start: np.ndarray
@@ -541,10 +611,12 @@ def _checked_inverse(tau: np.ndarray) -> np.ndarray:
     exactly when |tau| is finite and nonzero.  (LAPACK's svd rescales a
     value far from 1 and may return |tau| off by an ulp; no value passes
     or fails on that.)  It is inverted as 1 / tau, the bits of LAPACK's
-    inverse.
+    inverse.  The float tau of a scalar flat cycle is checked alike and
+    gives a float.
     """
-    if tau.shape == (1, 1):
-        value = float(tau[0, 0])
+    scalar = isinstance(tau, float)
+    if scalar or tau.shape == (1, 1):
+        value = tau if scalar else float(tau[0, 0])
         largest = smallest = abs(value)
     elif np.isfinite(tau).all():
         singular = np.linalg.svd(tau, compute_uv=False)
@@ -557,10 +629,10 @@ def _checked_inverse(tau: np.ndarray) -> np.ndarray:
         raise IllConditionedFlowError(
             f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
         )
-    if tau.shape == (1, 1):
+    if scalar or tau.shape == (1, 1):
         reciprocal = 1.0 / value
         off = abs(reciprocal * value - 1.0)
-        inverse = np.array([[reciprocal]])
+        inverse = reciprocal if scalar else np.array([[reciprocal]])
     else:
         inverse = np.linalg.inv(tau)
         off = np.abs(inverse @ tau - identity(tau.shape[0])).max()
@@ -569,9 +641,16 @@ def _checked_inverse(tau: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def precompute(
-    model: DiffusionModel, x0: np.ndarray, sigma0: np.ndarray, grid: FlowGrid
-) -> PropagationBundle:
+def alpha_path(model: DiffusionModel, x_path):
+    """The diffusion variance alpha at every point of ``x_path``: one
+    ``alpha`` call over a path array, or the float form of ``alpha`` at
+    each point of the list of a float path."""
+    if isinstance(x_path, list):
+        return list(map(model.float_forms.alpha, x_path))
+    return model.alpha(x_path)
+
+
+def precompute(model: DiffusionModel, x0, sigma0, grid: FlowGrid) -> PropagationBundle:
     """Run the full flow precomputation from an estimate (x0, sigma0).
 
     The Taylor step evaluates ``xi``, ``dxi`` and ``d2xi_contract`` once per
@@ -579,20 +658,24 @@ def precompute(
     are then evaluated once each, over the whole path.  tau_0^delta is
     checked once, by :func:`_checked_inverse` as soon as the covariance
     scan has formed it.  Overflow is silent and ends as a flow error.
+    Python floats x0 and sigma0, those of a scalar flat cycle, run every
+    stage on floats and give a bundle of floats and lists of floats.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x_path, jacs = integrate_flow(model, x0, grid)
         per_step = transition_jacobians(jacs, grid)
-        alphas = model.alpha(x_path)
+        alphas = alpha_path(model, x_path)
         xis, from_start = propagate_covariance(alphas, per_step, sigma0, grid)
         tau_delta_0 = _checked_inverse(from_start[-1])
         to_end = _to_end(per_step)
         m_delta = ailp_state(model, x_path, alphas, from_start, to_end, xis, sigma0, grid)
+    xi_delta = xis[-1]
     return PropagationBundle(
         x_path=x_path,
         from_start=from_start,
         to_end=to_end,
         tau_delta_0=tau_delta_0,
-        xi_delta=xis[-1].copy(),  # a view would keep the whole path
+        # a view would keep the whole path
+        xi_delta=xi_delta if isinstance(xi_delta, float) else xi_delta.copy(),
         m_delta=m_delta,
     )

@@ -40,13 +40,8 @@ def identity(dim: int) -> np.ndarray:
 def symmetric_condition(mat: np.ndarray) -> float:
     """Condition number max|lambda| / min|lambda| of a symmetric matrix.
 
-    Infinite when the matrix is singular or has non-finite entries.  A 1x1
-    matrix takes no eigvalsh: its condition number is 1 when its entry is
-    finite and nonzero.
+    Infinite when the matrix is singular or has non-finite entries.
     """
-    if mat.shape == (1, 1):
-        value = float(mat[0, 0])
-        return 1.0 if 0.0 < abs(value) < math.inf else math.inf
     if not np.all(np.isfinite(mat)):
         return math.inf
     eigs = np.abs(np.linalg.eigvalsh(mat))
@@ -152,7 +147,11 @@ def barycenter_correction(
 
     Returns mu - (1/3) sum_ijk R_ijk mu^i sigma^jk, with R_ijk the curvature
     vector fields R(d_i, d_j) d_k contracted by linearity in the first slot.
+    On a flat connector the float mu of a scalar flat cycle comes back as
+    it is.
     """
+    if conn.flat and isinstance(mu, float):
+        return mu
     mu = np.asarray(mu, dtype=float)
     if conn.flat or not np.any(mu):
         return mu.copy()

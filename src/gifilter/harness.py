@@ -418,11 +418,19 @@ def _checked(est: Estimate, dim: int) -> Estimate:
     """The estimate (mu, sigma) itself, once it is found to have shapes
     (dim,) and (dim, dim), finite entries and a sigma symmetric within
     ``SYMMETRY_RTOL``: ValueError when it is not, NonFiniteError (also a
-    ValueError) for a non-finite entry."""
+    ValueError) for a non-finite entry.  A one-dimensional estimate is
+    checked on its two entries, with ``math.isfinite``."""
     mu, sigma = est
     if np.shape(mu) != (dim,) or np.shape(sigma) != (dim, dim):
         raise ValueError(f"estimate of shapes {np.shape(mu)} and {np.shape(sigma)} does "
                          f"not match state dimension {dim}")
+    if dim == 1:
+        # a 1x1 sigma is symmetric
+        if not math.isfinite(mu[0]):
+            raise NonFiniteError("state estimate has non-finite coordinates")
+        if not math.isfinite(sigma[0, 0]):
+            raise NonFiniteError("non-finite entries in covariance")
+        return est
     if not np.isfinite(mu).all():
         raise NonFiniteError("state estimate has non-finite coordinates")
     check_symmetric(sigma, what="covariance")
@@ -834,7 +842,9 @@ def transformed_cubic_model(params: Cubic1DParams) -> tuple[DiffusionModel, Obse
         fp, fpp = dphi(x), d2phi(x)
         return base_obs.d2psi(x) / fp ** 2 - base_obs.dpsi(x) * fpp / fp ** 3
 
-    observation = dataclasses.replace(base_obs, psi=psi, dpsi=dpsi, d2psi=d2psi)
+    # cubic1d's float forms are those of the untransformed map
+    observation = dataclasses.replace(base_obs, psi=psi, dpsi=dpsi, d2psi=d2psi,
+                                      float_forms=None)
     return diffusion, observation
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..flow import DiffusionModel, FloatForms
 from ..geometry import flat_connector
-from ..observation import ObservationModel
+from ..observation import ObservationFloatForms, ObservationModel
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,24 @@ class Cubic1DParams:
             raise ValueError("p_crit, alpha and beta must be positive")
 
 
+def _on_numpy(form, *args) -> float:
+    """``form`` evaluated on numpy float64 scalars, as a Python float: the
+    value its array callback gives where Python float arithmetic raises
+    (``**`` past the float range, a division by zero), +-inf or NaN."""
+    with np.errstate(all="ignore"):
+        return float(form(*map(np.float64, args)))
+
+
 def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationModel]:
     """The diffusion and observation models of ``params``.
 
-    The drift is written once, in its float forms (:class:`FloatForms`):
-    ``xi`` and ``dxi`` call theirs on their one entry, a numpy scalar, and
-    ``d2xi_contract`` on ``chi[..., 0, :]``, so each array does its form's
-    operations and gives its bits.  Where a float's ``**`` raises
-    OverflowError, the forms return numpy's +-inf instead.
+    The drift and the observation map are written once, in their float
+    forms (:class:`FloatForms`, :class:`ObservationFloatForms`): ``xi``,
+    ``dxi``, ``psi``, ``dpsi`` and ``d2psi`` call theirs on their one
+    entry, a numpy scalar, and ``d2xi_contract`` on ``chi[..., 0, :]``, so
+    each array does its form's operations and gives its bits.  Where
+    Python float arithmetic raises on a float, a form evaluates itself on
+    numpy scalars instead (:func:`_on_numpy`), as its array does.
     """
     p_crit = params.p_crit
     beta_mat = np.array([[params.beta]])
@@ -47,14 +57,14 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
     def xi_form(x):
         try:
             return -0.5 * x ** 3
-        except OverflowError:
-            return -0.5 * math.copysign(math.inf, x)
+        except ArithmeticError:
+            return _on_numpy(xi_form, x)
 
     def dxi_form(x):
         try:
             return -1.5 * x ** 2
-        except OverflowError:
-            return -1.5 * math.inf
+        except ArithmeticError:
+            return _on_numpy(dxi_form, x)
 
     def d2xi_contract_form(x, chi):
         return -3.0 * x * chi
@@ -82,26 +92,37 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
         float_forms=FloatForms(
             xi=xi_form, dxi=dxi_form, d2xi_contract=d2xi_contract_form,
             drift_b=xi_form, ddrift_b=dxi_form, d2drift_b_contract=d2xi_contract_form,
-            noise_matrix=lambda x: loading),
+            noise_matrix=lambda x: loading, alpha=lambda x: params.alpha),
     )
 
-    def psi(x):
-        return np.array([x[0] / (p_crit + x[0] ** 2)])
+    def psi_form(x):
+        try:
+            return x / (p_crit + x ** 2)
+        except ArithmeticError:
+            return _on_numpy(psi_form, x)
 
-    def dpsi(x):
-        den = p_crit + x[0] ** 2
-        return np.array([[(p_crit - x[0] ** 2) / den ** 2]])
+    def dpsi_form(x):
+        try:
+            den = p_crit + x ** 2
+            return (p_crit - x ** 2) / den ** 2
+        except ArithmeticError:
+            return _on_numpy(dpsi_form, x)
 
-    def d2psi(x):
-        den = p_crit + x[0] ** 2
-        return np.array([[[2.0 * x[0] * (x[0] ** 2 - 3.0 * p_crit) / den ** 3]]])
+    def d2psi_form(x):
+        try:
+            den = p_crit + x ** 2
+            return 2.0 * x * (x ** 2 - 3.0 * p_crit) / den ** 3
+        except ArithmeticError:
+            return _on_numpy(d2psi_form, x)
 
     observation = ObservationModel(
         dim_obs=1,
-        psi=psi,
-        dpsi=dpsi,
-        d2psi=d2psi,
+        psi=lambda x: np.array([psi_form(x[0])]),
+        dpsi=lambda x: np.array([[dpsi_form(x[0])]]),
+        d2psi=lambda x: np.array([[[d2psi_form(x[0])]]]),
         beta=lambda y: beta_mat,
         conn_obs=flat_connector(1),
+        float_forms=ObservationFloatForms(psi=psi_form, dpsi=dpsi_form, d2psi=d2psi_form,
+                                          beta=lambda y: params.beta),
     )
     return diffusion, observation

@@ -24,6 +24,26 @@ def wrap_angles(w: np.ndarray, angular_mask: Optional[np.ndarray]) -> np.ndarray
 
 
 @dataclass(frozen=True)
+class ObservationFloatForms:
+    """Float forms of a scalar observation's one-point callbacks, named
+    after the :class:`ObservationModel` fields they stand for.
+
+    ``psi``, ``dpsi`` and ``d2psi`` take the state coordinate x and
+    ``beta`` the observation coordinate y; each returns the one entry of
+    its array callback's value as a Python float.  As for the drift's
+    :class:`~gifilter.flow.FloatForms`, a form does its array callback's
+    operations in the same order and gives its bits, a non-finite value
+    included, and returns numpy's +-inf or NaN where Python float
+    arithmetic would raise.
+    """
+
+    psi: Callable[[float], float]
+    dpsi: Callable[[float], float]
+    d2psi: Callable[[float], float]
+    beta: Callable[[float], float]
+
+
+@dataclass(frozen=True)
 class ObservationModel:
     """Callable bundle for a nonlinear observation with metric covariance.
 
@@ -39,6 +59,15 @@ class ObservationModel:
     called one point at a time, a few times per cycle, where broadcasting
     would only make each call dearer.  ``conn_obs`` broadcasts over points
     and vector arguments like every :class:`ConnectorField`.
+
+    A scalar observation of a one-dimensional state may also give
+    ``float_forms``, the :class:`ObservationFloatForms` of its four
+    callbacks.  With a flat ``conn_obs`` and no ``angular_mask``,
+    :func:`sample_observation` draws through them, and so does a filter
+    cycle whose model is flat and gives its own float forms too: then
+    :func:`gifilter.filter.filter_step` and :func:`gifilter.ekf.ekf_step`
+    pass Python floats from stage to stage (see
+    :func:`gifilter.filter.scalar_cycle`).
     """
 
     dim_obs: int
@@ -48,6 +77,11 @@ class ObservationModel:
     beta: Callable[[np.ndarray], np.ndarray]
     conn_obs: ConnectorField
     angular_mask: Optional[np.ndarray] = None
+    float_forms: Optional[ObservationFloatForms] = None
+
+    def __post_init__(self):
+        if self.float_forms is not None and self.dim_obs != 1:
+            raise ValueError("float forms need a scalar observation")
 
 
 def _scalar_root(value: float) -> float:
@@ -89,7 +123,12 @@ def map_second_fundamental_form(
     nabla dpsi(v, w) = D2psi(v, w) - Dpsi Gamma(v, w)
                      + Gamma_bar(y)(Dpsi v, Dpsi w),
     with ``jac`` the Jacobian Dpsi(x) and ``y`` the observation point psi(x).
+    A float x, that of a scalar flat cycle, gives the float 0.5 (c + c) of
+    the float form's D2psi(x) = c, as the symmetrization forms it.
     """
+    if isinstance(x, float):
+        coeff = obs.float_forms.d2psi(x)
+        return 0.5 * (coeff + coeff)
     x = np.asarray(x, dtype=float)
     coeffs = np.array(obs.d2psi(x), dtype=float)
     if not state_conn.flat:
@@ -110,7 +149,12 @@ def ailp_observation(
     the Jacobian ``jac``:
     (1/2) nabla dpsi(Xi_delta) + J m_delta
       = (1/2) {D2psi(Xi) - J Gamma(Xi) + Gamma_bar(J Xi J^T)} + J m_delta.
+    The floats of a scalar flat cycle give a float, each 1x1 product
+    formed as 0.0 + a * b, as einsum and matmul form it.
     """
+    if isinstance(jac, float):
+        return (0.5 * (0.0 + nabla_dpsi * bundle.xi_delta)
+                + (0.0 + jac * bundle.m_delta))
     return 0.5 * np.einsum("kij,ij->k", nabla_dpsi, bundle.xi_delta) + jac @ bundle.m_delta
 
 
@@ -132,16 +176,25 @@ def sample_observation(
     ``angular_mask``, as in cubic1d) is drawn on Python floats, with the
     same operations in the same order: the 1x1 product formed as
     ``0.0 + r * n``, as matmul forms it, and ``rng.standard_normal()``
-    drawing the value ``standard_normal(1)`` would.  The observation and
-    the random stream keep their bits.
+    drawing the value ``standard_normal(1)`` would.  It reads psi and beta
+    through the observation's float forms when it gives them, and takes
+    the one entry of their arrays otherwise.  The observation and the
+    random stream keep their bits.
     """
-    y_center = np.asarray(obs.psi(np.asarray(true_state, dtype=float)), dtype=float)
     if obs.dim_obs == 1 and obs.conn_obs.flat and obs.angular_mask is None:
-        b = float(np.asarray(obs.beta(y_center), dtype=float)[0, 0])
-        y = y_center[0] + (0.0 + _scalar_root(0.5 * (b + b)) * rng.standard_normal())
+        forms = obs.float_forms
+        if forms is None:
+            center = np.asarray(obs.psi(np.asarray(true_state, dtype=float)), dtype=float)
+            y_center = center[0]
+            b = float(np.asarray(obs.beta(center), dtype=float)[0, 0])
+        else:
+            y_center = forms.psi(float(true_state[0]))
+            b = forms.beta(y_center)
+        y = y_center + (0.0 + _scalar_root(0.5 * (b + b)) * rng.standard_normal())
         if not math.isfinite(y):
             raise NonFiniteError("observation has non-finite coordinates")
         return np.array([y])
+    y_center = np.asarray(obs.psi(np.asarray(true_state, dtype=float)), dtype=float)
     root = beta_sqrt(obs.beta(y_center))
     v = root @ rng.standard_normal(obs.dim_obs)
     if obs.conn_obs.flat:

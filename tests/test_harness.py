@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gifilter.ekf import ekf_step
-from gifilter.errors import DivergenceError, IllConditionedGainError
+from gifilter.errors import DivergenceError, IllConditionedGainError, NonFiniteError
 from gifilter import ekf as gekf
 from gifilter import filter as gfilter
 from gifilter import flow, harness
@@ -20,6 +20,7 @@ from gifilter.harness import (
     Scenario,
     ScenarioConfig,
     TrajectoryRecord,
+    _checked,
     _step_with_refinement,
     build_scenario,
     config_from_dict,
@@ -438,13 +439,14 @@ def test_indefinite_covariance_aborts_its_cycle(monkeypatch, name, module, model
 def test_repair_psd_receives_exactly_symmetric_matrices(monkeypatch):
     # repair_psd does not symmetrize: each update that feeds it ends in
     # symmetrize, flat or not, on one-, three- and nine-dimensional states
+    # (cubic1d's scalar cycles pass it a float, its own transpose)
     seen = []
 
     def checked(module):
         repair = module.repair_psd
 
         def wrapped(mat):
-            seen.append((module.__name__, np.array_equal(mat, mat.T)))
+            seen.append((module.__name__, np.array_equal(mat, np.transpose(mat))))
             return repair(mat)
         return wrapped
 
@@ -507,6 +509,28 @@ def test_bad_initial_estimate_raises_value_error(model, field, value, match):
     scenario = dataclasses.replace(scenario, **{field: np.array(value)})
     with pytest.raises(ValueError, match=match):
         run_filters(scenario, record)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_scalar_estimate_fails_the_check_as_an_array_estimate_does(bad):
+    # a one-dimensional estimate is checked on floats: the same class and
+    # message as the array check of a two-dimensional one with that entry
+    for spoil_mu in (True, False):
+        cases = []
+        for dim in (1, 2):
+            mu, sigma = np.zeros(dim), np.eye(dim)
+            if spoil_mu:
+                mu[0] = bad
+            else:
+                sigma[0, 0] = bad
+            with pytest.raises(NonFiniteError) as raised:
+                _checked((mu, sigma), dim)
+            cases.append(str(raised.value))
+        assert cases[0] == cases[1]
+    with pytest.raises(ValueError, match=r"shapes \(1, 1\) and \(1, 1\) does not match"):
+        _checked((np.zeros((1, 1)), np.eye(1)), 1)
+    est = (np.zeros(1), np.eye(1))
+    assert _checked(est, 1) is est
 
 
 def test_gif_without_its_intrinsic_terms_is_the_ekf_on_tracking(monkeypatch):

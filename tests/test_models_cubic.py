@@ -49,10 +49,9 @@ def test_an_overflowing_flow_ends_as_a_divergence(cubic_models, mu, step):
         ekf_predict(model, (mean, cov), 1.0, 8)
     # the error names no step; the Taylor path is finite before ``step``
     # and non-finite from there on
-    path, jacs = np.zeros((9, 1)), np.empty((9, 1, 1))
-    path[0] = mean
+    path, jacs = [mu] + [0.0] * 8, [0.0] * 9
     flow._taylor_floats(model, 1.0 / 8, path, jacs)
-    finite = np.isfinite(path[:, 0])
+    finite = np.isfinite(path)
     assert finite[1:step].all() and not finite[step:].any()
 
 

@@ -1,6 +1,7 @@
 """The 1x1 float branches against the LAPACK calls they replace, the float
-forms of the one-dimensional models against their array callbacks, and a
-guard on how many LAPACK calls one filter or simulation cycle makes.
+forms of the one-dimensional models against their array callbacks, the
+scalar flat cycle against the array cycle, and a guard on how many LAPACK
+calls one filter or simulation cycle makes.
 
 Each reference below is the array code the branch or form replaces, run on
 the same 1x1 input: a branch must give its bytes, or raise the same
@@ -8,6 +9,8 @@ exception class, on every value of the table, which covers random values,
 values near e^+-50, 1e+-300, subnormals, +-0.0, +-inf and NaN.
 """
 
+import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -16,9 +19,15 @@ import pytest
 
 from gifilter import flow
 from gifilter.ekf import ekf_step
-from gifilter.errors import IllConditionedFlowError, IllConditionedGainError, SingularMetricError
-from gifilter.filter import filter_step, gain
-from gifilter.geometry import identity, symmetric_condition, symmetrize
+from gifilter.errors import (
+    DivergenceError,
+    IllConditionedFlowError,
+    IllConditionedGainError,
+    IndefiniteCovarianceError,
+    SingularMetricError,
+)
+from gifilter.filter import FilterConfig, filter_step, gain, scalar_cycle
+from gifilter.geometry import identity, symmetrize
 from gifilter.harness import (
     ScenarioConfig,
     build_scenario,
@@ -91,13 +100,6 @@ def test_the_table_holds_every_kind_of_value():
     assert np.abs(finite).max() > 1e300 and np.abs(finite[finite != 0.0]).min() < 1e-300
 
 
-def test_symmetric_condition_of_a_scalar_equals_eigvalsh():
-    for value in VALUES:
-        mat = np.array([[value]])
-        assert _outcome(symmetric_condition, mat) == _outcome(_lapack_symmetric_condition,
-                                                              mat), value
-
-
 def test_beta_sqrt_of_a_scalar_equals_eigh():
     for value in VALUES:
         beta = np.array([[value]])
@@ -147,17 +149,25 @@ def test_inverse_of_a_scalar_tau_equals_lapack():
 
 # --- the float forms against their array callbacks ----------------------------
 
-# where the cubic drift's powers pass the float range, so that Python's
-# power raises: x^3 past 5.6e102 and x^2 past 1.3e154; in the transformed
-# chart, z past 3.6e307, where phi_inv(z) passes 5.6e102
-_POWER_OVERFLOWS = [6e102, -6e102, 2e154, -2e154, 1e308, -1e308]
+# where the cubic's powers pass the float range, so that Python's power
+# raises: x^3 past 5.6e102 and x^2 past 1.3e154, and the observation map's
+# den^2 and den^3 on the way there; in the transformed chart, z past
+# 3.6e307, where phi_inv(z) passes 5.6e102
+_POWER_OVERFLOWS = [6e102, -6e102, 1e155, -1e155, 2e154, -2e154, 1e200, -1e200, 1e308, -1e308]
+
+_CHARTS = {
+    "cubic1d": lambda: cubic1d_build(Cubic1DParams()),
+    # den = p + x^2 of 1e-200 near x = 0, whose square and cube underflow
+    # to 0: Python's division by them raises
+    "cubic1d-tiny-p": lambda: cubic1d_build(Cubic1DParams(p_crit=1e-200)),
+    "transformed": lambda: transformed_cubic_model(Cubic1DParams()),
+}
 
 
-@pytest.mark.parametrize("chart", ["cubic1d", "transformed"])
+@pytest.mark.parametrize("chart", sorted(_CHARTS))
 def test_float_forms_equal_their_array_callbacks(chart):
-    params = Cubic1DParams()
-    model = (cubic1d_build(params) if chart == "cubic1d" else transformed_cubic_model(params))[0]
-    forms = model.float_forms
+    model, obs = _CHARTS[chart]()
+    forms, obs_forms = model.float_forms, obs.float_forms
     # Python floats, as the float loops pass them: a numpy scalar's power
     # would not raise
     points = VALUES.tolist() + _POWER_OVERFLOWS
@@ -165,11 +175,15 @@ def test_float_forms_equal_their_array_callbacks(chart):
     checked = Counter()
     for value, random_chi in zip(points, random_chis):
         x = np.array([value])
-        for name in ("xi", "dxi", "drift_b", "ddrift_b", "noise_matrix"):
-            form = getattr(forms, name)
-            if form is not None:
-                assert _outcome(form, value) == _outcome(getattr(model, name), x), (name, value)
-                checked[name] += 1
+        for owner, array_owner, names in (
+                (forms, model, ("xi", "dxi", "drift_b", "ddrift_b", "noise_matrix", "alpha")),
+                (obs_forms, obs, ("psi", "dpsi", "d2psi", "beta"))):
+            for name in names if owner is not None else ():
+                form = getattr(owner, name)
+                if form is not None:
+                    assert _outcome(form, value) == _outcome(getattr(array_owner, name), x), (
+                        name, value)
+                    checked[name] += 1
         for name in ("d2xi_contract", "d2drift_b_contract"):
             form = getattr(forms, name)
             for chi in (0.37, random_chi) if form is not None else ():
@@ -178,8 +192,63 @@ def test_float_forms_equal_their_array_callbacks(chart):
                 checked[name] += 1
     # cubic1d gives every form, the transformed chart the xi forms
     expected = (("xi", "dxi", "d2xi_contract", "drift_b", "ddrift_b", "d2drift_b_contract",
-                 "noise_matrix") if chart == "cubic1d" else ("xi", "dxi", "d2xi_contract"))
+                 "noise_matrix", "alpha", "psi", "dpsi", "d2psi", "beta")
+                if chart != "transformed" else ("xi", "dxi", "d2xi_contract"))
     assert sorted(checked) == sorted(expected)
+
+
+# --- the scalar flat cycle against the array cycle ------------------------------
+
+_REGIMES = {"extreme": Cubic1DParams(), "mild": Cubic1DParams(p_crit=5.0, alpha=1e-4, beta=1e-4)}
+# the exceptions a cycle may raise, on floats as on arrays
+_CYCLE_ERRORS = (DivergenceError, IllConditionedFlowError, IllConditionedGainError,
+                 IndefiniteCovarianceError)
+
+
+def _cycle_outcome(step, *args):
+    """The bytes of a cycle's (mu, sigma), or the class of its exception."""
+    try:
+        mu, sigma = step(*args)
+    except _CYCLE_ERRORS as exc:
+        return type(exc)
+    assert mu.shape == (1,) and sigma.shape == (1, 1)
+    return mu.tobytes() + sigma.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n_substeps", [8, 16, 64, 256, 2048])
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_the_scalar_cycle_equals_the_array_cycle_bit_for_bit(regime, n_substeps):
+    # cubic1d's GIF and EKF cycles pass floats from stage to stage; the
+    # same model and observation without their float forms take every
+    # array stage and its 1x1 branches, and give the same bits, or raise
+    # the same class, from |x0| up to 4.5 and sigma from 1e-6 to 1, with
+    # the quadratic term and the collar each on and off
+    model, obs = cubic1d_build(_REGIMES[regime])
+    array_model, array_obs = (dataclasses.replace(m, float_forms=None) for m in (model, obs))
+    assert scalar_cycle(model, obs) and not scalar_cycle(array_model, array_obs)
+    rng = np.random.default_rng(n_substeps)
+    n_cases = 6 if n_substeps == 2048 else 24
+    x0s = np.concatenate([[4.5, -4.5, 0.0, -0.0], rng.uniform(-4.5, 4.5, n_cases - 4)])
+    sigmas = np.concatenate([[1e-6, 1.0, 0.01, 1e-6], 10.0 ** rng.uniform(-6.0, 0.0, n_cases - 4)])
+    ys = rng.uniform(-2.0, 2.0, n_cases)
+    outcomes = Counter()
+    for x0, sigma, y in zip(x0s, sigmas, ys):
+        est, y_obs = (np.array([x0]), np.array([[sigma]])), np.array([y])
+        for quadratic, collar in itertools.product((True, False), repeat=2):
+            config = FilterConfig(delta=1.0, n_substeps=n_substeps, quadratic_enabled=quadratic,
+                                  collar_enabled=collar)
+            outcome = _cycle_outcome(filter_step, model, obs, est, y_obs, config)
+            assert outcome == _cycle_outcome(filter_step, array_model, array_obs, est, y_obs,
+                                             config), ("gif", x0, sigma, y, quadratic, collar)
+            outcomes[isinstance(outcome, bytes)] += 1
+        outcome = _cycle_outcome(ekf_step, model, obs, est, y_obs, 1.0, n_substeps)
+        assert outcome == _cycle_outcome(ekf_step, array_model, array_obs, est, y_obs, 1.0,
+                                         n_substeps), ("ekf", x0, sigma, y)
+        outcomes[isinstance(outcome, bytes)] += 1
+    assert outcomes[True] > n_cases
+    if n_substeps == 8 and regime == "extreme":
+        assert outcomes[False] > 0  # x0 = +-4.5 diverges on 8 substeps
 
 
 # --- how many LAPACK calls one cycle makes ----------------------------------------
