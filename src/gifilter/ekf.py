@@ -8,8 +8,8 @@ the one-step third-order Taylor scheme, which needs the model's
 ``ddrift_b`` and ``d2drift_b_contract``, and the covariance follows the
 trapezium transport of dP/dt = A P + P A^T + alpha with A = Db(m(t)).  The
 update is the standard first-order correction.  A cycle that
-:func:`gifilter.filter.scalar_cycle` admits, with the float forms of b,
-runs on Python floats from stage to stage, as the GIF's does.
+:func:`gifilter.filter.scalar_cycle` admits runs on Python floats from
+stage to stage, through the float forms of b, as the GIF's does.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def ekf_step(
 ) -> Estimate:
     """One predict-update cycle: :func:`ekf_predict`, then :func:`ekf_update`,
     on floats from stage to stage when :func:`gifilter.filter.scalar_cycle`
-    admits the cycle and the model gives the float forms of b."""
-    scalar = scalar_cycle(model, obs) and model.drift_b_model.float_forms is not None
+    admits the cycle."""
+    scalar = scalar_cycle(model, obs)
     if scalar:
         est, y_obs = _floats(est, y_obs)
     pred = ekf_predict(model, est, delta, n_substeps)

@@ -19,6 +19,7 @@ from .geometry import (
     barycenter_correction,
     exp_map_series,
     identity,
+    scalar_condition,
     symmetric_condition,
     symmetrize,
 )
@@ -64,16 +65,16 @@ class FilterConfig:
 def scalar_cycle(model: DiffusionModel, obs: ObservationModel) -> bool:
     """Whether a filter cycle of ``model`` and ``obs`` runs on Python floats.
 
-    It does when both give float forms, the model's with ``alpha``, and
-    both geometries are flat with no angular coordinate: then
+    It does when both give float forms and both geometries are flat with
+    no angular coordinate: then
     :func:`filter_step` and :func:`gifilter.ekf.ekf_step` turn the
     estimate into two floats once, every stage takes its float branch
     from the type of its arguments, and the result arrays are built once
     at the end.  The float forms hold a one-dimensional state and a scalar
-    observation.
+    observation; those of a flat model must include ``alpha``, and the b
+    forms for the EKF.
     """
-    forms = model.float_forms
-    return (forms is not None and forms.alpha is not None and obs.float_forms is not None
+    return (model.float_forms is not None and obs.float_forms is not None
             and model.conn.flat and obs.conn_obs.flat and obs.angular_mask is None)
 
 
@@ -83,8 +84,7 @@ def _scalar_gain(xi_delta: float, j: float, beta: float) -> float:
     j_xi = 0.0 + j * xi_delta
     v = (0.0 + j_xi * j) + beta
     innov = 0.5 * (v + v)
-    # the condition number of a 1x1 matrix is 1 unless it is singular or not finite
-    if not 0.0 < abs(innov) < math.inf:
+    if scalar_condition(innov) > GAIN_COND_LIMIT:
         raise IllConditionedGainError(
             f"innovation matrix condition number exceeds {GAIN_COND_LIMIT:.0e}"
         )
@@ -96,10 +96,11 @@ def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.
 
     With a scalar state and a scalar innovation (p = q = 1) the solve is
     the float division b / a of J Xi by the innovation, which gives the
-    bits of LAPACK's solve with its one right-hand side, and the
-    condition test of the innovation needs no eigvalsh
+    bits of LAPACK's solve with its one right-hand side
     (:func:`_scalar_gain`, which the floats of a scalar flat cycle call
-    directly); any other shape keeps the LAPACK calls.
+    directly).  Any scalar innovation (q = 1) takes its condition test
+    without eigvalsh (:func:`gifilter.geometry.scalar_condition`); any
+    other shape keeps the LAPACK calls.
     """
     if isinstance(j, float):
         return _scalar_gain(xi_delta, j, beta_at_ydelta)

@@ -140,8 +140,9 @@ class FloatForms:
     raises (``**`` past the float range, a division by zero), numpy
     returns +-inf or NaN, so a form must return that value in place of
     raising.  The xi forms are required; the b forms are optional, as for
-    the arrays, and ``alpha`` is needed only by the scalar flat cycle of
-    :func:`gifilter.filter.filter_step` and :func:`gifilter.ekf.ekf_step`.
+    the arrays.  A flat model's forms must include ``alpha``, and the b
+    forms, since :func:`gifilter.filter.scalar_cycle` admits its cycles
+    with any observation that gives float forms.
     """
 
     xi: Callable[[float], float]

@@ -37,11 +37,20 @@ def identity(dim: int) -> np.ndarray:
     return eye
 
 
+def scalar_condition(value: float) -> float:
+    """Condition number of the 1x1 matrix [[value]]: 1 when its entry is
+    finite and nonzero, infinite otherwise."""
+    return 1.0 if 0.0 < abs(value) < math.inf else math.inf
+
+
 def symmetric_condition(mat: np.ndarray) -> float:
     """Condition number max|lambda| / min|lambda| of a symmetric matrix.
 
-    Infinite when the matrix is singular or has non-finite entries.
+    Infinite when the matrix is singular or has non-finite entries.  A 1x1
+    matrix takes no eigvalsh (:func:`scalar_condition`).
     """
+    if mat.shape == (1, 1):
+        return scalar_condition(float(mat[0, 0]))
     if not np.all(np.isfinite(mat)):
         return math.inf
     eigs = np.abs(np.linalg.eigvalsh(mat))

@@ -27,7 +27,7 @@ from gifilter.errors import (
     SingularMetricError,
 )
 from gifilter.filter import FilterConfig, filter_step, gain, scalar_cycle
-from gifilter.geometry import identity, symmetrize
+from gifilter.geometry import identity, symmetric_condition, symmetrize
 from gifilter.harness import (
     ScenarioConfig,
     build_scenario,
@@ -98,6 +98,13 @@ def test_the_table_holds_every_kind_of_value():
     assert (np.abs(finite) < 2.2250738585072014e-308).sum() > 3  # zeros and subnormals
     assert np.signbit(VALUES[VALUES == 0.0]).tolist() == [False, True]
     assert np.abs(finite).max() > 1e300 and np.abs(finite[finite != 0.0]).min() < 1e-300
+
+
+def test_symmetric_condition_of_a_scalar_equals_eigvalsh():
+    for value in VALUES:
+        mat = np.array([[value]])
+        assert _outcome(symmetric_condition, mat) == _outcome(_lapack_symmetric_condition,
+                                                              mat), value
 
 
 def test_beta_sqrt_of_a_scalar_equals_eigh():
@@ -270,18 +277,30 @@ def _counting_lapack(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("model, delta, expected", [
-    ("cubic1d", 1.0, {"gif": {}, "ekf": {}, "sim": {}}),
+# a two-dimensional state with one observation: the gain's 1x1 innovation
+# takes no eigvalsh, only the solve of its two right-hand sides; svd and
+# inv are the GIF's 2x2 flow calls, and eigh is repair_psd's
+_LINEAR_ONE_OBSERVATION = {"a_mat": [[-0.5, 0.2], [0.0, -1.0]], "sigma_mat": [[0.3], [0.2]],
+                           "j_mat": [[2.0, -0.7]], "b_mat": [[0.1]]}
+
+
+@pytest.mark.parametrize("model, model_params, delta, expected", [
+    ("cubic1d", {}, 1.0, {"gif": {}, "ekf": {}, "sim": {}}),
+    ("linear", _LINEAR_ONE_OBSERVATION, 0.5,
+     {"gif": {"svd": 1, "inv": 1, "solve": 1, "eigh": 1}, "ekf": {"solve": 1, "eigh": 1},
+      "sim": {}}),
     # tracking keeps LAPACK for its 5x5 and 9x9 matrices: svd, inv, the
     # gain's eigvalsh and solve, and repair_psd's eigh; tracking dpsi and
     # d2psi each invert a 3x3 spherical Jacobian, and sample_observation
     # roots the 5x5 beta
-    ("tracking9d", 0.1, {"gif": {"svd": 1, "inv": 3, "eigvalsh": 1, "solve": 1, "eigh": 1},
-                         "ekf": {"inv": 1, "eigvalsh": 1, "solve": 1, "eigh": 1},
-                         "sim": {"eigh": 1}}),
-], ids=["cubic1d", "tracking9d"])
-def test_lapack_calls_per_cycle(monkeypatch, model, delta, expected):
-    scenario = build_scenario(ScenarioConfig(model=model, delta=delta, n_obs=1))
+    ("tracking9d", {}, 0.1,
+     {"gif": {"svd": 1, "inv": 3, "eigvalsh": 1, "solve": 1, "eigh": 1},
+      "ekf": {"inv": 1, "eigvalsh": 1, "solve": 1, "eigh": 1},
+      "sim": {"eigh": 1}}),
+], ids=["cubic1d", "linear-one-observation", "tracking9d"])
+def test_lapack_calls_per_cycle(monkeypatch, model, model_params, delta, expected):
+    scenario = build_scenario(ScenarioConfig(model=model, model_params=model_params,
+                                             delta=delta, n_obs=1))
     record = simulate_sde(scenario, trajectory_rng(0, 0))
     obs = scenario.observation_at(float(record.times[0]))
     est, y = (scenario.mu0, scenario.sigma0), record.observations[0]
