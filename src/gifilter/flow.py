@@ -28,10 +28,15 @@ interval, by the ``np.errstate`` of :func:`precompute` and
 :func:`gifilter.ekf.ekf_predict`: it ends as an error or a non-finite
 covariance, not a numpy warning.
 
-A one-dimensional state takes a float path.  The Taylor step runs on
-Python floats when the model supplies the float forms of its one-point
-callbacks (:class:`FloatForms`), and the covariance and tau_{t_k}^delta
-when the per-step maps are 1x1, chosen from the array shapes alone.  On
+The Taylor step runs on Python floats in two cases.  A model of any
+dimension may supply its own loop of the scheme (``taylor_loop``, see
+:class:`DiffusionModel`), as tracking9d does: one pass over the state's
+floats per step, with the path and the Jacobian stack built as arrays once
+per interval, and the same scheme within rounding.  A one-dimensional
+state takes a float path throughout.  Its Taylor step runs on Python
+floats when the model supplies the float forms of its one-point callbacks
+(:class:`FloatForms`), and the covariance and tau_{t_k}^delta when the
+per-step maps are 1x1, chosen from the array shapes alone.  On
 1-element arrays numpy's per-call overhead outweighs the arithmetic, and
 so does building the array a callback returns.  The Taylor step
 (:func:`_taylor_floats`) performs the array step's operations in its
@@ -170,11 +175,14 @@ class DiffusionModel:
     :func:`propagate_covariance`) on b in place of xi, so it requires the
     Jacobian ``ddrift_b`` and the contracted second derivative
     ``d2drift_b_contract``; models never run by the EKF may leave them
-    unset.  ``noise_matrix`` supplies sigma(x), with sigma sigma^T =
-    alpha, for the noise loading in simulation; simulation requires it and
-    raises ValueError without it, so only models that are never simulated
-    may leave it unset.  ``constrain(x, ref)`` re-projects a simulated
-    state onto the model's constraint manifold.
+    unset.  A model whose b is xi, because Gamma(alpha) vanishes, may leave
+    all three unset: the simulator and the EKF then use xi and its
+    derivatives, and the EKF propagates the model itself.  ``noise_matrix``
+    supplies sigma(x), with sigma sigma^T = alpha, for the noise loading in
+    simulation; simulation requires it and raises ValueError without it,
+    so only models that are never simulated may leave it unset.
+    ``constrain(x, ref)`` re-projects a simulated state onto the model's
+    constraint manifold.
 
     ``alpha``, ``d2xi_contract``, ``d2drift_b_contract`` and the
     connector broadcast over points: ``alpha(x)`` with x of shape
@@ -200,6 +208,18 @@ class DiffusionModel:
     :func:`gifilter.filter.scalar_cycle`) calls the forms for every use,
     the whole-path contractions and ``alpha`` included; any other cycle
     keeps the arrays there.
+
+    A model of any other dimension may give ``taylor_loop(x0, h, n)``, its
+    own run of :func:`integrate_flow`'s scheme: from the start x0, n steps
+    of size h, returning the path, shape (n + 1, dim), and Dxi at every
+    point of it, shape (n + 1, dim, dim).  Each step is x + h xi +
+    (h^2 / 2) Dxi xi + (h^3 / 6) (D2xi(xi, xi) + Dxi Dxi xi) with the
+    model's xi, Dxi and D2xi, so the loop may differ from the callbacks'
+    steps by rounding alone; it raises what the callbacks raise.
+    :func:`integrate_flow` then calls the loop in place of ``xi``, ``dxi``
+    and ``d2xi_contract``, which every other stage still uses.  The EKF
+    keeps the loop only where it propagates the model itself (b unset),
+    since the loop follows xi.
     """
 
     dim: int
@@ -208,24 +228,35 @@ class DiffusionModel:
     d2xi_contract: Callable[[np.ndarray, np.ndarray], np.ndarray]
     alpha: Callable[[np.ndarray], np.ndarray]
     conn: ConnectorField
-    drift_b: Callable[[np.ndarray], np.ndarray]
+    drift_b: Optional[Callable[[np.ndarray], np.ndarray]] = None
     ddrift_b: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2drift_b_contract: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     noise_matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constrain: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     float_forms: Optional[FloatForms] = None
+    taylor_loop: Optional[Callable[[np.ndarray, float, int],
+                                   tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.float_forms is not None and self.dim != 1:
             raise ValueError("float forms need a one-dimensional state")
+        if self.float_forms is not None and self.taylor_loop is not None:
+            raise ValueError("a model gives float forms or a Taylor loop, not both")
+        if self.drift_b is None and (self.ddrift_b is not None
+                                     or self.d2drift_b_contract is not None):
+            raise ValueError("derivatives of b need b itself")
 
     @cached_property
     def drift_b_model(self) -> "DiffusionModel":
         """This model with the coordinate drift b, ``ddrift_b`` and
         ``d2drift_b_contract`` in place of xi and its derivatives: what the
         EKF propagates.  The float forms of b take the xi slots likewise,
-        when all three are given.  Built once per model; ValueError when
-        either derivative of b is unset."""
+        when all three are given; a Taylor loop, which follows xi, is
+        dropped.  A model that leaves b unset is its own b model.  Built
+        once per model; ValueError when b is set and either derivative of
+        b is unset."""
+        if self.drift_b is None:
+            return self
         for name in ("ddrift_b", "d2drift_b_contract"):
             if getattr(self, name) is None:
                 raise ValueError(f"the EKF needs the model's {name}")
@@ -235,7 +266,8 @@ class DiffusionModel:
             forms = None if None in b_forms else dataclasses.replace(
                 forms, xi=b_forms[0], dxi=b_forms[1], d2xi_contract=b_forms[2])
         return dataclasses.replace(self, xi=self.drift_b, dxi=self.ddrift_b,
-                                   d2xi_contract=self.d2drift_b_contract, float_forms=forms)
+                                   d2xi_contract=self.d2drift_b_contract, float_forms=forms,
+                                   taylor_loop=None)
 
 
 def _compose_scan(maps: np.ndarray, offsets: Optional[np.ndarray] = None) -> None:
@@ -319,13 +351,18 @@ def integrate_flow(
     checked once, when it is finished, or when a callback raises on a
     state that has already diverged.  A model with float forms
     (:class:`FloatForms`) steps on Python floats through them
-    (:func:`_taylor_floats`), the last Jacobian included; any other steps
-    on arrays (:func:`_taylor_arrays`).  Both give the same path bit for
-    bit.  A float ``x0``, the start of a scalar flat cycle, gives the path
-    and the Jacobians as two lists of n_steps + 1 floats.  Called outside
-    the callers' errstate, the array steps may show numpy's overflow
-    warnings before the DivergenceError.
+    (:func:`_taylor_floats`), the last Jacobian included; a model with a
+    ``taylor_loop`` runs it; any other steps on arrays
+    (:func:`_taylor_arrays`).  The float steps give the array path bit for
+    bit, a model's loop within rounding.  A float ``x0``, the start of a
+    scalar flat cycle, gives the path and the Jacobians as two lists of
+    n_steps + 1 floats.  Called outside the callers' errstate, the array
+    steps may show numpy's overflow warnings before the DivergenceError.
     """
+    if model.taylor_loop is not None:
+        path, jacs = model.taylor_loop(x0, grid.step, grid.n_steps)
+        _check_diverged(path)
+        return path, jacs
     on_floats = isinstance(x0, float)
     if model.float_forms is None:
         # zeros: the rows a failed step never reached pass the divergence check

@@ -256,6 +256,7 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         return out
 
     # Gamma(x)(sigma sigma(x)) vanishes identically, so b coincides with xi
+    # and is left unset: the EKF propagates this model, loop included
     return DiffusionModel(
         dim=9,
         xi=xi,
@@ -263,12 +264,90 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         d2xi_contract=d2xi_contract,
         alpha=alpha,
         conn=tracking_connector(),
-        drift_b=xi,
-        ddrift_b=dxi,
-        d2drift_b_contract=d2xi_contract,
         noise_matrix=noise_matrix,
         constrain=project_state,
+        taylor_loop=_taylor_loop(lam),
     )
+
+
+def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int], tuple[np.ndarray, np.ndarray]]:
+    """The flow's Taylor loop of :func:`tracking_diffusion` on Python floats.
+
+    With c = xi's acceleration rows, Dxi's only varying rows are
+    dc = [Q R] (rows 6:9, columns 3:9), Q = lam v a^T / |v|^2 - rho I and
+    R = -lam (I - v v^T / |v|^2) - 2 v a^T / |v|^2, as ``dxi`` builds them.
+    So Dxi xi = (a, c, d) with d = Q a + R c, D2xi(xi, xi) is zero but for
+    its last rows -2 ((c.c) v + (c.a) a + (a.a) c) / |v|^2, as
+    ``d2xi_contract`` gives them, and Dxi (a, c, d) = (c, d, Q c + R d).
+    Each point forms v.v, a.a and v.a once and checks the speed as
+    ``_speed_squared`` does; a collapsed speed is finite, and a state past
+    the start turns non-finite only through v or a, so a raise never
+    follows a diverged point.  The path and the Jacobian stack are built
+    once, at the end.
+    """
+    floor2 = SPEED_FLOOR ** 2
+
+    def loop(x0, h, n):
+        h2 = 0.5 * h * h
+        h3 = h ** 3 / 6.0
+        p1, p2, p3, v1, v2, v3, a1, a2, a3 = np.asarray(x0, dtype=float).tolist()
+        points = [(p1, p2, p3, v1, v2, v3, a1, a2, a3)]
+        blocks = []
+        for k in range(n + 1):
+            vv = v1 * v1 + v2 * v2 + v3 * v3
+            if vv < floor2:
+                raise SingularStateError("speed collapsed during flow evaluation")
+            inv = 1.0 / vv
+            aa = a1 * a1 + a2 * a2 + a3 * a3
+            rho = aa * inv
+            # lam v / |v|^2 and 2 v / |v|^2
+            l1, l2, l3 = lam * v1 * inv, lam * v2 * inv, lam * v3 * inv
+            t1, t2, t3 = 2.0 * v1 * inv, 2.0 * v2 * inv, 2.0 * v3 * inv
+            q11, q12, q13 = l1 * a1 - rho, l1 * a2, l1 * a3
+            q21, q22, q23 = l2 * a1, l2 * a2 - rho, l2 * a3
+            q31, q32, q33 = l3 * a1, l3 * a2, l3 * a3 - rho
+            r11, r12, r13 = l1 * v1 - t1 * a1 - lam, l1 * v2 - t1 * a2, l1 * v3 - t1 * a3
+            r21, r22, r23 = l2 * v1 - t2 * a1, l2 * v2 - t2 * a2 - lam, l2 * v3 - t2 * a3
+            r31, r32, r33 = l3 * v1 - t3 * a1, l3 * v2 - t3 * a2, l3 * v3 - t3 * a3 - lam
+            blocks.append((q11, q12, q13, r11, r12, r13, q21, q22, q23, r21, r22, r23,
+                           q31, q32, q33, r31, r32, r33))
+            if k == n:
+                break
+            s = (v1 * a1 + v2 * a2 + v3 * a3) * inv
+            c1 = -rho * v1 - lam * (a1 - v1 * s)
+            c2 = -rho * v2 - lam * (a2 - v2 * s)
+            c3 = -rho * v3 - lam * (a3 - v3 * s)
+            d1 = q11 * a1 + q12 * a2 + q13 * a3 + r11 * c1 + r12 * c2 + r13 * c3
+            d2 = q21 * a1 + q22 * a2 + q23 * a3 + r21 * c1 + r22 * c2 + r23 * c3
+            d3 = q31 * a1 + q32 * a2 + q33 * a3 + r31 * c1 + r32 * c2 + r33 * c3
+            g = -2.0 * inv
+            cc = g * (c1 * c1 + c2 * c2 + c3 * c3)
+            ca = g * (c1 * a1 + c2 * a2 + c3 * a3)
+            ga = g * aa
+            e1 = (cc * v1 + ca * a1 + ga * c1 + q11 * c1 + q12 * c2 + q13 * c3
+                  + r11 * d1 + r12 * d2 + r13 * d3)
+            e2 = (cc * v2 + ca * a2 + ga * c2 + q21 * c1 + q22 * c2 + q23 * c3
+                  + r21 * d1 + r22 * d2 + r23 * d3)
+            e3 = (cc * v3 + ca * a3 + ga * c3 + q31 * c1 + q32 * c2 + q33 * c3
+                  + r31 * d1 + r32 * d2 + r33 * d3)
+            p1 = p1 + h * v1 + h2 * a1 + h3 * c1
+            p2 = p2 + h * v2 + h2 * a2 + h3 * c2
+            p3 = p3 + h * v3 + h2 * a3 + h3 * c3
+            v1, v2, v3, a1, a2, a3 = (v1 + h * a1 + h2 * c1 + h3 * d1,
+                                      v2 + h * a2 + h2 * c2 + h3 * d2,
+                                      v3 + h * a3 + h2 * c3 + h3 * d3,
+                                      a1 + h * c1 + h2 * d1 + h3 * e1,
+                                      a2 + h * c2 + h2 * d2 + h3 * e2,
+                                      a3 + h * c3 + h2 * d3 + h3 * e3)
+            points.append((p1, p2, p3, v1, v2, v3, a1, a2, a3))
+        jacs = np.empty((n + 1, 9, 9))
+        jacs[:] = _DXI_TEMPLATE
+        jacs[:, 6:9, 3:9] = np.array(blocks).reshape(n + 1, 3, 6)
+        return np.array(points), jacs
+
+    return loop
+
+
 
 
 def _spherical(d: np.ndarray) -> tuple[float, float, float]:
@@ -283,15 +362,19 @@ def _spherical(d: np.ndarray) -> tuple[float, float, float]:
     return r, math.acos(max(-1.0, min(1.0, dz / r))), math.atan2(dy, dx)
 
 
-def _spherical_jacobian(y: tuple[float, float, float]) -> np.ndarray:
-    """D h at spherical coordinates y = (r, theta, phi)."""
+def _spherical_gradient(y: tuple[float, float, float]) -> np.ndarray:
+    """D Phi, the gradient of (r, theta, phi) in the Cartesian vector, at
+    spherical coordinates y, in closed form: the inverse of the Jacobian
+    D h of the map h(r, theta, phi) = d.  Its rows are d / r, the theta
+    direction over r and the phi direction over r sin(theta)."""
     r, th, ph = y
     st, ct = math.sin(th), math.cos(th)
     sp, cp = math.sin(ph), math.cos(ph)
+    rs = r * st
     return np.array([
-        [st * cp, r * ct * cp, -r * st * sp],
-        [st * sp, r * ct * sp, r * st * cp],
-        [ct, -r * st, 0.0],
+        [st * cp, st * sp, ct],
+        [ct * cp / r, ct * sp / r, -st / r],
+        [-sp / rs, cp / rs, 0.0],
     ])
 
 
@@ -402,7 +485,7 @@ def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> Observa
 
     def dpsi(x):
         p, v, a = split_state(x)
-        dphi = np.linalg.inv(_spherical_jacobian(_spherical(p - p_m)))
+        dphi = _spherical_gradient(_spherical(p - p_m))
         w = v - v_m
         nw = _relative_speed(w)
         out = np.zeros((5, 9))
@@ -417,7 +500,7 @@ def tracking_observation(params: Tracking9DParams, time: float = 0.0) -> Observa
         # D2Phi(u, w) = -Dh^{-1} D2h(DPhi u, DPhi w).
         p, v, _ = split_state(x)
         y = _spherical(p - p_m)
-        dphi = np.linalg.inv(_spherical_jacobian(y))
+        dphi = _spherical_gradient(y)
         inner = np.einsum("mab,ai,bj->mij", _spherical_hessian(y), dphi, dphi)
         w = v - v_m
         nw = math.sqrt(w @ w)

@@ -6,13 +6,15 @@ the metric by differentiation (criterion 5), the geodesic ODE and the
 series log map for the exponential map (criterion 6), the closed-form
 cubic flow and location correction (criterion 4), the drift-correction
 identity of a diffusion model, the tracking model's constraint and inverse
-spherical transform, the dense second-derivative arrays the quadratic
+spherical transform, its observation derivatives by an explicit inverse of
+the spherical Jacobian, the dense second-derivative arrays the quadratic
 update was once built from (the Hessian stack, the flow form and the rho
 coefficients), against which its contractions are checked, and the
 step-by-step transition products and covariance recursion, against which
 the flow module's prefix scans are checked.
 """
 
+import dataclasses
 import math
 from typing import Callable, Optional
 
@@ -21,7 +23,9 @@ import numpy as np
 from gifilter.errors import DivergenceError, SingularMetricError, SingularStateError
 from gifilter.flow import DiffusionModel, FlowGrid
 from gifilter.geometry import ConnectorField, check_symmetric, symmetrize
+from gifilter.models import tracking
 from gifilter.models.tracking import SPEED_FLOOR, Tracking9DParams, split_state
+from gifilter.observation import ObservationModel
 
 
 def sym_outer(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -301,9 +305,11 @@ def loop_covariance(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndarray
 
 
 def drift_consistency_residual(model: DiffusionModel, x: np.ndarray) -> float:
-    """|xi(x) - b(x) - (1/2) Gamma(x)(alpha(x))| at one point."""
+    """|xi(x) - b(x) - (1/2) Gamma(x)(alpha(x))| at one point; a model that
+    leaves b unset claims b = xi, so its residual is |Gamma(x)(alpha(x))| / 2."""
     corr = 0.5 * model.conn.contract(x, model.alpha(x))
-    return float(np.linalg.norm(model.xi(x) - model.drift_b(x) - corr))
+    drift_b = model.xi if model.drift_b is None else model.drift_b
+    return float(np.linalg.norm(model.xi(x) - drift_b(x) - corr))
 
 
 def validate_state(x: np.ndarray, rtol: float = 1e-8) -> None:
@@ -325,3 +331,53 @@ def spherical_to_cartesian(y: np.ndarray) -> np.ndarray:
         r * math.sin(th) * math.sin(ph),
         r * math.cos(th),
     ])
+
+
+def spherical_jacobian(y) -> np.ndarray:
+    """D h, the Jacobian of h(r, theta, phi) = the Cartesian vector, at
+    spherical coordinates y = (r, theta, phi)."""
+    r, th, ph = y
+    st, ct = math.sin(th), math.cos(th)
+    sp, cp = math.sin(ph), math.cos(ph)
+    return np.array([
+        [st * cp, r * ct * cp, -r * st * sp],
+        [st * sp, r * ct * sp, r * st * cp],
+        [ct, -r * st, 0.0],
+    ])
+
+
+def inverse_spherical_observation(params: Tracking9DParams, time: float) -> ObservationModel:
+    """The tracking observation of ``time`` with ``dpsi`` and ``d2psi`` that
+    take the gradient of (r, theta, phi) as np.linalg.inv of
+    :func:`spherical_jacobian`, as the model once did; the rest is the
+    model's own."""
+    obs = tracking.tracking_observation(params, time)
+    p0, v_m = params.missile_start
+    p_m = p0 + time * v_m
+
+    def dpsi(x):
+        p, v, a = split_state(x)
+        dphi = np.linalg.inv(spherical_jacobian(tracking._spherical(p - p_m)))
+        w = v - v_m
+        nw = tracking._relative_speed(w)
+        out = np.zeros((5, 9))
+        out[0:3, 0:3] = dphi
+        out[3, 3:6] = w / nw
+        out[4, 3:6] = a
+        out[4, 6:9] = v
+        return out
+
+    def d2psi(x):
+        # D2Phi(u, w) = -Dh^{-1} D2h(DPhi u, DPhi w)
+        p, v, _ = split_state(x)
+        y = tracking._spherical(p - p_m)
+        dphi = np.linalg.inv(spherical_jacobian(y))
+        inner = np.einsum("mab,ai,bj->mij", tracking._spherical_hessian(y), dphi, dphi)
+        w = v - v_m
+        nw = math.sqrt(w @ w)
+        out = tracking._D2PSI_TEMPLATE.copy()
+        out[0:3, 0:3, 0:3] = -np.einsum("km,mij->kij", dphi, inner)
+        out[3, 3:6, 3:6] = (np.eye(3) - w[:, None] * w / (nw * nw)) / nw
+        return out
+
+    return dataclasses.replace(obs, dpsi=dpsi, d2psi=d2psi)

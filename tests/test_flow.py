@@ -521,13 +521,17 @@ def test_precompute_matches_finer_grid():
 
 def test_precompute_evaluates_alpha_and_hessian_once_on_the_path():
     # tracking9d: a curved connector, so ailp_state needs alpha as well; the
-    # Taylor step calls d2xi_contract once per step, ailp_state once more
+    # Taylor step calls d2xi_contract once per step, ailp_state once more;
+    # the model's own Taylor loop replaces the step's callbacks
     scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
-    calls = Counter()
-    model = counting(scenario.diffusion, ("xi", "dxi", "alpha", "d2xi_contract"), calls)
+    names = ("xi", "dxi", "alpha", "d2xi_contract")
     mu0 = scenario.mu0
-    precompute(model, mu0, scenario.sigma0, FlowGrid(0.1, 8))
-    assert calls == {"xi": 8, "dxi": 9, "alpha": 1, "d2xi_contract": 9}
+    for loop, expected in ((None, {"xi": 8, "dxi": 9, "alpha": 1, "d2xi_contract": 9}),
+                           (scenario.diffusion.taylor_loop, {"alpha": 1, "d2xi_contract": 1})):
+        calls = Counter()
+        model = counting(dataclasses.replace(scenario.diffusion, taylor_loop=loop), names, calls)
+        precompute(model, mu0, scenario.sigma0, FlowGrid(0.1, 8))
+        assert calls == expected
 
 
 @pytest.mark.parametrize("n_steps", [8, 64])

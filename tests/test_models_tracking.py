@@ -1,12 +1,21 @@
 """Tests for the 9-D constrained target-tracking model."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gifilter.errors import SingularObservationError, SingularStateError
+from gifilter.ekf import ekf_predict
+from gifilter.errors import DivergenceError, SingularObservationError, SingularStateError
 from gifilter.flow import FlowGrid, integrate_flow
+from gifilter.harness import (
+    ScenarioConfig,
+    build_scenario,
+    run_filters,
+    simulate_sde,
+    trajectory_rng,
+)
 from gifilter.geometry import identity
 from gifilter.models import tracking
 from gifilter.models.tracking import (
@@ -24,6 +33,7 @@ from gifilter.observation import wrap_angles
 from helpers import random_obs_point, random_tracking_state
 from oracles import (
     levi_civita_connector,
+    spherical_jacobian,
     spherical_to_cartesian,
     tracking_dbeta,
     validate_state,
@@ -327,3 +337,97 @@ def test_observation_models_share_what_the_time_does_not_change(tracking_params)
     assert early.angular_mask is late.angular_mask
     x = pack_state([9000.0, 2000.0, 3000.0], [-200.0, 80.0, 0.0], [0.0, 0.0, 20.0])
     assert not np.array_equal(early.psi(x), late.psi(x))
+
+
+# --- the model's own Taylor loop ----------------------------------------------------
+
+# the loop reorders the callbacks' arithmetic; its path and Jacobians stay
+# within this bound of theirs, relative to the largest entry of each block
+TAYLOR_LOOP_BOUND = 1e-13
+
+
+@pytest.fixture(scope="module")
+def recorded_states():
+    """The GIF and EKF estimates of a 40-cycle tracking run."""
+    config = ScenarioConfig(model="tracking9d", delta=0.1, n_obs=40, seed=0)
+    scenario = build_scenario(config)
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(0, 0)))
+    return np.concatenate([record.estimates["gif"], record.estimates["ekf"]])
+
+
+@pytest.mark.parametrize("n_steps", [8, 16, 64])
+def test_the_taylor_loop_matches_the_callback_steps(tracking_models, recorded_states,
+                                                    n_steps):
+    model, _ = tracking_models
+    steps = dataclasses.replace(model, taylor_loop=None)
+    grid = FlowGrid(0.1, n_steps)
+    differ = False
+    for x0 in recorded_states:
+        path, jacs = integrate_flow(model, x0, grid)
+        ref_path, ref_jacs = integrate_flow(steps, x0, grid)
+        assert path.shape == ref_path.shape and jacs.shape == ref_jacs.shape
+        for block in (slice(0, 3), slice(3, 6), slice(6, 9)):
+            assert (np.max(np.abs(path[:, block] - ref_path[:, block]))
+                    <= TAYLOR_LOOP_BOUND * np.max(np.abs(ref_path[:, block])))
+        assert np.array_equal(jacs[:, :6], ref_jacs[:, :6])
+        assert (np.max(np.abs(jacs[:, 6:] - ref_jacs[:, 6:]))
+                <= TAYLOR_LOOP_BOUND * np.max(np.abs(ref_jacs[:, 6:])))
+        differ = differ or path.tobytes() != ref_path.tobytes()
+    assert differ
+
+
+def test_the_taylor_loop_raises_on_a_collapsed_speed(tracking_models):
+    model, _ = tracking_models
+    steps = dataclasses.replace(model, taylor_loop=None)
+    grid = FlowGrid(0.1, 8)
+    at_start = pack_state(np.ones(3), [1e-7, 0.0, 0.0], [0.0, 1.0, 0.0])
+    # a speed of 3e-6 that the acceleration, along -v, drives through zero
+    mid_interval = pack_state(np.ones(3), [3e-6, 0.0, 0.0], [-3e-6 * 0.7 / grid.step, 0.0, 0.0])
+    for x0 in (at_start, mid_interval):
+        for m in (model, steps):
+            with pytest.raises(SingularStateError):
+                integrate_flow(m, x0, grid)
+
+
+@pytest.mark.parametrize("block", [0, 3, 6])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_the_taylor_loop_reports_a_non_finite_start_as_a_divergence(tracking_models, block,
+                                                                    bad):
+    model, _ = tracking_models
+    x0 = pack_state([9000.0, 2000.0, 3000.0], [-200.0, 80.0, 0.0], [0.0, 0.0, 20.0])
+    x0[block] = bad
+    for m in (model, dataclasses.replace(model, taylor_loop=None)):
+        # the callers' errstate, which keeps the array steps quiet
+        with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
+            integrate_flow(m, x0, FlowGrid(0.1, 8))
+
+
+def test_the_ekf_keeps_the_loop_only_while_b_is_unset(tracking_models):
+    model, _ = tracking_models
+    assert model.drift_b is None and model.drift_b_model is model
+    # a b given apart from xi, here with xi's values, drops the loop
+    def drift_b(x):
+        return model.xi(x)
+
+    with_b = dataclasses.replace(model, drift_b=drift_b, ddrift_b=model.dxi,
+                                 d2drift_b_contract=model.d2xi_contract)
+    b_model = with_b.drift_b_model
+    assert b_model.taylor_loop is None and b_model.xi is drift_b
+    mean = pack_state([9000.0, 2000.0, 3000.0], [-200.0, 80.0, 0.0], [0.0, 0.0, 20.0])
+    cov = np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0])
+    steps = dataclasses.replace(model, taylor_loop=None)
+    for m, ref in ((with_b, steps), (model, model)):
+        got = ekf_predict(m, (mean, cov), 0.1, 8)
+        want = ekf_predict(ref, (mean, cov), 0.1, 8)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_the_spherical_gradient_is_the_inverse_jacobian():
+    rng = np.random.default_rng(81)
+    for _ in range(2000):
+        y = (10.0 ** rng.uniform(-3.0, 5.0), rng.uniform(0.01, math.pi - 0.01),
+             rng.uniform(-math.pi, math.pi))
+        closed = tracking._spherical_gradient(y)
+        inverse = np.linalg.inv(spherical_jacobian(y))
+        assert np.max(np.abs(closed - inverse)) <= 1e-14 * np.max(np.abs(inverse))

@@ -291,11 +291,11 @@ _LINEAR_ONE_OBSERVATION = {"a_mat": [[-0.5, 0.2], [0.0, -1.0]], "sigma_mat": [[0
       "sim": {}}),
     # tracking keeps LAPACK for its 5x5 and 9x9 matrices: svd, inv, the
     # gain's eigvalsh and solve, and repair_psd's eigh; tracking dpsi and
-    # d2psi each invert a 3x3 spherical Jacobian, and sample_observation
-    # roots the 5x5 beta
+    # d2psi take the spherical gradient in closed form, and
+    # sample_observation roots the 5x5 beta
     ("tracking9d", {}, 0.1,
-     {"gif": {"svd": 1, "inv": 3, "eigvalsh": 1, "solve": 1, "eigh": 1},
-      "ekf": {"inv": 1, "eigvalsh": 1, "solve": 1, "eigh": 1},
+     {"gif": {"svd": 1, "inv": 1, "eigvalsh": 1, "solve": 1, "eigh": 1},
+      "ekf": {"eigvalsh": 1, "solve": 1, "eigh": 1},
       "sim": {"eigh": 1}}),
 ], ids=["cubic1d", "linear-one-observation", "tracking9d"])
 def test_lapack_calls_per_cycle(monkeypatch, model, model_params, delta, expected):
