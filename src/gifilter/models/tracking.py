@@ -9,15 +9,20 @@ are range, polar angle, azimuth (all relative to a missile with known
 state), the relative speed, and a fictitious zero observation of the
 velocity-acceleration inner product.
 
-The callbacks run one call at a time in the flow's Taylor loop and the
-simulator's Euler loop, so nothing constant is rebuilt per call: the 3x3
-identity is ``geometry.identity(3)``; the constant parts of ``dxi`` (the
-two identity blocks) and of ``d2psi`` are read-only templates copied per
-call; the angular mask is one read-only array; and ``beta`` and the
-observation connector are built once per parameter set
-(``Tracking9DParams._observation_parts``), so a per-time observation model
-only binds the missile state at its time.  Every callback still returns a
-fresh array, which its caller may write into.
+The flow's Taylor steps run in the model's own loop on Python floats
+(``taylor_loop``), one pass per step over the state's nine floats.  The
+callbacks run one call at a time in the simulator's Euler loop, and in the
+Taylor steps of the model without its loop, so nothing constant is
+rebuilt per call: the 3x3 identity is ``geometry.identity(3)``; the
+constant parts of ``dxi`` (the two identity blocks) and of ``d2psi`` are
+read-only templates copied per call; the angular mask is one read-only
+array; and ``beta`` and the observation connector are built once per
+parameter set (``Tracking9DParams._observation_parts``), so a per-time
+observation model only binds the missile state at its time.  Every
+callback still returns a fresh array, which its caller may write into.
+The observation derivatives take the gradient of the spherical
+coordinates in closed form (``_spherical_gradient``), not as the inverse
+of their Jacobian.
 """
 
 from __future__ import annotations
@@ -270,7 +275,8 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
     )
 
 
-def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int], tuple[np.ndarray, np.ndarray]]:
+def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int],
+                                         tuple[np.ndarray, np.ndarray]]:
     """The flow's Taylor loop of :func:`tracking_diffusion` on Python floats.
 
     With c = xi's acceleration rows, Dxi's only varying rows are
@@ -280,10 +286,10 @@ def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int], tuple[np.ndar
     its last rows -2 ((c.c) v + (c.a) a + (a.a) c) / |v|^2, as
     ``d2xi_contract`` gives them, and Dxi (a, c, d) = (c, d, Q c + R d).
     Each point forms v.v, a.a and v.a once and checks the speed as
-    ``_speed_squared`` does; a collapsed speed is finite, and a state past
-    the start turns non-finite only through v or a, so a raise never
-    follows a diverged point.  The path and the Jacobian stack are built
-    once, at the end.
+    ``_speed_squared`` does.  A raise leaves no path for a divergence
+    check, and needs none from a finite start: a collapsed speed is finite,
+    while a non-finite v or a makes every later speed non-finite.  The path
+    and the Jacobian stack are built once, at the end.
     """
     floor2 = SPEED_FLOOR ** 2
 
@@ -346,8 +352,6 @@ def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int], tuple[np.ndar
         return np.array(points), jacs
 
     return loop
-
-
 
 
 def _spherical(d: np.ndarray) -> tuple[float, float, float]:
