@@ -394,23 +394,21 @@ def test_filter_step_evaluates_observation_jacobians_once():
     assert calls == {"psi": 1, "dpsi": 1, "d2psi": 1}
 
 
-@pytest.mark.parametrize("loop", [True, False])
 @pytest.mark.parametrize("quadratic", [True, False])
-def test_filter_step_contracts_d2xi_once_per_substep_and_path_term(quadratic, loop):
-    # one call per Taylor step, unless tracking9d's own Taylor loop runs
-    # them, one for the state location correction, and one for the flow
-    # form of the quadratic term unless it is disabled
+def test_filter_step_contracts_d2xi_once_per_substep_and_path_term(quadratic):
+    # one call per Taylor step, none when tracking9d's own Taylor loop runs
+    # the steps, one for the state location correction, and one for the
+    # flow form of the quadratic term unless it is disabled
     scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
-    calls = Counter()
-    model = scenario.diffusion if loop else dataclasses.replace(scenario.diffusion,
-                                                                taylor_loop=None)
-    model = counting(model, ("d2xi_contract",), calls)
     obs = scenario.observation_at(0.1)
     mu0 = scenario.mu0
     cfg = FilterConfig(delta=0.1, n_substeps=8, quadratic_enabled=quadratic)
-    filter_step(model, obs, (mu0, scenario.sigma0), obs.psi(mu0), cfg)
-    steps = 0 if loop else cfg.n_substeps
-    assert calls == {"d2xi_contract": steps + (2 if quadratic else 1)}
+    for loop, steps in ((scenario.diffusion.taylor_loop, 0), (None, cfg.n_substeps)):
+        calls = Counter()
+        model = counting(dataclasses.replace(scenario.diffusion, taylor_loop=loop),
+                         ("d2xi_contract",), calls)
+        filter_step(model, obs, (mu0, scenario.sigma0), obs.psi(mu0), cfg)
+        assert calls == {"d2xi_contract": steps + (2 if quadratic else 1)}
 
 
 def test_filter_step_covariance_stays_psd(cubic_models):
