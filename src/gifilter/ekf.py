@@ -5,11 +5,10 @@ across an interval with the same propagation: :mod:`gifilter.flow`'s
 ``integrate_flow``, ``transition_jacobians`` and ``propagate_covariance``,
 run on the coordinate drift b in place of xi.  So the mean follows b with
 the one-step third-order Taylor scheme, which needs the model's
-``ddrift_b`` and ``d2drift_b_contract`` (a model that leaves b unset, its
-b being xi, is propagated as it is, its own Taylor loop included), and
-the covariance follows the trapezium transport of dP/dt = A P + P A^T +
-alpha with A = Db(m(t)).  The update is the standard first-order
-correction.  A cycle that
+``ddrift_b`` and ``d2drift_b_contract`` (and runs in b's own loop,
+``drift_b_taylor_loop``, where the model gives one), and the covariance
+follows the trapezium transport of dP/dt = A P + P A^T + alpha with A =
+Db(m(t)).  The update is the standard first-order correction.  A cycle that
 :func:`gifilter.filter.scalar_cycle` admits runs on Python floats from
 stage to stage, through the float forms of b, as the GIF's does.
 """
@@ -32,7 +31,7 @@ def ekf_predict(
 ) -> Estimate:
     """Propagate mean and covariance over one inter-observation interval.
 
-    Raises ValueError when the model sets b but lacks ``ddrift_b`` or
+    Raises ValueError when the model lacks ``ddrift_b`` or
     ``d2drift_b_contract``.  Overflow is silent, as in
     :func:`gifilter.flow.precompute`: an overflowing covariance comes back
     non-finite.  The float estimate of a scalar cycle gives floats.

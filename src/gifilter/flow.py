@@ -31,8 +31,9 @@ covariance, not a numpy warning.
 The Taylor step runs on Python floats in two cases.  A model of any
 dimension may supply its own loop of the scheme (``taylor_loop``, see
 :class:`DiffusionModel`), as tracking9d does: one pass over the state's
-floats per step, with the path and the Jacobian stack built as arrays once
-per interval, and the same scheme within rounding.  A one-dimensional
+floats per step, from the drift at the start that the model's ``xi``
+gives, with the path and the Jacobian stack built as arrays once per
+interval, and the same scheme within rounding.  A one-dimensional
 state takes a float path throughout.  Its Taylor step runs on Python
 floats when the model supplies the float forms of its one-point callbacks
 (:class:`FloatForms`), and the covariance and tau_{t_k}^delta when the
@@ -85,6 +86,9 @@ from .errors import DivergenceError, IllConditionedFlowError
 from .geometry import ConnectorField, identity
 
 FLOW_COND_LIMIT = 1e12
+
+# a model's own Taylor loop: (x0, drift at x0, h, n) -> (path, Dxi at every point)
+TaylorLoop = Callable[[np.ndarray, np.ndarray, float, int], tuple[np.ndarray, np.ndarray]]
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -175,14 +179,11 @@ class DiffusionModel:
     :func:`propagate_covariance`) on b in place of xi, so it requires the
     Jacobian ``ddrift_b`` and the contracted second derivative
     ``d2drift_b_contract``; models never run by the EKF may leave them
-    unset.  A model whose b is xi, because Gamma(alpha) vanishes, may leave
-    all three unset: the simulator and the EKF then use xi and its
-    derivatives, and the EKF propagates the model itself.  ``noise_matrix``
-    supplies sigma(x), with sigma sigma^T = alpha, for the noise loading in
-    simulation; simulation requires it and raises ValueError without it,
-    so only models that are never simulated may leave it unset.
-    ``constrain(x, ref)`` re-projects a simulated state onto the model's
-    constraint manifold.
+    unset.  ``noise_matrix`` supplies sigma(x), with sigma sigma^T =
+    alpha, for the noise loading in simulation; simulation requires it and
+    raises ValueError without it, so only models that are never simulated
+    may leave it unset.  ``constrain(x, ref)`` re-projects a simulated
+    state onto the model's constraint manifold.
 
     ``alpha``, ``d2xi_contract``, ``d2drift_b_contract`` and the
     connector broadcast over points: ``alpha(x)`` with x of shape
@@ -209,17 +210,18 @@ class DiffusionModel:
     the whole-path contractions and ``alpha`` included; any other cycle
     keeps the arrays there.
 
-    A model of any other dimension may give ``taylor_loop(x0, h, n)``, its
-    own run of :func:`integrate_flow`'s scheme: from the start x0, n steps
-    of size h, returning the path, shape (n + 1, dim), and Dxi at every
-    point of it, shape (n + 1, dim, dim).  Each step is x + h xi +
-    (h^2 / 2) Dxi xi + (h^3 / 6) (D2xi(xi, xi) + Dxi Dxi xi) with the
-    model's xi, Dxi and D2xi, so the loop may differ from the callbacks'
-    steps by rounding alone; it raises what the callbacks raise.
-    :func:`integrate_flow` then calls the loop in place of ``xi``, ``dxi``
-    and ``d2xi_contract``, which every other stage still uses.  The EKF
-    keeps the loop only where it propagates the model itself (b unset),
-    since the loop follows xi.
+    A model of any other dimension may give ``taylor_loop(x0, xi0, h, n)``,
+    its own run of :func:`integrate_flow`'s scheme: from the start x0,
+    where the drift is xi0, n steps of size h, returning the path, shape
+    (n + 1, dim), and Dxi at every point of it, shape (n + 1, dim, dim).
+    Each step is x + h xi + (h^2 / 2) Dxi xi + (h^3 / 6) (D2xi(xi, xi) +
+    Dxi Dxi xi) with the model's xi, Dxi and D2xi, so the loop may differ
+    from the callbacks' steps by rounding alone; it raises what the
+    callbacks raise.  :func:`integrate_flow` then calls ``xi`` once, at the
+    start, and the loop in place of the per-step calls of ``xi``, ``dxi``
+    and ``d2xi_contract``, which every other stage still uses.  The loop of
+    b's scheme is ``drift_b_taylor_loop``, which the EKF runs on the same
+    terms; a model whose b is xi gives the same loop for both.
     """
 
     dim: int
@@ -228,35 +230,29 @@ class DiffusionModel:
     d2xi_contract: Callable[[np.ndarray, np.ndarray], np.ndarray]
     alpha: Callable[[np.ndarray], np.ndarray]
     conn: ConnectorField
-    drift_b: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    drift_b: Callable[[np.ndarray], np.ndarray]
     ddrift_b: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2drift_b_contract: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     noise_matrix: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constrain: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     float_forms: Optional[FloatForms] = None
-    taylor_loop: Optional[Callable[[np.ndarray, float, int],
-                                   tuple[np.ndarray, np.ndarray]]] = None
+    taylor_loop: Optional[TaylorLoop] = None
+    drift_b_taylor_loop: Optional[TaylorLoop] = None
 
     def __post_init__(self):
         if self.float_forms is not None and self.dim != 1:
             raise ValueError("float forms need a one-dimensional state")
-        if self.float_forms is not None and self.taylor_loop is not None:
+        if self.float_forms is not None and (self.taylor_loop is not None
+                                             or self.drift_b_taylor_loop is not None):
             raise ValueError("a model gives float forms or a Taylor loop, not both")
-        if self.drift_b is None and (self.ddrift_b is not None
-                                     or self.d2drift_b_contract is not None):
-            raise ValueError("derivatives of b need b itself")
 
     @cached_property
     def drift_b_model(self) -> "DiffusionModel":
         """This model with the coordinate drift b, ``ddrift_b`` and
         ``d2drift_b_contract`` in place of xi and its derivatives: what the
         EKF propagates.  The float forms of b take the xi slots likewise,
-        when all three are given; a Taylor loop, which follows xi, is
-        dropped.  A model that leaves b unset is its own b model.  Built
-        once per model; ValueError when b is set and either derivative of
-        b is unset."""
-        if self.drift_b is None:
-            return self
+        when all three are given, and b's Taylor loop takes xi's.  Built
+        once per model; ValueError when either derivative of b is unset."""
         for name in ("ddrift_b", "d2drift_b_contract"):
             if getattr(self, name) is None:
                 raise ValueError(f"the EKF needs the model's {name}")
@@ -267,7 +263,7 @@ class DiffusionModel:
                 forms, xi=b_forms[0], dxi=b_forms[1], d2xi_contract=b_forms[2])
         return dataclasses.replace(self, xi=self.drift_b, dxi=self.ddrift_b,
                                    d2xi_contract=self.d2drift_b_contract, float_forms=forms,
-                                   taylor_loop=None)
+                                   taylor_loop=self.drift_b_taylor_loop)
 
 
 def _compose_scan(maps: np.ndarray, offsets: Optional[np.ndarray] = None) -> None:
@@ -352,7 +348,7 @@ def integrate_flow(
     state that has already diverged.  A model with float forms
     (:class:`FloatForms`) steps on Python floats through them
     (:func:`_taylor_floats`), the last Jacobian included; a model with a
-    ``taylor_loop`` runs it; any other steps on arrays
+    ``taylor_loop`` runs it from ``xi(x0)``; any other steps on arrays
     (:func:`_taylor_arrays`).  The float steps give the array path bit for
     bit, a model's loop within rounding.  A float ``x0``, the start of a
     scalar flat cycle, gives the path and the Jacobians as two lists of
@@ -360,7 +356,7 @@ def integrate_flow(
     steps may show numpy's overflow warnings before the DivergenceError.
     """
     if model.taylor_loop is not None:
-        path, jacs = model.taylor_loop(x0, grid.step, grid.n_steps)
+        path, jacs = model.taylor_loop(x0, model.xi(x0), grid.step, grid.n_steps)
         _check_diverged(path)
         return path, jacs
     on_floats = isinstance(x0, float)

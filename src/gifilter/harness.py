@@ -359,13 +359,11 @@ def _euler_arrays(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
 
     A non-finite coordinate stays non-finite through Euler steps, so one
     check per cycle finds a divergence; a constraint must never see one,
-    so constrained models also check before each call.  A model that
-    leaves b unset steps with xi, its b.
+    so constrained models also check before each call.
     """
-    drift_b = model.xi if model.drift_b is None else model.drift_b
     for row in normals:
         shock = model.noise_matrix(x) @ row
-        x = x + drift_b(x) * dt + shock * sqrt_dt
+        x = x + model.drift_b(x) * dt + shock * sqrt_dt
         if model.constrain is not None:
             if not np.isfinite(x).all():
                 return None

@@ -10,7 +10,8 @@ state), the relative speed, and a fictitious zero observation of the
 velocity-acceleration inner product.
 
 The flow's Taylor steps run in the model's own loop on Python floats
-(``taylor_loop``), one pass per step over the state's nine floats.  The
+(``taylor_loop``, which is also b's, since b is xi), one pass per step
+over the state's nine floats, from the drift ``xi`` gives at the start.  The
 callbacks run one call at a time in the simulator's Euler loop, and in the
 Taylor steps of the model without its loop, so nothing constant is
 rebuilt per call: the 3x3 identity is ``geometry.identity(3)``; the
@@ -35,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import SingularObservationError, SingularStateError
-from ..flow import DiffusionModel
+from ..flow import DiffusionModel, TaylorLoop
 from ..geometry import ConnectorField, identity
 from ..observation import ObservationModel
 
@@ -260,8 +261,9 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         out[6:9, :] = params.gamma_noise * velocity_projection(x[3:6])
         return out
 
-    # Gamma(x)(sigma sigma(x)) vanishes identically, so b coincides with xi
-    # and is left unset: the EKF propagates this model, loop included
+    # Gamma(x)(sigma sigma(x)) vanishes identically, so b coincides with xi,
+    # and so does its Taylor loop
+    loop = _taylor_loop(lam)
     return DiffusionModel(
         dim=9,
         xi=xi,
@@ -269,14 +271,17 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         d2xi_contract=d2xi_contract,
         alpha=alpha,
         conn=tracking_connector(),
+        drift_b=xi,
+        ddrift_b=dxi,
+        d2drift_b_contract=d2xi_contract,
         noise_matrix=noise_matrix,
         constrain=project_state,
-        taylor_loop=_taylor_loop(lam),
+        taylor_loop=loop,
+        drift_b_taylor_loop=loop,
     )
 
 
-def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int],
-                                         tuple[np.ndarray, np.ndarray]]:
+def _taylor_loop(lam: float) -> TaylorLoop:
     """The flow's Taylor loop of :func:`tracking_diffusion` on Python floats.
 
     With c = xi's acceleration rows, Dxi's only varying rows are
@@ -286,17 +291,19 @@ def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int],
     its last rows -2 ((c.c) v + (c.a) a + (a.a) c) / |v|^2, as
     ``d2xi_contract`` gives them, and Dxi (a, c, d) = (c, d, Q c + R d).
     Each point forms v.v, a.a and v.a once and checks the speed as
-    ``_speed_squared`` does.  A raise leaves no path for a divergence
+    ``_speed_squared`` does; the start takes c from xi0, the drift that
+    ``xi`` gives there.  A raise leaves no path for a divergence
     check, and needs none from a finite start: a collapsed speed is finite,
     while a non-finite v or a makes every later speed non-finite.  The path
     and the Jacobian stack are built once, at the end.
     """
     floor2 = SPEED_FLOOR ** 2
 
-    def loop(x0, h, n):
+    def loop(x0, xi0, h, n):
         h2 = 0.5 * h * h
         h3 = h ** 3 / 6.0
         p1, p2, p3, v1, v2, v3, a1, a2, a3 = np.asarray(x0, dtype=float).tolist()
+        start_c = np.asarray(xi0, dtype=float)[6:9].tolist()
         points = [(p1, p2, p3, v1, v2, v3, a1, a2, a3)]
         blocks = []
         for k in range(n + 1):
@@ -319,10 +326,13 @@ def _taylor_loop(lam: float) -> Callable[[np.ndarray, float, int],
                            q31, q32, q33, r31, r32, r33))
             if k == n:
                 break
-            s = (v1 * a1 + v2 * a2 + v3 * a3) * inv
-            c1 = -rho * v1 - lam * (a1 - v1 * s)
-            c2 = -rho * v2 - lam * (a2 - v2 * s)
-            c3 = -rho * v3 - lam * (a3 - v3 * s)
+            if k == 0:
+                c1, c2, c3 = start_c
+            else:
+                s = (v1 * a1 + v2 * a2 + v3 * a3) * inv
+                c1 = -rho * v1 - lam * (a1 - v1 * s)
+                c2 = -rho * v2 - lam * (a2 - v2 * s)
+                c3 = -rho * v3 - lam * (a3 - v3 * s)
             d1 = q11 * a1 + q12 * a2 + q13 * a3 + r11 * c1 + r12 * c2 + r13 * c3
             d2 = q21 * a1 + q22 * a2 + q23 * a3 + r21 * c1 + r22 * c2 + r23 * c3
             d3 = q31 * a1 + q32 * a2 + q33 * a3 + r31 * c1 + r32 * c2 + r33 * c3

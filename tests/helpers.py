@@ -40,6 +40,12 @@ def counting(bundle, names, calls):
     return dataclasses.replace(bundle, **{n: wrap(n, getattr(bundle, n)) for n in names})
 
 
+def without_taylor_loops(model):
+    """The model without its own Taylor loops, xi's and b's: every filter
+    then takes the array Taylor steps through the callbacks."""
+    return dataclasses.replace(model, taylor_loop=None, drift_b_taylor_loop=None)
+
+
 def assert_broadcasts_over_points(model, points, rng):
     """``alpha``, ``d2xi_contract`` and ``d2drift_b_contract`` (when set) on
     a stack of points (n, p) equal the loop over the points, within 1e-12

@@ -305,11 +305,9 @@ def loop_covariance(alphas: np.ndarray, per_step: np.ndarray, sigma0: np.ndarray
 
 
 def drift_consistency_residual(model: DiffusionModel, x: np.ndarray) -> float:
-    """|xi(x) - b(x) - (1/2) Gamma(x)(alpha(x))| at one point; a model that
-    leaves b unset claims b = xi, so its residual is |Gamma(x)(alpha(x))| / 2."""
+    """|xi(x) - b(x) - (1/2) Gamma(x)(alpha(x))| at one point."""
     corr = 0.5 * model.conn.contract(x, model.alpha(x))
-    drift_b = model.xi if model.drift_b is None else model.drift_b
-    return float(np.linalg.norm(model.xi(x) - drift_b(x) - corr))
+    return float(np.linalg.norm(model.xi(x) - model.drift_b(x) - corr))
 
 
 def validate_state(x: np.ndarray, rtol: float = 1e-8) -> None:

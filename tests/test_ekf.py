@@ -21,6 +21,7 @@ from helpers import (
     counting,
     random_obs_point,
     random_tracking_state,
+    without_taylor_loops,
 )
 from oracles import cubic1d_analytic_flow
 
@@ -152,7 +153,7 @@ def test_predict_equals_own_loop_bit_for_bit(predict_cases, name, n_substeps):
     # loop to rounding.  tracking9d's own Taylor loop is set aside: it
     # reorders the arithmetic (tests/test_models_tracking.py bounds it)
     model, mean, cov, delta = predict_cases[name]
-    model = dataclasses.replace(model, taylor_loop=None)
+    model = without_taylor_loops(model)
     pred_mean, pred_cov = ekf_predict(model, (mean, cov), delta, n_substeps)
     ref_mean, ref_cov = _loop_predict(model, mean, cov, delta, n_substeps)
     assert np.array_equal(pred_mean, ref_mean)
@@ -160,14 +161,16 @@ def test_predict_equals_own_loop_bit_for_bit(predict_cases, name, n_substeps):
 
 
 def test_predict_evaluates_alpha_once_on_the_path(predict_cases):
-    # tracking9d leaves b unset, so the EKF steps with xi's callbacks, or
-    # with the model's own Taylor loop, which calls none of them
+    # the EKF steps with b's callbacks, or with b's own Taylor loop, which
+    # takes b at the start from drift_b and calls nothing else
     model, mean, cov, delta = predict_cases["tracking9d"]
-    names = ("xi", "dxi", "d2xi_contract", "alpha")
-    for loop, expected in ((None, {"xi": 8, "dxi": 9, "d2xi_contract": 8, "alpha": 1}),
-                           (model.taylor_loop, {"alpha": 1})):
+    names = ("xi", "dxi", "d2xi_contract", "drift_b", "ddrift_b", "d2drift_b_contract",
+             "alpha")
+    for loop, expected in ((None, {"drift_b": 8, "ddrift_b": 9, "d2drift_b_contract": 8,
+                                   "alpha": 1}),
+                           (model.drift_b_taylor_loop, {"drift_b": 1, "alpha": 1})):
         calls = Counter()
-        counted = counting(dataclasses.replace(model, taylor_loop=loop), names, calls)
+        counted = counting(dataclasses.replace(model, drift_b_taylor_loop=loop), names, calls)
         ekf_predict(counted, (mean, cov), delta, 8)
         assert calls == expected
 

@@ -287,6 +287,10 @@ def test_float_forms_belong_to_a_scalar_state_and_follow_b_to_the_ekf(cubic_mode
         forms.drift_b, forms.ddrift_b, forms.d2drift_b_contract)
     partial = FloatForms(forms.xi, forms.dxi, forms.d2xi_contract, drift_b=forms.drift_b)
     assert dataclasses.replace(model, float_forms=partial).drift_b_model.float_forms is None
+    # a model's own Taylor loop, xi's or b's, replaces the forms' steps
+    for field in ("taylor_loop", "drift_b_taylor_loop"):
+        with pytest.raises(ValueError, match="float forms or a Taylor loop"):
+            dataclasses.replace(model, **{field: lambda x0, xi0, h, n: None})
 
 
 # --- transition_jacobians ------------------------------------------------------
@@ -522,12 +526,14 @@ def test_precompute_matches_finer_grid():
 def test_precompute_evaluates_alpha_and_hessian_once_on_the_path():
     # tracking9d: a curved connector, so ailp_state needs alpha as well; the
     # Taylor step calls d2xi_contract once per step, ailp_state once more;
-    # the model's own Taylor loop replaces the step's callbacks
+    # the model's own Taylor loop replaces the step's callbacks but for xi
+    # at the start
     scenario = build_scenario(ScenarioConfig(model="tracking9d", n_obs=1, delta=0.1))
     names = ("xi", "dxi", "alpha", "d2xi_contract")
     mu0 = scenario.mu0
     for loop, expected in ((None, {"xi": 8, "dxi": 9, "alpha": 1, "d2xi_contract": 9}),
-                           (scenario.diffusion.taylor_loop, {"alpha": 1, "d2xi_contract": 1})):
+                           (scenario.diffusion.taylor_loop,
+                            {"xi": 1, "alpha": 1, "d2xi_contract": 1})):
         calls = Counter()
         model = counting(dataclasses.replace(scenario.diffusion, taylor_loop=loop), names, calls)
         precompute(model, mu0, scenario.sigma0, FlowGrid(0.1, 8))

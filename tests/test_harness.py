@@ -648,7 +648,6 @@ def _per_substep_simulation(scenario, rng):
     observation without angular coordinates is drawn by the general
     formula psi(X) + beta^(1/2) V, not by sample_observation."""
     config, model = scenario.config, scenario.diffusion
-    drift_b = model.xi if model.drift_b is None else model.drift_b
     dt = config.delta / config.sim_substeps
     x = np.array(scenario.x0, dtype=float)
     ref = x.copy()
@@ -660,7 +659,7 @@ def _per_substep_simulation(scenario, rng):
             for _ in range(config.sim_substeps):
                 load = model.noise_matrix(x)
                 shock = load @ rng.standard_normal(load.shape[1])
-                x = x + drift_b(x) * dt + shock * math.sqrt(dt)
+                x = x + model.drift_b(x) * dt + shock * math.sqrt(dt)
                 if not np.all(np.isfinite(x)):
                     return truth, observations, k
                 if model.constrain is not None:

@@ -30,7 +30,7 @@ from gifilter.models.tracking import (
 )
 from gifilter.observation import wrap_angles
 
-from helpers import random_obs_point, random_tracking_state
+from helpers import random_obs_point, random_tracking_state, without_taylor_loops
 from oracles import (
     levi_civita_connector,
     spherical_jacobian,
@@ -402,25 +402,23 @@ def test_the_taylor_loop_reports_a_non_finite_start_as_a_divergence(tracking_mod
             integrate_flow(m, x0, FlowGrid(0.1, 8))
 
 
-def test_the_ekf_keeps_the_loop_only_while_b_is_unset(tracking_models):
+def test_the_ekf_runs_the_loop_of_b(tracking_models):
     model, _ = tracking_models
-    assert model.drift_b is None and model.drift_b_model is model
-    # a b given apart from xi, here with xi's values, drops the loop
-    def drift_b(x):
-        return model.xi(x)
-
-    with_b = dataclasses.replace(model, drift_b=drift_b, ddrift_b=model.dxi,
-                                 d2drift_b_contract=model.d2xi_contract)
-    b_model = with_b.drift_b_model
-    assert b_model.taylor_loop is None and b_model.xi is drift_b
+    # b is xi, so b's loop is xi's and the EKF's mean follows the GIF's flow
+    assert model.drift_b is model.xi and model.drift_b_taylor_loop is model.taylor_loop
+    b_model = model.drift_b_model
+    assert b_model.xi is model.drift_b and b_model.taylor_loop is model.drift_b_taylor_loop
     mean = pack_state([9000.0, 2000.0, 3000.0], [-200.0, 80.0, 0.0], [0.0, 0.0, 20.0])
     cov = np.diag([100.0, 100.0, 100.0, 25.0, 25.0, 25.0, 4.0, 4.0, 4.0])
-    steps = dataclasses.replace(model, taylor_loop=None)
-    for m, ref in ((with_b, steps), (model, model)):
-        got = ekf_predict(m, (mean, cov), 0.1, 8)
-        want = ekf_predict(ref, (mean, cov), 0.1, 8)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+    got = ekf_predict(model, (mean, cov), 0.1, 8)
+    assert got[0].tobytes() == integrate_flow(model, mean, FlowGrid(0.1, 8))[0][-1].tobytes()
+    # without b's loop the EKF takes the array steps, whatever xi's loop
+    no_b_loop = dataclasses.replace(model, drift_b_taylor_loop=None)
+    assert no_b_loop.drift_b_model.taylor_loop is None
+    got = ekf_predict(no_b_loop, (mean, cov), 0.1, 8)
+    want = ekf_predict(without_taylor_loops(model), (mean, cov), 0.1, 8)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_the_spherical_gradient_is_the_inverse_jacobian():

@@ -7,16 +7,15 @@ a reordered sum from a changed term, and one cycle can.  The test records
 tracking runs, then feeds each recorded cycle input (mu, sigma, y, t) of
 each filter through ``filter_step`` and ``ekf_step`` twice: with the model
 as shipped, and with a reference that takes the arithmetic the shipped
-model replaced.  The reference model has no Taylor loop, so the flow steps
-through ``xi``, ``dxi`` and ``d2xi_contract``, and its observation takes
+model replaced.  The reference model has no Taylor loops, so the flow steps
+through ``xi``, ``dxi`` and ``d2xi_contract`` (the EKF's through b's), and
+its observation takes
 the spherical gradient by ``np.linalg.inv`` (:mod:`oracles`).  Each output
 is compared per cycle: mu block by block (position, velocity,
 acceleration), each block's largest deviation relative to its largest
 entry, and sigma relative to its largest entry.  The bound was fixed
 before the first run.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from gifilter.harness import (
 )
 from gifilter.models.tracking import Tracking9DParams
 
+from helpers import without_taylor_loops
 from oracles import inverse_spherical_observation
 
 REPLAY_BOUND = 1e-10
@@ -57,7 +57,7 @@ def _replay(seed: int, n_obs: int = 100):
     scenario = build_scenario(config)
     record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(seed, 0)))
     model = scenario.diffusion
-    reference = dataclasses.replace(model, taylor_loop=None)
+    reference = without_taylor_loops(model)
     params = Tracking9DParams()
     cfg = config.filter_config()
     steps = {
