@@ -10,7 +10,8 @@ the one-step third-order Taylor scheme, which needs the model's
 follows the trapezium transport of dP/dt = A P + P A^T + alpha with A =
 Db(m(t)).  The update is the standard first-order correction.  A cycle that
 :func:`gifilter.filter.scalar_cycle` admits runs on Python floats from
-stage to stage, through the float forms of b, as the GIF's does.
+stage to stage, through the model's float forms, which are b's on its
+flat connector, as the GIF's does.
 """
 
 from __future__ import annotations

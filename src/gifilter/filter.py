@@ -71,8 +71,9 @@ def scalar_cycle(model: DiffusionModel, obs: ObservationModel) -> bool:
     estimate into two floats once, every stage takes its float branch
     from the type of its arguments, and the result arrays are built once
     at the end.  The float forms hold a one-dimensional state and a scalar
-    observation; those of a flat model must include ``alpha``, and the b
-    forms for the EKF.
+    observation; a flat model's include ``alpha``, as
+    :class:`~gifilter.flow.DiffusionModel` checks, and serve the EKF too,
+    since on a flat connector b is xi.
     """
     return (model.float_forms is not None and obs.float_forms is not None
             and model.conn.flat and obs.conn_obs.flat and obs.angular_mask is None)
@@ -94,21 +95,15 @@ def _scalar_gain(xi_delta: float, j: float, beta: float) -> float:
 def gain(xi_delta: np.ndarray, j: np.ndarray, beta_at_ydelta: np.ndarray) -> np.ndarray:
     """Gain G = Xi J^T [J Xi J^T + beta]^(-1) via a linear solve.
 
-    With a scalar state and a scalar innovation (p = q = 1) the solve is
-    the float division b / a of J Xi by the innovation, which gives the
-    bits of LAPACK's solve with its one right-hand side
-    (:func:`_scalar_gain`, which the floats of a scalar flat cycle call
-    directly).  Any scalar innovation (q = 1) takes its condition test
-    without eigvalsh (:func:`gifilter.geometry.scalar_condition`); any
-    other shape keeps the LAPACK calls.
+    The floats of a scalar flat cycle (p = q = 1) take
+    :func:`_scalar_gain`, whose float division b / a of J Xi by the
+    innovation gives the bits of LAPACK's solve with its one right-hand
+    side.  Arrays, 1x1 ones included, keep the solve.
     """
     if isinstance(j, float):
         return _scalar_gain(xi_delta, j, beta_at_ydelta)
     j = np.asarray(j, dtype=float)
     beta_at_ydelta = np.asarray(beta_at_ydelta, dtype=float)
-    if j.shape == (1, 1):
-        return np.array([[_scalar_gain(float(xi_delta[0, 0]), float(j[0, 0]),
-                                       float(beta_at_ydelta[0, 0]))]])
     j_xi = j @ xi_delta
     innov = symmetrize(j_xi @ j.T + beta_at_ydelta)
     if symmetric_condition(innov) > GAIN_COND_LIMIT:
@@ -262,6 +257,7 @@ def repair_psd(mat: np.ndarray) -> np.ndarray:
     raises NonFiniteError where the eigendecomposition fails on it.  The
     float covariance of a scalar flat cycle is its own eigenvalue.
     """
+    # 1x1 keeps its own rule: eigh and the floor give [[-inf]] -inf, so it would be clipped to 0
     if isinstance(mat, float) or mat.shape == (1, 1):
         min_eig = mat if isinstance(mat, float) else float(mat[0, 0])
         if not min_eig < 0.0:

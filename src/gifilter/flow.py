@@ -48,12 +48,9 @@ step-by-step recursions instead, each 1x1 product a @ b formed as
 0.0 + a * b, as matmul does; they may differ from the array scans in the
 last bits.  The array helpers (:func:`_taylor_arrays`,
 :func:`_covariance_arrays`, :func:`_to_end_arrays`) serve every other
-model and dimension.  A 1x1 tau_0^delta reaches no LAPACK call either:
-:func:`_checked_inverse` tests |tau| in place of an svd and forms 1 / tau
-in place of ``inv``, with LAPACK's bits.  The filter update does the same
-for 1x1 matrices in :func:`gifilter.filter.gain` (the eigvalsh of its
-condition test and the solve) and :func:`gifilter.observation.beta_sqrt`
-(the eigh), so a scalar model's cycle makes no LAPACK call at all.
+model and dimension.  A 1x1 array takes the matrix functions' calls like
+any other: the stacked exponential, and the svd and ``inv`` of
+tau_0^delta.
 
 A scalar flat cycle (:func:`gifilter.filter.scalar_cycle`, cubic1d's)
 goes further and builds no array between its stages.  Its estimate
@@ -62,7 +59,11 @@ Python floats, and every stage here takes its float branch from the type
 of its arguments: a path, its Jacobians, the per-step maps, the
 variances and the products are lists of floats, and Xi_delta,
 tau_delta^0 and m_delta are floats.  The same float recursions serve the
-1x1 arrays above.  Two steps stay numpy, for their bits: the n per-step
+1x1 arrays above.  Only these floats take scalar code in place of the
+matrix functions, with their bits: :func:`_checked_inverse` tests |tau|
+for the svd and forms 1 / tau for ``inv``, and
+:func:`gifilter.filter.gain` divides for the solve, so the cycle makes no
+LAPACK call.  Two steps stay numpy, for their bits: the n per-step
 exponentials of :func:`transition_jacobians`, one ``np.exp`` over a list
 (``math.exp`` differs from it in the last bit on some arguments), and
 each trapezium sum of :func:`_trapezium_floats`, one ``.sum()`` of a
@@ -89,14 +90,6 @@ FLOW_COND_LIMIT = 1e12
 
 # a model's own Taylor loop: (x0, drift at x0, h, n) -> (path, Dxi at every point)
 TaylorLoop = Callable[[np.ndarray, np.ndarray, float, int], tuple[np.ndarray, np.ndarray]]
-
-
-def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of every (p, p) matrix in a stack (..., p, p)."""
-    # scalar fast path matters in the 1-D benchmark hot loop
-    if m.shape[-2:] == (1, 1):
-        return np.exp(m)
-    return scipy.linalg.expm(m)
 
 
 @dataclass(frozen=True)
@@ -140,26 +133,24 @@ class FloatForms:
     after the :class:`DiffusionModel` fields they stand for.
 
     Each takes and returns Python floats in place of (1,) and (1, 1)
-    arrays: ``xi``, ``dxi``, ``drift_b`` and ``ddrift_b`` take the
-    coordinate x; ``d2xi_contract`` and ``d2drift_b_contract`` take x and
-    the one entry chi of the tensor; ``noise_matrix`` returns the one
-    loading entry sigma(x) and ``alpha`` the one entry of alpha(x).  A
-    form does its array callback's operations in the same order and gives
-    its bits, a non-finite value included.  Where Python float arithmetic
-    raises (``**`` past the float range, a division by zero), numpy
-    returns +-inf or NaN, so a form must return that value in place of
-    raising.  The xi forms are required; the b forms are optional, as for
-    the arrays.  A flat model's forms must include ``alpha``, and the b
-    forms, since :func:`gifilter.filter.scalar_cycle` admits its cycles
-    with any observation that gives float forms.
+    arrays: ``xi`` and ``dxi`` take the coordinate x; ``d2xi_contract``
+    takes x and the one entry chi of the tensor; ``noise_matrix`` returns
+    the one loading entry sigma(x) and ``alpha`` the one entry of
+    alpha(x).  A form does its array callback's operations in the same
+    order and gives its bits, a non-finite value included.  Where Python
+    float arithmetic raises (``**`` past the float range, a division by
+    zero), numpy returns +-inf or NaN, so a form must return that value in
+    place of raising.  The xi forms are required.  On a flat connector b
+    is xi, so there the xi forms are b's too, for the EKF and the
+    simulator, and a flat model's forms must include ``alpha``
+    (:class:`DiffusionModel` checks it), since
+    :func:`gifilter.filter.scalar_cycle` admits its cycles with any
+    observation that gives float forms.
     """
 
     xi: Callable[[float], float]
     dxi: Callable[[float], float]
     d2xi_contract: Callable[[float, float], float]
-    drift_b: Optional[Callable[[float], float]] = None
-    ddrift_b: Optional[Callable[[float], float]] = None
-    d2drift_b_contract: Optional[Callable[[float, float], float]] = None
     noise_matrix: Optional[Callable[[float], float]] = None
     alpha: Optional[Callable[[float], float]] = None
 
@@ -201,14 +192,15 @@ class DiffusionModel:
     (a broadcasting cubic ``xi`` costs about twice as much per point).
 
     A one-dimensional model may also give ``float_forms``, the
-    :class:`FloatForms` of its one-point callbacks.  The Taylor loop of
-    :func:`integrate_flow` then calls the xi forms, and the Euler loop of
-    :func:`gifilter.harness.simulate_sde` the ``drift_b`` and
-    ``noise_matrix`` forms, in place of the array callbacks, so that no
-    array is built per call.  A scalar flat cycle (see
-    :func:`gifilter.filter.scalar_cycle`) calls the forms for every use,
-    the whole-path contractions and ``alpha`` included; any other cycle
-    keeps the arrays there.
+    :class:`FloatForms` of its one-point callbacks; ValueError when a flat
+    model's forms lack ``alpha``.  The Taylor loop of
+    :func:`integrate_flow` then calls the xi forms, and on a flat
+    connector, where b is xi, so does the Euler loop of
+    :func:`gifilter.harness.simulate_sde`, with the ``noise_matrix`` form,
+    in place of the array callbacks, so that no array is built per call.
+    A scalar flat cycle (see :func:`gifilter.filter.scalar_cycle`) calls
+    the forms for every use, the whole-path contractions and ``alpha``
+    included; any other cycle keeps the arrays there.
 
     A model of any other dimension may give ``taylor_loop(x0, xi0, h, n)``,
     its own run of :func:`integrate_flow`'s scheme: from the start x0,
@@ -245,24 +237,23 @@ class DiffusionModel:
         if self.float_forms is not None and (self.taylor_loop is not None
                                              or self.drift_b_taylor_loop is not None):
             raise ValueError("a model gives float forms or a Taylor loop, not both")
+        if self.float_forms is not None and self.conn.flat and self.float_forms.alpha is None:
+            raise ValueError("a flat model's float forms need alpha")
 
     @cached_property
     def drift_b_model(self) -> "DiffusionModel":
         """This model with the coordinate drift b, ``ddrift_b`` and
         ``d2drift_b_contract`` in place of xi and its derivatives: what the
-        EKF propagates.  The float forms of b take the xi slots likewise,
-        when all three are given, and b's Taylor loop takes xi's.  Built
-        once per model; ValueError when either derivative of b is unset."""
+        EKF propagates.  A flat model keeps its float forms, which are b's
+        as well as xi's; a curved model's are dropped, so its EKF steps on
+        arrays.  b's Taylor loop takes xi's.  Built once per model;
+        ValueError when either derivative of b is unset."""
         for name in ("ddrift_b", "d2drift_b_contract"):
             if getattr(self, name) is None:
                 raise ValueError(f"the EKF needs the model's {name}")
-        forms = self.float_forms
-        if forms is not None:
-            b_forms = (forms.drift_b, forms.ddrift_b, forms.d2drift_b_contract)
-            forms = None if None in b_forms else dataclasses.replace(
-                forms, xi=b_forms[0], dxi=b_forms[1], d2xi_contract=b_forms[2])
         return dataclasses.replace(self, xi=self.drift_b, dxi=self.ddrift_b,
-                                   d2xi_contract=self.d2drift_b_contract, float_forms=forms,
+                                   d2xi_contract=self.d2drift_b_contract,
+                                   float_forms=self.float_forms if self.conn.flat else None,
                                    taylor_loop=self.drift_b_taylor_loop)
 
 
@@ -455,7 +446,7 @@ def transition_jacobians(jacs, grid: FlowGrid):
     if isinstance(jacs, list):
         half_step = 0.5 * grid.step
         return np.exp([half_step * (a + b) for a, b in zip(jacs, jacs[1:])]).tolist()
-    return _expm(0.5 * grid.step * (jacs[:-1] + jacs[1:]))
+    return scipy.linalg.expm(0.5 * grid.step * (jacs[:-1] + jacs[1:]))
 
 
 def propagate_covariance(
@@ -641,17 +632,15 @@ def _checked_inverse(tau: np.ndarray) -> np.ndarray:
     at most FLOW_COND_LIMIT, and tau_delta^0 tau is within 1e-8 of the
     identity in every entry.
 
-    A 1x1 map takes no svd: its one singular value is |tau|, so it passes
-    exactly when |tau| is finite and nonzero.  (LAPACK's svd rescales a
-    value far from 1 and may return |tau| off by an ulp; no value passes
-    or fails on that.)  It is inverted as 1 / tau, the bits of LAPACK's
-    inverse.  The float tau of a scalar flat cycle is checked alike and
-    gives a float.
+    The float tau of a scalar flat cycle takes no svd: its one singular
+    value is |tau|, so it passes exactly when |tau| is finite and nonzero.
+    (LAPACK's svd rescales a value far from 1 and may return |tau| off by
+    an ulp; no value passes or fails on that.)  It is inverted as
+    1 / tau, the bits of LAPACK's inverse, and gives a float.
     """
     scalar = isinstance(tau, float)
-    if scalar or tau.shape == (1, 1):
-        value = tau if scalar else float(tau[0, 0])
-        largest = smallest = abs(value)
+    if scalar:
+        largest = smallest = abs(tau)
     elif np.isfinite(tau).all():
         singular = np.linalg.svd(tau, compute_uv=False)
         largest, smallest = float(singular[0]), float(singular[-1])
@@ -663,10 +652,9 @@ def _checked_inverse(tau: np.ndarray) -> np.ndarray:
         raise IllConditionedFlowError(
             f"accumulated transition Jacobian condition number exceeds {FLOW_COND_LIMIT:.0e}"
         )
-    if scalar or tau.shape == (1, 1):
-        reciprocal = 1.0 / value
-        off = abs(reciprocal * value - 1.0)
-        inverse = reciprocal if scalar else np.array([[reciprocal]])
+    if scalar:
+        inverse = 1.0 / tau
+        off = abs(inverse * tau - 1.0)
     else:
         inverse = np.linalg.inv(tau)
         off = np.abs(inverse @ tau - identity(tau.shape[0])).max()

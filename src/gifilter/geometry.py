@@ -49,6 +49,7 @@ def symmetric_condition(mat: np.ndarray) -> float:
     Infinite when the matrix is singular or has non-finite entries.  A 1x1
     matrix takes no eigvalsh (:func:`scalar_condition`).
     """
+    # the 1x1 innovation of a scalar observation of a larger state
     if mat.shape == (1, 1):
         return scalar_condition(float(mat[0, 0]))
     if not np.all(np.isfinite(mat)):

@@ -305,11 +305,12 @@ def simulate_sde(
     a cycle marks that cycle's row and stops the simulation early; so does
     an overflow, without a warning.
 
-    The substeps run through one of two helpers.  An unconstrained model
-    with the float forms of ``drift_b`` and ``noise_matrix``
-    (:class:`gifilter.flow.FloatForms`) and one noise input steps on
-    Python floats through them (:func:`_euler_floats`); any other on
-    arrays (:func:`_euler_arrays`), tracking9d included.  Only the array
+    The substeps run through one of two helpers.  An unconstrained flat
+    model whose float forms (:class:`gifilter.flow.FloatForms`) give
+    ``noise_matrix``, with one noise input, steps on Python floats through
+    the forms of xi, which is b on a flat connector, and of
+    ``noise_matrix`` (:func:`_euler_floats`); any other on arrays
+    (:func:`_euler_arrays`), tracking9d included.  Only the array
     loop checks and applies a constraint.  Both give the same truth and
     observations bit for bit.
     """
@@ -330,9 +331,8 @@ def simulate_sde(
 
     noise_dim = model.noise_matrix(x).shape[1]
     forms = model.float_forms
-    on_floats = (forms is not None and forms.drift_b is not None
-                 and forms.noise_matrix is not None and noise_dim == 1
-                 and model.constrain is None)
+    on_floats = (forms is not None and model.conn.flat and forms.noise_matrix is not None
+                 and noise_dim == 1 and model.constrain is None)
     euler = _euler_floats if on_floats else _euler_arrays
 
     # overflow surfaces as the explicit divergence marker, not a warning
@@ -373,9 +373,10 @@ def _euler_arrays(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
 
 def _euler_floats(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
                   normals: np.ndarray, dt: float, sqrt_dt: float) -> Optional[np.ndarray]:
-    """:func:`_euler_arrays` through the float forms of ``drift_b`` and
-    ``noise_matrix``, on Python floats, for an unconstrained model with
-    one noise input; the state arrives and leaves as a (1,) array.
+    """:func:`_euler_arrays` through the float forms of xi, which is b on
+    a flat connector, and ``noise_matrix``, on Python floats, for an
+    unconstrained flat model with one noise input; the state arrives and
+    leaves as a (1,) array.
 
     The arithmetic is the array step's, operation by operation, with the
     1x1 product sigma @ n formed as 0.0 + sigma * n as matmul forms it, so
@@ -384,7 +385,7 @@ def _euler_floats(model: DiffusionModel, x: np.ndarray, ref: np.ndarray,
     :func:`simulate_sde`'s errstate.
     """
     forms = model.float_forms
-    drift_b, noise_matrix = forms.drift_b, forms.noise_matrix
+    drift_b, noise_matrix = forms.xi, forms.noise_matrix
     x = x.item()
     for n in normals.reshape(-1).tolist():
         shock = 0.0 + noise_matrix(x) * n

@@ -91,7 +91,6 @@ def cubic1d_build(params: Cubic1DParams) -> tuple[DiffusionModel, ObservationMod
         noise_matrix=lambda x: noise,
         float_forms=FloatForms(
             xi=xi_form, dxi=dxi_form, d2xi_contract=d2xi_contract_form,
-            drift_b=xi_form, ddrift_b=dxi_form, d2drift_b_contract=d2xi_contract_form,
             noise_matrix=lambda x: loading, alpha=lambda x: params.alpha),
     )
 

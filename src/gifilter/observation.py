@@ -95,15 +95,11 @@ def _scalar_root(value: float) -> float:
 
 def beta_sqrt(beta: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD matrix via eigendecomposition;
-    SingularMetricError when its smallest eigenvalue is not positive.
-
-    A 1x1 matrix takes no eigh: its root is :func:`_scalar_root` of its one
-    entry, the rule the scalar branch of :func:`sample_observation` applies
-    too.
+    SingularMetricError when its smallest eigenvalue is not positive.  The
+    scalar draw of :func:`sample_observation` takes :func:`_scalar_root`,
+    which gives the bits of this root of a 1x1 matrix, in its place.
     """
     beta = symmetrize(np.asarray(beta, dtype=float))
-    if beta.shape == (1, 1):
-        return np.array([[_scalar_root(float(beta[0, 0]))]])
     eigs, vecs = np.linalg.eigh(beta)
     if eigs[0] <= 0.0:
         raise SingularMetricError(f"observation covariance not SPD (min eig {eigs[0]:.3e})")

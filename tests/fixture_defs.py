@@ -50,11 +50,16 @@ from gifilter.geometry import (
     symmetrize,
 )
 from gifilter.harness import (
+    Scenario,
     ScenarioConfig,
+    TrajectoryRecord,
     build_scenario,
+    dphi,
+    phi,
     run_filters,
     simulate_sde,
     trajectory_rng,
+    transformed_cubic_model,
 )
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.tracking import (
@@ -707,6 +712,41 @@ def _tracking_run_freeze_value():
                            record.aborted["ekf"].astype(float)])
 
 
+def _transformed_chart_run_value():
+    """GIF estimates and covariances in the transformed chart on the first
+    50 cycles of invariance_check's full-noise track: pins the 1x1 array
+    cycle of a curved one-dimensional model bit for bit."""
+    model_params = {"p_crit": 0.5, "alpha": 0.01, "beta": 0.001}
+    config = ScenarioConfig(model="cubic1d", model_params=model_params, delta=1.0, n_obs=50,
+                            n_substeps=64, sim_substeps=50, seed=7, filters=("gif",),
+                            max_refinements=0)
+    base = build_scenario(config)
+    record = simulate_sde(base, trajectory_rng(7, 0))
+    model, obs = transformed_cubic_model(Cubic1DParams(**model_params))
+    x0 = float(base.mu0[0])
+    mu0 = np.array([phi(x0)])
+    scenario = Scenario(config, model, lambda t: obs, mu0, mu0, dphi(x0) ** 2 * base.sigma0)
+    run = run_filters(scenario, TrajectoryRecord(record.times, phi(record.truth),
+                                                 record.observations))
+    return np.concatenate([run.estimates["gif"].ravel(), run.covariances["gif"].ravel(),
+                           run.aborted["gif"].astype(float)])
+
+
+def _scalar_linear_run_value():
+    """GIF and EKF estimates and covariances, then their aborted flags, of a
+    linear run with one state and one observation, which has no float
+    forms: pins its 1x1 array cycles and its scalar draw bit for bit."""
+    config = ScenarioConfig(model="linear", delta=0.5, n_obs=50, seed=1212,
+                            model_params={"a_mat": [[-0.5]], "sigma_mat": [[0.3]],
+                                          "j_mat": [[2.0]], "b_mat": [[0.1]]})
+    scenario = build_scenario(config)
+    record = run_filters(scenario, simulate_sde(scenario, trajectory_rng(1212, 0)))
+    return np.concatenate([record.truth.ravel(), record.observations.ravel()]
+                          + [getattr(record, field)[name].ravel().astype(float)
+                             for name in ("gif", "ekf")
+                             for field in ("estimates", "covariances", "aborted")])
+
+
 FIXTURES = [
     FixtureDef("geometry/levi_civita_exp_metric", _lc_2d_value, _lc_2d_oracle, "abs", 1e-7),
     FixtureDef("geometry/exp_series_vs_geodesic", _exp_vs_geodesic_value,
@@ -769,6 +809,10 @@ FIXTURES = [
                _run_filters_freeze_value, "abs", 0.0),
     FixtureDef("harness/tracking_run_frozen", _tracking_run_freeze_value,
                _tracking_run_freeze_value, "abs", 0.0),
+    FixtureDef("harness/transformed_chart_run_frozen", _transformed_chart_run_value,
+               _transformed_chart_run_value, "abs", 0.0),
+    FixtureDef("harness/scalar_linear_run_frozen", _scalar_linear_run_value,
+               _scalar_linear_run_value, "abs", 0.0),
 ]
 
 

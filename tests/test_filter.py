@@ -451,7 +451,10 @@ def test_repair_psd_clips_negative_eigenvalues(caplog):
         fixed = repair_psd(np.array([[1.0, 0.0], [0.0, -1e-14]]))
         for psd in (np.eye(2), np.array([[3.0]]), np.zeros((1, 1))):
             assert repair_psd(psd) is psd
-        for mat in ([[1.0, 0.0], [0.0, -0.5]], [[1.0, 0.0], [0.0, -2e-12]], [[-2.0]]):
+        # [[-inf]] pins the 1x1 rule: eigh gives it the eigenvalue -inf and the
+        # general floor -SYMMETRY_RTOL * max|mat| is -inf, so that rule would clip it
+        for mat in ([[1.0, 0.0], [0.0, -0.5]], [[1.0, 0.0], [0.0, -2e-12]], [[-2.0]],
+                    [[-np.inf]]):
             with pytest.raises(IndefiniteCovarianceError, match="indefinite, has eigenvalue"):
                 repair_psd(np.array(mat))
     assert np.linalg.eigvalsh(fixed)[0] >= 0.0

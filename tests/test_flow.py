@@ -187,7 +187,8 @@ def _exploding_flow(dim):
     Python floats as on arrays."""
     xi, dxi, d2xi = lambda x: x * x * x, lambda x: 3 * x * x, lambda x: 6 * x
     if dim == 1:
-        forms = FloatForms(xi=xi, dxi=dxi, d2xi_contract=lambda x, chi: d2xi(x) * chi)
+        forms = FloatForms(xi=xi, dxi=dxi, d2xi_contract=lambda x, chi: d2xi(x) * chi,
+                           alpha=lambda x: 0.0)
         model = dataclasses.replace(make_scalar_model(xi, dxi, d2xi, 0.0), float_forms=forms)
         return model, lambda x0: np.array([x0])
     return make_inert_2d_model(xi, dxi, d2xi), lambda x0: np.array([x0, 0.0])
@@ -280,17 +281,30 @@ def test_float_forms_belong_to_a_scalar_state_and_follow_b_to_the_ekf(cubic_mode
     forms = model.float_forms
     with pytest.raises(ValueError, match="float forms need a one-dimensional state"):
         dataclasses.replace(make_linear_model(np.eye(2), np.eye(2)), float_forms=forms)
-    # the EKF's model takes the b forms in the xi slots, or, without the
-    # forms of b's derivatives, none, and so the array loop
-    b_forms = model.drift_b_model.float_forms
-    assert (b_forms.xi, b_forms.dxi, b_forms.d2xi_contract) == (
-        forms.drift_b, forms.ddrift_b, forms.d2drift_b_contract)
-    partial = FloatForms(forms.xi, forms.dxi, forms.d2xi_contract, drift_b=forms.drift_b)
-    assert dataclasses.replace(model, float_forms=partial).drift_b_model.float_forms is None
+    # on a flat connector b is xi: the EKF's model keeps the forms, so
+    # cubic1d's EKF runs on floats; a curved model's EKF runs on arrays
+    assert model.drift_b_model.float_forms is model.float_forms
+    transformed = transformed_cubic_model(Cubic1DParams())[0]
+    curved = dataclasses.replace(transformed, ddrift_b=transformed.dxi,
+                                 d2drift_b_contract=transformed.d2xi_contract)
+    assert curved.float_forms is not None and curved.drift_b_model.float_forms is None
     # a model's own Taylor loop, xi's or b's, replaces the forms' steps
     for field in ("taylor_loop", "drift_b_taylor_loop"):
         with pytest.raises(ValueError, match="float forms or a Taylor loop"):
             dataclasses.replace(model, **{field: lambda x0, xi0, h, n: None})
+
+
+def test_a_flat_model_whose_float_forms_lack_alpha_is_refused(cubic_models):
+    # the scalar cycle reads alpha from the forms: without it a filter
+    # cycle would fail deep in the flow, so the model is refused when built
+    model = cubic_models[0]
+    forms = model.float_forms
+    with pytest.raises(ValueError, match="float forms need alpha"):
+        dataclasses.replace(model, float_forms=FloatForms(forms.xi, forms.dxi,
+                                                          forms.d2xi_contract,
+                                                          noise_matrix=forms.noise_matrix))
+    # a curved model reads alpha from its arrays, so its forms may omit it
+    assert transformed_cubic_model(Cubic1DParams())[0].float_forms.alpha is None
 
 
 # --- transition_jacobians ------------------------------------------------------

@@ -1,12 +1,14 @@
-"""The 1x1 float branches against the LAPACK calls they replace, the float
-forms of the one-dimensional models against their array callbacks, the
-scalar flat cycle against the array cycle, and a guard on how many LAPACK
-calls one filter or simulation cycle makes.
+"""The float code of the scalar flat cycle and the scalar draw against the
+LAPACK calls it replaces, the float forms of the one-dimensional models
+against their array callbacks, the scalar flat cycle against the array
+cycle, and a guard on how many LAPACK calls one filter or simulation cycle
+makes.
 
-Each reference below is the array code the branch or form replaces, run on
-the same 1x1 input: a branch must give its bytes, or raise the same
-exception class, on every value of the table, which covers random values,
-values near e^+-50, 1e+-300, subnormals, +-0.0, +-inf and NaN.
+Each reference below is the array code the float code or form replaces,
+run on the same value as a 1x1 input: the float code must give its bytes,
+or raise the same exception class, on every value of the table, which
+covers random values, values near e^+-50, 1e+-300, subnormals, +-0.0,
++-inf and NaN.
 """
 
 import dataclasses
@@ -36,7 +38,7 @@ from gifilter.harness import (
     transformed_cubic_model,
 )
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
-from gifilter.observation import beta_sqrt
+from gifilter.observation import _scalar_root
 
 _RNG = np.random.default_rng(2024)
 _EDGES = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1e-310, -2.5e-320,
@@ -107,15 +109,21 @@ def test_symmetric_condition_of_a_scalar_equals_eigvalsh():
                                                               mat), value
 
 
+def _scalar_draw_root(value):
+    """:func:`_scalar_root` of a 1x1 metric's entry, symmetrized as the
+    scalar draw of sample_observation symmetrizes it."""
+    return _scalar_root(0.5 * (value + value))
+
+
 def test_beta_sqrt_of_a_scalar_equals_eigh():
-    for value in VALUES:
-        beta = np.array([[value]])
-        assert _outcome(beta_sqrt, beta) == _outcome(_lapack_beta_sqrt, beta), value
+    for value in VALUES.tolist():
+        assert (_outcome(_scalar_draw_root, value)
+                == _outcome(_lapack_beta_sqrt, np.array([[value]]))), value
     # a NaN passes through, as through eigh; a non-positive entry is refused
-    assert np.isnan(beta_sqrt(np.array([[math.nan]]))).all()
+    assert math.isnan(_scalar_draw_root(math.nan))
     for value in (0.0, -0.0, -1e-300, -math.inf):
         with pytest.raises(SingularMetricError):
-            beta_sqrt(np.array([[value]]))
+            _scalar_draw_root(value)
 
 
 def test_gain_of_a_scalar_innovation_equals_solve():
@@ -123,10 +131,11 @@ def test_gain_of_a_scalar_innovation_equals_solve():
     triples[:len(_EDGES), 0] = _EDGES  # every edge value as xi_delta ...
     triples[len(_EDGES):2 * len(_EDGES), 2] = _EDGES  # ... and as beta
     outcomes = Counter()
-    for xi, jv, beta in triples:
-        args = (np.array([[xi]]), np.array([[jv]]), np.array([[beta]]))
-        outcome = _outcome(gain, *args)
-        assert outcome == _outcome(_lapack_gain, *args), (xi, jv, beta)
+    for xi, jv, beta in triples.tolist():
+        # the floats of a scalar flat cycle against the 1x1 arrays' LAPACK
+        outcome = _outcome(gain, xi, jv, beta)
+        assert outcome == _outcome(_lapack_gain, np.array([[xi]]), np.array([[jv]]),
+                                   np.array([[beta]])), (xi, jv, beta)
         outcomes[outcome is IllConditionedGainError] += 1
     assert outcomes[True] > 10 and outcomes[False] > 2000  # both outcomes are covered
 
@@ -142,14 +151,13 @@ def test_gain_keeps_lapack_for_several_right_hand_sides(monkeypatch):
 
 
 def test_inverse_of_a_scalar_tau_equals_lapack():
-    for value in VALUES:
-        tau = np.array([[value]])
-        outcome = _outcome(flow._checked_inverse, tau)
+    for value in VALUES.tolist():
+        outcome = _outcome(flow._checked_inverse, value)
         if math.isfinite(value) and value != 0.0:
-            assert outcome == _outcome(_lapack_inverse, tau), value
+            assert outcome == _outcome(_lapack_inverse, np.array([[value]])), value
         else:
             # LAPACK raised LinAlgError on these, or passed inf and NaN on;
-            # the branch raises what the array path raises on diag(value, value)
+            # the float raises what the array path raises on diag(value, value)
             assert outcome is IllConditionedFlowError, value
             assert _outcome(flow._checked_inverse, np.diag([value, value])) is outcome
 
@@ -179,25 +187,32 @@ def test_float_forms_equal_their_array_callbacks(chart):
     # would not raise
     points = VALUES.tolist() + _POWER_OVERFLOWS
     random_chis = np.random.default_rng(11).choice(VALUES, size=len(points)).tolist()
+    # on a flat connector b is xi, so there the xi forms stand for b's arrays too
+    pairs = [("xi", "xi"), ("dxi", "dxi"), ("noise_matrix", "noise_matrix"), ("alpha", "alpha")]
+    contractions = [("d2xi_contract", "d2xi_contract")]
+    if model.conn.flat:
+        pairs += [("xi", "drift_b"), ("dxi", "ddrift_b")]
+        contractions += [("d2xi_contract", "d2drift_b_contract")]
     checked = Counter()
     for value, random_chi in zip(points, random_chis):
         x = np.array([value])
         for owner, array_owner, names in (
-                (forms, model, ("xi", "dxi", "drift_b", "ddrift_b", "noise_matrix", "alpha")),
-                (obs_forms, obs, ("psi", "dpsi", "d2psi", "beta"))):
-            for name in names if owner is not None else ():
+                (forms, model, pairs),
+                (obs_forms, obs, [(name, name) for name in ("psi", "dpsi", "d2psi", "beta")])):
+            for name, array_name in names if owner is not None else ():
                 form = getattr(owner, name)
                 if form is not None:
-                    assert _outcome(form, value) == _outcome(getattr(array_owner, name), x), (
-                        name, value)
-                    checked[name] += 1
-        for name in ("d2xi_contract", "d2drift_b_contract"):
-            form = getattr(forms, name)
-            for chi in (0.37, random_chi) if form is not None else ():
-                assert (_outcome(form, value, chi)
-                        == _outcome(getattr(model, name), x, np.array([[chi]]))), (name, value, chi)
-                checked[name] += 1
-    # cubic1d gives every form, the transformed chart the xi forms
+                    assert _outcome(form, value) == _outcome(getattr(array_owner, array_name),
+                                                             x), (array_name, value)
+                    checked[array_name] += 1
+        for name, array_name in contractions:
+            for chi in (0.37, random_chi):
+                assert (_outcome(getattr(forms, name), value, chi)
+                        == _outcome(getattr(model, array_name), x, np.array([[chi]]))), (
+                            array_name, value, chi)
+                checked[array_name] += 1
+    # cubic1d's forms give every array callback, b's included; the
+    # transformed chart's the xi ones
     expected = (("xi", "dxi", "d2xi_contract", "drift_b", "ddrift_b", "d2drift_b_contract",
                  "noise_matrix", "alpha", "psi", "dpsi", "d2psi", "beta")
                 if chart != "transformed" else ("xi", "dxi", "d2xi_contract"))
@@ -228,7 +243,7 @@ def _cycle_outcome(step, *args):
 def test_the_scalar_cycle_equals_the_array_cycle_bit_for_bit(regime, n_substeps):
     # cubic1d's GIF and EKF cycles pass floats from stage to stage; the
     # same model and observation without their float forms take every
-    # array stage and its 1x1 branches, and give the same bits, or raise
+    # array stage and its LAPACK calls, and give the same bits, or raise
     # the same class, from |x0| up to 4.5 and sigma from 1e-6 to 1, with
     # the quadratic term and the collar each on and off
     model, obs = cubic1d_build(_REGIMES[regime])
