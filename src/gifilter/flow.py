@@ -91,6 +91,10 @@ FLOW_COND_LIMIT = 1e12
 # a model's own Taylor loop: (x0, drift at x0, h, n) -> (path, Dxi at every point)
 TaylorLoop = Callable[[np.ndarray, np.ndarray, float, int], tuple[np.ndarray, np.ndarray]]
 
+# a model's own Euler loop of one simulated cycle: (x, ref, normals, dt, sqrt_dt) -> the
+# state at the cycle's end, or None when it is not finite
+EulerLoop = Callable[[np.ndarray, np.ndarray, np.ndarray, float, float], Optional[np.ndarray]]
+
 
 @dataclass(frozen=True)
 class FlowGrid:
@@ -214,6 +218,21 @@ class DiffusionModel:
     and ``d2xi_contract``, which every other stage still uses.  The loop of
     b's scheme is ``drift_b_taylor_loop``, which the EKF runs on the same
     terms; a model whose b is xi gives the same loop for both.
+
+    Any model but one with float forms may give ``euler_loop(x, ref,
+    normals, dt, sqrt_dt)``, its own run of the Euler-Maruyama substeps
+    of one cycle of :func:`gifilter.harness.simulate_sde`: from the state
+    x, one substep per row of ``normals``, each x + b(x) dt + sigma(x) n
+    sqrt_dt and then ``constrain(x, ref)``, returning the state at the
+    cycle's end, or None when a substep leaves a non-finite state.  It
+    keeps the contract of the array substeps
+    (:func:`gifilter.harness._euler_arrays`): it raises what ``drift_b``
+    and ``constrain`` raise, and checks each state before the constraint,
+    which never sees a non-finite one; it may differ from them by
+    rounding alone.  The simulator then runs the loop in place of the
+    per-substep calls of ``noise_matrix``, ``drift_b`` and ``constrain``.
+    A model with float forms gives no loop of its own, Taylor or Euler
+    (ValueError).
     """
 
     dim: int
@@ -230,6 +249,7 @@ class DiffusionModel:
     float_forms: Optional[FloatForms] = None
     taylor_loop: Optional[TaylorLoop] = None
     drift_b_taylor_loop: Optional[TaylorLoop] = None
+    euler_loop: Optional[EulerLoop] = None
 
     def __post_init__(self):
         if self.float_forms is not None and self.dim != 1:
@@ -237,6 +257,8 @@ class DiffusionModel:
         if self.float_forms is not None and (self.taylor_loop is not None
                                              or self.drift_b_taylor_loop is not None):
             raise ValueError("a model gives float forms or a Taylor loop, not both")
+        if self.float_forms is not None and self.euler_loop is not None:
+            raise ValueError("a model gives float forms or an Euler loop, not both")
         if self.float_forms is not None and self.conn.flat and self.float_forms.alpha is None:
             raise ValueError("a flat model's float forms need alpha")
 

@@ -305,14 +305,19 @@ def simulate_sde(
     a cycle marks that cycle's row and stops the simulation early; so does
     an overflow, without a warning.
 
-    The substeps run through one of two helpers.  An unconstrained flat
-    model whose float forms (:class:`gifilter.flow.FloatForms`) give
-    ``noise_matrix``, with one noise input, steps on Python floats through
-    the forms of xi, which is b on a flat connector, and of
-    ``noise_matrix`` (:func:`_euler_floats`); any other on arrays
-    (:func:`_euler_arrays`), tracking9d included.  Only the array
-    loop checks and applies a constraint.  Both give the same truth and
-    observations bit for bit.
+    The substeps of a cycle run through one of three helpers, chosen by
+    the fields the model gives.  A model with its own ``euler_loop`` (see
+    :class:`gifilter.flow.DiffusionModel`), as tracking9d has, runs it:
+    one pass over the state's floats per substep, within rounding of the
+    array substeps.  An unconstrained flat model whose float forms
+    (:class:`gifilter.flow.FloatForms`) give ``noise_matrix``, with one
+    noise input, steps on Python floats through the forms of xi, which is
+    b on a flat connector, and of ``noise_matrix`` (:func:`_euler_floats`),
+    with the array substeps' bits.  Any other steps on arrays
+    (:func:`_euler_arrays`).  Of the helpers here only the array one
+    checks and applies a constraint; a model's loop applies its own.  The
+    random stream is the same whichever runs: one draw of the cycle's
+    normals, then the observation.
     """
     config = scenario.config
     model = scenario.diffusion
@@ -331,16 +336,19 @@ def simulate_sde(
 
     noise_dim = model.noise_matrix(x).shape[1]
     forms = model.float_forms
-    on_floats = (forms is not None and model.conn.flat and forms.noise_matrix is not None
-                 and noise_dim == 1 and model.constrain is None)
-    euler = _euler_floats if on_floats else _euler_arrays
+    if model.euler_loop is not None:
+        euler = model.euler_loop
+    elif (forms is not None and model.conn.flat and forms.noise_matrix is not None
+          and noise_dim == 1 and model.constrain is None):
+        euler = functools.partial(_euler_floats, model)
+    else:
+        euler = functools.partial(_euler_arrays, model)
 
     # overflow surfaces as the explicit divergence marker, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             # One draw per cycle: the same stream as one draw per substep.
-            x = euler(model, x, ref, rng.standard_normal((config.sim_substeps, noise_dim)),
-                      dt, sqrt_dt)
+            x = euler(x, ref, rng.standard_normal((config.sim_substeps, noise_dim)), dt, sqrt_dt)
             if x is None:
                 diverged_at = k
                 break

@@ -11,9 +11,12 @@ velocity-acceleration inner product.
 
 The flow's Taylor steps run in the model's own loop on Python floats
 (``taylor_loop``, which is also b's, since b is xi), one pass per step
-over the state's nine floats, from the drift ``xi`` gives at the start.  The
-callbacks run one call at a time in the simulator's Euler loop, and in the
-Taylor steps of the model without its loop, so nothing constant is
+over the state's nine floats, from the drift ``xi`` gives at the start.
+The simulator's Euler substeps run in the model's own ``euler_loop`` on
+Python floats too, one pass per substep, with the noise loading and the
+projection of ``project_state`` written out on the nine floats.  The
+one-point callbacks run one call at a time in the Taylor and Euler steps
+of the model without its loops, so nothing constant is
 rebuilt per call: the 3x3 identity is ``geometry.identity(3)``; the
 constant parts of ``dxi`` (the two identity blocks) and of ``d2psi`` are
 read-only templates copied per call; the angular mask is one read-only
@@ -36,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import SingularObservationError, SingularStateError
-from ..flow import DiffusionModel, TaylorLoop
+from ..flow import DiffusionModel, EulerLoop, TaylorLoop
 from ..geometry import ConnectorField, identity
 from ..observation import ObservationModel
 
@@ -278,6 +281,7 @@ def tracking_diffusion(params: Tracking9DParams) -> DiffusionModel:
         constrain=project_state,
         taylor_loop=loop,
         drift_b_taylor_loop=loop,
+        euler_loop=_euler_loop(lam, params.gamma_noise),
     )
 
 
@@ -360,6 +364,59 @@ def _taylor_loop(lam: float) -> TaylorLoop:
         jacs[:] = _DXI_TEMPLATE
         jacs[:, 6:9, 3:9] = np.array(blocks).reshape(n + 1, 3, 6)
         return np.array(points), jacs
+
+    return loop
+
+
+def _euler_loop(lam: float, gamma_noise: float) -> EulerLoop:
+    """The simulator's Euler loop of :func:`tracking_diffusion` on Python
+    floats: each substep x + b(x) dt + sigma(x) n sqrt_dt, then
+    :func:`project_state`.
+
+    b is xi, (v, a, c) with c = -rho v - lam (a - v (v.a) / |v|^2), formed
+    as ``xi`` forms it after the speed check of ``_speed_squared``; the
+    noise gamma (I - v v^T / |v|^2) n sqrt_dt enters the acceleration
+    block alone, as gamma sqrt_dt (n - v (v.n) / |v|^2).  Each substep
+    forms v.v, v.n, a.a and v.a once.  A substep that leaves a non-finite
+    state returns None before the projection, which rescales v to the
+    speed of ``ref`` and takes a orthogonal to it as ``project_state``
+    does, raising where it raises.  The state is built as an array once,
+    at the end.
+    """
+    floor2 = SPEED_FLOOR ** 2
+    isfinite = math.isfinite
+
+    def loop(x, ref, normals, dt, sqrt_dt):
+        ref_v = ref[3:6]
+        speed_ref = math.sqrt(ref_v @ ref_v)
+        g = gamma_noise * sqrt_dt
+        p1, p2, p3, v1, v2, v3, a1, a2, a3 = np.asarray(x, dtype=float).tolist()
+        vv = v1 * v1 + v2 * v2 + v3 * v3
+        for n1, n2, n3 in normals.tolist():
+            if vv < floor2:
+                raise SingularStateError("speed collapsed during flow evaluation")
+            rho = (a1 * a1 + a2 * a2 + a3 * a3) / vv
+            va = v1 * a1 + v2 * a2 + v3 * a3
+            w = (v1 * n1 + v2 * n2 + v3 * n3) / vv
+            p1, p2, p3 = p1 + v1 * dt, p2 + v2 * dt, p3 + v3 * dt
+            v1, v2, v3, a1, a2, a3 = (
+                v1 + a1 * dt, v2 + a2 * dt, v3 + a3 * dt,
+                a1 + (-rho * v1 - lam * (a1 - v1 * va / vv)) * dt + g * (n1 - v1 * w),
+                a2 + (-rho * v2 - lam * (a2 - v2 * va / vv)) * dt + g * (n2 - v2 * w),
+                a3 + (-rho * v3 - lam * (a3 - v3 * va / vv)) * dt + g * (n3 - v3 * w))
+            if not (isfinite(p1) and isfinite(p2) and isfinite(p3) and isfinite(v1)
+                    and isfinite(v2) and isfinite(v3) and isfinite(a1) and isfinite(a2)
+                    and isfinite(a3)):
+                return None
+            nv = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+            if nv < SPEED_FLOOR:
+                raise SingularStateError("cannot project a state with vanishing speed")
+            scale = speed_ref / nv
+            v1, v2, v3 = v1 * scale, v2 * scale, v3 * scale
+            vv = v1 * v1 + v2 * v2 + v3 * v3
+            va = v1 * a1 + v2 * a2 + v3 * a3
+            a1, a2, a3 = a1 - v1 * va / vv, a2 - v2 * va / vv, a3 - v3 * va / vv
+        return np.array([p1, p2, p3, v1, v2, v3, a1, a2, a3])
 
     return loop
 

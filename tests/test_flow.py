@@ -292,6 +292,9 @@ def test_float_forms_belong_to_a_scalar_state_and_follow_b_to_the_ekf(cubic_mode
     for field in ("taylor_loop", "drift_b_taylor_loop"):
         with pytest.raises(ValueError, match="float forms or a Taylor loop"):
             dataclasses.replace(model, **{field: lambda x0, xi0, h, n: None})
+    # and so does a model's own Euler loop of the simulator
+    with pytest.raises(ValueError, match="float forms or an Euler loop"):
+        dataclasses.replace(model, euler_loop=lambda x, ref, normals, dt, sqrt_dt: None)
 
 
 def test_a_flat_model_whose_float_forms_lack_alpha_is_refused(cubic_models):

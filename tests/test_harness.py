@@ -37,6 +37,7 @@ from gifilter.harness import (
     transformed_cubic_model,
 )
 from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
+from gifilter.models import tracking
 from gifilter.models.linear import LinearParams, linear_build
 from gifilter.observation import beta_sqrt, sample_observation
 
@@ -588,8 +589,11 @@ def test_ekf_track_ignores_the_gif_only_switches():
             != tracks[False, True].estimates["gif"].tobytes())
 
 
-def test_simulate_sde_requires_noise_matrix():
-    scenario = build_scenario(ScenarioConfig(model="cubic1d", n_obs=3))
+@pytest.mark.parametrize("model", ["cubic1d", "tracking9d"])
+def test_simulate_sde_requires_noise_matrix(model):
+    # tracking9d's own Euler loop needs no noise_matrix, but the simulator
+    # still asks for it
+    scenario = build_scenario(ScenarioConfig(model=model, n_obs=3))
     no_noise = dataclasses.replace(
         scenario, diffusion=dataclasses.replace(scenario.diffusion, noise_matrix=None))
     with pytest.raises(ValueError, match="noise_matrix"):
@@ -598,13 +602,25 @@ def test_simulate_sde_requires_noise_matrix():
 
 def _euler_helpers_run(monkeypatch):
     """The names of the Euler helpers simulate_sde calls, one per cycle,
-    recorded from here on."""
+    recorded from here on; the own loop of a tracking9d model built from
+    here on is recorded as "euler_loop"."""
     ran = []
     for name in ("_euler_floats", "_euler_arrays"):
         def helper(*args, _name=name, _fn=getattr(harness, name)):
             ran.append(_name)
             return _fn(*args)
         monkeypatch.setattr(harness, name, helper)
+    build_loop = tracking._euler_loop
+
+    def recording_build(*params):
+        loop = build_loop(*params)
+
+        def recorded(*args):
+            ran.append("euler_loop")
+            return loop(*args)
+        return recorded
+
+    monkeypatch.setattr(tracking, "_euler_loop", recording_build)
     return ran
 
 
@@ -705,11 +721,15 @@ def _clip_near_start(x, ref):
         "cubic1d-constrained"])
 def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, constrain, diverged_at,
                                                            helper, monkeypatch):
-    scenario = build_scenario(config)
-    if constrain is not None:
-        scenario = dataclasses.replace(scenario, diffusion=dataclasses.replace(
-            scenario.diffusion, constrain=constrain))
     ran = _euler_helpers_run(monkeypatch)
+    scenario = build_scenario(config)
+    # tracking9d's own Euler loop rounds otherwise (it is bounded against
+    # the array substeps in test_models_tracking.py); without it the array
+    # substeps are pinned here bit for bit
+    diffusion = dataclasses.replace(scenario.diffusion, euler_loop=None)
+    if constrain is not None:
+        diffusion = dataclasses.replace(diffusion, constrain=constrain)
+    scenario = dataclasses.replace(scenario, diffusion=diffusion)
     record = simulate_sde(scenario, trajectory_rng(config.seed, 0))
     assert set(ran) == {helper}
     truth, observations, loop_diverged_at = _per_substep_simulation(
@@ -719,18 +739,18 @@ def test_simulate_sde_equals_per_substep_draws_bit_for_bit(config, constrain, di
     assert np.array_equal(record.observations, observations, equal_nan=True)
 
 
-@pytest.mark.parametrize("config,calls", [
-    (ScenarioConfig(model="cubic1d", n_obs=30, seed=4), 30),
-    (ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=5), 10),
+@pytest.mark.parametrize("config,calls,helper", [
+    (ScenarioConfig(model="cubic1d", n_obs=30, seed=4), 30, "_euler_floats"),
+    (ScenarioConfig(model="tracking9d", delta=0.1, n_obs=10, seed=5), 10, "euler_loop"),
     (ScenarioConfig(model="cubic1d", model_params={"alpha": 10.0}, n_obs=40,
-                    sim_substeps=4, seed=0), 12),
-    (ScenarioConfig(model="cubic1d", n_obs=5, x0=[1e103]), 0),
+                    sim_substeps=4, seed=0), 12, "_euler_floats"),
+    (ScenarioConfig(model="cubic1d", n_obs=5, x0=[1e103]), 0, "_euler_floats"),
 ], ids=["cubic1d", "tracking9d", "diverging", "diverging-in-the-first-substep"])
 def test_simulate_sde_draws_every_observation_through_sample_observation(config, calls,
-                                                                        monkeypatch):
+                                                                        helper, monkeypatch):
     # perfbench times the draw as the span it wraps around
     # harness.sample_observation: every simulated cycle calls it once, and
-    # no cycle after a divergence does
+    # no cycle after a divergence does, whichever Euler helper ran the cycle
     drawn = []
 
     def counted(*args):
@@ -738,8 +758,10 @@ def test_simulate_sde_draws_every_observation_through_sample_observation(config,
         return sample_observation(*args)
 
     monkeypatch.setattr(harness, "sample_observation", counted)
+    ran = _euler_helpers_run(monkeypatch)
     record = simulate_sde(build_scenario(config), trajectory_rng(config.seed, 0))
     assert len(drawn) == record.n_valid == calls
+    assert ran == [helper] * (calls + (record.diverged_at is not None))
 
 
 ONE_POINT_CALLBACKS = ("xi", "dxi", "d2xi_contract", "drift_b", "ddrift_b",

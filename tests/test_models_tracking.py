@@ -16,6 +16,7 @@ from gifilter.harness import (
     simulate_sde,
     trajectory_rng,
 )
+from gifilter import harness
 from gifilter.geometry import identity
 from gifilter.models import tracking
 from gifilter.models.tracking import (
@@ -419,6 +420,115 @@ def test_the_ekf_runs_the_loop_of_b(tracking_models):
     want = ekf_predict(without_taylor_loops(model), (mean, cov), 0.1, 8)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+# --- the simulator's own Euler loop ----------------------------------------------------
+
+# the loop reorders the array substeps' arithmetic; its state stays within
+# this bound of theirs, relative to the largest entry of each block
+EULER_LOOP_BOUND = 1e-13
+
+BLOCKS = (slice(0, 3), slice(3, 6), slice(6, 9))
+
+
+def _block_deviation(got, want):
+    """The largest |got - want| of a block relative to its largest |want|,
+    over the three blocks."""
+    return max(np.max(np.abs(got[b] - want[b])) / np.max(np.abs(want[b])) for b in BLOCKS)
+
+
+def _array_cycles(scenario, seed, monkeypatch):
+    """The arguments and result of every array Euler cycle of the
+    scenario's simulation without its own loop."""
+    cycles = []
+    arrays = harness._euler_arrays
+
+    def recorded(*args):
+        cycles.append((args[1:], arrays(*args)))
+        return cycles[-1][1]
+
+    monkeypatch.setattr(harness, "_euler_arrays", recorded)
+    no_loop = dataclasses.replace(scenario.diffusion, euler_loop=None)
+    simulate_sde(dataclasses.replace(scenario, diffusion=no_loop), trajectory_rng(seed, 0))
+    return cycles
+
+
+# perfbench's tracking workload: its seeds 0-2 simulate these nine tracks
+@pytest.mark.parametrize("seed", range(9))
+def test_the_euler_loop_matches_the_array_substeps(seed, monkeypatch):
+    config = ScenarioConfig(model="tracking9d", delta=0.1, n_obs=50, seed=seed)
+    scenario = build_scenario(config)
+    loop = scenario.diffusion.euler_loop
+    cycles = _array_cycles(scenario, seed, monkeypatch)
+    assert len(cycles) == config.n_obs
+    for (x, ref, normals, dt, sqrt_dt), want in cycles:
+        assert _block_deviation(loop(x, ref, normals, dt, sqrt_dt), want) <= EULER_LOOP_BOUND
+        # negative control: a relative change of 1e-9 in the noise fails the bound
+        nudged = loop(x, ref, normals * (1.0 + 1e-9), dt, sqrt_dt)
+        assert _block_deviation(nudged, want) > EULER_LOOP_BOUND
+
+
+def _euler_outcome(run):
+    """The state, None, or the class and message of what ``run`` raised."""
+    try:
+        return run()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _both_euler_paths(model, x, finite_seen, dt=0.005):
+    """The outcomes of one cycle of the model's Euler loop and of the
+    array substeps, from x with x its reference; the array constraint
+    appends to ``finite_seen`` whether each state it sees is finite."""
+    def constrain(y, ref):
+        finite_seen.append(bool(np.isfinite(y).all()))
+        return project_state(y, ref)
+
+    arrays = dataclasses.replace(model, euler_loop=None, constrain=constrain)
+    normals = np.random.default_rng(1).standard_normal((20, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_euler_outcome(lambda: model.euler_loop(x, x, normals, dt, math.sqrt(dt))),
+                _euler_outcome(lambda: harness._euler_arrays(arrays, x, x, normals, dt,
+                                                              math.sqrt(dt))))
+
+
+@pytest.mark.parametrize("x0,outcome,constraint_calls", [
+    # a speed below the floor at the start: the drift raises
+    (pack_state(np.ones(3), [1e-7, 0.0, 0.0], [0.0, 1.0, 0.0]),
+     (SingularStateError, "speed collapsed during flow evaluation"), 0),
+    # an acceleration that takes the velocity to zero in one substep of
+    # 0.005: the projection raises
+    (pack_state(np.ones(3), [1e-3, 0.0, 0.0], [-0.2, 0.0, 0.0]),
+     (SingularStateError, "cannot project a state with vanishing speed"), 1),
+    # a.a near the largest float: the first substep stays finite, and the
+    # second overflows and ends the cycle before its projection
+    (pack_state(np.ones(3), [1.0, 0.0, 0.0], [0.0, 1e153, 0.0]), None, 1),
+], ids=["collapse-at-the-drift", "collapse-at-the-projection", "overflow-mid-cycle"])
+def test_the_euler_loop_fails_as_the_array_substeps_do(tracking_models, x0, outcome,
+                                                       constraint_calls):
+    model, _ = tracking_models
+    finite_seen = []
+    loop_outcome, array_outcome = _both_euler_paths(model, x0, finite_seen)
+    assert loop_outcome == array_outcome == outcome
+    # the array constraint sees only finite states
+    assert finite_seen == [True] * constraint_calls
+
+
+@pytest.mark.parametrize("block", [0, 3, 6])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_the_euler_loop_reports_a_non_finite_start_as_a_divergence(block, bad):
+    scenario = build_scenario(ScenarioConfig(model="tracking9d", delta=0.1, n_obs=3))
+    x0 = scenario.x0.copy()
+    x0[block] = bad
+    start = dataclasses.replace(scenario, x0=x0)
+    for model in (scenario.diffusion, dataclasses.replace(scenario.diffusion, euler_loop=None)):
+        # simulate_sde reads the noise dimension from noise_matrix(x0)
+        # outside its errstate
+        with np.errstate(invalid="ignore"):
+            record = simulate_sde(dataclasses.replace(start, diffusion=model),
+                                  trajectory_rng(0, 0))
+        assert record.diverged_at == 0
+        assert np.isnan(record.truth).all() and np.isnan(record.observations).all()
 
 
 def test_the_spherical_gradient_is_the_inverse_jacobian():
