@@ -381,7 +381,11 @@ def _euler_loop(lam: float, gamma_noise: float) -> EulerLoop:
     state returns None before the projection, which rescales v to the
     speed of ``ref`` and takes a orthogonal to it as ``project_state``
     does, raising where it raises.  The state is built as an array once,
-    at the end.
+    at the end, and checked as the array substeps check theirs.  On
+    Python floats a division by zero raises where numpy's gives NaN: a
+    ``ref`` slower than SPEED_FLOOR, which the simulator never passes (its
+    reference is the track's start, whose speed the first substep's drift
+    checks), raises ZeroDivisionError at the projection.
     """
     floor2 = SPEED_FLOOR ** 2
     isfinite = math.isfinite
@@ -416,7 +420,10 @@ def _euler_loop(lam: float, gamma_noise: float) -> EulerLoop:
             vv = v1 * v1 + v2 * v2 + v3 * v3
             va = v1 * a1 + v2 * a2 + v3 * a3
             a1, a2, a3 = a1 - v1 * va / vv, a2 - v2 * va / vv, a3 - v3 * va / vv
-        return np.array([p1, p2, p3, v1, v2, v3, a1, a2, a3])
+        # a projection may overflow; the next substep's check finds that,
+        # and this one the last substep's
+        x = np.array([p1, p2, p3, v1, v2, v3, a1, a2, a3])
+        return x if np.isfinite(x).all() else None
 
     return loop
 

@@ -36,8 +36,8 @@ from gifilter.harness import (
     trajectory_rng,
     transformed_cubic_model,
 )
-from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models import tracking
+from gifilter.models.cubic1d import Cubic1DParams, cubic1d_build
 from gifilter.models.linear import LinearParams, linear_build
 from gifilter.observation import beta_sqrt, sample_observation
 

@@ -476,7 +476,7 @@ def _euler_outcome(run):
         return type(exc), str(exc)
 
 
-def _both_euler_paths(model, x, finite_seen, dt=0.005):
+def _both_euler_paths(model, x, finite_seen, substeps, dt=0.005):
     """The outcomes of one cycle of the model's Euler loop and of the
     array substeps, from x with x its reference; the array constraint
     appends to ``finite_seen`` whether each state it sees is finite."""
@@ -485,30 +485,34 @@ def _both_euler_paths(model, x, finite_seen, dt=0.005):
         return project_state(y, ref)
 
     arrays = dataclasses.replace(model, euler_loop=None, constrain=constrain)
-    normals = np.random.default_rng(1).standard_normal((20, 3))
+    normals = np.random.default_rng(1).standard_normal((substeps, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         return (_euler_outcome(lambda: model.euler_loop(x, x, normals, dt, math.sqrt(dt))),
                 _euler_outcome(lambda: harness._euler_arrays(arrays, x, x, normals, dt,
                                                               math.sqrt(dt))))
 
 
-@pytest.mark.parametrize("x0,outcome,constraint_calls", [
+@pytest.mark.parametrize("x0,substeps,outcome,constraint_calls", [
     # a speed below the floor at the start: the drift raises
-    (pack_state(np.ones(3), [1e-7, 0.0, 0.0], [0.0, 1.0, 0.0]),
+    (pack_state(np.ones(3), [1e-7, 0.0, 0.0], [0.0, 1.0, 0.0]), 20,
      (SingularStateError, "speed collapsed during flow evaluation"), 0),
     # an acceleration that takes the velocity to zero in one substep of
     # 0.005: the projection raises
-    (pack_state(np.ones(3), [1e-3, 0.0, 0.0], [-0.2, 0.0, 0.0]),
+    (pack_state(np.ones(3), [1e-3, 0.0, 0.0], [-0.2, 0.0, 0.0]), 20,
      (SingularStateError, "cannot project a state with vanishing speed"), 1),
     # a.a near the largest float: the first substep stays finite, and the
     # second overflows and ends the cycle before its projection
-    (pack_state(np.ones(3), [1.0, 0.0, 0.0], [0.0, 1e153, 0.0]), None, 1),
-], ids=["collapse-at-the-drift", "collapse-at-the-projection", "overflow-mid-cycle"])
-def test_the_euler_loop_fails_as_the_array_substeps_do(tracking_models, x0, outcome,
+    (pack_state(np.ones(3), [1.0, 0.0, 0.0], [0.0, 1e153, 0.0]), 20, None, 1),
+    # a finite substep whose projection overflows (v (v.a) past the largest
+    # float), in a cycle of one substep: the state at the end is not finite
+    (pack_state(np.ones(3), [1e5, 0.0, 0.0], [7e152, 0.0, 0.0]), 1, None, 1),
+], ids=["collapse-at-the-drift", "collapse-at-the-projection", "overflow-mid-cycle",
+        "overflow-in-the-last-projection"])
+def test_the_euler_loop_fails_as_the_array_substeps_do(tracking_models, x0, substeps, outcome,
                                                        constraint_calls):
     model, _ = tracking_models
     finite_seen = []
-    loop_outcome, array_outcome = _both_euler_paths(model, x0, finite_seen)
+    loop_outcome, array_outcome = _both_euler_paths(model, x0, finite_seen, substeps)
     assert loop_outcome == array_outcome == outcome
     # the array constraint sees only finite states
     assert finite_seen == [True] * constraint_calls
