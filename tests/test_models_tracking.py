@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gifilter import harness
 from gifilter.ekf import ekf_predict
 from gifilter.errors import DivergenceError, SingularObservationError, SingularStateError
 from gifilter.flow import FlowGrid, integrate_flow
@@ -16,7 +17,6 @@ from gifilter.harness import (
     simulate_sde,
     trajectory_rng,
 )
-from gifilter import harness
 from gifilter.geometry import identity
 from gifilter.models import tracking
 from gifilter.models.tracking import (
